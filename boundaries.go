@@ -20,19 +20,13 @@ import (
 // rescanning; a compaction or reload drops the cache and the next
 // request resamples the full log.
 
-// sampleFor returns the pinned version's sorted x-center sample,
-// computing it from recs (the version's records, already in memory)
-// on first use.
-func sampleFor(v *ingest.Version, recs []Record) ([]Coord, error) {
-	return v.Sample(func() ([]geom.Coord, error) {
-		return parallel.SortedCenterSample(recs), nil
-	})
-}
-
-// centerSample returns the pinned version's cached sample, reading
-// the record stream (charged to the workspace counters like any scan)
-// when cold.
-func centerSample(v *ingest.Version) ([]Coord, error) {
+// sampleFor returns the pinned version's cached sample, reading the
+// record stream (charged to the workspace counters like any scan)
+// when cold. The sample always strides the records in file order —
+// the cold build of the version's prepared run takes it the same way
+// before sorting — so the stripe cuts do not depend on whether a
+// planner or a join touched the version first.
+func sampleFor(v *ingest.Version) ([]Coord, error) {
 	return v.Sample(func() ([]geom.Coord, error) {
 		recs, err := stream.ReadAll(v.File, stream.Records)
 		if err != nil {
@@ -55,7 +49,7 @@ func (r *Relation) StripeBoundaries(k int) ([]Coord, error) {
 		return nil, fmt.Errorf("%w: stripe boundaries", ErrNilRelation)
 	}
 	v := r.snapshot()
-	sample, err := centerSample(v)
+	sample, err := sampleFor(v)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +81,7 @@ func (c *Catalog) StripeBoundaries(k int, names ...string) ([]Coord, error) {
 			return nil, fmt.Errorf("unijoin: relation %q is not in the catalog", name)
 		}
 		v := rel.snapshot()
-		sample, err := centerSample(v)
+		sample, err := sampleFor(v)
 		if err != nil {
 			return nil, err
 		}

@@ -234,6 +234,11 @@ type Result struct {
 	// traces.
 	PartitionWall time.Duration
 	SweepWall     time.Duration
+	// PrepareWall is what the in-memory engine's query spent ahead of
+	// those two phases building its inputs' prepared runs
+	// (ingest.Version.Prepared): zero unless this query was the one
+	// that found a run cold or unmerged for its epoch.
+	PrepareWall time.Duration
 
 	// SortStats describe the external sorts run on non-indexed inputs
 	// (SSSJ and PQ), in input order.

@@ -3,12 +3,25 @@
 // the simulated disk, and every mutation publishes a new immutable
 // epoch-stamped Version — a pinned prefix view of the log
 // (iosim.File.Snapshot), the R-tree covering exactly those records,
-// the bounding rectangle, and the maintained x-center sample. Readers
+// the bounding rectangle, the maintained x-center sample, and the
+// prepared run (the records decoded and ordered by lower y, which the
+// in-memory engine joins without touching the simulated disk). Readers
 // load the current Version once, atomically, and keep a consistent
 // view no matter how many appends land while they stream; writers
 // serialize on the log's mutex and never modify anything a published
 // Version references (appends write bytes past every pinned size;
-// index growth is copy-on-write path insertion, rtree.WithInserted).
+// index growth is copy-on-write path insertion, rtree.WithInserted;
+// a successor's prepared run is merged into fresh slices).
+//
+// The prepared run is built once per epoch, never once per query and
+// never eagerly per append. The first Prepared call on a relation
+// reads and sorts the whole log; from then on the run is warm and
+// every mutation carries it: an append hands the successor the shared
+// base run plus its sorted delta merged with the new batch (work
+// proportional to the delta), the first query that pins the new epoch
+// merges the two once for everybody, and a compaction promotes the
+// merged run to the next base. A run dies with the last reference to
+// its version.
 //
 // The index follows the paper's lifecycle rather than fighting it: a
 // relation's tree is born packed (Hilbert bulk load, Section 3.3) and
@@ -23,6 +36,7 @@ package ingest
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -66,7 +80,10 @@ type Config struct {
 // Version is one immutable published state of a relation: everything
 // a query needs, pinned at an epoch. Versions are safe for concurrent
 // use and stay valid forever — later appends and compactions only
-// publish successors.
+// publish successors. The two lazily built members, the x-center
+// sample and the prepared run, are caches of that immutable state:
+// built by the first reader that needs them, carried to the successor
+// once warm, and dropped with the version.
 type Version struct {
 	// Epoch increases by one per published mutation (append, index
 	// build, compaction). A query pins one Version at start and
@@ -94,6 +111,17 @@ type Version struct {
 	sampleMu sync.Mutex
 	sample   []geom.Coord
 	sampled  bool
+
+	// runMu guards run, the lazily built prepared run (see Prepared).
+	// base and delta are what a warm predecessor handed over at
+	// publication — two runs ordered by geom.ByLowerY that together
+	// hold exactly this version's records — and are both nil on a
+	// cold version, which builds from File. None of the three slices
+	// is ever written once set: successors and concurrent queries
+	// share them.
+	runMu       sync.Mutex
+	base, delta []geom.Record
+	run         []geom.Record
 }
 
 // Delta returns the records appended since the last packed build.
@@ -123,6 +151,74 @@ func (v *Version) warmSample() ([]geom.Coord, bool) {
 	v.sampleMu.Lock()
 	defer v.sampleMu.Unlock()
 	return v.sample, v.sampled
+}
+
+// Build says what a Prepared call had to do for its result.
+type Build string
+
+const (
+	// BuildNone: the run was already there.
+	BuildNone Build = ""
+	// BuildMerge: one linear merge of the carried base and delta runs.
+	BuildMerge Build = "merge"
+	// BuildFull: the log was read, decoded and sorted.
+	BuildFull Build = "full"
+)
+
+// Prepared returns the version's records ordered by geom.ByLowerY (a
+// total order: lower y, then ID) — the input form of the in-memory
+// engine — and what this call did to produce them. The run is built at
+// most once per version, under the version's lock, and then shared by
+// every caller: it must not be modified. Only a cold build touches the
+// simulated disk; it also takes the x-center sample from the records
+// while they are still in file order, so the sample does not depend on
+// whether a join or a stripe planner asked first.
+func (v *Version) Prepared() ([]geom.Record, Build, error) {
+	v.runMu.Lock()
+	defer v.runMu.Unlock()
+	switch {
+	case v.run != nil:
+		return v.run, BuildNone, nil
+	case v.base == nil:
+		recs, err := stream.ReadAll(v.File, stream.Records)
+		if err != nil {
+			return nil, BuildNone, err
+		}
+		if _, err := v.Sample(func() ([]geom.Coord, error) {
+			return parallel.SortedCenterSample(recs), nil
+		}); err != nil {
+			return nil, BuildNone, err
+		}
+		slices.SortFunc(recs, geom.ByLowerY)
+		v.base, v.run = recs, recs
+		return v.run, BuildFull, nil
+	default:
+		v.run = mergeRuns(v.base, v.delta)
+		return v.run, BuildMerge, nil
+	}
+}
+
+// carryRun hands everything v knows of its prepared run to next, an
+// unpublished successor holding the same records, and reports whether
+// there was anything to hand over (v is warm).
+func (v *Version) carryRun(next *Version) bool {
+	v.runMu.Lock()
+	defer v.runMu.Unlock()
+	next.base, next.delta, next.run = v.base, v.delta, v.run
+	return v.base != nil
+}
+
+// mergeRuns merges two runs ordered by geom.ByLowerY into a fresh one.
+func mergeRuns(a, b []geom.Record) []geom.Record {
+	out := make([]geom.Record, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if geom.ByLowerY(b[0], a[0]) < 0 {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // AppendResult reports one Append.
@@ -236,6 +332,7 @@ func (l *Log) BuildIndex(opts rtree.BuildOptions) error {
 	if s, ok := old.warmSample(); ok {
 		v.sample, v.sampled = s, true
 	}
+	old.carryRun(v)
 	l.cur.Store(v)
 	return nil
 }
@@ -303,6 +400,15 @@ func (l *Log) Append(recs []geom.Record) (AppendResult, error) {
 		v.sample = parallel.MergeSamples(s, parallel.SortedCenterSample(recs))
 		v.sampled = true
 	}
+	// Likewise a warm prepared run: the successor shares the base and
+	// gets the delta merged with this batch — work proportional to the
+	// delta, which compaction bounds; the merge with the base waits
+	// for the first query that pins the new epoch.
+	if old.carryRun(v) {
+		batch := slices.Clone(recs)
+		slices.SortFunc(batch, geom.ByLowerY)
+		v.delta, v.run = mergeRuns(v.delta, batch), nil
+	}
 	l.cur.Store(v)
 
 	res := AppendResult{Appended: len(recs), Epoch: v.Epoch, Total: v.N}
@@ -342,10 +448,21 @@ func (l *Log) Compact() (bool, error) {
 // compactLocked rebuilds under l.mu and publishes the compacted
 // version. The sample is dropped, not carried: merged samples drift
 // from the exact stride sample as deltas stack, and the rebuild is
-// the natural point to resample the full log.
+// the natural point to resample the full log. A warm prepared run is
+// promoted instead: the record set is unchanged, so the merged run
+// (built now unless a query already did) becomes the successor's
+// base and the delta run starts over — which is what keeps an
+// append's merge bounded by the compaction threshold.
 func (l *Log) compactLocked() error {
 	old := l.cur.Load()
 	v := &Version{Epoch: old.Epoch + 1, File: old.File, N: old.N, BaseN: old.N, MBR: old.MBR}
+	if old.carryRun(v) {
+		run, _, err := old.Prepared()
+		if err != nil {
+			return err
+		}
+		v.base, v.delta, v.run = run, nil, run
+	}
 	if l.indexed {
 		tree, err := rtree.Build(l.store, old.File, l.universe(old.MBR), l.build)
 		if err != nil {

@@ -6,12 +6,13 @@ import (
 )
 
 // PoolReturn checks the pooled-buffer discipline behind the EmitBatch
-// fast path (PR 2) and the wire frame encoder (PR 8): every
-// pairbuf.Get() / pairbuf.NewBatcher() / wire.NewEncoder() acquisition
-// must reach its release (pairbuf.Put, Batcher.Release, Encoder.Close)
-// on some path in the acquiring function, or hand the value off —
-// return it, store it into a field, slot, or pointer, or send it on a
-// channel — to an owner that will. A buffer that is neither released
+// fast path (PR 2), the wire frame encoder (PR 8) and the parallel
+// engine's record fragments (PR 13): every pairbuf.Get() /
+// pairbuf.GetRecords() / pairbuf.NewBatcher() / wire.NewEncoder()
+// acquisition must reach its release (pairbuf.Put, pairbuf.PutRecords,
+// Batcher.Release, Encoder.Close) on some path in the acquiring
+// function, or hand the value off — return it, store it into a field,
+// slot, or pointer, or send it on a channel — to an owner that will. A buffer that is neither released
 // nor handed off leaks from the pool and silently regresses the
 // steady-state zero-allocation property the long-lived server relies
 // on. The analyzer also flags straight-line use of a buffer after its
@@ -22,7 +23,7 @@ import (
 var PoolReturn = &Analyzer{
 	Name: "poolreturn",
 	Doc: "pooled buffers must reach Put/Release/Close or escape to an owner (pooled emit path, PR 2/8)\n" +
-		"pairbuf.Get/NewBatcher and wire.NewEncoder acquisitions leak from the pool when no path\n" +
+		"pairbuf.Get/GetRecords/NewBatcher and wire.NewEncoder acquisitions leak from the pool when no path\n" +
 		"releases them; using a buffer after returning it races with the next borrower.",
 	Run: runPoolReturn,
 }
@@ -32,6 +33,7 @@ type poolKind int
 
 const (
 	kindPairBuf poolKind = iota // pairbuf.Get -> pairbuf.Put(v)
+	kindRecBuf                  // pairbuf.GetRecords -> pairbuf.PutRecords(v)
 	kindBatcher                 // pairbuf.NewBatcher -> v.Release()
 	kindEncoder                 // wire.NewEncoder -> v.Close()
 )
@@ -40,6 +42,8 @@ func (k poolKind) what() string {
 	switch k {
 	case kindPairBuf:
 		return "pairbuf.Get buffer"
+	case kindRecBuf:
+		return "pairbuf.GetRecords buffer"
 	case kindBatcher:
 		return "pairbuf.Batcher"
 	default:
@@ -51,6 +55,8 @@ func (k poolKind) release() string {
 	switch k {
 	case kindPairBuf:
 		return "pairbuf.Put"
+	case kindRecBuf:
+		return "pairbuf.PutRecords"
 	case kindBatcher:
 		return "Release"
 	default:
@@ -90,6 +96,8 @@ func acquisitionKind(pass *Pass, call *ast.CallExpr) (poolKind, bool) {
 	switch {
 	case fn.Pkg().Name() == "pairbuf" && fn.Name() == "Get":
 		return kindPairBuf, true
+	case fn.Pkg().Name() == "pairbuf" && fn.Name() == "GetRecords":
+		return kindRecBuf, true
 	case fn.Pkg().Name() == "pairbuf" && fn.Name() == "NewBatcher":
 		return kindBatcher, true
 	case fn.Pkg().Name() == "wire" && fn.Name() == "NewEncoder":
@@ -180,7 +188,7 @@ func checkPoolFlow(pass *Pass, body *ast.BlockStmt) {
 			}
 		}
 	}
-	anyKind := []poolKind{kindPairBuf, kindBatcher, kindEncoder}
+	anyKind := []poolKind{kindPairBuf, kindRecBuf, kindBatcher, kindEncoder}
 	markMentioned := func(expr ast.Expr) {
 		ast.Inspect(expr, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
@@ -240,16 +248,22 @@ func checkPoolFlow(pass *Pass, body *ast.BlockStmt) {
 	checkUseAfterRelease(pass, body, byObj)
 }
 
-// releaseCall matches `pairbuf.Put(v)` / `v.Release()` / `v.Close()`
-// and returns the released object and which kind it releases.
+// releaseCall matches `pairbuf.Put(v)` / `pairbuf.PutRecords(v)` /
+// `v.Release()` / `v.Close()` and returns the released object and
+// which kind it releases.
 func releaseCall(pass *Pass, call *ast.CallExpr) (types.Object, poolKind, bool) {
 	fn := calleeFunc(pass, call)
 	if fn == nil {
 		return nil, 0, false
 	}
-	if fn.Pkg() != nil && fn.Pkg().Name() == "pairbuf" && fn.Name() == "Put" && len(call.Args) == 1 {
+	if fn.Pkg() != nil && fn.Pkg().Name() == "pairbuf" && len(call.Args) == 1 {
 		if obj := usedObject(pass, call.Args[0]); obj != nil {
-			return obj, kindPairBuf, true
+			switch fn.Name() {
+			case "Put":
+				return obj, kindPairBuf, true
+			case "PutRecords":
+				return obj, kindRecBuf, true
+			}
 		}
 	}
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {

@@ -9,6 +9,13 @@ func Get() [][2]uint32 { return make([][2]uint32, 0, 8) }
 
 func Put(buf [][2]uint32) {}
 
+// Record mirrors geom.Record for the fragment pool.
+type Record struct{ ID uint32 }
+
+func GetRecords() []Record { return nil }
+
+func PutRecords(buf []Record) {}
+
 func NewBatcher(fn func([][2]uint32)) *Batcher { return &Batcher{} }
 
 func (b *Batcher) Emit(l, r uint32) {}

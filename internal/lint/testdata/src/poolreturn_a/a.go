@@ -84,3 +84,30 @@ func reboundAfterPut() int {
 	buf = make([][2]uint32, 0, 4)
 	return len(buf)
 }
+
+// Record fragments follow the same discipline through their own pair
+// of functions.
+func fragment() {
+	recs := pairbuf.GetRecords()
+	recs = append(recs, pairbuf.Record{ID: 1})
+	pairbuf.PutRecords(recs)
+}
+
+func fragmentLeak() {
+	recs := pairbuf.GetRecords() // want `no path releases it with pairbuf.PutRecords`
+	recs = append(recs, pairbuf.Record{ID: 1})
+	_ = recs
+}
+
+// Borrowed straight into a slot: the slot's owner releases it.
+func fragmentSlots(buckets [][]pairbuf.Record) {
+	for i := range buckets {
+		buckets[i] = pairbuf.GetRecords()
+	}
+}
+
+func useAfterPutRecords() int {
+	recs := pairbuf.GetRecords()
+	pairbuf.PutRecords(recs)
+	return len(recs) // want `used after its pairbuf.PutRecords`
+}

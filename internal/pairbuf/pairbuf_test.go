@@ -60,3 +60,21 @@ func TestGrownBuffersAreKept(t *testing.T) {
 		t.Fatalf("cap %d < BatchSize", cap(got))
 	}
 }
+
+func TestRecordBuffersKeepOnlyUsefulCapacity(t *testing.T) {
+	if b := GetRecords(); len(b) != 0 {
+		t.Fatalf("borrowed record buffer is not empty: len %d", len(b))
+	}
+	// sync.Pool may drop anything at any time, so only the refusals are
+	// certain: a buffer that never grew and an outsized one must not
+	// come back; a recycled one must come back empty.
+	PutRecords(nil)
+	PutRecords(make([]geom.Record, 5, maxPooledRecords+1))
+	PutRecords(append(make([]geom.Record, 0, 100), geom.Record{ID: 7}))
+	for i := 0; i < 4; i++ {
+		b := GetRecords()
+		if len(b) != 0 || cap(b) > maxPooledRecords {
+			t.Fatalf("borrowed record buffer: len %d cap %d", len(b), cap(b))
+		}
+	}
+}

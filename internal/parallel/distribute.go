@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"unijoin/internal/geom"
+	"unijoin/internal/pairbuf"
 )
 
 // distCheckInterval is how many records a distribution worker
@@ -17,26 +18,22 @@ const distCheckInterval = 8192
 // than the classification itself.
 const distSerialCutoff = 4096
 
-// stripeFrags is one worker's private per-stripe output: fragment f
-// of stripe i holds the records worker f routed there, in input
-// order.
-type stripeFrags struct {
-	a, b [][]geom.Record
-}
-
 // distribution is the outcome of the two-layer parallel distribution
 // prefix: both inputs window-filtered, classified stripe-local vs
 // boundary-crossing, and routed into per-(worker, stripe) fragments.
 //
 // Fragments deliberately stay unconcatenated: each partition's sweep
-// concatenates its own fragments on the worker that sweeps it, so the
-// copy is part of the parallel sweep phase instead of a serial
+// reassembles its own side on the worker that sweeps it (see gather), so
+// any copy is part of the parallel sweep phase instead of a serial
 // barrier. Worker w owns the w-th contiguous chunk of each input, so
 // reading fragments in worker order reproduces the input order
 // exactly — the distribution is deterministic and independent of the
-// worker count.
+// worker count, and inputs that arrive sorted yield sorted partitions.
 type distribution struct {
-	frags []stripeFrags // one per worker
+	// fragsA[w][i] and fragsB[w][i] hold the records worker w routed
+	// to stripe i, in input order. They are borrowed from the record
+	// pool; release returns them.
+	fragsA, fragsB [][][]geom.Record
 	// sizeA/sizeB are per-stripe totals across fragments (replicated
 	// records each side).
 	sizeA, sizeB []int
@@ -47,20 +44,36 @@ type distribution struct {
 	boundary   int64 // records crossing at least one stripe boundary
 }
 
-// fragsFor returns partition i's fragments for both sides, in worker
-// order.
-func (d *distribution) fragsFor(i int) (fa, fb [][]geom.Record) {
-	fa = make([][]geom.Record, 0, len(d.frags))
-	fb = make([][]geom.Record, 0, len(d.frags))
-	for w := range d.frags {
-		if f := d.frags[w].a[i]; len(f) > 0 {
-			fa = append(fa, f)
-		}
-		if f := d.frags[w].b[i]; len(f) > 0 {
-			fb = append(fb, f)
+// gather reassembles one side of partition i (frags is a
+// distribution's fragsA or fragsB, n its sizeA[i] or sizeB[i]) in
+// input order: the one non-empty fragment itself when a single worker
+// routed records there — always, with one distribution worker — and
+// otherwise a right-sized copy of the fragments in worker order.
+// Either way the result is the engine's own memory, which the sweep
+// may sort.
+func gather(frags [][][]geom.Record, i, n int) []geom.Record {
+	for w := range frags {
+		if len(frags[w][i]) == n {
+			return frags[w][i]
 		}
 	}
-	return fa, fb
+	out := make([]geom.Record, 0, n)
+	for w := range frags {
+		out = append(out, frags[w][i]...)
+	}
+	return out
+}
+
+// release returns every fragment to the record pool; the distribution
+// (and any slice gathered from it) must not be used afterwards.
+func (d *distribution) release() {
+	for _, frags := range [][][][]geom.Record{d.fragsA, d.fragsB} {
+		for _, stripes := range frags {
+			for _, f := range stripes {
+				pairbuf.PutRecords(f)
+			}
+		}
+	}
 }
 
 // distCounters is one worker's private tally, merged after the
@@ -125,24 +138,26 @@ func distribute(ctx context.Context, part *Partitioner, a, b []geom.Record, wind
 		nw = 1
 	}
 	d := &distribution{
-		frags: make([]stripeFrags, nw),
-		sizeA: make([]int, k),
-		sizeB: make([]int, k),
+		fragsA: make([][][]geom.Record, nw),
+		fragsB: make([][][]geom.Record, nw),
+		sizeA:  make([]int, k),
+		sizeB:  make([]int, k),
 	}
 	counters := make([]distCounters, nw)
 	errs := make([]error, nw)
 	run := func(w int) {
-		d.frags[w] = stripeFrags{
-			a: make([][]geom.Record, k),
-			b: make([][]geom.Record, k),
+		d.fragsA[w] = make([][]geom.Record, k)
+		d.fragsB[w] = make([][]geom.Record, k)
+		for i := 0; i < k; i++ {
+			d.fragsA[w][i], d.fragsB[w][i] = pairbuf.GetRecords(), pairbuf.GetRecords()
 		}
 		alo, ahi := chunk(len(a), w, nw)
 		blo, bhi := chunk(len(b), w, nw)
-		if err := distributeChunk(ctx, part, a[alo:ahi], window, d.frags[w].a, &counters[w]); err != nil {
+		if err := distributeChunk(ctx, part, a[alo:ahi], window, d.fragsA[w], &counters[w]); err != nil {
 			errs[w] = err
 			return
 		}
-		errs[w] = distributeChunk(ctx, part, b[blo:bhi], window, d.frags[w].b, &counters[w])
+		errs[w] = distributeChunk(ctx, part, b[blo:bhi], window, d.fragsB[w], &counters[w])
 	}
 	if nw == 1 {
 		run(0)
@@ -159,6 +174,7 @@ func distribute(ctx context.Context, part *Partitioner, a, b []geom.Record, wind
 	}
 	for w := 0; w < nw; w++ {
 		if errs[w] != nil {
+			d.release()
 			return nil, errs[w]
 		}
 		d.input += counters[w].input
@@ -166,20 +182,9 @@ func distribute(ctx context.Context, part *Partitioner, a, b []geom.Record, wind
 		d.local += counters[w].local
 		d.boundary += counters[w].boundary
 		for i := 0; i < k; i++ {
-			d.sizeA[i] += len(d.frags[w].a[i])
-			d.sizeB[i] += len(d.frags[w].b[i])
+			d.sizeA[i] += len(d.fragsA[w][i])
+			d.sizeB[i] += len(d.fragsB[w][i])
 		}
 	}
 	return d, nil
-}
-
-// concatFrags copies fragments, in order, into one right-sized slice
-// — the per-partition reassembly the sweep worker performs before
-// sorting.
-func concatFrags(frags [][]geom.Record, n int) []geom.Record {
-	out := make([]geom.Record, 0, n)
-	for _, f := range frags {
-		out = append(out, f...)
-	}
-	return out
 }

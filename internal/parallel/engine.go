@@ -2,7 +2,7 @@ package parallel
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,20 +13,24 @@ import (
 
 // Join computes all intersecting pairs between a and b on a worker
 // pool, reporting wall-clock statistics. The inputs need not be
-// sorted and are not modified; each result pair is produced exactly
-// once (left component from a), regardless of how many stripes the
-// pair's rectangles were replicated into.
+// sorted and are not modified — callers may share them between
+// concurrent joins; each result pair is produced exactly once (left
+// component from a), regardless of how many stripes the pair's
+// rectangles were replicated into. Inputs that do arrive ordered by
+// geom.ByLowerY (a relation's prepared run) are recognized as such
+// partition by partition and never re-sorted; the result, pair
+// sequence included, is the same either way.
 //
 // Both phases are parallel. The distribution prefix splits each input
 // into per-worker chunks that are window-filtered, classified
 // stripe-local vs boundary-crossing, and routed into private
 // per-(worker, stripe) fragments with no locks, so
 // Report.PartitionWall scales with Workers. The sweep phase drains
-// the partitions on a worker pool; each partition concatenates its
-// fragments, sorts, and sweeps, emitting local-member pairs with no
-// ownership test (they can only be generated in one stripe) and
-// testing boundary×boundary pairs against the stripe's reference-
-// point range.
+// the partitions on a worker pool; each partition reassembles its
+// fragments, sorts them if need be, and sweeps, emitting local-member
+// pairs with no ownership test (they can only be generated in one
+// stripe) and testing boundary×boundary pairs against the stripe's
+// reference-point range.
 //
 // The worker pool drains a partition channel and selects on
 // ctx.Done(), so canceling the context stops every worker at its next
@@ -62,6 +66,7 @@ func Join(ctx context.Context, a, b []geom.Record, o Options) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
+	defer dist.release()
 	rep.InputRecords = dist.input
 	rep.ReplicatedRecords = dist.replicated
 	rep.LocalRecords = dist.local
@@ -183,9 +188,19 @@ func Join(ctx context.Context, a, b []geom.Record, o Options) (Report, error) {
 	return rep, nil
 }
 
+// sortByLowerY puts recs in sweep order in place. Distribution
+// preserves input order, so inputs that arrive in that order — a
+// relation's prepared run — cost one linear check here and no sort;
+// anything else gets the sort.
+func sortByLowerY(recs []geom.Record) {
+	if !slices.IsSortedFunc(recs, geom.ByLowerY) {
+		slices.SortFunc(recs, geom.ByLowerY)
+	}
+}
+
 // sweepPartition reassembles one partition from its distribution
-// fragments, sorts both sides, and sweeps them, counting only the
-// pairs this partition owns: pairs with a stripe-local member are
+// fragments, puts both sides in sweep order, and sweeps them, counting
+// only the pairs this partition owns: pairs with a stripe-local member are
 // emitted with no ownership test (the two-layer fast path — a Local
 // record exists in exactly one stripe, so the pair cannot be seen
 // anywhere else), while boundary×boundary pairs pay the reference-
@@ -194,11 +209,10 @@ func Join(ctx context.Context, a, b []geom.Record, o Options) (Report, error) {
 // output buffer is borrowed from the pairbuf pool.
 func sweepPartition(ctx context.Context, part *Partitioner, i int, dist *distribution, o Options,
 	stats *sweep.Stats, noTest *int64, buffer *[]geom.Pair, collect bool) (int64, error) {
-	fa, fb := dist.fragsFor(i)
-	ra := concatFrags(fa, dist.sizeA[i])
-	rb := concatFrags(fb, dist.sizeB[i])
-	sort.Slice(ra, func(x, y int) bool { return geom.ByLowerY(ra[x], ra[y]) < 0 })
-	sort.Slice(rb, func(x, y int) bool { return geom.ByLowerY(rb[x], rb[y]) < 0 })
+	ra := gather(dist.fragsA, i, dist.sizeA[i])
+	rb := gather(dist.fragsB, i, dist.sizeB[i])
+	sortByLowerY(ra)
+	sortByLowerY(rb)
 	stripe := part.Stripe(i)
 	ownLo, ownHi := part.OwnerRange(i)
 	var pairs, skipped int64
@@ -279,8 +293,8 @@ func Serial(ctx context.Context, a, b []geom.Record, o Options) (Report, error) 
 	rep.PartitionWall = time.Since(start)
 
 	sweepStart := time.Now()
-	sort.Slice(sa, func(x, y int) bool { return geom.ByLowerY(sa[x], sa[y]) < 0 })
-	sort.Slice(sb, func(x, y int) bool { return geom.ByLowerY(sb[x], sb[y]) < 0 })
+	sortByLowerY(sa)
+	sortByLowerY(sb)
 	mk := func() sweep.Structure {
 		if o.UseForwardSweep {
 			return sweep.NewForward()

@@ -22,8 +22,9 @@
 //     per-worker chunks, and each worker window-filters and routes
 //     its chunk into private per-(worker, stripe) fragments with no
 //     locks, so the prefix ahead of the sweep scales with the worker
-//     count instead of being an Amdahl floor. Fragments are
-//     concatenated per partition by the worker that sweeps it.
+//     count instead of being an Amdahl floor. Fragments are pooled
+//     across joins and reassembled per partition, in input order, by
+//     the worker that sweeps it.
 //   - Distribution is two-layer (following Tsitsigkos et al. 2023):
 //     a record whose x-interval lies inside one stripe is tagged
 //     stripe-local; only records crossing a boundary are replicated
@@ -37,8 +38,10 @@
 //   - A worker pool of Options.Workers goroutines drains the K
 //     partitions dynamically (K defaults to several partitions per
 //     worker, so a dense stripe does not straggle the join). Each
-//     partition is sorted by lower y and swept with the same
-//     Striped-/Forward-Sweep structures the serial algorithms use.
+//     partition is sorted by lower y — unless it already is, which
+//     inputs that arrive sorted guarantee, since distribution keeps
+//     input order — and swept with the same Striped-/Forward-Sweep
+//     structures the serial algorithms use.
 //   - Results are collected without locks: each worker owns a counter
 //     shard and each partition owns a pooled output buffer, merged
 //     after the pool drains. With Options.Emit (or the batched

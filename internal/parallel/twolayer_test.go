@@ -89,9 +89,8 @@ func TestDistributeMatchesSerialReference(t *testing.T) {
 			t.Fatalf("nw=%d: local %d + boundary %d != input %d", nw, d.local, d.boundary, d.input)
 		}
 		for i := 0; i < k; i++ {
-			fa, fb := d.fragsFor(i)
-			gotA := concatFrags(fa, d.sizeA[i])
-			gotB := concatFrags(fb, d.sizeB[i])
+			gotA := gather(d.fragsA, i, d.sizeA[i])
+			gotB := gather(d.fragsB, i, d.sizeB[i])
 			if !reflect.DeepEqual(gotA, wantA[i]) {
 				t.Fatalf("nw=%d stripe %d: side A diverges from serial distribution", nw, i)
 			}

@@ -204,9 +204,9 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		sweep:     res.SweepWall.Seconds(),
 		stream:    streamTime.Seconds(),
 	}
-	s.metrics.observeJoin(alg.String(), elapsed.Seconds(), phases)
-	sum := joinSummary(req, alg, left, right, count, elapsed)
-	root := joinSpan(start, elapsed, res.PartitionWall, res.SweepWall, streamTime)
+	s.metrics.observeJoin(alg.String(), elapsed.Seconds(), phases, res.Prepared)
+	sum := joinSummary(req, alg, res, count, elapsed)
+	root := joinSpan(start, elapsed, res.PrepareWall, res.PartitionWall, res.SweepWall, streamTime)
 	root.SetAttr("left", req.Left).SetAttr("right", req.Right).
 		SetAttr("algorithm", alg.String())
 	s.recordTrace(r, "join", root)
@@ -443,15 +443,18 @@ func requestContext(r *http.Request, timeoutMillis int64) (context.Context, cont
 	return context.WithCancel(ctx)
 }
 
-// joinSummary assembles the terminal line of a join response.
-func joinSummary(req client.JoinRequest, alg unijoin.Algorithm, left, right *unijoin.Relation, pairs int64, elapsed time.Duration) *client.JoinSummary {
+// joinSummary assembles the terminal line of a join response. The
+// record counts are those of the epochs the join pinned, so they
+// describe the inputs the pair count was computed on even when appends
+// landed while it ran.
+func joinSummary(req client.JoinRequest, alg unijoin.Algorithm, res *unijoin.Results, pairs int64, elapsed time.Duration) *client.JoinSummary {
 	return &client.JoinSummary{
 		Left:          req.Left,
 		Right:         req.Right,
 		Algorithm:     alg.String(),
 		Pairs:         pairs,
-		LeftRecords:   left.Len(),
-		RightRecords:  right.Len(),
+		LeftRecords:   res.Left.Len(),
+		RightRecords:  res.Right.Len(),
 		ElapsedMillis: float64(elapsed.Microseconds()) / 1000,
 	}
 }

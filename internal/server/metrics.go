@@ -1,6 +1,7 @@
 package server
 
 import (
+	"unijoin/internal/ingest"
 	"unijoin/internal/obs"
 )
 
@@ -46,6 +47,12 @@ type metrics struct {
 	joinLatency *obs.HistogramVec
 	phase       *obs.HistogramVec
 
+	// Prepared-run builds paid by served joins, the two series of
+	// sj_prepared_builds_total{kind}: full (a cold relation was read
+	// and sorted) and merge (an epoch's base and delta runs were
+	// merged). A join that finds both runs warm counts nothing.
+	preparedFull, preparedMerge *obs.Counter
+
 	// joinEWMA is the per-algorithm smoothed latency (milliseconds)
 	// surfaced on /v1/stats — the steady-state estimate a planner or
 	// rebalancer reads without parsing histogram buckets.
@@ -67,8 +74,13 @@ func newMetrics(reg *obs.Registry) *metrics {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
+	prepared := reg.CounterVec("sj_prepared_builds_total",
+		"Prepared-run builds paid by joins, by kind: full (read and sort a cold relation) or merge (merge an epoch's delta into its base run).",
+		"kind")
 	return &metrics{
-		reg: reg,
+		reg:           reg,
+		preparedFull:  prepared.With("full"),
+		preparedMerge: prepared.With("merge"),
 		requests: reg.CounterVec("sj_requests_total",
 			"HTTP requests served, by endpoint and status code.",
 			"endpoint", "status"),
@@ -119,13 +131,22 @@ func newMetrics(reg *obs.Registry) *metrics {
 }
 
 // observeJoin records one successful join: the per-algorithm latency
-// histogram and EWMA, and the per-phase breakdown.
-func (m *metrics) observeJoin(algorithm string, elapsedSec float64, t phaseSeconds) {
+// histogram and EWMA, the per-phase breakdown, and any prepared-run
+// builds it paid for.
+func (m *metrics) observeJoin(algorithm string, elapsedSec float64, t phaseSeconds, prepared [2]ingest.Build) {
 	m.joinLatency.With(algorithm).Observe(elapsedSec)
 	m.joinEWMA.Observe(algorithm, elapsedSec*1000)
 	m.phase.With("partition").Observe(t.partition)
 	m.phase.With("sweep").Observe(t.sweep)
 	m.phase.With("stream").Observe(t.stream)
+	for _, b := range prepared {
+		switch b {
+		case ingest.BuildFull:
+			m.preparedFull.Inc()
+		case ingest.BuildMerge:
+			m.preparedMerge.Inc()
+		}
+	}
 }
 
 // phaseSeconds carries one join's phase wall times, in seconds.

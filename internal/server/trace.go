@@ -9,17 +9,22 @@ import (
 )
 
 // joinSpan assembles a join request's span tree from the phases the
-// engine and the handler measured. Partition leads; the sweep and the
-// stream both start when it ends (streaming happens from the sweep's
-// emit callbacks, so the two overlap rather than chain).
-func joinSpan(start time.Time, elapsed, partition, sweep, stream time.Duration) *obs.Span {
+// engine and the handler measured. A prepare child leads only when
+// this query built or merged a prepared run (its absence is the cache
+// hit); then partition; the sweep and the stream both start when that
+// ends (streaming happens from the sweep's emit callbacks, so the two
+// overlap rather than chain).
+func joinSpan(start time.Time, elapsed, prepare, partition, sweep, stream time.Duration) *obs.Span {
 	root := &obs.Span{
 		ID: obs.NewSpanID(), Name: "server.join",
 		Start: start, Duration: elapsed,
 	}
-	root.Child("partition", 0, partition)
-	root.Child("sweep", partition, sweep)
-	root.Child("stream", partition, stream)
+	if prepare > 0 {
+		root.Child("prepare", 0, prepare)
+	}
+	root.Child("partition", prepare, partition)
+	root.Child("sweep", prepare+partition, sweep)
+	root.Child("stream", prepare+partition, stream)
 	return root
 }
 

@@ -130,9 +130,10 @@ func TestParallelJoinReport(t *testing.T) {
 	if res.Parallel.Replication < 1 {
 		t.Fatalf("replication = %f", res.Parallel.Replication)
 	}
-	// Loading the two record streams is charged to the simulated disk.
-	if res.IO.Total() == 0 {
-		t.Fatal("record loading should be charged to the store counters")
+	// Loading the two record streams is charged to the simulated disk
+	// — by the query that builds the relations' prepared runs.
+	if res.IO.Total() == 0 || res.PrepareWall <= 0 {
+		t.Fatalf("cold query: %d page accesses, PrepareWall %v; record loading should be charged", res.IO.Total(), res.PrepareWall)
 	}
 	if _, err := ws.ParallelJoin(nil, b, nil); err == nil {
 		t.Fatal("nil relation must error")
@@ -144,6 +145,11 @@ func TestParallelJoinReport(t *testing.T) {
 	}
 	if res2.Pairs != res.Pairs {
 		t.Fatalf("default options changed the result: %d vs %d", res2.Pairs, res.Pairs)
+	}
+	// The second query on the same epochs finds both runs warm and
+	// never touches the simulated disk.
+	if res2.IO.Total() != 0 || res2.PrepareWall != 0 {
+		t.Fatalf("warm query: %d page accesses, PrepareWall %v; want none", res2.IO.Total(), res2.PrepareWall)
 	}
 	if want := runtime.GOMAXPROCS(0); res2.Parallel.Workers > want*parallelDefaultPartitionFactor {
 		t.Fatalf("default workers = %d", res2.Parallel.Workers)

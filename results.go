@@ -4,6 +4,7 @@ import (
 	"iter"
 
 	"unijoin/internal/core"
+	"unijoin/internal/ingest"
 	"unijoin/internal/parallel"
 )
 
@@ -35,9 +36,21 @@ type ParallelResult struct {
 type Results struct {
 	JoinResult
 
+	// Left and Right are the two inputs as the query pinned them: the
+	// one epoch of each relation that every number in this Results —
+	// the pair count included — was computed on. Report record counts
+	// from here, not from the live relation, which may have moved on.
+	Left, Right PinnedView
+
 	// Parallel is the parallel engine's wall-clock report, set only
 	// when the query ran AlgParallel.
 	Parallel *parallel.Report
+	// Prepared says, for an AlgParallel query, what this query had to
+	// do to obtain each input's prepared run, left then right:
+	// ingest.BuildNone when the run was warm, ingest.BuildMerge or
+	// ingest.BuildFull when this was the query that built it for its
+	// epoch (the time is Result.PrepareWall).
+	Prepared [2]ingest.Build
 
 	collected bool
 	pairs     []Pair

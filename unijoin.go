@@ -71,9 +71,11 @@
 // boundary-crossing records — and the concurrent sweep emits
 // local-member pairs with no per-pair test while boundary×boundary
 // pairs pay the reference-point ownership test, so each pair is
-// reported exactly once. Its results are measured in wall-clock time
-// rather than simulated page accesses — the benchmarking path for
-// real hardware:
+// reported exactly once. Its inputs are each relation's prepared run
+// (records decoded and sorted once per epoch, carried across appends),
+// so a warm query neither reads the simulated disk nor sorts. Its
+// results are measured in wall-clock time rather than simulated page
+// accesses — the benchmarking path for real hardware:
 //
 //	res, _ := ws.Query(roads, hydro).
 //		Algorithm(unijoin.AlgParallel).
@@ -267,12 +269,16 @@ func (a Algorithm) String() string {
 // I/O performed by joins is counted on it; Counters and per-machine
 // cost reports are derived from those counts.
 //
-// Queries may run on one workspace concurrently (the simulated disk
-// serializes page access internally, and a query's temporary files
-// are its own); the query service does this for every request. The
-// shared counters then accumulate across all concurrent queries, so
-// per-query I/O deltas are only exact when queries run one at a
-// time. Loading relations and building indexes are not synchronized
+// Queries may run on one workspace concurrently; the query service
+// does this for every request. The paper's algorithms go through the
+// simulated disk, which serializes page access internally (a query's
+// temporary files are its own); the shared counters then accumulate
+// across all concurrent queries, so per-query I/O deltas are only
+// exact when queries run one at a time. AlgParallel stays off the
+// disk: it joins each relation's prepared run — the pinned version's
+// records, decoded and sorted once per epoch and shared read-only by
+// every query on that epoch — and reads pages only in the one query
+// per relation that builds the run cold. Loading relations and building indexes are not synchronized
 // with running queries — use a Catalog, which publishes relations
 // under a single-writer lock, when loads and queries overlap.
 type Workspace struct {
@@ -446,8 +452,8 @@ func (r *Relation) Compactions() int64 { return r.log.Compactions() }
 // started after Append returns observe all of them. The record log
 // grows in place, an existing R-tree absorbs the records by
 // copy-on-write Guttman insertion (indexed algorithms see them
-// without a rebuild), and the cached x-center sample is maintained by
-// merge. All records are accepted or none. When the accumulated delta
+// without a rebuild), and the cached x-center sample and prepared run
+// are maintained by merge. All records are accepted or none. When the accumulated delta
 // crosses the compaction threshold, the packed index layout is
 // rebuilt before Append returns.
 func (r *Relation) Append(recs []Record) (AppendResult, error) {
