@@ -16,7 +16,10 @@
 // line): zero or more batch lines carrying result pairs or records,
 // then exactly one terminal line carrying either the summary or an
 // error. Streaming starts as soon as the join produces output, so a
-// client can consume results long before the query finishes.
+// client can consume results long before the query finishes. A client
+// with PreferBinary set offers the packed frame transport
+// (internal/wire) instead — same batches, summary and errors — and
+// falls back to NDJSON against a server that does not speak it.
 //
 // sjrouter, the scatter-gather front for a fleet of sjserved stripe
 // shards, speaks the same API — the shard-aware fields (Stripe,

@@ -10,6 +10,9 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+
+	"unijoin/internal/geom"
+	"unijoin/internal/wire"
 )
 
 // maxLineBytes bounds one NDJSON response line; batch lines are
@@ -43,10 +46,11 @@ type Client struct {
 	base string
 	hc   *http.Client
 
-	// PreferBinary routes Join/Window streaming through the binary
-	// frame transport (JoinFrames/WindowFrames), falling back to
-	// NDJSON automatically against servers that don't speak it. Set it
-	// before the client is shared between goroutines.
+	// PreferBinary makes Join/Window streaming offer the binary frame
+	// transport (internal/wire: packed, CRC-checked frames instead of
+	// NDJSON), falling back to NDJSON automatically against servers
+	// that don't speak it. Set it before the client is shared between
+	// goroutines.
 	PreferBinary bool
 }
 
@@ -103,48 +107,29 @@ func (c *Client) Join(ctx context.Context, req JoinRequest, onPair func(left, ri
 }
 
 // JoinBatches is Join with pair delivery at the wire's batch
-// granularity: onBatch (which may be nil) receives each NDJSON batch
-// line's pairs as one slice, valid only until it returns — the
-// amortized path a router merging several shard streams uses.
+// granularity: onBatch (which may be nil) receives each batch line's or
+// PAIRS frame's pairs as one slice, valid only until it returns — the
+// amortized path for callers that merge or forward whole batches.
 func (c *Client) JoinBatches(ctx context.Context, req JoinRequest, onBatch func(pairs [][2]uint32)) (*JoinSummary, error) {
-	if c.PreferBinary {
-		return c.JoinFrames(ctx, req, onBatch)
-	}
-	body, err := c.postStream(ctx, "/v1/join", req)
+	resp, frames, err := c.stream(ctx, "/v1/join", req, c.PreferBinary)
 	if err != nil {
 		return nil, err
 	}
-	defer body.Close()
-	return joinLines(body, onBatch)
-}
-
-// joinLines consumes an NDJSON join stream body.
-func joinLines(body io.Reader, onBatch func(pairs [][2]uint32)) (*JoinSummary, error) {
-	var summary *JoinSummary
-	err := scanLines(body, func(data []byte) error {
-		var line JoinLine
-		if err := json.Unmarshal(data, &line); err != nil {
-			return fmt.Errorf("sjserved: bad response line: %w", err)
-		}
-		switch {
-		case line.Error != nil:
-			return line.Error
-		case line.Summary != nil:
-			summary = line.Summary
-		default:
-			if onBatch != nil && len(line.Pairs) > 0 {
-				onBatch(line.Pairs)
+	defer resp.Body.Close()
+	if !frames {
+		return decodeLines(resp.Body, func(l *line[JoinSummary]) {
+			if onBatch != nil && len(l.Pairs) > 0 {
+				onBatch(l.Pairs)
 			}
+		})
+	}
+	var pairs [][2]uint32
+	return decodeFrames[JoinSummary](resp.Body, wire.TypePairs, func(f wire.Frame) (err error) {
+		if pairs, err = f.Pairs(pairs[:0]); err == nil && onBatch != nil && len(pairs) > 0 {
+			onBatch(pairs)
 		}
-		return nil
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	if summary == nil {
-		return nil, fmt.Errorf("sjserved: join stream ended without a summary")
-	}
-	return summary, nil
 }
 
 // JoinCount is Join with CountOnly forced: the cheapest way to get a
@@ -169,36 +154,66 @@ func (c *Client) Window(ctx context.Context, req WindowRequest, onRecord func(Re
 }
 
 // WindowBatches is Window with record delivery at the wire's batch
-// granularity, mirroring JoinBatches.
+// granularity, mirroring JoinBatches. Frames carry records packed in
+// the engine's 20-byte layout; they are widened to RecordOut here, at
+// the edge.
 func (c *Client) WindowBatches(ctx context.Context, req WindowRequest, onBatch func([]RecordOut)) (*WindowSummary, error) {
-	if c.PreferBinary {
-		return c.WindowFrames(ctx, req, onBatch)
-	}
-	body, err := c.postStream(ctx, "/v1/window", req)
+	resp, frames, err := c.stream(ctx, "/v1/window", req, c.PreferBinary)
 	if err != nil {
 		return nil, err
 	}
-	defer body.Close()
-	return windowLines(body, onBatch)
+	defer resp.Body.Close()
+	if !frames {
+		return decodeLines(resp.Body, func(l *line[WindowSummary]) {
+			if onBatch != nil && len(l.Records) > 0 {
+				onBatch(l.Records)
+			}
+		})
+	}
+	var recs []geom.Record
+	var out []RecordOut
+	return decodeFrames[WindowSummary](resp.Body, wire.TypeRecords, func(f wire.Frame) (err error) {
+		if recs, err = f.Records(recs[:0]); err != nil || onBatch == nil || len(recs) == 0 {
+			return err
+		}
+		out = out[:0]
+		for _, rec := range recs {
+			out = append(out, RecordOut{ID: rec.ID, Rect: Rect{
+				XLo: float64(rec.Rect.XLo), YLo: float64(rec.Rect.YLo),
+				XHi: float64(rec.Rect.XHi), YHi: float64(rec.Rect.YHi),
+			}})
+		}
+		onBatch(out)
+		return nil
+	})
 }
 
-// windowLines consumes an NDJSON window stream body.
-func windowLines(body io.Reader, onBatch func([]RecordOut)) (*WindowSummary, error) {
-	var summary *WindowSummary
+// line is any line of an NDJSON response stream — JoinLine and
+// WindowLine folded into one shape, so one loop reads both. Exactly
+// one field is set.
+type line[S any] struct {
+	Pairs   [][2]uint32 `json:"pairs"`
+	Records []RecordOut `json:"records"`
+	Summary *S          `json:"summary"`
+	Error   *APIError   `json:"error"`
+}
+
+// decodeLines consumes an NDJSON response stream: batch lines to
+// onData, then the terminal line's summary, or its error.
+func decodeLines[S any](body io.Reader, onData func(*line[S])) (*S, error) {
+	var summary *S
 	err := scanLines(body, func(data []byte) error {
-		var line WindowLine
-		if err := json.Unmarshal(data, &line); err != nil {
+		var l line[S]
+		if err := json.Unmarshal(data, &l); err != nil {
 			return fmt.Errorf("sjserved: bad response line: %w", err)
 		}
 		switch {
-		case line.Error != nil:
-			return line.Error
-		case line.Summary != nil:
-			summary = line.Summary
+		case l.Error != nil:
+			return l.Error
+		case l.Summary != nil:
+			summary = l.Summary
 		default:
-			if onBatch != nil && len(line.Records) > 0 {
-				onBatch(line.Records)
-			}
+			onData(&l)
 		}
 		return nil
 	})
@@ -206,7 +221,7 @@ func windowLines(body io.Reader, onBatch func([]RecordOut)) (*WindowSummary, err
 		return nil, err
 	}
 	if summary == nil {
-		return nil, fmt.Errorf("sjserved: window stream ended without a summary")
+		return nil, fmt.Errorf("sjserved: response stream ended without a summary")
 	}
 	return summary, nil
 }
@@ -332,47 +347,48 @@ func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// postStream POSTs a JSON body and returns the NDJSON response body,
-// converting non-2xx responses to *APIError.
-func (c *Client) postStream(ctx context.Context, path string, in any) (io.ReadCloser, error) {
-	resp, err := c.postStreamAccept(ctx, path, in, "")
-	if err != nil {
-		return nil, err
-	}
-	return resp.Body, nil
-}
-
-// postStreamAccept is postStream with an optional Accept header,
-// returning the whole response so callers can inspect the negotiated
-// Content-Type.
-func (c *Client) postStreamAccept(ctx context.Context, path string, in any, accept string) (*http.Response, error) {
+// stream POSTs a streaming query and returns its response and whether
+// the body is a frame stream. With offer set the request carries
+// Accept: application/x-sj-frames, and the response's Content-Type
+// says whether the server obliged: an old server that ignores the
+// offer answers NDJSON, and one that refuses it with 406 gets the
+// request re-issued once without the offer — so a decoding caller
+// never has to know what the far end speaks. Non-2xx responses come
+// back as *APIError.
+func (c *Client) stream(ctx context.Context, path string, in any, offer bool) (resp *http.Response, frames bool, err error) {
 	payload, err := json.Marshal(in)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
+	for {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(payload))
+		if err != nil {
+			return nil, false, err
+		}
+		req.Header.Set("Content-Type", "application/json")
+		if offer {
+			req.Header.Set("Accept", wire.ContentType)
+		}
+		if id := RequestIDFrom(ctx); id != "" {
+			req.Header.Set(requestIDHeader, id)
+		}
+		if id := ParentSpanFrom(ctx); id != "" {
+			req.Header.Set(parentSpanHeader, id)
+		}
+		resp, err := c.hc.Do(req)
+		if err != nil {
+			return nil, false, err
+		}
+		if resp.StatusCode == http.StatusOK {
+			return resp, wire.IsFrameResponse(resp.Header.Get("Content-Type")), nil
+		}
+		err = decodeError(resp)
+		resp.Body.Close()
+		if !offer || resp.StatusCode != http.StatusNotAcceptable {
+			return nil, false, err
+		}
+		offer = false
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	if id := RequestIDFrom(ctx); id != "" {
-		req.Header.Set(requestIDHeader, id)
-	}
-	if id := ParentSpanFrom(ctx); id != "" {
-		req.Header.Set(parentSpanHeader, id)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		return nil, decodeError(resp)
-	}
-	return resp, nil
 }
 
 // scanLines feeds each non-empty NDJSON line to fn.

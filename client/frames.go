@@ -8,18 +8,15 @@ import (
 	"io"
 	"net/http"
 
-	"unijoin/internal/geom"
 	"unijoin/internal/wire"
 )
 
-// This file is the client side of the binary frame transport
-// (internal/wire): Join/Window streaming over packed frames instead
-// of NDJSON. The transport is negotiated — the request carries
-// Accept: application/x-sj-frames, and the response's Content-Type
-// says whether the server obliged. Against an old NDJSON-only server
-// (which ignores the Accept header) or one answering 406, every
-// method here falls back to the NDJSON stream transparently, so a
-// caller never has to know what the far end speaks.
+// This file is the consuming side of the binary frame transport
+// (internal/wire). One loop, relay, reads a frame stream; decodeFrames
+// layers the CRC check and unpacking of a decoding caller on top of it
+// (JoinBatches/WindowBatches under PreferBinary), and the exported
+// raw-frame calls hand the loop's frames to a relaying router
+// untouched.
 
 // frameError classifies a broken frame stream as the API's
 // internal-error class: corruption or truncation on the wire is a
@@ -32,319 +29,103 @@ func frameError(format string, args ...any) *APIError {
 	}
 }
 
-// notAcceptable reports whether err is an HTTP 406 — a server
-// refusing the offered media type, the explicit fallback signal.
-func notAcceptable(err error) bool {
-	var apiErr *APIError
-	return errors.As(err, &apiErr) && apiErr.Status == http.StatusNotAcceptable
-}
-
-// JoinFrames is JoinBatches over the binary transport: pairs arrive
-// as packed frames, decoded and CRC-checked end to end, and are
-// delivered to onBatch in the same batch granularity as the NDJSON
-// path. Falls back to NDJSON when the server doesn't speak frames.
-func (c *Client) JoinFrames(ctx context.Context, req JoinRequest, onBatch func(pairs [][2]uint32)) (*JoinSummary, error) {
-	resp, err := c.postStreamAccept(ctx, "/v1/join", req, wire.ContentType)
-	if err != nil {
-		if notAcceptable(err) {
-			return c.joinNDJSON(ctx, req, onBatch)
-		}
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if !wire.IsFrameResponse(resp.Header.Get("Content-Type")) {
-		return joinLines(resp.Body, onBatch)
-	}
-	return decodeJoinFrames(resp.Body, onBatch)
-}
-
-// joinNDJSON re-issues the join over plain NDJSON — the 406 fallback,
-// which must not recurse through PreferBinary.
-func (c *Client) joinNDJSON(ctx context.Context, req JoinRequest, onBatch func([][2]uint32)) (*JoinSummary, error) {
-	body, err := c.postStream(ctx, "/v1/join", req)
-	if err != nil {
-		return nil, err
-	}
-	defer body.Close()
-	return joinLines(body, onBatch)
-}
-
-// decodeJoinFrames consumes a join frame stream: DATA (pairs) frames
-// to onBatch, one terminal SUMMARY or ERROR, then END. Anything
-// malformed — corruption, truncation, a stream that stops without its
-// END frame — comes back as the internal-error class.
-func decodeJoinFrames(body io.Reader, onBatch func([][2]uint32)) (*JoinSummary, error) {
-	dec := wire.NewDecoder(body)
-	var pairs [][2]uint32
-	var summary *JoinSummary
-	var apiErr *APIError
-	for {
-		f, err := dec.Next()
-		if errors.Is(err, io.EOF) {
-			return nil, frameError("sjserved: join frame stream ended without an END frame")
-		}
-		if err != nil {
-			return nil, frameError("sjserved: %v", err)
-		}
-		switch f.Type {
-		case wire.TypePairs:
-			if pairs, err = f.Pairs(pairs[:0]); err != nil {
-				return nil, frameError("sjserved: %v", err)
-			}
-			if onBatch != nil && len(pairs) > 0 {
-				onBatch(pairs)
-			}
-		case wire.TypeSummary:
-			summary = new(JoinSummary)
-			if err := json.Unmarshal(f.Payload, summary); err != nil {
-				return nil, frameError("sjserved: bad summary frame: %v", err)
-			}
-		case wire.TypeError:
-			apiErr = new(APIError)
-			if err := json.Unmarshal(f.Payload, apiErr); err != nil {
-				return nil, frameError("sjserved: bad error frame: %v", err)
-			}
-		case wire.TypeEnd:
-			if apiErr != nil {
-				return nil, apiErr
-			}
-			if summary == nil {
-				return nil, frameError("sjserved: join frame stream ended without a summary")
-			}
-			return summary, nil
-		default:
-			return nil, frameError("sjserved: unexpected %s frame in a join stream", f.Type)
-		}
-	}
-}
-
-// WindowFrames is WindowBatches over the binary transport: records
-// arrive packed in the engine's 20-byte layout and are converted to
-// RecordOut at the edge. Falls back to NDJSON when the server doesn't
-// speak frames.
-func (c *Client) WindowFrames(ctx context.Context, req WindowRequest, onBatch func([]RecordOut)) (*WindowSummary, error) {
-	resp, err := c.postStreamAccept(ctx, "/v1/window", req, wire.ContentType)
-	if err != nil {
-		if notAcceptable(err) {
-			return c.windowNDJSON(ctx, req, onBatch)
-		}
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if !wire.IsFrameResponse(resp.Header.Get("Content-Type")) {
-		return windowLines(resp.Body, onBatch)
-	}
-	return decodeWindowFrames(resp.Body, onBatch)
-}
-
-// windowNDJSON re-issues the window query over plain NDJSON.
-func (c *Client) windowNDJSON(ctx context.Context, req WindowRequest, onBatch func([]RecordOut)) (*WindowSummary, error) {
-	body, err := c.postStream(ctx, "/v1/window", req)
-	if err != nil {
-		return nil, err
-	}
-	defer body.Close()
-	return windowLines(body, onBatch)
-}
-
-// decodeWindowFrames consumes a window frame stream, mirroring
-// decodeJoinFrames with RECORDS payloads.
-func decodeWindowFrames(body io.Reader, onBatch func([]RecordOut)) (*WindowSummary, error) {
-	dec := wire.NewDecoder(body)
-	var recs []geom.Record
-	var out []RecordOut
-	var summary *WindowSummary
-	var apiErr *APIError
-	for {
-		f, err := dec.Next()
-		if errors.Is(err, io.EOF) {
-			return nil, frameError("sjserved: window frame stream ended without an END frame")
-		}
-		if err != nil {
-			return nil, frameError("sjserved: %v", err)
-		}
-		switch f.Type {
-		case wire.TypeRecords:
-			if recs, err = f.Records(recs[:0]); err != nil {
-				return nil, frameError("sjserved: %v", err)
-			}
-			if onBatch != nil && len(recs) > 0 {
-				out = out[:0]
-				for _, rec := range recs {
-					out = append(out, RecordOut{ID: rec.ID, Rect: Rect{
-						XLo: float64(rec.Rect.XLo), YLo: float64(rec.Rect.YLo),
-						XHi: float64(rec.Rect.XHi), YHi: float64(rec.Rect.YHi),
-					}})
-				}
-				onBatch(out)
-			}
-		case wire.TypeSummary:
-			summary = new(WindowSummary)
-			if err := json.Unmarshal(f.Payload, summary); err != nil {
-				return nil, frameError("sjserved: bad summary frame: %v", err)
-			}
-		case wire.TypeError:
-			apiErr = new(APIError)
-			if err := json.Unmarshal(f.Payload, apiErr); err != nil {
-				return nil, frameError("sjserved: bad error frame: %v", err)
-			}
-		case wire.TypeEnd:
-			if apiErr != nil {
-				return nil, apiErr
-			}
-			if summary == nil {
-				return nil, frameError("sjserved: window frame stream ended without a summary")
-			}
-			return summary, nil
-		default:
-			return nil, frameError("sjserved: unexpected %s frame in a window stream", f.Type)
-		}
-	}
-}
-
-// JoinRawFrames is the relay form of JoinFrames: every DATA frame is
+// JoinRawFrames is the relay form of a join: every PAIRS frame is
 // handed to onFrame as its exact wire bytes (header + payload, CRC
-// untouched and unverified — the end consumer's check covers the
-// whole journey), valid only until onFrame returns. Only the terminal
-// SUMMARY or ERROR frame is parsed (and CRC-verified, since this
-// process consumes it). Against an NDJSON server, batches are
-// re-encoded into frames here, so the caller always sees frames.
-// This is what a router's zero-decode scatter path runs per shard.
-func (c *Client) JoinRawFrames(ctx context.Context, req JoinRequest, onFrame func(raw []byte)) (*JoinSummary, error) {
-	resp, err := c.postStreamAccept(ctx, "/v1/join", req, wire.ContentType)
-	if err != nil {
-		if notAcceptable(err) {
-			return c.joinNDJSON(ctx, req, reframePairs(onFrame))
-		}
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if !wire.IsFrameResponse(resp.Header.Get("Content-Type")) {
-		return joinLines(resp.Body, reframePairs(onFrame))
-	}
-	var summary *JoinSummary
-	raw, err := relayFrames(resp.Body, wire.TypePairs, onFrame)
-	if err != nil {
-		return nil, err
-	}
-	if err := json.Unmarshal(raw, &summary); err != nil {
-		return nil, frameError("sjserved: bad summary frame: %v", err)
-	}
-	return summary, nil
+// untouched and unverified — the consumer's check covers the whole
+// journey), valid only until onFrame returns; an error from onFrame
+// abandons the stream and is returned as is. Only the terminal SUMMARY
+// or ERROR frame is parsed (and CRC-verified, since this process
+// consumes it). This is what a router's scatter runs per shard, and
+// frames are the fleet's only internal protocol: a shard that answers
+// in anything else is a failing shard, reported in the ErrInternal
+// class.
+func (c *Client) JoinRawFrames(ctx context.Context, req JoinRequest, onFrame func(raw []byte) error) (*JoinSummary, error) {
+	return rawFrames[JoinSummary](ctx, c, "/v1/join", req, wire.TypePairs, onFrame)
 }
 
 // WindowRawFrames is JoinRawFrames for window queries: RECORDS frames
-// relayed raw, summary parsed, NDJSON shard responses re-framed.
-func (c *Client) WindowRawFrames(ctx context.Context, req WindowRequest, onFrame func(raw []byte)) (*WindowSummary, error) {
-	resp, err := c.postStreamAccept(ctx, "/v1/window", req, wire.ContentType)
+// relayed raw, summary parsed.
+func (c *Client) WindowRawFrames(ctx context.Context, req WindowRequest, onFrame func(raw []byte) error) (*WindowSummary, error) {
+	return rawFrames[WindowSummary](ctx, c, "/v1/window", req, wire.TypeRecords, onFrame)
+}
+
+func rawFrames[S any](ctx context.Context, c *Client, path string, in any, data wire.Type, onFrame func(raw []byte) error) (*S, error) {
+	resp, frames, err := c.stream(ctx, path, in, true)
 	if err != nil {
-		if notAcceptable(err) {
-			return c.windowNDJSON(ctx, req, reframeRecords(onFrame))
-		}
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if !wire.IsFrameResponse(resp.Header.Get("Content-Type")) {
-		return windowLines(resp.Body, reframeRecords(onFrame))
+	if !frames {
+		return nil, frameError("%s answered a frame-only caller with Content-Type %q", path, resp.Header.Get("Content-Type"))
 	}
-	var summary *WindowSummary
-	raw, err := relayFrames(resp.Body, wire.TypeRecords, onFrame)
-	if err != nil {
-		return nil, err
-	}
-	if err := json.Unmarshal(raw, &summary); err != nil {
-		return nil, frameError("sjserved: bad summary frame: %v", err)
-	}
-	return summary, nil
+	return relay[S](resp.Body, data, onFrame)
 }
 
-// relayFrames scans a frame stream without decoding payloads: frames
-// of dataType go to onFrame verbatim; the terminal SUMMARY payload is
-// CRC-verified and returned for the caller to parse; an ERROR frame
-// becomes the shard's *APIError. The stream must close with END.
-func relayFrames(body io.Reader, dataType wire.Type, onFrame func(raw []byte)) ([]byte, error) {
+// relay reads a frame stream — data* (SUMMARY | ERROR) END — without
+// decoding data payloads: frames of the data type go to onFrame (which
+// may be nil) verbatim; the terminal SUMMARY is CRC-verified and parsed
+// into S; an ERROR frame becomes the server's *APIError. Anything
+// malformed — corruption, truncation, a stream that stops without its
+// END frame — comes back as the internal-error class.
+func relay[S any](body io.Reader, data wire.Type, onFrame func(raw []byte) error) (*S, error) {
 	sc := wire.NewScanner(body)
-	var summaryPayload []byte
+	var summary *S
 	var apiErr *APIError
 	for {
 		t, raw, err := sc.Next()
 		if errors.Is(err, io.EOF) {
-			return nil, frameError("sjserved: frame stream ended without an END frame")
+			return nil, frameError("frame stream ended without an END frame")
 		}
 		if err != nil {
-			return nil, frameError("sjserved: %v", err)
+			return nil, frameError("%v", err)
 		}
 		switch t {
-		case dataType:
+		case data:
 			if onFrame != nil {
-				onFrame(raw)
+				if err := onFrame(raw); err != nil {
+					return nil, err
+				}
 			}
 		case wire.TypeSummary, wire.TypeError:
 			if err := wire.Verify(raw); err != nil {
-				return nil, frameError("sjserved: %v", err)
+				return nil, frameError("%v", err)
 			}
+			var into any = &apiErr
 			if t == wire.TypeSummary {
-				summaryPayload = append(summaryPayload[:0], raw[wire.HeaderSize:]...)
-				continue
+				into = &summary
 			}
-			apiErr = new(APIError)
-			if err := json.Unmarshal(raw[wire.HeaderSize:], apiErr); err != nil {
-				return nil, frameError("sjserved: bad error frame: %v", err)
+			if err := json.Unmarshal(raw[wire.HeaderSize:], into); err != nil {
+				return nil, frameError("bad %s frame: %v", t, err)
 			}
 		case wire.TypeEnd:
+			// Nothing follows END, but only a body read to its EOF lets
+			// the transport keep the connection for the next call.
+			_, _, _ = sc.Next()
 			if apiErr != nil {
 				return nil, apiErr
 			}
-			if summaryPayload == nil {
-				return nil, frameError("sjserved: frame stream ended without a summary")
+			if summary == nil {
+				return nil, frameError("frame stream ended without a summary")
 			}
-			return summaryPayload, nil
+			return summary, nil
 		default:
-			return nil, frameError("sjserved: unexpected %s frame in the stream", t)
+			return nil, frameError("unexpected %s frame in the stream", t)
 		}
 	}
 }
 
-// reframePairs adapts a raw-frame callback to an NDJSON batch
-// callback by packing each batch into a PAIRS frame — how an old
-// NDJSON-only shard still feeds a frame-relaying router.
-func reframePairs(onFrame func(raw []byte)) func([][2]uint32) {
-	if onFrame == nil {
-		return nil
-	}
-	var buf []byte
-	return func(batch [][2]uint32) {
-		payload := make([]byte, 0, len(batch)*wire.PairSize)
-		for _, p := range batch {
-			var cell [wire.PairSize]byte
-			geom.EncodePair(cell[:], geom.Pair{Left: p[0], Right: p[1]})
-			payload = append(payload, cell[:]...)
+// decodeFrames is relay for a caller that consumes the data: each data
+// frame is CRC-verified — the end of the end-to-end check — and handed
+// to onData to unpack, its payload valid only until onData returns.
+func decodeFrames[S any](body io.Reader, data wire.Type, onData func(wire.Frame) error) (*S, error) {
+	return relay[S](body, data, func(raw []byte) error {
+		err := wire.Verify(raw)
+		if err == nil {
+			err = onData(wire.Frame{Type: data, Payload: raw[wire.HeaderSize:]})
 		}
-		buf = wire.AppendFrame(buf[:0], wire.TypePairs, payload)
-		onFrame(buf)
-	}
-}
-
-// reframeRecords adapts a raw-frame callback to an NDJSON record
-// batch callback, mirroring reframePairs.
-func reframeRecords(onFrame func(raw []byte)) func([]RecordOut) {
-	if onFrame == nil {
-		return nil
-	}
-	var buf []byte
-	return func(batch []RecordOut) {
-		payload := make([]byte, 0, len(batch)*wire.RecordSize)
-		for _, r := range batch {
-			var cell [wire.RecordSize]byte
-			geom.EncodeRecord(cell[:], geom.Record{
-				Rect: geom.NewRect(
-					geom.Coord(r.Rect.XLo), geom.Coord(r.Rect.YLo),
-					geom.Coord(r.Rect.XHi), geom.Coord(r.Rect.YHi)),
-				ID: r.ID,
-			})
-			payload = append(payload, cell[:]...)
+		if err != nil {
+			return frameError("%v", err)
 		}
-		buf = wire.AppendFrame(buf[:0], wire.TypeRecords, payload)
-		onFrame(buf)
-	}
+		return nil
+	})
 }

@@ -25,8 +25,8 @@ func (m *meteredWriter) Write(p []byte) (int, error) {
 	return m.w.Write(p)
 }
 
-// FrameWriter is LineWriter's binary twin: it streams wire frames
-// over an HTTP response, flushing each logical emit, and defers the
+// FrameWriter is the binary Stream: it sends wire frames over an HTTP
+// response, flushing each logical emit, and defers the
 // Content-Type header to the first frame so pre-stream failures still
 // go out as plain HTTP errors. Write failures (a vanished client) are
 // swallowed; the query is aborted separately through the request
@@ -57,10 +57,6 @@ func NewFrameWriter(w http.ResponseWriter, observe func(t wire.Type, frames, byt
 // Started reports whether any frame has been written — the point of
 // no return for the HTTP status code.
 func (fw *FrameWriter) Started() bool { return fw.started }
-
-// ResponseWriter returns the underlying writer, for sending a proper
-// error status while the stream is still unstarted.
-func (fw *FrameWriter) ResponseWriter() http.ResponseWriter { return fw.w }
 
 // Close releases the encoder's scratch buffer.
 func (fw *FrameWriter) Close() { fw.enc.Close() }
@@ -114,7 +110,8 @@ func (fw *FrameWriter) End() {
 // the router's zero-decode scatter path. raw must be one whole frame
 // with a validated header (wire.Scanner returns exactly that); its
 // payload and CRC pass through untouched, preserving the end-to-end
-// integrity check.
-func (fw *FrameWriter) Relay(raw []byte) {
+// integrity check, so no frame is ever refused here.
+func (fw *FrameWriter) Relay(raw []byte) error {
 	fw.emit(wire.Type(raw[wire.OffType]), func() error { return fw.enc.WriteRaw(raw) })
+	return nil
 }

@@ -1,9 +1,12 @@
 // Package httpapi is the HTTP plumbing shared by the query service
 // (internal/server) and the shard router front (internal/shard):
-// NDJSON line streaming, plain JSON bodies, request decoding, and
-// the {"error": {...}} envelope. Both processes speak the exact same
-// wire format — a client must not be able to tell sjrouter from
-// sjserved — so the plumbing exists exactly once.
+// the response Stream with its two transports (NDJSON lines and
+// binary frames, picked once per request by NewStream), the Front
+// every request passes through (request IDs, metrics, deadlines,
+// traces), plain JSON bodies, request decoding, and the
+// {"error": {...}} envelope. Both processes speak the exact same wire
+// format — a client must not be able to tell sjrouter from sjserved —
+// so the plumbing exists exactly once.
 package httpapi
 
 import (
@@ -16,6 +19,7 @@ import (
 	"sync"
 
 	"unijoin/client"
+	"unijoin/internal/geom"
 )
 
 // MaxBodyBytes bounds request bodies; join/window requests are tiny.
@@ -42,18 +46,23 @@ var lineBufPool = sync.Pool{New: func() any {
 	return lb
 }}
 
-// LineWriter emits NDJSON lines, flushing each one so clients see
-// results as they are produced. Started reports whether any bytes
-// have reached the client — the point of no return for the HTTP
-// status code. Write failures (a vanished client) are swallowed: the
-// query itself is aborted separately through the request context.
-// Its marshal buffer is pooled across requests; call Close (safe to
-// defer, safe to call twice) when the response is done.
+// LineWriter is the NDJSON Stream: it emits lines, flushing each one
+// so clients see results as they are produced. Write failures (a
+// vanished client) are swallowed: the query itself is aborted
+// separately through the request context. Its marshal buffer is
+// pooled across requests; call Close (safe to defer, safe to call
+// twice) when the response is done.
 type LineWriter struct {
 	w       http.ResponseWriter
 	flusher http.Flusher
 	started bool
 	lb      *lineBuf
+
+	// Scratch reused across batches: Relay unpacks frames into
+	// pairs/recs, WriteRecords widens records into out.
+	pairs [][2]uint32
+	recs  []geom.Record
+	out   []client.RecordOut
 }
 
 // NewLineWriter wraps a response writer for NDJSON streaming.
@@ -64,10 +73,6 @@ func NewLineWriter(w http.ResponseWriter) *LineWriter {
 
 // Started reports whether a line has already been written.
 func (lw *LineWriter) Started() bool { return lw.started }
-
-// ResponseWriter returns the underlying writer, for sending a proper
-// error status while the stream is still unstarted.
-func (lw *LineWriter) ResponseWriter() http.ResponseWriter { return lw.w }
 
 // WriteLine marshals v and sends it as one flushed NDJSON line.
 func (lw *LineWriter) WriteLine(v any) {

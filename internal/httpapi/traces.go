@@ -59,6 +59,33 @@ func spanDTO(s *obs.Span, base time.Time) *client.Span {
 	return d
 }
 
+// PhaseTrace folds a join's span tree into the summary's flat
+// partition/sweep/stream breakdown: per phase, the longest span of that
+// name anywhere in the tree. A server's tree holds one of each; a
+// router's holds one per shard under its scatter legs, and since the
+// shards run concurrently the slowest is what the caller waited for —
+// the way ElapsedMillis merges.
+func PhaseTrace(root *obs.Span) *client.PhaseTrace {
+	var t client.PhaseTrace
+	var walk func(s *obs.Span)
+	walk = func(s *obs.Span) {
+		ms := float64(s.Duration) / float64(time.Millisecond)
+		switch s.Name {
+		case "partition":
+			t.PartitionMillis = max(t.PartitionMillis, ms)
+		case "sweep":
+			t.SweepMillis = max(t.SweepMillis, ms)
+		case "stream":
+			t.StreamMillis = max(t.StreamMillis, ms)
+		}
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	walk(root)
+	return &t
+}
+
 // TracesHandler serves GET /v1/traces: recent trace summaries, newest
 // first, at most ?n= of them (default defaultTraceListing). Both
 // serving layers mount this one handler, so a client cannot tell a

@@ -6,11 +6,13 @@ import (
 )
 
 // PoolReturn checks the pooled-buffer discipline behind the EmitBatch
-// fast path (PR 2), the wire frame encoder (PR 8) and the parallel
-// engine's record fragments (PR 13): every pairbuf.Get() /
-// pairbuf.GetRecords() / pairbuf.NewBatcher() / wire.NewEncoder()
-// acquisition must reach its release (pairbuf.Put, pairbuf.PutRecords,
-// Batcher.Release, Encoder.Close) on some path in the acquiring
+// fast path (PR 2), the wire frame encoder (PR 8), the parallel
+// engine's record fragments (PR 13) and the response streams (both
+// httpapi.Stream implementations hold pooled buffers): every
+// pairbuf.Get() / pairbuf.GetRecords() / pairbuf.NewBatcher() /
+// wire.NewEncoder() / httpapi.NewStream() acquisition must reach its
+// release (pairbuf.Put, pairbuf.PutRecords, Batcher.Release,
+// Encoder.Close, Stream.Close) on some path in the acquiring
 // function, or hand the value off — return it, store it into a field,
 // slot, or pointer, or send it on a channel — to an owner that will. A buffer that is neither released
 // nor handed off leaks from the pool and silently regresses the
@@ -23,7 +25,7 @@ import (
 var PoolReturn = &Analyzer{
 	Name: "poolreturn",
 	Doc: "pooled buffers must reach Put/Release/Close or escape to an owner (pooled emit path, PR 2/8)\n" +
-		"pairbuf.Get/GetRecords/NewBatcher and wire.NewEncoder acquisitions leak from the pool when no path\n" +
+		"pairbuf.Get/GetRecords/NewBatcher, wire.NewEncoder and httpapi.NewStream acquisitions leak from the pool when no path\n" +
 		"releases them; using a buffer after returning it races with the next borrower.",
 	Run: runPoolReturn,
 }
@@ -36,6 +38,7 @@ const (
 	kindRecBuf                  // pairbuf.GetRecords -> pairbuf.PutRecords(v)
 	kindBatcher                 // pairbuf.NewBatcher -> v.Release()
 	kindEncoder                 // wire.NewEncoder -> v.Close()
+	kindStream                  // httpapi.NewStream -> v.Close()
 )
 
 func (k poolKind) what() string {
@@ -46,11 +49,15 @@ func (k poolKind) what() string {
 		return "pairbuf.GetRecords buffer"
 	case kindBatcher:
 		return "pairbuf.Batcher"
-	default:
+	case kindEncoder:
 		return "wire.Encoder"
+	default:
+		return "httpapi.Stream"
 	}
 }
 
+// release is how the kind's release is spelled; a release call
+// resolves every acquisition of its receiver that shares the spelling.
 func (k poolKind) release() string {
 	switch k {
 	case kindPairBuf:
@@ -102,6 +109,8 @@ func acquisitionKind(pass *Pass, call *ast.CallExpr) (poolKind, bool) {
 		return kindBatcher, true
 	case fn.Pkg().Name() == "wire" && fn.Name() == "NewEncoder":
 		return kindEncoder, true
+	case fn.Pkg().Name() == "httpapi" && fn.Name() == "NewStream":
+		return kindStream, true
 	}
 	return 0, false
 }
@@ -179,23 +188,11 @@ func checkPoolFlow(pass *Pass, body *ast.BlockStmt) {
 		return
 	}
 
-	resolveAs := func(obj types.Object, kinds ...poolKind) {
-		for _, t := range byObj[obj] {
-			for _, k := range kinds {
-				if t.kind == k {
-					t.resolved = true
-				}
-			}
-		}
-	}
-	anyKind := []poolKind{kindPairBuf, kindRecBuf, kindBatcher, kindEncoder}
 	markMentioned := func(expr ast.Expr) {
 		ast.Inspect(expr, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
-				if obj := pass.Info.Uses[id]; obj != nil {
-					if _, tracked := byObj[obj]; tracked {
-						resolveAs(obj, anyKind...)
-					}
+				for _, t := range byObj[pass.Info.Uses[id]] {
+					t.resolved = true
 				}
 			}
 			return true
@@ -206,8 +203,12 @@ func checkPoolFlow(pass *Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.CallExpr:
-			if obj, kind, ok := releaseCall(pass, e); ok {
-				resolveAs(obj, kind)
+			if obj, release, ok := releaseCall(pass, e); ok {
+				for _, t := range byObj[obj] {
+					if t.kind.release() == release {
+						t.resolved = true
+					}
+				}
 			}
 		case *ast.ReturnStmt:
 			for _, res := range e.Results {
@@ -249,34 +250,30 @@ func checkPoolFlow(pass *Pass, body *ast.BlockStmt) {
 }
 
 // releaseCall matches `pairbuf.Put(v)` / `pairbuf.PutRecords(v)` /
-// `v.Release()` / `v.Close()` and returns the released object and
-// which kind it releases.
-func releaseCall(pass *Pass, call *ast.CallExpr) (types.Object, poolKind, bool) {
+// `v.Release()` / `v.Close()` and returns the released object and the
+// release's spelling (poolKind.release).
+func releaseCall(pass *Pass, call *ast.CallExpr) (types.Object, string, bool) {
 	fn := calleeFunc(pass, call)
 	if fn == nil {
-		return nil, 0, false
+		return nil, "", false
 	}
 	if fn.Pkg() != nil && fn.Pkg().Name() == "pairbuf" && len(call.Args) == 1 {
 		if obj := usedObject(pass, call.Args[0]); obj != nil {
 			switch fn.Name() {
-			case "Put":
-				return obj, kindPairBuf, true
-			case "PutRecords":
-				return obj, kindRecBuf, true
+			case "Put", "PutRecords":
+				return obj, "pairbuf." + fn.Name(), true
 			}
 		}
 	}
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if obj := usedObject(pass, sel.X); obj != nil {
 			switch fn.Name() {
-			case "Release":
-				return obj, kindBatcher, true
-			case "Close":
-				return obj, kindEncoder, true
+			case "Release", "Close":
+				return obj, fn.Name(), true
 			}
 		}
 	}
-	return nil, 0, false
+	return nil, "", false
 }
 
 // usedObject resolves an expression to the local object it denotes
@@ -335,9 +332,11 @@ func checkUseAfterRelease(pass *Pass, body *ast.BlockStmt, byObj map[types.Objec
 			// conditional releases inside the statement do not.
 			if es, ok := stmt.(*ast.ExprStmt); ok {
 				if call, ok := es.X.(*ast.CallExpr); ok {
-					if obj, kind, ok := releaseCall(pass, call); ok {
-						if _, tracked := byObj[obj]; tracked {
-							released[obj] = kind
+					if obj, release, ok := releaseCall(pass, call); ok {
+						for _, t := range byObj[obj] {
+							if t.kind.release() == release {
+								released[obj] = t.kind
+							}
 						}
 					}
 				}

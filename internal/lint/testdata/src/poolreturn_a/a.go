@@ -4,6 +4,7 @@ package poolreturn_a
 import (
 	"io"
 
+	"httpapi"
 	"pairbuf"
 	"wire"
 )
@@ -67,6 +68,25 @@ func encoder(w io.Writer) {
 func encoderLeak(w io.Writer) {
 	e := wire.NewEncoder(w) // want `no path releases it`
 	_ = e.WritePairs(nil)
+}
+
+// Response streams hold pooled buffers whichever transport was
+// negotiated; the handler's deferred Close returns them.
+func stream() {
+	out := httpapi.NewStream()
+	defer out.Close()
+	out.WritePairs(nil)
+}
+
+func streamLeak() {
+	out := httpapi.NewStream() // want `httpapi.Stream acquired here but no path releases it with Close`
+	out.WritePairs(nil)
+}
+
+func streamUseAfterClose() bool {
+	out := httpapi.NewStream()
+	out.Close()
+	return out.Started() // want `used after its Close; the pooled httpapi.Stream`
 }
 
 // After Put the pooled slice belongs to the next borrower.

@@ -11,7 +11,6 @@ import (
 	"unijoin"
 	"unijoin/client"
 	"unijoin/internal/httpapi"
-	"unijoin/internal/wire"
 )
 
 // maxParallelism caps the per-request worker count: the parallel
@@ -76,39 +75,25 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.workload.ObserveUnwindowed()
 	}
-	ctx, cancel := requestContext(r, req.TimeoutMillis)
+	ctx, cancel := s.front.Context(r, req.TimeoutMillis)
 	defer cancel()
-
+	out := httpapi.NewStream(w, r, s.front.ObserveFrames)
+	defer out.Close()
+	// flushPairs streams one batch, accumulating the stream phase: wall
+	// time spent encoding and flushing (all writes happen on this
+	// goroutine — EmitBatch callbacks run synchronously).
+	var streamTime time.Duration
+	flushPairs := func(batch [][2]uint32) {
+		s.metrics.pairsStreamed.Add(int64(len(batch)))
+		t0 := time.Now()
+		out.WritePairs(batch)
+		streamTime += time.Since(t0)
+	}
 	// In stripe mode every emitted pair pays the shard ownership
 	// test — the reference-point rule that makes a fleet's summed
 	// answers exactly the single-process result — so even count-only
 	// joins must see the pairs: kernel counting would count pairs
 	// this shard does not own.
-	binary := wire.Negotiates(r)
-	var lw *httpapi.LineWriter
-	var fs *httpapi.FrameWriter
-	if binary {
-		fs = s.newFrameStream(w)
-		defer fs.Close()
-	} else {
-		lw = httpapi.NewLineWriter(w)
-		defer lw.Close()
-	}
-	// flushPairs streams one batch on whichever transport was
-	// negotiated, accumulating the stream phase: wall time spent
-	// encoding and flushing (all writes happen on this goroutine —
-	// EmitBatch callbacks run synchronously).
-	var streamTime time.Duration
-	flushPairs := func(batch [][2]uint32) {
-		s.metrics.pairsStreamed.Add(int64(len(batch)))
-		t0 := time.Now()
-		if binary {
-			fs.WritePairs(batch)
-		} else {
-			lw.WriteLine(client.JoinLine{Pairs: batch})
-		}
-		streamTime += time.Since(t0)
-	}
 	var ownsPair func(l, rr uint32) bool
 	if s.stripe != nil {
 		leftXLo, apiErr := s.xloTable(ctx, left)
@@ -184,11 +169,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	res, err := q.Run(ctx)
 	if err != nil {
-		if binary {
-			s.finishErrorFrames(fs, err)
-		} else {
-			s.finishError(lw, err, func(e *client.APIError) any { return client.JoinLine{Error: e} })
-		}
+		s.front.Fail(out, errorFor(err))
 		return
 	}
 	if len(pairs) > 0 {
@@ -209,21 +190,12 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	root := joinSpan(start, elapsed, res.PrepareWall, res.PartitionWall, res.SweepWall, streamTime)
 	root.SetAttr("left", req.Left).SetAttr("right", req.Right).
 		SetAttr("algorithm", alg.String())
-	s.recordTrace(r, "join", root)
+	s.front.RecordTrace(r, "join", root)
 	if req.Trace {
-		sum.Trace = &client.PhaseTrace{
-			PartitionMillis: phases.partition * 1000,
-			SweepMillis:     phases.sweep * 1000,
-			StreamMillis:    phases.stream * 1000,
-		}
+		sum.Trace = httpapi.PhaseTrace(root)
 		sum.Spans = httpapi.SpanDTO(root)
 	}
-	if binary {
-		fs.WriteSummary(sum)
-		fs.End()
-	} else {
-		lw.WriteLine(client.JoinLine{Summary: sum})
-	}
+	out.Finish(sum)
 }
 
 // xloLookup maps record IDs to left edges for the ownership test.
@@ -336,50 +308,32 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	// x-histogram; the relation name is catalog-validated above.
 	s.workload.ObserveQuery(req.Relation, "window")
 	s.workload.ObserveWindow(req.Window.XLo, req.Window.XHi)
-	ctx, cancel := requestContext(r, req.TimeoutMillis)
+	ctx, cancel := s.front.Context(r, req.TimeoutMillis)
 	defer cancel()
 	// Pin once: the scan and the summary's Indexed field must describe
 	// the same epoch.
 	pv := rel.Pin()
+	out := httpapi.NewStream(w, r, s.front.ObserveFrames)
+	defer out.Close()
 
+	// Records accumulate in the kernel's own representation; what a
+	// batch becomes on the wire is the stream's business.
+	var recs []unijoin.Record
+	var streamTime time.Duration
+	flushRecs := func() {
+		s.metrics.recordsStreamed.Add(int64(len(recs)))
+		t0 := time.Now()
+		out.WriteRecords(recs)
+		streamTime += time.Since(t0)
+		recs = recs[:0]
+	}
 	// In stripe mode only records whose left edge falls in the
 	// stripe are reported — each record is owned by exactly one
 	// shard, so a router's merged stream has no replicated
 	// boundary-record duplicates — and the count must come from the
 	// filtered emit path rather than WindowQuery's total.
-	binary := wire.Negotiates(r)
-	var lw *httpapi.LineWriter
-	var fs *httpapi.FrameWriter
-	if binary {
-		fs = s.newFrameStream(w)
-		defer fs.Close()
-	} else {
-		lw = httpapi.NewLineWriter(w)
-		defer lw.Close()
-	}
 	var owned int64
 	var emit func(unijoin.Record)
-	// Records accumulate in the kernel's own representation; the
-	// NDJSON transport converts per batch (into a reused buffer), the
-	// binary transport packs them directly — no float64 detour.
-	var recs []unijoin.Record
-	var out []client.RecordOut
-	var streamTime time.Duration
-	flushRecs := func() {
-		s.metrics.recordsStreamed.Add(int64(len(recs)))
-		t0 := time.Now()
-		if binary {
-			fs.WriteRecords(recs)
-		} else {
-			out = out[:0]
-			for _, rec := range recs {
-				out = append(out, client.RecordOut{ID: rec.ID, Rect: fromRect(rec.Rect)})
-			}
-			lw.WriteLine(client.WindowLine{Records: out})
-		}
-		streamTime += time.Since(t0)
-		recs = recs[:0]
-	}
 	if !req.CountOnly || s.stripe != nil {
 		if !req.CountOnly {
 			recs = make([]unijoin.Record, 0, s.batch)
@@ -401,11 +355,7 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	n, err := pv.WindowQuery(ctx, toRect(*req.Window), emit)
 	if err != nil {
-		if binary {
-			s.finishErrorFrames(fs, err)
-		} else {
-			s.finishError(lw, err, func(e *client.APIError) any { return client.WindowLine{Error: e} })
-		}
+		s.front.Fail(out, errorFor(err))
 		return
 	}
 	if len(recs) > 0 {
@@ -417,30 +367,13 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	elapsed := time.Since(start)
 	root := windowSpan(start, elapsed, streamTime)
 	root.SetAttr("relation", req.Relation)
-	s.recordTrace(r, "window", root)
-	sum := &client.WindowSummary{
+	s.front.RecordTrace(r, "window", root)
+	out.Finish(&client.WindowSummary{
 		Relation:      req.Relation,
 		Records:       n,
 		Indexed:       pv.Indexed(),
 		ElapsedMillis: float64(elapsed.Microseconds()) / 1000,
-	}
-	if binary {
-		fs.WriteSummary(sum)
-		fs.End()
-	} else {
-		lw.WriteLine(client.WindowLine{Summary: sum})
-	}
-}
-
-// requestContext narrows the request's context (which already carries
-// the middleware's server-side ceiling and the client-disconnect
-// signal) by the request body's own timeout, if any.
-func requestContext(r *http.Request, timeoutMillis int64) (context.Context, context.CancelFunc) {
-	ctx := r.Context()
-	if timeoutMillis > 0 {
-		return context.WithTimeout(ctx, time.Duration(timeoutMillis)*time.Millisecond)
-	}
-	return context.WithCancel(ctx)
+	})
 }
 
 // joinSummary assembles the terminal line of a join response. The
@@ -475,26 +408,6 @@ func relationInfo(name string, rel *unijoin.Relation) client.RelationInfo {
 		info.MBR = fromRect(mbr)
 	}
 	return info
-}
-
-// finishError reports a failed query: as a proper HTTP status when
-// nothing has been streamed yet, or as a terminal error line when the
-// response is already under way (the status line is long gone by
-// then). Cancellations are counted separately — they are load
-// shedding, not bugs.
-func (s *Server) finishError(lw *httpapi.LineWriter, err error, wrap func(*client.APIError) any) {
-	apiErr := errorFor(err)
-	if apiErr.Code == client.CodeCanceled {
-		s.metrics.canceled.Inc()
-	}
-	if !lw.Started() {
-		httpapi.WriteError(lw.ResponseWriter(), apiErr) // the middleware counts non-canceled statuses
-		return
-	}
-	if apiErr.Code != client.CodeCanceled {
-		s.metrics.errors.Inc()
-	}
-	lw.WriteLine(wrap(apiErr))
 }
 
 // errorFor classifies a query error into the API's error space.

@@ -4,8 +4,10 @@
 // The catalog holds named, optionally pre-indexed relations resident
 // across requests; handlers execute joins through the public
 // Query(...).Run(ctx) API and window queries through
-// Relation.WindowQuery, streaming results as NDJSON (the wire types
-// live in the client package). Every request runs under a
+// Relation.WindowQuery, streaming results through one httpapi.Stream —
+// binary frames when the caller offers them (always, when the caller
+// is a router), NDJSON otherwise; the handlers never know which (the
+// wire types live in the client package). Every request runs under a
 // context.Context assembled from the client's disconnect signal, the
 // server's per-request timeout ceiling, and an optional per-request
 // timeout, so an abandoned or over-budget query aborts mid-run with
@@ -27,8 +29,8 @@ import (
 	"unijoin/internal/shard"
 )
 
-// DefaultBatchPairs is how many pairs or records one NDJSON batch
-// line carries at most.
+// DefaultBatchPairs is how many pairs or records one batch — an
+// NDJSON line or a DATA frame — carries at most.
 const DefaultBatchPairs = 1024
 
 // maxBatchPairs caps Config.BatchPairs. Window records are the fat
@@ -48,8 +50,8 @@ type Config struct {
 	Timeout time.Duration
 	// Logger receives one line per request; nil uses slog.Default().
 	Logger *slog.Logger
-	// BatchPairs caps the pairs (or records) per NDJSON line (default
-	// DefaultBatchPairs; clamped so every line fits the client
+	// BatchPairs caps the pairs (or records) per batch (default
+	// DefaultBatchPairs; clamped so every NDJSON line fits the client
 	// package's line scanner).
 	BatchPairs int
 	// Stripe, when set, makes this process one shard of a fleet: the
@@ -85,13 +87,14 @@ type Config struct {
 // standard library's one-goroutine-per-request model needs no extra
 // coordination.
 type Server struct {
-	cat     *unijoin.Catalog
-	timeout time.Duration
-	log     *slog.Logger
-	batch   int
-	stripe  *shard.Interval
-	start   time.Time
-	mux     *http.ServeMux
+	cat    *unijoin.Catalog
+	batch  int
+	stripe *shard.Interval
+	start  time.Time
+	mux    *http.ServeMux
+	// front is the request plumbing shared with the router's serving
+	// layer, wired to this server's metric handles.
+	front httpapi.Front
 
 	// xlo caches each relation's ID → left-edge table, the lookup
 	// behind the per-pair shard ownership test (stripe mode only).
@@ -101,9 +104,7 @@ type Server struct {
 	xlo sync.Map
 
 	metrics  *metrics
-	traces   *obs.TraceStore
 	workload *obs.Workload
-	slow     time.Duration
 }
 
 // New builds a Server over cfg.Catalog.
@@ -122,36 +123,36 @@ func New(cfg Config) *Server {
 	if batch > maxBatchPairs {
 		batch = maxBatchPairs
 	}
+	m := newMetrics(cfg.Registry)
 	s := &Server{
 		cat:     cfg.Catalog,
-		timeout: cfg.Timeout,
-		log:     log,
 		batch:   batch,
 		stripe:  cfg.Stripe,
 		start:   time.Now(),
 		mux:     http.NewServeMux(),
-		metrics: newMetrics(cfg.Registry),
-		traces:  obs.NewTraceStore(cfg.Traces),
-		slow:    cfg.SlowQuery,
+		metrics: m,
+		front: httpapi.Front{
+			Log: log, Timeout: cfg.Timeout,
+			Traces: obs.NewTraceStore(cfg.Traces), SlowQuery: cfg.SlowQuery,
+			Requests: m.requests, Latency: m.latency, InFlight: m.inFlight,
+			Errors: m.errors, Canceled: m.canceled,
+			Frames: m.frames, FrameBytes: m.frameBytes,
+		},
 	}
-	s.workload = obs.NewWorkload(s.metrics.reg, cfg.WorkloadLo, cfg.WorkloadHi, obs.DefaultWorkloadBuckets)
+	s.workload = obs.NewWorkload(m.reg, cfg.WorkloadLo, cfg.WorkloadHi, obs.DefaultWorkloadBuckets)
+	f := &s.front
 	// The exposition endpoint is deliberately uninstrumented: scrapes
 	// should not move the request counters they report.
-	s.mux.Handle("GET /metrics", s.metrics.reg.Handler())
-	s.mux.Handle("GET /v1/healthz", s.instrument("healthz", s.handleHealthz))
-	s.mux.Handle("GET /v1/relations", s.instrument("relations", s.handleRelations))
-	s.mux.Handle("GET /v1/stats", s.instrument("stats", s.handleStats))
-	s.mux.Handle("GET /v1/traces", s.instrument("traces", httpapi.TracesHandler(s.traces)))
-	s.mux.Handle("GET /v1/traces/{id}", s.instrument("traces", httpapi.TraceByIDHandler(s.traces)))
-	s.mux.Handle("POST /v1/join", s.instrument("join", s.withTimeout(s.handleJoin)))
-	s.mux.Handle("POST /v1/window", s.instrument("window", s.withTimeout(s.handleWindow)))
-	s.mux.Handle("POST /v1/relations/{relation}/records", s.instrument("append", s.withTimeout(s.handleAppend)))
-	s.mux.Handle("/", s.instrument("notfound", func(w http.ResponseWriter, r *http.Request) {
-		httpapi.WriteError(w, &client.APIError{
-			Status: http.StatusNotFound, Code: client.CodeNotFound,
-			Message: "no such endpoint: " + r.Method + " " + r.URL.Path,
-		})
-	}))
+	s.mux.Handle("GET /metrics", m.reg.Handler())
+	s.mux.Handle("GET /v1/healthz", f.Instrument("healthz", s.handleHealthz))
+	s.mux.Handle("GET /v1/relations", f.Instrument("relations", s.handleRelations))
+	s.mux.Handle("GET /v1/stats", f.Instrument("stats", s.handleStats))
+	s.mux.Handle("GET /v1/traces", f.Instrument("traces", httpapi.TracesHandler(f.Traces)))
+	s.mux.Handle("GET /v1/traces/{id}", f.Instrument("traces", httpapi.TraceByIDHandler(f.Traces)))
+	s.mux.Handle("POST /v1/join", f.Instrument("join", s.handleJoin))
+	s.mux.Handle("POST /v1/window", f.Instrument("window", s.handleWindow))
+	s.mux.Handle("POST /v1/relations/{relation}/records", f.Instrument("append", s.handleAppend))
+	s.mux.Handle("/", f.Instrument("notfound", httpapi.NotFound))
 	return s
 }
 

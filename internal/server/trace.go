@@ -1,10 +1,8 @@
 package server
 
 import (
-	"net/http"
 	"time"
 
-	"unijoin/internal/httpapi"
 	"unijoin/internal/obs"
 )
 
@@ -44,30 +42,4 @@ func windowSpan(start time.Time, elapsed, stream time.Duration) *obs.Span {
 	root.Child("scan", 0, scan)
 	root.Child("stream", 0, stream)
 	return root
-}
-
-// recordTrace stores a completed request's span tree in the trace
-// ring, keyed by the request ID the middleware minted (so GET
-// /v1/traces/{request-id} finds it), and emits the slow-query line
-// when the root crosses the configured threshold.
-func (s *Server) recordTrace(r *http.Request, kind string, root *obs.Span) {
-	rid := requestIDFrom(r.Context())
-	if rid == "" { // not under the instrument middleware (tests)
-		rid = obs.NewSpanID()
-	}
-	s.traces.Add(&obs.Trace{
-		ID:         rid,
-		Kind:       kind,
-		ParentSpan: httpapi.ParentSpan(r),
-		Root:       root,
-	})
-	if s.slow > 0 && root.Duration >= s.slow {
-		s.log.Warn("slow query",
-			"kind", kind,
-			"request_id", rid,
-			"elapsed", root.Duration.Round(time.Microsecond).String(),
-			"threshold", s.slow.String(),
-			"breakdown", root.Breakdown(),
-		)
-	}
 }

@@ -16,9 +16,9 @@ import (
 )
 
 // Router fans queries out to a fleet of sjserved shard endpoints and
-// gathers the results: join and window streams are merged as shard
-// batches arrive, and per-shard summaries are summed into one
-// response. Because each shard filters its output by its ownership
+// gathers the results: join and window streams — always binary frames
+// between router and shard — are merged as shard frames arrive, and
+// per-shard summaries are summed into one response. Because each shard filters its output by its ownership
 // interval, the merged pair and record sets are exact and
 // duplicate-free — the distributed run returns precisely the
 // single-process answer, for every join algorithm. A Router is safe
@@ -90,7 +90,9 @@ func NewRouter(endpoints []string, httpClient *http.Client) (*Router, error) {
 	}
 	r := &Router{endpoints: append([]string(nil), endpoints...), obs: newRouterObs()}
 	for _, ep := range r.endpoints {
-		r.clients = append(r.clients, client.New(ep, httpClient))
+		cl := client.New(ep, httpClient)
+		cl.PreferBinary = true // frames are the fleet's internal protocol
+		r.clients = append(r.clients, cl)
 	}
 	return r, nil
 }
@@ -199,82 +201,74 @@ func (r *Router) Verify(ctx context.Context) ([]client.Stats, error) {
 	return stats, nil
 }
 
-// Join scatters the join to every shard and merges their streams.
-// onBatch (which may be nil) receives pair batches as they arrive
-// from any shard, serialized — batches from different shards
-// interleave, so cross-shard arrival order is not deterministic, but
-// the merged set and the summed count are exact. The summary sums
-// Pairs and the per-shard record counts (boundary-crossing records
-// count once per shard that loaded them) and reports the slowest
-// shard's elapsed time.
-func (r *Router) Join(ctx context.Context, req client.JoinRequest, onBatch func(pairs [][2]uint32)) (*client.JoinSummary, error) {
-	return r.join(ctx, req, onBatch, nil)
-}
-
-// join is Join with optional per-leg tracing (ct may be nil).
-func (r *Router) join(ctx context.Context, req client.JoinRequest, onBatch func(pairs [][2]uint32), ct *callTrace) (*client.JoinSummary, error) {
+// scatterStream is the one scatter-and-merge body behind every
+// streaming query: it runs leg against every shard concurrently,
+// hands each leg an emit callback that serialises the fleet's output
+// into on — units from different shards interleave, one whole unit at
+// a time, so cross-shard arrival order is not deterministic, but the
+// merged set is exact — and collects the per-shard summaries in
+// endpoint order. on may be nil (count-only: shards send no data); an
+// error from on fails that leg, which cancels the rest of the scatter
+// like any shard fault. ct, when non-nil, records each leg for the
+// caller's span tree. On failure the summaries of the legs that did
+// finish are still returned, beside the scatter's root error.
+func scatterStream[B, S any](ctx context.Context, r *Router, ct *callTrace, on func(B) error,
+	leg func(ctx context.Context, cl *client.Client, emit func(B) error) (*S, error)) ([]*S, error) {
 	var mu sync.Mutex
-	sums := make([]*client.JoinSummary, len(r.clients))
-	err := r.scatter(ctx, r.traced(ct, func(ctx context.Context, i int, cl *client.Client) error {
-		var cb func([][2]uint32)
-		if onBatch != nil {
-			cb = func(batch [][2]uint32) {
-				mu.Lock()
-				defer mu.Unlock()
-				onBatch(batch)
-			}
+	var emit func(B) error
+	if on != nil {
+		emit = func(unit B) error {
+			mu.Lock()
+			defer mu.Unlock()
+			return on(unit)
 		}
-		s, err := cl.JoinBatches(ctx, req, cb)
-		if err != nil {
-			return err
-		}
-		sums[i] = s
-		if ct != nil {
-			ct.calls[i].Spans = s.Spans
-		}
-		return nil
-	}))
-	if err != nil {
-		return nil, err
 	}
-	return mergeJoinSummaries(sums), nil
-}
-
-// JoinFrames is Join on the binary transport's relay path: each
-// shard's DATA frames are handed to onFrame as their exact wire bytes
-// — the router never decodes or re-encodes a pair; only the terminal
-// SUMMARY/ERROR frames are parsed for merging. Frames from different
-// shards interleave (serialized, one whole frame at a time), and a
-// shard that only speaks NDJSON has its batches re-framed inside the
-// client call, so the output is a well-formed frame stream either
-// way.
-func (r *Router) JoinFrames(ctx context.Context, req client.JoinRequest, onFrame func(raw []byte)) (*client.JoinSummary, error) {
-	return r.joinFrames(ctx, req, onFrame, nil)
-}
-
-// joinFrames is JoinFrames with optional per-leg tracing.
-func (r *Router) joinFrames(ctx context.Context, req client.JoinRequest, onFrame func(raw []byte), ct *callTrace) (*client.JoinSummary, error) {
-	var mu sync.Mutex
-	sums := make([]*client.JoinSummary, len(r.clients))
+	sums := make([]*S, len(r.clients))
 	err := r.scatter(ctx, r.traced(ct, func(ctx context.Context, i int, cl *client.Client) error {
-		var cb func([]byte)
-		if onFrame != nil {
-			cb = func(raw []byte) {
-				mu.Lock()
-				defer mu.Unlock()
-				onFrame(raw)
+		s, err := leg(ctx, cl, emit)
+		sums[i] = s
+		return err
+	}))
+	return sums, err
+}
+
+// JoinFrames scatters the join to every shard on the relay path: each
+// shard's PAIRS frames are handed to onFrame (which may be nil) as
+// their exact wire bytes — the router never decodes or re-encodes a
+// pair; only the terminal SUMMARY/ERROR frames are parsed for merging.
+// The summary sums Pairs and the per-shard record counts
+// (boundary-crossing records count once per shard that loaded them)
+// and reports the slowest shard's elapsed time. Because each shard
+// filters its output by its ownership interval, the merged pair set is
+// exact and duplicate-free.
+func (r *Router) JoinFrames(ctx context.Context, req client.JoinRequest, onFrame func(raw []byte)) (*client.JoinSummary, error) {
+	return r.joinFrames(ctx, req, fallible(onFrame), nil)
+}
+
+// fallible gives a callback that cannot fail scatterStream's shape
+// (nil stays nil).
+func fallible[B any](f func(B)) func(B) error {
+	if f == nil {
+		return nil
+	}
+	return func(unit B) error { f(unit); return nil }
+}
+
+// joinFrames is JoinFrames as the serving layer runs it: onFrame may
+// refuse a frame, and ct (which may be nil) traces the legs, each
+// shard's returned span tree included.
+func (r *Router) joinFrames(ctx context.Context, req client.JoinRequest, onFrame func(raw []byte) error, ct *callTrace) (*client.JoinSummary, error) {
+	sums, err := scatterStream(ctx, r, ct, onFrame,
+		func(ctx context.Context, cl *client.Client, emit func([]byte) error) (*client.JoinSummary, error) {
+			return cl.JoinRawFrames(ctx, req, emit)
+		})
+	if ct != nil {
+		for i, s := range sums {
+			if s != nil {
+				ct.calls[i].Spans = s.Spans
 			}
 		}
-		s, err := cl.JoinRawFrames(ctx, req, cb)
-		if err != nil {
-			return err
-		}
-		sums[i] = s
-		if ct != nil {
-			ct.calls[i].Spans = s.Spans
-		}
-		return nil
-	}))
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -283,109 +277,52 @@ func (r *Router) joinFrames(ctx context.Context, req client.JoinRequest, onFrame
 
 // mergeJoinSummaries sums the per-shard summaries: Pairs and record
 // counts add (boundary-crossing records count once per shard that
-// loaded them), the elapsed time is the slowest shard's, and traces
-// merge per phase by maximum.
+// loaded them) and the elapsed time is the slowest shard's. A shard's
+// trace describes that shard alone, so none survives the merge: the
+// serving layer attaches the router's own tree (scatter legs with the
+// shard trees grafted underneath) and the phase breakdown derived from
+// it.
 func mergeJoinSummaries(sums []*client.JoinSummary) *client.JoinSummary {
 	merged := *sums[0]
-	// A shard's span tree describes that shard alone; the serving
-	// layer replaces it with the router's own tree (scatter legs with
-	// the shard trees grafted underneath), so shard 0's must not leak.
-	merged.Spans = nil
-	if merged.Trace != nil {
-		// Clone: the merge below mutates the trace, which must not
-		// alias the first shard's summary.
-		t := *merged.Trace
-		merged.Trace = &t
-	}
+	merged.Trace, merged.Spans = nil, nil
 	for _, s := range sums[1:] {
 		merged.Pairs += s.Pairs
 		merged.LeftRecords += s.LeftRecords
 		merged.RightRecords += s.RightRecords
-		if s.ElapsedMillis > merged.ElapsedMillis {
-			merged.ElapsedMillis = s.ElapsedMillis
-		}
-		merged.Trace = mergeTraces(merged.Trace, s.Trace)
+		merged.ElapsedMillis = max(merged.ElapsedMillis, s.ElapsedMillis)
 	}
 	return &merged
 }
 
-// mergeTraces combines per-shard phase traces the way ElapsedMillis
-// merges: per phase, the slowest shard. The shards run concurrently,
-// so the maximum — not the sum — is what the client actually waited.
-func mergeTraces(a, b *client.PhaseTrace) *client.PhaseTrace {
-	if b == nil {
-		return a
-	}
-	if a == nil {
-		t := *b
-		return &t
-	}
-	a.PartitionMillis = math.Max(a.PartitionMillis, b.PartitionMillis)
-	a.SweepMillis = math.Max(a.SweepMillis, b.SweepMillis)
-	a.StreamMillis = math.Max(a.StreamMillis, b.StreamMillis)
-	return a
-}
-
-// Window scatters the window query and merges the record streams,
-// mirroring Join: batches interleave across shards, counts sum
-// exactly, Indexed reports whether every shard answered through an
-// R-tree, and the elapsed time is the slowest shard's.
+// Window scatters the window query and merges the decoded record
+// streams: batches interleave across shards, counts sum exactly,
+// Indexed reports whether every shard answered through an R-tree, and
+// the elapsed time is the slowest shard's. This is the decoding
+// counterpart of the relay the serving layer runs — for callers that
+// want records, not bytes.
 func (r *Router) Window(ctx context.Context, req client.WindowRequest, onBatch func([]client.RecordOut)) (*client.WindowSummary, error) {
-	return r.window(ctx, req, onBatch, nil)
-}
-
-// window is Window with optional per-leg tracing.
-func (r *Router) window(ctx context.Context, req client.WindowRequest, onBatch func([]client.RecordOut), ct *callTrace) (*client.WindowSummary, error) {
-	var mu sync.Mutex
-	sums := make([]*client.WindowSummary, len(r.clients))
-	err := r.scatter(ctx, r.traced(ct, func(ctx context.Context, i int, cl *client.Client) error {
-		var cb func([]client.RecordOut)
-		if onBatch != nil {
-			cb = func(batch []client.RecordOut) {
-				mu.Lock()
-				defer mu.Unlock()
-				onBatch(batch)
+	sums, err := scatterStream(ctx, r, nil, fallible(onBatch),
+		func(ctx context.Context, cl *client.Client, emit func([]client.RecordOut) error) (*client.WindowSummary, error) {
+			if emit == nil {
+				return cl.WindowBatches(ctx, req, nil)
 			}
-		}
-		s, err := cl.WindowBatches(ctx, req, cb)
-		if err != nil {
-			return err
-		}
-		sums[i] = s
-		return nil
-	}))
+			return cl.WindowBatches(ctx, req, func(batch []client.RecordOut) {
+				_ = emit(batch) // fallible(onBatch) under the scatter's lock: cannot fail
+			})
+		})
 	if err != nil {
 		return nil, err
 	}
 	return mergeWindowSummaries(sums), nil
 }
 
-// WindowFrames is Window on the relay path, mirroring JoinFrames with
-// RECORDS frames.
-func (r *Router) WindowFrames(ctx context.Context, req client.WindowRequest, onFrame func(raw []byte)) (*client.WindowSummary, error) {
-	return r.windowFrames(ctx, req, onFrame, nil)
-}
-
-// windowFrames is WindowFrames with optional per-leg tracing.
-func (r *Router) windowFrames(ctx context.Context, req client.WindowRequest, onFrame func(raw []byte), ct *callTrace) (*client.WindowSummary, error) {
-	var mu sync.Mutex
-	sums := make([]*client.WindowSummary, len(r.clients))
-	err := r.scatter(ctx, r.traced(ct, func(ctx context.Context, i int, cl *client.Client) error {
-		var cb func([]byte)
-		if onFrame != nil {
-			cb = func(raw []byte) {
-				mu.Lock()
-				defer mu.Unlock()
-				onFrame(raw)
-			}
-		}
-		s, err := cl.WindowRawFrames(ctx, req, cb)
-		if err != nil {
-			return err
-		}
-		sums[i] = s
-		return nil
-	}))
+// windowFrames is joinFrames for window queries, relaying RECORDS
+// frames.
+func (r *Router) windowFrames(ctx context.Context, req client.WindowRequest, onFrame func(raw []byte) error, ct *callTrace) (*client.WindowSummary, error) {
+	sums, err := scatterStream(ctx, r, ct, onFrame,
+		func(ctx context.Context, cl *client.Client, emit func([]byte) error) (*client.WindowSummary, error) {
+			return cl.WindowRawFrames(ctx, req, emit)
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -400,9 +337,7 @@ func mergeWindowSummaries(sums []*client.WindowSummary) *client.WindowSummary {
 	for _, s := range sums[1:] {
 		merged.Records += s.Records
 		merged.Indexed = merged.Indexed && s.Indexed
-		if s.ElapsedMillis > merged.ElapsedMillis {
-			merged.ElapsedMillis = s.ElapsedMillis
-		}
+		merged.ElapsedMillis = max(merged.ElapsedMillis, s.ElapsedMillis)
 	}
 	return &merged
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"time"
 
 	"unijoin/client"
@@ -35,31 +34,21 @@ type ServiceConfig struct {
 }
 
 // Service is the HTTP front of a Router: it speaks exactly the
-// sjserved API — the same six endpoints, the same NDJSON streams,
-// the same wire types — so clients cannot tell a router from a single
-// server, except that /v1/stats reports the fleet size. cmd/sjrouter
-// runs one under an http.Server.
+// sjserved API — the same endpoints, the same streams on either
+// transport, the same wire types — so clients cannot tell a router
+// from a single server, except that /v1/stats reports the fleet size.
+// Towards its shards it speaks frames only; what the caller negotiated
+// decides just how its httpapi.Stream renders them. cmd/sjrouter runs
+// one under an http.Server.
 type Service struct {
-	router  *Router
-	timeout time.Duration
-	log     *slog.Logger
-	mux     *http.ServeMux
-	traces  *obs.TraceStore
-	slow    time.Duration
-
-	// requests/latency/inFlight live in the router's registry, so one
-	// /metrics serves both the service's request families and the
-	// router's per-shard scatter families.
-	requests *obs.CounterVec
-	latency  *obs.HistogramVec
-	inFlight *obs.Gauge
-
-	// Binary-transport families, matching internal/server's: frames
-	// and bytes written to negotiated frame streams, by frame type.
-	// On a router most DATA frames are relays — counted here without
-	// ever being decoded.
-	frames     *obs.CounterVec // sj_frames_total{type}
-	frameBytes *obs.CounterVec // sj_frame_bytes_total{type}
+	router *Router
+	mux    *http.ServeMux
+	// front is the request plumbing shared with internal/server. Its
+	// metric handles live in the router's registry, so one /metrics
+	// serves the request families beside the per-shard scatter
+	// families; on a router most DATA frames counted there are relays,
+	// never decoded.
+	front httpapi.Front
 }
 
 // NewService builds the HTTP layer over cfg.Router.
@@ -73,73 +62,46 @@ func NewService(cfg ServiceConfig) *Service {
 	}
 	reg := cfg.Router.Registry()
 	s := &Service{
-		router: cfg.Router, timeout: cfg.Timeout, log: log, mux: http.NewServeMux(),
-		traces: obs.NewTraceStore(cfg.Traces), slow: cfg.SlowQuery,
-		requests: reg.CounterVec("sj_requests_total",
-			"HTTP requests served, by endpoint and status code.",
-			"endpoint", "status"),
-		latency: reg.HistogramVec("sj_request_seconds",
-			"HTTP request wall time in seconds, by endpoint.",
-			nil, "endpoint"),
-		inFlight: reg.Gauge("sj_requests_in_flight",
-			"Requests currently being served."),
-		frames: reg.CounterVec("sj_frames_total",
-			"Binary transport frames written, by frame type.",
-			"type"),
-		frameBytes: reg.CounterVec("sj_frame_bytes_total",
-			"Binary transport bytes written (headers included), by frame type.",
-			"type"),
+		router: cfg.Router, mux: http.NewServeMux(),
+		front: httpapi.Front{
+			Log: log, Timeout: cfg.Timeout,
+			Traces: obs.NewTraceStore(cfg.Traces), SlowQuery: cfg.SlowQuery,
+			Requests: reg.CounterVec("sj_requests_total",
+				"HTTP requests served, by endpoint and status code.",
+				"endpoint", "status"),
+			Latency: reg.HistogramVec("sj_request_seconds",
+				"HTTP request wall time in seconds, by endpoint.",
+				nil, "endpoint"),
+			InFlight: reg.Gauge("sj_requests_in_flight",
+				"Requests currently being served."),
+			Errors: reg.Counter("sj_errors_total",
+				"Failed requests, excluding cancellations."),
+			Canceled: reg.Counter("sj_canceled_total",
+				"Requests canceled by timeout or client disconnect."),
+			Frames: reg.CounterVec("sj_frames_total",
+				"Binary transport frames written, by frame type.",
+				"type"),
+			FrameBytes: reg.CounterVec("sj_frame_bytes_total",
+				"Binary transport bytes written (headers included), by frame type.",
+				"type"),
+		},
 	}
+	f := &s.front
 	s.mux.Handle("GET /metrics", reg.Handler())
-	s.mux.Handle("GET /v1/healthz", s.instrument("healthz", s.handleHealthz))
-	s.mux.Handle("GET /v1/relations", s.instrument("relations", s.handleRelations))
-	s.mux.Handle("GET /v1/stats", s.instrument("stats", s.handleStats))
-	s.mux.Handle("GET /v1/traces", s.instrument("traces", httpapi.TracesHandler(s.traces)))
-	s.mux.Handle("GET /v1/traces/{id}", s.instrument("traces", httpapi.TraceByIDHandler(s.traces)))
-	s.mux.Handle("POST /v1/join", s.instrument("join", s.handleJoin))
-	s.mux.Handle("POST /v1/window", s.instrument("window", s.handleWindow))
-	s.mux.Handle("POST /v1/relations/{relation}/records", s.instrument("append", s.handleAppend))
-	s.mux.Handle("/", s.instrument("notfound", func(w http.ResponseWriter, r *http.Request) {
-		httpapi.WriteError(w, &client.APIError{
-			Status: http.StatusNotFound, Code: client.CodeNotFound,
-			Message: "no such endpoint: " + r.Method + " " + r.URL.Path,
-		})
-	}))
+	s.mux.Handle("GET /v1/healthz", f.Instrument("healthz", s.handleHealthz))
+	s.mux.Handle("GET /v1/relations", f.Instrument("relations", s.handleRelations))
+	s.mux.Handle("GET /v1/stats", f.Instrument("stats", s.handleStats))
+	s.mux.Handle("GET /v1/traces", f.Instrument("traces", httpapi.TracesHandler(f.Traces)))
+	s.mux.Handle("GET /v1/traces/{id}", f.Instrument("traces", httpapi.TraceByIDHandler(f.Traces)))
+	s.mux.Handle("POST /v1/join", f.Instrument("join", serveStream(s, joinQuery)))
+	s.mux.Handle("POST /v1/window", f.Instrument("window", serveStream(s, windowQuery)))
+	s.mux.Handle("POST /v1/relations/{relation}/records", f.Instrument("append", s.handleAppend))
+	s.mux.Handle("/", f.Instrument("notfound", httpapi.NotFound))
 	return s
 }
 
 // Handler returns the service's HTTP handler.
 func (s *Service) Handler() http.Handler { return s.mux }
-
-// instrument is the logging + metrics middleware, mirroring
-// internal/server's: it ensures a request ID, propagates it to every
-// downstream shard call through the context (the client package sends
-// it as X-Request-Id), records the per-endpoint counters and latency,
-// and logs one line with the endpoint, status, wall time, and request
-// ID — so one grep follows a query through router and shards alike.
-func (s *Service) instrument(endpoint string, h http.HandlerFunc) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rid := httpapi.EnsureRequestID(r)
-		w.Header().Set(httpapi.RequestIDHeader, rid)
-		s.inFlight.Add(1)
-		defer s.inFlight.Add(-1)
-		rec := &httpapi.StatusRecorder{ResponseWriter: w}
-		h(rec, r.WithContext(client.WithRequestID(r.Context(), rid)))
-		status := rec.Status()
-		elapsed := time.Since(start)
-		s.requests.With(endpoint, strconv.Itoa(status)).Inc()
-		s.latency.With(endpoint).Observe(elapsed.Seconds())
-		s.log.Info("request",
-			"endpoint", endpoint,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", status,
-			"elapsed", elapsed.Round(time.Microsecond).String(),
-			"request_id", rid,
-		)
-	})
-}
 
 // handleHealthz reports healthy only when every shard is: the router
 // is up exactly when the fleet can answer queries, which is what an
@@ -173,127 +135,98 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	httpapi.WriteJSON(w, stats)
 }
 
-func (s *Service) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req client.JoinRequest
-	if apiErr := httpapi.DecodeBody(w, r, &req); apiErr != nil {
-		httpapi.WriteError(w, apiErr)
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMillis)
-	defer cancel()
-	ct := s.router.newCallTrace()
-	start := time.Now()
+// streamQuery is what serveStream needs to know about one kind of
+// streaming query over requests Q with summaries S.
+type streamQuery[Q, S any] struct {
+	// kind names the query in traces: the trace kind, and the root
+	// span "router.<kind>".
+	kind string
+	// limits reads the request's own deadline and whether it wants
+	// only the count (then no DATA frame is relayed).
+	limits func(req *Q) (timeoutMillis int64, countOnly bool)
+	// scatter runs the query on the fleet's relay path (a Router
+	// method expression).
+	scatter func(r *Router, ctx context.Context, req Q, onFrame func(raw []byte) error, ct *callTrace) (*S, error)
+	// describe labels the finished root span from the request and,
+	// when the scatter succeeded (sum non-nil), from its merged
+	// summary — and echoes the tree on the summary if the request
+	// asked for a trace.
+	describe func(root *obs.Span, req *Q, sum *S)
+}
 
-	if wire.Negotiates(r) {
-		fw := s.newFrameWriter(w)
-		defer fw.Close()
-		var onFrame func([]byte)
-		if !req.CountOnly {
-			onFrame = fw.Relay
-		}
-		sum, err := s.router.joinFrames(ctx, req, onFrame, ct)
-		if err != nil {
-			s.finishErrorFrames(fw, err)
+var joinQuery = streamQuery[client.JoinRequest, client.JoinSummary]{
+	kind:    "join",
+	limits:  func(req *client.JoinRequest) (int64, bool) { return req.TimeoutMillis, req.CountOnly },
+	scatter: (*Router).joinFrames,
+	describe: func(root *obs.Span, req *client.JoinRequest, sum *client.JoinSummary) {
+		root.SetAttr("left", req.Left).SetAttr("right", req.Right)
+		if sum == nil {
 			return
 		}
-		s.finishJoinTrace(r, req, sum, start, ct)
-		fw.WriteSummary(sum)
-		fw.End()
-		return
-	}
-
-	lw := httpapi.NewLineWriter(w)
-	defer lw.Close()
-	var onBatch func([][2]uint32)
-	if !req.CountOnly {
-		onBatch = func(batch [][2]uint32) {
-			lw.WriteLine(client.JoinLine{Pairs: batch})
+		root.SetAttr("algorithm", sum.Algorithm)
+		if req.Trace {
+			sum.Trace = httpapi.PhaseTrace(root)
+			sum.Spans = httpapi.SpanDTO(root)
 		}
-	}
-	sum, err := s.router.join(ctx, req, onBatch, ct)
-	if err != nil {
-		s.finishError(lw, err, func(e *client.APIError) any { return client.JoinLine{Error: e} })
-		return
-	}
-	s.finishJoinTrace(r, req, sum, start, ct)
-	lw.WriteLine(client.JoinLine{Summary: sum})
+	},
 }
 
-// finishJoinTrace closes out a routed join's span tree — the root
-// wraps the whole scatter, one child per shard leg with that shard's
-// phases grafted underneath — records it, and attaches it to the
-// summary when the request asked for a trace.
-func (s *Service) finishJoinTrace(r *http.Request, req client.JoinRequest, sum *client.JoinSummary, start time.Time, ct *callTrace) {
-	root := &obs.Span{
-		ID: obs.NewSpanID(), Name: "router.join",
-		Start: start, Duration: time.Since(start),
-	}
-	root.SetAttr("left", req.Left).SetAttr("right", req.Right).
-		SetAttr("algorithm", sum.Algorithm)
-	ct.attach(root)
-	s.recordTrace(r, "join", root)
-	if req.Trace {
-		sum.Spans = httpapi.SpanDTO(root)
-	}
+// The window wire summary carries no span tree, so a routed window's
+// trace is reachable only through GET /v1/traces on the router.
+var windowQuery = streamQuery[client.WindowRequest, client.WindowSummary]{
+	kind:    "window",
+	limits:  func(req *client.WindowRequest) (int64, bool) { return req.TimeoutMillis, req.CountOnly },
+	scatter: (*Router).windowFrames,
+	describe: func(root *obs.Span, req *client.WindowRequest, _ *client.WindowSummary) {
+		root.SetAttr("relation", req.Relation)
+	},
 }
 
-func (s *Service) handleWindow(w http.ResponseWriter, r *http.Request) {
-	var req client.WindowRequest
-	if apiErr := httpapi.DecodeBody(w, r, &req); apiErr != nil {
-		httpapi.WriteError(w, apiErr)
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMillis)
-	defer cancel()
-	ct := s.router.newCallTrace()
-	start := time.Now()
-
-	if wire.Negotiates(r) {
-		fw := s.newFrameWriter(w)
-		defer fw.Close()
-		var onFrame func([]byte)
-		if !req.CountOnly {
-			onFrame = fw.Relay
-		}
-		sum, err := s.router.windowFrames(ctx, req, onFrame, ct)
-		if err != nil {
-			s.finishErrorFrames(fw, err)
+// serveStream is the one streaming handler: decode the request,
+// scatter it on the relay path with every shard frame handed to the
+// caller's stream — passed through as bytes or rendered as an NDJSON
+// line, the stream's business alone; a frame it refuses fails the
+// scatter like any shard fault — then end the response with the merged
+// summary or a typed error. Either way the query's span tree (the root
+// wraps the whole scatter; one child per shard leg, with the shard's
+// own tree grafted underneath when it returned one) is recorded, with
+// an error attribute on the root and on each failed leg: a routed query
+// that timed out or lost a shard is exactly the one an operator will
+// look up.
+func serveStream[Q, S any](s *Service, q streamQuery[Q, S]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Q
+		if apiErr := httpapi.DecodeBody(w, r, &req); apiErr != nil {
+			httpapi.WriteError(w, apiErr)
 			return
 		}
-		s.finishWindowTrace(r, req, start, ct)
-		fw.WriteSummary(sum)
-		fw.End()
-		return
-	}
-
-	lw := httpapi.NewLineWriter(w)
-	defer lw.Close()
-	var onBatch func([]client.RecordOut)
-	if !req.CountOnly {
-		onBatch = func(batch []client.RecordOut) {
-			lw.WriteLine(client.WindowLine{Records: batch})
+		timeoutMillis, countOnly := q.limits(&req)
+		ctx, cancel := s.front.Context(r, timeoutMillis)
+		defer cancel()
+		out := httpapi.NewStream(w, r, s.front.ObserveFrames)
+		defer out.Close()
+		var relay func(raw []byte) error
+		if !countOnly {
+			relay = out.Relay
 		}
+		ct := s.router.newCallTrace()
+		root := obs.StartSpan("router." + q.kind)
+		sum, err := q.scatter(s.router, ctx, req, relay, ct)
+		root.End()
+		ct.attach(root)
+		q.describe(root, &req, sum)
+		var apiErr *client.APIError
+		if err != nil {
+			apiErr = apiErrorFor(err)
+			root.SetAttr("error", apiErr.Message)
+		}
+		s.front.RecordTrace(r, q.kind, root)
+		if apiErr != nil {
+			s.front.Fail(out, apiErr)
+			return
+		}
+		out.Finish(sum)
 	}
-	sum, err := s.router.window(ctx, req, onBatch, ct)
-	if err != nil {
-		s.finishError(lw, err, func(e *client.APIError) any { return client.WindowLine{Error: e} })
-		return
-	}
-	s.finishWindowTrace(r, req, start, ct)
-	lw.WriteLine(client.WindowLine{Summary: sum})
-}
-
-// finishWindowTrace mirrors finishJoinTrace for window queries. The
-// window wire summary carries no span tree, so the trace is reachable
-// only through GET /v1/traces on the router.
-func (s *Service) finishWindowTrace(r *http.Request, req client.WindowRequest, start time.Time, ct *callTrace) {
-	root := &obs.Span{
-		ID: obs.NewSpanID(), Name: "router.window",
-		Start: start, Duration: time.Since(start),
-	}
-	root.SetAttr("relation", req.Relation)
-	ct.attach(root)
-	s.recordTrace(r, "window", root)
 }
 
 // maxAppendBodyBytes mirrors internal/server's append body cap.
@@ -312,7 +245,7 @@ func (s *Service) handleAppend(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	ctx, cancel := s.requestContext(r, 0)
+	ctx, cancel := s.front.Context(r, 0)
 	defer cancel()
 	sum, aerr := s.router.Append(ctx, r.PathValue("relation"), recs)
 	if aerr != nil {
@@ -322,92 +255,25 @@ func (s *Service) handleAppend(w http.ResponseWriter, r *http.Request) {
 	httpapi.WriteJSON(w, sum)
 }
 
-// requestContext narrows the request context by the service timeout
-// and the request body's own timeout, if any.
-func (s *Service) requestContext(r *http.Request, timeoutMillis int64) (context.Context, context.CancelFunc) {
-	ctx := r.Context()
-	timeout := s.timeout
-	if t := time.Duration(timeoutMillis) * time.Millisecond; timeoutMillis > 0 && (timeout <= 0 || t < timeout) {
-		timeout = t
-	}
-	if timeout > 0 {
-		return context.WithTimeout(ctx, timeout)
-	}
-	return context.WithCancel(ctx)
-}
-
-// recordTrace stores a routed request's span tree in the trace ring,
-// keyed by the request ID (the same ID the shards key their own
-// traces under, so one ID follows the query through every process),
-// and emits the slow-query line when the root crosses the threshold.
-func (s *Service) recordTrace(r *http.Request, kind string, root *obs.Span) {
-	rid := client.RequestIDFrom(r.Context())
-	if rid == "" { // not under the instrument middleware (tests)
-		rid = obs.NewSpanID()
-	}
-	s.traces.Add(&obs.Trace{
-		ID:         rid,
-		Kind:       kind,
-		ParentSpan: httpapi.ParentSpan(r),
-		Root:       root,
-	})
-	if s.slow > 0 && root.Duration >= s.slow {
-		s.log.Warn("slow query",
-			"kind", kind,
-			"request_id", rid,
-			"elapsed", root.Duration.Round(time.Microsecond).String(),
-			"threshold", s.slow.String(),
-			"breakdown", root.Breakdown(),
-		)
-	}
-}
-
-// finishError reports a failed scatter: as an HTTP status when
-// nothing has streamed yet, or as a terminal error line mid-stream.
-func (s *Service) finishError(lw *httpapi.LineWriter, err error, wrap func(*client.APIError) any) {
-	apiErr := apiErrorFor(err)
-	if !lw.Started() {
-		httpapi.WriteError(lw.ResponseWriter(), apiErr)
-		return
-	}
-	lw.WriteLine(wrap(apiErr))
-}
-
-// newFrameWriter wraps a response writer for frame streaming with the
-// service's frame metrics attached.
-func (s *Service) newFrameWriter(w http.ResponseWriter) *httpapi.FrameWriter {
-	return httpapi.NewFrameWriter(w, func(t wire.Type, frames, bytes int64) {
-		s.frames.With(t.String()).Add(frames)
-		s.frameBytes.With(t.String()).Add(bytes)
-	})
-}
-
-// finishErrorFrames reports a failed scatter on the binary transport:
-// an HTTP status while nothing has streamed, or a well-formed ERROR
-// frame plus END after DATA frames have already been relayed — the
-// mid-stream shard-failure contract a decoding client depends on.
-func (s *Service) finishErrorFrames(fw *httpapi.FrameWriter, err error) {
-	apiErr := apiErrorFor(err)
-	if !fw.Started() {
-		httpapi.WriteError(fw.ResponseWriter(), apiErr)
-		return
-	}
-	fw.WriteError(apiErr)
-	fw.End()
-}
-
 // apiErrorFor classifies a router error for the wire: a shard's own
 // *APIError keeps its status and code (with the shard identified in
-// the message), cancellations map to 504, and anything else — an
-// unreachable shard, a transport failure — to 502 unavailable.
+// the message), cancellations map to 504, a shard frame the caller's
+// stream refused as corrupt is the internal-error class — a broken
+// peer, as the decoding client reports it — and anything else — an
+// unreachable shard, a transport failure — is 502 unavailable.
 func apiErrorFor(err error) *client.APIError {
 	var apiErr *client.APIError
-	if errors.As(err, &apiErr) {
+	switch {
+	case errors.As(err, &apiErr):
 		return &client.APIError{Status: apiErr.Status, Code: apiErr.Code, Message: err.Error()}
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return &client.APIError{
 			Status: http.StatusGatewayTimeout, Code: client.CodeCanceled,
+			Message: err.Error(),
+		}
+	case errors.Is(err, wire.ErrCorrupt):
+		return &client.APIError{
+			Status: http.StatusInternalServerError, Code: client.CodeInternal,
 			Message: err.Error(),
 		}
 	}

@@ -24,7 +24,7 @@
 //
 // Plan computes and describes the stripes; Interval is one shard's
 // ownership range (sjserved's -stripe flag); Router scatters a
-// request to K sjserved shard endpoints and gathers their NDJSON
+// request to K sjserved shard endpoints and gathers their frame
 // streams; Service is the HTTP front that makes a Router a drop-in
 // replacement for a single sjserved (cmd/sjrouter wraps it).
 package shard

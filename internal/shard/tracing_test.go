@@ -2,6 +2,11 @@ package shard_test
 
 import (
 	"context"
+	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"unijoin"
@@ -157,5 +162,52 @@ func TestRouterWorkloadMerge(t *testing.T) {
 	}
 	if got := w.Queries["a"]["PQ"]; got != 6 {
 		t.Fatalf("merged a/PQ = %d, want 6", got)
+	}
+}
+
+// TestFailedRoutedQueryIsTraced pins that a routed query which fails
+// still leaves its span tree behind: the failing one is exactly the
+// query an operator will look up. One of two shards answers every join
+// with a typed error; the caller must still get that error, and the
+// router's GET /v1/traces/{id} must show the tree with an error
+// attribute on the root and on the failed scatter leg.
+func TestFailedRoutedQueryIsTraced(t *testing.T) {
+	rels := map[string][]unijoin.Record{
+		"a": datagen.Uniform(7, 300, universe, 25),
+		"b": datagen.Uniform(8, 200, universe, 25),
+	}
+	healthy := startShard(t, shard.Everything(), []string{"a", "b"}, rels, false)
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusUnprocessableEntity)
+		io.WriteString(w, `{"error":{"status":422,"code":"needs_index","message":"stub shard refuses"}}`)
+	}))
+	t.Cleanup(broken.Close)
+	cl := client.New(frontOver(t, healthy, broken.URL), nil)
+	ctx := client.WithRequestID(context.Background(), "failed-trace-1")
+
+	_, err := cl.JoinCount(ctx, client.JoinRequest{Left: "a", Right: "b"})
+	if !errors.Is(err, client.ErrNeedsIndex) {
+		t.Fatalf("join over a failing shard: %v, want the shard's typed error (ErrNeedsIndex)", err)
+	}
+
+	det, err := cl.TraceByID(ctx, "failed-trace-1")
+	if err != nil {
+		t.Fatalf("the failed query left no trace on the router: %v", err)
+	}
+	if det.Root.Name != "router.join" || det.Root.Attrs["error"] == "" {
+		t.Fatalf("root = %q attrs %v, want router.join carrying an error attribute", det.Root.Name, det.Root.Attrs)
+	}
+	if len(det.Root.Children) != 2 {
+		t.Fatalf("root has %d scatter children, want one per shard (2)", len(det.Root.Children))
+	}
+	var failed *client.Span
+	for _, sc := range det.Root.Children {
+		if sc.Name == "scatter" && sc.Attrs["shard"] == broken.URL {
+			failed = sc
+		}
+	}
+	if failed == nil || !strings.Contains(failed.Attrs["error"], "stub shard refuses") {
+		t.Fatalf("the failed shard's scatter leg = %+v, want it present and carrying the shard's error", failed)
 	}
 }

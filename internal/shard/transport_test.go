@@ -6,13 +6,17 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"unijoin"
 	"unijoin/client"
 	"unijoin/internal/datagen"
+	"unijoin/internal/server"
 	"unijoin/internal/shard"
 	"unijoin/internal/wire"
 )
@@ -217,11 +221,66 @@ func TestRouterRelayZeroDecode(t *testing.T) {
 	}
 }
 
-// TestRouterReframesNDJSONShard covers the rolling-upgrade case: a
-// shard that only speaks NDJSON behind a router whose client asked
-// for frames. The router must re-frame the shard's batches so the
-// front's output is still a valid frame stream with the same pairs.
-func TestRouterReframesNDJSONShard(t *testing.T) {
+// frontOver fronts the given shard endpoints with a router service and
+// returns the front's base URL.
+func frontOver(t *testing.T, shards ...string) string {
+	t.Helper()
+	router, err := shard.NewRouter(shards, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := shard.NewService(shard.ServiceConfig{Router: router, Logger: discard()})
+	front := httptest.NewServer(svc.Handler())
+	t.Cleanup(front.Close)
+	return front.URL
+}
+
+// postJoin sends a raw join request to a front, offering the frame
+// transport or not, and returns the response with its whole body.
+func postJoin(t *testing.T, front string, frames bool) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, front+"/v1/join",
+		bytes.NewReader([]byte(`{"left":"a","right":"b"}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if frames {
+		req.Header.Set("Accept", wire.ContentType)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
+}
+
+// joinLines parses an NDJSON join response body.
+func joinLines(t *testing.T, body []byte) []client.JoinLine {
+	t.Helper()
+	var lines []client.JoinLine
+	for _, raw := range bytes.Split(bytes.TrimSpace(body), []byte("\n")) {
+		var l client.JoinLine
+		if err := json.Unmarshal(raw, &l); err != nil {
+			t.Fatalf("front wrote a malformed NDJSON line %q: %v", raw, err)
+		}
+		lines = append(lines, l)
+	}
+	return lines
+}
+
+// TestRouterRejectsNDJSONShard is the frames-only fleet contract:
+// frames are the one protocol between router and shard, so a shard
+// that ignores the offer and answers NDJSON is a failing shard. On
+// either front transport the caller gets a well-formed typed error —
+// a plain HTTP status, since nothing was rendered — and not one pair
+// of the shard's NDJSON answer.
+func TestRouterRejectsNDJSONShard(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/join", func(w http.ResponseWriter, r *http.Request) {
 		// An old shard: ignores Accept, always answers NDJSON.
@@ -231,25 +290,141 @@ func TestRouterReframesNDJSONShard(t *testing.T) {
 	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
+	front := frontOver(t, ts.URL)
 
-	router, err := shard.NewRouter([]string{ts.URL}, nil)
+	for _, frames := range []bool{false, true} {
+		resp, body := postJoin(t, front, frames)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("frames=%v: status %d, want 500; body %q", frames, resp.StatusCode, body)
+		}
+		var envelope struct {
+			Error *client.APIError `json:"error"`
+		}
+		if err := json.Unmarshal(body, &envelope); err != nil || envelope.Error == nil {
+			t.Fatalf("frames=%v: body %q is not the error envelope (%v)", frames, body, err)
+		}
+		if envelope.Error.Code != client.CodeInternal {
+			t.Fatalf("frames=%v: error code %q, want %q", frames, envelope.Error.Code, client.CodeInternal)
+		}
+		if bytes.Contains(body, []byte("pairs")) {
+			t.Fatalf("frames=%v: the shard's NDJSON answer leaked into the response: %q", frames, body)
+		}
+
+		cl := client.New(front, nil)
+		cl.PreferBinary = frames
+		pairs := 0
+		_, err := cl.Join(context.Background(), client.JoinRequest{Left: "a", Right: "b"},
+			func(l, r uint32) { pairs++ })
+		if !errors.Is(err, client.ErrInternal) {
+			t.Fatalf("frames=%v: client error = %v, want the ErrInternal class", frames, err)
+		}
+		if pairs != 0 {
+			t.Fatalf("frames=%v: %d pairs delivered from a rejected shard", frames, pairs)
+		}
+	}
+}
+
+// TestMidStreamShardFailureNDJSON is TestMidStreamShardFailureBinary
+// for an NDJSON caller: the frames the router relayed before the shard
+// died were rendered as data lines, and the response must then close
+// with exactly one terminal error line of the internal-error class.
+func TestMidStreamShardFailureNDJSON(t *testing.T) {
+	goodFrame := wire.AppendFrame(nil, wire.TypePairs, []byte{1, 0, 0, 0, 2, 0, 0, 0})
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/join", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", wire.ContentType)
+		w.Write(goodFrame)
+		if f, ok := w.(http.Flusher); ok {
+			f.Flush()
+		}
+		// Die mid-frame: a header fragment, then the connection ends.
+		w.Write([]byte{wire.Magic0, wire.Magic1, wire.Version})
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	front := frontOver(t, ts.URL)
+
+	resp, body := postJoin(t, front, false)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/x-ndjson" {
+		t.Fatalf("status %d, Content-Type %q; want a started NDJSON stream",
+			resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+	lines := joinLines(t, body)
+	if len(lines) != 2 {
+		t.Fatalf("got %d lines, want one data line and one error line: %q", len(lines), body)
+	}
+	if len(lines[0].Pairs) != 1 || lines[0].Pairs[0] != [2]uint32{1, 2} {
+		t.Fatalf("data line = %+v, want the relayed pair (1, 2)", lines[0])
+	}
+	if e := lines[1].Error; e == nil || e.Code != client.CodeInternal || lines[1].Summary != nil {
+		t.Fatalf("terminal line = %+v, want an error of the internal class and no summary", lines[1])
+	}
+
+	// And through the decoding client.
+	pairs := 0
+	_, err := client.New(front, nil).Join(context.Background(), client.JoinRequest{Left: "a", Right: "b"},
+		func(l, r uint32) { pairs++ })
+	if !errors.Is(err, client.ErrInternal) {
+		t.Fatalf("mid-stream failure error = %v, want the ErrInternal class", err)
+	}
+	if pairs != 1 {
+		t.Fatalf("rendered %d pairs before the failure, want 1", pairs)
+	}
+}
+
+// TestCorruptShardFrameNDJSON is the other half of the zero-decode
+// bargain: the frame→frame relay leaves the CRC to the end client, but
+// a front rendering NDJSON consumes the payload itself, so it must
+// check. A shard frame with a broken CRC is not rendered; the response
+// ends in one terminal error line of the internal class; and the
+// refusal cancels the rest of the scatter.
+func TestCorruptShardFrameNDJSON(t *testing.T) {
+	good := wire.AppendFrame(nil, wire.TypePairs, []byte{1, 0, 0, 0, 2, 0, 0, 0})
+	corrupt := wire.AppendFrame(nil, wire.TypePairs, []byte{7, 0, 0, 0, 9, 0, 0, 0})
+	corrupt[wire.OffCRC] ^= 0xA5
+	sum, err := json.Marshal(&client.JoinSummary{Left: "a", Right: "b", Algorithm: "PQ", Pairs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := shard.NewService(shard.ServiceConfig{Router: router, Logger: discard()})
-	front := httptest.NewServer(svc.Handler())
-	t.Cleanup(front.Close)
+	body := append(append([]byte(nil), good...), corrupt...)
+	body = wire.AppendFrame(body, wire.TypeSummary, sum)
+	body = wire.AppendFrame(body, wire.TypeEnd, nil)
 
-	bcl := client.New(front.URL, nil)
-	bcl.PreferBinary = true
-	var got [][2]uint32
-	sum, err := bcl.Join(context.Background(), client.JoinRequest{Left: "a", Right: "b"},
-		func(l, r uint32) { got = append(got, [2]uint32{l, r}) })
-	if err != nil {
-		t.Fatal(err)
+	// The second shard commits to a stream and then just waits to be
+	// cancelled.
+	canceled := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/join", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", wire.ContentType)
+		w.(http.Flusher).Flush()
+		select {
+		case <-r.Context().Done():
+			close(canceled)
+		case <-time.After(30 * time.Second):
+		}
+	})
+	waiting := httptest.NewServer(mux)
+	t.Cleanup(waiting.Close)
+	front := frontOver(t, frameShardStub(t, body), waiting.URL)
+
+	_, got := postJoin(t, front, false)
+	lines := joinLines(t, got)
+	if len(lines) != 2 {
+		t.Fatalf("got %d lines, want the good pair's line and one error line: %q", len(lines), got)
 	}
-	if sum.Pairs != 2 || len(got) != 2 || got[0] != [2]uint32{1, 2} || got[1] != [2]uint32{3, 4} {
-		t.Fatalf("reframed stream: pairs %v, summary %+v", got, sum)
+	if len(lines[0].Pairs) != 1 || lines[0].Pairs[0] != [2]uint32{1, 2} {
+		t.Fatalf("data line = %+v, want the verified pair (1, 2)", lines[0])
+	}
+	if e := lines[1].Error; e == nil || e.Code != client.CodeInternal {
+		t.Fatalf("terminal line = %+v, want an error of the internal class", lines[1])
+	}
+	if bytes.Contains(got, []byte("[7,9]")) {
+		t.Fatalf("the corrupt frame's pair was rendered: %q", got)
+	}
+	select {
+	case <-canceled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the refused frame did not cancel the other shard's leg")
 	}
 }
 
@@ -336,5 +511,49 @@ func TestMidStreamShardFailureBinary(t *testing.T) {
 	}
 	if pairs != 1 {
 		t.Fatalf("relayed %d pairs before the failure, want 1", pairs)
+	}
+}
+
+// TestRelayKeepsShardConnections pins what putting every routed query
+// on the frame path must not cost: the router reads each shard stream
+// through its END frame to the body's EOF, so the HTTP transport can
+// reuse the shard connection for the next scatter instead of dialing
+// again — whichever transport the caller speaks.
+func TestRelayKeepsShardConnections(t *testing.T) {
+	ws := unijoin.NewWorkspace()
+	ws.SetUniverse(universe)
+	cat := unijoin.NewCatalogOn(ws)
+	for name, recs := range map[string][]unijoin.Record{
+		"a": datagen.Uniform(7, 300, universe, 25),
+		"b": datagen.Uniform(8, 300, universe, 25),
+	} {
+		if _, err := cat.Load(name, recs, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var dialed atomic.Int64
+	ts := httptest.NewUnstartedServer(server.New(server.Config{Catalog: cat, Logger: discard()}).Handler())
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dialed.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	front := frontOver(t, ts.URL)
+
+	for _, frames := range []bool{false, true} {
+		cl := client.New(front, nil)
+		cl.PreferBinary = frames
+		for i := 0; i < 40; i++ {
+			if _, err := cl.Join(context.Background(), client.JoinRequest{Left: "a", Right: "b"}, func(l, r uint32) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// One connection serves all 80 sequential scatters; allow one
+	// re-dial for a keep-alive race.
+	if n := dialed.Load(); n > 2 {
+		t.Fatalf("router dialed its shard %d times for 80 sequential joins, want the connection reused", n)
 	}
 }

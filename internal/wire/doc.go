@@ -1,9 +1,12 @@
 // Package wire is the binary pair-stream transport: a dependency-free,
 // length-prefixed framing protocol for spatial-join results, built on
 // the paper's 20-byte record format (Arge et al. §5.3, internal/geom).
-// It replaces NDJSON on the serving hot path — negotiated per request
+// It is the one protocol between a router and its shards, and replaces
+// NDJSON towards any caller that offers it — negotiated per request
 // via "Accept: application/x-sj-frames" — so a router can relay a
-// shard's result stream to the client without decoding a single entry.
+// shard's result stream to such a caller without decoding a single
+// entry. A caller that does not offer it gets NDJSON rendered from the
+// same frames at the front it talks to.
 //
 // # Frame layout
 //
@@ -47,12 +50,14 @@
 // # Integrity: end-to-end, not hop-by-hop
 //
 // The CRC covers the payload and is verified where the payload is
-// parsed — at the client for data frames, at each hop for SUMMARY and
-// ERROR frames (the only frames a router must read to merge shard
-// responses). A relaying router passes data frames through as opaque
-// bytes, checksum and all (Scanner validates just the 12-byte header
-// to find frame boundaries), so corruption anywhere between shard and
-// client is still caught, and the router's per-pair cost is a copy.
+// parsed — for data frames at the client, or at the router front when
+// it renders them as NDJSON for a caller that did not offer frames;
+// for SUMMARY and ERROR frames at each hop (the only frames a router
+// must always read, to merge shard responses). A router relaying to a
+// frame-speaking caller passes data frames through as opaque bytes,
+// checksum and all (Scanner validates just the 12-byte header to find
+// frame boundaries), so corruption anywhere between shard and client
+// is still caught, and the router's per-pair cost is a copy.
 //
 // # Bounds
 //

@@ -41,8 +41,8 @@ const (
 
 // ContentType is the negotiated media type of a frame stream: a
 // client sends it in Accept, a frame-speaking server echoes it in
-// Content-Type (an NDJSON-only server ignores it, which is the
-// fallback signal).
+// Content-Type (an NDJSON-only front ignores it, which is a decoding
+// client's fallback signal).
 const ContentType = "application/x-sj-frames"
 
 // Type identifies what a frame's payload carries.
