@@ -227,6 +227,40 @@ func BenchmarkParallelJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkParallelJoinTall is the array kernel's worst case: 20k ×
+// 20k narrow records each spanning 40% of the universe's height, so a
+// forward scan's candidates per record are most of the other input in
+// the same stripe and only a fine stripe count keeps the join linear.
+// The automatic count is about a thousand here; a count sized from
+// the input size alone (about twenty) is 2.6× slower than the
+// structure sweep this kernel replaced.
+func BenchmarkParallelJoinTall(b *testing.B) {
+	u := unijoin.NewRect(0, 0, 10_000, 10_000)
+	ra := datagen.Tall(1, 20_000, u)
+	rb := datagen.Tall(2, 20_000, u)
+	o := parallel.Options{Universe: u}
+	base, err := parallel.Serial(context.Background(), ra, rb, o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("parallelism-%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			po := o
+			po.Workers = workers
+			for i := 0; i < b.N; i++ {
+				rep, err := parallel.Join(context.Background(), ra, rb, po)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.Pairs != base.Pairs {
+					b.Fatalf("pairs = %d, want %d", rep.Pairs, base.Pairs)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkParallelJoinEmitModes compares the three result-delivery
 // modes on the parallel engine: counting only (no callback at all),
 // the per-pair Emit callback, and the pooled EmitBatch fast path that
@@ -380,32 +414,39 @@ func BenchmarkQueryParallel(b *testing.B) {
 }
 
 // TestWarmParallelQueryAllocations guards the engine's allocation
-// profile on the served path: a warm count-only AlgParallel query at
-// parallelism 1 allocates per partition and not per record — the
-// inputs are the shared prepared runs, the distribution fragments come
-// from the pool, and one-fragment partitions are swept in place. It
-// runs with the Forward-Sweep structure, which is one list per side,
-// so that the Striped structure's own 64 strips per side (thousands of
-// small allocations that this property is not about) stay out of the
-// count. Measured: 142 allocations at 12k records and 151 at 46k; the
-// same queries with the fragment pool disabled make 240 and 279 (and
-// -race, whose sync.Pool drops a quarter of all Puts, about 190).
+// profile on the served path. A warm count-only AlgParallel query
+// allocates nothing per record: the inputs are the shared prepared
+// runs, the distribution fragments come from the pool, one-fragment
+// partitions are swept in place, and the array kernel keeps no
+// structure. What is left is a fixed number of per-query slabs sized
+// by the stripe count K, plus the slice header sync.Pool boxes for
+// each fragment handed back — two per stripe. So at a fixed K the
+// count must not move when the relations quadruple, and across K it
+// must grow by a few per stripe and nothing else. Measured: 68
+// allocations at K = 16, at 12k and at 46k records alike, and 178 at
+// K = 64. The ceilings leave room for -race, whose sync.Pool drops a
+// quarter of all Puts so that fragments are grown afresh (about 165
+// and 500); one sweep structure per stripe side, which is what this
+// engine used to build, would be thousands.
 func TestWarmParallelQueryAllocations(t *testing.T) {
-	allocs := func(scale float64) (perQuery float64, partitions int) {
+	allocs := func(scale float64, k int) float64 {
 		ws, roads, hydro := queryParallelInputs(t, scale)
-		q := func() *unijoin.Results { return countParallel(t, ws, roads, hydro, unijoin.WithForwardSweep()) }
-		partitions = q().Parallel.Partitions // builds the runs, fills the pool
+		q := func() { countParallel(t, ws, roads, hydro, unijoin.WithPartitions(k)) }
+		q() // builds the runs, fills the pool
 		q()
-		return testing.AllocsPerRun(10, func() { q() }), partitions
+		return testing.AllocsPerRun(10, q)
 	}
-	small, k := allocs(0.025)
-	large, _ := allocs(0.1)
-	t.Logf("warm query: %.0f allocs at 10k+1.3k records, %.0f at 41k+5k, %d partitions", small, large, k)
-	if limit := float64(60 * k); large > limit {
-		t.Fatalf("warm query made %.0f allocations, more than %.0f (60 per partition × %d)", large, limit, k)
+	small16, large16 := allocs(0.025, 16), allocs(0.1, 16)
+	large64 := allocs(0.1, 64)
+	t.Logf("warm query: %.0f allocs at 10k+1.3k records and %.0f at 41k+5k with 16 partitions, %.0f with 64",
+		small16, large16, large64)
+	if large16 > 1.25*small16+16 {
+		t.Fatalf("allocations grow with input size: %.0f at 12k records, %.0f at 46k", small16, large16)
 	}
-	if large > 1.25*small+16 {
-		t.Fatalf("allocations grow with input size: %.0f at 12k records, %.0f at 46k", small, large)
+	for k, n := range map[int]float64{16: large16, 64: large64} {
+		if limit := float64(40 + 10*k); n > limit {
+			t.Fatalf("warm query made %.0f allocations at %d partitions, more than %.0f (40 + 10 per partition)", n, k, limit)
+		}
 	}
 }
 

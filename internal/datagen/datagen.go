@@ -246,3 +246,24 @@ func Uniform(seed int64, n int, region geom.Rect, maxExt float64) []geom.Record 
 	}
 	return recs
 }
+
+// Tall generates n narrow rectangles, each 0.01–0.05% of the region
+// wide and 40% of it high, uniformly placed — the adversarial input
+// of a sweep along y: every record's y-interval overlaps most of the
+// other input's, so a plane sweep's active set is most of the data
+// and only the x-dimension can tell candidates apart.
+func Tall(seed int64, n int, region geom.Rect) []geom.Record {
+	rng := rand.New(rand.NewSource(seed))
+	w, h := float64(region.Width()), float64(region.Height())
+	recs := make([]geom.Record, n)
+	for i := range recs {
+		x := float64(region.XLo) + rng.Float64()*w
+		y := float64(region.YLo) + rng.Float64()*h/2
+		recs[i] = geom.Record{
+			Rect: geom.NewRect(geom.Coord(x), geom.Coord(y),
+				geom.Coord(x+w*(1+4*rng.Float64())/10_000), geom.Coord(y+0.4*h)),
+			ID: uint32(i),
+		}
+	}
+	return recs
+}

@@ -9,9 +9,26 @@ package pairbuf
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"unijoin/internal/geom"
 )
+
+// outstanding counts the buffers on loan from both pools.
+var outstanding atomic.Int64
+
+// Outstanding returns how many buffers are on loan: borrowed with Get,
+// GetRecords or NewBatcher and not yet handed back with Put,
+// PutRecords or Release. Once every join has returned it reads what
+// it read before they started; a difference is a leak on some path.
+//
+// It is test instrumentation — the leak detector of the engine's
+// cancellation tests — and nothing in the program reads it; what
+// production pays for it is one atomic add per loan and per return
+// (a few hundred per join, none per record or pair). The count is process-wide, so a before/after comparison
+// means something only while no other join runs in the process: a
+// test using it must not run in parallel with tests that join.
+func Outstanding() int64 { return outstanding.Load() }
 
 // BatchSize is the capacity of a fresh buffer and the flush threshold
 // used by batching emitters: large enough to amortize the callback
@@ -28,6 +45,7 @@ var pool = sync.Pool{
 
 // Get borrows an empty buffer with at least BatchSize capacity.
 func Get() []geom.Pair {
+	outstanding.Add(1)
 	return (*pool.Get().(*[]geom.Pair))[:0]
 }
 
@@ -43,6 +61,7 @@ const maxPooledCap = 4 * BatchSize
 // after Put. Undersized and grossly oversized buffers are dropped
 // (see maxPooledCap).
 func Put(buf []geom.Pair) {
+	outstanding.Add(-1)
 	if cap(buf) < BatchSize || cap(buf) > maxPooledCap {
 		return
 	}

@@ -23,6 +23,7 @@ const maxPooledRecords = 1 << 16
 // GetRecords borrows an empty record buffer of whatever capacity the
 // pool has on hand (possibly none).
 func GetRecords() []geom.Record {
+	outstanding.Add(1)
 	if p, ok := recordPool.Get().(*[]geom.Record); ok {
 		return (*p)[:0]
 	}
@@ -33,6 +34,7 @@ func GetRecords() []geom.Record {
 // slice after PutRecords. Buffers that never grew and grossly
 // oversized ones are dropped (see maxPooledRecords).
 func PutRecords(buf []geom.Record) {
+	outstanding.Add(-1)
 	if cap(buf) == 0 || cap(buf) > maxPooledRecords {
 		return
 	}

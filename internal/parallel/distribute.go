@@ -9,8 +9,7 @@ import (
 )
 
 // distCheckInterval is how many records a distribution worker
-// classifies between context checks, mirroring the sweep kernel's
-// cancellation granularity. Must be a power of two.
+// classifies between context checks. Must be a power of two.
 const distCheckInterval = 8192
 
 // distSerialCutoff is the input size below which distribution runs
@@ -48,20 +47,26 @@ type distribution struct {
 // distribution's fragsA or fragsB, n its sizeA[i] or sizeB[i]) in
 // input order: the one non-empty fragment itself when a single worker
 // routed records there — always, with one distribution worker — and
-// otherwise a right-sized copy of the fragments in worker order.
-// Either way the result is the engine's own memory, which the sweep
-// may sort.
+// otherwise the first non-empty fragment with the later workers'
+// fragments appended to it. The copy therefore lands in a pooled
+// buffer that release returns with all the others, and a warm pool
+// makes it allocation-free. Either way the result is the engine's own
+// memory, which the sweep may sort. Only the goroutine sweeping
+// partition i may call it.
 func gather(frags [][][]geom.Record, i, n int) []geom.Record {
+	first := -1
 	for w := range frags {
-		if len(frags[w][i]) == n {
+		switch {
+		case len(frags[w][i]) == n:
 			return frags[w][i]
+		case len(frags[w][i]) == 0:
+		case first < 0:
+			first = w
+		default:
+			frags[first][i] = append(frags[first][i], frags[w][i]...)
 		}
 	}
-	out := make([]geom.Record, 0, n)
-	for w := range frags {
-		out = append(out, frags[w][i]...)
-	}
-	return out
+	return frags[first][i]
 }
 
 // release returns every fragment to the record pool; the distribution

@@ -1,8 +1,7 @@
 // Package parallel is the multicore, in-memory execution engine for
 // the filter step: it partitions the universe into vertical stripes,
-// runs the plane-sweep kernel of internal/sweep over each stripe on
-// its own goroutine, and reports wall-clock time instead of simulated
-// I/O counts.
+// sweeps each stripe's two record arrays on its own goroutine, and
+// reports wall-clock time instead of simulated I/O counts.
 //
 // Where the rest of the repository reproduces the EDBT 2000 paper's
 // external-memory apparatus — algorithms measured in simulated page
@@ -10,14 +9,24 @@
 // succeeded it: "Parallel In-Memory Evaluation of Spatial Joins"
 // (Tsitsigkos and Mamoulis, SIGSPATIAL 2019) showed that partitioned
 // plane-sweep with cheap per-partition duplicate avoidance scales
-// near-linearly on multicore hardware, and "Two-layer Space-oriented
-// Partitioning for Non-point Data" (Tsitsigkos et al., 2023) refined
-// the duplicate-elimination trick. The design here:
+// near-linearly on multicore hardware, and that for resident inputs a
+// forward scan over fine stripes beats every dynamic sweep structure;
+// "Two-layer Space-oriented Partitioning for Non-point Data"
+// (Tsitsigkos et al., 2023) refined the duplicate-elimination trick.
+// The design here:
 //
 //   - The universe is cut into K stripes along x. Stripe boundaries
 //     are sample quantiles of the records' x-centers (deduplicated so
 //     they are strictly increasing), so clustered inputs (TIGER-like
-//     cities) still split into balanced pieces.
+//     cities) still split into balanced pieces. A small x-cell →
+//     stripe table built with the boundaries turns "which stripe" into
+//     one lookup and a short walk (a bisection where heavy skew crowds
+//     many boundaries into one cell).
+//   - K is chosen per query by a cost estimate (stripeCount): the
+//     kernel's candidate comparisons fall as 1/K, replicated
+//     placements and per-partition overhead rise with K, and the
+//     sizes and mean extents of the window-qualified inputs say where
+//     the two meet. Options.Partitions overrides it.
 //   - Distribution itself is parallel: each input is split into
 //     per-worker chunks, and each worker window-filters and routes
 //     its chunk into private per-(worker, stripe) fragments with no
@@ -36,12 +45,23 @@
 //     pairwise intersection. Either way every result is emitted
 //     exactly once with no cross-partition coordination.
 //   - A worker pool of Options.Workers goroutines drains the K
-//     partitions dynamically (K defaults to several partitions per
-//     worker, so a dense stripe does not straggle the join). Each
-//     partition is sorted by lower y — unless it already is, which
-//     inputs that arrive sorted guarantee, since distribution keeps
-//     input order — and swept with the same Striped-/Forward-Sweep
-//     structures the serial algorithms use.
+//     partitions dynamically (K is far above the worker count on
+//     anything but tiny inputs, so a dense stripe does not straggle
+//     the join). Each partition is sorted by lower y — unless it
+//     already is, which inputs that arrive sorted guarantee, since
+//     distribution keeps input order — and then swept with no
+//     structure at all: the two arrays are merged by lower y, and the
+//     record that advances is compared with the run of the other
+//     array that starts inside its y-interval (see kernel). The
+//     paper's sweep structures bound the active set of inputs that
+//     stream from disk; here both inputs are resident arrays, the
+//     active set is a slice of one of them, and the stripes are what
+//     keeps it short.
+//   - The worst case of a forward scan is tall records: y-intervals
+//     that overlap most of the other input make every run long, and
+//     only the x-dimension — more stripes — separates candidates.
+//     That is why K adapts to the mean y-extent instead of following
+//     the worker count or the input size.
 //   - Results are collected without locks: each worker owns a counter
 //     shard and each partition owns a pooled output buffer, merged
 //     after the pool drains. With Options.Emit (or the batched
@@ -49,13 +69,14 @@
 //     deterministic partition-then-sweep order on the calling
 //     goroutine, so callbacks need not be thread-safe.
 //   - Both entry points take a context.Context: workers select on
-//     ctx.Done() between partitions and the sweep kernel polls it
-//     within one, so a canceled query stops promptly and returns the
-//     context's error.
+//     ctx.Done() between partitions and the kernel polls it every
+//     fixed amount of comparison work within one, so a canceled query
+//     stops promptly and returns the context's error.
 //
 // The entry points are Join (parallel) and Serial (the single-threaded
-// sort-and-sweep over the same records, the wall-clock baseline the
-// benchmarks compare against).
+// sort-and-sweep over the same records with the paper's Striped-Sweep
+// structure — in-memory SSSJ, the wall-clock baseline the benchmarks
+// compare against).
 package parallel
 
 import (
@@ -67,38 +88,23 @@ import (
 	"unijoin/internal/sweep"
 )
 
-// DefaultStripsPerPartition is the striped-sweep resolution used
-// inside each partition when Options.Strips is zero. Partitions cover
-// a fraction of the x-axis, so they need proportionally fewer strips
-// than the serial sweep's global structure.
-const DefaultStripsPerPartition = 64
-
-// partitionsPerWorker is the default oversubscription factor: more
-// partitions than workers lets the pool rebalance around dense stripes.
-const partitionsPerWorker = 4
-
 // Options configures a parallel join. The zero value of every field
 // except Universe has a sensible default.
 type Options struct {
 	// Universe bounds the data of both inputs; it anchors the stripe
-	// boundaries and the per-partition sweep structures. Required.
+	// boundaries, the stripe-count estimate and Serial's sweep
+	// structure. Required.
 	Universe geom.Rect
 
 	// Workers is the number of sweep goroutines (default
 	// runtime.GOMAXPROCS(0)).
 	Workers int
-	// Partitions is the stripe count K (default 4 per worker, so the
-	// pool can rebalance around dense stripes; minimum Workers).
+	// Partitions is the stripe count K (minimum Workers). Zero lets
+	// Join choose it from the sizes and mean extents of the inputs
+	// (see stripeCount) — dozens to a hundred stripes on map-like
+	// data, a thousand on tall records; Report.Partitions says what
+	// was resolved. Serial ignores it.
 	Partitions int
-
-	// Strips is the striped-sweep strip count. When zero, Join uses
-	// DefaultStripsPerPartition per stripe and Serial uses
-	// sweep.DefaultStrips for its single global sweep. Ignored with
-	// UseForwardSweep.
-	Strips int
-	// UseForwardSweep switches the per-partition kernel to the
-	// Forward-Sweep structure (same ablation knob as the serial path).
-	UseForwardSweep bool
 
 	// Window restricts the join to records intersecting this
 	// rectangle on both sides, matching the serial algorithms'
@@ -140,32 +146,17 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.Partitions <= 0 {
-		o.Partitions = o.Workers * partitionsPerWorker
-	}
-	if o.Partitions < o.Workers {
+	if o.Partitions > 0 && o.Partitions < o.Workers {
 		o.Partitions = o.Workers
 	}
 	return o, nil
-}
-
-// newStructure builds the configured sweep structure for one stripe.
-func (o Options) newStructure(stripe geom.Rect) sweep.Structure {
-	if o.UseForwardSweep {
-		return sweep.NewForward()
-	}
-	strips := o.Strips
-	if strips <= 0 {
-		strips = DefaultStripsPerPartition
-	}
-	return sweep.NewStriped(stripe.XLo, stripe.XHi, strips)
 }
 
 // WorkerStats reports what one worker goroutine did.
 type WorkerStats struct {
 	// Partitions is the number of partitions this worker swept.
 	Partitions int
-	// Records is the number of (replicated) records it sorted and swept.
+	// Records is the number of (replicated) records it swept.
 	Records int64
 	// Pairs is its shard of the result count.
 	Pairs int64
@@ -219,11 +210,14 @@ type Report struct {
 	PartitionWall time.Duration
 	SweepWall     time.Duration
 
-	// Sweep aggregates the kernel statistics across partitions:
-	// Comparisons and Pairs are summed (Pairs counts kernel
-	// candidates, so it exceeds Report.Pairs when replication made a
-	// pair meet in several stripes); MaxLen and MaxBytes are the peak
-	// in any one partition.
+	// Sweep aggregates the kernel statistics across partitions.
+	// Comparisons is the number of x-overlap tests the kernel ran —
+	// its unit of work, and what the stripe count trades against
+	// replication. Pairs counts the tests that passed, before the
+	// ownership test, so it exceeds Report.Pairs when replication made
+	// a pair meet in several stripes. MaxLen and MaxBytes are 0 for
+	// Join, which keeps no sweep structure (its active set is a slice
+	// of the partition arrays); Serial reports its structure's peak.
 	Sweep sweep.Stats
 
 	// PerWorker holds one entry per worker goroutine.

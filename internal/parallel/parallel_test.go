@@ -89,16 +89,15 @@ func TestJoinMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, forward := range []bool{false, true} {
-		o.UseForwardSweep = forward
+	for _, k := range []int{0, 11} { // the automatic stripe count, and an explicit one
 		o.Workers = 3
-		o.Partitions = 11
+		o.Partitions = k
 		rep, err := Join(context.Background(), a, b, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.Pairs != serial.Pairs {
-			t.Fatalf("forward=%v: parallel %d pairs, serial %d", forward, rep.Pairs, serial.Pairs)
+			t.Fatalf("partitions=%d: parallel %d pairs, serial %d", k, rep.Pairs, serial.Pairs)
 		}
 	}
 }

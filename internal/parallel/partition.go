@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"unijoin/internal/geom"
 )
@@ -32,7 +31,31 @@ type Partitioner struct {
 	// bounds holds the internal boundaries in strictly increasing
 	// order; stripe i covers [bounds[i-1], bounds[i]).
 	bounds []geom.Coord
+
+	// cells is the x-cell → stripe table behind Range: the span between
+	// the first and last boundary is cut into len(cells)-1 equal-width
+	// cells, and cells[c] counts the boundaries lying in cells before
+	// c, so the stripe of any x in cell c is at least cells[c] and at
+	// most cells[c+1] (the last entry is a sentinel, len(bounds)); Range
+	// settles it among the boundaries sharing the cell. It is built by
+	// every constructor, never lazily: one Partitioner is read by all
+	// distribution workers at once.
+	cells   []int32
+	cellLo  float64 // x of cell 0's lower edge (the first boundary)
+	cellInv float64 // cells per unit of x; 0 when there is one cell
 }
+
+// cellsPerStripe is the lookup table's resolution. Equal-width cells
+// over quantile boundaries are coarsest where the data is densest, so
+// the table carries a few cells per stripe to keep the walk after the
+// lookup short there too.
+const cellsPerStripe = 8
+
+// walkMax is the most boundaries Range steps over one by one. On
+// spread data a cell holds zero or one boundary; on heavily clustered
+// centers (98% of them within 0.01% of the x-span) hundreds of quantile
+// boundaries share the cluster's cell, and Range bisects them instead.
+const walkMax = 4
 
 // NewPartitioner builds a partitioner of at most k stripes over the
 // universe, placing boundaries at x-center quantiles of the given
@@ -97,37 +120,81 @@ func PartitionerFromBoundaries(universe geom.Rect, bounds []geom.Coord) (*Partit
 			return nil, fmt.Errorf("parallel: boundaries must be strictly increasing, got %v", bounds)
 		}
 	}
-	return &Partitioner{universe: universe, bounds: slices.Clone(bounds)}, nil
+	p := &Partitioner{universe: universe, bounds: slices.Clone(bounds)}
+	p.buildCells()
+	return p, nil
 }
 
 // newPartitionerSorted places k-1 boundaries at the quantiles of an
-// already-sorted sample, the shared tail of every constructor.
+// already-sorted sample, the shared tail of every sampling constructor.
 func newPartitionerSorted(universe geom.Rect, k int, sample []geom.Coord) *Partitioner {
-	if k < 1 {
-		k = 1
-	}
 	p := &Partitioner{universe: universe}
-	if k == 1 {
-		return p
+	p.placeBounds(k, sample)
+	p.buildCells()
+	return p
+}
+
+// placeBounds sets the boundaries of at most k stripes: sample
+// quantiles, or equal widths when there is too little data to
+// estimate quantiles.
+func (p *Partitioner) placeBounds(k int, sample []geom.Coord) {
+	if k <= 1 {
+		return
 	}
 	if len(sample) < k {
-		// Too little data to estimate quantiles: equal-width stripes.
-		w := float64(universe.Width()) / float64(k)
+		w := float64(p.universe.Width()) / float64(k)
 		if w <= 0 {
 			// Degenerate universe: one stripe holds everything.
-			return p
+			return
 		}
 		for i := 1; i < k; i++ {
-			p.bounds = append(p.bounds, universe.XLo+geom.Coord(float64(i)*w))
+			p.bounds = append(p.bounds, p.universe.XLo+geom.Coord(float64(i)*w))
 		}
-		p.dedup(universe.XLo)
-		return p
+		p.dedup(p.universe.XLo)
+		return
 	}
 	for i := 1; i < k; i++ {
 		p.bounds = append(p.bounds, sample[i*len(sample)/k])
 	}
 	p.dedup(sample[0])
-	return p
+}
+
+// buildCells fills the lookup table from the final boundaries. The
+// table is defined through cellOf itself — cells[c] is the number of
+// boundaries whose own cell is before c — so whatever rounding cellOf
+// performs, it is monotone in x and the table brackets the answer: a
+// boundary in an earlier cell than x is at or below x, one in a later
+// cell is above it.
+func (p *Partitioner) buildCells() {
+	p.cells = []int32{0, int32(len(p.bounds))}
+	p.cellLo, p.cellInv = 0, 0
+	if len(p.bounds) < 2 {
+		return
+	}
+	lo, hi := float64(p.bounds[0]), float64(p.bounds[len(p.bounds)-1])
+	n := cellsPerStripe * len(p.bounds)
+	p.cellLo, p.cellInv = lo, float64(n)/(hi-lo)
+	p.cells = make([]int32, n+1)
+	b := 0
+	for c := range p.cells {
+		for b < len(p.bounds) && p.cellOf(p.bounds[b]) < c {
+			b++
+		}
+		p.cells[c] = int32(b)
+	}
+}
+
+// cellOf returns the table cell of x, clamped into the table (NaN
+// lands in cell 0).
+func (p *Partitioner) cellOf(x geom.Coord) int {
+	f := (float64(x) - p.cellLo) * p.cellInv
+	if !(f > 0) {
+		return 0
+	}
+	if last := len(p.cells) - 2; f >= float64(last) {
+		return last
+	}
+	return int(f)
 }
 
 // SortedCenterSample returns a sorted sample of up to ~sampleMax
@@ -249,12 +316,41 @@ func (p *Partitioner) Boundaries() []geom.Coord { return slices.Clone(p.bounds) 
 // Of returns the stripe owning x: the unique i with
 // bounds[i-1] <= x < bounds[i], clamped into [0, K-1].
 func (p *Partitioner) Of(x geom.Coord) int {
-	return sort.Search(len(p.bounds), func(i int) bool { return x < p.bounds[i] })
+	first, _ := p.Range(geom.Rect{XLo: x, XHi: x})
+	return first
 }
 
 // Range returns the stripe indexes a record's x-interval overlaps.
+// The left edge costs one table lookup, then a walk over the
+// boundaries sharing its cell, or a bisection when there are more than
+// walkMax of them. The right edge is found by walking on from the left
+// edge's stripe: almost every record ends in the stripe it starts in.
+// (The lookup lives here and not in Of because this is the call the
+// distribution makes once per record.)
 func (p *Partitioner) Range(r geom.Rect) (first, last int) {
-	return p.Of(r.XLo), p.Of(r.XHi)
+	c := p.cellOf(r.XLo)
+	first, end := int(p.cells[c]), int(p.cells[c+1])
+	if end-first > walkMax {
+		for first < end {
+			if m := int(uint(first+end) >> 1); r.XLo >= p.bounds[m] {
+				first = m + 1
+			} else {
+				end = m
+			}
+		}
+	} else {
+		// The walk ends inside the bracket by itself — the boundaries
+		// past end lie in later cells, above XLo — and testing
+		// first < end instead measured 20% slower on map-like data.
+		for first < len(p.bounds) && r.XLo >= p.bounds[first] {
+			first++
+		}
+	}
+	last = first
+	for last < len(p.bounds) && r.XHi >= p.bounds[last] {
+		last++
+	}
+	return first, last
 }
 
 // Owner returns the stripe that must report the pair (a, b): the one

@@ -151,15 +151,10 @@ func TestParallelJoinReport(t *testing.T) {
 	if res2.IO.Total() != 0 || res2.PrepareWall != 0 {
 		t.Fatalf("warm query: %d page accesses, PrepareWall %v; want none", res2.IO.Total(), res2.PrepareWall)
 	}
-	if want := runtime.GOMAXPROCS(0); res2.Parallel.Workers > want*parallelDefaultPartitionFactor {
-		t.Fatalf("default workers = %d", res2.Parallel.Workers)
+	if want := runtime.GOMAXPROCS(0); res2.Parallel.Workers > want {
+		t.Fatalf("default workers = %d, more than GOMAXPROCS = %d", res2.Parallel.Workers, want)
 	}
 }
-
-// parallelDefaultPartitionFactor mirrors the engine's oversubscription
-// default for the bound check above (workers are capped at the
-// partition count, which defaults to 4 per worker).
-const parallelDefaultPartitionFactor = 4
 
 func TestAlgParallelString(t *testing.T) {
 	if AlgParallel.String() != "parallel" {

@@ -72,8 +72,10 @@ func (q *Query) BufferPool(bytes int) *Query { q.opts.BufferPoolBytes = bytes; r
 // for (default Machine3).
 func (q *Query) Machine(m Machine) *Query { q.opts.Machine = m; return q }
 
-// ForwardSweep switches the sweep kernel to the Forward-Sweep
-// structure (the ablation of the paper's Striped-Sweep).
+// ForwardSweep switches the sweep kernel of the serial algorithms
+// (SSSJ, PBSM, PQ, ...) to the Forward-Sweep structure, the ablation
+// of the paper's Striped-Sweep. It does not apply to AlgParallel,
+// whose array kernel has no sweep structure to replace.
 func (q *Query) ForwardSweep() *Query { q.opts.UseForwardSweep = true; return q }
 
 // PBSMTiles overrides PBSM's tile grid resolution (default 128).
@@ -238,7 +240,6 @@ func (w *Workspace) runParallel(ctx context.Context, a, b *ingest.Version, opts 
 	po := parallel.Options{Universe: w.universeFor(a.MBR.Union(b.MBR))}
 	po.Workers = opts.Parallelism
 	po.Partitions = opts.ParallelPartitions
-	po.UseForwardSweep = opts.UseForwardSweep
 	po.Window = opts.Window
 	po.Emit = opts.Emit
 	po.EmitBatch = opts.EmitBatch

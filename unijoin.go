@@ -73,9 +73,13 @@
 // pairs pay the reference-point ownership test, so each pair is
 // reported exactly once. Its inputs are each relation's prepared run
 // (records decoded and sorted once per epoch, carried across appends),
-// so a warm query neither reads the simulated disk nor sorts. Its
-// results are measured in wall-clock time rather than simulated page
-// accesses — the benchmarking path for real hardware:
+// so a warm query neither reads the simulated disk nor sorts — and
+// because both inputs are resident sorted arrays, the sweep inside a
+// stripe builds no sweep structure: it merges the two arrays and
+// scans forward, with the stripe count chosen per query so that those
+// scans stay short. Its results are measured in wall-clock time rather
+// than simulated page accesses — the benchmarking path for real
+// hardware:
 //
 //	res, _ := ws.Query(roads, hydro).
 //		Algorithm(unijoin.AlgParallel).
@@ -211,10 +215,13 @@ const (
 	// alongside ST (both inputs must be indexed).
 	AlgBFRJ
 	// AlgParallel is the multicore in-memory engine: chunked parallel
-	// two-layer distribution followed by a partition-parallel plane
-	// sweep, with stripe-local pairs emitted untested and boundary
-	// pairs deduplicated by the reference-point test, measured in
-	// wall-clock time (Query.Parallelism sets the worker count).
+	// two-layer distribution followed by a partition-parallel
+	// forward-scan sweep over each stripe's two sorted arrays (no sweep
+	// structure), with stripe-local pairs emitted untested and
+	// boundary pairs deduplicated by the reference-point test,
+	// measured in wall-clock time. Query.Parallelism sets the worker
+	// count; the stripe count is chosen per query from the inputs'
+	// sizes and mean extents unless Query.Partitions fixes it.
 	AlgParallel
 )
 
@@ -520,16 +527,20 @@ type JoinOptions struct {
 	Machine Machine
 	// Window restricts the join to pairs intersecting this rectangle.
 	Window *Rect
-	// UseForwardSweep switches the sweep kernel to the Forward-Sweep
-	// structure (ablation).
+	// UseForwardSweep switches the serial algorithms' sweep kernel to
+	// the Forward-Sweep structure (the paper's ablation). AlgParallel
+	// ignores it: its kernel keeps no structure to swap.
 	UseForwardSweep bool
 	// PBSMTilesPerAxis overrides PBSM's tile resolution (default 128).
 	PBSMTilesPerAxis int
 	// Parallelism is the worker count for AlgParallel (default
 	// GOMAXPROCS). Other algorithms ignore it.
 	Parallelism int
-	// ParallelPartitions overrides the parallel engine's stripe count
-	// (default: several stripes per worker for load balancing).
+	// ParallelPartitions overrides the parallel engine's stripe count.
+	// Zero, the default, lets the engine choose it per query from the
+	// window-qualified inputs' sizes and mean extents: enough stripes
+	// to keep the forward scans short, few enough to keep replication
+	// low (Results.Parallel.Partitions reports the choice).
 	ParallelPartitions int
 	// Emit receives each result pair as the join finds it; see
 	// Query.Emit for where pairs go when it is nil (Query.Run buffers
