@@ -47,9 +47,18 @@ import (
 // Input is one join relation: a record stream, an R-tree, or both.
 // The unified PQ join uses whichever representation the plan calls
 // for; SSSJ/PBSM require File, ST requires Tree.
+//
+// A relation under live ingestion is indexed and sorted at once: Tree
+// covers the records of its last bulk load and Delta holds the ones
+// appended since as a resident y-sorted run. Delta counts only beside
+// Tree (File, when present, holds every record) or alone, as the input
+// form of the run itself; PQ merges it into the tree's sorted scanner.
+// An empty Delta — every static relation — leaves the tree's scanner
+// as it is.
 type Input struct {
-	File *iosim.File
-	Tree *rtree.Tree
+	File  *iosim.File
+	Tree  *rtree.Tree
+	Delta geom.Run
 }
 
 // FileInput wraps a non-indexed record stream.
@@ -60,6 +69,21 @@ func TreeInput(t *rtree.Tree) Input { return Input{Tree: t} }
 
 // Indexed reports whether the input has a spatial index.
 func (in Input) Indexed() bool { return in.Tree != nil }
+
+// empty reports whether the input has no representation at all.
+func (in Input) empty() bool {
+	return in.File == nil && in.Tree == nil && len(in.Delta.Recs) == 0
+}
+
+// indexedMBR bounds what the input's index form holds: the tree's
+// records and the delta run's.
+func (in Input) indexedMBR() geom.Rect {
+	m := in.Tree.MBR()
+	for _, r := range in.Delta.Recs {
+		m = m.Union(r.Rect)
+	}
+	return m
+}
 
 // Options configures a join run. The zero value of every field has a
 // sensible default; Store and Universe are required.

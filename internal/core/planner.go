@@ -233,10 +233,14 @@ func inputHistogram(ctx context.Context, o Options, in Input, res int) (*histogr
 			return nil, geom.Rect{}, err
 		}
 		if !ok {
-			return g, in.Tree.MBR(), nil
+			break
 		}
 		g.Add(r.Rect)
 	}
+	for _, r := range in.Delta.Recs {
+		g.Add(r.Rect)
+	}
+	return g, in.indexedMBR(), nil
 }
 
 // storeReaderFor returns the direct (uncached) page reader for the

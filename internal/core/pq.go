@@ -32,8 +32,8 @@ func PQ(ctx context.Context, opts Options, a, b Input) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if a.File == nil && a.Tree == nil || b.File == nil && b.Tree == nil {
-		return Result{}, fmt.Errorf("%w: PQ inputs need a file or a tree", ErrNilRelation)
+	if a.empty() || b.empty() {
+		return Result{}, fmt.Errorf("%w: PQ inputs need a file, a tree or a run", ErrNilRelation)
 	}
 	return run(ctx, o, "PQ", func(o Options, res *Result) error {
 		// The preparation phase is the external sorts of non-indexed
@@ -93,19 +93,28 @@ func (s pqSide) release() {
 }
 
 // pqSource builds the y-sorted source for one input. For indexed
-// inputs the scanner carries page and memory statistics; for
+// inputs the scanner carries page and memory statistics, and a delta
+// run is merged into its output — the scanner alone when the run is
+// empty; an input that is only a run is read as it stands; for
 // non-indexed inputs the external sort's statistics and temp file are
 // carried instead.
 func pqSource(ctx context.Context, o Options, in, other Input) (pqSide, error) {
+	window, useWindow := pqWindow(o, other)
 	if in.Tree != nil {
-		window, useWindow := pqWindow(o, other)
 		var sc *rtree.SortedScanner
 		if useWindow {
 			sc = in.Tree.WindowScanner(rtree.StoreReader{Store: o.Store}, window)
 		} else {
 			sc = in.Tree.Scanner(rtree.StoreReader{Store: o.Store})
 		}
-		return pqSide{src: sc, scanner: sc}, nil
+		side := pqSide{src: sc, scanner: sc}
+		if len(in.Delta.Recs) > 0 {
+			side.src = &mergedSource{a: sc, b: deltaSource(ctx, in.Delta, window, useWindow)}
+		}
+		return side, nil
+	}
+	if in.File == nil {
+		return pqSide{src: deltaSource(ctx, in.Delta, window, useWindow)}, nil
 	}
 	sorted, stats, err := stream.Sort(o.Store, in.File, stream.Records, geom.ByLowerY, o.MemoryBytes)
 	if err != nil {
@@ -113,7 +122,7 @@ func pqSource(ctx context.Context, o Options, in, other Input) (pqSide, error) {
 	}
 	rd := stream.NewReader(sorted, stream.Records)
 	side := pqSide{src: rd, sort: &stats, temp: sorted}
-	if window, useWindow := pqWindow(o, other); useWindow {
+	if useWindow {
 		side.src = &windowFilterSource{ctx: ctx, src: rd, window: window}
 	}
 	return side, nil
@@ -128,7 +137,7 @@ func pqWindow(o Options, other Input) (geom.Rect, bool) {
 		w, have = *o.Window, true
 	}
 	if o.RestrictScanners && other.Tree != nil {
-		m := other.Tree.MBR()
+		m := other.indexedMBR()
 		if m.Valid() {
 			if have {
 				in, ok := w.Intersection(m)

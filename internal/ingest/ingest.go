@@ -2,36 +2,50 @@
 // unstable: each relation's records live in one append-only log on
 // the simulated disk, and every mutation publishes a new immutable
 // epoch-stamped Version — a pinned prefix view of the log
-// (iosim.File.Snapshot), the R-tree covering exactly those records,
+// (iosim.File.Snapshot), the packed R-tree over the records of the
+// last bulk load, the delta run holding the records appended since,
 // the bounding rectangle, the maintained x-center sample, and the
-// prepared run (the records decoded and ordered by lower y, which the
+// prepared run (all records decoded and ordered by lower y, which the
 // in-memory engine joins without touching the simulated disk). Readers
 // load the current Version once, atomically, and keep a consistent
 // view no matter how many appends land while they stream; writers
 // serialize on the log's mutex and never modify anything a published
-// Version references (appends write bytes past every pinned size;
-// index growth is copy-on-write path insertion, rtree.WithInserted;
-// a successor's prepared run is merged into fresh slices).
+// Version references (appends write bytes past every pinned size and
+// merge the delta and prepared runs into fresh slices; a tree is never
+// written after its bulk load).
+//
+// A live indexed relation is therefore the paper's two input forms at
+// once: an index over the base and a sorted run over the tail. Nothing
+// forces the tail into the tree — the unified PQ join merges the
+// tree's sorted scanner with the run (core.Input.Delta), a window
+// query adds a slab scan of the run to the tree descent, and the
+// algorithms that need both sides fully indexed join the two bases and
+// leave the remainder to PQ (core.Indexed). An append to an indexed
+// relation costs one memmove of the delta, bounded by the compaction
+// threshold, and allocates no store pages beyond the log's own growth.
+// The run is plain Go memory shared read-only between a version and
+// the merge that builds its successor's, so a superseded run needs no
+// release: it is collected with the last version that references it.
 //
 // The prepared run is built once per epoch, never once per query and
 // never eagerly per append. The first Prepared call on a relation
-// reads and sorts the whole log; from then on the run is warm and
+// reads the log and sorts the base; from then on the run is warm and
 // every mutation carries it: an append hands the successor the shared
-// base run plus its sorted delta merged with the new batch (work
+// base run and the delta run merged with the new batch (work
 // proportional to the delta), the first query that pins the new epoch
 // merges the two once for everybody, and a compaction promotes the
-// merged run to the next base. A run dies with the last reference to
-// its version.
+// merged run to the next base. An unindexed relation keeps a delta run
+// only once warm; a cold one carries nothing. A run dies with the last
+// reference to its version.
 //
-// The index follows the paper's lifecycle rather than fighting it: a
-// relation's tree is born packed (Hilbert bulk load, Section 3.3) and
-// degrades under Guttman insertion as the delta grows, which is
-// precisely the indexed-but-aging input the Section 6.3 cost model
-// arbitrates. A threshold-triggered compaction — delta at least
-// CompactMin records and CompactFrac of the base — rebuilds the
-// packed layout over the whole log and republishes, resetting the
-// delta accounting; the superseded pages stay allocated for the
-// benefit of still-pinned readers (the Catalog.Drop policy).
+// The index follows the paper's lifecycle: a relation's tree is born
+// packed (Hilbert bulk load, Section 3.3) and stays packed. A
+// threshold-triggered compaction — delta at least CompactMin records
+// and CompactFrac of the base — bulk-loads a fresh packed tree over
+// the whole log and republishes with an empty delta. The superseded
+// tree's pages stay allocated for the benefit of still-pinned readers
+// (the Catalog.Drop policy); that is the one thing the store keeps per
+// compaction, and the LSM-style threshold amortizes it.
 package ingest
 
 import (
@@ -92,13 +106,16 @@ type Version struct {
 	// File is the record log pinned at this version's length: reads
 	// never observe later appends.
 	File *iosim.File
-	// Tree indexes exactly this version's records; nil when the
-	// relation is unindexed.
+	// Tree is the packed index over the first BaseN records of File,
+	// immutable since its bulk load and shared by every version up to
+	// the next compaction; nil when the relation is unindexed. The
+	// records it does not cover are DeltaRun.
 	Tree *rtree.Tree
 	// N is the number of records this version sees.
 	N int64
-	// BaseN is how many of them are covered by the last packed bulk
-	// load; N - BaseN is the delta absorbed by Guttman insertion.
+	// BaseN is how many of them the last packed bulk load (or, for an
+	// unindexed relation, the last compaction) covered; N - BaseN is
+	// the delta.
 	BaseN int64
 	// MBR bounds this version's records (invalid when N is 0).
 	MBR geom.Rect
@@ -112,20 +129,40 @@ type Version struct {
 	sample   []geom.Coord
 	sampled  bool
 
-	// runMu guards run, the lazily built prepared run (see Prepared).
-	// base and delta are what a warm predecessor handed over at
-	// publication — two runs ordered by geom.ByLowerY that together
-	// hold exactly this version's records — and are both nil on a
-	// cold version, which builds from File. None of the three slices
-	// is ever written once set: successors and concurrent queries
-	// share them.
-	runMu       sync.Mutex
-	base, delta []geom.Record
-	run         []geom.Record
+	// delta is the tail of File — its last len(delta) records — as a
+	// resident run ordered by geom.ByLowerY, and deltaMaxH bounds the
+	// y-extent of its records. Both are fixed at publication. An
+	// indexed version always carries the records its Tree does not
+	// cover (len(delta) == N - BaseN); an unindexed one carries a
+	// delta only once its prepared run is warm.
+	delta     []geom.Record
+	deltaMaxH float64
+
+	// runMu guards base and run, the lazily built halves of the
+	// prepared run (see Prepared): base holds the records ahead of
+	// delta in the same order, run all of them. A warm predecessor
+	// hands base over at publication; a cold version builds it from
+	// File. No slice is ever written once set: successors and
+	// concurrent queries share them.
+	runMu sync.Mutex
+	base  []geom.Record
+	run   []geom.Record
 }
 
 // Delta returns the records appended since the last packed build.
 func (v *Version) Delta() int64 { return v.N - v.BaseN }
+
+// DeltaRun returns the records Tree does not cover — the last
+// N - BaseN records of File — as a resident run ordered by
+// geom.ByLowerY. It is empty for an unindexed version (whose File is
+// the only input form) and right after a bulk load or compaction. The
+// run is shared: it must not be modified.
+func (v *Version) DeltaRun() geom.Run {
+	if v.Tree == nil {
+		return geom.Run{}
+	}
+	return geom.Run{Recs: v.delta, MaxH: v.deltaMaxH}
+}
 
 // Sample returns the version's sorted x-center sample, calling
 // compute to produce it on first use. compute typically scans
@@ -170,16 +207,19 @@ const (
 // engine — and what this call did to produce them. The run is built at
 // most once per version, under the version's lock, and then shared by
 // every caller: it must not be modified. Only a cold build touches the
-// simulated disk; it also takes the x-center sample from the records
-// while they are still in file order, so the sample does not depend on
-// whether a join or a stripe planner asked first.
+// simulated disk: it reads the log, sorts the part ahead of the delta
+// run into the base and merges the two. It also takes the x-center
+// sample from the records while they are still in file order, so the
+// sample does not depend on whether a join or a stripe planner asked
+// first.
 func (v *Version) Prepared() ([]geom.Record, Build, error) {
 	v.runMu.Lock()
 	defer v.runMu.Unlock()
-	switch {
-	case v.run != nil:
+	if v.run != nil {
 		return v.run, BuildNone, nil
-	case v.base == nil:
+	}
+	build := BuildMerge
+	if v.base == nil {
 		recs, err := stream.ReadAll(v.File, stream.Records)
 		if err != nil {
 			return nil, BuildNone, err
@@ -189,23 +229,23 @@ func (v *Version) Prepared() ([]geom.Record, Build, error) {
 		}); err != nil {
 			return nil, BuildNone, err
 		}
+		recs = recs[:len(recs)-len(v.delta)]
 		slices.SortFunc(recs, geom.ByLowerY)
-		v.base, v.run = recs, recs
-		return v.run, BuildFull, nil
-	default:
-		v.run = mergeRuns(v.base, v.delta)
-		return v.run, BuildMerge, nil
+		v.base, build = recs, BuildFull
 	}
+	v.run = v.base
+	if len(v.delta) > 0 {
+		v.run = mergeRuns(v.base, v.delta)
+	}
+	return v.run, build, nil
 }
 
-// carryRun hands everything v knows of its prepared run to next, an
-// unpublished successor holding the same records, and reports whether
-// there was anything to hand over (v is warm).
-func (v *Version) carryRun(next *Version) bool {
+// warmBase returns the base half of v's prepared run, nil while v is
+// cold.
+func (v *Version) warmBase() []geom.Record {
 	v.runMu.Lock()
 	defer v.runMu.Unlock()
-	next.base, next.delta, next.run = v.base, v.delta, v.run
-	return v.base != nil
+	return v.base
 }
 
 // mergeRuns merges two runs ordered by geom.ByLowerY into a fresh one.
@@ -311,10 +351,10 @@ func (l *Log) ReleaseInitial() {
 }
 
 // BuildIndex bulk-loads a packed R-tree over the current records and
-// publishes the indexed version. The options are retained for later
-// compaction rebuilds, so an ablation's packing policy survives
-// ingestion. Appends arriving after the build insert into the tree
-// incrementally.
+// publishes the indexed version, its delta empty. The options are
+// retained for later compaction rebuilds, so an ablation's packing
+// policy survives ingestion. Appends arriving after the build leave
+// the tree alone and collect in the delta run.
 func (l *Log) BuildIndex(opts rtree.BuildOptions) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -322,25 +362,25 @@ func (l *Log) BuildIndex(opts rtree.BuildOptions) error {
 		return l.failed
 	}
 	old := l.cur.Load()
-	tree, err := rtree.Build(l.store, old.File, l.universe(old.MBR), opts)
+	v, err := l.packed(old, &opts)
 	if err != nil {
 		return err
 	}
 	l.build = opts
 	l.indexed = true
-	v := &Version{Epoch: old.Epoch + 1, File: old.File, Tree: tree, N: old.N, BaseN: old.N, MBR: old.MBR}
 	if s, ok := old.warmSample(); ok {
 		v.sample, v.sampled = s, true
 	}
-	old.carryRun(v)
 	l.cur.Store(v)
 	return nil
 }
 
 // Append adds recs to the relation and publishes the new version: the
-// log grows, the index (when present) absorbs the records by
-// copy-on-write insertion, the x-center sample absorbs their centers
-// by merge, and queries pinned to earlier versions remain untouched.
+// log grows, the delta run of an indexed (or warm) relation absorbs
+// the batch by merge, the x-center sample absorbs its centers
+// likewise, and queries pinned to earlier versions remain untouched.
+// The tree is not touched — the successor shares the predecessor's —
+// so the only store pages an append allocates are the log's own.
 // All records are accepted or none. When the delta crosses the
 // compaction threshold the packed layout is rebuilt before returning
 // (threshold-triggered compaction; see Config).
@@ -360,18 +400,6 @@ func (l *Log) Append(recs []geom.Record) (AppendResult, error) {
 		return AppendResult{Epoch: old.Epoch, Total: old.N}, nil
 	}
 
-	// Grow the index first: a copy-on-write insertion failure leaves
-	// only orphan pages, while a failure after the file grew would
-	// leave unpublished bytes in the log.
-	tree := old.Tree
-	if tree != nil {
-		grown, err := tree.WithInserted(recs)
-		if err != nil {
-			return AppendResult{}, err
-		}
-		tree = grown
-	}
-
 	buf := make([]byte, len(recs)*geom.RecordSize)
 	for i, r := range recs {
 		geom.EncodeRecord(buf[i*geom.RecordSize:], r)
@@ -386,7 +414,7 @@ func (l *Log) Append(recs []geom.Record) (AppendResult, error) {
 	v := &Version{
 		Epoch: old.Epoch + 1,
 		File:  l.file.Snapshot(),
-		Tree:  tree,
+		Tree:  old.Tree,
 		N:     old.N + int64(len(recs)),
 		BaseN: old.BaseN,
 		MBR:   old.MBR,
@@ -400,14 +428,19 @@ func (l *Log) Append(recs []geom.Record) (AppendResult, error) {
 		v.sample = parallel.MergeSamples(s, parallel.SortedCenterSample(recs))
 		v.sampled = true
 	}
-	// Likewise a warm prepared run: the successor shares the base and
-	// gets the delta merged with this batch — work proportional to the
-	// delta, which compaction bounds; the merge with the base waits
-	// for the first query that pins the new epoch.
-	if old.carryRun(v) {
+	// The delta run — what index consumers read beside the tree, and
+	// the tail of a warm prepared run: the successor shares the base
+	// and gets the delta merged with this batch into a fresh slice —
+	// work proportional to the delta, which compaction bounds; the
+	// merge with the base waits for the first parallel query that pins
+	// the new epoch. A cold unindexed relation has no reader for it.
+	if v.base = old.warmBase(); v.base != nil || v.Tree != nil {
 		batch := slices.Clone(recs)
 		slices.SortFunc(batch, geom.ByLowerY)
-		v.delta, v.run = mergeRuns(v.delta, batch), nil
+		v.delta, v.deltaMaxH = mergeRuns(old.delta, batch), old.deltaMaxH
+		for _, r := range recs {
+			v.deltaMaxH = max(v.deltaMaxH, geom.YExtent(r.Rect))
+		}
 	}
 	l.cur.Store(v)
 
@@ -448,29 +481,45 @@ func (l *Log) Compact() (bool, error) {
 // compactLocked rebuilds under l.mu and publishes the compacted
 // version. The sample is dropped, not carried: merged samples drift
 // from the exact stride sample as deltas stack, and the rebuild is
-// the natural point to resample the full log. A warm prepared run is
-// promoted instead: the record set is unchanged, so the merged run
-// (built now unless a query already did) becomes the successor's
-// base and the delta run starts over — which is what keeps an
-// append's merge bounded by the compaction threshold.
+// the natural point to resample the full log.
 func (l *Log) compactLocked() error {
-	old := l.cur.Load()
-	v := &Version{Epoch: old.Epoch + 1, File: old.File, N: old.N, BaseN: old.N, MBR: old.MBR}
-	if old.carryRun(v) {
-		run, _, err := old.Prepared()
-		if err != nil {
-			return err
-		}
-		v.base, v.delta, v.run = run, nil, run
-	}
+	var index *rtree.BuildOptions
 	if l.indexed {
-		tree, err := rtree.Build(l.store, old.File, l.universe(old.MBR), l.build)
-		if err != nil {
-			return err
-		}
-		v.Tree = tree
+		index = &l.build
+	}
+	v, err := l.packed(l.cur.Load(), index)
+	if err != nil {
+		return err
 	}
 	l.cur.Store(v)
 	l.compactions.Add(1)
 	return nil
+}
+
+// packed returns old's unpublished successor with every record in the
+// base: the same log prefix, an empty delta run and, when index is
+// set, a packed tree bulk-loaded over all of it. The superseded tree
+// and delta run are simply no longer referenced — the run is the
+// collector's once the last pinned reader lets go, the tree's pages
+// stay in the store. A warm prepared run is promoted: the record set
+// is unchanged, so the merged run (built now unless a query already
+// did) becomes the successor's base — which is what keeps an append's
+// merge bounded by the compaction threshold.
+func (l *Log) packed(old *Version, index *rtree.BuildOptions) (*Version, error) {
+	v := &Version{Epoch: old.Epoch + 1, File: old.File, N: old.N, BaseN: old.N, MBR: old.MBR}
+	if old.warmBase() != nil {
+		run, _, err := old.Prepared()
+		if err != nil {
+			return nil, err
+		}
+		v.base, v.run = run, run
+	}
+	if index != nil {
+		tree, err := rtree.Build(l.store, old.File, l.universe(old.MBR), *index)
+		if err != nil {
+			return nil, err
+		}
+		v.Tree = tree
+	}
+	return v, nil
 }

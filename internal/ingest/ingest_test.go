@@ -3,6 +3,7 @@ package ingest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -102,10 +103,31 @@ func TestAppendPublishesNewEpochAndPinsOld(t *testing.T) {
 	}
 }
 
-// TestIndexedAppendGrowsTreeCopyOnWrite: the pinned version's tree
-// answers with the old records, the new version's with all, and both
-// validate.
-func TestIndexedAppendGrowsTreeCopyOnWrite(t *testing.T) {
+// windowIDs answers win from an indexed version the way every index
+// consumer does — the packed tree plus the slab of the delta run — and
+// returns the sorted IDs.
+func windowIDs(t *testing.T, v *Version, win geom.Rect) []uint32 {
+	t.Helper()
+	var ids []uint32
+	if err := v.Tree.Query(rtree.StoreReader{Store: v.Tree.Store()}, win, func(r geom.Record) {
+		ids = append(ids, r.ID)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range v.DeltaRun().Slab(win) {
+		if r.Rect.Intersects(win) {
+			ids = append(ids, r.ID)
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// TestIndexedAppendLeavesTreeUntouched: an append publishes the very
+// tree its predecessor had and puts the batch in the delta run; the
+// pinned version keeps its own run and count; tree ∪ run answers
+// windows exactly as a from-scratch build over the same log.
+func TestIndexedAppendLeavesTreeUntouched(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	store := iosim.NewStore(iosim.DefaultPageSize)
 	base := genRecords(rng, 2000, 0)
@@ -114,50 +136,128 @@ func TestIndexedAppendGrowsTreeCopyOnWrite(t *testing.T) {
 	if err := l.BuildIndex(opts); err != nil {
 		t.Fatal(err)
 	}
-	pinned := l.Current()
-	if pinned.Tree == nil || pinned.Epoch != 1 {
-		t.Fatalf("indexed version: tree=%v epoch=%d", pinned.Tree, pinned.Epoch)
+	packed := l.Current()
+	if packed.Tree == nil || packed.Epoch != 1 || len(packed.DeltaRun().Recs) != 0 {
+		t.Fatalf("indexed version: tree=%v epoch=%d delta=%d", packed.Tree, packed.Epoch, len(packed.DeltaRun().Recs))
 	}
-
-	for batch := 0; batch < 3; batch++ {
+	if _, err := l.Append(genRecords(rng, 300, 2000)); err != nil {
+		t.Fatal(err)
+	}
+	pinned := l.Current()
+	pinnedRun := pinned.DeltaRun()
+	for batch := 1; batch < 3; batch++ {
 		if _, err := l.Append(genRecords(rng, 300, 2000+300*batch)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cur := l.Current()
-	pr := rtree.StoreReader{Store: store}
-	if err := pinned.Tree.Validate(pr); err != nil {
-		t.Fatalf("pinned tree: %v", err)
+	if cur.Tree != packed.Tree || pinned.Tree != packed.Tree {
+		t.Fatal("an append published a different tree")
 	}
-	if err := cur.Tree.Validate(pr); err != nil {
-		t.Fatalf("current tree: %v", err)
+	if err := cur.Tree.Validate(rtree.StoreReader{Store: store}); err != nil {
+		t.Fatal(err)
 	}
-	if got := pinned.Tree.NumRecords(); got != 2000 {
-		t.Fatalf("pinned tree has %d records, want 2000", got)
+	if got := cur.Tree.NumRecords(); got != 2000 || cur.BaseN != 2000 {
+		t.Fatalf("tree covers %d records, BaseN %d, want 2000", got, cur.BaseN)
 	}
-	if got := cur.Tree.NumRecords(); got != 2900 {
-		t.Fatalf("current tree has %d records, want 2900", got)
+	if pinned.N != 2300 || len(pinnedRun.Recs) != 300 || !slices.Equal(pinned.DeltaRun().Recs, pinnedRun.Recs) {
+		t.Fatalf("pinned version moved: n %d, run %d", pinned.N, len(pinned.DeltaRun().Recs))
 	}
-	// Tree contents equal a from-scratch build over the same log.
+	run := cur.DeltaRun()
+	if cur.N != 2900 || len(run.Recs) != 900 || !slices.IsSortedFunc(run.Recs, geom.ByLowerY) {
+		t.Fatalf("current version: n %d, run %d records (sorted %v)", cur.N, len(run.Recs), slices.IsSortedFunc(run.Recs, geom.ByLowerY))
+	}
+	want := readVersion(t, cur)[2000:]
+	slices.SortFunc(want, geom.ByLowerY)
+	if !slices.Equal(run.Recs, want) {
+		t.Fatal("the delta run is not the sorted tail of the log")
+	}
+
 	rebuilt, err := rtree.Build(store, cur.File, universe, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := func(tr *rtree.Tree, win geom.Rect) int {
-		n := 0
-		if err := tr.Query(pr, win, func(geom.Record) { n++ }); err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
+	whole := &Version{Tree: rebuilt}
 	for probe := 0; probe < 30; probe++ {
 		x := float32(rng.Float64() * 900)
 		y := float32(rng.Float64() * 900)
 		win := geom.NewRect(x, y, x+100, y+100)
-		if a, b := count(cur.Tree, win), count(rebuilt, win); a != b {
-			t.Fatalf("window %v: incremental tree finds %d, rebuild %d", win, a, b)
+		if a, b := windowIDs(t, cur, win), windowIDs(t, whole, win); !slices.Equal(a, b) {
+			t.Fatalf("window %v: tree ∪ run finds %d records, rebuild %d", win, len(a), len(b))
 		}
 	}
+}
+
+// logPages is how many store pages a log of n records occupies: its
+// bytes rounded up to pages, and those to the whole extents an
+// iosim.File grows by.
+func logPages(store *iosim.Store, n int64) int {
+	ps := int64(store.PageSize())
+	pages := (n*geom.RecordSize + ps - 1) / ps
+	return int((pages + iosim.ExtentPages - 1) / iosim.ExtentPages * iosim.ExtentPages)
+}
+
+// livePages is what files and trees occupy in the store: allocated
+// pages less the released extents of finished sorts.
+func livePages(store *iosim.Store) int { return store.NumPages() - store.FreePages() }
+
+// TestAppendAllocatesOnlyLogPages is the leak test, by page count: an
+// append to an indexed relation grows the store's live pages by the
+// log's own and nothing else, however many appends there are, and a
+// compaction adds exactly one packed tree.
+func TestAppendAllocatesOnlyLogPages(t *testing.T) {
+	const batches, batchSize = 200, 256
+	rng := rand.New(rand.NewSource(11))
+	base := genRecords(rng, 5000, 0)
+	work := make([][]geom.Record, batches)
+	for i := range work {
+		work[i] = genRecords(rng, batchSize, 5000+i*batchSize)
+	}
+	t.Run("delta held open", func(t *testing.T) {
+		store := iosim.NewStore(iosim.DefaultPageSize)
+		l := newLog(t, Config{Store: store, DisableAutoCompact: true}, base)
+		if err := l.BuildIndex(rtree.DefaultBuildOptions()); err != nil {
+			t.Fatal(err)
+		}
+		before, n0 := livePages(store), l.Current().N
+		for _, b := range work {
+			if _, err := l.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		grown := livePages(store) - before
+		if want := logPages(store, l.Current().N) - logPages(store, n0); grown != want {
+			t.Fatalf("%d appends grew the store by %d pages, the log alone accounts for %d", batches, grown, want)
+		}
+	})
+
+	t.Run("auto compaction", func(t *testing.T) {
+		store := iosim.NewStore(iosim.DefaultPageSize)
+		l := newLog(t, Config{Store: store}, base)
+		if err := l.BuildIndex(rtree.DefaultBuildOptions()); err != nil {
+			t.Fatal(err)
+		}
+		before, n0 := livePages(store), l.Current().N
+		for _, b := range work {
+			res, err := l.Append(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			grown := livePages(store) - before
+			want := logPages(store, res.Total) - logPages(store, n0)
+			if res.Compacted {
+				want += l.Current().Tree.NumNodes()
+			}
+			if grown != want {
+				t.Fatalf("append to %d records (compacted %v) grew the store by %d pages, want %d",
+					res.Total, res.Compacted, grown, want)
+			}
+			before, n0 = livePages(store), res.Total
+		}
+		if l.Compactions() < 2 {
+			t.Fatalf("%d compactions in the walk, want several", l.Compactions())
+		}
+	})
 }
 
 // TestAutoCompactionTriggersAtThreshold checks the trigger math, the
@@ -320,7 +420,8 @@ func TestAppendRejectsInvalidRectAtomically(t *testing.T) {
 // TestConcurrentAppendersAndReaders is the package's race test:
 // several goroutines append batches while others continuously pin
 // versions and verify their invariants (record count matches the
-// pinned N exactly, tree accounting matches). Run under -race.
+// pinned N exactly, tree plus delta run accounting matches). Run under
+// -race.
 func TestConcurrentAppendersAndReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	store := iosim.NewStore(iosim.DefaultPageSize)
@@ -377,11 +478,11 @@ func TestConcurrentAppendersAndReaders(t *testing.T) {
 					errs <- fmt.Errorf("reader %d: version n=%d but file holds %d", r, v.N, len(recs))
 					return
 				}
-				if v.Tree != nil && v.Tree.NumRecords() != v.N {
-					errs <- fmt.Errorf("reader %d: tree has %d records, version %d", r, v.Tree.NumRecords(), v.N)
+				if v.Tree != nil && v.Tree.NumRecords() != v.BaseN {
+					errs <- fmt.Errorf("reader %d: tree has %d records, version base %d", r, v.Tree.NumRecords(), v.BaseN)
 					return
 				}
-				n := 0
+				n := len(v.DeltaRun().Slab(universe))
 				if err := v.Tree.Query(pr, universe, func(geom.Record) { n++ }); err != nil {
 					errs <- fmt.Errorf("reader %d query: %w", r, err)
 					return

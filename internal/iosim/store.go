@@ -199,6 +199,19 @@ func (s *Store) NumPages() int {
 	return len(s.pages)
 }
 
+// FreePages returns how many of the allocated pages sit in released
+// extents awaiting reuse; NumPages minus FreePages is what live files
+// and indexes occupy.
+func (s *Store) FreePages() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	free := 0
+	for n, extents := range s.free {
+		free += n * len(extents)
+	}
+	return free
+}
+
 // Counters returns the accumulated access counters under the
 // segmented-cache model (drives with a large on-disk buffer).
 func (s *Store) Counters() Counters {

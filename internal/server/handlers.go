@@ -199,14 +199,18 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 }
 
 // xloLookup maps record IDs to left edges for the ownership test.
-// Every built-in generator and sjgen assigns dense 0..n-1 IDs, so the
-// common representation is a slice indexed by ID — two orders cheaper
-// per lookup than map hashing in the per-pair hot loop; absent IDs
-// hold a NaN marker so a hole reads as a miss, not a zero edge.
-// Sparse ID spaces (arbitrary -load files) fall back to a map. The
-// table is stamped with the relation's epoch at build time: an append
-// or compaction bumps the epoch and so invalidates the cache entry,
-// which is how the table tracks a live-ingesting relation.
+// Every built-in generator and sjgen assigns dense 0..n-1 IDs to a
+// relation, but IDs are global and a shard of a K-fleet holds only
+// about one in K of them, so what a shard sees is a space with holes.
+// Up to eight ID slots per record (one stripe of an eight-shard fleet)
+// the representation is still a slice indexed by ID — two orders
+// cheaper per lookup than map hashing in the per-pair hot loop, at no
+// more than 32 bytes a record; absent IDs hold a NaN marker so a hole
+// reads as a miss, not a zero edge. Sparser ID spaces (arbitrary -load
+// files) fall back to a map. The table is stamped with the relation's
+// epoch at build time: an append or compaction bumps the epoch and so
+// invalidates the cache entry, which is how the table tracks a
+// live-ingesting relation.
 type xloLookup struct {
 	epoch  int64
 	dense  []unijoin.Coord
@@ -269,7 +273,7 @@ func (s *Server) xloTable(ctx context.Context, rel *unijoin.Relation) (*xloLooku
 		}
 	}
 	table := &xloLookup{epoch: epoch}
-	if len(entries) > 0 && int64(maxID) < 2*int64(len(entries)) {
+	if len(entries) > 0 && int64(maxID) < 8*int64(len(entries)) {
 		table.dense = make([]unijoin.Coord, maxID+1)
 		nan := unijoin.Coord(math.NaN())
 		for i := range table.dense {

@@ -260,3 +260,57 @@ func TestIngestStatsAndMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestXloTableDenseOnShard pins the representation rule of the
+// ownership table: IDs are global, so the middle shard of a 3-plan
+// over dense 0..n-1 IDs sees about one ID in three — and must still
+// get the slice form; a 1-in-100 ID space gets the map; both forms
+// answer every lookup alike.
+func TestXloTableDenseOnShard(t *testing.T) {
+	u := unijoin.NewRect(0, 0, 1000, 1000)
+	all := datagen.Uniform(7, 6000, u, 20)
+	plan := shard.NewPlan(u, 3, all)
+	parts, _ := plan.Assign(all)
+	sparse := make([]unijoin.Record, 300)
+	for i := range sparse {
+		sparse[i] = all[i]
+		sparse[i].ID = uint32(100 * i)
+	}
+
+	cat := unijoin.NewCatalog()
+	cat.Workspace().SetUniverse(u)
+	for name, recs := range map[string][]unijoin.Record{"shard": parts[1], "sparse": sparse} {
+		if _, err := cat.Load(name, recs, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	iv := plan.Interval(1)
+	s, _, _ := testServer(t, Config{Catalog: cat, Stripe: &iv})
+
+	table := func(name string, recs []unijoin.Record) *xloLookup {
+		tab, apiErr := s.xloTable(context.Background(), mustGet(t, cat, name))
+		if apiErr != nil {
+			t.Fatal(apiErr)
+		}
+		held := map[uint32]unijoin.Coord{}
+		for _, r := range recs {
+			held[r.ID] = r.Rect.XLo
+		}
+		for id := uint32(0); id < 31000; id++ {
+			want, in := held[id]
+			if got, ok := tab.get(id); ok != in || got != want {
+				t.Fatalf("%s: lookup(%d) = %v, %v; want %v, %v", name, id, got, ok, want, in)
+			}
+		}
+		return tab
+	}
+	if n := len(parts[1]); n < 1500 || n > 3000 {
+		t.Fatalf("middle shard holds %d of 6000 records; the test wants about a third", n)
+	}
+	if tab := table("shard", parts[1]); tab.dense == nil {
+		t.Fatalf("a shard holding %d of 6000 dense IDs got the map form", len(parts[1]))
+	}
+	if tab := table("sparse", sparse); tab.dense != nil {
+		t.Fatal("a 1-in-100 ID space got the slice form")
+	}
+}

@@ -392,9 +392,10 @@ func TestCorruptShardFrameNDJSON(t *testing.T) {
 
 	// The second shard commits to a stream and then just waits to be
 	// cancelled.
-	canceled := make(chan struct{})
+	started, canceled := make(chan struct{}), make(chan struct{})
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/join", func(w http.ResponseWriter, r *http.Request) {
+		close(started)
 		w.Header().Set("Content-Type", wire.ContentType)
 		w.(http.Flusher).Flush()
 		select {
@@ -405,7 +406,23 @@ func TestCorruptShardFrameNDJSON(t *testing.T) {
 	})
 	waiting := httptest.NewServer(mux)
 	t.Cleanup(waiting.Close)
-	front := frontOver(t, frameShardStub(t, body), waiting.URL)
+	// The first shard answers only once the second leg's handler runs:
+	// answering at once lets the refusal cancel the scatter before that
+	// leg's request has left the router, and then there is no handler to
+	// observe the cancellation.
+	mux = http.NewServeMux()
+	mux.HandleFunc("POST /v1/join", func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-started:
+		case <-time.After(10 * time.Second):
+			t.Error("the second leg never reached its shard")
+		}
+		w.Header().Set("Content-Type", wire.ContentType)
+		w.Write(body)
+	})
+	corrupting := httptest.NewServer(mux)
+	t.Cleanup(corrupting.Close)
+	front := frontOver(t, corrupting.URL, waiting.URL)
 
 	_, got := postJoin(t, front, false)
 	lines := joinLines(t, got)

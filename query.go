@@ -202,7 +202,7 @@ func (w *Workspace) dispatch(ctx context.Context, alg Algorithm, a, b *ingest.Ve
 		if a.Tree == nil || b.Tree == nil {
 			return JoinResult{}, fmt.Errorf("%w: ST requires both relations indexed", ErrNeedsIndex)
 		}
-		r, err := core.ST(ctx, o, a.Tree, b.Tree)
+		r, err := core.Indexed(ctx, o, core.ST, versionInput(a), versionInput(b))
 		return JoinResult{Result: r}, err
 	case AlgPQ:
 		r, err := core.PQ(ctx, o, versionInput(a), versionInput(b))
@@ -211,7 +211,7 @@ func (w *Workspace) dispatch(ctx context.Context, alg Algorithm, a, b *ingest.Ve
 		if a.Tree == nil || b.Tree == nil {
 			return JoinResult{}, fmt.Errorf("%w: BFRJ requires both relations indexed", ErrNeedsIndex)
 		}
-		r, err := core.BFRJ(ctx, o, a.Tree, b.Tree)
+		r, err := core.Indexed(ctx, o, core.BFRJ, versionInput(a), versionInput(b))
 		return JoinResult{Result: r}, err
 	case AlgAuto:
 		m := Machine3

@@ -313,8 +313,9 @@ func (w *Workspace) Store() *iosim.Store { return w.store }
 
 // Relation is one spatial relation in a workspace: an appendable
 // record log with epoch-stamped immutable versions, and optionally an
-// R-tree over it (bulk-loaded packed, grown incrementally by appends;
-// see internal/ingest). Every query pins one version when it starts —
+// index over it — a packed R-tree over the records of the last bulk
+// load plus a resident y-sorted run of the records appended since
+// (see internal/ingest). Every query pins one version when it starts —
 // Query.Run, WindowQuery, and StripeBoundaries each read the current
 // version once, atomically — so a query never observes records
 // appended after it began, no matter how long it streams.
@@ -364,7 +365,9 @@ func (r *Relation) Indexed() bool { return r.snapshot().Tree != nil }
 // DataBytes returns the size of the record stream on disk.
 func (r *Relation) DataBytes() int64 { return r.snapshot().File.Size() }
 
-// IndexBytes returns the on-disk size of the R-tree (0 if not built).
+// IndexBytes returns the on-disk size of the packed R-tree (0 if not
+// built). The tree covers the records of the last bulk load or
+// compaction; the DeltaRecords appended since live in memory.
 func (r *Relation) IndexBytes() int64 {
 	if t := r.snapshot().Tree; t != nil {
 		return t.SizeBytes()
@@ -372,8 +375,9 @@ func (r *Relation) IndexBytes() int64 {
 	return 0
 }
 
-// IndexNodes returns the R-tree page count (0 if not built) — the
-// "lower bound" of Table 4.
+// IndexNodes returns the packed R-tree's page count (0 if not built) —
+// the "lower bound" of Table 4. Like IndexBytes it describes the
+// packed base only.
 func (r *Relation) IndexNodes() int {
 	if t := r.snapshot().Tree; t != nil {
 		return t.NumNodes()
@@ -389,8 +393,8 @@ func (r *Relation) Epoch() int64 { return r.log.Epoch() }
 
 // DeltaRecords returns how many records have been appended since the
 // last packed index build (0 right after load, BuildIndex, or
-// compaction) — the index-degradation measure the planner and the
-// serving stats expose.
+// compaction) — for an indexed relation the length of the delta run
+// queries read beside the tree, which the serving stats expose.
 func (r *Relation) DeltaRecords() int64 { return r.snapshot().Delta() }
 
 // PinnedView is one relation's state pinned at a single epoch: every
@@ -429,8 +433,8 @@ func (p PinnedView) Indexed() bool { return p.v.Tree != nil }
 // DataBytes returns the record-stream size at the pinned epoch.
 func (p PinnedView) DataBytes() int64 { return p.v.File.Size() }
 
-// IndexBytes returns the R-tree's on-disk size at the pinned epoch
-// (0 if not built).
+// IndexBytes returns the packed R-tree's on-disk size at the pinned
+// epoch (0 if not built); see Relation.IndexBytes.
 func (p PinnedView) IndexBytes() int64 {
 	if t := p.v.Tree; t != nil {
 		return t.SizeBytes()
@@ -438,8 +442,8 @@ func (p PinnedView) IndexBytes() int64 {
 	return 0
 }
 
-// IndexNodes returns the R-tree page count at the pinned epoch (0 if
-// not built).
+// IndexNodes returns the packed R-tree's page count at the pinned
+// epoch (0 if not built).
 func (p PinnedView) IndexNodes() int {
 	if t := p.v.Tree; t != nil {
 		return t.NumNodes()
@@ -457,12 +461,16 @@ func (r *Relation) Compactions() int64 { return r.log.Compactions() }
 // Append adds records to the relation and publishes them atomically
 // as a new epoch: queries already running never observe them, queries
 // started after Append returns observe all of them. The record log
-// grows in place, an existing R-tree absorbs the records by
-// copy-on-write Guttman insertion (indexed algorithms see them
-// without a rebuild), and the cached x-center sample and prepared run
-// are maintained by merge. All records are accepted or none. When the accumulated delta
-// crosses the compaction threshold, the packed index layout is
-// rebuilt before Append returns.
+// grows in place; an existing R-tree is left as it is and the batch is
+// merged into the relation's delta run, which every index consumer
+// reads beside the tree — PQ as one more sorted source, window queries
+// by a slab scan, ST and BFRJ through a PQ pass over the remainder —
+// so indexed algorithms see the records without a rebuild and an
+// append allocates nothing on the simulated disk but the log's own
+// pages. The cached x-center sample and prepared run are maintained by
+// merge as well. All records are accepted or none. When the
+// accumulated delta crosses the compaction threshold, the packed index
+// is rebuilt over the whole log before Append returns.
 func (r *Relation) Append(recs []Record) (AppendResult, error) {
 	if r == nil || r.log == nil {
 		return AppendResult{}, fmt.Errorf("%w: append", ErrNilRelation)
@@ -648,7 +656,8 @@ func (w *Workspace) Plan(ctx context.Context, m Machine, a, b *Relation, opts *J
 }
 
 // versionInput adapts a pinned relation version to the core layer's
-// input shape.
+// input shape: the log, the packed tree over its base and the run of
+// records appended since.
 func versionInput(v *ingest.Version) core.Input {
-	return core.Input{File: v.File, Tree: v.Tree}
+	return core.Input{File: v.File, Tree: v.Tree, Delta: v.DeltaRun()}
 }

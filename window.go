@@ -12,9 +12,10 @@ import (
 	"unijoin/internal/stream"
 )
 
-// windowPollEvery is how many records a window scan processes between
-// context polls; cancellation latency is bounded by this many record
-// tests (or one R-tree node).
+// windowPollEvery is how many records a window scan — of the record
+// stream or of a delta run's slab — processes between context polls;
+// cancellation latency is bounded by this many record tests (or one
+// R-tree node).
 const windowPollEvery = 4096
 
 // WindowQuery reports every record of the relation whose MBR
@@ -23,12 +24,13 @@ const windowPollEvery = 4096
 // the number of matching records; emit (optional) receives each one.
 //
 // An indexed relation answers through its R-tree, descending only
-// into subtrees that intersect win; a non-indexed relation scans its
-// record stream. Both paths charge their page accesses to the
-// workspace's counters as usual, poll ctx (canceling it aborts the
-// query with ErrCanceled), and report matches in a deterministic
-// order — but the two orders differ, so callers that need a canonical
-// order must sort.
+// into subtrees that intersect win, and then from the slab of its
+// delta run (the records appended since the tree was packed) that win
+// cuts; a non-indexed relation scans its record stream. Both paths
+// charge their page accesses to the workspace's counters as usual,
+// poll ctx (canceling it aborts the query with ErrCanceled), and
+// report matches in a deterministic order — but the two orders differ,
+// so callers that need a canonical order must sort.
 func (r *Relation) WindowQuery(ctx context.Context, win Rect, emit func(Record)) (int64, error) {
 	if r == nil || r.log == nil {
 		return 0, fmt.Errorf("%w: window query", ErrNilRelation)
@@ -60,10 +62,27 @@ func windowQueryVersion(ctx context.Context, v *ingest.Version, win Rect, emit f
 	if !win.Valid() || !v.MBR.Valid() || !win.Intersects(v.MBR) {
 		return 0, nil
 	}
-	if v.Tree != nil {
-		return windowTree(ctx, v.Tree, win, emit)
+	if v.Tree == nil {
+		return windowScan(ctx, v.File, win, emit)
 	}
-	return windowScan(ctx, v.File, win, emit)
+	count, err := windowTree(ctx, v.Tree, win, emit)
+	if err != nil {
+		return count, err
+	}
+	for i, rec := range v.DeltaRun().Slab(win) {
+		if i%windowPollEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return count, core.WrapCanceled(err)
+			}
+		}
+		if rec.Rect.Intersects(win) {
+			count++
+			if emit != nil {
+				emit(rec)
+			}
+		}
+	}
+	return count, nil
 }
 
 // windowTree answers through the R-tree's cancellable traversal,
