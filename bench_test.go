@@ -427,25 +427,35 @@ func BenchmarkQueryParallel(b *testing.B) {
 // K = 64. The ceilings leave room for -race, whose sync.Pool drops a
 // quarter of all Puts so that fragments are grown afresh (about 165
 // and 500); one sweep structure per stripe side, which is what this
-// engine used to build, would be thousands.
+// engine used to build, would be thousands. A stripe shard's query —
+// the same one under Query.Owned — is held to the same ceiling: its
+// ownership test is the kernel's own, so it too counts in place and
+// builds no pair buffer to filter afterwards.
 func TestWarmParallelQueryAllocations(t *testing.T) {
-	allocs := func(scale float64, k int) float64 {
+	allocs := func(scale float64, k int, more ...unijoin.Option) float64 {
 		ws, roads, hydro := queryParallelInputs(t, scale)
-		q := func() { countParallel(t, ws, roads, hydro, unijoin.WithPartitions(k)) }
+		opts := append([]unijoin.Option{unijoin.WithPartitions(k)}, more...)
+		q := func() { countParallel(t, ws, roads, hydro, opts...) }
 		q() // builds the runs, fills the pool
 		q()
 		return testing.AllocsPerRun(10, q)
 	}
+	third := tiger.NJ.Region.Width() / 3
+	middleThird := func(q *unijoin.Query) { q.Owned(tiger.NJ.Region.XLo+third, tiger.NJ.Region.XHi-third) }
 	small16, large16 := allocs(0.025, 16), allocs(0.1, 16)
-	large64 := allocs(0.1, 64)
-	t.Logf("warm query: %.0f allocs at 10k+1.3k records and %.0f at 41k+5k with 16 partitions, %.0f with 64",
-		small16, large16, large64)
+	large64, owned64 := allocs(0.1, 64), allocs(0.1, 64, middleThird)
+	t.Logf("warm query: %.0f allocs at 10k+1.3k records and %.0f at 41k+5k with 16 partitions, %.0f with 64, %.0f with 64 under Owned",
+		small16, large16, large64, owned64)
 	if large16 > 1.25*small16+16 {
 		t.Fatalf("allocations grow with input size: %.0f at 12k records, %.0f at 46k", small16, large16)
 	}
-	for k, n := range map[int]float64{16: large16, 64: large64} {
-		if limit := float64(40 + 10*k); n > limit {
-			t.Fatalf("warm query made %.0f allocations at %d partitions, more than %.0f (40 + 10 per partition)", n, k, limit)
+	for _, c := range []struct {
+		what string
+		k    int
+		n    float64
+	}{{"warm query", 16, large16}, {"warm query", 64, large64}, {"warm query under Owned", 64, owned64}} {
+		if limit := float64(40 + 10*c.k); c.n > limit {
+			t.Fatalf("%s made %.0f allocations at %d partitions, more than %.0f (40 + 10 per partition)", c.what, c.n, c.k, limit)
 		}
 	}
 }

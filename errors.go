@@ -4,9 +4,8 @@ import (
 	"unijoin/internal/core"
 )
 
-// Typed sentinel errors. Every error returned by the Query API (and
-// the deprecated Join/ParallelJoin wrappers) can be classified with
-// errors.Is against these values.
+// Typed sentinel errors. Every error returned by the Query API can be
+// classified with errors.Is against these values.
 var (
 	// ErrNeedsIndex reports that the selected algorithm requires
 	// R-tree indexes its inputs do not have (ST and BFRJ need both

@@ -138,6 +138,15 @@ type Options struct {
 	// but is what makes selective joins cheap.
 	RestrictScanners bool
 
+	// Own, when set, keeps only the pairs whose reference point
+	// (geom.Interval.OwnsPair) falls in the interval — a stripe shard's
+	// share of the join; the shares of intervals that tile the line are
+	// disjoint and sum to the whole. The test runs where each algorithm
+	// holds both rectangles (emitPair, pairSink), so Result.Pairs and
+	// the callbacks see owned pairs only. MultiwayPQ ignores it: a tuple
+	// has no pair reference point.
+	Own *geom.Interval
+
 	// Emit receives every result pair. nil counts pairs without
 	// reporting them, matching the paper's cost accounting, which
 	// excludes output writing.
@@ -187,26 +196,40 @@ func (o *Options) newStructure() sweep.Structure {
 	return sweep.NewStripedFor(o.Universe, o.Strips)
 }
 
-// emitPair multiplexes counting and the optional callback, for
-// algorithms that filter kernel output (ownership tests) and so count
-// result pairs themselves.
+// owns reports whether this join reports the pair at all: always, or
+// by the reference-point rule under an Own interval.
+func (o *Options) owns(ra, rb geom.Record) bool {
+	return o.Own == nil || o.Own.OwnsPair(ra.Rect.XLo, rb.Rect.XLo)
+}
+
+// emitPair reports one pair found by an algorithm that counts result
+// pairs itself: it drops a pair Own gives to another interval, counts
+// the rest and forwards them to the optional callback.
 func (o *Options) emitPair(pairs *int64, ra, rb geom.Record) {
+	if !o.owns(ra, rb) {
+		return
+	}
 	*pairs++
 	if o.Emit != nil {
 		o.Emit(geom.Pair{Left: ra.ID, Right: rb.ID})
 	}
 }
 
-// pairSink returns the kernel callback that forwards every pair to
-// Emit, or nil for counting-only joins — the fast path where the
-// sweep kernel tallies pairs with no per-pair indirection at all and
-// the caller reads the count from sweep.Stats.
-func (o *Options) pairSink() func(ra, rb geom.Record) {
-	if o.Emit == nil {
-		return nil
+// pairSink returns the sweep.Join callback of a join that reports the
+// kernel's whole output: Emit, or nil for counting-only joins — the
+// fast path where the sweep kernel tallies pairs with no per-pair
+// indirection at all and the caller reads the count from sweep.Stats.
+// Under Own that tally includes pairs owned elsewhere, so the sink is
+// emitPair counting into owned, the count the caller reports instead.
+func (o *Options) pairSink(owned *int64) func(ra, rb geom.Record) {
+	switch {
+	case o.Own != nil:
+		return func(ra, rb geom.Record) { o.emitPair(owned, ra, rb) }
+	case o.Emit != nil:
+		emit := o.Emit
+		return func(ra, rb geom.Record) { emit(geom.Pair{Left: ra.ID, Right: rb.ID}) }
 	}
-	emit := o.Emit
-	return func(ra, rb geom.Record) { emit(geom.Pair{Left: ra.ID, Right: rb.ID}) }
+	return nil
 }
 
 // Result reports what a join did. Time is split the way the paper

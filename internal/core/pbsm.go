@@ -188,6 +188,9 @@ func PBSM(ctx context.Context, opts Options, a, b *iosim.File) (Result, error) {
 			var sweepErr error
 			err = forwardSweepRecords(ctx, recsA, recsB, func(ra, rb geom.Record) {
 				if o.PBSMSortDedup {
+					if !o.owns(ra, rb) {
+						return
+					}
 					if err := dupWriter.Write(geom.Pair{Left: ra.ID, Right: rb.ID}); err != nil {
 						sweepErr = err
 					}

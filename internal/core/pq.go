@@ -53,12 +53,14 @@ func PQ(ctx context.Context, opts Options, a, b Input) (Result, error) {
 		res.PartitionWall = time.Since(prepStart)
 		sweepStart := time.Now()
 		st, err := sweep.Join(ctx, sideA.src, sideB.src, o.newStructure(), o.newStructure(),
-			o.pairSink())
+			o.pairSink(&res.Pairs))
 		if err != nil {
 			return err
 		}
 		res.SweepWall = time.Since(sweepStart)
-		res.Pairs = st.Pairs
+		if o.Own == nil {
+			res.Pairs = st.Pairs
+		}
 		res.Sweep = st
 		res.SweepMaxBytes = st.MaxBytes
 		for _, side := range []pqSide{sideA, sideB} {

@@ -56,13 +56,15 @@ func SSSJ(ctx context.Context, opts Options, a, b *iosim.File) (Result, error) {
 		sweepStart := time.Now()
 		st, err := sweep.Join(ctx, srcA, srcB,
 			o.newStructure(), o.newStructure(),
-			o.pairSink(),
+			o.pairSink(&res.Pairs),
 		)
 		if err != nil {
 			return err
 		}
 		res.SweepWall = time.Since(sweepStart)
-		res.Pairs = st.Pairs
+		if o.Own == nil {
+			res.Pairs = st.Pairs
+		}
 		res.Sweep = st
 		res.SweepMaxBytes = st.MaxBytes
 		if st.MaxBytes > o.MemoryBytes {
@@ -195,11 +197,7 @@ func SSSJPartitioned(ctx context.Context, opts Options, a, b *iosim.File, slabs 
 				o.newStructure(), o.newStructure(),
 				func(ra, rb geom.Record) {
 					// Owner slab: where the intersection starts.
-					left := ra.Rect.XLo
-					if rb.Rect.XLo > left {
-						left = rb.Rect.XLo
-					}
-					if slabOf(left) == cur {
+					if slabOf(max(ra.Rect.XLo, rb.Rect.XLo)) == cur {
 						o.emitPair(&res.Pairs, ra, rb)
 					}
 				},

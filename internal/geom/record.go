@@ -26,7 +26,8 @@ type Record struct {
 	ID   ID
 	// Local is the two-layer partitioning tag of the parallel engine:
 	// set on a partition's private copy of a record whose x-interval
-	// lies entirely inside that partition's stripe. A pair with a
+	// lies entirely inside that partition's stripe (and inside the
+	// join's ownership interval, if it has one). A pair with a
 	// Local member can be generated in exactly one stripe, so the
 	// sweep emits it without the reference-point ownership test. The
 	// tag is transient, in-memory state — it is not part of the

@@ -89,9 +89,14 @@ type distCounters struct {
 
 // distributeChunk window-filters and classifies one contiguous chunk
 // of an input, appending into the worker's private buckets. Records
-// whose x-interval lies inside one stripe are tagged Local; crossing
-// records are replicated untagged into every stripe they overlap.
-// It checks ctx every distCheckInterval records.
+// whose x-interval lies inside one stripe — and inside the interval the
+// join owns, when it reports one shard's share only — are tagged Local:
+// every pair such a record takes part in is found in that stripe alone
+// and is this join's to report. Crossing records are replicated
+// untagged into every stripe they overlap; a record that fits its
+// stripe but pokes out of the owned interval goes untagged into that
+// one stripe and counts as a boundary record. It checks ctx every
+// distCheckInterval records.
 func distributeChunk(ctx context.Context, part *Partitioner, recs []geom.Record,
 	window *geom.Rect, buckets [][]geom.Record, c *distCounters) error {
 	for n, r := range recs {
@@ -105,7 +110,7 @@ func distributeChunk(ctx context.Context, part *Partitioner, recs []geom.Record,
 		}
 		c.input++
 		first, last := part.Range(r.Rect)
-		if first == last {
+		if first == last && (part.own == nil || part.own.Covers(r.Rect)) {
 			r.Local = true
 			buckets[first] = append(buckets[first], r)
 			c.local++

@@ -35,7 +35,10 @@ import (
 // forward scan — no sweep structure is built — emitting local-member
 // pairs with no ownership test (they can only be generated in one
 // stripe) and testing boundary×boundary pairs against the stripe's
-// reference-point range.
+// reference-point range. Options.Own narrows the result to one fleet
+// shard's pairs by narrowing exactly those two things — the ranges and
+// which records count as local — so Report.Pairs, the callbacks and
+// the counting-only path all see owned pairs, with no second filter.
 //
 // The worker pool drains a partition channel and selects on
 // ctx.Done(), so canceling the context stops every worker at its next
@@ -67,6 +70,7 @@ func Join(ctx context.Context, a, b []geom.Record, o Options) (Report, error) {
 	} else {
 		part = NewPartitionerWindowed(o.Universe, o.Partitions, o.Window, a, b)
 	}
+	part.own = o.Own
 	k := part.Partitions()
 	rep.Partitions = k
 	if o.Workers > k {
@@ -214,7 +218,7 @@ func sweepPartition(ctx context.Context, part *Partitioner, i int, dist *distrib
 	sortByLowerY(ra)
 	sortByLowerY(rb)
 	k := kernel{ctx: ctx, budget: pollInterval, collect: collect}
-	k.ownLo, k.ownHi = part.OwnerRange(i)
+	k.own.Lo, k.own.Hi = part.OwnerRange(i)
 	if collect {
 		k.buf = pairbuf.Get()
 	}
@@ -249,10 +253,10 @@ const pollInterval = 16384
 // the fastest configuration for resident inputs provided the stripes
 // are fine enough to keep the runs short; stripeCount sees to that.
 type kernel struct {
-	ctx          context.Context
-	ownLo, ownHi geom.Coord // reference points this stripe owns
-	collect      bool
-	buf          []geom.Pair
+	ctx     context.Context
+	own     geom.Interval // reference points this stripe owns
+	collect bool
+	buf     []geom.Pair
 
 	budget      int   // work left before the next context poll
 	comparisons int64 // x-overlap tests
@@ -326,13 +330,17 @@ func (k *kernel) scan(cur *geom.Record, others []geom.Record, curIsA bool) error
 // a Local record exists in exactly one stripe, so the pair cannot be
 // seen anywhere else), while a boundary×boundary pair meets in
 // several stripes and is kept only by the one containing its
-// reference point, the left edge of the intersection.
+// reference point, the left edge of the intersection. The rule is
+// geom.Interval's, the one a fleet's shards are cut by; under
+// Options.Own the range arrives clamped to the shard's and Local
+// already means "inside the shard too", so a shard's join pays nothing
+// here that an unsharded one does not.
 func (k *kernel) hit(x, y *geom.Record) {
 	k.candidates++
 	if x.Local || y.Local {
 		k.noTest++
-	} else if ref := max(x.Rect.XLo, y.Rect.XLo); ref < k.ownLo || ref >= k.ownHi {
-		return // owned by another stripe
+	} else if !k.own.OwnsPair(x.Rect.XLo, y.Rect.XLo) {
+		return // owned by another stripe, or another shard
 	}
 	k.pairs++
 	if k.collect {

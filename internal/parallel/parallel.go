@@ -111,6 +111,15 @@ type Options struct {
 	// Options.Window semantics.
 	Window *geom.Rect
 
+	// Own, when set, keeps only the pairs whose reference point falls
+	// in the interval (geom.Interval.OwnsPair) — a stripe shard's share
+	// of the join, as core.Options.Own does for the serial algorithms.
+	// Join folds it into the test its stripes already make: each
+	// stripe's reference-point range is clamped to Own, and a record is
+	// stripe-local only if it also lies inside Own, so pairs with such a
+	// member stay test-free. Serial ignores it.
+	Own *geom.Interval
+
 	// SortedSamples, when non-empty, supplies pre-sorted x-center
 	// samples (one per input, from SortedCenterSample) so the join
 	// skips the serial quantile sample sort of its partitioning

@@ -31,6 +31,10 @@ type Partitioner struct {
 	// bounds holds the internal boundaries in strictly increasing
 	// order; stripe i covers [bounds[i-1], bounds[i]).
 	bounds []geom.Coord
+	// own, when set, is the interval of reference points the join
+	// reports at all (Options.Own, a shard's stripe): OwnerRange clamps
+	// every stripe's range to it, and only records inside it are Local.
+	own *geom.Interval
 
 	// cells is the x-cell → stripe table behind Range: the span between
 	// the first and last boundary is cut into len(cells)-1 equal-width
@@ -358,19 +362,15 @@ func (p *Partitioner) Range(r geom.Rect) (first, last int) {
 // intersection (max of the two left edges). Both rectangles overlap
 // that stripe, so the pair is guaranteed to meet there and nowhere
 // else is allowed to report it.
-func (p *Partitioner) Owner(a, b geom.Rect) int {
-	left := a.XLo
-	if b.XLo > left {
-		left = b.XLo
-	}
-	return p.Of(left)
-}
+func (p *Partitioner) Owner(a, b geom.Rect) int { return p.Of(max(a.XLo, b.XLo)) }
 
 // OwnerRange returns the half-open interval [lo, hi) of reference
 // points stripe i owns, with infinite sentinels on the boundary
 // stripes so the clamping of Of is preserved. The sweep emit path
 // tests pair ownership against these two values instead of paying a
-// binary search per candidate pair.
+// binary search per candidate pair — and when the join itself owns
+// only an interval, the range is clamped to it, so that one test
+// settles both which stripe and whether this join reports the pair.
 func (p *Partitioner) OwnerRange(i int) (lo, hi geom.Coord) {
 	lo = geom.Coord(math.Inf(-1))
 	hi = geom.Coord(math.Inf(1))
@@ -379,6 +379,9 @@ func (p *Partitioner) OwnerRange(i int) (lo, hi geom.Coord) {
 	}
 	if i < len(p.bounds) {
 		hi = p.bounds[i]
+	}
+	if p.own != nil {
+		lo, hi = max(lo, p.own.Lo), min(hi, p.own.Hi)
 	}
 	return lo, hi
 }
@@ -410,7 +413,7 @@ func (p *Partitioner) Distribute(recs []geom.Record, buckets [][]geom.Record) in
 	var placed int64
 	for _, r := range recs {
 		first, last := p.Range(r.Rect)
-		if first == last {
+		if first == last && (p.own == nil || p.own.Covers(r.Rect)) {
 			r.Local = true
 			buckets[first] = append(buckets[first], r)
 			placed++

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"time"
 
@@ -89,75 +88,25 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		out.WritePairs(batch)
 		streamTime += time.Since(t0)
 	}
-	// In stripe mode every emitted pair pays the shard ownership
-	// test — the reference-point rule that makes a fleet's summed
-	// answers exactly the single-process result — so even count-only
-	// joins must see the pairs: kernel counting would count pairs
-	// this shard does not own.
-	var ownsPair func(l, rr uint32) bool
-	if s.stripe != nil {
-		leftXLo, apiErr := s.xloTable(ctx, left)
-		if apiErr != nil {
-			httpapi.WriteError(w, apiErr)
-			return
-		}
-		rightXLo, apiErr := s.xloTable(ctx, right)
-		if apiErr != nil {
-			httpapi.WriteError(w, apiErr)
-			return
-		}
-		// A lookup miss means the join pinned an epoch newer than the
-		// cached table (records appended between the table fetch and
-		// Run). Records are append-only, so rebuilding at the current
-		// epoch — a superset of every pinned version — resolves the ID
-		// exactly; the EmitBatch callbacks run on this goroutine, so
-		// swapping the table handle is race-free.
-		lookup := func(table **xloLookup, rel *unijoin.Relation, id uint32) (unijoin.Coord, bool) {
-			if x, ok := (*table).get(id); ok {
-				return x, true
-			}
-			fresh, apiErr := s.xloTable(ctx, rel)
-			if apiErr != nil {
-				return 0, false
-			}
-			*table = fresh
-			return fresh.get(id)
-		}
-		ownsPair = func(l, rr uint32) bool {
-			lx, ok := lookup(&leftXLo, left, l)
-			if !ok {
-				return false
-			}
-			rx, ok := lookup(&rightXLo, right, rr)
-			if !ok {
-				return false
-			}
-			return s.stripe.OwnsPair(lx, rx)
-		}
-	}
-
 	parallelism := min(max(req.Parallelism, 0), maxParallelism)
 	q := s.cat.Workspace().Query(left, right).Algorithm(alg).Parallelism(parallelism)
 	if req.Window != nil {
 		q.Window(toRect(*req.Window))
 	}
-	var owned int64
+	// A stripe shard reports only the pairs its interval owns — the
+	// reference-point rule that makes a fleet's summed answers exactly
+	// the single-process result. The join kernels apply it, so what
+	// arrives here, pairs or a bare count, is already the shard's share.
+	if s.stripe != nil {
+		q.Owned(s.stripe.Lo, s.stripe.Hi)
+	}
 	var pairs [][2]uint32
-	if req.CountOnly && ownsPair == nil {
+	if req.CountOnly {
 		q.CountOnly()
 	} else {
-		if !req.CountOnly {
-			pairs = make([][2]uint32, 0, s.batch)
-		}
+		pairs = make([][2]uint32, 0, s.batch)
 		q.EmitBatch(func(batch []unijoin.Pair) {
 			for _, p := range batch {
-				if ownsPair != nil && !ownsPair(p.Left, p.Right) {
-					continue
-				}
-				owned++
-				if req.CountOnly {
-					continue
-				}
 				pairs = append(pairs, [2]uint32{p.Left, p.Right})
 				if len(pairs) == s.batch {
 					flushPairs(pairs)
@@ -176,17 +125,13 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		flushPairs(pairs)
 	}
 	elapsed := time.Since(start)
-	count := res.Count()
-	if ownsPair != nil {
-		count = owned
-	}
 	phases := phaseSeconds{
 		partition: res.PartitionWall.Seconds(),
 		sweep:     res.SweepWall.Seconds(),
 		stream:    streamTime.Seconds(),
 	}
 	s.metrics.observeJoin(alg.String(), elapsed.Seconds(), phases, res.Prepared)
-	sum := joinSummary(req, alg, res, count, elapsed)
+	sum := joinSummary(req, alg, res, elapsed)
 	root := joinSpan(start, elapsed, res.PrepareWall, res.PartitionWall, res.SweepWall, streamTime)
 	root.SetAttr("left", req.Left).SetAttr("right", req.Right).
 		SetAttr("algorithm", alg.String())
@@ -196,100 +141,6 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		sum.Spans = httpapi.SpanDTO(root)
 	}
 	out.Finish(sum)
-}
-
-// xloLookup maps record IDs to left edges for the ownership test.
-// Every built-in generator and sjgen assigns dense 0..n-1 IDs to a
-// relation, but IDs are global and a shard of a K-fleet holds only
-// about one in K of them, so what a shard sees is a space with holes.
-// Up to eight ID slots per record (one stripe of an eight-shard fleet)
-// the representation is still a slice indexed by ID — two orders
-// cheaper per lookup than map hashing in the per-pair hot loop, at no
-// more than 32 bytes a record; absent IDs hold a NaN marker so a hole
-// reads as a miss, not a zero edge. Sparser ID spaces (arbitrary -load
-// files) fall back to a map. The table is stamped with the relation's
-// epoch at build time: an append or compaction bumps the epoch and so
-// invalidates the cache entry, which is how the table tracks a
-// live-ingesting relation.
-type xloLookup struct {
-	epoch  int64
-	dense  []unijoin.Coord
-	sparse map[uint32]unijoin.Coord
-}
-
-func (l *xloLookup) get(id uint32) (unijoin.Coord, bool) {
-	if l.dense != nil {
-		if int64(id) < int64(len(l.dense)) {
-			x := l.dense[id]
-			if x == x { // not the NaN hole marker
-				return x, true
-			}
-		}
-		return 0, false
-	}
-	x, ok := l.sparse[id]
-	return x, ok
-}
-
-// xloTable returns the relation's ID → left-edge lookup for its
-// current epoch, rebuilding when the cached table is stale (the
-// relation was appended to or compacted) by scanning the relation.
-// The epoch stamp is read before the scan, so it never overstates
-// what the table contains. Building a table also evicts cached tables
-// whose relation has been dropped or reloaded out of the catalog, so
-// repeated Drop+Load cycles on a long-lived embedded server cannot
-// accumulate orphaned tables.
-func (s *Server) xloTable(ctx context.Context, rel *unijoin.Relation) (*xloLookup, *client.APIError) {
-	// One pin serves the epoch stamp, the size hint, and the scan, so
-	// the cached table can never mix epochs.
-	pv := rel.Pin()
-	epoch := pv.Epoch()
-	if v, ok := s.xlo.Load(rel); ok {
-		if t := v.(*xloLookup); t.epoch == epoch {
-			return t, nil
-		}
-	}
-	s.xlo.Range(func(key, _ any) bool {
-		old := key.(*unijoin.Relation)
-		if cur, ok := s.cat.Get(old.Name()); !ok || cur != old {
-			s.xlo.Delete(key)
-		}
-		return true
-	})
-	type entry struct {
-		id  uint32
-		xlo unijoin.Coord
-	}
-	entries := make([]entry, 0, pv.Len())
-	maxID := uint32(0)
-	if mbr := pv.MBR(); mbr.Valid() {
-		if _, err := pv.WindowQuery(ctx, mbr, func(rec unijoin.Record) {
-			entries = append(entries, entry{rec.ID, rec.Rect.XLo})
-			if rec.ID > maxID {
-				maxID = rec.ID
-			}
-		}); err != nil {
-			return nil, errorFor(err)
-		}
-	}
-	table := &xloLookup{epoch: epoch}
-	if len(entries) > 0 && int64(maxID) < 8*int64(len(entries)) {
-		table.dense = make([]unijoin.Coord, maxID+1)
-		nan := unijoin.Coord(math.NaN())
-		for i := range table.dense {
-			table.dense[i] = nan
-		}
-		for _, e := range entries {
-			table.dense[e.id] = e.xlo
-		}
-	} else {
-		table.sparse = make(map[uint32]unijoin.Coord, len(entries))
-		for _, e := range entries {
-			table.sparse[e.id] = e.xlo
-		}
-	}
-	s.xlo.Store(rel, table)
-	return table, nil
 }
 
 func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
@@ -384,12 +235,12 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 // record counts are those of the epochs the join pinned, so they
 // describe the inputs the pair count was computed on even when appends
 // landed while it ran.
-func joinSummary(req client.JoinRequest, alg unijoin.Algorithm, res *unijoin.Results, pairs int64, elapsed time.Duration) *client.JoinSummary {
+func joinSummary(req client.JoinRequest, alg unijoin.Algorithm, res *unijoin.Results, elapsed time.Duration) *client.JoinSummary {
 	return &client.JoinSummary{
 		Left:          req.Left,
 		Right:         req.Right,
 		Algorithm:     alg.String(),
-		Pairs:         pairs,
+		Pairs:         res.Count(),
 		LeftRecords:   res.Left.Len(),
 		RightRecords:  res.Right.Len(),
 		ElapsedMillis: float64(elapsed.Microseconds()) / 1000,

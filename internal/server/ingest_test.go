@@ -119,13 +119,11 @@ func TestAppendEndpointFormats(t *testing.T) {
 	}
 }
 
-// TestAppendStripeFilterAndXloInvalidation is the cache-invalidation
-// regression: in stripe mode a join builds the per-relation ID →
-// left-edge ownership tables, and an append must invalidate them —
-// the dense table would otherwise miss (or worse, misclassify) the
-// appended IDs. It also checks a stripe shard accepts only the
-// records its stripe loads.
-func TestAppendStripeFilterAndXloInvalidation(t *testing.T) {
+// TestAppendStripeFilterAndOwnership checks live ingestion on a stripe
+// shard: an append keeps only the records the stripe loads, and the
+// next join — which pins the new epoch — owns exactly the pairs the
+// reference-point rule gives this shard, appended records included.
+func TestAppendStripeFilterAndOwnership(t *testing.T) {
 	cat := testCatalog(t, 800)
 	iv, err := shard.ParseInterval(":500")
 	if err != nil {
@@ -134,7 +132,6 @@ func TestAppendStripeFilterAndXloInvalidation(t *testing.T) {
 	_, cl, _ := testServer(t, Config{Catalog: cat, Stripe: &iv})
 	ctx := context.Background()
 
-	// Build the ownership tables.
 	before, err := cl.JoinCount(ctx, client.JoinRequest{Left: "roads", Right: "hydro"})
 	if err != nil {
 		t.Fatal(err)
@@ -155,8 +152,8 @@ func TestAppendStripeFilterAndXloInvalidation(t *testing.T) {
 		t.Fatalf("stripe shard appended %d (total %d), want 2 of 3 kept", sum.Appended, sum.Records)
 	}
 
-	// Joins after the append must use a fresh table covering the new
-	// IDs; the owned-pair count can only grow.
+	// The join after the append sees the new records; the owned-pair
+	// count can only grow.
 	after, err := cl.JoinCount(ctx, client.JoinRequest{Left: "roads", Right: "hydro"})
 	if err != nil {
 		t.Fatal(err)
@@ -258,59 +255,5 @@ func TestIngestStatsAndMetrics(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, body)
 		}
-	}
-}
-
-// TestXloTableDenseOnShard pins the representation rule of the
-// ownership table: IDs are global, so the middle shard of a 3-plan
-// over dense 0..n-1 IDs sees about one ID in three — and must still
-// get the slice form; a 1-in-100 ID space gets the map; both forms
-// answer every lookup alike.
-func TestXloTableDenseOnShard(t *testing.T) {
-	u := unijoin.NewRect(0, 0, 1000, 1000)
-	all := datagen.Uniform(7, 6000, u, 20)
-	plan := shard.NewPlan(u, 3, all)
-	parts, _ := plan.Assign(all)
-	sparse := make([]unijoin.Record, 300)
-	for i := range sparse {
-		sparse[i] = all[i]
-		sparse[i].ID = uint32(100 * i)
-	}
-
-	cat := unijoin.NewCatalog()
-	cat.Workspace().SetUniverse(u)
-	for name, recs := range map[string][]unijoin.Record{"shard": parts[1], "sparse": sparse} {
-		if _, err := cat.Load(name, recs, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	iv := plan.Interval(1)
-	s, _, _ := testServer(t, Config{Catalog: cat, Stripe: &iv})
-
-	table := func(name string, recs []unijoin.Record) *xloLookup {
-		tab, apiErr := s.xloTable(context.Background(), mustGet(t, cat, name))
-		if apiErr != nil {
-			t.Fatal(apiErr)
-		}
-		held := map[uint32]unijoin.Coord{}
-		for _, r := range recs {
-			held[r.ID] = r.Rect.XLo
-		}
-		for id := uint32(0); id < 31000; id++ {
-			want, in := held[id]
-			if got, ok := tab.get(id); ok != in || got != want {
-				t.Fatalf("%s: lookup(%d) = %v, %v; want %v, %v", name, id, got, ok, want, in)
-			}
-		}
-		return tab
-	}
-	if n := len(parts[1]); n < 1500 || n > 3000 {
-		t.Fatalf("middle shard holds %d of 6000 records; the test wants about a third", n)
-	}
-	if tab := table("shard", parts[1]); tab.dense == nil {
-		t.Fatalf("a shard holding %d of 6000 dense IDs got the map form", len(parts[1]))
-	}
-	if tab := table("sparse", sparse); tab.dense != nil {
-		t.Fatal("a 1-in-100 ID space got the slice form")
 	}
 }

@@ -19,7 +19,6 @@ package server
 import (
 	"log/slog"
 	"net/http"
-	"sync"
 	"time"
 
 	"unijoin"
@@ -59,8 +58,11 @@ type Config struct {
 	// stripe (sjserved -stripe slices at load), and every join pair
 	// and window record is filtered by the shard ownership rules
 	// (see internal/shard), so a router summing the fleet's answers
-	// gets exactly the single-process result. The stripe is exposed
-	// on /v1/stats and /v1/relations for the router's fleet check.
+	// gets exactly the single-process result. Joins hand the interval
+	// to the query (Query.Owned) and the kernels apply the pair rule
+	// as they report; the window handler tests each record's left edge
+	// itself. The stripe is exposed on /v1/stats and /v1/relations for
+	// the router's fleet check.
 	Stripe *shard.Interval
 	// Registry receives the server's metric families (GET /metrics
 	// serves its rendering). Nil gets a private registry, so an
@@ -95,13 +97,6 @@ type Server struct {
 	// front is the request plumbing shared with the router's serving
 	// layer, wired to this server's metric handles.
 	front httpapi.Front
-
-	// xlo caches each relation's ID → left-edge table, the lookup
-	// behind the per-pair shard ownership test (stripe mode only).
-	// Keyed by *unijoin.Relation, so a reloaded relation gets a fresh
-	// table; each table is epoch-stamped, so an append or compaction
-	// invalidates it on the next fetch.
-	xlo sync.Map
 
 	metrics  *metrics
 	workload *obs.Workload

@@ -64,14 +64,8 @@ func (p *Plan) Of(x geom.Coord) int { return p.part.Of(x) }
 // Interval returns shard i's ownership range [lo, hi), with infinite
 // sentinels on the outer shards.
 func (p *Plan) Interval(i int) Interval {
-	iv := Interval{Lo: geom.Coord(math.Inf(-1)), Hi: geom.Coord(math.Inf(1))}
-	if i > 0 {
-		iv.Lo = p.bounds[i-1]
-	}
-	if i < len(p.bounds) {
-		iv.Hi = p.bounds[i]
-	}
-	return iv
+	lo, hi := p.part.OwnerRange(i)
+	return Interval{Lo: lo, Hi: hi}
 }
 
 // Stripe returns shard i's x-slice of the universe (full universe

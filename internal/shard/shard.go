@@ -22,6 +22,15 @@
 //     therefore exact and duplicate-free with no cross-shard
 //     coordination, for any join algorithm the shard runs.
 //
+// The pair rule is applied where the two rectangles are, not where the
+// pairs are streamed: a shard's server hands its interval to the query
+// (Query.Owned) and each join kernel tests geom.Interval.OwnsPair as
+// it reports — the parallel engine as one more clamp on the range its
+// stripes already test, and not at all for the records lying inside
+// the shard. A shard therefore emits and counts owned pairs only, and
+// the rule needs no ID → geometry lookup, so it holds for any IDs,
+// repeated ones included.
+//
 // Plan computes and describes the stripes; Interval is one shard's
 // ownership range (sjserved's -stripe flag); Router scatters a
 // request to K sjserved shard endpoints and gathers their frame
@@ -40,64 +49,15 @@ import (
 
 // Interval is one shard's half-open ownership range [Lo, Hi) on the
 // x-axis, with -Inf/+Inf sentinels on the outer shards so the
-// intervals of a plan tile the whole line. It decides three questions
-// for a shard: which records to load, which records a window query
-// reports, and which join pairs to report.
-type Interval struct {
-	Lo, Hi geom.Coord
-}
+// intervals of a plan tile the whole line. The type and its rules
+// (Loads, OwnsRecord, OwnsPair, Slice) are geom.Interval's: the join
+// kernels apply the same definition a plan is cut by.
+type Interval = geom.Interval
 
 // Everything is the interval of an unsharded process: it loads and
 // owns all records and all pairs.
 func Everything() Interval {
 	return Interval{Lo: geom.Coord(math.Inf(-1)), Hi: geom.Coord(math.Inf(1))}
-}
-
-// Unbounded reports whether the interval is (-Inf, +Inf), i.e. the
-// process is not restricted to a stripe.
-func (iv Interval) Unbounded() bool {
-	return math.IsInf(float64(iv.Lo), -1) && math.IsInf(float64(iv.Hi), 1)
-}
-
-// Contains reports whether x falls in [Lo, Hi).
-func (iv Interval) Contains(x geom.Coord) bool { return x >= iv.Lo && x < iv.Hi }
-
-// Loads reports whether a shard with this interval must keep the
-// record: its x-interval overlaps the stripe, so some pair or window
-// answer owned here may involve it.
-func (iv Interval) Loads(r geom.Rect) bool { return r.XHi >= iv.Lo && r.XLo < iv.Hi }
-
-// OwnsRecord reports whether this shard reports the record in window
-// (selection) queries: exactly one shard of a plan contains a
-// record's left edge, and that shard is guaranteed to have loaded it.
-func (iv Interval) OwnsRecord(r geom.Rect) bool { return iv.Contains(r.XLo) }
-
-// OwnsPair reports whether this shard reports the join pair of two
-// rectangles with the given left edges: the reference point — the
-// larger of the two — falls in the interval. Exactly one shard of a
-// plan owns each pair, and ownership implies both records overlap the
-// stripe and were loaded.
-func (iv Interval) OwnsPair(aXLo, bXLo geom.Coord) bool {
-	ref := aXLo
-	if bXLo > ref {
-		ref = bXLo
-	}
-	return iv.Contains(ref)
-}
-
-// Slice returns the records of recs a shard with this interval loads,
-// in input order. The unbounded interval returns recs itself.
-func (iv Interval) Slice(recs []geom.Record) []geom.Record {
-	if iv.Unbounded() {
-		return recs
-	}
-	out := make([]geom.Record, 0, len(recs))
-	for _, r := range recs {
-		if iv.Loads(r.Rect) {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // ParseInterval parses the "lo:hi" syntax of sjserved's -stripe flag.
@@ -127,16 +87,4 @@ func ParseInterval(s string) (Interval, error) {
 		return Interval{}, fmt.Errorf("shard: interval %q: lower bound must be below upper", s)
 	}
 	return iv, nil
-}
-
-// String formats the interval in the syntax ParseInterval accepts.
-func (iv Interval) String() string {
-	var lo, hi string
-	if !math.IsInf(float64(iv.Lo), -1) {
-		lo = strconv.FormatFloat(float64(iv.Lo), 'g', -1, 32)
-	}
-	if !math.IsInf(float64(iv.Hi), 1) {
-		hi = strconv.FormatFloat(float64(iv.Hi), 'g', -1, 32)
-	}
-	return lo + ":" + hi
 }

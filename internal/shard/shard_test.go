@@ -56,6 +56,9 @@ func TestIntervalOwnership(t *testing.T) {
 	if !iv.OwnsPair(100, 250) || !iv.OwnsPair(300, 260) || iv.OwnsPair(100, 700) || iv.OwnsPair(100, 240) {
 		t.Fatal("OwnsPair reference-point rule wrong")
 	}
+	if !iv.Covers(rect(250, 699)) || iv.Covers(rect(250, 700)) || iv.Covers(rect(249, 300)) {
+		t.Fatal("Covers containment rule wrong")
+	}
 	if !Everything().Unbounded() || iv.Unbounded() {
 		t.Fatal("Unbounded wrong")
 	}

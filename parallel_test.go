@@ -5,6 +5,7 @@ package unijoin
 // several partition counts, with and without Window restriction.
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -31,21 +32,20 @@ func clusteredWorkspace(t *testing.T, seed int64, nRoads, nHydro int) (*Workspac
 }
 
 // joinPairs runs one algorithm and returns its emitted pair set.
-func joinPairs(t *testing.T, ws *Workspace, alg Algorithm, a, b *Relation, opts JoinOptions) (JoinResult, map[Pair]bool) {
+func joinPairs(t *testing.T, ws *Workspace, alg Algorithm, a, b *Relation, opts ...Option) (*Results, map[Pair]bool) {
 	t.Helper()
 	got := map[Pair]bool{}
-	opts.Emit = func(p Pair) {
+	res, err := ws.Query(a, b, opts...).Algorithm(alg).Emit(func(p Pair) {
 		if got[p] {
 			t.Fatalf("%v: pair %v emitted twice", alg, p)
 		}
 		got[p] = true
-	}
-	res, err := ws.Join(alg, a, b, &opts)
+	}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Pairs != int64(len(got)) {
-		t.Fatalf("%v: count %d but %d pairs emitted", alg, res.Pairs, len(got))
+	if res.Count() != int64(len(got)) {
+		t.Fatalf("%v: count %d but %d pairs emitted", alg, res.Count(), len(got))
 	}
 	return res, got
 }
@@ -70,14 +70,14 @@ func TestParallelMatchesSerialAlgorithms(t *testing.T) {
 		}
 		for name, mk := range workspaces {
 			ws, a, b := mk()
-			_, wantSSSJ := joinPairs(t, ws, AlgSSSJ, a, b, JoinOptions{})
-			_, wantPQ := joinPairs(t, ws, AlgPQ, a, b, JoinOptions{})
+			_, wantSSSJ := joinPairs(t, ws, AlgSSSJ, a, b)
+			_, wantPQ := joinPairs(t, ws, AlgPQ, a, b)
 			if len(wantSSSJ) != len(wantPQ) {
 				t.Fatalf("%s: serial algorithms disagree: SSSJ %d, PQ %d", name, len(wantSSSJ), len(wantPQ))
 			}
 			for _, k := range []int{1, 2, 8} {
 				res, got := joinPairs(t, ws, AlgParallel, a, b,
-					JoinOptions{Parallelism: 4, ParallelPartitions: k})
+					WithParallelism(4), WithPartitions(k))
 				if len(got) != len(wantSSSJ) {
 					t.Fatalf("%s k=%d: parallel %d pairs, serial %d", name, k, len(got), len(wantSSSJ))
 				}
@@ -97,10 +97,10 @@ func TestParallelMatchesSerialAlgorithms(t *testing.T) {
 func TestParallelWindowMatchesPQ(t *testing.T) {
 	ws, a, b := clusteredWorkspace(t, 77, 900, 600)
 	w := NewRect(150, 150, 450, 450)
-	_, want := joinPairs(t, ws, AlgPQ, a, b, JoinOptions{Window: &w})
+	_, want := joinPairs(t, ws, AlgPQ, a, b, WithWindow(w))
 	for _, k := range []int{1, 2, 8} {
 		_, got := joinPairs(t, ws, AlgParallel, a, b,
-			JoinOptions{Window: &w, Parallelism: 2, ParallelPartitions: k})
+			WithWindow(w), WithParallelism(2), WithPartitions(k))
 		if len(got) != len(want) {
 			t.Fatalf("k=%d: windowed parallel %d pairs, PQ %d", k, len(got), len(want))
 		}
@@ -114,11 +114,12 @@ func TestParallelWindowMatchesPQ(t *testing.T) {
 
 func TestParallelJoinReport(t *testing.T) {
 	ws, a, b := clusteredWorkspace(t, 99, 1000, 700)
-	res, err := ws.ParallelJoin(a, b, &JoinOptions{Parallelism: 3, ParallelPartitions: 9})
+	ctx := context.Background()
+	res, err := ws.Query(a, b).Algorithm(AlgParallel).Parallelism(3).Partitions(9).CountOnly().Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Pairs == 0 {
+	if res.Count() == 0 {
 		t.Fatal("clustered join should produce pairs")
 	}
 	if res.Parallel.Workers != 3 || res.Parallel.Partitions != 9 {
@@ -135,16 +136,16 @@ func TestParallelJoinReport(t *testing.T) {
 	if res.IO.Total() == 0 || res.PrepareWall <= 0 {
 		t.Fatalf("cold query: %d page accesses, PrepareWall %v; record loading should be charged", res.IO.Total(), res.PrepareWall)
 	}
-	if _, err := ws.ParallelJoin(nil, b, nil); err == nil {
+	if _, err := ws.Query(nil, b).Algorithm(AlgParallel).CountOnly().Run(ctx); err == nil {
 		t.Fatal("nil relation must error")
 	}
 	// Defaulted options: workers fall back to GOMAXPROCS.
-	res2, err := ws.ParallelJoin(a, b, nil)
+	res2, err := ws.Query(a, b).Algorithm(AlgParallel).CountOnly().Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Pairs != res.Pairs {
-		t.Fatalf("default options changed the result: %d vs %d", res2.Pairs, res.Pairs)
+	if res2.Count() != res.Count() {
+		t.Fatalf("default options changed the result: %d vs %d", res2.Count(), res.Count())
 	}
 	// The second query on the same epochs finds both runs warm and
 	// never touches the simulated disk.

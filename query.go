@@ -55,6 +55,20 @@ func (q *Query) Algorithm(alg Algorithm) *Query { q.alg = alg; return q }
 // Window restricts the join to pairs of records that both intersect r.
 func (q *Query) Window(r Rect) *Query { q.opts.Window = &r; return q }
 
+// Owned keeps only the pairs whose reference point — the lower-x
+// corner of the two rectangles' intersection, the larger of their left
+// edges — lies in [lo, hi): the share of the join a stripe shard owning
+// that x-interval reports (see internal/shard). Shares over intervals
+// that tile the line are disjoint and their union is the whole join,
+// for every algorithm; the test runs inside the join kernels, so
+// Count, the Emit callbacks and Results.Pairs see owned pairs only and
+// CountOnly stays the counting fast path. It is the serving layer's
+// hook for sjserved -stripe and deliberately has no With* spelling.
+func (q *Query) Owned(lo, hi Coord) *Query {
+	q.opts.own = &geom.Interval{Lo: lo, Hi: hi}
+	return q
+}
+
 // Parallelism sets the worker count for AlgParallel (default
 // GOMAXPROCS). Other algorithms ignore it.
 func (q *Query) Parallelism(n int) *Query { q.opts.Parallelism = n; return q }
@@ -241,6 +255,7 @@ func (w *Workspace) runParallel(ctx context.Context, a, b *ingest.Version, opts 
 	po.Workers = opts.Parallelism
 	po.Partitions = opts.ParallelPartitions
 	po.Window = opts.Window
+	po.Own = opts.own
 	po.Emit = opts.Emit
 	po.EmitBatch = opts.EmitBatch
 	before := w.store.Counters()
@@ -306,6 +321,7 @@ func (w *Workspace) coreOptionsFor(a, b *ingest.Version, opts *JoinOptions) (cor
 		o.UseForwardSweep = opts.UseForwardSweep
 		o.PBSMTilesPerAxis = opts.PBSMTilesPerAxis
 		o.Window = opts.Window
+		o.Own = opts.own
 		o.Emit = opts.Emit
 		o.EmitBatch = opts.EmitBatch
 	}

@@ -202,7 +202,7 @@ func TestQueryFunctionalOptions(t *testing.T) {
 }
 
 // TestQueryTypedErrors pins the sentinel classification of every
-// failure class, through the Query API and the deprecated wrappers.
+// failure class.
 func TestQueryTypedErrors(t *testing.T) {
 	ws, a, b, _, _ := demoWorkspace(t)
 	ctx := context.Background()
@@ -218,12 +218,8 @@ func TestQueryTypedErrors(t *testing.T) {
 			t.Fatalf("%v without indexes: %v", alg, err)
 		}
 	}
-	// The deprecated wrappers return the same sentinels.
-	if _, err := ws.Join(AlgST, a, b, nil); !errors.Is(err, ErrNeedsIndex) {
-		t.Fatalf("deprecated Join ST: %v", err)
-	}
-	if _, err := ws.ParallelJoin(nil, b, nil); !errors.Is(err, ErrNilRelation) {
-		t.Fatalf("deprecated ParallelJoin: %v", err)
+	if _, err := ws.Query(nil, b).Algorithm(AlgParallel).CountOnly().Run(ctx); !errors.Is(err, ErrNilRelation) {
+		t.Fatalf("parallel engine, nil relation: %v", err)
 	}
 	// Emit and EmitBatch are mutually exclusive.
 	if _, err := ws.Query(a, b).Emit(func(Pair) {}).EmitBatch(func([]Pair) {}).Run(ctx); err == nil {

@@ -16,17 +16,6 @@ type JoinResult struct {
 	Decision *core.Decision
 }
 
-// ParallelResult extends JoinResult with the parallel engine's
-// wall-clock report: partition/worker breakdown, replication factor,
-// and per-phase times. It is returned by the deprecated ParallelJoin
-// wrapper; the Query API reports the same data in Results.Parallel.
-type ParallelResult struct {
-	JoinResult
-	// Parallel is the engine's full report (wall-clock phases,
-	// per-worker statistics, replication).
-	Parallel parallel.Report
-}
-
 // Results is the outcome of Query.Run: the full JoinResult accounting
 // (promoted, so res.IO, res.HostCPU, res.ObservedTotal(m), ... read as
 // before) plus streaming-friendly access to the result pairs.

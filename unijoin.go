@@ -522,9 +522,9 @@ func (w *Workspace) universeFor(fallback Rect) Rect {
 // builder method (Query.Window, Query.Parallelism, ...) and a
 // functional option (WithWindow, WithParallelism, ...), which are the
 // primary ways to set it — build a Query with ws.Query(a, b), not a
-// JoinOptions literal. The struct itself survives as the parameter
-// block of the deprecated Join/ParallelJoin wrappers. Fields mirror
-// the paper's experimental knobs; the zero value means defaults.
+// JoinOptions literal. The struct is also the parameter block of
+// MultiwayJoin and Plan. Fields mirror the paper's experimental knobs;
+// the zero value means defaults.
 type JoinOptions struct {
 	// MemoryBytes is the simulated internal memory (default 24 MB).
 	MemoryBytes int
@@ -552,56 +552,18 @@ type JoinOptions struct {
 	ParallelPartitions int
 	// Emit receives each result pair as the join finds it; see
 	// Query.Emit for where pairs go when it is nil (Query.Run buffers
-	// them for Results.Pairs unless CountOnly is set; the deprecated
-	// Join wrapper counts only). AlgParallel calls Emit on the
-	// caller's goroutine in deterministic partition order after the
-	// concurrent phase, so the callback need not be thread-safe.
+	// them for Results.Pairs unless CountOnly is set). AlgParallel calls
+	// Emit on the caller's goroutine in deterministic partition order
+	// after the concurrent phase, so the callback need not be
+	// thread-safe.
 	Emit func(Pair)
 	// EmitBatch receives result pairs in pooled batches; see
 	// Query.EmitBatch. Mutually exclusive with Emit.
 	EmitBatch func([]Pair)
-}
 
-// Join runs the selected algorithm on two relations. Requirements:
-// AlgST needs both relations indexed; AlgSSSJ/AlgPBSM ignore indexes;
-// AlgPQ uses an index when present; AlgAuto decides per side.
-//
-// Deprecated: build a Query instead — ws.Query(a, b).Algorithm(alg).
-// Run(ctx) — which adds context cancellation, the Pairs iterator, and
-// typed errors. Join runs the same code with context.Background() and
-// never buffers pairs (CountOnly semantics unless opts.Emit or
-// opts.EmitBatch is set).
-func (w *Workspace) Join(alg Algorithm, a, b *Relation, opts *JoinOptions) (JoinResult, error) {
-	q := w.Query(a, b).Algorithm(alg).CountOnly()
-	if opts != nil {
-		q.opts = *opts
-	}
-	res, err := q.Run(context.Background())
-	if err != nil {
-		return JoinResult{}, err
-	}
-	return res.JoinResult, nil
-}
-
-// ParallelJoin runs the multicore in-memory engine on two relations;
-// see AlgParallel. The JoinResult mirrors the serial algorithms'
-// report — HostCPU is the engine's wall-clock time — and the Parallel
-// field carries the detailed scaling statistics. Indexes are ignored;
-// Window and Emit behave as in the serial joins.
-//
-// Deprecated: build a Query instead — ws.Query(a, b).
-// Algorithm(AlgParallel).Parallelism(n).Run(ctx) — and read the
-// report from Results.Parallel.
-func (w *Workspace) ParallelJoin(a, b *Relation, opts *JoinOptions) (ParallelResult, error) {
-	q := w.Query(a, b).Algorithm(AlgParallel).CountOnly()
-	if opts != nil {
-		q.opts = *opts
-	}
-	res, err := q.Run(context.Background())
-	if err != nil {
-		return ParallelResult{}, err
-	}
-	return ParallelResult{JoinResult: res.JoinResult, Parallel: *res.Parallel}, nil
+	// own is the ownership interval of Query.Owned, the one knob with no
+	// exported spelling here: only a Query can set it.
+	own *geom.Interval
 }
 
 // MultiwayJoin computes the k-way intersection join of the relations

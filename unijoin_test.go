@@ -54,11 +54,11 @@ func TestWorkspaceJoinAllAlgorithms(t *testing.T) {
 	for _, alg := range []Algorithm{AlgPQ, AlgSSSJ, AlgPBSM, AlgST, AlgAuto, AlgBFRJ} {
 		t.Run(alg.String(), func(t *testing.T) {
 			got := map[Pair]bool{}
-			res, err := ws.Join(alg, a, b, &JoinOptions{Emit: func(p Pair) { got[p] = true }})
+			res, err := ws.Query(a, b).Algorithm(alg).Emit(func(p Pair) { got[p] = true }).Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) || res.Pairs != int64(len(want)) {
+			if len(got) != len(want) || res.Count() != int64(len(want)) {
 				t.Fatalf("%v: %d pairs, want %d", alg, len(got), len(want))
 			}
 			for p := range want {
@@ -75,36 +75,36 @@ func TestWorkspaceJoinAllAlgorithms(t *testing.T) {
 
 func TestWorkspaceSTRequiresIndexes(t *testing.T) {
 	ws, a, b, _, _ := demoWorkspace(t)
-	if _, err := ws.Join(AlgST, a, b, nil); err == nil {
+	if _, err := ws.Query(a, b).Algorithm(AlgST).CountOnly().Run(context.Background()); err == nil {
 		t.Fatal("ST without indexes must error")
 	}
 	if err := a.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ws.Join(AlgST, a, b, nil); err == nil {
+	if _, err := ws.Query(a, b).Algorithm(AlgST).CountOnly().Run(context.Background()); err == nil {
 		t.Fatal("ST with one index must error")
 	}
 }
 
 func TestWorkspacePQWorksUnindexed(t *testing.T) {
 	ws, a, b, ra, rb := demoWorkspace(t)
-	res, err := ws.Join(AlgPQ, a, b, nil)
+	res, err := ws.Query(a, b).CountOnly().Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Pairs != int64(len(brute(ra, rb))) {
-		t.Fatalf("pairs = %d", res.Pairs)
+	if res.Count() != int64(len(brute(ra, rb))) {
+		t.Fatalf("pairs = %d", res.Count())
 	}
 	// Index one side only: the unified join must still work.
 	if err := a.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := ws.Join(AlgPQ, a, b, nil)
+	res2, err := ws.Query(a, b).CountOnly().Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Pairs != res.Pairs {
-		t.Fatalf("mixed-input PQ disagrees: %d vs %d", res2.Pairs, res.Pairs)
+	if res2.Count() != res.Count() {
+		t.Fatalf("mixed-input PQ disagrees: %d vs %d", res2.Count(), res.Count())
 	}
 	if res2.PageRequests == 0 {
 		t.Fatal("indexed side should be read through the scanner")
@@ -204,12 +204,12 @@ func TestWindowOption(t *testing.T) {
 			}
 		}
 	}
-	res, err := ws.Join(AlgPQ, a, b, &JoinOptions{Window: &w})
+	res, err := ws.Query(a, b).Window(w).CountOnly().Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Pairs != int64(want) {
-		t.Fatalf("windowed pairs = %d, want %d", res.Pairs, want)
+	if res.Count() != int64(want) {
+		t.Fatalf("windowed pairs = %d, want %d", res.Count(), want)
 	}
 }
 
@@ -231,11 +231,11 @@ func TestAlgorithmStrings(t *testing.T) {
 	}
 }
 
-func demoWorkspaceJoinUnknown() (JoinResult, error) {
+func demoWorkspaceJoinUnknown() (*Results, error) {
 	ws := NewWorkspace()
 	a, _ := ws.AddRelation([]Record{{Rect: NewRect(0, 0, 1, 1), ID: 1}})
 	b, _ := ws.AddRelation([]Record{{Rect: NewRect(0, 0, 1, 1), ID: 2}})
-	return ws.Join(Algorithm(99), a, b, nil)
+	return ws.Query(a, b).Algorithm(Algorithm(99)).CountOnly().Run(context.Background())
 }
 
 func TestCostReportsOrdering(t *testing.T) {
@@ -246,7 +246,7 @@ func TestCostReportsOrdering(t *testing.T) {
 	if err := b.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ws.Join(AlgPQ, a, b, nil)
+	res, err := ws.Query(a, b).CountOnly().Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
