@@ -352,10 +352,10 @@ func queryParallelInputs(tb testing.TB, scale float64) (*unijoin.Workspace, *uni
 	return ws, roads, hydro
 }
 
-// countParallel runs the workload's query: count-only AlgParallel at
-// parallelism 1, plus any extra options.
-func countParallel(tb testing.TB, ws *unijoin.Workspace, a, b *unijoin.Relation, opts ...unijoin.Option) *unijoin.Results {
-	res, err := ws.Query(a, b, opts...).Algorithm(unijoin.AlgParallel).Parallelism(1).CountOnly().Run(context.Background())
+// countParallel runs q as the workload's query: count-only AlgParallel
+// at parallelism 1.
+func countParallel(tb testing.TB, q *unijoin.Query) *unijoin.Results {
+	res, err := q.Algorithm(unijoin.AlgParallel).Parallelism(1).CountOnly().Run(context.Background())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -377,25 +377,25 @@ func BenchmarkQueryParallel(b *testing.B) {
 			b.StopTimer()
 			ws, roads, hydro := queryParallelInputs(b, scale)
 			b.StartTimer()
-			if res := countParallel(b, ws, roads, hydro); res.PrepareWall == 0 {
+			if res := countParallel(b, ws.Query(roads, hydro)); res.PrepareWall == 0 {
 				b.Fatal("cold query found a prepared run")
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		ws, roads, hydro := queryParallelInputs(b, scale)
-		countParallel(b, ws, roads, hydro)
+		countParallel(b, ws.Query(roads, hydro))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if res := countParallel(b, ws, roads, hydro); res.PrepareWall != 0 || res.IO.Total() != 0 {
+			if res := countParallel(b, ws.Query(roads, hydro)); res.PrepareWall != 0 || res.IO.Total() != 0 {
 				b.Fatalf("warm query prepared for %v and touched %d pages", res.PrepareWall, res.IO.Total())
 			}
 		}
 	})
 	b.Run("after-append", func(b *testing.B) {
 		ws, roads, hydro := queryParallelInputs(b, scale)
-		countParallel(b, ws, roads, hydro)
+		countParallel(b, ws.Query(roads, hydro))
 		batch := datagen.Uniform(3, 256, tiger.NJ.Region, 20)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -408,7 +408,7 @@ func BenchmarkQueryParallel(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			countParallel(b, ws, roads, hydro)
+			countParallel(b, ws.Query(roads, hydro))
 		}
 	})
 }
@@ -422,8 +422,8 @@ func BenchmarkQueryParallel(b *testing.B) {
 // by the stripe count K, plus the slice header sync.Pool boxes for
 // each fragment handed back — two per stripe. So at a fixed K the
 // count must not move when the relations quadruple, and across K it
-// must grow by a few per stripe and nothing else. Measured: 68
-// allocations at K = 16, at 12k and at 46k records alike, and 178 at
+// must grow by a few per stripe and nothing else. Measured: 67
+// allocations at K = 16, at 12k and at 46k records alike, and 177 at
 // K = 64. The ceilings leave room for -race, whose sync.Pool drops a
 // quarter of all Puts so that fragments are grown afresh (about 165
 // and 500); one sweep structure per stripe side, which is what this
@@ -432,18 +432,22 @@ func BenchmarkQueryParallel(b *testing.B) {
 // ownership test is the kernel's own, so it too counts in place and
 // builds no pair buffer to filter afterwards.
 func TestWarmParallelQueryAllocations(t *testing.T) {
-	allocs := func(scale float64, k int, more ...unijoin.Option) float64 {
+	third := tiger.NJ.Region.Width() / 3
+	allocs := func(scale float64, k int, middleThird bool) float64 {
 		ws, roads, hydro := queryParallelInputs(t, scale)
-		opts := append([]unijoin.Option{unijoin.WithPartitions(k)}, more...)
-		q := func() { countParallel(t, ws, roads, hydro, opts...) }
+		q := func() {
+			query := ws.Query(roads, hydro).Partitions(k)
+			if middleThird {
+				query.Owned(tiger.NJ.Region.XLo+third, tiger.NJ.Region.XHi-third)
+			}
+			countParallel(t, query)
+		}
 		q() // builds the runs, fills the pool
 		q()
 		return testing.AllocsPerRun(10, q)
 	}
-	third := tiger.NJ.Region.Width() / 3
-	middleThird := func(q *unijoin.Query) { q.Owned(tiger.NJ.Region.XLo+third, tiger.NJ.Region.XHi-third) }
-	small16, large16 := allocs(0.025, 16), allocs(0.1, 16)
-	large64, owned64 := allocs(0.1, 64), allocs(0.1, 64, middleThird)
+	small16, large16 := allocs(0.025, 16, false), allocs(0.1, 16, false)
+	large64, owned64 := allocs(0.1, 64, false), allocs(0.1, 64, true)
 	t.Logf("warm query: %.0f allocs at 10k+1.3k records and %.0f at 41k+5k with 16 partitions, %.0f with 64, %.0f with 64 under Owned",
 		small16, large16, large64, owned64)
 	if large16 > 1.25*small16+16 {

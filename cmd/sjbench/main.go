@@ -5,8 +5,7 @@
 // Usage:
 //
 //	sjbench [-exp id[,id...]] [-scale f] [-sets NJ,NY,...] [-seed n]
-//	        [-parallel N] [-timeout d] [-window x1,y1,x2,y2]
-//	        [-transport ndjson|binary|both] [-json]
+//	        [-parallel N] [-timeout d] [-window x1,y1,x2,y2] [-json]
 //
 // With no -exp flag, every experiment runs in DESIGN.md order:
 // table1 table2 table3 table4 fig2 fig3 sel and the ablations. The
@@ -27,11 +26,8 @@
 // given rectangle (it has no effect on the paper-reproduction
 // experiments, whose tables are defined over the full data sets).
 //
-// The transport experiment (-exp transport) boots an in-process
-// direct server and a router-fronted shard fleet and measures
-// end-to-end join latency under the NDJSON and binary stream
-// encodings at three pair-volume tiers; -transport narrows it to one
-// encoding.
+// Serving latency — transports, direct vs routed, trace overhead — is
+// not measured here: benchmark/ drives the real binaries for that.
 //
 // With -json, every measured run is emitted as one NDJSON object
 // (keys derived from the table's column headers, numeric cells as
@@ -60,16 +56,15 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "", "comma-separated experiment ids (default: all); known: "+strings.Join(experiments.IDs, " "))
-		scale     = flag.Float64("scale", 0.01, "data scale relative to the paper's Table 2 sizes, in (0,1]")
-		sets      = flag.String("sets", "", "comma-separated data set names (default: all six)")
-		seed      = flag.Int64("seed", 1997, "generation seed")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		parallel  = flag.Int("parallel", 0, "run only the wall-clock parallel engine experiment, scaling to N workers")
-		timeout   = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
-		window    = flag.String("window", "", "restrict the wall-clock joins to this rectangle: x1,y1,x2,y2")
-		transport = flag.String("transport", "both", "stream encodings the transport experiment measures: ndjson, binary, or both")
-		jsonOut   = flag.Bool("json", false, "emit results as NDJSON, one object per measured run, instead of tables")
+		exp      = flag.String("exp", "", "comma-separated experiment ids (default: all); known: "+strings.Join(experiments.IDs, " "))
+		scale    = flag.Float64("scale", 0.01, "data scale relative to the paper's Table 2 sizes, in (0,1]")
+		sets     = flag.String("sets", "", "comma-separated data set names (default: all six)")
+		seed     = flag.Int64("seed", 1997, "generation seed")
+		list     = flag.Bool("list", false, "list experiment ids and exit")
+		parallel = flag.Int("parallel", 0, "run only the wall-clock parallel engine experiment, scaling to N workers")
+		timeout  = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
+		window   = flag.String("window", "", "restrict the wall-clock joins to this rectangle: x1,y1,x2,y2")
+		jsonOut  = flag.Bool("json", false, "emit results as NDJSON, one object per measured run, instead of tables")
 	)
 	flag.Parse()
 
@@ -102,16 +97,6 @@ func main() {
 		}
 		cfg.Window = &r
 	}
-	switch *transport {
-	case "both", "":
-		cfg.Transports = experiments.TransportModes
-	case "ndjson", "binary":
-		cfg.Transports = []string{*transport}
-	default:
-		fmt.Fprintf(os.Stderr, "sjbench: unknown -transport %q (want ndjson, binary, or both)\n", *transport)
-		os.Exit(1)
-	}
-
 	// print renders one result table in the selected output mode.
 	print := func(id string, tab *experiments.Table) {
 		if *jsonOut {

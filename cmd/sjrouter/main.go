@@ -24,7 +24,8 @@
 // misconfigured fleet that would drop or double-count pairs is
 // refused before it serves a single query. SIGINT/SIGTERM trigger a
 // graceful shutdown: in-flight scatter-gather streams get 10 seconds
-// to drain, then the process exits 0.
+// to drain, then the process exits 0 (httpapi.Serve, the shell shared
+// with sjserved).
 package main
 
 import (
@@ -33,25 +34,12 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 	"time"
 
 	"unijoin/internal/httpapi"
 	"unijoin/internal/shard"
 )
-
-// shutdownGrace is how long in-flight requests get after SIGTERM.
-const shutdownGrace = 10 * time.Second
-
-// repeatable collects the values of a repeatable flag.
-type repeatable []string
-
-func (r *repeatable) String() string     { return strings.Join(*r, ",") }
-func (r *repeatable) Set(v string) error { *r = append(*r, v); return nil }
 
 func main() {
 	var (
@@ -61,9 +49,12 @@ func main() {
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6061; empty = off)")
 		traces    = flag.Int("traces", 0, "recent request traces to keep for GET /v1/traces (0 = default capacity)")
 		slowQuery = flag.Duration("slowquery", 0, "log a warning with the scatter breakdown for requests at least this slow (0 = off)")
-		shards    repeatable
+		shards    []string
 	)
-	flag.Var(&shards, "shard", "base URL of one sjserved shard (repeatable)")
+	flag.Func("shard", "base URL of one sjserved shard (repeatable)", func(v string) error {
+		shards = append(shards, v)
+		return nil
+	})
 	flag.Parse()
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -82,50 +73,10 @@ func main() {
 		Router: router, Timeout: *timeout, Logger: log,
 		Traces: *traces, SlowQuery: *slowQuery,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: svc.Handler()}
-
-	var pprofSrv *http.Server
-	if *pprofAddr != "" {
-		// Same side-listener rule as sjserved: profiling never rides
-		// the query port, a bind failure is fatal, and the handle is
-		// kept so the graceful drain closes this listener too.
-		pprofSrv = &http.Server{Addr: *pprofAddr, Handler: httpapi.PprofMux()}
-		go func() {
-			log.Info("pprof listening", "addr", *pprofAddr)
-			if err := pprofSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fail(err)
-			}
-		}()
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Info("routing", "addr", *addr, "shards", router.Shards(), "timeout", timeout.String())
-
-	select {
-	case err := <-errc:
+	if err := httpapi.Serve(log, *addr, *pprofAddr, svc.Handler()); err != nil {
 		fail(err)
-	case <-ctx.Done():
 	}
-
-	log.Info("shutting down", "grace", shutdownGrace.String())
-	if pprofSrv != nil {
-		// Profiling sessions have no drain semantics worth waiting on;
-		// close the side listener immediately.
-		pprofSrv.Close()
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		// In-flight streams outliving the grace period are load
-		// shedding, not a crash: cut them and exit 0 as documented.
-		log.Warn("shutdown grace expired, closing remaining connections", "err", err)
-		httpSrv.Close()
-	}
-	log.Info("bye")
 }
 
 // awaitFleet retries Router.Verify — every shard healthy, stripes

@@ -39,17 +39,13 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"unijoin"
@@ -59,15 +55,6 @@ import (
 	"unijoin/internal/shard"
 	"unijoin/internal/tiger"
 )
-
-// shutdownGrace is how long in-flight requests get after SIGTERM.
-const shutdownGrace = 10 * time.Second
-
-// repeatable collects the values of a repeatable flag.
-type repeatable []string
-
-func (r *repeatable) String() string     { return strings.Join(*r, ",") }
-func (r *repeatable) Set(v string) error { *r = append(*r, v); return nil }
 
 func main() {
 	var (
@@ -81,13 +68,19 @@ func main() {
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060; empty = off)")
 		traces    = flag.Int("traces", 0, "recent request traces to keep for GET /v1/traces (0 = default capacity)")
 		slowQuery = flag.Duration("slowquery", 0, "log a warning with the span breakdown for requests at least this slow (0 = off)")
-		loads     repeatable
-		unis      repeatable
-		tigers    repeatable
+		loads     []string
+		unis      []string
+		tigers    []string
 	)
-	flag.Var(&loads, "load", "load name=path.bin (repeatable)")
-	flag.Var(&unis, "uniform", "generate name=N uniform rectangles (repeatable)")
-	flag.Var(&tigers, "tiger", "generate a TIGER-like set SET[:scale] as SET.roads + SET.hydro (repeatable)")
+	repeatable := func(name, usage string, into *[]string) {
+		flag.Func(name, usage+" (repeatable)", func(v string) error {
+			*into = append(*into, v)
+			return nil
+		})
+	}
+	repeatable("load", "load name=path.bin", &loads)
+	repeatable("uniform", "generate name=N uniform rectangles", &unis)
+	repeatable("tiger", "generate a TIGER-like set SET[:scale] as SET.roads + SET.hydro", &tigers)
 	flag.Parse()
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -120,53 +113,10 @@ func main() {
 		Traces: *traces, SlowQuery: *slowQuery,
 		WorkloadLo: float64(universe.XLo), WorkloadHi: float64(universe.XHi),
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
-
-	var pprofSrv *http.Server
-	if *pprofAddr != "" {
-		// The profiler rides its own listener, so it is never exposed
-		// on the query port; a failure to bind is fatal because asking
-		// for profiling and silently not getting it is worse. The
-		// server handle is kept so the graceful drain closes this
-		// listener too instead of leaking it until process exit.
-		pprofSrv = &http.Server{Addr: *pprofAddr, Handler: httpapi.PprofMux()}
-		go func() {
-			log.Info("pprof listening", "addr", *pprofAddr)
-			if err := pprofSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fail(err)
-			}
-		}()
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Info("serving", "addr", *addr, "relations", cat.Len(), "timeout", timeout.String())
-
-	select {
-	case err := <-errc:
+	if err := httpapi.Serve(log, *addr, *pprofAddr, srv.Handler()); err != nil {
 		fail(err)
-	case <-ctx.Done():
 	}
-
-	log.Info("shutting down", "grace", shutdownGrace.String())
-	if pprofSrv != nil {
-		// Profiling sessions have no drain semantics worth waiting on;
-		// close the side listener immediately.
-		pprofSrv.Close()
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		// A request outliving the grace period is routine load
-		// shedding, not a crash: cut the stragglers and exit 0 as
-		// documented so orchestrators treat the stop as clean.
-		log.Warn("shutdown grace expired, closing remaining connections", "err", err)
-		httpSrv.Close()
-	}
-	log.Info("bye")
 }
 
 // buildCatalog loads every requested relation and builds the
@@ -174,7 +124,7 @@ func main() {
 // keeps only its shard slice — the records whose x-interval overlaps
 // the stripe — after the full set is read or generated, so synthetic
 // generation stays deterministic across a fleet.
-func buildCatalog(log *slog.Logger, loads, unis, tigers repeatable,
+func buildCatalog(log *slog.Logger, loads, unis, tigers []string,
 	region string, maxExt float64, seed int64, index string, stripe *shard.Interval) (*unijoin.Catalog, error) {
 	u, err := unijoin.ParseRect(region)
 	if err != nil {

@@ -199,7 +199,7 @@ func TestMixedFormExactness(t *testing.T) {
 					}
 				}
 				got := map[[3]ID]bool{}
-				res, err := ws.MultiwayJoin(ctx, []*Relation{a, b, c}, nil, func(ids []ID) {
+				res, err := ws.MultiwayJoin(ctx, []*Relation{a, b, c}, func(ids []ID) {
 					tuple := [3]ID{ids[0], ids[1], ids[2]}
 					if got[tuple] {
 						t.Fatalf("multiway: tuple %v reported twice", tuple)

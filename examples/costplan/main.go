@@ -32,7 +32,7 @@ func main() {
 	}
 
 	for _, m := range unijoin.Machines {
-		d, err := ws.Plan(ctx, m, r, r, nil)
+		d, err := ws.Plan(ctx, m, r, r)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -46,7 +46,7 @@ func main() {
 	}
 
 	var shown int
-	res, err := ws.MultiwayJoin(ctx, []*unijoin.Relation{r, h, z}, nil, func(ids []unijoin.ID) {
+	res, err := ws.MultiwayJoin(ctx, []*unijoin.Relation{r, h, z}, func(ids []unijoin.ID) {
 		if shown < 5 {
 			fmt.Printf("  road %d x water %d x zone %d\n", ids[0], ids[1], ids[2])
 			shown++

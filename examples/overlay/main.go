@@ -44,16 +44,14 @@ func main() {
 	fmt.Printf("roads: %d records, %d index pages; hydro: %d records, %d index pages\n\n",
 		rp.Len(), rp.IndexNodes(), hp.Len(), hp.IndexNodes())
 
-	// The shared knobs, as one-shot functional options.
-	opts := []unijoin.Option{
-		unijoin.WithMemory(1 << 20), // scale memory with the data
-		unijoin.WithBufferPool(900 << 10),
-		unijoin.WithCountOnly(),
-	}
 	fmt.Printf("%-6s %10s %10s %12s %12s %12s\n",
 		"alg", "pairs", "pages", "machine1", "machine2", "machine3")
 	for _, alg := range []unijoin.Algorithm{unijoin.AlgSSSJ, unijoin.AlgPBSM, unijoin.AlgPQ, unijoin.AlgST} {
-		res, err := ws.Query(r, h, opts...).Algorithm(alg).Run(ctx)
+		res, err := ws.Query(r, h).Algorithm(alg).
+			Memory(1 << 20). // scale memory with the data
+			BufferPool(900 << 10).
+			CountOnly().
+			Run(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}

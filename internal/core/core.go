@@ -100,9 +100,6 @@ type Options struct {
 	// BufferPoolBytes is the LRU pool available to ST. Default 22 MB.
 	BufferPoolBytes int
 
-	// Strips is the striped-sweep strip count (default
-	// sweep.DefaultStrips). Ignored when UseForwardSweep is set.
-	Strips int
 	// UseForwardSweep switches the main sweep kernel from
 	// Striped-Sweep to Forward-Sweep (for the ablation of [4]).
 	UseForwardSweep bool
@@ -111,17 +108,6 @@ type Options struct {
 	// value the paper settled on; 32 reproduces Patel and DeWitt's
 	// original and overflows on clustered data).
 	PBSMTilesPerAxis int
-	// PBSMPartitions overrides the computed partition count (0 = auto:
-	// enough partitions that a partition's share of both inputs fits in
-	// memory).
-	PBSMPartitions int
-	// PBSMSortDedup switches duplicate elimination to Patel and
-	// DeWitt's original strategy: emit candidate pairs with duplicates,
-	// then externally sort the pair stream and drop repeats. The
-	// default reference-tile test produces identical output with no
-	// extra sort; this mode exists for fidelity comparisons and charges
-	// the extra sort I/O honestly.
-	PBSMSortDedup bool
 
 	// Window restricts the join to records intersecting this
 	// rectangle (both sides must intersect it for a pair to qualify);
@@ -179,9 +165,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.BufferPoolBytes == 0 {
 		o.BufferPoolBytes = 22 << 20
 	}
-	if o.Strips == 0 {
-		o.Strips = sweep.DefaultStrips
-	}
 	if o.PBSMTilesPerAxis == 0 {
 		o.PBSMTilesPerAxis = 128
 	}
@@ -193,7 +176,7 @@ func (o *Options) newStructure() sweep.Structure {
 	if o.UseForwardSweep {
 		return sweep.NewForward()
 	}
-	return sweep.NewStripedFor(o.Universe, o.Strips)
+	return sweep.NewStripedFor(o.Universe, sweep.DefaultStrips)
 }
 
 // owns reports whether this join reports the pair at all: always, or

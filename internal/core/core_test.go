@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -538,24 +540,46 @@ func TestResultTimeAccessors(t *testing.T) {
 	}
 }
 
-func TestPBSMSortDedupMatchesReferenceTile(t *testing.T) {
-	// Patel-DeWitt's original sort-based duplicate elimination must
-	// produce exactly the reference-tile result, at the cost of an
-	// extra external sort of the candidate pairs.
+// TestPQOnFilesIsSSSJ is the paper's "degenerates to SSSJ" as an
+// assertion: on two non-indexed inputs PQ and SSSJ report the same
+// pairs in the same order and the same accounting — disk counters
+// under both cache models, external sorts, sweep statistics — windowed
+// and not, with a memory budget that forces multi-run sorts. Each run
+// gets a store of its own so that page allocation cannot differ.
+func TestPQOnFilesIsSSSJ(t *testing.T) {
 	u := geom.NewRect(0, 0, 1000, 1000)
-	e := buildEnv(t, u, genUniform(110, 3000, u, 40), genUniform(111, 2500, u, 40))
-	want := bruteForcePairs(e.recsA, e.recsB)
-	o := e.options()
-	o.PBSMSortDedup = true
-	got, res := collect(t, func(o Options) (Result, error) { return PBSM(bg, o, e.fileA, e.fileB) }, o)
-	checkEqual(t, "PBSM sort-dedup", got, want)
-
-	o2 := e.options()
-	_, ref := collect(t, func(o Options) (Result, error) { return PBSM(bg, o, e.fileA, e.fileB) }, o2)
-	if res.Pairs != ref.Pairs {
-		t.Fatalf("dedup modes disagree: %d vs %d", res.Pairs, ref.Pairs)
-	}
-	if res.IO.Writes() <= ref.IO.Writes() {
-		t.Fatalf("sort dedup should cost extra writes: %d vs %d", res.IO.Writes(), ref.IO.Writes())
+	recsA, recsB := genUniform(120, 30000, u, 8), genUniform(121, 25000, u, 12)
+	window := geom.NewRect(200, 150, 700, 800)
+	for _, win := range []*geom.Rect{nil, &window} {
+		type outcome struct {
+			pairs []geom.Pair
+			res   Result
+		}
+		var got [2]outcome
+		for i, join := range []func(Options, *env) (Result, error){
+			func(o Options, e *env) (Result, error) { return SSSJ(bg, o, e.fileA, e.fileB) },
+			func(o Options, e *env) (Result, error) { return PQ(bg, o, FileInput(e.fileA), FileInput(e.fileB)) },
+		} {
+			e := buildEnv(t, u, recsA, recsB)
+			o := e.options()
+			o.MemoryBytes = 256 << 10
+			o.Window = win
+			o.Emit = func(p geom.Pair) { got[i].pairs = append(got[i].pairs, p) }
+			res, err := join(o, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Algorithm, res.HostCPU, res.PartitionWall, res.SweepWall = "", 0, 0, 0
+			got[i].res = res
+		}
+		if len(got[0].pairs) == 0 || got[0].res.SortStats[0].Runs < 2 {
+			t.Fatalf("window %v: the case is too small to tell: %d pairs, sorts %+v", win, len(got[0].pairs), got[0].res.SortStats)
+		}
+		if !slices.Equal(got[0].pairs, got[1].pairs) {
+			t.Fatalf("window %v: SSSJ emits %d pairs, PQ over files %d, or in another order", win, len(got[0].pairs), len(got[1].pairs))
+		}
+		if !reflect.DeepEqual(got[0].res, got[1].res) {
+			t.Fatalf("window %v: accounting differs:\nSSSJ %+v\nPQ   %+v", win, got[0].res, got[1].res)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"unijoin/internal/geom"
 	"unijoin/internal/sweep"
@@ -51,54 +52,54 @@ func MultiwayPQ(ctx context.Context, opts Options, inputs []Input, emit func(ids
 	}
 	var current []tuple
 
-	// Stage 1: inputs[0] x inputs[1] through the standard PQ join.
-	// Pair callbacks are not meaningful mid-pipeline, so the stages run
-	// without them; tuples are collected through the record callback.
-	stageOpts := o
-	stageOpts.Emit = nil
-	stageOpts.EmitBatch = nil
-	res1, err := pqCollect(ctx, stageOpts, inputs[0], inputs[1], func(ra, rb geom.Record) {
-		in, ok := ra.Rect.Intersection(rb.Rect)
-		if !ok {
-			return
+	// Each stage is the unified join with a record-pair collector (a
+	// tuple needs the rectangles). Pair callbacks are not meaningful
+	// mid-pipeline, so the stages run without them.
+	o.Emit, o.EmitBatch = nil, nil
+	stage := func(name string, a, b sideFn, collect func(ra, rb geom.Record)) error {
+		res, err := run(ctx, o, name, func(o Options, res *Result) error {
+			return sweepSides(ctx, o, res, a, b, collect)
+		})
+		if err == nil {
+			mres.Stages = append(mres.Stages, res)
+			mres.Intermediate = append(mres.Intermediate, int64(len(current)))
 		}
-		current = append(current, tuple{rect: in, ids: []geom.ID{ra.ID, rb.ID}})
-	})
+		return err
+	}
+
+	// Stage 1: inputs[0] x inputs[1], the standard PQ join.
+	err = stage("PQ", o.sorted(ctx, inputs[0], inputs[1]), o.sorted(ctx, inputs[1], inputs[0]),
+		func(ra, rb geom.Record) {
+			if in, ok := ra.Rect.Intersection(rb.Rect); ok {
+				current = append(current, tuple{rect: in, ids: []geom.ID{ra.ID, rb.ID}})
+			}
+		})
 	if err != nil {
 		return mres, err
 	}
-	mres.Stages = append(mres.Stages, res1)
-	mres.Intermediate = append(mres.Intermediate, int64(len(current)))
 
-	// Later stages: intermediate tuples (already y-sorted) against the
-	// next input.
-	for stage := 2; stage < len(inputs); stage++ {
-		if err := ctx.Err(); err != nil {
-			return mres, wrapCanceled(err)
-		}
+	// Later stages: the intermediate tuples (already y-sorted; under a
+	// window their records were filtered, so they are not again)
+	// against the next input.
+	for _, next := range inputs[2:] {
 		recs := make([]geom.Record, len(current))
 		for i, tp := range current {
 			recs[i] = geom.Record{Rect: tp.rect, ID: geom.ID(i)}
 		}
 		prev := current
-		var next []tuple
-		stageRes, err := runStage(ctx, stageOpts, recs, inputs[stage], func(ri geom.Record, rb geom.Record) {
-			in, ok := ri.Rect.Intersection(rb.Rect)
-			if !ok {
-				return
-			}
-			base := prev[ri.ID].ids
-			ids := make([]geom.ID, len(base)+1)
-			copy(ids, base)
-			ids[len(base)] = rb.ID
-			next = append(next, tuple{rect: in, ids: ids})
-		})
+		current = nil
+		err := stage("PQ-stage",
+			func() (pqSide, error) { return pqSide{src: sweep.NewSliceSource(recs)}, nil },
+			o.sorted(ctx, next, Input{}),
+			func(ri, rb geom.Record) {
+				if in, ok := ri.Rect.Intersection(rb.Rect); ok {
+					ids := slices.Concat(prev[ri.ID].ids, []geom.ID{rb.ID})
+					current = append(current, tuple{rect: in, ids: ids})
+				}
+			})
 		if err != nil {
 			return mres, err
 		}
-		mres.Stages = append(mres.Stages, stageRes)
-		current = next
-		mres.Intermediate = append(mres.Intermediate, int64(len(current)))
 	}
 
 	mres.Tuples = int64(len(current))
@@ -108,60 +109,4 @@ func MultiwayPQ(ctx context.Context, opts Options, inputs []Input, emit func(ids
 		}
 	}
 	return mres, nil
-}
-
-// pqCollect is PQ with a record-pair callback instead of an ID-pair
-// callback (the multiway stages need the rectangles).
-func pqCollect(ctx context.Context, o Options, a, b Input, emit func(ra, rb geom.Record)) (Result, error) {
-	return run(ctx, o, "PQ", func(o Options, res *Result) error {
-		sideA, err := pqSource(ctx, o, a, b)
-		if err != nil {
-			return err
-		}
-		defer sideA.release()
-		sideB, err := pqSource(ctx, o, b, a)
-		if err != nil {
-			return err
-		}
-		defer sideB.release()
-		st, err := sweep.Join(ctx, sideA.src, sideB.src, o.newStructure(), o.newStructure(), emit)
-		if err != nil {
-			return err
-		}
-		res.Pairs = st.Pairs
-		res.Sweep = st
-		res.SweepMaxBytes = st.MaxBytes
-		for _, side := range []pqSide{sideA, sideB} {
-			if side.scanner != nil {
-				res.ScannerMaxBytes += side.scanner.MaxBytes()
-				res.PageRequests += side.scanner.PagesRead()
-			}
-		}
-		return nil
-	})
-}
-
-// runStage joins an in-memory y-sorted intermediate slice against one
-// more input.
-func runStage(ctx context.Context, o Options, intermediate []geom.Record, in Input, emit func(ri, rb geom.Record)) (Result, error) {
-	return run(ctx, o, "PQ-stage", func(o Options, res *Result) error {
-		side, err := pqSource(ctx, o, in, Input{})
-		if err != nil {
-			return err
-		}
-		defer side.release()
-		st, err := sweep.Join(ctx, sweep.NewSliceSource(intermediate), side.src,
-			o.newStructure(), o.newStructure(), emit)
-		if err != nil {
-			return err
-		}
-		res.Pairs = st.Pairs
-		res.Sweep = st
-		res.SweepMaxBytes = st.MaxBytes
-		if side.scanner != nil {
-			res.ScannerMaxBytes = side.scanner.MaxBytes()
-			res.PageRequests = side.scanner.PagesRead()
-		}
-		return nil
-	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 
 	"unijoin/internal/geom"
@@ -181,6 +182,48 @@ func TestMultiwayValidation(t *testing.T) {
 	}
 }
 
+// TestMultiwayWindowMatchesBruteForce: under Options.Window a tuple
+// counts when each of its records intersects the window. The inputs
+// are window-filtered and the intermediate side is not — it need not
+// be: boxes that pairwise intersect share a point, so the common
+// intersection of records that all meet the window meets it too.
+func TestMultiwayWindowMatchesBruteForce(t *testing.T) {
+	u := geom.NewRect(0, 0, 500, 500)
+	window := geom.NewRect(100, 120, 260, 300)
+	inWindow := func(recs []geom.Record) []geom.Record {
+		var out []geom.Record
+		for _, r := range recs {
+			if r.Rect.Intersects(window) {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	recsA, recsB, recsC := genUniform(90, 500, u, 60), genUniform(91, 500, u, 60), genUniform(92, 500, u, 60)
+	e := buildEnv(t, u, recsA, recsB)
+	fileC, treeC := buildThird(t, e, recsC)
+	want := bruteTriples(inWindow(recsA), inWindow(recsB), inWindow(recsC))
+	if all := bruteTriples(recsA, recsB, recsC); len(want) == 0 || len(want) == len(all) {
+		t.Fatalf("the window keeps %d of %d tuples: the case cannot tell a windowed join from another", len(want), len(all))
+	}
+	for name, inputs := range map[string][]Input{
+		"trees": {TreeInput(e.treeA), TreeInput(e.treeB), TreeInput(treeC)},
+		"mixed": {FileInput(e.fileA), TreeInput(e.treeB), FileInput(fileC)},
+	} {
+		o := e.options()
+		o.Window = &window
+		got := make(map[[3]geom.ID]bool)
+		res, err := MultiwayPQ(bg, o, inputs, func(ids []geom.ID) { got[[3]geom.ID(ids)] = true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Tuples != int64(len(want)) || !maps.Equal(got, want) {
+			t.Fatalf("%s: %d tuples, %d distinct, brute force over the window's records finds %d",
+				name, res.Tuples, len(got), len(want))
+		}
+	}
+}
+
 func TestMultiwayIntermediateOrderIsSorted(t *testing.T) {
 	// The property Section 4 relies on: pairwise output arrives sorted
 	// by the intersection's lower y, so it can feed the next sweep
@@ -190,7 +233,9 @@ func TestMultiwayIntermediateOrderIsSorted(t *testing.T) {
 	o := e.options()
 	prev := float64(-1e30)
 	violations := 0
-	_, err := pqCollect(bg, o, TreeInput(e.treeA), TreeInput(e.treeB), func(ra, rb geom.Record) {
+	a, b := TreeInput(e.treeA), TreeInput(e.treeB)
+	var res Result
+	err := sweepSides(bg, o, &res, o.sorted(bg, a, b), o.sorted(bg, b, a), func(ra, rb geom.Record) {
 		in, ok := ra.Rect.Intersection(rb.Rect)
 		if !ok {
 			t.Fatal("emitted pair without intersection")

@@ -54,18 +54,8 @@ func PBSM(ctx context.Context, opts Options, a, b *iosim.File) (Result, error) {
 		}
 		// Partition count: both inputs' share of a partition must fit
 		// in memory, with headroom for sort bookkeeping.
-		p := o.PBSMPartitions
-		if p == 0 {
-			totalBytes := a.Size() + b.Size()
-			budget := int64(o.MemoryBytes) * 3 / 4
-			p = int((totalBytes + budget - 1) / budget)
-			if p < 1 {
-				p = 1
-			}
-		}
-		if p > t*t {
-			p = t * t
-		}
+		budget := int64(o.MemoryBytes) * 3 / 4
+		p := clampInt(int((a.Size()+b.Size()+budget-1)/budget), 1, t*t)
 		stats := &PBSMStats{Partitions: p, TilesPerAxis: t}
 		res.PBSM = stats
 
@@ -149,16 +139,6 @@ func PBSM(ctx context.Context, opts Options, a, b *iosim.File) (Result, error) {
 			stats.Replication = float64(written) / float64(read)
 		}
 
-		// With sort-based dedup, candidate pairs are collected into a
-		// stream (with duplicates) and resolved after the partition
-		// loop, as in the original PBSM.
-		var dupFile *iosim.File
-		var dupWriter *stream.Writer[geom.Pair]
-		if o.PBSMSortDedup {
-			dupFile = iosim.NewFile(o.Store)
-			dupWriter = stream.NewWriter(dupFile, stream.Pairs)
-		}
-
 		// Join each partition in memory.
 		for pi := 0; pi < p; pi++ {
 			if err := ctx.Err(); err != nil {
@@ -184,70 +164,20 @@ func PBSM(ctx context.Context, opts Options, a, b *iosim.File) (Result, error) {
 			}
 			sort.Slice(recsA, func(i, j int) bool { return geom.ByLowerY(recsA[i], recsA[j]) < 0 })
 			sort.Slice(recsB, func(i, j int) bool { return geom.ByLowerY(recsB[i], recsB[j]) < 0 })
-			cur := pi
-			var sweepErr error
 			err = forwardSweepRecords(ctx, recsA, recsB, func(ra, rb geom.Record) {
-				if o.PBSMSortDedup {
-					if !o.owns(ra, rb) {
-						return
-					}
-					if err := dupWriter.Write(geom.Pair{Left: ra.ID, Right: rb.ID}); err != nil {
-						sweepErr = err
-					}
-					return
-				}
 				in, ok := ra.Rect.Intersection(rb.Rect)
 				if !ok {
 					return
 				}
-				if partOf(tileX(in.XLo), tileY(in.YLo)) == cur {
+				if partOf(tileX(in.XLo), tileY(in.YLo)) == pi {
 					o.emitPair(&res.Pairs, ra, rb)
 				}
 			})
 			if err != nil {
 				return err
 			}
-			if sweepErr != nil {
-				return sweepErr
-			}
 			partsA[pi].Release()
 			partsB[pi].Release()
-		}
-
-		if o.PBSMSortDedup {
-			if err := dupWriter.Flush(); err != nil {
-				return err
-			}
-			sorted, _, err := stream.Sort(o.Store, dupFile, stream.Pairs, comparePairs, o.MemoryBytes)
-			if err != nil {
-				return err
-			}
-			dupFile.Release()
-			rd := stream.NewReader(sorted, stream.Pairs)
-			var prev geom.Pair
-			first := true
-			for n := 0; ; n++ {
-				if n&4095 == 0 {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-				}
-				pr, ok, err := rd.Next()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				if first || pr != prev {
-					res.Pairs++
-					if o.Emit != nil {
-						o.Emit(pr)
-					}
-				}
-				prev, first = pr, false
-			}
-			sorted.Release()
 		}
 		return nil
 	})
@@ -307,23 +237,6 @@ func forwardSweepRecords(ctx context.Context, as, bs []geom.Record, emit func(a,
 		}
 	}
 	return nil
-}
-
-// comparePairs orders pairs lexicographically for the sort-based
-// duplicate elimination.
-func comparePairs(a, b geom.Pair) int {
-	switch {
-	case a.Left < b.Left:
-		return -1
-	case a.Left > b.Left:
-		return 1
-	case a.Right < b.Right:
-		return -1
-	case a.Right > b.Right:
-		return 1
-	default:
-		return 0
-	}
 }
 
 func clampInt(v, lo, hi int) int {

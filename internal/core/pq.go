@@ -36,45 +36,72 @@ func PQ(ctx context.Context, opts Options, a, b Input) (Result, error) {
 		return Result{}, fmt.Errorf("%w: PQ inputs need a file, a tree or a run", ErrNilRelation)
 	}
 	return run(ctx, o, "PQ", func(o Options, res *Result) error {
-		// The preparation phase is the external sorts of non-indexed
-		// inputs; indexed inputs cost nothing here because the sorted
-		// scanner extracts lazily, inside the sweep.
-		prepStart := time.Now()
-		sideA, err := pqSource(ctx, o, a, b)
-		if err != nil {
-			return err
-		}
-		defer sideA.release()
-		sideB, err := pqSource(ctx, o, b, a)
-		if err != nil {
-			return err
-		}
-		defer sideB.release()
-		res.PartitionWall = time.Since(prepStart)
-		sweepStart := time.Now()
-		st, err := sweep.Join(ctx, sideA.src, sideB.src, o.newStructure(), o.newStructure(),
-			o.pairSink(&res.Pairs))
-		if err != nil {
-			return err
-		}
-		res.SweepWall = time.Since(sweepStart)
-		if o.Own == nil {
-			res.Pairs = st.Pairs
-		}
-		res.Sweep = st
-		res.SweepMaxBytes = st.MaxBytes
-		for _, side := range []pqSide{sideA, sideB} {
-			if side.scanner != nil {
-				res.ScannerMaxBytes += side.scanner.MaxBytes()
-				res.PageRequests += side.scanner.PagesRead()
-			}
-			if side.sort != nil {
-				res.SortStats = append(res.SortStats, *side.sort)
-			}
-		}
-		res.LogicalRequests = res.PageRequests
-		return nil
+		return sweepSides(ctx, o, res, o.sorted(ctx, a, b), o.sorted(ctx, b, a), nil)
 	})
+}
+
+// sideFn builds one y-sorted input of the unified join. It is deferred
+// so that sweepSides runs it inside the preparation phase it times.
+type sideFn func() (pqSide, error)
+
+// sorted defers pqSource over in, restricted against other.
+func (o Options) sorted(ctx context.Context, in, other Input) sideFn {
+	return func() (pqSide, error) { return pqSource(ctx, o, in, other) }
+}
+
+// sweepSides is the unified join written once: build the two y-sorted
+// sides, plane-sweep them, and report into res — the kernel's
+// statistics, the scanners' footprint and page requests, the external
+// sorts, and the two phase walls. PQ, SSSJ, each slab of
+// SSSJPartitioned and every multiway stage are this body over
+// different sides.
+//
+// The preparation phase is the external sorts of non-indexed inputs;
+// indexed inputs cost nothing there because the sorted scanner
+// extracts lazily, inside the sweep. collect, when set, receives every
+// pair the kernel finds, with its rectangles (the multiway stages);
+// nil reports pairs the way Options asks, through pairSink.
+func sweepSides(ctx context.Context, o Options, res *Result, a, b sideFn, collect func(ra, rb geom.Record)) error {
+	prepStart := time.Now()
+	var sides [2]pqSide
+	for i, build := range [2]sideFn{a, b} {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		s, err := build()
+		if err != nil {
+			return err
+		}
+		defer s.release()
+		sides[i] = s
+	}
+	res.PartitionWall = time.Since(prepStart)
+	sink := collect
+	if sink == nil {
+		sink = o.pairSink(&res.Pairs)
+	}
+	sweepStart := time.Now()
+	st, err := sweep.Join(ctx, sides[0].src, sides[1].src, o.newStructure(), o.newStructure(), sink)
+	if err != nil {
+		return err
+	}
+	res.SweepWall = time.Since(sweepStart)
+	if collect != nil || o.Own == nil {
+		res.Pairs = st.Pairs
+	}
+	res.Sweep = st
+	res.SweepMaxBytes = st.MaxBytes
+	for _, s := range sides {
+		if s.scanner != nil {
+			res.ScannerMaxBytes += s.scanner.MaxBytes()
+			res.PageRequests += s.scanner.PagesRead()
+		}
+		if s.sort != nil {
+			res.SortStats = append(res.SortStats, *s.sort)
+		}
+	}
+	res.LogicalRequests = res.PageRequests
+	return nil
 }
 
 // pqSide is one prepared input of a PQ join: the y-sorted source plus
@@ -154,14 +181,6 @@ func pqWindow(o Options, other Input) (geom.Rect, bool) {
 		}
 	}
 	return w, have
-}
-
-// windowed wraps src with a window filter when w is set.
-func windowed(ctx context.Context, src sweep.Source, w *geom.Rect) sweep.Source {
-	if w == nil {
-		return src
-	}
-	return &windowFilterSource{ctx: ctx, src: src, window: *w}
 }
 
 // windowFilterSource drops records outside a window from a sorted

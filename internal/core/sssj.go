@@ -3,12 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"unijoin/internal/geom"
 	"unijoin/internal/iosim"
 	"unijoin/internal/stream"
-	"unijoin/internal/sweep"
 )
 
 // SSSJ runs the Scalable Sweeping-based Spatial Join of Arge et al.
@@ -24,52 +24,29 @@ import (
 // If the sweep structure nevertheless outgrows the budget, SSSJ
 // reports ErrSweepOverflow; SSSJPartitioned is the
 // distribution-sweeping fallback for such adversarial inputs.
+//
+// It is the unified join on two file inputs — the body PQ runs, under
+// SSSJ's name — plus the overflow check. A window cannot reduce the
+// sort passes (the paper's §6.3 point: the sort path has no locality
+// to exploit) but it does filter the sweep, so only window records
+// meet the kernel.
 func SSSJ(ctx context.Context, opts Options, a, b *iosim.File) (Result, error) {
 	ctx = orBG(ctx)
 	o, err := opts.withDefaults()
 	if err != nil {
 		return Result{}, err
 	}
+	if a == nil || b == nil {
+		return Result{}, fmt.Errorf("%w: SSSJ inputs need a file", ErrNilRelation)
+	}
 	return run(ctx, o, "SSSJ", func(o Options, res *Result) error {
-		sortStart := time.Now()
-		sortedA, statsA, err := stream.Sort(o.Store, a, stream.Records, geom.ByLowerY, o.MemoryBytes)
-		if err != nil {
+		fa, fb := FileInput(a), FileInput(b)
+		if err := sweepSides(ctx, o, res, o.sorted(ctx, fa, fb), o.sorted(ctx, fb, fa), nil); err != nil {
 			return err
 		}
-		defer sortedA.Release()
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		sortedB, statsB, err := stream.Sort(o.Store, b, stream.Records, geom.ByLowerY, o.MemoryBytes)
-		if err != nil {
-			return err
-		}
-		defer sortedB.Release()
-		res.SortStats = []stream.SortStats{statsA, statsB}
-		res.PartitionWall = time.Since(sortStart)
-
-		// A window cannot reduce the sort passes (the paper's §6.3
-		// point: the sort path has no locality to exploit) but it does
-		// filter the sweep, so only window records meet the kernel.
-		srcA := windowed(ctx, stream.NewReader(sortedA, stream.Records), o.Window)
-		srcB := windowed(ctx, stream.NewReader(sortedB, stream.Records), o.Window)
-		sweepStart := time.Now()
-		st, err := sweep.Join(ctx, srcA, srcB,
-			o.newStructure(), o.newStructure(),
-			o.pairSink(&res.Pairs),
-		)
-		if err != nil {
-			return err
-		}
-		res.SweepWall = time.Since(sweepStart)
-		if o.Own == nil {
-			res.Pairs = st.Pairs
-		}
-		res.Sweep = st
-		res.SweepMaxBytes = st.MaxBytes
-		if st.MaxBytes > o.MemoryBytes {
+		if res.SweepMaxBytes > o.MemoryBytes {
 			return fmt.Errorf("%w: sweep structure reached %d bytes against a %d-byte budget",
-				ErrSweepOverflow, st.MaxBytes, o.MemoryBytes)
+				ErrSweepOverflow, res.SweepMaxBytes, o.MemoryBytes)
 		}
 		return nil
 	})
@@ -106,21 +83,22 @@ func SSSJPartitioned(ctx context.Context, opts Options, a, b *iosim.File, slabs 
 		return SSSJ(ctx, opts, a, b)
 	}
 	return run(ctx, o, "SSSJ-part", func(o Options, res *Result) error {
-		// Slab boundaries over the universe's x-range.
+		// Slab boundaries over the universe's x-range, computed once:
+		// the same intervals place records (Loads) and own pairs
+		// (OwnsPair, through Options.Own), so the two cannot round
+		// differently. The outer slabs are unbounded.
 		width := float64(o.Universe.Width()) / float64(slabs)
 		if width <= 0 {
 			return fmt.Errorf("core: degenerate universe %v for partitioning", o.Universe)
 		}
-		slabOf := func(x geom.Coord) int {
-			i := int(float64(x-o.Universe.XLo) / width)
-			if i < 0 {
-				i = 0
-			}
-			if i >= slabs {
-				i = slabs - 1
-			}
-			return i
+		ivs := make([]geom.Interval, slabs)
+		cut := geom.Coord(math.Inf(-1))
+		for s := range ivs {
+			ivs[s].Lo = cut
+			cut = o.Universe.XLo + geom.Coord(float64(s+1)*width)
+			ivs[s].Hi = cut
 		}
+		ivs[slabs-1].Hi = geom.Coord(math.Inf(1))
 
 		distribute := func(in *iosim.File) ([]*iosim.File, error) {
 			files := make([]*iosim.File, slabs)
@@ -146,7 +124,16 @@ func SSSJPartitioned(ctx context.Context, opts Options, a, b *iosim.File, slabs 
 				if o.Window != nil && !rec.Rect.Intersects(*o.Window) {
 					continue
 				}
-				for s := slabOf(rec.Rect.XLo); s <= slabOf(rec.Rect.XHi); s++ {
+				// Slab counts are small, so the scan from the left is
+				// cheap; the slabs are ordered, so it ends at the first
+				// one that starts right of the record.
+				for s, iv := range ivs {
+					if rec.Rect.XHi < iv.Lo {
+						break
+					}
+					if !iv.Loads(rec.Rect) {
+						continue
+					}
 					if err := writers[s].Write(rec); err != nil {
 						return nil, err
 					}
@@ -171,53 +158,29 @@ func SSSJPartitioned(ctx context.Context, opts Options, a, b *iosim.File, slabs 
 		}
 		res.PartitionWall = time.Since(distStart)
 
-		for s := 0; s < slabs; s++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			sortStart := time.Now()
-			sortedA, statsA, err := stream.Sort(o.Store, slabsA[s], stream.Records, geom.ByLowerY, o.MemoryBytes)
-			if err != nil {
-				return err
-			}
-			slabsA[s].Release()
-			sortedB, statsB, err := stream.Sort(o.Store, slabsB[s], stream.Records, geom.ByLowerY, o.MemoryBytes)
-			if err != nil {
-				return err
-			}
-			slabsB[s].Release()
-			res.SortStats = append(res.SortStats, statsA, statsB)
-			res.PartitionWall += time.Since(sortStart)
-
-			cur := s
-			sweepStart := time.Now()
-			st, err := sweep.Join(ctx,
-				stream.NewReader(sortedA, stream.Records),
-				stream.NewReader(sortedB, stream.Records),
-				o.newStructure(), o.newStructure(),
-				func(ra, rb geom.Record) {
-					// Owner slab: where the intersection starts.
-					if slabOf(max(ra.Rect.XLo, rb.Rect.XLo)) == cur {
-						o.emitPair(&res.Pairs, ra, rb)
-					}
-				},
-			)
-			if err != nil {
-				return err
-			}
-			res.SweepWall += time.Since(sweepStart)
-			sortedA.Release()
-			sortedB.Release()
-			res.Sweep.Pairs += st.Pairs
-			res.Sweep.Comparisons += st.Comparisons
-			if st.MaxLen > res.Sweep.MaxLen {
-				res.Sweep.MaxLen = st.MaxLen
-			}
-			if st.MaxBytes > res.Sweep.MaxBytes {
-				res.Sweep.MaxBytes = st.MaxBytes
+		// Each slab is the unified join over its two files, owning the
+		// pairs whose reference point falls in the slab — and in the
+		// caller's interval, when there is one. Distribution already
+		// applied the window.
+		so := o
+		so.Window = nil
+		slabFile := func(f *iosim.File) sideFn {
+			return func() (pqSide, error) {
+				defer f.Release()
+				return pqSource(ctx, so, FileInput(f), Input{})
 			}
 		}
-		res.SweepMaxBytes = res.Sweep.MaxBytes
+		for s, iv := range ivs {
+			if o.Own != nil {
+				iv = geom.Interval{Lo: max(iv.Lo, o.Own.Lo), Hi: min(iv.Hi, o.Own.Hi)}
+			}
+			so.Own = &iv
+			var part Result
+			if err := sweepSides(ctx, so, &part, slabFile(slabsA[s]), slabFile(slabsB[s]), nil); err != nil {
+				return err
+			}
+			res.add(part)
+		}
 		return nil
 	})
 }

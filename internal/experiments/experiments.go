@@ -30,17 +30,10 @@ type Config struct {
 	Tiger tiger.Config
 	// Sets is the list of data set names; empty means all six.
 	Sets []string
-	// SkipLargest drops data sets above this index when > 0 (quick
-	// runs use the first 2-3 sets).
-	SkipLargest int
 	// Window, when set, restricts the wall-clock experiment's joins
 	// to this rectangle (sjbench -window); the paper-reproduction
 	// tables are defined over the full data sets and ignore it.
 	Window *geom.Rect
-	// Transports selects the stream encodings the transport
-	// experiment measures (sjbench -transport); empty means all of
-	// TransportModes.
-	Transports []string
 }
 
 // DefaultConfig runs all six data sets at 1/100 scale.
@@ -136,9 +129,6 @@ func (c Config) forEach(fn func(*Env) error) error {
 	specs, err := c.specs()
 	if err != nil {
 		return err
-	}
-	if c.SkipLargest > 0 && len(specs) > c.SkipLargest {
-		specs = specs[:c.SkipLargest]
 	}
 	for _, s := range specs {
 		env, err := Prepare(c, s)

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -227,6 +230,61 @@ func TestTableFormatting(t *testing.T) {
 	for _, want := range []string{"== x: t ==", "a", "bb", "note: n=7"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in output:\n%s", want, out)
+		}
+	}
+}
+
+// TestPaperTablesGolden holds Tables 2-4 at QuickConfig to the
+// committed rows, field by field: the paper's page-access counts,
+// memory profiles and output sizes are exact on the simulated disk, so
+// any change to them is a change of algorithm, not noise. When one is
+// intended, regenerate with
+//
+//	go run ./cmd/sjbench -exp table2,table3,table4 -scale 0.002 -sets NJ,NY,DISK1 -json \
+//		> internal/experiments/testdata/tables_quick.jsonl
+//
+// (the flags spell QuickConfig) and say why in CHANGES.md.
+func TestPaperTablesGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, id := range []string{"table2", "table3", "table4"} {
+		tab, err := RunTable(context.Background(), id, QuickConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.FprintJSONL(&got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile("testdata/tables_quick.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := func(b []byte) []map[string]any {
+		var out []map[string]any
+		for _, line := range bytes.Split(bytes.TrimSpace(b), []byte("\n")) {
+			var row map[string]any
+			if err := json.Unmarshal(line, &row); err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			out = append(out, row)
+		}
+		return out
+	}
+	gotRows, wantRows := rows(got.Bytes()), rows(golden)
+	if len(gotRows) != len(wantRows) {
+		t.Fatalf("%d rows, golden has %d", len(gotRows), len(wantRows))
+	}
+	for i, want := range wantRows {
+		row := gotRows[i]
+		for k := range row {
+			if _, ok := want[k]; !ok {
+				t.Errorf("row %d (%v %v): field %q is not in the golden", i, row["experiment"], row["set"], k)
+			}
+		}
+		for k, v := range want {
+			if row[k] != v {
+				t.Errorf("row %d (%v %v): %s = %v, golden %v", i, want["experiment"], want["set"], k, row[k], v)
+			}
 		}
 	}
 }

@@ -15,7 +15,7 @@ var IDs = []string{
 	"table1", "table2", "table3", "table4", "fig2", "fig3", "sel",
 	"oneindex", "bfrj",
 	"abl-sweep", "abl-pool", "abl-pack", "abl-tiles", "abl-leafstream", "abl-layout",
-	"wallclock", "transport",
+	"wallclock",
 }
 
 // Run executes one experiment by id and prints its table to w.
@@ -63,8 +63,6 @@ func RunTable(ctx context.Context, id string, cfg Config) (*Table, error) {
 		return AblationLayout(ctx, cfg, selSet(cfg))
 	case "wallclock":
 		return Wallclock(ctx, cfg, 0) // 0: scale to GOMAXPROCS
-	case "transport":
-		return Transport(ctx, cfg)
 	default:
 		return nil, fmt.Errorf("experiments: unknown id %q (known: %v)", id, IDs)
 	}

@@ -16,10 +16,10 @@ import (
 // handlers — request IDs, the per-endpoint counters and log line,
 // query deadlines, failure accounting, the trace ring and the
 // slow-query line. sjserved (internal/server) and sjrouter
-// (internal/shard.Service) each fill one in; the metric handles are
-// registered by the owner, in its own registry, so one /metrics serves
-// them beside the owner's other families. All fields are required
-// except Timeout and SlowQuery.
+// (internal/shard.Service) each build one with NewFront, which
+// registers the front's seven metric families on the owner's registry,
+// so one /metrics serves them beside the owner's other families and
+// the owner reads what it reports (GET /v1/stats) from these handles.
 type Front struct {
 	Log *slog.Logger
 	// Timeout is the front's ceiling on each query; a request's own
@@ -31,6 +31,9 @@ type Front struct {
 	Traces    *obs.TraceStore
 	SlowQuery time.Duration
 
+	// Requests is labeled by endpoint and status, the three-digit code
+	// as text, so a scrape can tell join 200s from join 504s without a
+	// cardinality explosion.
 	Requests *obs.CounterVec   // sj_requests_total{endpoint,status}
 	Latency  *obs.HistogramVec // sj_request_seconds{endpoint}
 	InFlight *obs.Gauge        // sj_requests_in_flight
@@ -39,9 +42,36 @@ type Front struct {
 	// so the errors counter stays alertable.
 	Errors   *obs.Counter // sj_errors_total
 	Canceled *obs.Counter // sj_canceled_total
-	// Frames and FrameBytes count what ObserveFrames is told about.
+	// Frames and FrameBytes count what ObserveFrames is told about:
+	// frames and payload+header bytes written to negotiated frame
+	// streams, by frame type (pairs/records/summary/error/end).
 	Frames     *obs.CounterVec // sj_frames_total{type}
 	FrameBytes *obs.CounterVec // sj_frame_bytes_total{type}
+}
+
+// NewFront completes f — whose Log and Traces the caller has set, and
+// Timeout and SlowQuery when it wants them — with the front's metric
+// families, registered on reg.
+func NewFront(reg *obs.Registry, f Front) Front {
+	f.Requests = reg.CounterVec("sj_requests_total",
+		"HTTP requests served, by endpoint and status code.",
+		"endpoint", "status")
+	f.Latency = reg.HistogramVec("sj_request_seconds",
+		"HTTP request wall time in seconds, by endpoint.",
+		nil, "endpoint")
+	f.InFlight = reg.Gauge("sj_requests_in_flight",
+		"Requests currently being served.")
+	f.Errors = reg.Counter("sj_errors_total",
+		"Failed requests, excluding cancellations.")
+	f.Canceled = reg.Counter("sj_canceled_total",
+		"Requests canceled by timeout or client disconnect.")
+	f.Frames = reg.CounterVec("sj_frames_total",
+		"Binary transport frames written, by frame type.",
+		"type")
+	f.FrameBytes = reg.CounterVec("sj_frame_bytes_total",
+		"Binary transport bytes written (headers included), by frame type.",
+		"type")
+	return f
 }
 
 // Instrument is the logging + metrics middleware: it ensures a request

@@ -15,7 +15,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"net/http"
-	"net/http/pprof"
 	"sync"
 
 	"unijoin/client"
@@ -196,20 +195,6 @@ func EnsureRequestID(r *http.Request) string {
 		return id
 	}
 	return NewRequestID()
-}
-
-// PprofMux returns a mux serving the standard net/http/pprof
-// endpoints under /debug/pprof/ — the side listener both sjserved and
-// sjrouter expose with -pprof, kept off the query mux so profiling
-// never rides the public port.
-func PprofMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
 }
 
 // DecodeBody parses a JSON request body, returning an API error for

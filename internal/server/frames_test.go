@@ -50,12 +50,12 @@ func TestBinaryJoinMatchesNDJSON(t *testing.T) {
 
 	// The frame families saw the stream: at least one pairs frame, one
 	// summary, one end; byte counts at least a header per frame.
-	frames := srv.metrics.frames
+	frames := srv.front.Frames
 	for _, typ := range []wire.Type{wire.TypePairs, wire.TypeSummary, wire.TypeEnd} {
 		if n := frames.With(typ.String()).Value(); n < 1 {
 			t.Fatalf("sj_frames_total{type=%q} = %d, want ≥ 1", typ, n)
 		}
-		if b := srv.metrics.frameBytes.With(typ.String()).Value(); b < wire.HeaderSize {
+		if b := srv.front.FrameBytes.With(typ.String()).Value(); b < wire.HeaderSize {
 			t.Fatalf("sj_frame_bytes_total{type=%q} = %d, want ≥ %d", typ, b, wire.HeaderSize)
 		}
 	}

@@ -5,32 +5,18 @@ import (
 	"unijoin/internal/obs"
 )
 
-// metrics is the server's instrumentation: every counter behind
-// GET /v1/stats plus the request/join histograms exposed on
-// GET /metrics. All handles come from one obs.Registry, so the stats
-// endpoint and the Prometheus exposition can never disagree.
+// metrics is the server's own instrumentation: the query and ingest
+// counters behind GET /v1/stats plus the join histograms exposed on
+// GET /metrics. The request families are httpapi.Front's, registered
+// on the same obs.Registry, so the stats endpoint and the Prometheus
+// exposition can never disagree.
 type metrics struct {
 	reg *obs.Registry
 
-	// requests is labeled by endpoint and status class, so a scrape
-	// can tell join 200s from join 504s without a cardinality
-	// explosion (status is the three-digit code as text).
-	requests *obs.CounterVec
-	latency  *obs.HistogramVec // sj_request_seconds{endpoint}
-	inFlight *obs.Gauge
-
 	joins           *obs.Counter
 	windows         *obs.Counter
-	errors          *obs.Counter
-	canceled        *obs.Counter
 	pairsStreamed   *obs.Counter
 	recordsStreamed *obs.Counter
-
-	// Binary-transport families: frames and payload+header bytes
-	// written to negotiated frame streams, by frame type
-	// (pairs/records/summary/error/end).
-	frames     *obs.CounterVec // sj_frames_total{type}
-	frameBytes *obs.CounterVec // sj_frame_bytes_total{type}
 
 	// Ingestion families: appends accepted, records written per
 	// relation, append wall time, compactions triggered, and the
@@ -81,32 +67,14 @@ func newMetrics(reg *obs.Registry) *metrics {
 		reg:           reg,
 		preparedFull:  prepared.With("full"),
 		preparedMerge: prepared.With("merge"),
-		requests: reg.CounterVec("sj_requests_total",
-			"HTTP requests served, by endpoint and status code.",
-			"endpoint", "status"),
-		latency: reg.HistogramVec("sj_request_seconds",
-			"HTTP request wall time in seconds, by endpoint.",
-			nil, "endpoint"),
-		inFlight: reg.Gauge("sj_requests_in_flight",
-			"Requests currently being served."),
 		joins: reg.Counter("sj_joins_total",
 			"Join requests accepted (before validation)."),
 		windows: reg.Counter("sj_windows_total",
 			"Window requests accepted (before validation)."),
-		errors: reg.Counter("sj_errors_total",
-			"Failed requests, excluding cancellations."),
-		canceled: reg.Counter("sj_canceled_total",
-			"Requests canceled by timeout or client disconnect."),
 		pairsStreamed: reg.Counter("sj_pairs_streamed_total",
 			"Result pairs written to join response streams."),
 		recordsStreamed: reg.Counter("sj_records_streamed_total",
 			"Records written to window response streams."),
-		frames: reg.CounterVec("sj_frames_total",
-			"Binary transport frames written, by frame type.",
-			"type"),
-		frameBytes: reg.CounterVec("sj_frame_bytes_total",
-			"Binary transport bytes written (headers included), by frame type.",
-			"type"),
 		appends: reg.Counter("sj_appends_total",
 			"Append requests accepted (before validation)."),
 		ingestRecords: reg.CounterVec("sj_ingest_records_total",

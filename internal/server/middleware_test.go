@@ -52,10 +52,10 @@ func TestMiddlewareStatusCounters(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", resp.StatusCode)
 	}
-	if got := srv.metrics.errors.Value(); got != 2 {
+	if got := srv.front.Errors.Value(); got != 2 {
 		t.Fatalf("errors = %d after a 404 and a 400, want 2", got)
 	}
-	if got := srv.metrics.canceled.Value(); got != 0 {
+	if got := srv.front.Canceled.Value(); got != 0 {
 		t.Fatalf("canceled = %d, want 0", got)
 	}
 
@@ -69,18 +69,18 @@ func TestMiddlewareStatusCounters(t *testing.T) {
 	if err == nil {
 		t.Fatal("want a canceled error from a 1ms join")
 	}
-	if got := srv.metrics.canceled.Value(); got != 1 {
+	if got := srv.front.Canceled.Value(); got != 1 {
 		t.Fatalf("canceled = %d after a 504, want 1", got)
 	}
-	if got := srv.metrics.errors.Value(); got != 2 {
+	if got := srv.front.Errors.Value(); got != 2 {
 		t.Fatalf("errors = %d after a 504, want still 2 (504 is not an error)", got)
 	}
 
 	// The per-status counter families carry the same story.
-	if got := srv.metrics.requests.With("join", "504").Value(); got != 1 {
+	if got := srv.front.Requests.With("join", "504").Value(); got != 1 {
 		t.Fatalf(`requests{join,504} = %d, want 1`, got)
 	}
-	if got := srv.metrics.requests.With("notfound", "404").Value(); got != 1 {
+	if got := srv.front.Requests.With("notfound", "404").Value(); got != 1 {
 		t.Fatalf(`requests{notfound,404} = %d, want 1`, got)
 	}
 }
@@ -112,10 +112,10 @@ func TestMiddlewareHistogramCounts(t *testing.T) {
 	wg.Wait()
 
 	const n = workers * perWorker
-	if got := srv.metrics.latency.With("join").Count(); got != n {
+	if got := srv.front.Latency.With("join").Count(); got != n {
 		t.Fatalf("request histogram observed %d joins, want %d", got, n)
 	}
-	if got := srv.metrics.requests.With("join", "200").Value(); got != n {
+	if got := srv.front.Requests.With("join", "200").Value(); got != n {
 		t.Fatalf(`requests{join,200} = %d, want %d`, got, n)
 	}
 	if got := srv.metrics.joinLatency.With("PQ").Count(); got != n {
@@ -127,7 +127,7 @@ func TestMiddlewareHistogramCounts(t *testing.T) {
 	if v := srv.metrics.joinEWMA.Value("PQ"); v <= 0 {
 		t.Fatalf("join EWMA = %v, want > 0", v)
 	}
-	if fl := srv.metrics.inFlight.Value(); fl != 0 {
+	if fl := srv.front.InFlight.Value(); fl != 0 {
 		t.Fatalf("in-flight gauge = %v after quiesce, want 0", fl)
 	}
 }

@@ -95,7 +95,7 @@ type Server struct {
 	start  time.Time
 	mux    *http.ServeMux
 	// front is the request plumbing shared with the router's serving
-	// layer, wired to this server's metric handles.
+	// layer; its families live in this server's registry.
 	front httpapi.Front
 
 	metrics  *metrics
@@ -126,13 +126,10 @@ func New(cfg Config) *Server {
 		start:   time.Now(),
 		mux:     http.NewServeMux(),
 		metrics: m,
-		front: httpapi.Front{
+		front: httpapi.NewFront(m.reg, httpapi.Front{
 			Log: log, Timeout: cfg.Timeout,
 			Traces: obs.NewTraceStore(cfg.Traces), SlowQuery: cfg.SlowQuery,
-			Requests: m.requests, Latency: m.latency, InFlight: m.inFlight,
-			Errors: m.errors, Canceled: m.canceled,
-			Frames: m.frames, FrameBytes: m.frameBytes,
-		},
+		}),
 	}
 	s.workload = obs.NewWorkload(m.reg, cfg.WorkloadLo, cfg.WorkloadHi, obs.DefaultWorkloadBuckets)
 	f := &s.front
@@ -169,7 +166,7 @@ func (s *Server) Stats() client.Stats {
 	// completes (its status is unknown before then), so accepted
 	// requests — the old entry-time semantics, which count the stats
 	// request reading this — are completed + in-flight.
-	inFlight := int64(s.metrics.inFlight.Value())
+	inFlight := int64(s.front.InFlight.Value())
 	// The delta gauge is recomputed from the catalog at read time, so
 	// it reflects compactions and reloads, not just the last append.
 	var delta int64
@@ -182,12 +179,12 @@ func (s *Server) Stats() client.Stats {
 		Stripe:                s.stripeDTO(),
 		UptimeSeconds:         time.Since(s.start).Seconds(),
 		Relations:             s.cat.Len(),
-		Requests:              s.metrics.requests.Total() + inFlight,
+		Requests:              s.front.Requests.Total() + inFlight,
 		InFlight:              inFlight,
 		Joins:                 s.metrics.joins.Value(),
 		Windows:               s.metrics.windows.Value(),
-		Errors:                s.metrics.errors.Value(),
-		Canceled:              s.metrics.canceled.Value(),
+		Errors:                s.front.Errors.Value(),
+		Canceled:              s.front.Canceled.Value(),
 		PairsStreamed:         s.metrics.pairsStreamed.Value(),
 		RecordsStreamed:       s.metrics.recordsStreamed.Value(),
 		Appends:               s.metrics.appends.Value(),

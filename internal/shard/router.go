@@ -158,12 +158,8 @@ func (r *Router) Health(ctx context.Context) error {
 	})
 }
 
-// Verify health-checks the fleet and validates its sharding: every
-// shard must be reachable, and with more than one shard each must
-// report a -stripe interval, with the intervals tiling the x-axis —
-// otherwise the fleet would drop or double-count pairs. It returns
-// each shard's stats (in endpoint order) for logging.
-func (r *Router) Verify(ctx context.Context) ([]client.Stats, error) {
+// shardStats fetches every shard's stats, in endpoint order.
+func (r *Router) shardStats(ctx context.Context) ([]client.Stats, error) {
 	stats := make([]client.Stats, len(r.clients))
 	err := r.scatter(ctx, func(ctx context.Context, i int, cl *client.Client) error {
 		s, err := cl.Stats(ctx)
@@ -173,6 +169,16 @@ func (r *Router) Verify(ctx context.Context) ([]client.Stats, error) {
 		stats[i] = *s
 		return nil
 	})
+	return stats, err
+}
+
+// Verify health-checks the fleet and validates its sharding: every
+// shard must be reachable, and with more than one shard each must
+// report a -stripe interval, with the intervals tiling the x-axis —
+// otherwise the fleet would drop or double-count pairs. It returns
+// each shard's stats (in endpoint order) for logging.
+func (r *Router) Verify(ctx context.Context) ([]client.Stats, error) {
+	stats, err := r.shardStats(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -350,15 +356,7 @@ func (r *Router) stripes(ctx context.Context) ([]Interval, error) {
 	if r.stripeIvs != nil {
 		return r.stripeIvs, nil
 	}
-	stats := make([]client.Stats, len(r.clients))
-	err := r.scatter(ctx, func(ctx context.Context, i int, cl *client.Client) error {
-		s, err := cl.Stats(ctx)
-		if err != nil {
-			return err
-		}
-		stats[i] = *s
-		return nil
-	})
+	stats, err := r.shardStats(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -486,15 +484,7 @@ func (r *Router) Relations(ctx context.Context) ([]client.RelationInfo, error) {
 // catalog; UptimeSeconds is the youngest shard's (how long the whole
 // fleet has been up); Shards is the fleet size.
 func (r *Router) Stats(ctx context.Context) (*client.Stats, error) {
-	stats := make([]client.Stats, len(r.clients))
-	err := r.scatter(ctx, func(ctx context.Context, i int, cl *client.Client) error {
-		s, err := cl.Stats(ctx)
-		if err != nil {
-			return err
-		}
-		stats[i] = *s
-		return nil
-	})
+	stats, err := r.shardStats(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -63,28 +63,10 @@ func NewService(cfg ServiceConfig) *Service {
 	reg := cfg.Router.Registry()
 	s := &Service{
 		router: cfg.Router, mux: http.NewServeMux(),
-		front: httpapi.Front{
+		front: httpapi.NewFront(reg, httpapi.Front{
 			Log: log, Timeout: cfg.Timeout,
 			Traces: obs.NewTraceStore(cfg.Traces), SlowQuery: cfg.SlowQuery,
-			Requests: reg.CounterVec("sj_requests_total",
-				"HTTP requests served, by endpoint and status code.",
-				"endpoint", "status"),
-			Latency: reg.HistogramVec("sj_request_seconds",
-				"HTTP request wall time in seconds, by endpoint.",
-				nil, "endpoint"),
-			InFlight: reg.Gauge("sj_requests_in_flight",
-				"Requests currently being served."),
-			Errors: reg.Counter("sj_errors_total",
-				"Failed requests, excluding cancellations."),
-			Canceled: reg.Counter("sj_canceled_total",
-				"Requests canceled by timeout or client disconnect."),
-			Frames: reg.CounterVec("sj_frames_total",
-				"Binary transport frames written, by frame type.",
-				"type"),
-			FrameBytes: reg.CounterVec("sj_frame_bytes_total",
-				"Binary transport bytes written (headers included), by frame type.",
-				"type"),
-		},
+		}),
 	}
 	f := &s.front
 	s.mux.Handle("GET /metrics", reg.Handler())

@@ -51,13 +51,6 @@ var Records = Codec[geom.Record]{
 	Decode: geom.DecodeRecord,
 }
 
-// Pairs is the codec for 8-byte join output pairs.
-var Pairs = Codec[geom.Pair]{
-	Size:   geom.PairSize,
-	Encode: func(dst []byte, v geom.Pair) { geom.EncodePair(dst, v) },
-	Decode: geom.DecodePair,
-}
-
 // Writer appends records of type T to a file.
 type Writer[T any] struct {
 	f     *iosim.File

@@ -130,22 +130,6 @@ func TestReaderIsPageEfficientAndSequential(t *testing.T) {
 	}
 }
 
-func TestPairsCodecStream(t *testing.T) {
-	store := newStore()
-	pairs := []geom.Pair{{Left: 1, Right: 2}, {Left: 3, Right: 4}, {Left: 5, Right: 6}}
-	f, err := WriteAll(store, Pairs, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAll(f, Pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != pairs[0] || got[2] != pairs[2] {
-		t.Fatalf("pairs round trip: %v", got)
-	}
-}
-
 func sortedByY(recs []geom.Record) bool {
 	for i := 1; i < len(recs); i++ {
 		if recs[i].Rect.YLo < recs[i-1].Rect.YLo {

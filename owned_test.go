@@ -3,6 +3,7 @@ package unijoin
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -53,16 +54,14 @@ func viaQuery(alg Algorithm) ownedJoin {
 	}}
 }
 
-// viaCore runs one of the core entry points Query does not reach — the
-// two emit sites no algorithm selection leads to.
-func viaCore(name string, tweak func(*core.Options), join func(context.Context, core.Options, *Relation, *Relation) (core.Result, error)) ownedJoin {
-	return ownedJoin{name, func(ctx context.Context, ws *Workspace, a, b *Relation, own *geom.Interval, win *Rect,
+// slabSSSJ runs core.SSSJPartitioned, the one emit site no algorithm
+// selection leads to, over the given number of slabs. Its slabs are
+// ownership intervals of their own, intersected with the caller's.
+func slabSSSJ(slabs int) ownedJoin {
+	return ownedJoin{fmt.Sprintf("slab SSSJ/%d", slabs), func(ctx context.Context, ws *Workspace, a, b *Relation, own *geom.Interval, win *Rect,
 		emit func(Pair), batch func([]Pair)) (int64, error) {
 		o := core.Options{Store: ws.store, Universe: ws.universeFor(Rect{}), Window: win, Own: own, Emit: emit, EmitBatch: batch}
-		if tweak != nil {
-			tweak(&o)
-		}
-		res, err := join(ctx, o, a, b)
+		res, err := core.SSSJPartitioned(ctx, o, a.snapshot().File, b.snapshot().File, slabs)
 		return res.Pairs, err
 	}}
 }
@@ -70,14 +69,26 @@ func viaCore(name string, tweak func(*core.Options), join func(context.Context, 
 var ownedJoins = []ownedJoin{
 	viaQuery(AlgSSSJ), viaQuery(AlgPBSM), viaQuery(AlgST), viaQuery(AlgPQ),
 	viaQuery(AlgBFRJ), viaQuery(AlgAuto), viaQuery(AlgParallel),
-	viaCore("PBSM sort-dedup", func(o *core.Options) { o.PBSMSortDedup = true },
-		func(ctx context.Context, o core.Options, a, b *Relation) (core.Result, error) {
-			return core.PBSM(ctx, o, a.snapshot().File, b.snapshot().File)
-		}),
-	viaCore("slab SSSJ", nil,
-		func(ctx context.Context, o core.Options, a, b *Relation) (core.Result, error) {
-			return core.SSSJPartitioned(ctx, o, a.snapshot().File, b.snapshot().File, 4)
-		}),
+}
+
+// onSlabCuts returns records that end, and records that start, exactly
+// on each cut of the 2-, 3- and 7-slab partitions of u — and one float
+// to either side of it, so that one of the three sits on the cut
+// however core.SSSJPartitioned rounds it. All share a y-band, so an
+// ending record and a starting record of one cut meet in the line
+// x = cut: a pair whose reference point is the boundary itself.
+func onSlabCuts(u Rect) (ending, starting []Record) {
+	for _, slabs := range []int{2, 3, 7} {
+		width := float64(u.Width()) / float64(slabs)
+		for s := 1; s < slabs; s++ {
+			cut := u.XLo + Coord(float64(s)*width)
+			for _, x := range []Coord{math.Nextafter32(cut, u.XLo), cut, math.Nextafter32(cut, u.XHi)} {
+				ending = append(ending, Record{Rect: NewRect(x-25, 300, x, 330)})
+				starting = append(starting, Record{Rect: NewRect(x, 310, x+25, 340)})
+			}
+		}
+	}
+	return ending, starting
 }
 
 // tiling is a named set of intervals that tile the line.
@@ -111,15 +122,17 @@ type ownedSide struct {
 // TestOwnedIntervalsTileTheJoin: for data of every shape, static
 // relations and ones with a delta run on either or both sides, tilings
 // from shard.NewPlan and hand-placed cuts — on a record's left edge, on
-// a record's right edge, with every record centre in one stripe — and
-// one record on each side that spans every stripe: for every way of
+// a record's right edge, with every record centre in one stripe — one
+// record on each side that spans every stripe, and records on each side
+// that end or start exactly on a slab cut of slab SSSJ: for every way of
 // running a join, windowed or not, through CountOnly, Emit and
 // EmitBatch, the per-interval pair sets are disjoint, each pair lies
 // with the interval holding its reference point, their union is the
 // brute-force answer, and each Count is its set's size. That holds
 // with the full relations under every interval and with relations
-// sliced the way a shard loads them. And the unbounded interval is the
-// same as none (checkUnbounded).
+// sliced the way a shard loads them. The unbounded interval is the
+// same as none (checkUnbounded), and with no interval at all every join
+// reports the brute-force answer (checkUnowned).
 func TestOwnedIntervalsTileTheJoin(t *testing.T) {
 	ctx := context.Background()
 	u := NewRect(0, 0, 1000, 1000)
@@ -134,8 +147,9 @@ func TestOwnedIntervalsTileTheJoin(t *testing.T) {
 			t.Run(kind+"/"+form.name, func(t *testing.T) {
 				seed := int64(1000*ki + 10*fi)
 				span := Record{Rect: NewRect(u.XLo, 480, u.XHi, 500)}
-				baseA := renumber(append(gen(seed+1, 180, u), span), 0)
-				baseB := renumber(append(gen(seed+2, 140, u), span), 0)
+				ending, starting := onSlabCuts(u)
+				baseA := renumber(slices.Concat(gen(seed+1, 180, u), []Record{span}, ending[:len(ending)/2], starting[len(starting)/2:]), 0)
+				baseB := renumber(slices.Concat(gen(seed+2, 140, u), []Record{span}, starting[:len(starting)/2], ending[len(ending)/2:]), 0)
 				deltaA := renumber(gen(seed+3, form.da, u), len(baseA))
 				deltaB := renumber(gen(seed+4, form.db, u), len(baseB))
 				allA, allB := slices.Concat(baseA, deltaA), slices.Concat(baseB, deltaB)
@@ -149,6 +163,9 @@ func TestOwnedIntervalsTileTheJoin(t *testing.T) {
 				}
 				full := load(shard.Everything())
 				checkUnbounded(ctx, t, full)
+				// Slab SSSJ reads the log alone, so the four forms are
+				// four data sets to it: each runs one slab count.
+				joins := append(slices.Clone(ownedJoins), slabSSSJ([]int{2, 3, 7, 4}[fi%4]))
 
 				var tilings []tiling
 				for _, k := range []int{1, 2, 3, 7} {
@@ -176,14 +193,15 @@ func TestOwnedIntervalsTileTheJoin(t *testing.T) {
 				}
 				for _, win := range []*Rect{nil, &window} {
 					want := bruteWindow(allA, allB, win)
+					checkUnowned(ctx, t, joins, full, win, want)
 					for _, tl := range tilings {
 						sides := make([]ownedSide, len(tl.ivs))
 						for i := range sides {
 							sides[i] = full
 						}
-						checkTiling(ctx, t, fmt.Sprintf("%s, window %v", tl.name, win), tl.ivs, sides, win, allA, allB, want)
+						checkTiling(ctx, t, joins, fmt.Sprintf("%s, window %v", tl.name, win), tl.ivs, sides, win, allA, allB, want)
 					}
-					checkTiling(ctx, t, fmt.Sprintf("sliced %s, window %v", fleet.name, win), fleet.ivs, sliced, win, allA, allB, want)
+					checkTiling(ctx, t, joins, fmt.Sprintf("sliced %s, window %v", fleet.name, win), fleet.ivs, sliced, win, allA, allB, want)
 				}
 			})
 		}
@@ -193,10 +211,10 @@ func TestOwnedIntervalsTileTheJoin(t *testing.T) {
 // checkTiling runs every join under every interval of a tiling —
 // interval i on sides[i] — and holds the results to the tiling
 // contract against want.
-func checkTiling(ctx context.Context, t *testing.T, what string, ivs []geom.Interval, sides []ownedSide,
+func checkTiling(ctx context.Context, t *testing.T, joins []ownedJoin, what string, ivs []geom.Interval, sides []ownedSide,
 	win *Rect, allA, allB []Record, want map[Pair]bool) {
 	t.Helper()
-	for _, j := range ownedJoins {
+	for _, j := range joins {
 		var counted int64
 		owner := [2]map[Pair]int{{}, {}} // by Emit, by EmitBatch
 		for i, iv := range ivs {
@@ -236,6 +254,22 @@ func checkTiling(ctx context.Context, t *testing.T, what string, ivs []geom.Inte
 		if counted != int64(len(want)) || len(owner[0]) != len(want) || len(owner[1]) != len(want) {
 			t.Fatalf("%s: %s: intervals count %d pairs and deliver %d and %d, brute force finds %d",
 				what, j.name, counted, len(owner[0]), len(owner[1]), len(want))
+		}
+	}
+}
+
+// checkUnowned: with no interval every join reports exactly want.
+func checkUnowned(ctx context.Context, t *testing.T, joins []ownedJoin, s ownedSide, win *Rect, want map[Pair]bool) {
+	t.Helper()
+	for _, j := range joins {
+		got := map[Pair]bool{}
+		n, err := j.run(ctx, s.ws, s.a, s.b, nil, win, func(p Pair) { got[p] = true }, nil)
+		if err != nil {
+			t.Fatalf("%s, window %v: %v", j.name, win, err)
+		}
+		if n != int64(len(want)) || !maps.Equal(got, want) {
+			t.Fatalf("%s, window %v: counts %d pairs and delivers %d distinct, brute force finds %d",
+				j.name, win, n, len(got), len(want))
 		}
 	}
 }

@@ -31,11 +31,12 @@ func clusteredWorkspace(t *testing.T, seed int64, nRoads, nHydro int) (*Workspac
 	return ws, a, b
 }
 
-// joinPairs runs one algorithm and returns its emitted pair set.
-func joinPairs(t *testing.T, ws *Workspace, alg Algorithm, a, b *Relation, opts ...Option) (*Results, map[Pair]bool) {
+// joinPairs runs q and returns its emitted pair set.
+func joinPairs(t *testing.T, q *Query) (*Results, map[Pair]bool) {
 	t.Helper()
+	alg := q.alg
 	got := map[Pair]bool{}
-	res, err := ws.Query(a, b, opts...).Algorithm(alg).Emit(func(p Pair) {
+	res, err := q.Emit(func(p Pair) {
 		if got[p] {
 			t.Fatalf("%v: pair %v emitted twice", alg, p)
 		}
@@ -70,14 +71,13 @@ func TestParallelMatchesSerialAlgorithms(t *testing.T) {
 		}
 		for name, mk := range workspaces {
 			ws, a, b := mk()
-			_, wantSSSJ := joinPairs(t, ws, AlgSSSJ, a, b)
-			_, wantPQ := joinPairs(t, ws, AlgPQ, a, b)
+			_, wantSSSJ := joinPairs(t, ws.Query(a, b).Algorithm(AlgSSSJ))
+			_, wantPQ := joinPairs(t, ws.Query(a, b).Algorithm(AlgPQ))
 			if len(wantSSSJ) != len(wantPQ) {
 				t.Fatalf("%s: serial algorithms disagree: SSSJ %d, PQ %d", name, len(wantSSSJ), len(wantPQ))
 			}
 			for _, k := range []int{1, 2, 8} {
-				res, got := joinPairs(t, ws, AlgParallel, a, b,
-					WithParallelism(4), WithPartitions(k))
+				res, got := joinPairs(t, ws.Query(a, b).Algorithm(AlgParallel).Parallelism(4).Partitions(k))
 				if len(got) != len(wantSSSJ) {
 					t.Fatalf("%s k=%d: parallel %d pairs, serial %d", name, k, len(got), len(wantSSSJ))
 				}
@@ -97,10 +97,9 @@ func TestParallelMatchesSerialAlgorithms(t *testing.T) {
 func TestParallelWindowMatchesPQ(t *testing.T) {
 	ws, a, b := clusteredWorkspace(t, 77, 900, 600)
 	w := NewRect(150, 150, 450, 450)
-	_, want := joinPairs(t, ws, AlgPQ, a, b, WithWindow(w))
+	_, want := joinPairs(t, ws.Query(a, b).Algorithm(AlgPQ).Window(w))
 	for _, k := range []int{1, 2, 8} {
-		_, got := joinPairs(t, ws, AlgParallel, a, b,
-			WithWindow(w), WithParallelism(2), WithPartitions(k))
+		_, got := joinPairs(t, ws.Query(a, b).Algorithm(AlgParallel).Window(w).Parallelism(2).Partitions(k))
 		if len(got) != len(want) {
 			t.Fatalf("k=%d: windowed parallel %d pairs, PQ %d", k, len(got), len(want))
 		}

@@ -13,8 +13,7 @@ import (
 
 // Query is a composable spatial join: a pair of relations plus the
 // knobs that shape the run. Build one with Workspace.Query, configure
-// it with chained builder methods (or the equivalent With* functional
-// options), and execute it with Run:
+// it with chained builder methods, and execute it with Run:
 //
 //	res, err := ws.Query(roads, hydro).
 //		Algorithm(unijoin.AlgPQ).
@@ -28,25 +27,30 @@ type Query struct {
 	ws        *Workspace
 	a, b      *Relation
 	alg       Algorithm
-	opts      JoinOptions
+	opts      joinOptions
 	countOnly bool
 }
 
-// Query starts a join of a and b on the workspace. Options may be
-// supplied here (the one-shot style), added with With via functional
-// options, or set with the chainable builder methods — all three
-// spellings configure the same Query.
-func (w *Workspace) Query(a, b *Relation, opts ...Option) *Query {
-	q := &Query{ws: w, a: a, b: b, alg: AlgPQ}
-	return q.With(opts...)
+// joinOptions is the knob block behind a Query, one field per builder
+// method; the zero value means defaults.
+type joinOptions struct {
+	MemoryBytes        int
+	BufferPoolBytes    int
+	Machine            Machine
+	Window             *Rect
+	UseForwardSweep    bool
+	PBSMTilesPerAxis   int
+	Parallelism        int
+	ParallelPartitions int
+	Emit               func(Pair)
+	EmitBatch          func([]Pair)
+	own                *geom.Interval
 }
 
-// With applies functional options to the query.
-func (q *Query) With(opts ...Option) *Query {
-	for _, opt := range opts {
-		opt(q)
-	}
-	return q
+// Query starts a join of a and b on the workspace, to be configured
+// with the chainable builder methods.
+func (w *Workspace) Query(a, b *Relation) *Query {
+	return &Query{ws: w, a: a, b: b, alg: AlgPQ}
 }
 
 // Algorithm selects the join strategy (default AlgPQ).
@@ -63,7 +67,7 @@ func (q *Query) Window(r Rect) *Query { q.opts.Window = &r; return q }
 // for every algorithm; the test runs inside the join kernels, so
 // Count, the Emit callbacks and Results.Pairs see owned pairs only and
 // CountOnly stays the counting fast path. It is the serving layer's
-// hook for sjserved -stripe and deliberately has no With* spelling.
+// hook for sjserved -stripe.
 func (q *Query) Owned(lo, hi Coord) *Query {
 	q.opts.own = &geom.Interval{Lo: lo, Hi: hi}
 	return q
@@ -73,7 +77,11 @@ func (q *Query) Owned(lo, hi Coord) *Query {
 // GOMAXPROCS). Other algorithms ignore it.
 func (q *Query) Parallelism(n int) *Query { q.opts.Parallelism = n; return q }
 
-// Partitions overrides the parallel engine's stripe count.
+// Partitions overrides the parallel engine's stripe count. Left unset,
+// the engine chooses it per query from the window-qualified inputs'
+// sizes and mean extents: enough stripes to keep the forward scans
+// short, few enough to keep replication low (Results.Parallel.Partitions
+// reports the choice).
 func (q *Query) Partitions(n int) *Query { q.opts.ParallelPartitions = n; return q }
 
 // Memory sets the simulated internal-memory budget in bytes.
@@ -97,7 +105,9 @@ func (q *Query) PBSMTiles(n int) *Query { q.opts.PBSMTilesPerAxis = n; return q 
 
 // Emit streams each result pair to fn as (or, for AlgParallel, after)
 // it is found. A query with an Emit callback does not buffer pairs,
-// so Results.Pairs yields nothing.
+// so Results.Pairs yields nothing. AlgParallel calls fn on the caller's
+// goroutine in deterministic partition order after the concurrent
+// phase, so the callback need not be thread-safe.
 func (q *Query) Emit(fn func(Pair)) *Query { q.opts.Emit = fn; return q }
 
 // EmitBatch streams result pairs to fn in pooled batches — the fast
@@ -113,46 +123,6 @@ func (q *Query) EmitBatch(fn func([]Pair)) *Query { q.opts.EmitBatch = fn; retur
 // callback at all. It is a no-op when an Emit or EmitBatch callback
 // is set (those queries already stream instead of buffering).
 func (q *Query) CountOnly() *Query { q.countOnly = true; return q }
-
-// Option is a functional query option, the one-shot spelling of the
-// builder methods: ws.Query(a, b, unijoin.WithWindow(r)).Run(ctx).
-type Option func(*Query)
-
-// WithAlgorithm selects the join strategy.
-func WithAlgorithm(alg Algorithm) Option { return func(q *Query) { q.Algorithm(alg) } }
-
-// WithWindow restricts the join to pairs intersecting r.
-func WithWindow(r Rect) Option { return func(q *Query) { q.Window(r) } }
-
-// WithParallelism sets the AlgParallel worker count.
-func WithParallelism(n int) Option { return func(q *Query) { q.Parallelism(n) } }
-
-// WithPartitions overrides the parallel engine's stripe count.
-func WithPartitions(n int) Option { return func(q *Query) { q.Partitions(n) } }
-
-// WithMemory sets the simulated internal-memory budget in bytes.
-func WithMemory(bytes int) Option { return func(q *Query) { q.Memory(bytes) } }
-
-// WithBufferPool sets ST's LRU buffer pool size in bytes.
-func WithBufferPool(bytes int) Option { return func(q *Query) { q.BufferPool(bytes) } }
-
-// WithMachine selects the platform for AlgAuto's cost model.
-func WithMachine(m Machine) Option { return func(q *Query) { q.Machine(m) } }
-
-// WithForwardSweep switches the kernel to the Forward-Sweep structure.
-func WithForwardSweep() Option { return func(q *Query) { q.ForwardSweep() } }
-
-// WithPBSMTiles overrides PBSM's tile grid resolution.
-func WithPBSMTiles(n int) Option { return func(q *Query) { q.PBSMTiles(n) } }
-
-// WithEmit streams each result pair to fn.
-func WithEmit(fn func(Pair)) Option { return func(q *Query) { q.Emit(fn) } }
-
-// WithEmitBatch streams result pairs to fn in pooled batches.
-func WithEmitBatch(fn func([]Pair)) Option { return func(q *Query) { q.EmitBatch(fn) } }
-
-// WithCountOnly drops result pairs, keeping only the accounting.
-func WithCountOnly() Option { return func(q *Query) { q.CountOnly() } }
 
 // Run executes the query under ctx and returns its Results. The
 // context is honored through every phase — sorting, partitioning,
@@ -200,11 +170,8 @@ func (q *Query) Run(ctx context.Context) (*Results, error) {
 // dispatch runs one algorithm with fully-resolved options against two
 // pinned relation versions, filling engine-specific extras (the
 // parallel report) into res.
-func (w *Workspace) dispatch(ctx context.Context, alg Algorithm, a, b *ingest.Version, opts *JoinOptions, res *Results) (JoinResult, error) {
-	o, err := w.coreOptionsFor(a, b, opts)
-	if err != nil {
-		return JoinResult{}, err
-	}
+func (w *Workspace) dispatch(ctx context.Context, alg Algorithm, a, b *ingest.Version, opts *joinOptions, res *Results) (JoinResult, error) {
+	o := w.coreOptions(a.MBR.Union(b.MBR), *opts)
 	switch alg {
 	case AlgSSSJ:
 		r, err := core.SSSJ(ctx, o, a.File, b.File)
@@ -250,7 +217,7 @@ func (w *Workspace) dispatch(ctx context.Context, alg Algorithm, a, b *ingest.Ve
 // query that finds a run cold or unmerged pays for the build (a cold
 // build's read pass is charged to the store counters like any scan)
 // and reports it as res.Prepared and Result.PrepareWall.
-func (w *Workspace) runParallel(ctx context.Context, a, b *ingest.Version, opts *JoinOptions, res *Results) (core.Result, error) {
+func (w *Workspace) runParallel(ctx context.Context, a, b *ingest.Version, opts *joinOptions, res *Results) (core.Result, error) {
 	po := parallel.Options{Universe: w.universeFor(a.MBR.Union(b.MBR))}
 	po.Workers = opts.Parallelism
 	po.Partitions = opts.ParallelPartitions
@@ -307,23 +274,19 @@ func (w *Workspace) runParallel(ctx context.Context, a, b *ingest.Version, opts 
 	}, nil
 }
 
-// coreOptionsFor maps the public JoinOptions onto the core layer's,
-// for two pinned relation versions.
-func (w *Workspace) coreOptionsFor(a, b *ingest.Version, opts *JoinOptions) (core.Options, error) {
-	if a == nil || b == nil {
-		return core.Options{}, fmt.Errorf("%w: join needs two relations", ErrNilRelation)
+// coreOptions maps a query's knobs onto the core layer's, for inputs
+// bounded by mbr.
+func (w *Workspace) coreOptions(mbr Rect, opts joinOptions) core.Options {
+	return core.Options{
+		Store:            w.store,
+		Universe:         w.universeFor(mbr),
+		MemoryBytes:      opts.MemoryBytes,
+		BufferPoolBytes:  opts.BufferPoolBytes,
+		UseForwardSweep:  opts.UseForwardSweep,
+		PBSMTilesPerAxis: opts.PBSMTilesPerAxis,
+		Window:           opts.Window,
+		Own:              opts.own,
+		Emit:             opts.Emit,
+		EmitBatch:        opts.EmitBatch,
 	}
-	u := w.universeFor(a.MBR.Union(b.MBR))
-	o := core.Options{Store: w.store, Universe: u}
-	if opts != nil {
-		o.MemoryBytes = opts.MemoryBytes
-		o.BufferPoolBytes = opts.BufferPoolBytes
-		o.UseForwardSweep = opts.UseForwardSweep
-		o.PBSMTilesPerAxis = opts.PBSMTilesPerAxis
-		o.Window = opts.Window
-		o.Own = opts.own
-		o.Emit = opts.Emit
-		o.EmitBatch = opts.EmitBatch
-	}
-	return o, nil
 }

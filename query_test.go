@@ -180,24 +180,24 @@ func TestQueryCountOnlyAndIteratorBreak(t *testing.T) {
 	}
 }
 
-// TestQueryFunctionalOptions checks the With* one-shot spelling
-// configures the same query as the builder methods.
-func TestQueryFunctionalOptions(t *testing.T) {
+// TestQueryBuilderChain checks a chain of builder methods configures
+// one query: algorithm, window and callback all apply.
+func TestQueryBuilderChain(t *testing.T) {
 	ws, a, b, ra, rb := demoWorkspace(t)
 	w := NewRect(0, 0, 300, 300)
 	want := bruteWindow(ra, rb, &w)
 
 	var n int64
-	res, err := ws.Query(a, b,
-		WithAlgorithm(AlgSSSJ),
-		WithWindow(w),
-		WithEmit(func(Pair) { n++ }),
-	).Run(context.Background())
+	res, err := ws.Query(a, b).
+		Algorithm(AlgSSSJ).
+		Window(w).
+		Emit(func(Pair) { n++ }).
+		Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(len(want)) || res.Count() != n {
-		t.Fatalf("functional options: emitted %d, counted %d, want %d", n, res.Count(), len(want))
+		t.Fatalf("builder chain: emitted %d, counted %d, want %d", n, res.Count(), len(want))
 	}
 }
 
@@ -249,10 +249,10 @@ func TestQueryPreCanceledContext(t *testing.T) {
 		}
 	}
 	// Multiway and Plan honor the canceled context too.
-	if _, err := ws.MultiwayJoin(ctx, []*Relation{a, b}, nil, nil); !errors.Is(err, ErrCanceled) {
+	if _, err := ws.MultiwayJoin(ctx, []*Relation{a, b}, nil); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("multiway: %v", err)
 	}
-	if _, err := ws.Plan(ctx, Machine1, a, b, nil); !errors.Is(err, ErrCanceled) {
+	if _, err := ws.Plan(ctx, Machine1, a, b); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("plan: %v", err)
 	}
 }

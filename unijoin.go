@@ -40,13 +40,9 @@
 //	}
 //
 // Builder methods chain (Algorithm, Window, Parallelism, Memory,
-// Emit, ...); the equivalent With* functional options serve one-shot
-// calls:
+// Emit, ...):
 //
-//	res, err := ws.Query(roads, hydro,
-//		unijoin.WithWindow(r),
-//		unijoin.WithParallelism(8),
-//	).Run(ctx)
+//	res, err := ws.Query(roads, hydro).Window(r).Parallelism(8).Run(ctx)
 //
 // Canceling ctx (or exceeding its deadline) aborts the join mid-run
 // with an error matching errors.Is(err, unijoin.ErrCanceled); other
@@ -518,60 +514,12 @@ func (w *Workspace) universeFor(fallback Rect) Rect {
 	return NewRect(0, 0, 1, 1)
 }
 
-// JoinOptions is the knob block behind a Query: every field has a
-// builder method (Query.Window, Query.Parallelism, ...) and a
-// functional option (WithWindow, WithParallelism, ...), which are the
-// primary ways to set it — build a Query with ws.Query(a, b), not a
-// JoinOptions literal. The struct is also the parameter block of
-// MultiwayJoin and Plan. Fields mirror the paper's experimental knobs;
-// the zero value means defaults.
-type JoinOptions struct {
-	// MemoryBytes is the simulated internal memory (default 24 MB).
-	MemoryBytes int
-	// BufferPoolBytes is ST's LRU pool (default 22 MB).
-	BufferPoolBytes int
-	// Machine selects the platform for AlgAuto's cost model (default
-	// Machine3).
-	Machine Machine
-	// Window restricts the join to pairs intersecting this rectangle.
-	Window *Rect
-	// UseForwardSweep switches the serial algorithms' sweep kernel to
-	// the Forward-Sweep structure (the paper's ablation). AlgParallel
-	// ignores it: its kernel keeps no structure to swap.
-	UseForwardSweep bool
-	// PBSMTilesPerAxis overrides PBSM's tile resolution (default 128).
-	PBSMTilesPerAxis int
-	// Parallelism is the worker count for AlgParallel (default
-	// GOMAXPROCS). Other algorithms ignore it.
-	Parallelism int
-	// ParallelPartitions overrides the parallel engine's stripe count.
-	// Zero, the default, lets the engine choose it per query from the
-	// window-qualified inputs' sizes and mean extents: enough stripes
-	// to keep the forward scans short, few enough to keep replication
-	// low (Results.Parallel.Partitions reports the choice).
-	ParallelPartitions int
-	// Emit receives each result pair as the join finds it; see
-	// Query.Emit for where pairs go when it is nil (Query.Run buffers
-	// them for Results.Pairs unless CountOnly is set). AlgParallel calls
-	// Emit on the caller's goroutine in deterministic partition order
-	// after the concurrent phase, so the callback need not be
-	// thread-safe.
-	Emit func(Pair)
-	// EmitBatch receives result pairs in pooled batches; see
-	// Query.EmitBatch. Mutually exclusive with Emit.
-	EmitBatch func([]Pair)
-
-	// own is the ownership interval of Query.Owned, the one knob with no
-	// exported spelling here: only a Query can set it.
-	own *geom.Interval
-}
-
 // MultiwayJoin computes the k-way intersection join of the relations
 // (k >= 2) with the pipelined PQ strategy of Section 4, under ctx:
 // every pipeline stage polls the context, so canceling it aborts the
 // whole multiway join with ErrCanceled. emit receives the IDs of each
 // result tuple in input order.
-func (w *Workspace) MultiwayJoin(ctx context.Context, rels []*Relation, opts *JoinOptions, emit func(ids []ID)) (core.MultiwayResult, error) {
+func (w *Workspace) MultiwayJoin(ctx context.Context, rels []*Relation, emit func(ids []ID)) (core.MultiwayResult, error) {
 	if len(rels) < 2 {
 		return core.MultiwayResult{}, fmt.Errorf("unijoin: multiway join needs >= 2 relations")
 	}
@@ -586,35 +534,24 @@ func (w *Workspace) MultiwayJoin(ctx context.Context, rels []*Relation, opts *Jo
 	for i, r := range rels {
 		versions[i] = r.snapshot()
 	}
-	o, err := w.coreOptionsFor(versions[0], versions[1], opts)
-	if err != nil {
-		return core.MultiwayResult{}, err
-	}
 	mbr := geom.EmptyRect()
-	for _, v := range versions {
-		mbr = mbr.Union(v.MBR)
-	}
-	o.Universe = w.universeFor(mbr)
 	inputs := make([]core.Input, len(versions))
 	for i, v := range versions {
+		mbr = mbr.Union(v.MBR)
 		inputs[i] = versionInput(v)
 	}
-	return core.MultiwayPQ(ctx, o, inputs, emit)
+	return core.MultiwayPQ(ctx, w.coreOptions(mbr, joinOptions{}), inputs, emit)
 }
 
 // Plan runs only the Section 6.3 cost model, without executing the
 // join; histogram construction polls ctx.
-func (w *Workspace) Plan(ctx context.Context, m Machine, a, b *Relation, opts *JoinOptions) (core.Decision, error) {
+func (w *Workspace) Plan(ctx context.Context, m Machine, a, b *Relation) (core.Decision, error) {
 	if a == nil || b == nil {
 		return core.Decision{}, fmt.Errorf("%w: plan needs two relations", ErrNilRelation)
 	}
 	va, vb := a.snapshot(), b.snapshot()
-	o, err := w.coreOptionsFor(va, vb, opts)
-	if err != nil {
-		return core.Decision{}, err
-	}
 	p := core.Planner{Machine: m}
-	return p.Plan(ctx, o, versionInput(va), versionInput(vb))
+	return p.Plan(ctx, w.coreOptions(va.MBR.Union(vb.MBR), joinOptions{}), versionInput(va), versionInput(vb))
 }
 
 // versionInput adapts a pinned relation version to the core layer's

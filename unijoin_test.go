@@ -160,14 +160,14 @@ func TestWorkspaceMultiwayJoin(t *testing.T) {
 		}
 	}
 	var got int
-	res, err := ws.MultiwayJoin(context.Background(), []*Relation{a, b, c}, nil, func(ids []ID) { got++ })
+	res, err := ws.MultiwayJoin(context.Background(), []*Relation{a, b, c}, func(ids []ID) { got++ })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want || res.Tuples != int64(want) {
 		t.Fatalf("triples = %d, want %d", got, want)
 	}
-	if _, err := ws.MultiwayJoin(context.Background(), []*Relation{a}, nil, nil); err == nil {
+	if _, err := ws.MultiwayJoin(context.Background(), []*Relation{a}, nil); err == nil {
 		t.Fatal("single relation must error")
 	}
 }
@@ -181,7 +181,7 @@ func TestWorkspacePlan(t *testing.T) {
 	if err := big.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	d, err := ws.Plan(context.Background(), Machine1, big, small, nil)
+	d, err := ws.Plan(context.Background(), Machine1, big, small)
 	if err != nil {
 		t.Fatal(err)
 	}
