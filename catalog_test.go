@@ -21,7 +21,7 @@ func TestCatalogLoadGetDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Indexed() {
+	if !a.Pin().Indexed() {
 		t.Fatal("Load(index=true) did not build the R-tree")
 	}
 	if _, err := c.Load("roads", demoRecords(2, 10, u), false); err == nil {
@@ -31,7 +31,7 @@ func TestCatalogLoadGetDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Indexed() {
+	if b.Pin().Indexed() {
 		t.Fatal("Load(index=false) built an index")
 	}
 

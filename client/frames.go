@@ -87,14 +87,15 @@ func relay[S any](body io.Reader, data wire.Type, onFrame func(raw []byte) error
 				}
 			}
 		case wire.TypeSummary, wire.TypeError:
-			if err := wire.Verify(raw); err != nil {
+			f, err := wire.Verify(raw)
+			if err != nil {
 				return nil, frameError("%v", err)
 			}
 			var into any = &apiErr
 			if t == wire.TypeSummary {
 				into = &summary
 			}
-			if err := json.Unmarshal(raw[wire.HeaderSize:], into); err != nil {
+			if err := json.Unmarshal(f.Payload, into); err != nil {
 				return nil, frameError("bad %s frame: %v", t, err)
 			}
 		case wire.TypeEnd:
@@ -119,9 +120,9 @@ func relay[S any](body io.Reader, data wire.Type, onFrame func(raw []byte) error
 // to onData to unpack, its payload valid only until onData returns.
 func decodeFrames[S any](body io.Reader, data wire.Type, onData func(wire.Frame) error) (*S, error) {
 	return relay[S](body, data, func(raw []byte) error {
-		err := wire.Verify(raw)
+		f, err := wire.Verify(raw)
 		if err == nil {
-			err = onData(wire.Frame{Type: data, Payload: raw[wire.HeaderSize:]})
+			err = onData(f)
 		}
 		if err != nil {
 			return frameError("%v", err)

@@ -150,7 +150,7 @@ func main() {
 	}
 
 	fmt.Printf("algorithm:       %s\n", algorithm)
-	fmt.Printf("inputs:          %d x %d records\n", a.Len(), b.Len())
+	fmt.Printf("inputs:          %d x %d records\n", a.Pin().Len(), b.Pin().Len())
 	fmt.Printf("result pairs:    %d\n", res.Count())
 	fmt.Printf("page accesses:   %d (%d seq reads, %d rand reads, %d writes)\n",
 		res.IO.Total(), res.IO.SeqReads, res.IO.RandReads, res.IO.Writes())

@@ -56,7 +56,7 @@ func main() {
 		r, _ := cat.Get("roads")
 		h, _ := cat.Get("hydro")
 		fmt.Printf("shard %d  stripe %-12s  roads %6d  hydro %6d\n",
-			i, iv.String(), r.Len(), h.Len())
+			i, iv.String(), r.Pin().Len(), h.Pin().Len())
 	}
 
 	// 3. The router: verifies the fleet tiles the x-axis, then serves

@@ -123,8 +123,8 @@ func TestAppendEpochIsolationAllAlgorithms(t *testing.T) {
 			}
 		})
 	}
-	if a.DeltaRecords() != int64(len(algs)*150) {
-		t.Fatalf("delta records %d, want %d", a.DeltaRecords(), len(algs)*150)
+	if a.Pin().DeltaRecords() != int64(len(algs)*150) {
+		t.Fatalf("delta records %d, want %d", a.Pin().DeltaRecords(), len(algs)*150)
 	}
 
 	// Compaction rebuilds the packed layout without changing answers.
@@ -132,8 +132,8 @@ func TestAppendEpochIsolationAllAlgorithms(t *testing.T) {
 	if err != nil || !did {
 		t.Fatalf("compact: did=%v err=%v", did, err)
 	}
-	if a.DeltaRecords() != 0 {
-		t.Fatalf("delta records %d after compaction", a.DeltaRecords())
+	if a.Pin().DeltaRecords() != 0 {
+		t.Fatalf("delta records %d after compaction", a.Pin().DeltaRecords())
 	}
 	res, err := ws.Query(a, b).Algorithm(AlgST).CountOnly().Run(context.Background())
 	if err != nil {
@@ -174,7 +174,7 @@ func TestConcurrentAppendsWithStreamingQueries(t *testing.T) {
 	if err := b.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	epoch0 := a.Epoch() // appends bump the epoch by one per batch
+	epoch0 := a.Pin().Epoch() // appends bump the epoch by one per batch
 
 	// Reference pair sets and window ID sets for each prefix k.
 	win := NewRect(200, 200, 700, 700)
@@ -244,13 +244,13 @@ func TestConcurrentAppendsWithStreamingQueries(t *testing.T) {
 					return
 				default:
 				}
-				k1 := a.Epoch() - epoch0
+				k1 := a.Pin().Epoch() - epoch0
 				res, err := ws.Query(a, b).Algorithm(alg).Run(context.Background())
 				if err != nil {
 					errs <- fmt.Errorf("%v: %w", alg, err)
 					return
 				}
-				k2 := a.Epoch() - epoch0
+				k2 := a.Pin().Epoch() - epoch0
 				got := make(map[Pair]bool)
 				for p := range res.Pairs() {
 					got[p] = true
@@ -271,14 +271,14 @@ func TestConcurrentAppendsWithStreamingQueries(t *testing.T) {
 				return
 			default:
 			}
-			k1 := a.Epoch() - epoch0
+			k1 := a.Pin().Epoch() - epoch0
 			got := make(map[ID]bool)
 			n, err := a.WindowQuery(context.Background(), win, func(r Record) { got[r.ID] = true })
 			if err != nil {
 				errs <- fmt.Errorf("window: %w", err)
 				return
 			}
-			k2 := a.Epoch() - epoch0
+			k2 := a.Pin().Epoch() - epoch0
 			if int64(len(got)) != n {
 				errs <- fmt.Errorf("window: emitted %d but counted %d", len(got), n)
 				return
@@ -450,8 +450,8 @@ func BenchmarkWindowQueryWithDelta(b *testing.B) {
 			if _, err := forms[0].Compact(); err != nil {
 				b.Fatal(err)
 			}
-			if forms[0].DeltaRecords() != 0 || forms[1].DeltaRecords() != int64(delta) {
-				b.Fatalf("deltas %d and %d, want 0 and %d", forms[0].DeltaRecords(), forms[1].DeltaRecords(), delta)
+			if forms[0].Pin().DeltaRecords() != 0 || forms[1].Pin().DeltaRecords() != int64(delta) {
+				b.Fatalf("deltas %d and %d, want 0 and %d", forms[0].Pin().DeltaRecords(), forms[1].Pin().DeltaRecords(), delta)
 			}
 			rng := rand.New(rand.NewSource(52))
 			windows := make([]Rect, 256)

@@ -29,15 +29,10 @@ import (
 // mark is reported in Result.ScannerMaxBytes (it plays the same
 // "algorithm working memory" role as PQ's priority queue).
 func BFRJ(ctx context.Context, opts Options, ta, tb *rtree.Tree) (Result, error) {
-	ctx = orBG(ctx)
-	o, err := opts.withDefaults()
-	if err != nil {
-		return Result{}, err
-	}
 	if ta == nil || tb == nil {
 		return Result{}, needsIndexErr("BFRJ")
 	}
-	return run(ctx, o, "BFRJ", func(o Options, res *Result) error {
+	return run(ctx, opts, "BFRJ", func(ctx context.Context, o Options, res *Result) error {
 		pool := iosim.NewBufferPoolBytes(o.Store, o.BufferPoolBytes)
 		type pagePair struct{ a, b iosim.PageID }
 

@@ -129,8 +129,8 @@ type Options struct {
 	// share of the join; the shares of intervals that tile the line are
 	// disjoint and sum to the whole. The test runs where each algorithm
 	// holds both rectangles (emitPair, pairSink), so Result.Pairs and
-	// the callbacks see owned pairs only. MultiwayPQ ignores it: a tuple
-	// has no pair reference point.
+	// the callbacks see owned pairs only. MultiwayPQ refuses it
+	// (errors.ErrUnsupported): a tuple has no pair reference point.
 	Own *geom.Interval
 
 	// Emit receives every result pair. nil counts pairs without
@@ -318,14 +318,20 @@ func (r Result) String() string {
 	return fmt.Sprintf("%s: %d pairs, io {%s}, cpu %v", r.Algorithm, r.Pairs, r.IO, r.HostCPU)
 }
 
-// run wraps the common scaffolding shared by every algorithm: the
-// initial cancellation check, counter snapshots and wall-clock timing,
-// the EmitBatch batcher (installed as the Options.Emit the body sees,
-// flushed on success, its pooled buffer released either way), and the
-// normalization of context errors into the ErrCanceled chain.
-func run(ctx context.Context, o Options, name string, body func(o Options, res *Result) error) (Result, error) {
+// run wraps the common scaffolding shared by every algorithm: a nil
+// context normalized and the options validated and defaulted (the body
+// receives both), the initial cancellation check, counter snapshots
+// and wall-clock timing, the EmitBatch batcher (installed as the
+// Options.Emit the body sees, flushed on success, its pooled buffer
+// released either way), and the normalization of context errors into
+// the ErrCanceled chain.
+func run(ctx context.Context, opts Options, name string, body func(ctx context.Context, o Options, res *Result) error) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	o, err := opts.withDefaults()
+	if err != nil {
+		return Result{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, wrapCanceled(err)
@@ -340,7 +346,7 @@ func run(ctx context.Context, o Options, name string, body func(o Options, res *
 	before := o.Store.Counters()
 	beforeDirect := o.Store.DirectCounters()
 	start := time.Now()
-	err := body(o, &res)
+	err = body(ctx, o, &res)
 	if bt != nil {
 		if err == nil {
 			bt.Flush()

@@ -43,15 +43,6 @@ func needsIndexErr(alg string) error {
 	return fmt.Errorf("%w: %s requires R-trees on both inputs", ErrNeedsIndex, alg)
 }
 
-// orBG normalizes a nil context so algorithm bodies can poll ctx.Err
-// unconditionally.
-func orBG(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background()
-	}
-	return ctx
-}
-
 // WrapCanceled normalizes context errors bubbling out of a join into
 // the ErrCanceled chain; other errors pass through unchanged. The
 // public unijoin layer uses it to normalize errors from paths that do

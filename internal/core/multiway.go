@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -34,14 +35,12 @@ type MultiwayResult struct {
 // scan, and sweep polls it, so canceling the context aborts the whole
 // multiway pipeline at the stage it is in.
 func MultiwayPQ(ctx context.Context, opts Options, inputs []Input, emit func(ids []geom.ID)) (MultiwayResult, error) {
-	ctx = orBG(ctx)
 	var mres MultiwayResult
-	o, err := opts.withDefaults()
-	if err != nil {
-		return mres, err
-	}
 	if len(inputs) < 2 {
 		return mres, fmt.Errorf("core: multiway join needs at least 2 inputs, got %d", len(inputs))
+	}
+	if opts.Own != nil {
+		return mres, fmt.Errorf("core: Options.Own on a multiway join: %w", errors.ErrUnsupported)
 	}
 
 	// current holds the running intersection tuples: rectangle plus the
@@ -55,9 +54,9 @@ func MultiwayPQ(ctx context.Context, opts Options, inputs []Input, emit func(ids
 	// Each stage is the unified join with a record-pair collector (a
 	// tuple needs the rectangles). Pair callbacks are not meaningful
 	// mid-pipeline, so the stages run without them.
-	o.Emit, o.EmitBatch = nil, nil
+	opts.Emit, opts.EmitBatch = nil, nil
 	stage := func(name string, a, b sideFn, collect func(ra, rb geom.Record)) error {
-		res, err := run(ctx, o, name, func(o Options, res *Result) error {
+		res, err := run(ctx, opts, name, func(ctx context.Context, o Options, res *Result) error {
 			return sweepSides(ctx, o, res, a, b, collect)
 		})
 		if err == nil {
@@ -68,7 +67,7 @@ func MultiwayPQ(ctx context.Context, opts Options, inputs []Input, emit func(ids
 	}
 
 	// Stage 1: inputs[0] x inputs[1], the standard PQ join.
-	err = stage("PQ", o.sorted(ctx, inputs[0], inputs[1]), o.sorted(ctx, inputs[1], inputs[0]),
+	err := stage("PQ", sorted(inputs[0], inputs[1]), sorted(inputs[1], inputs[0]),
 		func(ra, rb geom.Record) {
 			if in, ok := ra.Rect.Intersection(rb.Rect); ok {
 				current = append(current, tuple{rect: in, ids: []geom.ID{ra.ID, rb.ID}})
@@ -89,8 +88,8 @@ func MultiwayPQ(ctx context.Context, opts Options, inputs []Input, emit func(ids
 		prev := current
 		current = nil
 		err := stage("PQ-stage",
-			func() (pqSide, error) { return pqSide{src: sweep.NewSliceSource(recs)}, nil },
-			o.sorted(ctx, next, Input{}),
+			func(context.Context, Options) (pqSide, error) { return pqSide{src: sweep.NewSliceSource(recs)}, nil },
+			sorted(next, Input{}),
 			func(ri, rb geom.Record) {
 				if in, ok := ri.Rect.Intersection(rb.Rect); ok {
 					ids := slices.Concat(prev[ri.ID].ids, []geom.ID{rb.ID})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"testing"
@@ -165,11 +166,23 @@ func TestMultiwayFourWay(t *testing.T) {
 func TestMultiwayValidation(t *testing.T) {
 	u := geom.NewRect(0, 0, 100, 100)
 	e := buildEnv(t, u, genUniform(80, 20, u, 10), genUniform(81, 20, u, 10))
-	if _, err := MultiwayPQ(bg, e.options(), []Input{TreeInput(e.treeA)}, nil); err == nil {
-		t.Fatal("fewer than 2 inputs must error")
-	}
-	if _, err := MultiwayPQ(bg, Options{}, []Input{TreeInput(e.treeA), TreeInput(e.treeB)}, nil); err == nil {
-		t.Fatal("missing store must error")
+	both := []Input{TreeInput(e.treeA), TreeInput(e.treeB)}
+	owned := e.options()
+	owned.Own = &geom.Interval{Lo: 0, Hi: 50}
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		inputs []Input
+		is     error // nil: any error
+	}{
+		{"fewer than 2 inputs", e.options(), both[:1], nil},
+		{"missing store", Options{}, both, nil},
+		{"Own is refused, not dropped", owned, both, errors.ErrUnsupported},
+	} {
+		_, err := MultiwayPQ(bg, tc.opts, tc.inputs, nil)
+		if err == nil || (tc.is != nil && !errors.Is(err, tc.is)) {
+			t.Fatalf("%s: err = %v", tc.name, err)
+		}
 	}
 	// nil emit is allowed: counting only.
 	res, err := MultiwayPQ(bg, e.options(), []Input{TreeInput(e.treeA), TreeInput(e.treeB)}, nil)
@@ -235,7 +248,7 @@ func TestMultiwayIntermediateOrderIsSorted(t *testing.T) {
 	violations := 0
 	a, b := TreeInput(e.treeA), TreeInput(e.treeB)
 	var res Result
-	err := sweepSides(bg, o, &res, o.sorted(bg, a, b), o.sorted(bg, b, a), func(ra, rb geom.Record) {
+	err := sweepSides(bg, o, &res, sorted(a, b), sorted(b, a), func(ra, rb geom.Record) {
 		in, ok := ra.Rect.Intersection(rb.Rect)
 		if !ok {
 			t.Fatal("emitted pair without intersection")

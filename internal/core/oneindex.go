@@ -33,15 +33,10 @@ import (
 // record); the `oneindex` experiment shows the crossover against PQ
 // and the seeded tree.
 func INL(ctx context.Context, opts Options, tree *rtree.Tree, b *iosim.File) (Result, error) {
-	ctx = orBG(ctx)
-	o, err := opts.withDefaults()
-	if err != nil {
-		return Result{}, err
-	}
 	if tree == nil {
 		return Result{}, needsIndexErr("INL")
 	}
-	return run(ctx, o, "INL", func(o Options, res *Result) error {
+	return run(ctx, opts, "INL", func(ctx context.Context, o Options, res *Result) error {
 		pool := iosim.NewBufferPoolBytes(o.Store, o.BufferPoolBytes)
 		rd := stream.NewReader(b, stream.Records)
 		for n := 0; ; n++ {
@@ -81,15 +76,10 @@ func INL(ctx context.Context, opts Options, tree *rtree.Tree, b *iosim.File) (Re
 // since building it is the whole point of comparing against PQ, which
 // needs only a sort.
 func SeededTreeJoin(ctx context.Context, opts Options, tree *rtree.Tree, b *iosim.File) (Result, error) {
-	ctx = orBG(ctx)
-	o, err := opts.withDefaults()
-	if err != nil {
-		return Result{}, err
-	}
 	if tree == nil {
 		return Result{}, needsIndexErr("seeded-tree join")
 	}
-	return run(ctx, o, "SeededST", func(o Options, res *Result) error {
+	return run(ctx, opts, "SeededST", func(ctx context.Context, o Options, res *Result) error {
 		buildOpts := rtree.DefaultBuildOptions()
 		buildOpts.SortMemory = o.MemoryBytes
 		seeded, err := rtree.SeededBuild(o.Store, tree, b, buildOpts)

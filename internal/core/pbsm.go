@@ -42,12 +42,7 @@ type PBSMStats struct {
 // (one write and one read per overflowing page), modelling the page
 // faults the paper observed with 32x32 tiles before moving to 128x128.
 func PBSM(ctx context.Context, opts Options, a, b *iosim.File) (Result, error) {
-	ctx = orBG(ctx)
-	o, err := opts.withDefaults()
-	if err != nil {
-		return Result{}, err
-	}
-	return run(ctx, o, "PBSM", func(o Options, res *Result) error {
+	return run(ctx, opts, "PBSM", func(ctx context.Context, o Options, res *Result) error {
 		t := o.PBSMTilesPerAxis
 		if t < 1 {
 			return fmt.Errorf("core: PBSM tiles per axis %d < 1", t)

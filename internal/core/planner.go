@@ -85,67 +85,65 @@ func (d Decision) String() string {
 // index path. Estimation uses grid histograms built with one
 // sequential scan over each input file.
 func (p Planner) Plan(ctx context.Context, opts Options, a, b Input) (Decision, error) {
-	ctx = orBG(ctx)
-	o, err := opts.withDefaults()
-	if err != nil {
-		return Decision{}, err
-	}
 	d := Decision{Threshold: p.Threshold()}
-	res := p.HistogramRes
-	if res == 0 {
-		res = histogram.DefaultResolution
-	}
+	_, err := run(ctx, opts, "plan", func(ctx context.Context, o Options, _ *Result) error {
+		res := p.HistogramRes
+		if res == 0 {
+			res = histogram.DefaultResolution
+		}
 
-	// Build histograms from whichever representation is available
-	// without touching the trees (files preferred: sequential scans).
-	ga, mbrA, err := inputHistogram(ctx, o, a, res)
-	if err != nil {
-		return d, wrapCanceled(err)
-	}
-	gb, mbrB, err := inputHistogram(ctx, o, b, res)
-	if err != nil {
-		return d, wrapCanceled(err)
-	}
-	d.MBRA, d.MBRB = mbrA, mbrB
-	if p.UseMinSkew {
-		buckets := p.MinSkewBuckets
-		if buckets == 0 {
-			buckets = 64
-		}
-		msA, err := histogram.BuildMinSkew(ga, buckets)
+		// Build histograms from whichever representation is available
+		// without touching the trees (files preferred: sequential scans).
+		ga, mbrA, err := inputHistogram(ctx, o, a, res)
 		if err != nil {
-			return d, err
+			return err
 		}
-		msB, err := histogram.BuildMinSkew(gb, buckets)
+		gb, mbrB, err := inputHistogram(ctx, o, b, res)
 		if err != nil {
-			return d, err
+			return err
 		}
-		d.FracA = msA.OverlapFraction(msB)
-		d.FracB = msB.OverlapFraction(msA)
-	} else {
-		d.FracA, err = ga.OverlapFraction(gb)
-		if err != nil {
-			return d, err
+		d.MBRA, d.MBRB = mbrA, mbrB
+		if p.UseMinSkew {
+			buckets := p.MinSkewBuckets
+			if buckets == 0 {
+				buckets = 64
+			}
+			msA, err := histogram.BuildMinSkew(ga, buckets)
+			if err != nil {
+				return err
+			}
+			msB, err := histogram.BuildMinSkew(gb, buckets)
+			if err != nil {
+				return err
+			}
+			d.FracA = msA.OverlapFraction(msB)
+			d.FracB = msB.OverlapFraction(msA)
+		} else {
+			d.FracA, err = ga.OverlapFraction(gb)
+			if err != nil {
+				return err
+			}
+			d.FracB, err = gb.OverlapFraction(ga)
+			if err != nil {
+				return err
+			}
 		}
-		d.FracB, err = gb.OverlapFraction(ga)
-		if err != nil {
-			return d, err
+		if w := o.Window; w != nil {
+			fa := ga.FractionInWindow(*w)
+			fb := gb.FractionInWindow(*w)
+			if fa < d.FracA {
+				d.FracA = fa
+			}
+			if fb < d.FracB {
+				d.FracB = fb
+			}
 		}
-	}
-	if w := o.Window; w != nil {
-		fa := ga.FractionInWindow(*w)
-		fb := gb.FractionInWindow(*w)
-		if fa < d.FracA {
-			d.FracA = fa
-		}
-		if fb < d.FracB {
-			d.FracB = fb
-		}
-	}
 
-	d.UseIndexA = decideSide(a, d.FracA, d.Threshold)
-	d.UseIndexB = decideSide(b, d.FracB, d.Threshold)
-	return d, nil
+		d.UseIndexA = decideSide(a, d.FracA, d.Threshold)
+		d.UseIndexB = decideSide(b, d.FracB, d.Threshold)
+		return nil
+	})
+	return d, err
 }
 
 func decideSide(in Input, frac, threshold float64) bool {

@@ -27,26 +27,22 @@ import (
 // by the other input's MBR; this is a no-op when the inputs cover the
 // same region, which is why Table 4's PQ numbers equal the tree sizes.
 func PQ(ctx context.Context, opts Options, a, b Input) (Result, error) {
-	ctx = orBG(ctx)
-	o, err := opts.withDefaults()
-	if err != nil {
-		return Result{}, err
-	}
 	if a.empty() || b.empty() {
 		return Result{}, fmt.Errorf("%w: PQ inputs need a file, a tree or a run", ErrNilRelation)
 	}
-	return run(ctx, o, "PQ", func(o Options, res *Result) error {
-		return sweepSides(ctx, o, res, o.sorted(ctx, a, b), o.sorted(ctx, b, a), nil)
+	return run(ctx, opts, "PQ", func(ctx context.Context, o Options, res *Result) error {
+		return sweepSides(ctx, o, res, sorted(a, b), sorted(b, a), nil)
 	})
 }
 
-// sideFn builds one y-sorted input of the unified join. It is deferred
-// so that sweepSides runs it inside the preparation phase it times.
-type sideFn func() (pqSide, error)
+// sideFn builds one y-sorted input of the unified join under the
+// context and options sweepSides runs with. It is deferred so that
+// sweepSides runs it inside the preparation phase it times.
+type sideFn func(ctx context.Context, o Options) (pqSide, error)
 
 // sorted defers pqSource over in, restricted against other.
-func (o Options) sorted(ctx context.Context, in, other Input) sideFn {
-	return func() (pqSide, error) { return pqSource(ctx, o, in, other) }
+func sorted(in, other Input) sideFn {
+	return func(ctx context.Context, o Options) (pqSide, error) { return pqSource(ctx, o, in, other) }
 }
 
 // sweepSides is the unified join written once: build the two y-sorted
@@ -68,7 +64,7 @@ func sweepSides(ctx context.Context, o Options, res *Result, a, b sideFn, collec
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		s, err := build()
+		s, err := build(ctx, o)
 		if err != nil {
 			return err
 		}

@@ -31,17 +31,12 @@ import (
 // to exploit) but it does filter the sweep, so only window records
 // meet the kernel.
 func SSSJ(ctx context.Context, opts Options, a, b *iosim.File) (Result, error) {
-	ctx = orBG(ctx)
-	o, err := opts.withDefaults()
-	if err != nil {
-		return Result{}, err
-	}
 	if a == nil || b == nil {
 		return Result{}, fmt.Errorf("%w: SSSJ inputs need a file", ErrNilRelation)
 	}
-	return run(ctx, o, "SSSJ", func(o Options, res *Result) error {
+	return run(ctx, opts, "SSSJ", func(ctx context.Context, o Options, res *Result) error {
 		fa, fb := FileInput(a), FileInput(b)
-		if err := sweepSides(ctx, o, res, o.sorted(ctx, fa, fb), o.sorted(ctx, fb, fa), nil); err != nil {
+		if err := sweepSides(ctx, o, res, sorted(fa, fb), sorted(fb, fa), nil); err != nil {
 			return err
 		}
 		if res.SweepMaxBytes > o.MemoryBytes {
@@ -71,18 +66,13 @@ var ErrSweepOverflow = fmt.Errorf("core: sweep structure exceeded internal memor
 // needed unless the active-rectangle population exceeds memory by more
 // than the slab factor.
 func SSSJPartitioned(ctx context.Context, opts Options, a, b *iosim.File, slabs int) (Result, error) {
-	ctx = orBG(ctx)
-	o, err := opts.withDefaults()
-	if err != nil {
-		return Result{}, err
-	}
 	if slabs < 1 {
 		return Result{}, fmt.Errorf("core: slab count %d < 1", slabs)
 	}
 	if slabs == 1 {
 		return SSSJ(ctx, opts, a, b)
 	}
-	return run(ctx, o, "SSSJ-part", func(o Options, res *Result) error {
+	return run(ctx, opts, "SSSJ-part", func(ctx context.Context, o Options, res *Result) error {
 		// Slab boundaries over the universe's x-range, computed once:
 		// the same intervals place records (Loads) and own pairs
 		// (OwnsPair, through Options.Own), so the two cannot round
@@ -165,9 +155,9 @@ func SSSJPartitioned(ctx context.Context, opts Options, a, b *iosim.File, slabs 
 		so := o
 		so.Window = nil
 		slabFile := func(f *iosim.File) sideFn {
-			return func() (pqSide, error) {
+			return func(ctx context.Context, o Options) (pqSide, error) {
 				defer f.Release()
-				return pqSource(ctx, so, FileInput(f), Input{})
+				return pqSource(ctx, o, FileInput(f), Input{})
 			}
 		}
 		for s, iv := range ivs {

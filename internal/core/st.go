@@ -30,15 +30,10 @@ import (
 // cannot contain window records are pruned and leaf matches are
 // filtered to records intersecting the window on both sides.
 func ST(ctx context.Context, opts Options, ta, tb *rtree.Tree) (Result, error) {
-	ctx = orBG(ctx)
-	o, err := opts.withDefaults()
-	if err != nil {
-		return Result{}, err
-	}
 	if ta == nil || tb == nil {
 		return Result{}, needsIndexErr("ST")
 	}
-	return run(ctx, o, "ST", func(o Options, res *Result) error {
+	return run(ctx, opts, "ST", func(ctx context.Context, o Options, res *Result) error {
 		pool := iosim.NewBufferPoolBytes(o.Store, o.BufferPoolBytes)
 		height := ta.Height()
 		if tb.Height() > height {

@@ -112,6 +112,6 @@ func (fw *FrameWriter) End() {
 // payload and CRC pass through untouched, preserving the end-to-end
 // integrity check, so no frame is ever refused here.
 func (fw *FrameWriter) Relay(raw []byte) error {
-	fw.emit(wire.Type(raw[wire.OffType]), func() error { return fw.enc.WriteRaw(raw) })
+	fw.emit(wire.PeekType(raw), func() error { return fw.enc.WriteRaw(raw) })
 	return nil
 }

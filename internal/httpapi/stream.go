@@ -98,11 +98,10 @@ func (lw *LineWriter) WriteRecords(recs []geom.Record) {
 // CRC the frame→frame relay leaves to the end client is checked here;
 // a corrupt, misaligned or non-DATA frame is refused unrendered.
 func (lw *LineWriter) Relay(raw []byte) error {
-	if err := wire.Verify(raw); err != nil {
+	f, err := wire.Verify(raw)
+	if err != nil {
 		return err
 	}
-	var err error
-	f := wire.Frame{Type: wire.Type(raw[wire.OffType]), Payload: raw[wire.HeaderSize:]}
 	switch f.Type {
 	case wire.TypePairs:
 		if lw.pairs, err = f.Pairs(lw.pairs[:0]); err == nil {

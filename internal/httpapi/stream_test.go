@@ -246,7 +246,7 @@ func FuzzLineRelay(f *testing.F) {
 	pairs := wire.AppendFrame(nil, wire.TypePairs, []byte{1, 0, 0, 0, 2, 0, 0, 0})
 	records := wire.AppendFrame(nil, wire.TypeRecords, make([]byte, 2*wire.RecordSize))
 	badCRC := append([]byte(nil), pairs...)
-	badCRC[wire.OffCRC] ^= 0xA5
+	badCRC[len(badCRC)-1] ^= 0xA5
 	f.Add(pairs)
 	f.Add(records)
 	f.Add(badCRC)
@@ -268,10 +268,10 @@ func FuzzLineRelay(f *testing.F) {
 			}
 			return
 		}
-		if wire.Verify(raw) != nil {
+		if _, err := wire.Verify(raw); err != nil {
 			t.Fatalf("accepted a frame failing its CRC: %x", raw)
 		}
-		entry := map[wire.Type]int{wire.TypePairs: wire.PairSize, wire.TypeRecords: wire.RecordSize}[wire.Type(raw[wire.OffType])]
+		entry := map[wire.Type]int{wire.TypePairs: wire.PairSize, wire.TypeRecords: wire.RecordSize}[wire.PeekType(raw)]
 		if entry == 0 || (len(raw)-wire.HeaderSize)%entry != 0 {
 			t.Fatalf("accepted a non-DATA or misaligned frame: %x", raw)
 		}

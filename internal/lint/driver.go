@@ -15,8 +15,8 @@ import (
 
 // Main is the sjlint entry point (tools/cmd/sjlint is a thin shim
 // around it): expand the package patterns with go list, load and
-// type-check them plus their in-module dependencies, run the suite in
-// dependency order, and print the findings. Exit status: 0 clean,
+// type-check them plus their in-module dependencies, run the suite
+// and print the findings. Exit status: 0 clean,
 // 1 findings, 2 usage or load failure.
 func Main(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sjlint", flag.ContinueOnError)
@@ -26,9 +26,9 @@ func Main(argv []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list the analyzers and their invariants, then exit")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: sjlint [-json] [-dir moduledir] packages...\n\n"+
-			"sjlint vets the spatial-join engine against its concurrency and wire\n"+
-			"invariants. Patterns are go list patterns relative to the module\n"+
-			"directory (default ./...).\n\n")
+			"sjlint vets the spatial-join engine against its pooling and\n"+
+			"error-matching invariants. Patterns are go list patterns relative to\n"+
+			"the module directory (default ./...).\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(argv); err != nil {

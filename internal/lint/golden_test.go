@@ -8,18 +8,12 @@ import (
 
 // Golden tests: each analyzer runs over a testdata/src package whose
 // flagged lines carry `// want "regex"` comments (the analysistest
-// convention). Helper packages (pairbuf, wire, obs, rel) mirror the
+// convention). Helper packages (pairbuf, wire, httpapi) mirror the
 // real repo surfaces the analyzers key on and must stay clean.
-
-func TestSnapshotPinGolden(t *testing.T) { runGolden(t, SnapshotPin, "snapshotpin_a") }
 
 func TestPoolReturnGolden(t *testing.T) { runGolden(t, PoolReturn, "poolreturn_a") }
 
-func TestFrameAlignGolden(t *testing.T) { runGolden(t, FrameAlign, "framealign_a") }
-
 func TestErrSentinelGolden(t *testing.T) { runGolden(t, ErrSentinel, "errsentinel_a") }
-
-func TestMetricLabelGolden(t *testing.T) { runGolden(t, MetricLabel, "metriclabel_a") }
 
 // wantSpec is one expectation parsed from a `// want "regex"` comment.
 type wantSpec struct {

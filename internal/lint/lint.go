@@ -1,30 +1,17 @@
-// Package lint is the engine's own static-analysis suite: a family
-// of analyzers that machine-check the cross-cutting invariants the
-// codebase has accumulated PR over PR — epoch-snapshot pinning (PR 7),
-// pooled pair/frame buffer discipline (PR 2/8), binary frame layout
-// alignment (PR 8), typed error sentinels (PR 2/5), and bounded
-// metrics label cardinality (PR 6). None of these are visible to
-// go vet or staticcheck; each analyzer here encodes one of them.
+// Package lint is the engine's own static-analysis suite: the two
+// invariants that neither the compiler, go vet nor the code's own
+// structure holds — pooled pair/frame buffer discipline (poolreturn)
+// and typed error sentinels (errsentinel). Invariants that a type or
+// a package boundary can hold live there instead: a relation is read
+// only through unijoin.Relation.Pin, a frame header is parsed only
+// inside internal/wire, and internal/obs bounds its own series.
 //
 // The framework mirrors golang.org/x/tools/go/analysis — Analyzer,
-// Pass, Diagnostic, per-object facts — but is built entirely on the
-// standard library (go/ast, go/types, go list), keeping the root
-// module dependency-free and the tool runnable in hermetic build
-// environments. Should the x/tools dependency ever become available,
-// each analyzer's Run function ports mechanically.
-//
-// Analyzers run over packages in dependency order, so facts exported
-// while analyzing an upstream package (for example, which methods of
-// unijoin.Relation read the current epoch) are visible when its
-// importers are analyzed.
-//
-// Suppression annotations: a finding that is deliberate is silenced
-// with a justification comment on the flagged line (or the line
-// above). Each analyzer documents its annotation; all of them require
-// a non-empty justification after the marker:
-//
-//	v := rel.snapshot() //lint:pinned second pin is deliberate: ...
-//	counter.With(name).Inc() //lint:bounded name is catalog-checked
+// Pass, Diagnostic — but is built entirely on the standard library
+// (go/ast, go/types, go list), keeping the root module
+// dependency-free and the tool runnable in hermetic build
+// environments. Each analyzer looks at one package at a time; there
+// are no cross-package facts and no suppression annotations.
 package lint
 
 import (
@@ -33,7 +20,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Diagnostic is one finding: a position and a message, tagged with
@@ -45,8 +31,7 @@ type Diagnostic struct {
 }
 
 // Analyzer is one invariant checker. Doc's first line names the
-// invariant; the rest states which PR introduced it and how to
-// silence deliberate violations.
+// invariant; the rest states which PR introduced it.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -61,11 +46,6 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	// Facts is shared across every package this run analyzes, in
-	// dependency order: facts exported for an object while analyzing
-	// its defining package are visible to downstream passes.
-	Facts *FactStore
-
 	diags *[]Diagnostic
 }
 
@@ -76,70 +56,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// Annotation looks for a //lint:<marker> suppression comment on the
-// line of pos or the line immediately above it, in the file
-// containing pos. It reports whether the marker is present and
-// whether a non-empty justification follows it.
-func (p *Pass) Annotation(pos token.Pos, marker string) (found, justified bool) {
-	tf := p.Fset.File(pos)
-	if tf == nil {
-		return false, false
-	}
-	line := tf.Line(pos)
-	needle := "//lint:" + marker
-	for _, f := range p.Files {
-		if p.Fset.File(f.Pos()) != tf {
-			continue
-		}
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				cl := tf.Line(c.Pos())
-				if cl != line && cl != line-1 {
-					continue
-				}
-				idx := strings.Index(c.Text, needle)
-				if idx < 0 {
-					continue
-				}
-				rest := strings.TrimSpace(c.Text[idx+len(needle):])
-				return true, rest != ""
-			}
-		}
-		break
-	}
-	return false, false
-}
-
-// FactStore is the cross-package fact table: a set of marked
-// types.Objects per analyzer-defined key. It is the simplified
-// counterpart of x/tools object facts — enough to say "this method
-// reads the current epoch" while analyzing unijoin and test for it
-// while analyzing internal/server.
-type FactStore struct {
-	marks map[string]map[types.Object]string
-}
-
-// NewFactStore returns an empty store.
-func NewFactStore() *FactStore {
-	return &FactStore{marks: make(map[string]map[types.Object]string)}
-}
-
-// Mark tags obj under key with a short note (shown in diagnostics).
-func (s *FactStore) Mark(key string, obj types.Object, note string) {
-	m := s.marks[key]
-	if m == nil {
-		m = make(map[types.Object]string)
-		s.marks[key] = m
-	}
-	m[obj] = note
-}
-
-// Marked reports whether obj is tagged under key.
-func (s *FactStore) Marked(key string, obj types.Object) (string, bool) {
-	note, ok := s.marks[key][obj]
-	return note, ok
 }
 
 // SortDiagnostics orders findings by file, line, column, analyzer —
@@ -170,68 +86,3 @@ func isErrorType(t types.Type) bool {
 }
 
 var errorInterface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-
-// receiverKey renders the receiver expression of a selector call as a
-// stable string ("rel", "s.cat", ...) for grouping calls that read
-// the same value twice. Index expressions with non-literal indexes
-// get a unique key per syntax position, so versions[i] in a loop is
-// not mistaken for a repeated read of one receiver.
-func receiverKey(expr ast.Expr) string {
-	var b strings.Builder
-	writeExprKey(&b, expr)
-	return b.String()
-}
-
-func writeExprKey(b *strings.Builder, expr ast.Expr) {
-	switch e := expr.(type) {
-	case *ast.Ident:
-		b.WriteString(e.Name)
-	case *ast.SelectorExpr:
-		writeExprKey(b, e.X)
-		b.WriteByte('.')
-		b.WriteString(e.Sel.Name)
-	case *ast.ParenExpr:
-		writeExprKey(b, e.X)
-	case *ast.StarExpr:
-		b.WriteByte('*')
-		writeExprKey(b, e.X)
-	case *ast.IndexExpr:
-		writeExprKey(b, e.X)
-		b.WriteByte('[')
-		if lit, ok := e.Index.(*ast.BasicLit); ok {
-			b.WriteString(lit.Value)
-		} else {
-			fmt.Fprintf(b, "@%d", e.Index.Pos())
-		}
-		b.WriteByte(']')
-	case *ast.CallExpr:
-		// A call result is a fresh value each time; key it by position
-		// so two calls never collapse into one receiver.
-		fmt.Fprintf(b, "call@%d", e.Pos())
-	default:
-		fmt.Fprintf(b, "expr@%d", expr.Pos())
-	}
-}
-
-// rootIdent returns the leftmost identifier of a selector/index chain
-// (rel in rel.log.Current), or nil.
-func rootIdent(expr ast.Expr) *ast.Ident {
-	for {
-		switch e := expr.(type) {
-		case *ast.Ident:
-			return e
-		case *ast.SelectorExpr:
-			expr = e.X
-		case *ast.ParenExpr:
-			expr = e.X
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.CallExpr:
-			expr = e.Fun
-		default:
-			return nil
-		}
-	}
-}

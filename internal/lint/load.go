@@ -44,9 +44,8 @@ func sharedStdImporter() types.Importer {
 // under ModulePath resolve into ModuleDir; paths under an extra root
 // (a testdata tree) resolve there; everything else is treated as
 // standard library and checked through the shared source importer.
-// Load records completion order, which is a topological order of the
-// loaded packages — the order analyzers must run in for facts to flow
-// from defining packages to their importers.
+// Load records completion order, a topological order of the loaded
+// packages.
 type Loader struct {
 	Fset       *token.FileSet
 	ModulePath string
@@ -167,11 +166,10 @@ func buildContext() *build.Context {
 	return &ctx
 }
 
-// RunAnalyzers executes every analyzer over every loaded package in
-// dependency order, sharing one fact store, and returns the findings
-// whose package path satisfies report (nil means report everything).
+// RunAnalyzers executes every analyzer over every loaded package and
+// returns the findings whose package path satisfies report (nil means
+// report everything).
 func RunAnalyzers(l *Loader, analyzers []*Analyzer, report func(pkgPath string) bool) ([]Diagnostic, error) {
-	facts := NewFactStore()
 	var all []Diagnostic
 	for _, pkg := range l.Order() {
 		for _, a := range analyzers {
@@ -182,7 +180,6 @@ func RunAnalyzers(l *Loader, analyzers []*Analyzer, report func(pkgPath string) 
 				Files:    pkg.Files,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
-				Facts:    facts,
 				diags:    &diags,
 			}
 			if err := a.Run(pass); err != nil {

@@ -1,19 +1,8 @@
 // Package wire mirrors the real internal/wire surface the poolreturn
-// and framealign analyzers key on (package name, constants, Encoder).
+// analyzer keys on (package name, Encoder).
 package wire
 
 import "io"
-
-const (
-	HeaderSize = 12
-	OffVersion = 2
-	OffType    = 3
-	OffLen     = 4
-	OffCRC     = 8
-	MaxPayload = 1 << 20
-	PairSize   = 8
-	RecordSize = 20
-)
 
 type Encoder struct{ w io.Writer }
 

@@ -58,7 +58,8 @@ func (e *EWMA) Count() int64 {
 
 // EWMASet is a concurrent map of EWMAs keyed by string — one
 // steady-state latency estimate per algorithm, per shard, per
-// whatever the caller keys on. Keys are created on first observation.
+// whatever the caller keys on. Keys are created on first observation,
+// up to maxSeries of them; further new keys share otherLabel's.
 type EWMASet struct {
 	alpha float64
 	mu    sync.RWMutex
@@ -84,7 +85,8 @@ func (s *EWMASet) get(key string) *EWMA {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.m[key]; ok {
+	key, e, ok = bounded(s.m, key, otherLabel)
+	if ok {
 		return e
 	}
 	e = NewEWMA(s.alpha)

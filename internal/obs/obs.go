@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -67,9 +68,41 @@ type Registry struct {
 	byName map[string]*family
 }
 
-// NewRegistry returns an empty registry.
+// maxSeries bounds every map in this package keyed by a caller's
+// string (a family's children, an EWMASet's keys): once a map holds
+// this many entries, a new key resolves to one shared overflow entry
+// whose label values are all otherLabel, and seriesDropped counts the
+// lookup. Label values are meant to come from bounded sets (relation
+// names, algorithms, status codes); the bound holds memory and scrape
+// size when a caller gets that wrong.
+const (
+	maxSeries  = 4096
+	otherLabel = "_other"
+)
+
+// seriesDropped is process-wide; every Registry exposes it.
+var seriesDropped Counter
+
+// bounded looks key up in m for a caller holding m's write lock. A new
+// key that would grow m past maxSeries is counted and replaced by
+// other, m's overflow key.
+func bounded[V any](m map[string]V, key, other string) (string, V, bool) {
+	v, ok := m[key]
+	if !ok && len(m) >= maxSeries {
+		seriesDropped.Inc()
+		key = other
+		v, ok = m[key]
+	}
+	return key, v, ok
+}
+
+// NewRegistry returns a registry holding only the overflow counter.
 func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]*family)}
+	r := &Registry{byName: make(map[string]*family)}
+	r.register("sj_metric_series_dropped_total",
+		"Lookups of a new label tuple or key refused past the per-map series bound and folded into the \"_other\" entry.",
+		kindCounter, nil, nil).children[""] = &seriesDropped
+	return r
 }
 
 // family is one named metric with a fixed label schema; its children
@@ -80,6 +113,7 @@ type family struct {
 	kind    kind
 	labels  []string
 	buckets []float64 // histogram upper bounds, strictly increasing
+	other   string    // children key of the overflow series: otherLabel for every label
 
 	mu       sync.RWMutex
 	children map[string]any // label-value key → *Counter | *Gauge | *Histogram
@@ -105,6 +139,7 @@ func (r *Registry) register(name, help string, k kind, buckets []float64, labels
 		name: name, help: help, kind: k,
 		labels:   append([]string(nil), labels...),
 		buckets:  append([]float64(nil), buckets...),
+		other:    strings.Join(slices.Repeat([]string{otherLabel}, len(labels)), "\xff"),
 		children: make(map[string]any),
 	}
 	r.byName[name] = f
@@ -149,7 +184,7 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 }
 
 // child returns the instance for one label-value tuple, creating it on
-// first use.
+// first use — or, past maxSeries tuples, the family's overflow child.
 func (f *family) child(values []string) any {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
@@ -163,7 +198,8 @@ func (f *family) child(values []string) any {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if c, ok := f.children[key]; ok {
+	key, c, ok = bounded(f.children, key, f.other)
+	if ok {
 		return c
 	}
 	switch f.kind {

@@ -2,7 +2,7 @@ package obs
 
 import (
 	"strconv"
-	"sync"
+	"strings"
 	"sync/atomic"
 )
 
@@ -18,8 +18,9 @@ const DefaultWorkloadBuckets = 32
 // just the data sample — so a rolling rebalance can cut stripe
 // boundaries where queries concentrate, and the "auto" algorithm can
 // see which (relation, algorithm) combinations traffic actually runs.
-// All observation paths are lock-free; the snapshot side takes a
-// mutex only over the per-relation counter map.
+// The histogram is lock-free; the per-query counters are the metric
+// family's own, so scrapes and /v1/stats read the same numbers and the
+// registry's series bound is the only one there is.
 type Workload struct {
 	lo, hi float64
 	width  float64
@@ -28,15 +29,11 @@ type Workload struct {
 	windowed   atomic.Int64
 	unwindowed atomic.Int64
 
-	// stripes/queries mirror the recorder into the metric registry, so
-	// scrapes and /v1/stats read the same numbers:
-	// sj_query_window_stripe_total{stripe} and
-	// sj_queries_total{relation,algorithm}.
+	// stripes mirrors the histogram into the metric registry as
+	// sj_query_window_stripe_total{stripe}; queries is
+	// sj_queries_total{relation,algorithm}, which Snapshot reads back.
 	stripes *CounterVec
 	queries *CounterVec
-
-	mu     sync.Mutex
-	counts map[string]map[string]int64 // relation → algorithm → queries
 }
 
 // NewWorkload builds a recorder over the x-range [lo, hi) with n
@@ -44,7 +41,8 @@ type Workload struct {
 // registers its metric families on reg. Every shard of a fleet must
 // be configured with the same range and bucket count (they all derive
 // from the same -region flag), so the routers' /v1/stats merge can sum
-// buckets index-wise.
+// buckets index-wise. One recorder per registry: Snapshot reads the
+// query counts back from the family.
 func NewWorkload(reg *Registry, lo, hi float64, n int) *Workload {
 	if reg == nil {
 		reg = NewRegistry()
@@ -64,24 +62,15 @@ func NewWorkload(reg *Registry, lo, hi float64, n int) *Workload {
 		queries: reg.CounterVec("sj_queries_total",
 			"Queries accepted, by relation and algorithm (window queries count as algorithm \"window\").",
 			"relation", "algorithm"),
-		counts: make(map[string]map[string]int64),
 	}
 }
 
 // ObserveQuery counts one accepted query against a relation and
-// algorithm. Callers must pass catalog-validated relation names and
-// parsed algorithm names — the values become metric labels, so they
-// must come from bounded sets.
+// algorithm. Callers should pass catalog-validated relation names and
+// parsed algorithm names — the values become metric labels; past the
+// registry's series bound new pairs count under "_other".
 func (w *Workload) ObserveQuery(relation, algorithm string) {
 	w.queries.With(relation, algorithm).Inc()
-	w.mu.Lock()
-	m := w.counts[relation]
-	if m == nil {
-		m = make(map[string]int64, 8)
-		w.counts[relation] = m
-	}
-	m[algorithm]++
-	w.mu.Unlock()
 }
 
 // ObserveWindow records one query window's x-interval [xlo, xhi] into
@@ -140,15 +129,16 @@ func (w *Workload) Snapshot() WorkloadSnapshot {
 	for i := range w.buckets {
 		s.Buckets[i] = w.buckets[i].Load()
 	}
-	w.mu.Lock()
-	s.Queries = make(map[string]map[string]int64, len(w.counts))
-	for rel, m := range w.counts {
-		cp := make(map[string]int64, len(m))
-		for alg, n := range m {
-			cp[alg] = n
+	f := w.queries.f
+	f.mu.RLock()
+	s.Queries = make(map[string]map[string]int64)
+	for key, c := range f.children {
+		rel, alg, _ := strings.Cut(key, "\xff")
+		if s.Queries[rel] == nil {
+			s.Queries[rel] = make(map[string]int64, 8)
 		}
-		s.Queries[rel] = cp
+		s.Queries[rel][alg] = c.(*Counter).Value()
 	}
-	w.mu.Unlock()
+	f.mu.RUnlock()
 	return s
 }

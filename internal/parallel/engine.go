@@ -2,6 +2,8 @@ package parallel
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -369,6 +371,9 @@ func Serial(ctx context.Context, a, b []geom.Record, o Options) (Report, error) 
 	o, err := o.withDefaults()
 	if err != nil {
 		return Report{}, err
+	}
+	if o.Own != nil {
+		return Report{}, fmt.Errorf("parallel: Options.Own on Serial: %w", errors.ErrUnsupported)
 	}
 	if err := ctx.Err(); err != nil {
 		return Report{}, err

@@ -117,7 +117,8 @@ type Options struct {
 	// Join folds it into the test its stripes already make: each
 	// stripe's reference-point range is clamped to Own, and a record is
 	// stripe-local only if it also lies inside Own, so pairs with such a
-	// member stay test-free. Serial ignores it.
+	// member stay test-free. Serial, which makes no reference-point
+	// test, refuses it (errors.ErrUnsupported).
 	Own *geom.Interval
 
 	// SortedSamples, when non-empty, supplies pre-sorted x-center

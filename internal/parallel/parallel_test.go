@@ -369,8 +369,18 @@ func TestEmitAndEmitBatchExclusive(t *testing.T) {
 	if _, err := Join(context.Background(), nil, nil, o); err == nil {
 		t.Fatal("Emit+EmitBatch must be rejected")
 	}
-	if _, err := Serial(context.Background(), nil, nil, o); err == nil {
-		t.Fatal("Emit+EmitBatch must be rejected by Serial")
+	for _, tc := range []struct {
+		name string
+		opts Options
+		is   error // nil: any error
+	}{
+		{"Emit+EmitBatch", o, nil},
+		{"Own is refused, not dropped", Options{Universe: universe, Own: &geom.Interval{Lo: 0, Hi: 1}}, errors.ErrUnsupported},
+	} {
+		_, err := Serial(context.Background(), nil, nil, tc.opts)
+		if err == nil || (tc.is != nil && !errors.Is(err, tc.is)) {
+			t.Fatalf("Serial, %s: err = %v", tc.name, err)
+		}
 	}
 }
 

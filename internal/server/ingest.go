@@ -63,8 +63,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, errorFor(aerr))
 		return
 	}
-	delta := rel.DeltaRecords()
-	//lint:bounded name is catalog-validated above; cardinality is the relation count
+	delta := rel.Pin().DeltaRecords()
 	s.metrics.observeIngest(name, int64(res.Appended), time.Since(start).Seconds(), res.Compacted, delta)
 	httpapi.WriteJSON(w, client.AppendSummary{
 		Relation:     name,

@@ -41,7 +41,7 @@ func TestJoinSummaryDescribesPinnedEpochs(t *testing.T) {
 	for _, alg := range []string{"PQ", "parallel"} {
 		cat := testCatalog(t, 600)
 		roads, hydro := mustGet(t, cat, "roads"), mustGet(t, cat, "hydro")
-		wantLeft, wantRight := roads.Len(), hydro.Len()
+		wantLeft, wantRight := roads.Pin().Len(), hydro.Pin().Len()
 		s := New(Config{Catalog: cat, Logger: quietLogger(), BatchPairs: 16})
 
 		u := unijoin.NewRect(0, 0, 1000, 1000)
@@ -58,7 +58,7 @@ func TestJoinSummaryDescribesPinnedEpochs(t *testing.T) {
 		}}
 		body := `{"left":"roads","right":"hydro","algorithm":"` + alg + `"}`
 		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/join", strings.NewReader(body)))
-		if rec.fn != nil || roads.Len() != wantLeft+40 {
+		if rec.fn != nil || roads.Pin().Len() != wantLeft+40 {
 			t.Fatalf("%s: the append did not land mid-stream", alg)
 		}
 
@@ -81,7 +81,7 @@ func TestJoinSummaryDescribesPinnedEpochs(t *testing.T) {
 		}
 		if sum.LeftRecords != wantLeft || sum.RightRecords != wantRight {
 			t.Fatalf("%s: summary reports %d/%d records; the join pinned %d/%d (live relations now hold %d/%d)",
-				alg, sum.LeftRecords, sum.RightRecords, wantLeft, wantRight, roads.Len(), hydro.Len())
+				alg, sum.LeftRecords, sum.RightRecords, wantLeft, wantRight, roads.Pin().Len(), hydro.Pin().Len())
 		}
 		if sum.Pairs != streamed {
 			t.Fatalf("%s: summary counts %d pairs, stream carried %d", alg, sum.Pairs, streamed)

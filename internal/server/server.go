@@ -172,7 +172,7 @@ func (s *Server) Stats() client.Stats {
 	var delta int64
 	for _, name := range s.cat.Names() {
 		if rel, ok := s.cat.Get(name); ok {
-			delta += rel.DeltaRecords()
+			delta += rel.Pin().DeltaRecords()
 		}
 	}
 	return client.Stats{

@@ -90,7 +90,7 @@ func TestJoinOverHTTPMatchesInProcess(t *testing.T) {
 					t.Fatalf("pair %v missing from HTTP stream", p)
 				}
 			}
-			if summary.LeftRecords != roads.Len() || summary.RightRecords != hydro.Len() {
+			if summary.LeftRecords != roads.Pin().Len() || summary.RightRecords != hydro.Pin().Len() {
 				t.Fatalf("summary records %d/%d", summary.LeftRecords, summary.RightRecords)
 			}
 
@@ -160,7 +160,7 @@ func TestWindowEndpoint(t *testing.T) {
 		if sum.Records != want || streamed != want {
 			t.Fatalf("%s: HTTP window %d records (streamed %d), want %d", rel, sum.Records, streamed, want)
 		}
-		if sum.Indexed != relation.Indexed() {
+		if sum.Indexed != relation.Pin().Indexed() {
 			t.Fatalf("%s: summary indexed=%v", rel, sum.Indexed)
 		}
 	}

@@ -51,7 +51,7 @@ func TestIngestSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		treePages += rel.IndexNodes()
+		treePages += rel.Pin().IndexNodes()
 	}
 	iv, err := shard.ParseInterval(":")
 	if err != nil {
@@ -110,7 +110,7 @@ func TestIngestSoak(t *testing.T) {
 			// Only this loop appends, so the tree in place now is the
 			// one that compaction packed.
 			compactions++
-			treePages += mustGet(t, cat, name).IndexNodes()
+			treePages += mustGet(t, cat, name).Pin().IndexNodes()
 		}
 		select {
 		case err := <-fail:
@@ -135,7 +135,7 @@ func TestIngestSoak(t *testing.T) {
 	var dataBytes int64
 	logPages := 0
 	for _, name := range names {
-		bytes := mustGet(t, cat, name).DataBytes()
+		bytes := mustGet(t, cat, name).Pin().DataBytes()
 		dataBytes += bytes
 		pages := (bytes + ps - 1) / ps
 		logPages += int((pages + iosim.ExtentPages - 1) / iosim.ExtentPages * iosim.ExtentPages)

@@ -205,7 +205,7 @@ func TestRouterRelayZeroDecode(t *testing.T) {
 	if !bytes.Equal(raw, corrupt) {
 		t.Fatalf("router modified the relayed frame:\n got %x\nwant %x", raw, corrupt)
 	}
-	if err := wire.Verify(raw); !errors.Is(err, wire.ErrChecksum) {
+	if _, err := wire.Verify(raw); !errors.Is(err, wire.ErrChecksum) {
 		t.Fatalf("relayed CRC verifies as %v — the router must have re-encoded the payload", err)
 	}
 	typ, raw, err = sc.Next()
@@ -381,7 +381,7 @@ func TestMidStreamShardFailureNDJSON(t *testing.T) {
 func TestCorruptShardFrameNDJSON(t *testing.T) {
 	good := wire.AppendFrame(nil, wire.TypePairs, []byte{1, 0, 0, 0, 2, 0, 0, 0})
 	corrupt := wire.AppendFrame(nil, wire.TypePairs, []byte{7, 0, 0, 0, 9, 0, 0, 0})
-	corrupt[wire.OffCRC] ^= 0xA5
+	corrupt[len(corrupt)-1] ^= 0xA5
 	sum, err := json.Marshal(&client.JoinSummary{Left: "a", Right: "b", Algorithm: "PQ", Pairs: 2})
 	if err != nil {
 		t.Fatal(err)

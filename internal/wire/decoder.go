@@ -35,14 +35,14 @@ func parseHeader(hdr []byte) (Type, int, error) {
 	if hdr[0] != Magic0 || hdr[1] != Magic1 {
 		return 0, 0, ErrBadMagic
 	}
-	if hdr[OffVersion] != Version {
-		return 0, 0, fmt.Errorf("%w: got %d, speak %d", ErrBadVersion, hdr[OffVersion], Version)
+	if hdr[offVersion] != Version {
+		return 0, 0, fmt.Errorf("%w: got %d, speak %d", ErrBadVersion, hdr[offVersion], Version)
 	}
-	t := Type(hdr[OffType])
+	t := Type(hdr[offType])
 	if !t.valid() {
-		return 0, 0, fmt.Errorf("%w: %d", ErrBadType, hdr[OffType])
+		return 0, 0, fmt.Errorf("%w: %d", ErrBadType, hdr[offType])
 	}
-	n := binary.LittleEndian.Uint32(hdr[OffLen:])
+	n := binary.LittleEndian.Uint32(hdr[offLen:])
 	if n > MaxPayload {
 		return 0, 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
@@ -125,7 +125,7 @@ func (d *Decoder) Next() (Frame, error) {
 	if _, err := io.ReadFull(d.r, d.buf); err != nil {
 		return Frame{}, fmt.Errorf("%w: mid-payload: %v", ErrTruncated, err)
 	}
-	if got, want := crc32.ChecksumIEEE(d.buf), binary.LittleEndian.Uint32(hdr[OffCRC:]); got != want {
+	if got, want := crc32.ChecksumIEEE(d.buf), binary.LittleEndian.Uint32(hdr[offCRC:]); got != want {
 		return Frame{}, fmt.Errorf("%w: got %08x, header says %08x", ErrChecksum, got, want)
 	}
 	return Frame{Type: t, Payload: d.buf}, nil
@@ -176,15 +176,28 @@ func (s *Scanner) Next() (Type, []byte, error) {
 	return t, s.buf, nil
 }
 
-// Verify checks a raw frame's payload CRC against its header — the
-// spot check a router applies to the few frames it actually parses
-// (SUMMARY, ERROR) while relaying everything else unread.
-func Verify(raw []byte) error {
+// Verify checks a raw frame's payload CRC against its header and
+// returns the frame, its payload aliasing raw — the check a process
+// applies to the frames it actually parses (a router's SUMMARY and
+// ERROR, every frame an NDJSON front renders) while relaying
+// everything else unread.
+func Verify(raw []byte) (Frame, error) {
 	if len(raw) < HeaderSize {
-		return ErrTruncated
+		return Frame{}, ErrTruncated
 	}
-	if got, want := crc32.ChecksumIEEE(raw[HeaderSize:]), binary.LittleEndian.Uint32(raw[OffCRC:]); got != want {
-		return fmt.Errorf("%w: got %08x, header says %08x", ErrChecksum, got, want)
+	f := Frame{Type: Type(raw[offType]), Payload: raw[HeaderSize:]}
+	if got, want := crc32.ChecksumIEEE(f.Payload), binary.LittleEndian.Uint32(raw[offCRC:]); got != want {
+		return Frame{}, fmt.Errorf("%w: got %08x, header says %08x", ErrChecksum, got, want)
 	}
-	return nil
+	return f, nil
+}
+
+// PeekType reads a raw frame's type byte and verifies nothing — the
+// frame→frame relay path, which leaves the CRC to the end client. A
+// slice short of a header has no type (0, which no frame carries).
+func PeekType(raw []byte) Type {
+	if len(raw) < HeaderSize {
+		return 0
+	}
+	return Type(raw[offType])
 }

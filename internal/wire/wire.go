@@ -23,13 +23,14 @@ const (
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 12
 	// Header field offsets: magic (2 bytes), version, type, payload
-	// length (uint32 LE), payload CRC32 (uint32 LE). Indexing raw
-	// header bytes goes through these so the layout has one
-	// definition (the framealign analyzer enforces it).
-	OffVersion = 2
-	OffType    = 3
-	OffLen     = 4
-	OffCRC     = 8
+	// length (uint32 LE), payload CRC32 (uint32 LE). Unexported: other
+	// packages read a raw frame through Verify or PeekType, so the
+	// layout has one definition and header arithmetic elsewhere does
+	// not compile.
+	offVersion = 2
+	offType    = 3
+	offLen     = 4
+	offCRC     = 8
 	// MaxPayload caps one frame's payload. A decoder rejects larger
 	// length fields before allocating anything.
 	MaxPayload = 1 << 20
@@ -99,10 +100,10 @@ func PutHeader(dst []byte, t Type, payload []byte) {
 	_ = dst[HeaderSize-1]
 	dst[0] = Magic0
 	dst[1] = Magic1
-	dst[OffVersion] = Version
-	dst[OffType] = byte(t)
-	binary.LittleEndian.PutUint32(dst[OffLen:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[OffCRC:], crc32.ChecksumIEEE(payload))
+	dst[offVersion] = Version
+	dst[offType] = byte(t)
+	binary.LittleEndian.PutUint32(dst[offLen:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[offCRC:], crc32.ChecksumIEEE(payload))
 }
 
 // AppendFrame appends one whole frame (header + payload) to dst and

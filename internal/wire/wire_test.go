@@ -215,7 +215,7 @@ func TestScannerRelaysBytesVerbatim(t *testing.T) {
 	if !bytes.Equal(raw, frame) {
 		t.Fatalf("scanner modified the frame:\n got %x\nwant %x", raw, frame)
 	}
-	if err := Verify(raw); !errors.Is(err, ErrChecksum) {
+	if _, err := Verify(raw); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("Verify on the corrupt frame: %v, want ErrChecksum", err)
 	}
 	if typ, _, err = sc.Next(); err != nil || typ != TypeEnd {
@@ -228,6 +228,64 @@ func TestScannerRelaysBytesVerbatim(t *testing.T) {
 	// The decoder, by contrast, must reject the same stream.
 	if _, err := NewDecoder(bytes.NewReader(stream)).Next(); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("decoder accepted a corrupt payload: %v", err)
+	}
+}
+
+// TestVerifyAndPeekType covers the two ways another package may read a
+// raw frame: Verify parses it (type + payload, CRC checked) and
+// PeekType reads the type byte of one it will relay unread. Header
+// offsets are unexported, so there is no third way.
+func TestVerifyAndPeekType(t *testing.T) {
+	payloads := map[Type][]byte{
+		TypePairs:   {1, 0, 0, 0, 2, 0, 0, 0},
+		TypeRecords: make([]byte, RecordSize),
+		TypeSummary: []byte(`{"pairs":1}`),
+		TypeError:   []byte(`{"code":"internal"}`),
+		TypeEnd:     nil,
+	}
+	for typ, payload := range payloads {
+		raw := AppendFrame(nil, typ, payload)
+		f, err := Verify(raw)
+		if err != nil || f.Type != typ || !bytes.Equal(f.Payload, payload) {
+			t.Errorf("Verify(%s frame) = {%s, %x}, %v; want {%s, %x}", typ, f.Type, f.Payload, err, typ, payload)
+		}
+		if got := PeekType(raw); got != typ {
+			t.Errorf("PeekType(%s frame) = %s", typ, got)
+		}
+	}
+
+	raw := AppendFrame(nil, TypePairs, payloads[TypePairs])
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		want error
+	}{
+		{"empty", nil, ErrTruncated},
+		{"short of a header", raw[:HeaderSize-1], ErrTruncated},
+		{"flipped payload", corrupt(raw, HeaderSize, raw[HeaderSize]^0xFF), ErrChecksum},
+		{"flipped crc", corrupt(raw, 8, raw[8]^0xFF), ErrChecksum},
+		{"payload cut short", raw[:len(raw)-1], ErrChecksum},
+	} {
+		f, err := Verify(tc.in)
+		if !errors.Is(err, tc.want) || !errors.Is(err, ErrCorrupt) || f.Payload != nil {
+			t.Errorf("Verify(%s) = %+v, %v; want no frame and %v", tc.name, f, err, tc.want)
+		}
+		// PeekType never panics and never verifies: a short slice has no
+		// type, a corrupt frame still says what it claims to be.
+		if got := PeekType(tc.in); len(tc.in) < HeaderSize && got != 0 {
+			t.Errorf("PeekType(%s) = %s, want no type", tc.name, got)
+		}
+	}
+	if got := PeekType(corrupt(raw, HeaderSize, 0xEE)); got != TypePairs {
+		t.Errorf("PeekType on a corrupt pairs frame = %s", got)
+	}
+
+	// An oversized frame never reaches Verify: finding its boundary is
+	// the Scanner's job, and it refuses the length field as before.
+	big := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint32(big[4:], MaxPayload+1)
+	if _, _, err := NewScanner(bytes.NewReader(big)).Next(); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("scanner on an oversized length field: %v, want ErrTooLarge", err)
 	}
 }
 

@@ -134,7 +134,7 @@ func TestResultsReportPinnedInputs(t *testing.T) {
 	ws, a, b, _, rb := demoWorkspace(t)
 	u := NewRect(0, 0, 1000, 1000)
 	for _, alg := range []Algorithm{AlgPQ, AlgParallel} {
-		before, epoch := a.Len(), a.Epoch()
+		before, epoch := a.Pin().Len(), a.Pin().Epoch()
 		appended := false
 		res, err := ws.Query(a, b).Algorithm(alg).EmitBatch(func([]Pair) {
 			if !appended { // lands after the pin, before Run returns
@@ -147,8 +147,8 @@ func TestResultsReportPinnedInputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !appended || a.Len() != before+50 {
-			t.Fatalf("%v: the append did not land mid-query (len %d)", alg, a.Len())
+		if !appended || a.Pin().Len() != before+50 {
+			t.Fatalf("%v: the append did not land mid-query (len %d)", alg, a.Pin().Len())
 		}
 		if res.Left.Len() != before || res.Left.Epoch() != epoch || res.Right.Len() != int64(len(rb)) {
 			t.Fatalf("%v: Results describe left %d@%d right %d, pinned were %d@%d and %d",

@@ -38,8 +38,6 @@ type joinOptions struct {
 	BufferPoolBytes    int
 	Machine            Machine
 	Window             *Rect
-	UseForwardSweep    bool
-	PBSMTilesPerAxis   int
 	Parallelism        int
 	ParallelPartitions int
 	Emit               func(Pair)
@@ -93,15 +91,6 @@ func (q *Query) BufferPool(bytes int) *Query { q.opts.BufferPoolBytes = bytes; r
 // Machine selects the simulated platform AlgAuto's cost model plans
 // for (default Machine3).
 func (q *Query) Machine(m Machine) *Query { q.opts.Machine = m; return q }
-
-// ForwardSweep switches the sweep kernel of the serial algorithms
-// (SSSJ, PBSM, PQ, ...) to the Forward-Sweep structure, the ablation
-// of the paper's Striped-Sweep. It does not apply to AlgParallel,
-// whose array kernel has no sweep structure to replace.
-func (q *Query) ForwardSweep() *Query { q.opts.UseForwardSweep = true; return q }
-
-// PBSMTiles overrides PBSM's tile grid resolution (default 128).
-func (q *Query) PBSMTiles(n int) *Query { q.opts.PBSMTilesPerAxis = n; return q }
 
 // Emit streams each result pair to fn as (or, for AlgParallel, after)
 // it is found. A query with an Emit callback does not buffer pairs,
@@ -278,15 +267,13 @@ func (w *Workspace) runParallel(ctx context.Context, a, b *ingest.Version, opts 
 // bounded by mbr.
 func (w *Workspace) coreOptions(mbr Rect, opts joinOptions) core.Options {
 	return core.Options{
-		Store:            w.store,
-		Universe:         w.universeFor(mbr),
-		MemoryBytes:      opts.MemoryBytes,
-		BufferPoolBytes:  opts.BufferPoolBytes,
-		UseForwardSweep:  opts.UseForwardSweep,
-		PBSMTilesPerAxis: opts.PBSMTilesPerAxis,
-		Window:           opts.Window,
-		Own:              opts.own,
-		Emit:             opts.Emit,
-		EmitBatch:        opts.EmitBatch,
+		Store:           w.store,
+		Universe:        w.universeFor(mbr),
+		MemoryBytes:     opts.MemoryBytes,
+		BufferPoolBytes: opts.BufferPoolBytes,
+		Window:          opts.Window,
+		Own:             opts.own,
+		Emit:            opts.Emit,
+		EmitBatch:       opts.EmitBatch,
 	}
 }

@@ -1,8 +1,7 @@
 // Command sjlint vets the spatial-join engine against the invariants
-// its PRs established: epoch-snapshot pinning, pooled-buffer
-// discipline, binary frame layout, typed error sentinels, and bounded
-// metric label cardinality. Run `sjlint -list` for the analyzer
-// roster; `sjlint -json` emits NDJSON for machine consumption.
+// nothing else holds: pooled-buffer discipline and typed error
+// sentinels. Run `sjlint -list` for the analyzer roster; `sjlint
+// -json` emits NDJSON for machine consumption.
 //
 // It lives in its own module (unijoin/tools) so the engine module
 // stays dependency-free; from this directory,

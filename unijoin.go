@@ -281,9 +281,11 @@ func (a Algorithm) String() string {
 // disk: it joins each relation's prepared run — the pinned version's
 // records, decoded and sorted once per epoch and shared read-only by
 // every query on that epoch — and reads pages only in the one query
-// per relation that builds the run cold. Loading relations and building indexes are not synchronized
-// with running queries — use a Catalog, which publishes relations
-// under a single-writer lock, when loads and queries overlap.
+// per relation that builds the run cold.
+//
+// Loading relations and building indexes are not synchronized with
+// running queries — use a Catalog, which publishes relations under a
+// single-writer lock, when loads and queries overlap.
 type Workspace struct {
 	store    *iosim.Store
 	universe Rect
@@ -314,7 +316,9 @@ func (w *Workspace) Store() *iosim.Store { return w.store }
 // (see internal/ingest). Every query pins one version when it starts —
 // Query.Run, WindowQuery, and StripeBoundaries each read the current
 // version once, atomically — so a query never observes records
-// appended after it began, no matter how long it streams.
+// appended after it began, no matter how long it streams. A relation's
+// properties (record count, MBR, index and delta sizes, epoch) are read
+// the same way: from one Pin.
 type Relation struct {
 	ws   *Workspace
 	name string
@@ -348,51 +352,6 @@ func (r *Relation) snapshot() *ingest.Version { return r.log.Current() }
 // Name returns the relation's label.
 func (r *Relation) Name() string { return r.name }
 
-// Len returns the number of records.
-func (r *Relation) Len() int64 { return r.snapshot().N }
-
-// MBR returns the bounding rectangle of the relation (invalid for an
-// empty relation).
-func (r *Relation) MBR() Rect { return r.snapshot().MBR }
-
-// Indexed reports whether BuildIndex has been called.
-func (r *Relation) Indexed() bool { return r.snapshot().Tree != nil }
-
-// DataBytes returns the size of the record stream on disk.
-func (r *Relation) DataBytes() int64 { return r.snapshot().File.Size() }
-
-// IndexBytes returns the on-disk size of the packed R-tree (0 if not
-// built). The tree covers the records of the last bulk load or
-// compaction; the DeltaRecords appended since live in memory.
-func (r *Relation) IndexBytes() int64 {
-	if t := r.snapshot().Tree; t != nil {
-		return t.SizeBytes()
-	}
-	return 0
-}
-
-// IndexNodes returns the packed R-tree's page count (0 if not built) —
-// the "lower bound" of Table 4. Like IndexBytes it describes the
-// packed base only.
-func (r *Relation) IndexNodes() int {
-	if t := r.snapshot().Tree; t != nil {
-		return t.NumNodes()
-	}
-	return 0
-}
-
-// Epoch returns the relation's current epoch: it increases by one per
-// published mutation (append, index build, compaction), and a query
-// pinned at epoch e observes exactly the appends published at or
-// before e.
-func (r *Relation) Epoch() int64 { return r.log.Epoch() }
-
-// DeltaRecords returns how many records have been appended since the
-// last packed index build (0 right after load, BuildIndex, or
-// compaction) — for an indexed relation the length of the delta run
-// queries read beside the tree, which the serving stats expose.
-func (r *Relation) DeltaRecords() int64 { return r.snapshot().Delta() }
-
 // PinnedView is one relation's state pinned at a single epoch: every
 // accessor answers from the same immutable version, so a multi-field
 // summary (count + MBR + index stats) can never tear across a
@@ -405,22 +364,24 @@ type PinnedView struct {
 }
 
 // Pin reads the relation's current version exactly once and returns a
-// consistent view of it. Use it wherever more than one property of
-// the same relation is reported together: each direct accessor call
-// (rel.Len(), then rel.MBR()) re-reads the live epoch, and two such
-// reads can straddle a concurrent Append and mix epochs.
+// consistent view of it. It is the only way to read a relation's
+// properties: two Pin calls can straddle a concurrent Append and mix
+// epochs, so take one per function and read everything from it.
 func (r *Relation) Pin() PinnedView { return PinnedView{name: r.name, v: r.snapshot()} }
 
 // Name returns the relation's label.
 func (p PinnedView) Name() string { return p.name }
 
-// Epoch returns the pinned epoch.
+// Epoch returns the pinned epoch: it increases by one per published
+// mutation (append, index build, compaction), and a query pinned at
+// epoch e observes exactly the appends published at or before e.
 func (p PinnedView) Epoch() int64 { return p.v.Epoch }
 
 // Len returns the number of records at the pinned epoch.
 func (p PinnedView) Len() int64 { return p.v.N }
 
-// MBR returns the bounding rectangle at the pinned epoch.
+// MBR returns the bounding rectangle at the pinned epoch (invalid for
+// an empty relation).
 func (p PinnedView) MBR() Rect { return p.v.MBR }
 
 // Indexed reports whether the pinned version carries an R-tree.
@@ -430,7 +391,8 @@ func (p PinnedView) Indexed() bool { return p.v.Tree != nil }
 func (p PinnedView) DataBytes() int64 { return p.v.File.Size() }
 
 // IndexBytes returns the packed R-tree's on-disk size at the pinned
-// epoch (0 if not built); see Relation.IndexBytes.
+// epoch (0 if not built). The tree covers the records of the last bulk
+// load or compaction; the DeltaRecords appended since live in memory.
 func (p PinnedView) IndexBytes() int64 {
 	if t := p.v.Tree; t != nil {
 		return t.SizeBytes()
@@ -439,7 +401,8 @@ func (p PinnedView) IndexBytes() int64 {
 }
 
 // IndexNodes returns the packed R-tree's page count at the pinned
-// epoch (0 if not built).
+// epoch (0 if not built) — the "lower bound" of Table 4. Like
+// IndexBytes it describes the packed base only.
 func (p PinnedView) IndexNodes() int {
 	if t := p.v.Tree; t != nil {
 		return t.NumNodes()
@@ -447,7 +410,10 @@ func (p PinnedView) IndexNodes() int {
 	return 0
 }
 
-// DeltaRecords returns the unfolded append delta at the pinned epoch.
+// DeltaRecords returns how many records had been appended since the
+// last packed index build at the pinned epoch (0 right after load,
+// BuildIndex, or compaction) — for an indexed relation the length of
+// the delta run queries read beside the tree.
 func (p PinnedView) DeltaRecords() int64 { return p.v.Delta() }
 
 // Compactions returns how many delta compactions the relation has

@@ -113,22 +113,22 @@ func TestWorkspacePQWorksUnindexed(t *testing.T) {
 
 func TestRelationAccessors(t *testing.T) {
 	ws, a, _, ra, _ := demoWorkspace(t)
-	if a.Name() != "A" || a.Len() != int64(len(ra)) {
-		t.Fatalf("accessors: %s %d", a.Name(), a.Len())
+	if a.Name() != "A" || a.Pin().Len() != int64(len(ra)) {
+		t.Fatalf("accessors: %s %d", a.Name(), a.Pin().Len())
 	}
-	if a.Indexed() || a.IndexBytes() != 0 || a.IndexNodes() != 0 {
+	if a.Pin().Indexed() || a.Pin().IndexBytes() != 0 || a.Pin().IndexNodes() != 0 {
 		t.Fatal("relation should start unindexed")
 	}
-	if a.DataBytes() != int64(len(ra)*20) {
-		t.Fatalf("data bytes = %d", a.DataBytes())
+	if a.Pin().DataBytes() != int64(len(ra)*20) {
+		t.Fatalf("data bytes = %d", a.Pin().DataBytes())
 	}
-	if !a.MBR().Valid() {
+	if !a.Pin().MBR().Valid() {
 		t.Fatal("MBR invalid")
 	}
 	if err := a.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	if !a.Indexed() || a.IndexBytes() == 0 || a.IndexNodes() == 0 {
+	if !a.Pin().Indexed() || a.Pin().IndexBytes() == 0 || a.Pin().IndexNodes() == 0 {
 		t.Fatal("index accessors broken")
 	}
 	_ = ws
