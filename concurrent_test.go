@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"unijoin/internal/jointest"
 )
 
 // TestConcurrentQueriesCancelSharedWorkspace runs mixed-algorithm
@@ -23,7 +25,7 @@ func TestConcurrentQueriesCancelSharedWorkspace(t *testing.T) {
 	if err := b.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	want := int64(len(brute(ra, rb)))
+	want := jointest.Join(ra, rb, nil).Len()
 
 	algs := []Algorithm{AlgPQ, AlgSSSJ, AlgPBSM, AlgST, AlgBFRJ, AlgParallel}
 	var wg sync.WaitGroup

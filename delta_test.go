@@ -7,57 +7,29 @@ import (
 	"slices"
 	"testing"
 
-	"unijoin/internal/datagen"
 	"unijoin/internal/ingest"
+	"unijoin/internal/jointest"
 )
 
 // A live indexed relation is a packed tree over its base plus a
 // y-sorted run over its delta. The tests here hold every consumer of
 // that mixed form to the answer of the plain record set.
 
-// mixedData generates one data shape over u, IDs 0..n-1.
-var mixedData = map[string]func(seed int64, n int, u Rect) []Record{
-	"random": func(seed int64, n int, u Rect) []Record { return datagen.Uniform(seed, n, u, 40) },
-	"clustered": func(seed int64, n int, u Rect) []Record {
-		rng := rand.New(rand.NewSource(seed))
-		recs := make([]Record, n)
-		for i := range recs {
-			cx, cy := 150+350*float64(i%3), 200+300*float64(i%2)
-			x, y := cx+rng.NormFloat64()*30, cy+rng.NormFloat64()*30
-			recs[i] = Record{ID: uint32(i), Rect: NewRect(Coord(x), Coord(y),
-				Coord(x+rng.Float64()*25), Coord(y+rng.Float64()*25))}
-		}
-		return recs
-	},
-	"tall": func(seed int64, n int, u Rect) []Record { return datagen.Tall(seed, n, u) },
-	"zero-extent": func(seed int64, n int, u Rect) []Record {
-		// Points and degenerate segments on a coarse lattice, so that
-		// they do meet each other.
-		rng := rand.New(rand.NewSource(seed))
-		recs := make([]Record, n)
-		for i := range recs {
-			x, y := Coord(20*rng.Intn(50)), Coord(20*rng.Intn(50))
-			r := NewRect(x, y, x, y)
-			switch rng.Intn(3) {
-			case 1:
-				r.XHi += 40
-			case 2:
-				r.YHi += 40
-			}
-			recs[i] = Record{ID: uint32(i), Rect: r}
-		}
-		return recs
-	},
-	"duplicates": func(seed int64, n int, u Rect) []Record {
-		// A handful of distinct rectangles, each repeated many times
-		// under different IDs: equal YLo everywhere a merge can tie.
-		distinct := datagen.Uniform(seed, 12, u, 200)
-		recs := make([]Record, n)
-		for i := range recs {
-			recs[i] = Record{ID: uint32(i), Rect: distinct[i%len(distinct)].Rect}
-		}
-		return recs
-	},
+// mixedKinds are the data kinds of these tests, by the jointest shape
+// that generates each.
+var mixedKinds = []struct{ name, shape string }{
+	{"random", "uniform"}, {"clustered", "clustered"}, {"tall", "tall"},
+	{"zero-extent", "zero-extent"}, {"duplicates", "duplicates"},
+}
+
+// draw returns n records of a jointest shape over region with the IDs
+// from..from+n-1.
+func draw(shape string, seed int64, n int, region Rect, from int) []Record {
+	var out []Record
+	for s := seed; len(out) < n; s += 1000 {
+		out = append(out, jointest.ShapeNamed(shape).Gen(s, region, nil).A...)
+	}
+	return renumber(out[:n], from)
 }
 
 // deltaShape says how many records of each side arrive by Append after
@@ -110,46 +82,28 @@ func liveRelation(t *testing.T, ws *Workspace, name string, base, delta []Record
 	return rel
 }
 
-// checkPairs requires got to be exactly want, each pair once.
-func checkPairs(t *testing.T, what string, got []Pair, want map[Pair]bool) {
-	t.Helper()
-	seen := make(map[Pair]bool, len(got))
-	for _, p := range got {
-		if seen[p] {
-			t.Fatalf("%s: pair %v reported twice", what, p)
-		}
-		if !want[p] {
-			t.Fatalf("%s: pair %v is not in the brute-force answer", what, p)
-		}
-		seen[p] = true
-	}
-	if len(seen) != len(want) {
-		t.Fatalf("%s: %d pairs, brute force finds %d", what, len(seen), len(want))
-	}
-}
-
-// TestMixedFormExactness: for every data shape and delta shape, every
-// algorithm — windowed and not, count-only, Emit and EmitBatch — and
-// the 3-way join report exactly the brute-force pair set over base ∪
-// delta, each pair once.
+// TestMixedFormExactness: for every data kind and delta shape, every
+// algorithm — windowed and not, count-only, collected, Emit and
+// EmitBatch — and the 3-way join report exactly the reference's answer
+// over base ∪ delta.
 func TestMixedFormExactness(t *testing.T) {
 	ctx := context.Background()
 	u := NewRect(0, 0, 1000, 1000)
 	far := NewRect(1200, 1200, 1500, 1500) // where outlying deltas land
 	window := NewRect(180, 240, 620, 700)
-	for _, kind := range []string{"random", "clustered", "tall", "zero-extent", "duplicates"} {
-		gen := mixedData[kind]
+	for _, kind := range mixedKinds {
 		for si, shape := range deltaShapes {
-			t.Run(kind+"/"+shape.name, func(t *testing.T) {
+			t.Run(kind.name+"/"+shape.name, func(t *testing.T) {
+				t.Parallel() // each case builds a workspace of its own
 				seed := int64(100 * si)
 				region := u
 				if shape.outlying {
 					region = far
 				}
-				baseA, baseB, baseC := gen(seed+1, 420, u), gen(seed+2, 330, u), gen(seed+3, 60, u)
-				deltaA := renumber(gen(seed+4, shape.da, region), len(baseA))
-				deltaB := renumber(gen(seed+5, shape.db, region), len(baseB))
-				deltaC := renumber(gen(seed+6, shape.db/3, region), len(baseC))
+				baseA, baseB, baseC := draw(kind.shape, seed+1, 300, u, 0), draw(kind.shape, seed+2, 200, u, 0), draw(kind.shape, seed+3, 40, u, 0)
+				deltaA := draw(kind.shape, seed+4, shape.da, region, len(baseA))
+				deltaB := draw(kind.shape, seed+5, shape.db, region, len(baseB))
+				deltaC := draw(kind.shape, seed+6, shape.db/3, region, len(baseC))
 				ws := NewWorkspace()
 				ws.SetUniverse(u.Union(far))
 				a := liveRelation(t, ws, "a", baseA, deltaA)
@@ -158,108 +112,60 @@ func TestMixedFormExactness(t *testing.T) {
 				allA, allB, allC := append(baseA, deltaA...), append(baseB, deltaB...), append(baseC, deltaC...)
 
 				for _, win := range []*Rect{nil, &window, &far} {
-					want := bruteWindow(allA, allB, win)
+					want := jointest.Join(allA, allB, win)
 					for _, alg := range queryAlgorithms {
-						what := fmt.Sprintf("%v window %v", alg, win)
-						q := func() *Query {
+						checkEmitModes(t, fmt.Sprintf("%v window %v", alg, win), func() *Query {
 							q := ws.Query(a, b).Algorithm(alg).Partitions(5)
 							if win != nil {
 								q.Window(*win)
 							}
 							return q
-						}
-						res, err := q().CountOnly().Run(ctx)
-						if err != nil {
-							t.Fatalf("%s: %v", what, err)
-						}
-						if res.Count() != int64(len(want)) {
-							t.Fatalf("%s: counted %d pairs, brute force finds %d", what, res.Count(), len(want))
-						}
-						var single, batched []Pair
-						if _, err := q().Emit(func(p Pair) { single = append(single, p) }).Run(ctx); err != nil {
-							t.Fatalf("%s: %v", what, err)
-						}
-						checkPairs(t, what+" Emit", single, want)
-						if _, err := q().EmitBatch(func(ps []Pair) { batched = append(batched, ps...) }).Run(ctx); err != nil {
-							t.Fatalf("%s: %v", what, err)
-						}
-						checkPairs(t, what+" EmitBatch", batched, want)
+						}, allA, allB, want)
 					}
 				}
 
-				// The 3-way join, as a set of triples.
-				want := map[[3]ID]bool{}
-				for p := range brute(allA, allB) {
-					ra, rb := allA[p.Left], allB[p.Right]
-					in, _ := ra.Rect.Intersection(rb.Rect)
-					for _, rc := range allC {
-						if in.Intersects(rc.Rect) {
-							want[[3]ID{ra.ID, rb.ID, rc.ID}] = true
-						}
-					}
-				}
-				got := map[[3]ID]bool{}
+				got := jointest.Bag[jointest.Tuple]{}
 				res, err := ws.MultiwayJoin(ctx, []*Relation{a, b, c}, func(ids []ID) {
-					tuple := [3]ID{ids[0], ids[1], ids[2]}
-					if got[tuple] {
-						t.Fatalf("multiway: tuple %v reported twice", tuple)
-					}
-					got[tuple] = true
+					got.Add(jointest.Tuple{ids[0], ids[1], ids[2]})
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Tuples != int64(len(want)) || len(got) != len(want) {
-					t.Fatalf("multiway: %d tuples (%d distinct), brute force finds %d", res.Tuples, len(got), len(want))
-				}
-				for tuple := range want {
-					if !got[tuple] {
-						t.Fatalf("multiway: tuple %v missing", tuple)
-					}
+				jointest.Check(t, "3-way join", jointest.Multiway(nil, allA, allB, allC), got, nil)
+				if res.Tuples != got.Len() {
+					t.Fatalf("3-way join: Tuples says %d, %d were emitted", res.Tuples, got.Len())
 				}
 			})
 		}
 	}
 }
 
-// TestMixedFormWindowQuery: a window query over tree ∪ run equals a
-// linear scan — for windows over both halves, windows that only delta
+// TestMixedFormWindowQuery: a window query over tree ∪ run equals the
+// reference — for windows over both halves, windows that only delta
 // records touch, and a run whose tallest record lies far below the
 // window; and a view pinned before an append never sees it.
 func TestMixedFormWindowQuery(t *testing.T) {
 	ctx := context.Background()
 	u := NewRect(0, 0, 1000, 1000)
 	far := NewRect(1200, 1200, 1500, 1500)
-	ids := func(t *testing.T, query func(context.Context, Rect, func(Record)) (int64, error), win Rect) []ID {
+	check := func(t *testing.T, what string, query func(context.Context, Rect, func(Record)) (int64, error), recs []Record, win Rect) {
 		t.Helper()
-		var got []ID
-		n, err := query(ctx, win, func(r Record) { got = append(got, r.ID) })
+		got := jointest.Bag[Record]{}
+		n, err := query(ctx, win, got.Add)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != int64(len(got)) {
-			t.Fatalf("window %v: counted %d records, emitted %d", win, n, len(got))
+		jointest.Check(t, fmt.Sprintf("window %v %s", win, what), jointest.Window(recs, win), got, nil)
+		if n != got.Len() {
+			t.Fatalf("window %v %s: counted %d records, emitted %d", win, what, n, got.Len())
 		}
-		slices.Sort(got)
-		return got
-	}
-	scan := func(recs []Record, win Rect) []ID {
-		var want []ID
-		for _, r := range recs {
-			if r.Rect.Intersects(win) {
-				want = append(want, r.ID)
-			}
-		}
-		slices.Sort(want)
-		return want
 	}
 
-	for _, kind := range []string{"random", "clustered", "tall", "zero-extent", "duplicates"} {
-		t.Run(kind, func(t *testing.T) {
-			gen := mixedData[kind]
-			base := gen(1, 900, u)
-			delta := renumber(gen(2, 400, u), len(base))
-			delta = append(delta, renumber(gen(3, 100, far), len(base)+len(delta))...)
+	for _, kind := range mixedKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			base := draw(kind.shape, 1, 900, u, 0)
+			delta := draw(kind.shape, 2, 400, u, len(base))
+			delta = append(delta, draw(kind.shape, 3, 100, far, len(base)+len(delta))...)
 			// Two records far taller than the rest, low in the universe:
 			// one reaches up into the windows below, one stops short, and
 			// either way the run's extent bound now spans most of it.
@@ -268,7 +174,7 @@ func TestMixedFormWindowQuery(t *testing.T) {
 				Record{ID: uint32(len(base) + len(delta) + 1), Rect: NewRect(600, 2, 640, 700)})
 			ws := NewWorkspace()
 			ws.SetUniverse(u.Union(far))
-			rel := liveRelation(t, ws, kind, base, delta)
+			rel := liveRelation(t, ws, kind.name, base, delta)
 			all := append(slices.Clone(base), delta...)
 
 			rng := rand.New(rand.NewSource(4))
@@ -286,24 +192,19 @@ func TestMixedFormWindowQuery(t *testing.T) {
 			}
 			pinned := rel.Pin()
 			for _, win := range windows {
-				if got, want := ids(t, rel.WindowQuery, win), scan(all, win); !slices.Equal(got, want) {
-					t.Fatalf("window %v: %d records, a scan finds %d", win, len(got), len(want))
-				}
+				check(t, "", rel.WindowQuery, all, win)
 			}
 
 			// One more batch: the live relation sees it, the pinned view
 			// keeps answering for its own epoch.
-			late := renumber(gen(5, 150, u), len(all))
+			late := draw(kind.shape, 5, 150, u, len(all))
 			if _, err := rel.Append(late); err != nil {
 				t.Fatal(err)
 			}
+			grown := append(slices.Clone(all), late...)
 			for _, win := range windows {
-				if got, want := ids(t, pinned.WindowQuery, win), scan(all, win); !slices.Equal(got, want) {
-					t.Fatalf("window %v on the pinned view: %d records, its epoch holds %d", win, len(got), len(want))
-				}
-				if got, want := ids(t, rel.WindowQuery, win), scan(append(slices.Clone(all), late...), win); !slices.Equal(got, want) {
-					t.Fatalf("window %v after the append: %d records, a scan finds %d", win, len(got), len(want))
-				}
+				check(t, "on the pinned view", pinned.WindowQuery, all, win)
+				check(t, "after the append", rel.WindowQuery, grown, win)
 			}
 		})
 	}

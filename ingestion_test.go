@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"unijoin/internal/ingest"
+	"unijoin/internal/jointest"
 )
 
 // appendDelta returns a batch of records with IDs starting at idBase.
@@ -48,30 +49,11 @@ func TestAppendEpochIsolationAllAlgorithms(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pairSet := func(pairs []Pair) map[Pair]bool {
-		out := make(map[Pair]bool, len(pairs))
-		for _, p := range pairs {
-			out[p] = true
-		}
-		return out
-	}
-	sameSet := func(got map[Pair]bool, want map[Pair]bool) error {
-		if len(got) != len(want) {
-			return fmt.Errorf("%d pairs, want %d", len(got), len(want))
-		}
-		for p := range want {
-			if !got[p] {
-				return fmt.Errorf("missing pair %v", p)
-			}
-		}
-		return nil
-	}
-
 	cur := append([]Record(nil), ra...)
 	algs := []Algorithm{AlgPQ, AlgSSSJ, AlgPBSM, AlgST, AlgAuto, AlgBFRJ, AlgParallel}
 	for i, alg := range algs {
 		t.Run(alg.String(), func(t *testing.T) {
-			wantBefore := brute(cur, rb)
+			wantBefore := jointest.Join(cur, rb, nil)
 			delta := appendDelta(int64(40+i), 150, len(cur), u)
 
 			// Start the straddling query and hold it open at its first
@@ -103,24 +85,15 @@ func TestAppendEpochIsolationAllAlgorithms(t *testing.T) {
 			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
-			if err := sameSet(pairSet(got), wantBefore); err != nil {
-				t.Fatalf("straddling %v query observed the append: %v", alg, err)
-			}
+			jointest.CheckJoin(t, alg.String()+" query straddling the append", cur, rb, wantBefore, jointest.BagOf(got))
 
 			// A query started after the append observes all of it.
 			cur = append(cur, delta...)
-			wantAfter := brute(cur, rb)
 			after, err := ws.Query(a, b).Algorithm(alg).Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			afterSet := make(map[Pair]bool)
-			for p := range after.Pairs() {
-				afterSet[p] = true
-			}
-			if err := sameSet(afterSet, wantAfter); err != nil {
-				t.Fatalf("post-append %v query: %v", alg, err)
-			}
+			jointest.CheckJoin(t, "post-append "+alg.String()+" query", cur, rb, jointest.Join(cur, rb, nil), jointest.BagOf(after.PairSlice()))
 		})
 	}
 	if a.Pin().DeltaRecords() != int64(len(algs)*150) {
@@ -139,7 +112,7 @@ func TestAppendEpochIsolationAllAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := res.Count(), int64(len(brute(cur, rb))); got != want {
+	if got, want := res.Count(), jointest.Join(cur, rb, nil).Len(); got != want {
 		t.Fatalf("post-compaction count %d, want %d", got, want)
 	}
 }
@@ -179,11 +152,11 @@ func TestConcurrentAppendsWithStreamingQueries(t *testing.T) {
 	// Reference pair sets and window ID sets for each prefix k.
 	win := NewRect(200, 200, 700, 700)
 	deltas := make([][]Record, batches)
-	joinRef := make([]map[Pair]bool, batches+1)
+	joinRef := make([]jointest.Bag[Pair], batches+1)
 	winRef := make([]map[ID]bool, batches+1)
 	prefix := append([]Record(nil), ra...)
 	for k := 0; k <= batches; k++ {
-		joinRef[k] = brute(prefix, rb)
+		joinRef[k] = jointest.Join(prefix, rb, nil)
 		ids := make(map[ID]bool)
 		for _, r := range prefix {
 			if r.Rect.Intersects(win) {
@@ -219,19 +192,17 @@ func TestConcurrentAppendsWithStreamingQueries(t *testing.T) {
 
 	// matchEpoch finds the unique k whose reference count matches and
 	// checks it lies in the observed bracket and the sets agree.
-	checkJoin := func(alg Algorithm, got map[Pair]bool, k1, k2 int64) error {
+	checkJoin := func(alg Algorithm, got jointest.Bag[Pair], k1, k2 int64) error {
 		for k := k1; k <= k2; k++ {
-			if int64(len(joinRef[k])) != int64(len(got)) {
+			if joinRef[k].Len() != got.Len() {
 				continue
 			}
-			for p := range got {
-				if !joinRef[k][p] {
-					return fmt.Errorf("%v: pair %v not in epoch %d reference", alg, p, k)
-				}
+			if missing, surplus := jointest.Diff(joinRef[k], got); len(missing)+len(surplus) > 0 {
+				return fmt.Errorf("%v: against the epoch %d reference, missing %v, surplus %v", alg, k, missing, surplus)
 			}
 			return nil
 		}
-		return fmt.Errorf("%v: %d pairs matches no epoch in [%d,%d]", alg, len(got), k1, k2)
+		return fmt.Errorf("%v: %d pairs matches no epoch in [%d,%d]", alg, got.Len(), k1, k2)
 	}
 
 	for _, alg := range []Algorithm{AlgPQ, AlgSSSJ, AlgST, AlgParallel} {
@@ -251,11 +222,7 @@ func TestConcurrentAppendsWithStreamingQueries(t *testing.T) {
 					return
 				}
 				k2 := a.Pin().Epoch() - epoch0
-				got := make(map[Pair]bool)
-				for p := range res.Pairs() {
-					got[p] = true
-				}
-				if err := checkJoin(alg, got, k1, k2); err != nil {
+				if err := checkJoin(alg, jointest.BagOf(res.PairSlice()), k1, k2); err != nil {
 					errs <- err
 					return
 				}

@@ -12,6 +12,7 @@ import (
 	"unijoin/internal/datagen"
 	"unijoin/internal/geom"
 	"unijoin/internal/iosim"
+	"unijoin/internal/jointest"
 	"unijoin/internal/rtree"
 	"unijoin/internal/stream"
 )
@@ -67,87 +68,47 @@ func (e *env) options() Options {
 	return Options{Store: e.store, Universe: e.universe, MemoryBytes: 1 << 20, BufferPoolBytes: 1 << 20}
 }
 
-func bruteForcePairs(a, b []geom.Record) map[geom.Pair]bool {
-	out := make(map[geom.Pair]bool)
-	for _, ra := range a {
-		for _, rb := range b {
-			if ra.Rect.Intersects(rb.Rect) {
-				out[geom.Pair{Left: ra.ID, Right: rb.ID}] = true
-			}
-		}
-	}
-	return out
-}
-
-// collect runs a join function with a duplicate-checking collector.
-func collect(t testing.TB, run func(Options) (Result, error), opts Options) (map[geom.Pair]bool, Result) {
+// collect runs a join function and returns the pairs it emitted, whose
+// number its Result must report.
+func collect(t testing.TB, run func(Options) (Result, error), opts Options) (jointest.Bag[geom.Pair], Result) {
 	t.Helper()
-	got := make(map[geom.Pair]bool)
-	opts.Emit = func(p geom.Pair) {
-		if got[p] {
-			t.Fatalf("duplicate pair %v", p)
-		}
-		got[p] = true
-	}
+	got := jointest.Bag[geom.Pair]{}
+	opts.Emit = got.Add
 	res, err := run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Pairs != int64(len(got)) {
-		t.Fatalf("Pairs=%d but %d emitted", res.Pairs, len(got))
+	if res.Pairs != got.Len() {
+		t.Fatalf("Pairs=%d but %d emitted", res.Pairs, got.Len())
 	}
 	return got, res
 }
 
-func checkEqual(t testing.TB, name string, got, want map[geom.Pair]bool) {
+// checkJoin holds the pairs a join emitted over e's two relations to
+// the reference.
+func (e *env) checkJoin(t testing.TB, name string, got jointest.Bag[geom.Pair]) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: got %d pairs, want %d", name, len(got), len(want))
-	}
-	for p := range want {
-		if !got[p] {
-			t.Fatalf("%s: missing pair %v", name, p)
-		}
-	}
+	jointest.CheckJoin(t, name, e.recsA, e.recsB, jointest.Join(e.recsA, e.recsB, nil), got)
 }
 
 // allAlgorithms runs SSSJ, PBSM, ST, PQ (all input combinations) and
-// the partitioned SSSJ on one environment and checks them against
-// brute force.
+// the partitioned SSSJ on one environment and checks them against the
+// reference.
 func allAlgorithms(t *testing.T, e *env) {
-	want := bruteForcePairs(e.recsA, e.recsB)
-
-	got, _ := collect(t, func(o Options) (Result, error) { return SSSJ(bg, o, e.fileA, e.fileB) }, e.options())
-	checkEqual(t, "SSSJ", got, want)
-
-	got, _ = collect(t, func(o Options) (Result, error) { return SSSJPartitioned(bg, o, e.fileA, e.fileB, 4) }, e.options())
-	checkEqual(t, "SSSJ-part", got, want)
-
-	got, _ = collect(t, func(o Options) (Result, error) { return PBSM(bg, o, e.fileA, e.fileB) }, e.options())
-	checkEqual(t, "PBSM", got, want)
-
-	got, _ = collect(t, func(o Options) (Result, error) { return ST(bg, o, e.treeA, e.treeB) }, e.options())
-	checkEqual(t, "ST", got, want)
-
-	got, _ = collect(t, func(o Options) (Result, error) {
-		return PQ(bg, o, TreeInput(e.treeA), TreeInput(e.treeB))
-	}, e.options())
-	checkEqual(t, "PQ tree/tree", got, want)
-
-	got, _ = collect(t, func(o Options) (Result, error) {
-		return PQ(bg, o, TreeInput(e.treeA), FileInput(e.fileB))
-	}, e.options())
-	checkEqual(t, "PQ tree/file", got, want)
-
-	got, _ = collect(t, func(o Options) (Result, error) {
-		return PQ(bg, o, FileInput(e.fileA), TreeInput(e.treeB))
-	}, e.options())
-	checkEqual(t, "PQ file/tree", got, want)
-
-	got, _ = collect(t, func(o Options) (Result, error) {
-		return PQ(bg, o, FileInput(e.fileA), FileInput(e.fileB))
-	}, e.options())
-	checkEqual(t, "PQ file/file", got, want)
+	want := jointest.Join(e.recsA, e.recsB, nil)
+	for name, run := range map[string]func(Options) (Result, error){
+		"SSSJ":         func(o Options) (Result, error) { return SSSJ(bg, o, e.fileA, e.fileB) },
+		"SSSJ-part":    func(o Options) (Result, error) { return SSSJPartitioned(bg, o, e.fileA, e.fileB, 4) },
+		"PBSM":         func(o Options) (Result, error) { return PBSM(bg, o, e.fileA, e.fileB) },
+		"ST":           func(o Options) (Result, error) { return ST(bg, o, e.treeA, e.treeB) },
+		"PQ tree/tree": func(o Options) (Result, error) { return PQ(bg, o, TreeInput(e.treeA), TreeInput(e.treeB)) },
+		"PQ tree/file": func(o Options) (Result, error) { return PQ(bg, o, TreeInput(e.treeA), FileInput(e.fileB)) },
+		"PQ file/tree": func(o Options) (Result, error) { return PQ(bg, o, FileInput(e.fileA), TreeInput(e.treeB)) },
+		"PQ file/file": func(o Options) (Result, error) { return PQ(bg, o, FileInput(e.fileA), FileInput(e.fileB)) },
+	} {
+		got, _ := collect(t, run, e.options())
+		jointest.CheckJoin(t, name, e.recsA, e.recsB, want, got)
+	}
 }
 
 func genUniform(seed int64, n int, universe geom.Rect, maxExt float64) []geom.Record {
@@ -183,8 +144,7 @@ func TestAllAlgorithmsAgreeDisjointInputs(t *testing.T) {
 	left := genUniform(8, 300, geom.NewRect(0, 0, 400, 1000), 20)
 	right := genUniform(9, 300, geom.NewRect(600, 0, 1000, 1000), 20)
 	e := buildEnv(t, u, left, right)
-	want := bruteForcePairs(left, right)
-	if len(want) != 0 {
+	if jointest.Join(left, right, nil).Len() != 0 {
 		t.Fatal("test setup: inputs should be disjoint")
 	}
 	allAlgorithms(t, e)
@@ -204,30 +164,17 @@ func TestAlgorithmsPropertyQuick(t *testing.T) {
 		recsA := genUniform(seed, na, u, 60)
 		recsB := genUniform(seed+999, nb, u, 60)
 		e := buildEnv(t, u, recsA, recsB)
-		want := bruteForcePairs(recsA, recsB)
+		want := jointest.Join(recsA, recsB, nil)
 
 		check := func(run func(Options) (Result, error)) bool {
-			got := make(map[geom.Pair]bool)
+			got := jointest.Bag[geom.Pair]{}
 			o := e.options()
-			dup := false
-			o.Emit = func(p geom.Pair) {
-				if got[p] {
-					dup = true
-				}
-				got[p] = true
-			}
+			o.Emit = got.Add
 			if _, err := run(o); err != nil {
 				return false
 			}
-			if dup || len(got) != len(want) {
-				return false
-			}
-			for p := range want {
-				if !got[p] {
-					return false
-				}
-			}
-			return true
+			missing, surplus := jointest.Diff(want, got)
+			return len(missing)+len(surplus) == 0
 		}
 		return check(func(o Options) (Result, error) { return SSSJ(bg, o, e.fileA, e.fileB) }) &&
 			check(func(o Options) (Result, error) { return PBSM(bg, o, e.fileA, e.fileB) }) &&
@@ -410,13 +357,11 @@ func TestSTDifferentHeights(t *testing.T) {
 	if e.treeA.Height() == e.treeB.Height() {
 		t.Skip("trees ended up the same height; adjust sizes")
 	}
-	want := bruteForcePairs(big, tiny)
 	got, _ := collect(t, func(o Options) (Result, error) { return ST(bg, o, e.treeA, e.treeB) }, e.options())
-	checkEqual(t, "ST heights", got, want)
+	e.checkJoin(t, "ST heights", got)
 	// And flipped.
 	got, _ = collect(t, func(o Options) (Result, error) { return ST(bg, o, e.treeB, e.treeA) }, e.options())
-	want2 := bruteForcePairs(tiny, big)
-	checkEqual(t, "ST heights flipped", got, want2)
+	jointest.CheckJoin(t, "ST heights flipped", tiny, big, jointest.Join(tiny, big, nil), got)
 }
 
 func TestPQTouchesEachTreePageOnce(t *testing.T) {
@@ -451,23 +396,12 @@ func TestPQWindowRestriction(t *testing.T) {
 	u := geom.NewRect(0, 0, 1000, 1000)
 	e := buildEnv(t, u, genUniform(29, 6000, u, 10), genUniform(30, 4000, u, 10))
 	window := geom.NewRect(0, 0, 250, 250)
-	want := make(map[geom.Pair]bool)
-	for _, ra := range e.recsA {
-		if !ra.Rect.Intersects(window) {
-			continue
-		}
-		for _, rb := range e.recsB {
-			if rb.Rect.Intersects(window) && ra.Rect.Intersects(rb.Rect) {
-				want[geom.Pair{Left: ra.ID, Right: rb.ID}] = true
-			}
-		}
-	}
 	o := e.options()
 	o.Window = &window
 	got, res := collect(t, func(o Options) (Result, error) {
 		return PQ(bg, o, TreeInput(e.treeA), TreeInput(e.treeB))
 	}, o)
-	checkEqual(t, "PQ window", got, want)
+	jointest.CheckJoin(t, "PQ window", e.recsA, e.recsB, jointest.Join(e.recsA, e.recsB, &window), got)
 	full := int64(e.treeA.NumNodes() + e.treeB.NumNodes())
 	if res.PageRequests >= full {
 		t.Fatalf("windowed PQ read %d of %d pages", res.PageRequests, full)
@@ -484,7 +418,7 @@ func TestPQRestrictScannersDisjointTrees(t *testing.T) {
 	got, res := collect(t, func(o Options) (Result, error) {
 		return PQ(bg, o, TreeInput(e.treeA), TreeInput(e.treeB))
 	}, o)
-	if len(got) != 0 {
+	if got.Len() != 0 {
 		t.Fatal("disjoint trees should produce nothing")
 	}
 	full := int64(e.treeA.NumNodes() + e.treeB.NumNodes())

@@ -7,6 +7,7 @@ import (
 	"unijoin/internal/datagen"
 	"unijoin/internal/geom"
 	"unijoin/internal/iosim"
+	"unijoin/internal/jointest"
 )
 
 // deltaRun sorts recs into the resident form ingest keeps a delta in.
@@ -41,8 +42,8 @@ func TestTreePlusRunInputs(t *testing.T) {
 	a := Input{Tree: e.treeA, Delta: deltaRun(tailA)}
 	b := Input{Tree: e.treeB, Delta: deltaRun(tailB)}
 	allA, allB := append(slices.Clone(baseA), tailA...), append(slices.Clone(baseB), tailB...)
-	want := bruteForcePairs(allA, allB)
-	if plain := bruteForcePairs(baseA, baseB); len(plain) == len(want) {
+	want := jointest.Join(allA, allB, nil)
+	if plain := jointest.Join(baseA, baseB, nil); plain.Len() == want.Len() {
 		t.Fatal("the runs contribute no pair; the test would prove nothing")
 	}
 
@@ -61,7 +62,7 @@ func TestTreePlusRunInputs(t *testing.T) {
 	}
 	for name, join := range joins {
 		got, _ := collect(t, join, e.options())
-		checkEqual(t, name, got, want)
+		jointest.CheckJoin(t, name, allA, allB, want, got)
 	}
 
 	// The traversals' reports are the sum of their three parts.
@@ -73,7 +74,7 @@ func TestTreePlusRunInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if whole.Algorithm != "ST" || whole.Pairs != int64(len(want)) || whole.PageRequests <= bases.PageRequests {
+	if whole.Algorithm != "ST" || whole.Pairs != want.Len() || whole.PageRequests <= bases.PageRequests {
 		t.Fatalf("Indexed(ST) reports %q, %d pairs, %d page requests; the bases alone take %d requests for %d pairs",
 			whole.Algorithm, whole.Pairs, whole.PageRequests, bases.PageRequests, bases.Pairs)
 	}

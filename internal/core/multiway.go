@@ -51,14 +51,12 @@ func MultiwayPQ(ctx context.Context, opts Options, inputs []Input, emit func(ids
 	}
 	var current []tuple
 
-	// Each stage is the unified join with a record-pair collector (a
-	// tuple needs the rectangles). Pair callbacks are not meaningful
-	// mid-pipeline, so the stages run without them.
+	// Each stage is the unified join with a record-pair collector for
+	// its sink (a tuple needs the rectangles). Pair callbacks are not
+	// meaningful mid-pipeline, so the stages run without them.
 	opts.Emit, opts.EmitBatch = nil, nil
-	stage := func(name string, a, b sideFn, collect func(ra, rb geom.Record)) error {
-		res, err := run(ctx, opts, name, func(ctx context.Context, o Options, res *Result) error {
-			return sweepSides(ctx, o, res, a, b, collect)
-		})
+	stage := func(name string, body func(ctx context.Context, o Options, res *Result) error) error {
+		res, err := run(ctx, opts, name, body)
 		if err == nil {
 			mres.Stages = append(mres.Stages, res)
 			mres.Intermediate = append(mres.Intermediate, int64(len(current)))
@@ -67,12 +65,13 @@ func MultiwayPQ(ctx context.Context, opts Options, inputs []Input, emit func(ids
 	}
 
 	// Stage 1: inputs[0] x inputs[1], the standard PQ join.
-	err := stage("PQ", sorted(inputs[0], inputs[1]), sorted(inputs[1], inputs[0]),
-		func(ra, rb geom.Record) {
+	err := stage("PQ", func(ctx context.Context, o Options, res *Result) error {
+		return joinInputs(ctx, o, res, inputs[0], inputs[1], func(ra, rb geom.Record) {
 			if in, ok := ra.Rect.Intersection(rb.Rect); ok {
 				current = append(current, tuple{rect: in, ids: []geom.ID{ra.ID, rb.ID}})
 			}
 		})
+	})
 	if err != nil {
 		return mres, err
 	}
@@ -87,15 +86,18 @@ func MultiwayPQ(ctx context.Context, opts Options, inputs []Input, emit func(ids
 		}
 		prev := current
 		current = nil
-		err := stage("PQ-stage",
-			func(context.Context, Options) (pqSide, error) { return pqSide{src: sweep.NewSliceSource(recs)}, nil },
-			sorted(next, Input{}),
-			func(ri, rb geom.Record) {
+		err := stage("PQ-stage", func(ctx context.Context, o Options, res *Result) error {
+			side, err := prepared(ctx, o, res, next, Input{})
+			if err != nil {
+				return err
+			}
+			return sweepSides(ctx, o, res, pqSide{src: sweep.NewSliceSource(recs)}, side, func(ri, rb geom.Record) {
 				if in, ok := ri.Rect.Intersection(rb.Rect); ok {
 					ids := slices.Concat(prev[ri.ID].ids, []geom.ID{rb.ID})
 					current = append(current, tuple{rect: in, ids: ids})
 				}
 			})
+		})
 		if err != nil {
 			return mres, err
 		}

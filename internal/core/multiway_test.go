@@ -3,32 +3,19 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"testing"
 
 	"unijoin/internal/geom"
 	"unijoin/internal/iosim"
+	"unijoin/internal/jointest"
 	"unijoin/internal/rtree"
 	"unijoin/internal/stream"
 )
 
-// bruteTriples computes the reference 3-way intersection result.
-func bruteTriples(a, b, c []geom.Record) map[[3]geom.ID]bool {
-	out := make(map[[3]geom.ID]bool)
-	for _, ra := range a {
-		for _, rb := range b {
-			in, ok := ra.Rect.Intersection(rb.Rect)
-			if !ok {
-				continue
-			}
-			for _, rc := range c {
-				if in.Intersects(rc.Rect) {
-					out[[3]geom.ID{ra.ID, rb.ID, rc.ID}] = true
-				}
-			}
-		}
-	}
-	return out
+// tupleOf is a result tuple as the reference keys it.
+func tupleOf(ids []geom.ID) (tp jointest.Tuple) {
+	copy(tp[:], ids)
+	return tp
 }
 
 func buildThird(t *testing.T, e *env, recs []geom.Record) (*iosim.File, *rtree.Tree) {
@@ -52,7 +39,7 @@ func TestMultiwayThreeWayMatchesBruteForce(t *testing.T) {
 	recsC := genUniform(62, 400, u, 50)
 	e := buildEnv(t, u, recsA, recsB)
 	fileC, treeC := buildThird(t, e, recsC)
-	want := bruteTriples(recsA, recsB, recsC)
+	want := jointest.Multiway(nil, recsA, recsB, recsC)
 
 	for name, inputs := range map[string][]Input{
 		"trees": {TreeInput(e.treeA), TreeInput(e.treeB), TreeInput(treeC)},
@@ -60,30 +47,19 @@ func TestMultiwayThreeWayMatchesBruteForce(t *testing.T) {
 		"files": {FileInput(e.fileA), FileInput(e.fileB), FileInput(fileC)},
 	} {
 		t.Run(name, func(t *testing.T) {
-			got := make(map[[3]geom.ID]bool)
+			got := jointest.Bag[jointest.Tuple]{}
 			res, err := MultiwayPQ(bg, e.options(), inputs, func(ids []geom.ID) {
 				if len(ids) != 3 {
 					t.Fatalf("tuple arity %d", len(ids))
 				}
-				key := [3]geom.ID{ids[0], ids[1], ids[2]}
-				if got[key] {
-					t.Fatalf("duplicate tuple %v", key)
-				}
-				got[key] = true
+				got.Add(tupleOf(ids))
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("got %d triples, want %d", len(got), len(want))
-			}
-			for k := range want {
-				if !got[k] {
-					t.Fatalf("missing triple %v", k)
-				}
-			}
-			if res.Tuples != int64(len(want)) {
-				t.Fatalf("Tuples=%d want %d", res.Tuples, len(want))
+			jointest.Check(t, name, want, got, nil)
+			if res.Tuples != want.Len() {
+				t.Fatalf("Tuples=%d want %d", res.Tuples, want.Len())
 			}
 			if len(res.Stages) != 2 || len(res.Intermediate) != 2 {
 				t.Fatalf("stage accounting: %d stages, %d intermediates", len(res.Stages), len(res.Intermediate))
@@ -95,19 +71,16 @@ func TestMultiwayThreeWayMatchesBruteForce(t *testing.T) {
 func TestMultiwayTwoWayReducesToPQ(t *testing.T) {
 	u := geom.NewRect(0, 0, 500, 500)
 	e := buildEnv(t, u, genUniform(63, 500, u, 40), genUniform(64, 500, u, 40))
-	want := bruteForcePairs(e.recsA, e.recsB)
-	var tuples int
+	got := jointest.Bag[geom.Pair]{}
 	res, err := MultiwayPQ(bg, e.options(), []Input{TreeInput(e.treeA), TreeInput(e.treeB)}, func(ids []geom.ID) {
-		if !want[geom.Pair{Left: ids[0], Right: ids[1]}] {
-			t.Fatalf("unexpected pair %v", ids)
-		}
-		tuples++
+		got.Add(geom.Pair{Left: ids[0], Right: ids[1]})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tuples != len(want) || res.Tuples != int64(len(want)) {
-		t.Fatalf("tuples=%d want %d", tuples, len(want))
+	e.checkJoin(t, "2-way multiway", got)
+	if res.Tuples != got.Len() {
+		t.Fatalf("Tuples=%d, %d emitted", res.Tuples, got.Len())
 	}
 }
 
@@ -121,43 +94,14 @@ func TestMultiwayFourWay(t *testing.T) {
 	fileC, _ := buildThird(t, e, recs[2])
 	fileD, _ := buildThird(t, e, recs[3])
 
-	// Brute force 4-way.
-	want := make(map[[4]geom.ID]bool)
-	for _, ra := range recs[0] {
-		for _, rb := range recs[1] {
-			in1, ok := ra.Rect.Intersection(rb.Rect)
-			if !ok {
-				continue
-			}
-			for _, rc := range recs[2] {
-				in2, ok := in1.Intersection(rc.Rect)
-				if !ok {
-					continue
-				}
-				for _, rd := range recs[3] {
-					if in2.Intersects(rd.Rect) {
-						want[[4]geom.ID{ra.ID, rb.ID, rc.ID, rd.ID}] = true
-					}
-				}
-			}
-		}
-	}
-
-	got := make(map[[4]geom.ID]bool)
+	got := jointest.Bag[jointest.Tuple]{}
 	res, err := MultiwayPQ(bg, e.options(),
 		[]Input{FileInput(e.fileA), FileInput(e.fileB), FileInput(fileC), FileInput(fileD)},
-		func(ids []geom.ID) { got[[4]geom.ID{ids[0], ids[1], ids[2], ids[3]}] = true })
+		func(ids []geom.ID) { got.Add(tupleOf(ids)) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d quadruples, want %d", len(got), len(want))
-	}
-	for k := range want {
-		if !got[k] {
-			t.Fatalf("missing %v", k)
-		}
-	}
+	jointest.Check(t, "4-way join", jointest.Multiway(nil, recs...), got, nil)
 	if len(res.Stages) != 3 {
 		t.Fatalf("stages = %d", len(res.Stages))
 	}
@@ -189,9 +133,8 @@ func TestMultiwayValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bruteForcePairs(e.recsA, e.recsB)
-	if res.Tuples != int64(len(want)) {
-		t.Fatalf("tuples=%d want %d", res.Tuples, len(want))
+	if want := jointest.Join(e.recsA, e.recsB, nil).Len(); res.Tuples != want {
+		t.Fatalf("tuples=%d want %d", res.Tuples, want)
 	}
 }
 
@@ -203,21 +146,12 @@ func TestMultiwayValidation(t *testing.T) {
 func TestMultiwayWindowMatchesBruteForce(t *testing.T) {
 	u := geom.NewRect(0, 0, 500, 500)
 	window := geom.NewRect(100, 120, 260, 300)
-	inWindow := func(recs []geom.Record) []geom.Record {
-		var out []geom.Record
-		for _, r := range recs {
-			if r.Rect.Intersects(window) {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
 	recsA, recsB, recsC := genUniform(90, 500, u, 60), genUniform(91, 500, u, 60), genUniform(92, 500, u, 60)
 	e := buildEnv(t, u, recsA, recsB)
 	fileC, treeC := buildThird(t, e, recsC)
-	want := bruteTriples(inWindow(recsA), inWindow(recsB), inWindow(recsC))
-	if all := bruteTriples(recsA, recsB, recsC); len(want) == 0 || len(want) == len(all) {
-		t.Fatalf("the window keeps %d of %d tuples: the case cannot tell a windowed join from another", len(want), len(all))
+	want := jointest.Multiway(&window, recsA, recsB, recsC)
+	if all := jointest.Multiway(nil, recsA, recsB, recsC); want.Len() == 0 || want.Len() == all.Len() {
+		t.Fatalf("the window keeps %d of %d tuples: the case cannot tell a windowed join from another", want.Len(), all.Len())
 	}
 	for name, inputs := range map[string][]Input{
 		"trees": {TreeInput(e.treeA), TreeInput(e.treeB), TreeInput(treeC)},
@@ -225,14 +159,14 @@ func TestMultiwayWindowMatchesBruteForce(t *testing.T) {
 	} {
 		o := e.options()
 		o.Window = &window
-		got := make(map[[3]geom.ID]bool)
-		res, err := MultiwayPQ(bg, o, inputs, func(ids []geom.ID) { got[[3]geom.ID(ids)] = true })
+		got := jointest.Bag[jointest.Tuple]{}
+		res, err := MultiwayPQ(bg, o, inputs, func(ids []geom.ID) { got.Add(tupleOf(ids)) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Tuples != int64(len(want)) || !maps.Equal(got, want) {
-			t.Fatalf("%s: %d tuples, %d distinct, brute force over the window's records finds %d",
-				name, res.Tuples, len(got), len(want))
+		jointest.Check(t, name, want, got, nil)
+		if res.Tuples != want.Len() {
+			t.Fatalf("%s: Tuples says %d, the reference finds %d", name, res.Tuples, want.Len())
 		}
 	}
 }
@@ -248,7 +182,7 @@ func TestMultiwayIntermediateOrderIsSorted(t *testing.T) {
 	violations := 0
 	a, b := TreeInput(e.treeA), TreeInput(e.treeB)
 	var res Result
-	err := sweepSides(bg, o, &res, sorted(a, b), sorted(b, a), func(ra, rb geom.Record) {
+	err := joinInputs(bg, o, &res, a, b, func(ra, rb geom.Record) {
 		in, ok := ra.Rect.Intersection(rb.Rect)
 		if !ok {
 			t.Fatal("emitted pair without intersection")

@@ -6,6 +6,7 @@ import (
 
 	"unijoin/internal/geom"
 	"unijoin/internal/iosim"
+	"unijoin/internal/jointest"
 )
 
 func TestThresholdMatchesPaperFor10xDisk(t *testing.T) {
@@ -88,21 +89,15 @@ func TestPlannerJoinProducesCorrectPairs(t *testing.T) {
 	big := genUniform(44, 8000, u, 8)
 	small := genUniform(45, 200, geom.NewRect(100, 100, 220, 220), 10)
 	e := buildEnv(t, u, big, small)
-	want := bruteForcePairs(big, small)
 	p := Planner{Machine: iosim.Machine1}
-	got := make(map[geom.Pair]bool)
+	got := jointest.Bag[geom.Pair]{}
 	o := e.options()
-	o.Emit = func(pr geom.Pair) {
-		if got[pr] {
-			t.Fatalf("duplicate %v", pr)
-		}
-		got[pr] = true
-	}
+	o.Emit = got.Add
 	d, res, err := p.Join(bg, o, Input{File: e.fileA, Tree: e.treeA}, Input{File: e.fileB, Tree: e.treeB})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkEqual(t, "planner join", got, want)
+	e.checkJoin(t, "planner join", got)
 	if d.UseIndexA && res.PageRequests >= int64(e.treeA.NumNodes()) {
 		t.Fatalf("index path should skip pages: %d of %d", res.PageRequests, e.treeA.NumNodes())
 	}

@@ -31,63 +31,65 @@ func PQ(ctx context.Context, opts Options, a, b Input) (Result, error) {
 		return Result{}, fmt.Errorf("%w: PQ inputs need a file, a tree or a run", ErrNilRelation)
 	}
 	return run(ctx, opts, "PQ", func(ctx context.Context, o Options, res *Result) error {
-		return sweepSides(ctx, o, res, sorted(a, b), sorted(b, a), nil)
+		return joinInputs(ctx, o, res, a, b, o.pairSink(&res.Pairs))
 	})
 }
 
-// sideFn builds one y-sorted input of the unified join under the
-// context and options sweepSides runs with. It is deferred so that
-// sweepSides runs it inside the preparation phase it times.
-type sideFn func(ctx context.Context, o Options) (pqSide, error)
-
-// sorted defers pqSource over in, restricted against other.
-func sorted(in, other Input) sideFn {
-	return func(ctx context.Context, o Options) (pqSide, error) { return pqSource(ctx, o, in, other) }
+// prepared builds in's y-sorted side, restricted against other, and
+// charges the time to res.PartitionWall: the preparation phase of a
+// unified join is the external sorts of its non-indexed inputs, and
+// an indexed input costs nothing here because its sorted scanner
+// extracts lazily, inside the sweep.
+func prepared(ctx context.Context, o Options, res *Result, in, other Input) (pqSide, error) {
+	if err := ctx.Err(); err != nil {
+		return pqSide{}, err
+	}
+	start := time.Now()
+	side, err := pqSource(ctx, o, in, other)
+	res.PartitionWall += time.Since(start)
+	return side, err
 }
 
-// sweepSides is the unified join written once: build the two y-sorted
-// sides, plane-sweep them, and report into res — the kernel's
+// joinInputs prepares both inputs against each other and sweeps them.
+func joinInputs(ctx context.Context, o Options, res *Result, a, b Input, sink func(ra, rb geom.Record)) error {
+	sa, err := prepared(ctx, o, res, a, b)
+	if err != nil {
+		return err
+	}
+	sb, err := prepared(ctx, o, res, b, a)
+	if err != nil {
+		sa.release()
+		return err
+	}
+	return sweepSides(ctx, o, res, sa, sb, sink)
+}
+
+// sweepSides is the unified join written once: plane-sweep two built
+// y-sorted sides, release them, and report into res — the kernel's
 // statistics, the scanners' footprint and page requests, the external
-// sorts, and the two phase walls. PQ, SSSJ, each slab of
-// SSSJPartitioned and every multiway stage are this body over
-// different sides.
+// sorts, and the sweep wall. PQ, SSSJ, each slab of SSSJPartitioned
+// and every multiway stage are this body over different sides.
 //
-// The preparation phase is the external sorts of non-indexed inputs;
-// indexed inputs cost nothing there because the sorted scanner
-// extracts lazily, inside the sweep. collect, when set, receives every
-// pair the kernel finds, with its rectangles (the multiway stages);
-// nil reports pairs the way Options asks, through pairSink.
-func sweepSides(ctx context.Context, o Options, res *Result, a, b sideFn, collect func(ra, rb geom.Record)) error {
-	prepStart := time.Now()
-	var sides [2]pqSide
-	for i, build := range [2]sideFn{a, b} {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		s, err := build(ctx, o)
-		if err != nil {
-			return err
-		}
-		defer s.release()
-		sides[i] = s
-	}
-	res.PartitionWall = time.Since(prepStart)
-	sink := collect
-	if sink == nil {
-		sink = o.pairSink(&res.Pairs)
-	}
+// sink receives every pair the kernel finds, with its rectangles; nil
+// (Options.pairSink's answer for a counting-only join) lets the kernel
+// tally with no per-pair call. Under Options.Own the kernel's tally
+// includes pairs owned elsewhere, and the sink — pairSink's — counts
+// the owned ones into res.Pairs itself.
+func sweepSides(ctx context.Context, o Options, res *Result, a, b pqSide, sink func(ra, rb geom.Record)) error {
+	defer a.release()
+	defer b.release()
 	sweepStart := time.Now()
-	st, err := sweep.Join(ctx, sides[0].src, sides[1].src, o.newStructure(), o.newStructure(), sink)
+	st, err := sweep.Join(ctx, a.src, b.src, o.newStructure(), o.newStructure(), sink)
 	if err != nil {
 		return err
 	}
 	res.SweepWall = time.Since(sweepStart)
-	if collect != nil || o.Own == nil {
+	if o.Own == nil {
 		res.Pairs = st.Pairs
 	}
 	res.Sweep = st
 	res.SweepMaxBytes = st.MaxBytes
-	for _, s := range sides {
+	for _, s := range [2]pqSide{a, b} {
 		if s.scanner != nil {
 			res.ScannerMaxBytes += s.scanner.MaxBytes()
 			res.PageRequests += s.scanner.PagesRead()

@@ -35,8 +35,7 @@ func SSSJ(ctx context.Context, opts Options, a, b *iosim.File) (Result, error) {
 		return Result{}, fmt.Errorf("%w: SSSJ inputs need a file", ErrNilRelation)
 	}
 	return run(ctx, opts, "SSSJ", func(ctx context.Context, o Options, res *Result) error {
-		fa, fb := FileInput(a), FileInput(b)
-		if err := sweepSides(ctx, o, res, sorted(fa, fb), sorted(fb, fa), nil); err != nil {
+		if err := joinInputs(ctx, o, res, FileInput(a), FileInput(b), o.pairSink(&res.Pairs)); err != nil {
 			return err
 		}
 		if res.SweepMaxBytes > o.MemoryBytes {
@@ -154,19 +153,16 @@ func SSSJPartitioned(ctx context.Context, opts Options, a, b *iosim.File, slabs 
 		// applied the window.
 		so := o
 		so.Window = nil
-		slabFile := func(f *iosim.File) sideFn {
-			return func(ctx context.Context, o Options) (pqSide, error) {
-				defer f.Release()
-				return pqSource(ctx, o, FileInput(f), Input{})
-			}
-		}
 		for s, iv := range ivs {
 			if o.Own != nil {
 				iv = geom.Interval{Lo: max(iv.Lo, o.Own.Lo), Hi: min(iv.Hi, o.Own.Hi)}
 			}
 			so.Own = &iv
 			var part Result
-			if err := sweepSides(ctx, so, &part, slabFile(slabsA[s]), slabFile(slabsB[s]), nil); err != nil {
+			err := joinInputs(ctx, so, &part, FileInput(slabsA[s]), FileInput(slabsB[s]), so.pairSink(&part.Pairs))
+			slabsA[s].Release() // scratch
+			slabsB[s].Release()
+			if err != nil {
 				return err
 			}
 			res.add(part)

@@ -53,6 +53,20 @@ func (r Rect) Valid() bool {
 	return r.XLo <= r.XHi && r.YLo <= r.YHi
 }
 
+// Finite reports whether no coordinate of r is NaN or infinite. Valid
+// alone lets an infinite one through — a JSON 1e39 overflows float32
+// to +Inf — and no stripe interval loads a rectangle that starts at
+// +Inf, so a fleet would drop a record a single process keeps. Records
+// arriving from outside the program are held to both.
+func (r Rect) Finite() bool {
+	for _, c := range [4]Coord{r.XLo, r.YLo, r.XHi, r.YHi} {
+		if math.IsNaN(float64(c)) || math.IsInf(float64(c), 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Intersects reports whether r and s share at least one point.
 // Touching edges count as intersecting, matching the filter-step
 // semantics of the paper (candidate pairs are verified exactly in the

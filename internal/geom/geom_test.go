@@ -19,6 +19,32 @@ func TestNewRectNormalizes(t *testing.T) {
 	}
 }
 
+// TestFiniteIsWhatValidLetsThrough: an infinite coordinate passes
+// Valid — and no interval of a tiling loads a rectangle that starts at
+// +Inf — so records from outside are held to Finite as well.
+func TestFiniteIsWhatValidLetsThrough(t *testing.T) {
+	inf, nan := Coord(math.Inf(1)), Coord(math.NaN())
+	overflowing := 1e39 // a float64 a JSON body can carry
+	for _, tc := range []struct {
+		r             Rect
+		valid, finite bool
+	}{
+		{NewRect(1, 2, 3, 4), true, true},
+		{Rect{XLo: inf, YLo: 10, XHi: inf, YHi: 20}, true, false},
+		{Rect{XLo: -inf, YLo: 0, XHi: 5, YHi: 5}, true, false},
+		{Rect{XLo: 0, YLo: 0, XHi: 5, YHi: inf}, true, false},
+		{Rect{XLo: nan, YLo: 0, XHi: 5, YHi: 5}, false, false},
+		{Rect{XLo: Coord(overflowing), YLo: 0, XHi: Coord(overflowing), YHi: 5}, true, false},
+	} {
+		if tc.r.Valid() != tc.valid || tc.r.Finite() != tc.finite {
+			t.Errorf("%v: Valid %v, Finite %v; want %v, %v", tc.r, tc.r.Valid(), tc.r.Finite(), tc.valid, tc.finite)
+		}
+	}
+	if r := (Rect{XLo: inf, YLo: 10, XHi: inf, YHi: 20}); (Interval{Lo: 500, Hi: inf}).Loads(r) {
+		t.Error("the last interval of a tiling loads a rectangle at +Inf: Finite's reason is gone, say so in its comment")
+	}
+}
+
 func TestIntersectsBasic(t *testing.T) {
 	a := NewRect(0, 0, 10, 10)
 	cases := []struct {

@@ -7,6 +7,7 @@ import (
 
 	"unijoin/internal/datagen"
 	"unijoin/internal/geom"
+	"unijoin/internal/jointest"
 )
 
 // TestPartitionerFromSamplesMatchesDirect pins the cache contract:
@@ -77,11 +78,11 @@ func TestPartitionerFromBoundaries(t *testing.T) {
 func TestJoinWithSortedSamplesMatches(t *testing.T) {
 	a, b := clustered(13, 4000, 3000)
 	o := Options{Universe: universe, Workers: 3, Partitions: 7}
-	repDirect, direct := collectPairs(t, a, b, o)
+	repDirect, direct := joinedPairs(t, a, b, o)
 
 	o2 := o
 	o2.SortedSamples = [][]geom.Coord{SortedCenterSample(a), SortedCenterSample(b)}
-	repCached, cached := collectPairs(t, a, b, o2)
+	repCached, cached := joinedPairs(t, a, b, o2)
 
 	if !reflect.DeepEqual(direct, cached) {
 		t.Fatalf("pair sets differ: direct %d pairs, cached %d pairs", len(direct), len(cached))
@@ -94,14 +95,8 @@ func TestJoinWithSortedSamplesMatches(t *testing.T) {
 	// the unfiltered relation) and still be exact.
 	win := geom.NewRect(100, 100, 600, 600)
 	o2.Window = &win
-	_, windowed := collectPairs(t, a, b, o2)
-	want := map[geom.Pair]bool{}
-	for p := range brute(filterWindow(a, &win), filterWindow(b, &win)) {
-		want[p] = true
-	}
-	if !reflect.DeepEqual(windowed, want) {
-		t.Fatalf("windowed pair set wrong: got %d pairs, want %d", len(windowed), len(want))
-	}
+	_, windowed := joinedPairs(t, a, b, o2)
+	jointest.CheckJoin(t, "windowed join with cached samples", a, b, jointest.Join(a, b, &win), windowed)
 }
 
 // TestMergeSamplesSortedAndBounded pins MergeSamples' two guarantees:

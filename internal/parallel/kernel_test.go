@@ -3,7 +3,6 @@ package parallel
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -12,121 +11,10 @@ import (
 
 	"unijoin/internal/datagen"
 	"unijoin/internal/geom"
+	"unijoin/internal/jointest"
 	"unijoin/internal/pairbuf"
 	"unijoin/internal/tiger"
 )
-
-// propertyInputs are the kernel-equivalence workloads: each is small
-// enough for the quadratic reference and aimed at one way a merge of
-// two sorted arrays can go wrong.
-func propertyInputs() map[string][2][]geom.Record {
-	rng := rand.New(rand.NewSource(16))
-	gen := func(n int, idBase uint32, rect func(i int) geom.Rect) []geom.Record {
-		recs := make([]geom.Record, n)
-		for i := range recs {
-			recs[i] = geom.Record{Rect: rect(i), ID: idBase + uint32(i)}
-		}
-		return recs
-	}
-	coord := func(n int) geom.Coord { return geom.Coord(rng.Intn(n)) }
-	point := func(int) geom.Rect {
-		x, y := 10*coord(100), 10*coord(100)
-		return geom.NewRect(x, y, x, y)
-	}
-	// Unit tiles of a 25-cell grid: neighbours share an edge or a
-	// corner exactly, and touching counts as intersecting.
-	tile := func(int) geom.Rect {
-		x, y := 40*coord(25), 40*coord(25)
-		return geom.NewRect(x, y, x+40, y+40)
-	}
-	shapes := []geom.Rect{
-		geom.NewRect(100, 100, 180, 140), geom.NewRect(150, 120, 400, 300),
-		geom.NewRect(390, 90, 395, 800), geom.NewRect(700, 700, 700, 700),
-	}
-	tied := func(int) geom.Rect {
-		x, y := coord(1000), 250*coord(4)
-		return geom.NewRect(x, y, x+coord(60), y+coord(300))
-	}
-	narrow := func(int) geom.Rect {
-		y := coord(1000)
-		return geom.NewRect(500, y, 501, y+coord(50))
-	}
-	clusteredA, clusteredB := clustered(16, 400, 300)
-	return map[string][2][]geom.Record{
-		"random":      {datagen.Uniform(1, 400, universe, 30), datagen.Uniform(2, 300, universe, 30)},
-		"clustered":   {clusteredA, clusteredB},
-		"tall":        {datagen.Tall(3, 300, universe), datagen.Tall(4, 300, universe)},
-		"zero-extent": {gen(400, 0, point), gen(400, 1000, point)},
-		"touching":    {gen(300, 0, tile), gen(300, 1000, tile)},
-		"duplicates": {
-			gen(200, 0, func(i int) geom.Rect { return shapes[i%len(shapes)] }),
-			gen(200, 1000, func(i int) geom.Rect { return shapes[(i/3)%len(shapes)] }),
-		},
-		"equal-ylo":   {gen(300, 0, tied), gen(300, 1000, tied)},
-		"empty-left":  {nil, datagen.Uniform(5, 300, universe, 30)},
-		"empty-right": {datagen.Uniform(6, 300, universe, 30), nil},
-		"one-stripe":  {gen(300, 0, narrow), gen(300, 1000, narrow)},
-	}
-}
-
-// TestKernelEquivalence is the exactness property of the array
-// kernel: for every input shape, stripe count, worker count and
-// window, Join reports exactly the pairs Serial and the quadratic
-// reference report — same count, same set, nothing twice — and the
-// pair sequence does not depend on the order the inputs arrive in.
-func TestKernelEquivalence(t *testing.T) {
-	ctx := context.Background()
-	window := geom.NewRect(200, 200, 700, 700)
-	for name, in := range propertyInputs() {
-		a, b := in[0], in[1]
-		sortedA, sortedB := slices.Clone(a), slices.Clone(b)
-		slices.SortFunc(sortedA, geom.ByLowerY)
-		slices.SortFunc(sortedB, geom.ByLowerY)
-		for _, w := range []*geom.Rect{nil, &window} {
-			want := brute(filterWindow(a, w), filterWindow(b, w))
-			fromSerial := map[geom.Pair]bool{}
-			srep, err := Serial(ctx, a, b, Options{Universe: universe, Window: w,
-				Emit: func(p geom.Pair) { fromSerial[p] = true }})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if srep.Pairs != int64(len(want)) || len(fromSerial) != len(want) {
-				t.Fatalf("%s window=%v: Serial reports %d pairs (%d distinct), reference %d",
-					name, w != nil, srep.Pairs, len(fromSerial), len(want))
-			}
-			for _, k := range []int{0, 1, 2, 7, 64, len(a) + len(b) + 1} {
-				for _, workers := range []int{1, 3} {
-					o := Options{Universe: universe, Window: w, Partitions: k, Workers: workers}
-					what := fmt.Sprintf("%s window=%v partitions=%d workers=%d", name, w != nil, k, workers)
-					rep, got := collectPairs(t, a, b, o)
-					if rep.Pairs != int64(len(want)) || len(got) != len(want) {
-						t.Fatalf("%s: %d pairs (%d distinct), reference %d", what, rep.Pairs, len(got), len(want))
-					}
-					for p := range want {
-						if !got[p] || !fromSerial[p] {
-							t.Fatalf("%s: pair %v missing (Join has it: %v, Serial: %v)", what, p, got[p], fromSerial[p])
-						}
-					}
-					if rep.Sweep.MaxLen != 0 || rep.Sweep.MaxBytes != 0 {
-						t.Fatalf("%s: Join reports a resident structure: %+v", what, rep.Sweep)
-					}
-					var seq, seqSorted []geom.Pair
-					o.Emit = func(p geom.Pair) { seq = append(seq, p) }
-					if _, err := Join(ctx, a, b, o); err != nil {
-						t.Fatal(err)
-					}
-					o.Emit = func(p geom.Pair) { seqSorted = append(seqSorted, p) }
-					if _, err := Join(ctx, sortedA, sortedB, o); err != nil {
-						t.Fatal(err)
-					}
-					if !slices.Equal(seq, seqSorted) {
-						t.Fatalf("%s: the pair sequence depends on the input order", what)
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestWindowSizesTheStripeCount: the automatic stripe count is sized
 // from the records that qualify, not from the relation. A window
@@ -149,7 +37,7 @@ func TestWindowSizesTheStripeCount(t *testing.T) {
 	if rep.InputRecords == 0 || rep.InputRecords > 400 {
 		t.Fatalf("window keeps %d records, expected about 200", rep.InputRecords)
 	}
-	if want := int64(len(brute(filterWindow(a, &w), filterWindow(b, &w)))); rep.Pairs != want {
+	if want := jointest.Join(a, b, &w).Len(); rep.Pairs != want {
 		t.Fatalf("windowed join: %d pairs, reference %d", rep.Pairs, want)
 	}
 	t.Logf("partitions: %d unwindowed, %d for the %d records in the window", full.Partitions, rep.Partitions, rep.InputRecords)

@@ -3,12 +3,15 @@ package parallel
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"unijoin/internal/datagen"
 	"unijoin/internal/geom"
+	"unijoin/internal/jointest"
 )
 
 var universe = geom.NewRect(0, 0, 1000, 1000)
@@ -20,65 +23,94 @@ func clustered(seed int64, nRoads, nHydro int) (roads, hydro []geom.Record) {
 		datagen.Hydro(t, seed+2, nHydro, datagen.HydroParams{})
 }
 
-func brute(a, b []geom.Record) map[geom.Pair]bool {
-	out := map[geom.Pair]bool{}
-	for _, ra := range a {
-		for _, rb := range b {
-			if ra.Rect.Intersects(rb.Rect) {
-				out[geom.Pair{Left: ra.ID, Right: rb.ID}] = true
-			}
-		}
-	}
-	return out
-}
-
-func collectPairs(t *testing.T, a, b []geom.Record, o Options) (Report, map[geom.Pair]bool) {
+// pairSequence runs Join and returns its report with the pairs in the
+// order it emitted them; the report's count must be theirs.
+func pairSequence(t *testing.T, a, b []geom.Record, o Options) (Report, []geom.Pair) {
 	t.Helper()
-	got := map[geom.Pair]bool{}
-	o.Emit = func(p geom.Pair) {
-		if got[p] {
-			t.Fatalf("pair %v emitted twice", p)
-		}
-		got[p] = true
-	}
+	var seq []geom.Pair
+	o.Emit = func(p geom.Pair) { seq = append(seq, p) }
 	rep, err := Join(context.Background(), a, b, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep, got
+	if rep.Pairs != int64(len(seq)) {
+		t.Fatalf("the report counts %d pairs, %d were emitted", rep.Pairs, len(seq))
+	}
+	return rep, seq
 }
 
+// joinedPairs is pairSequence for callers the order does not matter
+// to.
+func joinedPairs(t *testing.T, a, b []geom.Record, o Options) (Report, jointest.Bag[geom.Pair]) {
+	t.Helper()
+	rep, seq := pairSequence(t, a, b, o)
+	return rep, jointest.BagOf(seq)
+}
+
+// TestJoinMatchesBruteForce: on two workloads of its own size and on
+// every shape of the shared generator, Join reports exactly the
+// reference's pairs at every stripe and worker count, windowed and not
+// — among them eight stripes whose boundaries are pinned to the cuts the
+// shapes were drawn over, so that the on-cuts records do sit on them —
+// Serial agrees, the pair sequence does not depend on the order the
+// inputs arrive in, and the boundary-sitting runs between them take both
+// the untested fast path and the tested boundary path.
 func TestJoinMatchesBruteForce(t *testing.T) {
-	workloads := map[string]func() ([]geom.Record, []geom.Record){
-		"uniform": func() ([]geom.Record, []geom.Record) {
-			return datagen.Uniform(1, 900, universe, 30), datagen.Uniform(2, 700, universe, 30)
-		},
-		"clustered": func() ([]geom.Record, []geom.Record) {
-			return clustered(7, 900, 500)
-		},
+	cuts := []geom.Coord{125, 250, 375, 500, 625, 750, 875}
+	// One sample of k values puts the k-1 quantile boundaries on its
+	// last k-1 values.
+	pinned := [][]geom.Coord{append([]geom.Coord{universe.XLo}, cuts...)}
+	if got := NewPartitionerFromSamples(universe, len(cuts)+1, pinned...).Boundaries(); !slices.Equal(got, cuts) {
+		t.Fatalf("the pinned sample places boundaries at %v, want %v", got, cuts)
 	}
-	for name, gen := range workloads {
-		a, b := gen()
-		want := brute(a, b)
-		for _, k := range []int{1, 2, 3, 8, 19} {
-			for _, workers := range []int{1, 4} {
-				rep, got := collectPairs(t, a, b, Options{
-					Universe: universe, Workers: workers, Partitions: k,
-				})
-				if rep.Pairs != int64(len(want)) || len(got) != len(want) {
-					t.Fatalf("%s k=%d w=%d: %d pairs (emitted %d), want %d",
-						name, k, workers, rep.Pairs, len(got), len(want))
-				}
-				for p := range want {
-					if !got[p] {
-						t.Fatalf("%s k=%d w=%d: missing %v", name, k, workers, p)
+	ca, cb := clustered(7, 900, 500)
+	workloads := map[string][2][]geom.Record{
+		"uniform-900":   {datagen.Uniform(1, 900, universe, 30), datagen.Uniform(2, 700, universe, 30)},
+		"clustered-900": {ca, cb},
+	}
+	for _, sh := range jointest.Shapes {
+		in := sh.Gen(1, universe, cuts)
+		workloads[sh.Name] = [2][]geom.Record{in.A, in.B}
+	}
+	window := geom.NewRect(200, 200, 700, 700)
+	var sawNoTest, sawTested bool
+	for name, in := range workloads {
+		a, b := in[0], in[1]
+		sortedA, sortedB := slices.Clone(a), slices.Clone(b)
+		slices.SortFunc(sortedA, geom.ByLowerY)
+		slices.SortFunc(sortedB, geom.ByLowerY)
+		for _, w := range []*geom.Rect{nil, &window} {
+			want := jointest.Join(a, b, w)
+			fromSerial := jointest.Bag[geom.Pair]{}
+			if _, err := Serial(context.Background(), a, b, Options{Universe: universe, Window: w, Emit: fromSerial.Add}); err != nil {
+				t.Fatal(err)
+			}
+			jointest.CheckJoin(t, fmt.Sprintf("%s window=%v: Serial", name, w != nil), a, b, want, fromSerial)
+			stripes := []Options{{Partitions: len(cuts) + 1, SortedSamples: pinned}}
+			for _, k := range []int{0, 1, 2, 3, 8, 19, len(a) + len(b) + 1} {
+				stripes = append(stripes, Options{Partitions: k})
+			}
+			for _, o := range stripes {
+				for _, workers := range []int{1, 4} {
+					o.Universe, o.Window, o.Workers = universe, w, workers
+					what := fmt.Sprintf("%s window=%v k=%d pinned=%v w=%d", name, w != nil, o.Partitions, o.SortedSamples != nil, workers)
+					rep, seq := pairSequence(t, a, b, o)
+					jointest.CheckJoin(t, what, a, b, want, jointest.BagOf(seq))
+					if rep.InputRecords > 0 && rep.Replication < 1 {
+						t.Fatalf("%s: replication %f < 1", what, rep.Replication)
 					}
-				}
-				if rep.Replication < 1 {
-					t.Fatalf("replication %f < 1", rep.Replication)
+					if _, fromSorted := pairSequence(t, sortedA, sortedB, o); !slices.Equal(seq, fromSorted) {
+						t.Fatalf("%s: the pair sequence depends on the input order", what)
+					}
+					if name == "on-cuts" {
+						sawNoTest, sawTested = sawNoTest || rep.NoTestPairs > 0, sawTested || rep.NoTestPairs < rep.Pairs
+					}
 				}
 			}
 		}
+	}
+	if !sawNoTest || !sawTested {
+		t.Fatalf("the on-cuts runs must exercise both emit paths: no-test %v, tested %v", sawNoTest, sawTested)
 	}
 }
 
@@ -107,29 +139,19 @@ func TestWindowSemantics(t *testing.T) {
 	w := geom.NewRect(100, 100, 400, 400)
 	// Match the serial algorithms: both records must intersect the
 	// window for the pair to qualify.
-	want := 0
-	for _, ra := range a {
-		if !ra.Rect.Intersects(w) {
-			continue
-		}
-		for _, rb := range b {
-			if rb.Rect.Intersects(w) && ra.Rect.Intersects(rb.Rect) {
-				want++
-			}
-		}
-	}
+	want := jointest.Join(a, b, &w).Len()
 	rep, err := Join(context.Background(), a, b, Options{Universe: universe, Partitions: 6, Workers: 2, Window: &w})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Pairs != int64(want) {
+	if rep.Pairs != want {
 		t.Fatalf("windowed pairs = %d, want %d", rep.Pairs, want)
 	}
 	srep, err := Serial(context.Background(), a, b, Options{Universe: universe, Window: &w})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srep.Pairs != int64(want) {
+	if srep.Pairs != want {
 		t.Fatalf("serial windowed pairs = %d, want %d", srep.Pairs, want)
 	}
 }
@@ -194,6 +216,9 @@ func TestReportAccounting(t *testing.T) {
 	}
 	if rep.Sweep.Pairs < rep.Pairs {
 		t.Fatalf("kernel candidates %d < results %d", rep.Sweep.Pairs, rep.Pairs)
+	}
+	if rep.Sweep.MaxLen != 0 || rep.Sweep.MaxBytes != 0 {
+		t.Fatalf("the array kernel reports a resident sweep structure: %+v", rep.Sweep)
 	}
 	if rep.Speedup(rep) != 1 {
 		t.Fatalf("self-speedup = %f", rep.Speedup(rep))
@@ -317,7 +342,7 @@ func TestPartitionerDegenerateUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(len(brute(recs, recs))); rep.Pairs != want {
+	if want := jointest.Join(recs, recs, nil).Len(); rep.Pairs != want {
 		t.Fatalf("degenerate join pairs = %d, want %d", rep.Pairs, want)
 	}
 }
@@ -325,37 +350,25 @@ func TestPartitionerDegenerateUniverse(t *testing.T) {
 func TestEmitBatchMatchesEmit(t *testing.T) {
 	a, b := clustered(31, 1000, 700)
 	o := Options{Universe: universe, Workers: 3, Partitions: 9}
-	_, viaEmit := collectPairs(t, a, b, o)
+	_, viaEmit := joinedPairs(t, a, b, o)
 
 	for name, join := range map[string]func(context.Context, []geom.Record, []geom.Record, Options) (Report, error){
 		"parallel": Join, "serial": Serial,
 	} {
-		got := map[geom.Pair]bool{}
+		got := jointest.Bag[geom.Pair]{}
 		var batches int
 		ob := o
 		ob.EmitBatch = func(ps []geom.Pair) {
 			batches++
-			for _, p := range ps {
-				if got[p] {
-					t.Fatalf("%s: batch duplicated %v", name, p)
-				}
-				got[p] = true
-			}
+			got.Union(jointest.BagOf(ps))
 		}
 		rep, err := join(context.Background(), a, b, ob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(viaEmit) || rep.Pairs != int64(len(viaEmit)) {
-			t.Fatalf("%s: EmitBatch delivered %d pairs, Emit %d", name, len(got), len(viaEmit))
-		}
-		for p := range viaEmit {
-			if !got[p] {
-				t.Fatalf("%s: missing %v", name, p)
-			}
-		}
-		if batches == 0 {
-			t.Fatalf("%s: no batches delivered", name)
+		jointest.CheckJoin(t, name+": EmitBatch against Emit", a, b, viaEmit, got)
+		if rep.Pairs != got.Len() || batches == 0 {
+			t.Fatalf("%s: the report counts %d pairs, %d arrived in %d batches", name, rep.Pairs, got.Len(), batches)
 		}
 	}
 }

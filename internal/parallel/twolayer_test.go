@@ -8,6 +8,7 @@ import (
 
 	"unijoin/internal/datagen"
 	"unijoin/internal/geom"
+	"unijoin/internal/jointest"
 )
 
 // TestPartitionerDedupClusteredDuplicates is the regression test for
@@ -54,11 +55,8 @@ func TestPartitionerDedupClusteredDuplicates(t *testing.T) {
 		t.Fatalf("all-duplicate centers: partitions = %d, want 1", got)
 	}
 	// The join over the clustered-duplicate data stays correct.
-	want := brute(recs, recs)
-	rep, got := collectPairs(t, recs, recs, Options{Universe: universe, Partitions: 16, Workers: 4})
-	if len(got) != len(want) || rep.Pairs != int64(len(want)) {
-		t.Fatalf("pairs = %d (emitted %d), want %d", rep.Pairs, len(got), len(want))
-	}
+	_, got := joinedPairs(t, recs, recs, Options{Universe: universe, Partitions: 16, Workers: 4})
+	jointest.CheckJoin(t, "clustered duplicates", recs, recs, jointest.Join(recs, recs, nil), got)
 }
 
 // TestDistributeMatchesSerialReference pins the chunked parallel
@@ -245,90 +243,6 @@ func TestEmptyInputReports(t *testing.T) {
 		if rep.InputRecords != 0 || rep.Pairs != 0 || rep.NoTestPairs != 0 {
 			t.Fatalf("%s: empty-input report %+v", name, rep)
 		}
-	}
-}
-
-// adversarialRecords generates boundary-hostile inputs: coordinates
-// drawn from a small duplicated grid (so sampled quantile boundaries
-// coincide exactly with record edges and centers), zero-width
-// x-intervals sitting on those boundaries, duplicate rectangles, and
-// wide boundary-crossing spans.
-func adversarialRecords(rng *rand.Rand, n int, idBase geom.ID) []geom.Record {
-	grid := []geom.Coord{0, 125, 250, 375, 500, 625, 750, 875, 1000}
-	gx := func() geom.Coord { return grid[rng.Intn(len(grid))] }
-	recs := make([]geom.Record, 0, n)
-	for i := 0; i < n; i++ {
-		var r geom.Rect
-		switch rng.Intn(4) {
-		case 0: // zero-width vertical segment exactly on a grid x
-			x, y := gx(), geom.Coord(rng.Intn(1000))
-			r = geom.NewRect(x, y, x, y+geom.Coord(rng.Intn(40)))
-		case 1: // duplicate-coordinate point
-			r = geom.NewRect(gx(), gx(), gx(), gx())
-		case 2: // wide span with grid-aligned, boundary-sitting edges
-			r = geom.NewRect(gx(), geom.Coord(rng.Intn(1000)), gx(), geom.Coord(rng.Intn(1000)))
-		default: // small jittered box straddling a grid line
-			x, y := gx(), geom.Coord(rng.Intn(1000))
-			w, h := geom.Coord(rng.Intn(30)), geom.Coord(rng.Intn(30))
-			r = geom.NewRect(x-w/2, y, x+w/2, y+h)
-		}
-		recs = append(recs, geom.Record{Rect: r, ID: idBase + geom.ID(i)})
-	}
-	return recs
-}
-
-// TestBoundaryAdversarialJoinEqualsSerial is the boundary-edge
-// property test: across randomized adversarial inputs — records
-// sitting exactly on stripe boundaries, zero-width x-intervals,
-// duplicated coordinates — the parallel Join must emit exactly the
-// same pair set as Serial for every partition/worker shape, with no
-// duplicates and no misses, and the runs must collectively exercise
-// both the local fast path and the tested boundary path.
-func TestBoundaryAdversarialJoinEqualsSerial(t *testing.T) {
-	ctx := context.Background()
-	var sawNoTest, sawTested bool
-	for trial := 0; trial < 4; trial++ {
-		rng := rand.New(rand.NewSource(int64(100 + trial)))
-		a := adversarialRecords(rng, 400, 0)
-		b := adversarialRecords(rng, 300, 10_000)
-
-		want := map[geom.Pair]bool{}
-		srep, err := Serial(ctx, a, b, Options{
-			Universe: universe,
-			Emit:     func(p geom.Pair) { want[p] = true },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if srep.Pairs != int64(len(want)) {
-			t.Fatalf("trial %d: serial emitted %d distinct pairs of %d reported", trial, len(want), srep.Pairs)
-		}
-
-		for _, k := range []int{1, 3, 8, 16} {
-			for _, workers := range []int{1, 4} {
-				rep, got := collectPairs(t, a, b, Options{
-					Universe: universe, Partitions: k, Workers: workers,
-				})
-				if len(got) != len(want) || rep.Pairs != int64(len(want)) {
-					t.Fatalf("trial %d k=%d w=%d: %d pairs (emitted %d), want %d",
-						trial, k, workers, rep.Pairs, len(got), len(want))
-				}
-				for p := range want {
-					if !got[p] {
-						t.Fatalf("trial %d k=%d w=%d: missing pair %v", trial, k, workers, p)
-					}
-				}
-				if rep.NoTestPairs > 0 {
-					sawNoTest = true
-				}
-				if rep.NoTestPairs < rep.Pairs {
-					sawTested = true
-				}
-			}
-		}
-	}
-	if !sawNoTest || !sawTested {
-		t.Fatalf("adversarial runs must exercise both emit paths: no-test %v, tested %v", sawNoTest, sawTested)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"net/http"
 	"testing"
 
-	"unijoin"
 	"unijoin/client"
+	"unijoin/internal/jointest"
 	"unijoin/internal/wire"
 )
 
@@ -23,29 +23,11 @@ func TestBinaryJoinMatchesNDJSON(t *testing.T) {
 	ctx := context.Background()
 	req := client.JoinRequest{Left: "roads", Right: "hydro", Algorithm: "PQ"}
 
-	want := map[unijoin.Pair]bool{}
-	nsum, err := cl.Join(ctx, req, func(l, r uint32) { want[unijoin.Pair{Left: l, Right: r}] = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	got := map[unijoin.Pair]bool{}
-	bsum, err := bcl.Join(ctx, req, func(l, r uint32) { got[unijoin.Pair{Left: l, Right: r}] = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bsum.Pairs != nsum.Pairs || int64(len(got)) != nsum.Pairs {
-		t.Fatalf("binary summary %d pairs, streamed %d; NDJSON %d", bsum.Pairs, len(got), nsum.Pairs)
-	}
-	for p := range want {
-		if !got[p] {
-			t.Fatalf("pair %v missing from the binary stream", p)
-		}
-	}
-	for p := range got {
-		if !want[p] {
-			t.Fatalf("spurious pair %v in the binary stream", p)
-		}
+	want, nsum := joinPairs(t, cl, req)
+	got, bsum := joinPairs(t, bcl, req)
+	jointest.Check(t, "the binary stream against the NDJSON stream", want, got, nil)
+	if bsum.Pairs != nsum.Pairs || got.Len() != nsum.Pairs {
+		t.Fatalf("binary summary %d pairs, streamed %d; NDJSON %d", bsum.Pairs, got.Len(), nsum.Pairs)
 	}
 
 	// The frame families saw the stream: at least one pairs frame, one
@@ -74,37 +56,28 @@ func TestBinaryJoinMatchesNDJSON(t *testing.T) {
 	}
 }
 
-// TestBinaryWindowMatchesNDJSON is the window-query counterpart.
+// TestBinaryWindowMatchesNDJSON is the window-query counterpart: the
+// same records, rectangles included, over either transport.
 func TestBinaryWindowMatchesNDJSON(t *testing.T) {
 	cat := testCatalog(t, 800)
 	_, cl, url := testServer(t, Config{Catalog: cat})
 	bcl := client.New(url, nil)
 	bcl.PreferBinary = true
-	ctx := context.Background()
 	win := client.Rect{XLo: 100, YLo: 100, XHi: 600, YHi: 600}
 	req := client.WindowRequest{Relation: "roads", Window: &win}
 
-	want := map[uint32]client.RecordOut{}
-	nsum, err := cl.Window(ctx, req, func(r client.RecordOut) { want[r.ID] = r })
+	want, got := jointest.Bag[client.RecordOut]{}, jointest.Bag[client.RecordOut]{}
+	nsum, err := cl.Window(context.Background(), req, want.Add)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := map[uint32]client.RecordOut{}
-	bsum, err := bcl.Window(ctx, req, func(r client.RecordOut) { got[r.ID] = r })
+	bsum, err := bcl.Window(context.Background(), req, got.Add)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bsum.Records != nsum.Records || int64(len(got)) != nsum.Records {
-		t.Fatalf("binary window %d records (summary %d), NDJSON %d", len(got), bsum.Records, nsum.Records)
-	}
-	for id, w := range want {
-		g, ok := got[id]
-		if !ok {
-			t.Fatalf("record %d missing from the binary stream", id)
-		}
-		if g.Rect != w.Rect {
-			t.Fatalf("record %d rect %+v over binary, %+v over NDJSON", id, g.Rect, w.Rect)
-		}
+	jointest.Check(t, "the binary window stream against the NDJSON stream", want, got, nil)
+	if bsum.Records != nsum.Records || got.Len() != nsum.Records || nsum.Records == 0 {
+		t.Fatalf("binary window %d records (summary %d), NDJSON summary %d", got.Len(), bsum.Records, nsum.Records)
 	}
 }
 

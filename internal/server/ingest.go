@@ -42,8 +42,8 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	recs := make([]unijoin.Record, 0, len(ins))
 	for i, in := range ins {
 		rec := unijoin.Record{ID: unijoin.ID(in.ID), Rect: toRect(in.Rect)}
-		if !rec.Rect.Valid() {
-			httpapi.WriteError(w, badRequestErr(fmt.Errorf("record %d (id %d) has an invalid rectangle", i, in.ID)))
+		if !rec.Rect.Valid() || !rec.Rect.Finite() {
+			httpapi.WriteError(w, badRequestErr(fmt.Errorf("record %d (id %d) has an invalid or non-finite rectangle", i, in.ID)))
 			return
 		}
 		recs = append(recs, rec)

@@ -12,6 +12,7 @@ import (
 	"unijoin"
 	"unijoin/client"
 	"unijoin/internal/datagen"
+	"unijoin/internal/jointest"
 	"unijoin/internal/shard"
 )
 
@@ -161,32 +162,15 @@ func TestAppendStripeFilterAndOwnership(t *testing.T) {
 	if after.Pairs < before.Pairs {
 		t.Fatalf("owned pairs shrank after append: %d -> %d", before.Pairs, after.Pairs)
 	}
-	// The in-process reference, filtered by the same ownership rule.
-	roads, hydro := mustGet(t, cat, "roads"), mustGet(t, cat, "hydro")
-	// Both relations use dense 0..n-1 IDs, so the left-edge lookups
-	// must stay per-relation.
-	xloFor := func(rel *unijoin.Relation) map[uint32]unijoin.Coord {
-		m := map[uint32]unijoin.Coord{}
-		if _, err := rel.WindowQuery(ctx, unijoin.NewRect(0, 0, 1000, 1000), func(rec unijoin.Record) {
-			m[uint32(rec.ID)] = rec.Rect.XLo
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return m
+	// The reference's share for the stripe, over the records the shard
+	// kept.
+	u := unijoin.NewRect(0, 0, 1000, 1000)
+	grown := datagen.Uniform(1, 800, u, 40)
+	for _, r := range in[:2] {
+		grown = append(grown, unijoin.Record{ID: r.ID, Rect: toRect(r.Rect)})
 	}
-	xloRoads, xloHydro := xloFor(roads), xloFor(hydro)
-	var wantOwned int64
-	if _, err := cat.Workspace().Query(roads, hydro).EmitBatch(func(batch []unijoin.Pair) {
-		for _, p := range batch {
-			if iv.OwnsPair(xloRoads[p.Left], xloHydro[p.Right]) {
-				wantOwned++
-			}
-		}
-	}).Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if after.Pairs != wantOwned {
-		t.Fatalf("owned pairs over HTTP %d, reference %d", after.Pairs, wantOwned)
+	if want := jointest.Owned(grown, datagen.Uniform(2, 600, u, 40), nil, iv.Lo, iv.Hi).Len(); after.Pairs != want {
+		t.Fatalf("owned pairs over HTTP %d, reference %d", after.Pairs, want)
 	}
 }
 

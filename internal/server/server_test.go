@@ -15,6 +15,7 @@ import (
 	"unijoin"
 	"unijoin/client"
 	"unijoin/internal/datagen"
+	"unijoin/internal/jointest"
 	"unijoin/internal/shard"
 )
 
@@ -50,9 +51,22 @@ func testServer(t *testing.T, cfg Config) (*Server, *client.Client, string) {
 	return s, client.New(ts.URL, ts.Client()), ts.URL
 }
 
+// joinPairs streams a join over HTTP and returns its pairs with the
+// summary.
+func joinPairs(t *testing.T, cl *client.Client, req client.JoinRequest) (jointest.Bag[unijoin.Pair], *client.JoinSummary) {
+	t.Helper()
+	got := jointest.Bag[unijoin.Pair]{}
+	sum, err := cl.Join(context.Background(), req, func(l, r uint32) { got.Add(unijoin.Pair{Left: l, Right: r}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, sum
+}
+
 // TestJoinOverHTTPMatchesInProcess is the end-to-end acceptance test:
 // an indexed and a non-indexed join over HTTP must stream the same
-// pairs the in-process Query API reports.
+// pairs the in-process Query API reports, under a summary that
+// describes the inputs.
 func TestJoinOverHTTPMatchesInProcess(t *testing.T) {
 	cat := testCatalog(t, 800)
 	_, cl, _ := testServer(t, Config{Catalog: cat})
@@ -67,37 +81,17 @@ func TestJoinOverHTTPMatchesInProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := map[unijoin.Pair]bool{}
-			for p := range res.Pairs() {
-				want[p] = true
-			}
-
-			got := map[unijoin.Pair]bool{}
-			summary, err := cl.Join(ctx, client.JoinRequest{
-				Left: "roads", Right: "hydro", Algorithm: alg.String(),
-			}, func(l, r uint32) { got[unijoin.Pair{Left: l, Right: r}] = true })
-			if err != nil {
-				t.Fatal(err)
-			}
+			req := client.JoinRequest{Left: "roads", Right: "hydro", Algorithm: alg.String()}
+			got, summary := joinPairs(t, cl, req)
+			jointest.Check(t, "HTTP stream against the in-process query", jointest.BagOf(res.PairSlice()), got, nil)
 			if summary.Pairs != res.Count() {
 				t.Fatalf("HTTP count %d, in-process %d", summary.Pairs, res.Count())
-			}
-			if len(got) != len(want) {
-				t.Fatalf("streamed %d distinct pairs, want %d", len(got), len(want))
-			}
-			for p := range want {
-				if !got[p] {
-					t.Fatalf("pair %v missing from HTTP stream", p)
-				}
 			}
 			if summary.LeftRecords != roads.Pin().Len() || summary.RightRecords != hydro.Pin().Len() {
 				t.Fatalf("summary records %d/%d", summary.LeftRecords, summary.RightRecords)
 			}
-
 			// Count-only agrees and is the same over JoinCount.
-			cSum, err := cl.JoinCount(ctx, client.JoinRequest{
-				Left: "roads", Right: "hydro", Algorithm: alg.String(),
-			})
+			cSum, err := cl.JoinCount(ctx, req)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,7 +29,7 @@ var soakBatches = flag.Int("soak-batches", 80, "append batches TestIngestSoak se
 //
 //   - the heap in use is bounded by the data — three times the final
 //     record bytes for everything resident (logs, prepared runs, delta
-//     runs, ownership tables), plus the packed trees and the released
+//     runs), plus the packed trees and the released
 //     sort extents the store keeps for reuse, plus a fixed allowance
 //     for the process itself;
 //   - the store's live pages are the two logs and one packed tree per

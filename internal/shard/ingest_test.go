@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"unijoin"
 	"unijoin/client"
 	"unijoin/internal/datagen"
+	"unijoin/internal/jointest"
 	"unijoin/internal/shard"
 )
 
@@ -37,48 +39,34 @@ func wireNDJSON(recs []unijoin.Record) string {
 	return b.String()
 }
 
-// ingestDelta builds an append batch: uniform records plus, when
-// bounds are given, records sitting exactly on the fleet's stripe
-// boundaries — zero-width on the boundary and crossing it — the
-// adversarial cases of the write fan-out's Loads rule.
-func ingestDelta(seed int64, n, idBase int, bounds []unijoin.Coord) []unijoin.Record {
+// uniformBatch is an append batch of n uniform records with IDs from
+// idBase. The boundary-sitting batches — the adversarial cases of the
+// write fan-out's Loads rule — are onCuts'.
+func uniformBatch(seed int64, n, idBase int) []unijoin.Record {
 	recs := datagen.Uniform(seed, n, universe, 25)
 	for i := range recs {
 		recs[i].ID = uint32(idBase + i)
-	}
-	id := uint32(idBase + n)
-	for _, bd := range bounds {
-		recs = append(recs,
-			unijoin.Record{Rect: unijoin.NewRect(bd, 50, bd, 950), ID: id},
-			unijoin.Record{Rect: unijoin.NewRect(bd-4, 100, bd+4, 600), ID: id + 1},
-		)
-		id += 2
 	}
 	return recs
 }
 
 // TestRouterAppendEqualsSingleProcess is the live-ingestion sharding
-// property: appending through the router — which fans each record to
-// every shard whose stripe it overlaps — leaves the fleet answering
-// joins and window queries exactly like a single process holding the
-// grown relations, for every algorithm and shard count, with
-// boundary-sitting appends included.
+// property: appending through the router — which fans
+// each record to every shard whose stripe it overlaps — leaves the
+// fleet answering joins and window queries exactly like the reference
+// over the grown relations, for every algorithm and shard count, with
+// boundary-sitting appends included, and its stats counting the
+// ingest.
 func TestRouterAppendEqualsSingleProcess(t *testing.T) {
-	fixedBounds := []unijoin.Coord{140, 320, 500, 680, 810, 930}
 	baseA := datagen.Uniform(61, 1200, universe, 25)
 	baseB := datagen.Uniform(62, 900, universe, 25)
 	rels := map[string][]unijoin.Record{"a": baseA, "b": baseB}
 	names := []string{"a", "b"}
-	wantBase := brute(baseA, baseB, nil)
+	wantBase := jointest.Join(baseA, baseB, nil)
 
 	for _, k := range []int{1, 2, 4, 7} {
 		t.Run(fmt.Sprintf("shards-%d", k), func(t *testing.T) {
-			bounds := fixedBounds[:k-1]
-			plan, err := shard.PlanFromBoundaries(universe, bounds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cl, _, _ := startFleet(t, plan, names, rels, true)
+			cl, _, _ := startFleet(t, planFor(t, k, true, nil, nil), names, rels, true)
 			ctx := context.Background()
 
 			// Queries before the append see exactly the base state.
@@ -86,12 +74,12 @@ func TestRouterAppendEqualsSingleProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sum.Pairs != int64(len(wantBase)) {
-				t.Fatalf("pre-append count %d, want %d", sum.Pairs, len(wantBase))
+			if sum.Pairs != wantBase.Len() {
+				t.Fatalf("pre-append count %d, want %d", sum.Pairs, wantBase.Len())
 			}
 
 			// Bulk NDJSON append to "a" through the router.
-			deltaA := ingestDelta(int64(63+k), 300, len(baseA), bounds)
+			deltaA, _ := onCuts(int64(63+k), len(baseA))
 			asum, err := cl.AppendNDJSON(ctx, "a", strings.NewReader(wireNDJSON(deltaA)))
 			if err != nil {
 				t.Fatal(err)
@@ -100,77 +88,32 @@ func TestRouterAppendEqualsSingleProcess(t *testing.T) {
 				t.Fatalf("append summary %+v, want appended=%d shards=%d", asum, len(deltaA), k)
 			}
 			grownA := append(append([]unijoin.Record(nil), baseA...), deltaA...)
-			wantAfter := brute(grownA, baseB, nil)
-
+			wantAfter := jointest.Join(grownA, baseB, nil)
 			for _, alg := range allAlgorithms {
-				got := map[unijoin.Pair]bool{}
-				dups := 0
-				jsum, err := cl.Join(ctx, client.JoinRequest{Left: "a", Right: "b", Algorithm: alg},
-					func(l, r uint32) {
-						p := unijoin.Pair{Left: l, Right: r}
-						if got[p] {
-							dups++
-						}
-						got[p] = true
-					})
-				if err != nil {
-					t.Fatalf("k=%d %s: %v", k, alg, err)
-				}
-				if dups != 0 {
-					t.Fatalf("k=%d %s: %d duplicate pairs after append", k, alg, dups)
-				}
-				if len(got) != len(wantAfter) || jsum.Pairs != int64(len(wantAfter)) {
-					t.Fatalf("k=%d %s: %d pairs (summary %d), want %d",
-						k, alg, len(got), jsum.Pairs, len(wantAfter))
-				}
-				for p := range got {
-					if !wantAfter[p] {
-						t.Fatalf("k=%d %s: spurious pair %v", k, alg, p)
-					}
-				}
+				jointest.CheckJoin(t, fmt.Sprintf("k=%d %s after the append", k, alg), grownA, baseB, wantAfter,
+					joinPairs(t, cl, client.JoinRequest{Left: "a", Right: "b", Algorithm: alg}))
 			}
 
 			// The appended records answer window queries too, without
 			// boundary-replica duplicates.
 			win := unijoin.NewRect(100, 100, 600, 600)
-			winDTO := client.Rect{XLo: 100, YLo: 100, XHi: 600, YHi: 600}
-			wantRecs := map[uint32]bool{}
-			for _, r := range grownA {
-				if r.Rect.Intersects(win) {
-					wantRecs[r.ID] = true
-				}
-			}
-			gotRecs := map[uint32]bool{}
-			recDups := 0
-			rsum, err := cl.Window(ctx, client.WindowRequest{Relation: "a", Window: &winDTO},
-				func(r client.RecordOut) {
-					if gotRecs[r.ID] {
-						recDups++
-					}
-					gotRecs[r.ID] = true
-				})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if recDups != 0 || len(gotRecs) != len(wantRecs) || rsum.Records != int64(len(wantRecs)) {
-				t.Fatalf("k=%d window: %d records, %d dups (summary %d), want %d",
-					k, len(gotRecs), recDups, rsum.Records, len(wantRecs))
-			}
+			jointest.Check(t, fmt.Sprintf("k=%d window query after the append", k), wantWindow(grownA, win),
+				windowRecords(t, cl, client.Rect{XLo: 100, YLo: 100, XHi: 600, YHi: 600}), nil)
 
 			// Grow the other side through the JSON-array path and
 			// re-check one algorithm end to end.
-			deltaB := ingestDelta(int64(73+k), 150, len(baseB), nil)
+			deltaB := uniformBatch(int64(73+k), 150, len(baseB))
 			if _, err := cl.AppendRecords(ctx, "b", wireRecords(deltaB)); err != nil {
 				t.Fatal(err)
 			}
 			grownB := append(append([]unijoin.Record(nil), baseB...), deltaB...)
-			wantFinal := brute(grownA, grownB, nil)
+			wantFinal := jointest.Join(grownA, grownB, nil).Len()
 			fsum, err := cl.JoinCount(ctx, client.JoinRequest{Left: "a", Right: "b", Algorithm: "ST"})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fsum.Pairs != int64(len(wantFinal)) {
-				t.Fatalf("k=%d final count %d, want %d", k, fsum.Pairs, len(wantFinal))
+			if fsum.Pairs != wantFinal {
+				t.Fatalf("k=%d final count %d, want %d", k, fsum.Pairs, wantFinal)
 			}
 
 			// The router's stats aggregate the fleet's ingest counters.
@@ -200,8 +143,7 @@ func TestRouterConcurrentAppendsAndQueries(t *testing.T) {
 	baseB := datagen.Uniform(82, 500, universe, 30)
 	const batches = 4
 	const batchSize = 90
-	bounds := []unijoin.Coord{500}
-	plan, err := shard.PlanFromBoundaries(universe, bounds)
+	plan, err := shard.PlanFromBoundaries(universe, []unijoin.Coord{500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,12 +152,14 @@ func TestRouterConcurrentAppendsAndQueries(t *testing.T) {
 	ctx := context.Background()
 
 	deltas := make([][]unijoin.Record, batches)
-	refs := make([]map[unijoin.Pair]bool, batches+1)
+	refs := make([]jointest.Bag[unijoin.Pair], batches+1)
 	prefix := append([]unijoin.Record(nil), baseA...)
 	for k := 0; k <= batches; k++ {
-		refs[k] = brute(prefix, baseB, nil)
+		refs[k] = jointest.Join(prefix, baseB, nil)
 		if k < batches {
-			deltas[k] = ingestDelta(int64(90+k), batchSize, len(prefix), bounds)
+			if deltas[k] = uniformBatch(int64(90+k), batchSize, len(prefix)); k%2 == 1 {
+				deltas[k], _ = onCuts(int64(90+k), len(prefix))
+			}
 			prefix = append(prefix, deltas[k]...)
 		}
 	}
@@ -230,19 +174,8 @@ func TestRouterConcurrentAppendsAndQueries(t *testing.T) {
 		if _, err := cl.AppendRecords(ctx, "a", wireRecords(deltas[k])); err != nil {
 			t.Fatal(err)
 		}
-		got := map[unijoin.Pair]bool{}
-		if _, err := cl.Join(ctx, client.JoinRequest{Left: "a", Right: "b"},
-			func(l, r uint32) { got[unijoin.Pair{Left: l, Right: r}] = true }); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(refs[k+1]) {
-			t.Fatalf("after batch %d: %d pairs, want %d", k, len(got), len(refs[k+1]))
-		}
-		for p := range got {
-			if !refs[k+1][p] {
-				t.Fatalf("after batch %d: spurious pair %v", k, p)
-			}
-		}
+		jointest.Check(t, fmt.Sprintf("after batch %d", k), refs[k+1],
+			joinPairs(t, cl, client.JoinRequest{Left: "a", Right: "b"}), nil)
 	}
 
 	// Concurrent: rebuild a fresh fleet and race the writer against
@@ -276,31 +209,22 @@ func TestRouterConcurrentAppendsAndQueries(t *testing.T) {
 				default:
 				}
 				before := completed.Load()
-				got := map[unijoin.Pair]bool{}
+				got := jointest.Bag[unijoin.Pair]{}
 				if _, err := cl2.Join(ctx, client.JoinRequest{Left: "a", Right: "b", Algorithm: alg},
-					func(l, r uint32) {
-						p := unijoin.Pair{Left: l, Right: r}
-						if got[p] {
-							errs <- fmt.Errorf("%s: duplicate pair %v", alg, p)
-						}
-						got[p] = true
-					}); err != nil {
+					func(l, r uint32) { got.Add(unijoin.Pair{Left: l, Right: r}) }); err != nil {
 					errs <- err
 					return
 				}
 				// Sandwich: everything visible before the query stays
-				// visible, and nothing beyond the final state appears.
-				for p := range refs[before] {
-					if !got[p] {
-						errs <- fmt.Errorf("%s: pair %v from completed batch %d missing", alg, p, before)
-						return
-					}
+				// visible, and nothing beyond the final state appears —
+				// nor anything twice.
+				if missing, _ := jointest.Diff(refs[before], got); len(missing) > 0 {
+					errs <- fmt.Errorf("%s: pairs %v from completed batch %d missing", alg, missing, before)
+					return
 				}
-				for p := range got {
-					if !refs[batches][p] {
-						errs <- fmt.Errorf("%s: pair %v outside the final state", alg, p)
-						return
-					}
+				if _, surplus := jointest.Diff(refs[batches], got); len(surplus) > 0 {
+					errs <- fmt.Errorf("%s: pairs %v beyond the final state", alg, surplus)
+					return
 				}
 			}
 		}([]string{"PQ", "ST"}[reader])
@@ -317,7 +241,56 @@ func TestRouterConcurrentAppendsAndQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fsum.Pairs != int64(len(refs[batches])) {
-		t.Fatalf("final routed count %d, want %d", fsum.Pairs, len(refs[batches]))
+	if fsum.Pairs != refs[batches].Len() {
+		t.Fatalf("final routed count %d, want %d", fsum.Pairs, refs[batches].Len())
+	}
+}
+
+// TestOverflowingCoordinateIsRefusedEverywhere: a coordinate that is a
+// fine float64 in the request body and +Inf as the float32 a record
+// stores must be refused where it enters — by a server asked directly
+// and by a router alike, as a bad request naming the record, with
+// nothing appended, the finite records of the same batch included.
+func TestOverflowingCoordinateIsRefusedEverywhere(t *testing.T) {
+	ctx := context.Background()
+	rels := map[string][]unijoin.Record{"a": datagen.Uniform(1, 300, universe, 40), "b": datagen.Uniform(2, 200, universe, 40)}
+	names := []string{"a", "b"}
+	want := jointest.Join(rels["a"], rels["b"], nil)
+	xlo, ylo, xhi, yhi, id := jointest.OverflowRecord()
+	bad := client.RecordIn{ID: id, Rect: client.Rect{XLo: xlo, YLo: ylo, XHi: xhi, YHi: yhi}}
+	fine := client.RecordIn{ID: id + 1, Rect: client.Rect{XLo: 10, YLo: 10, XHi: 990, YHi: 990}}
+	routed, _, _ := startFleet(t, planFor(t, 4, true, nil, nil), names, rels, true)
+	var refusals []string
+	for path, cl := range map[string]*client.Client{
+		"direct": client.New(startShard(t, shard.Everything(), names, rels, true), nil), "routed": routed,
+	} {
+		held, err := cl.Relations(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = cl.AppendRecords(ctx, "a", []client.RecordIn{fine, bad})
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || !errors.Is(err, client.ErrBadRequest) {
+			t.Fatalf("%s: appending a record at x = 1e39: %v, want a bad request", path, err)
+		}
+		if !strings.Contains(apiErr.Message, fmt.Sprint(id)) {
+			t.Errorf("%s: the refusal %q does not name record %d", path, apiErr.Message, id)
+		}
+		refusals = append(refusals, fmt.Sprint(apiErr.Status, " ", apiErr.Code))
+		jointest.CheckJoin(t, path+": the join after the refused append", rels["a"], rels["b"], want,
+			joinPairs(t, cl, client.JoinRequest{Left: "a", Right: "b"}))
+		holds, err := cl.Relations(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range held {
+			if holds[i].Records != held[i].Records {
+				t.Errorf("%s: relation %s held %d records before the refused append, holds %d after",
+					path, held[i].Name, held[i].Records, holds[i].Records)
+			}
+		}
+	}
+	if refusals[0] != refusals[1] {
+		t.Errorf("a server refuses with %s, a router with %s", refusals[0], refusals[1])
 	}
 }

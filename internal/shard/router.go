@@ -387,15 +387,15 @@ func (r *Router) Append(ctx context.Context, relation string, recs []client.Reco
 	for i := range batches {
 		batches[i] = make([]client.RecordIn, 0, len(recs)/len(ivs)+1)
 	}
-	for _, rec := range recs {
+	for n, rec := range recs {
 		rect := geom.NewRect(
 			geom.Coord(rec.Rect.XLo), geom.Coord(rec.Rect.YLo),
 			geom.Coord(rec.Rect.XHi), geom.Coord(rec.Rect.YHi),
 		)
-		if !rect.Valid() {
+		if !rect.Valid() || !rect.Finite() {
 			return nil, &client.APIError{
 				Status: http.StatusBadRequest, Code: client.CodeBadRequest,
-				Message: fmt.Sprintf("record %d has an invalid rectangle", rec.ID),
+				Message: fmt.Sprintf("record %d (id %d) has an invalid or non-finite rectangle", n, rec.ID),
 			}
 		}
 		for i, iv := range ivs {

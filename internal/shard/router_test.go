@@ -3,6 +3,7 @@ package shard_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"unijoin"
 	"unijoin/client"
 	"unijoin/internal/datagen"
+	"unijoin/internal/jointest"
 	"unijoin/internal/server"
 	"unijoin/internal/shard"
 )
@@ -70,87 +72,117 @@ func startFleet(t *testing.T, plan *shard.Plan, names []string, rels map[string]
 	return client.New(front.URL, nil), router, front.URL
 }
 
-// brute computes the reference pair set independently of every join
-// implementation under test.
-func brute(a, b []unijoin.Record, win *unijoin.Rect) map[unijoin.Pair]bool {
-	out := map[unijoin.Pair]bool{}
-	for _, ra := range a {
-		if win != nil && !ra.Rect.Intersects(*win) {
-			continue
-		}
-		for _, rb := range b {
-			if win != nil && !rb.Rect.Intersects(*win) {
-				continue
-			}
-			if ra.Rect.Intersects(rb.Rect) {
-				out[unijoin.Pair{Left: ra.ID, Right: rb.ID}] = true
-			}
-		}
+// fixedBounds are hand-picked shard boundaries; a fleet of k is cut at
+// the first k-1 of them.
+var fixedBounds = []unijoin.Coord{140, 320, 500, 680, 810, 930}
+
+// onCuts is the shared generator's boundary-hostile shape over
+// fixedBounds — records ending, starting and lying exactly on every
+// boundary, and crossing it — the left relation renumbered from idBase.
+func onCuts(seed int64, idBase int) (a, b []unijoin.Record) {
+	in := jointest.ShapeNamed("on-cuts").Gen(seed, universe, fixedBounds)
+	for i := range in.A {
+		in.A[i].ID = uint32(idBase + i)
 	}
-	return out
+	return in.A, in.B
 }
 
-// adversarial builds two relations dense in the worst cases of the
-// ownership rules: zero-width records sitting exactly on shard
-// boundaries, records whose left or right edge coincides with a
-// boundary, duplicate rectangles under distinct IDs, and records
-// spanning several stripes — plus uniform filler so local pairs
-// exist too.
-func adversarial(bounds []unijoin.Coord) (a, b []unijoin.Record) {
-	var id uint32
-	add := func(dst []unijoin.Record, x1, y1, x2, y2 unijoin.Coord) []unijoin.Record {
-		id++
-		return append(dst, unijoin.Record{Rect: unijoin.NewRect(x1, y1, x2, y2), ID: id})
+// boundaryCases is two relations dense in the worst cases of the
+// ownership rules, from the shared generator: records ending, starting,
+// lying on and crossing every one of fixedBounds, duplicate rectangles
+// under distinct IDs, and records spanning every stripe.
+func boundaryCases() (a, b []unijoin.Record) {
+	// Of the duplicates a few dozen will do, and a spanning input's
+	// first two records are the ones that span.
+	for _, take := range []struct {
+		shape string
+		n     int
+	}{{"on-cuts", 1000}, {"duplicates", 40}, {"spanning", 2}} {
+		in := jointest.ShapeNamed(take.shape).Gen(41, universe, fixedBounds)
+		a, b = append(a, in.A[:min(take.n, len(in.A))]...), append(b, in.B[:min(take.n, len(in.B))]...)
 	}
-	for _, bd := range bounds {
-		for rep := 0; rep < 2; rep++ { // duplicates under distinct IDs
-			a = add(a, bd, 10, bd, 990)      // zero-width on the boundary
-			a = add(a, bd-3, 100, bd+3, 500) // crossing
-			a = add(a, bd-5, 200, bd, 600)   // right edge on the boundary
-			a = add(a, bd, 300, bd+5, 700)   // left edge on the boundary
-			b = add(b, bd, 20, bd, 980)
-			b = add(b, bd-2, 150, bd+2, 450)
-			b = add(b, bd-7, 250, bd, 650)
-			b = add(b, bd, 350, bd+7, 750)
-		}
+	for i := range a {
+		a[i].ID = uint32(i)
 	}
-	// A record spanning every stripe meets everything horizontally.
-	a = add(a, 0, 400, 1000, 420)
-	b = add(b, 0, 410, 1000, 430)
-	for i, r := range datagen.Uniform(41, 600, universe, 30) {
-		r.ID = id + 1 + uint32(i)
-		a = append(a, r)
-	}
-	id += 601
-	for i, r := range datagen.Uniform(42, 500, universe, 30) {
-		r.ID = id + 1 + uint32(i)
-		b = append(b, r)
+	for i := range b {
+		b[i].ID = uint32(i)
 	}
 	return a, b
+}
+
+// joinPairs streams a join and returns its pairs, whose number the
+// summary must report.
+func joinPairs(t *testing.T, cl *client.Client, req client.JoinRequest) jointest.Bag[unijoin.Pair] {
+	t.Helper()
+	got := jointest.Bag[unijoin.Pair]{}
+	sum, err := cl.Join(context.Background(), req, func(l, r uint32) { got.Add(unijoin.Pair{Left: l, Right: r}) })
+	if err != nil {
+		t.Fatalf("%+v: %v", req, err)
+	}
+	if sum.Pairs != got.Len() {
+		t.Fatalf("%+v: the summary counts %d pairs, %d were streamed", req, sum.Pairs, got.Len())
+	}
+	return got
+}
+
+// windowRecords streams a window query over relation a and returns its
+// records by ID, whose number the summary must report.
+func windowRecords(t *testing.T, cl *client.Client, win client.Rect) jointest.Bag[client.RecordOut] {
+	t.Helper()
+	got := jointest.Bag[client.RecordOut]{}
+	sum, err := cl.Window(context.Background(), client.WindowRequest{Relation: "a", Window: &win}, got.Add)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Records != got.Len() {
+		t.Fatalf("the window summary counts %d records, %d were streamed", sum.Records, got.Len())
+	}
+	return got
+}
+
+// wantWindow is the reference answer of a window query in the form the
+// client receives it.
+func wantWindow(recs []unijoin.Record, win unijoin.Rect) jointest.Bag[client.RecordOut] {
+	want := jointest.Bag[client.RecordOut]{}
+	for r, n := range jointest.Window(recs, win) {
+		want[client.RecordOut{ID: r.ID, Rect: client.Rect{
+			XLo: float64(r.Rect.XLo), YLo: float64(r.Rect.YLo), XHi: float64(r.Rect.XHi), YHi: float64(r.Rect.YHi)}}] = n
+	}
+	return want
+}
+
+// planFor cuts a fleet of k: at fixedBounds when the data sits on them,
+// at the quantile planner's boundaries otherwise.
+func planFor(t *testing.T, k int, fixed bool, a, b []unijoin.Record) *shard.Plan {
+	t.Helper()
+	if !fixed {
+		return shard.NewPlan(universe, k, a, b)
+	}
+	plan, err := shard.PlanFromBoundaries(universe, fixedBounds[:k-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
 }
 
 // TestRouterJoinEqualsSingleProcess is the sharding correctness
 // property: for every algorithm and shard count, a join (and window
 // query) executed through the router over K striped sjserved shards
-// returns exactly the pair set — duplicate-free — and count of the
-// single-process run, on uniform, clustered, and boundary-adversarial
-// inputs, windowed and unwindowed.
+// returns exactly the reference's pairs and count, on uniform,
+// clustered, and boundary-adversarial inputs, windowed and unwindowed.
 func TestRouterJoinEqualsSingleProcess(t *testing.T) {
 	terr := datagen.NewTerrain(31, universe, 8)
-	fixedBounds := []unijoin.Coord{140, 320, 500, 680, 810, 930}
-	advA, advB := adversarial(fixedBounds)
+	advA, advB := boundaryCases()
 	cases := []struct {
-		name string
-		a, b []unijoin.Record
-		// fixed, when set, overrides the quantile planner with
-		// hand-picked boundaries the adversarial records sit on.
-		fixed []unijoin.Coord
+		name  string
+		a, b  []unijoin.Record
+		fixed bool
 	}{
 		{name: "uniform", a: datagen.Uniform(21, 2000, universe, 25), b: datagen.Uniform(22, 1500, universe, 25)},
 		{name: "clustered",
 			a: datagen.Roads(terr, 32, 2000, datagen.RoadParams{}),
 			b: datagen.Hydro(terr, 33, 1200, datagen.HydroParams{})},
-		{name: "adversarial", a: advA, b: advB, fixed: fixedBounds},
+		{name: "adversarial", a: advA, b: advB, fixed: true},
 	}
 	win := unijoin.NewRect(100, 100, 450, 450)
 	winDTO := client.Rect{XLo: 100, YLo: 100, XHi: 450, YHi: 450}
@@ -158,104 +190,26 @@ func TestRouterJoinEqualsSingleProcess(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rels := map[string][]unijoin.Record{"a": tc.a, "b": tc.b}
-			names := []string{"a", "b"}
-			wantAll := brute(tc.a, tc.b, nil)
-			wantWin := brute(tc.a, tc.b, &win)
-			wantRecs := map[uint32]bool{}
-			for _, r := range tc.a {
-				if r.Rect.Intersects(win) {
-					wantRecs[r.ID] = true
-				}
-			}
-
+			wantAll := jointest.Join(tc.a, tc.b, nil)
+			wantWin := jointest.Join(tc.a, tc.b, &win).Len()
 			for _, k := range []int{1, 2, 4, 7} {
-				var plan *shard.Plan
-				if tc.fixed != nil {
-					var err error
-					plan, err = shard.PlanFromBoundaries(universe, tc.fixed[:k-1])
-					if err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					plan = shard.NewPlan(universe, k, tc.a, tc.b)
-				}
-				cl, _, _ := startFleet(t, plan, names, rels, true)
+				cl, _, _ := startFleet(t, planFor(t, k, tc.fixed, tc.a, tc.b), []string{"a", "b"}, rels, true)
 				ctx := context.Background()
-
 				for _, alg := range allAlgorithms {
+					what := fmt.Sprintf("k=%d %s", k, alg)
 					req := client.JoinRequest{Left: "a", Right: "b", Algorithm: alg}
-					sum, err := cl.JoinCount(ctx, req)
-					if err != nil {
-						t.Fatalf("k=%d %s count: %v", k, alg, err)
+					jointest.CheckJoin(t, what, tc.a, tc.b, wantAll, joinPairs(t, cl, req))
+					if sum, err := cl.JoinCount(ctx, req); err != nil || sum.Pairs != wantAll.Len() {
+						t.Fatalf("%s: routed count %d (%v), the reference finds %d", what, sum.Pairs, err, wantAll.Len())
 					}
-					if sum.Pairs != int64(len(wantAll)) {
-						t.Fatalf("k=%d %s: routed count %d != single-process %d",
-							k, alg, sum.Pairs, len(wantAll))
-					}
-
-					got := map[unijoin.Pair]bool{}
-					dups := 0
-					sum, err = cl.Join(ctx, req, func(l, r uint32) {
-						p := unijoin.Pair{Left: l, Right: r}
-						if got[p] {
-							dups++
-						}
-						got[p] = true
-					})
-					if err != nil {
-						t.Fatalf("k=%d %s stream: %v", k, alg, err)
-					}
-					if dups != 0 {
-						t.Fatalf("k=%d %s: %d duplicate pairs in routed stream", k, alg, dups)
-					}
-					if len(got) != len(wantAll) || int64(len(got)) != sum.Pairs {
-						t.Fatalf("k=%d %s: streamed %d pairs (summary %d), want %d",
-							k, alg, len(got), sum.Pairs, len(wantAll))
-					}
-					for p := range got {
-						if !wantAll[p] {
-							t.Fatalf("k=%d %s: spurious pair %v", k, alg, p)
-						}
-					}
-
-					wsum, err := cl.JoinCount(ctx, client.JoinRequest{
-						Left: "a", Right: "b", Algorithm: alg, Window: &winDTO,
-					})
-					if err != nil {
-						t.Fatalf("k=%d %s windowed: %v", k, alg, err)
-					}
-					if wsum.Pairs != int64(len(wantWin)) {
-						t.Fatalf("k=%d %s: routed windowed count %d != single-process %d",
-							k, alg, wsum.Pairs, len(wantWin))
+					req.Window = &winDTO
+					if sum, err := cl.JoinCount(ctx, req); err != nil || sum.Pairs != wantWin {
+						t.Fatalf("%s: routed windowed count %d (%v), the reference finds %d", what, sum.Pairs, err, wantWin)
 					}
 				}
-
 				// The selection counterpart: window queries dedup
 				// replicated boundary records by left-edge ownership.
-				gotRecs := map[uint32]bool{}
-				recDups := 0
-				rsum, err := cl.Window(ctx, client.WindowRequest{Relation: "a", Window: &winDTO},
-					func(r client.RecordOut) {
-						if gotRecs[r.ID] {
-							recDups++
-						}
-						gotRecs[r.ID] = true
-					})
-				if err != nil {
-					t.Fatalf("k=%d window: %v", k, err)
-				}
-				if recDups != 0 {
-					t.Fatalf("k=%d: %d duplicate records in routed window stream", k, recDups)
-				}
-				if len(gotRecs) != len(wantRecs) || rsum.Records != int64(len(wantRecs)) {
-					t.Fatalf("k=%d: routed window %d records (summary %d), want %d",
-						k, len(gotRecs), rsum.Records, len(wantRecs))
-				}
-				for id := range gotRecs {
-					if !wantRecs[id] {
-						t.Fatalf("k=%d: spurious window record %d", k, id)
-					}
-				}
+				jointest.Check(t, fmt.Sprintf("k=%d window query", k), wantWindow(tc.a, win), windowRecords(t, cl, winDTO), nil)
 			}
 		})
 	}

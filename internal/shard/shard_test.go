@@ -150,3 +150,31 @@ func TestPlanFromBoundaries(t *testing.T) {
 		t.Fatal("decreasing boundaries accepted")
 	}
 }
+
+// FuzzParseInterval: the -stripe syntax is operator input. Arbitrary
+// strings must never panic; an interval that parses is non-empty and
+// comes back unchanged through String, the form the router and the
+// logs print it in. Run
+//
+//	go test -fuzz FuzzParseInterval ./internal/shard
+//
+// to explore further.
+func FuzzParseInterval(f *testing.F) {
+	for _, s := range []string{":250", "250:700", "700:", ":", "-10.5:0.25", "", "250", "700:250", "x:1",
+		"1e39:", ":-1e39", "NaN:1", "0x1p-2:1", " 1 : 2 ", "1:2:3", "-Inf:+Inf"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		iv, err := ParseInterval(s)
+		if err != nil {
+			return
+		}
+		if !(iv.Lo < iv.Hi) {
+			t.Fatalf("ParseInterval(%q) = [%v, %v): empty", s, iv.Lo, iv.Hi)
+		}
+		back, err := ParseInterval(iv.String())
+		if err != nil || back != iv {
+			t.Fatalf("round trip %q -> %v -> %q -> %v (err %v)", s, iv, iv.String(), back, err)
+		}
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -16,27 +17,26 @@ import (
 	"unijoin"
 	"unijoin/client"
 	"unijoin/internal/datagen"
+	"unijoin/internal/jointest"
 	"unijoin/internal/server"
 	"unijoin/internal/shard"
 	"unijoin/internal/wire"
 )
 
 // TestBinaryTransportEqualsNDJSON is the transport-parity property:
-// for every algorithm, shard count, and windowing, the pair set a
-// client receives over the negotiated binary transport equals the
-// NDJSON set equals the single-process brute-force answer — on
-// uniform and boundary-adversarial inputs, through the full
-// client → router relay → shards path.
+// for every algorithm, shard count, and windowing, what a client
+// receives over the negotiated binary transport equals what it receives
+// over NDJSON equals the reference — on uniform and boundary-adversarial
+// inputs, through the full client → router relay → shards path.
 func TestBinaryTransportEqualsNDJSON(t *testing.T) {
-	fixedBounds := []unijoin.Coord{140, 320, 500, 680, 810, 930}
-	advA, advB := adversarial(fixedBounds)
+	advA, advB := boundaryCases()
 	cases := []struct {
 		name  string
 		a, b  []unijoin.Record
-		fixed []unijoin.Coord
+		fixed bool
 	}{
 		{name: "uniform", a: datagen.Uniform(61, 1500, universe, 25), b: datagen.Uniform(62, 1100, universe, 25)},
-		{name: "adversarial", a: advA, b: advB, fixed: fixedBounds},
+		{name: "adversarial", a: advA, b: advB, fixed: true},
 	}
 	win := unijoin.NewRect(100, 100, 450, 450)
 	winDTO := client.Rect{XLo: 100, YLo: 100, XHi: 450, YHi: 450}
@@ -44,95 +44,27 @@ func TestBinaryTransportEqualsNDJSON(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rels := map[string][]unijoin.Record{"a": tc.a, "b": tc.b}
-			names := []string{"a", "b"}
-			wantAll := brute(tc.a, tc.b, nil)
-			wantWin := brute(tc.a, tc.b, &win)
-
+			wants := map[*unijoin.Rect]jointest.Bag[unijoin.Pair]{nil: jointest.Join(tc.a, tc.b, nil), &win: jointest.Join(tc.a, tc.b, &win)}
 			for _, k := range []int{1, 2, 4} {
-				var plan *shard.Plan
-				if tc.fixed != nil {
-					var err error
-					plan, err = shard.PlanFromBoundaries(universe, tc.fixed[:k-1])
-					if err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					plan = shard.NewPlan(universe, k, tc.a, tc.b)
-				}
-				ncl, _, url := startFleet(t, plan, names, rels, true)
+				ncl, _, url := startFleet(t, planFor(t, k, tc.fixed, tc.a, tc.b), []string{"a", "b"}, rels, true)
 				bcl := client.New(url, nil)
 				bcl.PreferBinary = true
-				ctx := context.Background()
-
 				for _, alg := range allAlgorithms {
-					for _, windowed := range []bool{false, true} {
+					for w, want := range wants {
 						req := client.JoinRequest{Left: "a", Right: "b", Algorithm: alg}
-						want := wantAll
-						if windowed {
+						if w != nil {
 							req.Window = &winDTO
-							want = wantWin
 						}
-						collect := func(cl *client.Client) map[unijoin.Pair]bool {
-							got := map[unijoin.Pair]bool{}
-							dups := 0
-							sum, err := cl.Join(ctx, req, func(l, r uint32) {
-								p := unijoin.Pair{Left: l, Right: r}
-								if got[p] {
-									dups++
-								}
-								got[p] = true
-							})
-							if err != nil {
-								t.Fatalf("k=%d %s windowed=%v: %v", k, alg, windowed, err)
-							}
-							if dups != 0 {
-								t.Fatalf("k=%d %s windowed=%v: %d duplicate pairs", k, alg, windowed, dups)
-							}
-							if int64(len(got)) != sum.Pairs {
-								t.Fatalf("k=%d %s windowed=%v: streamed %d pairs, summary says %d",
-									k, alg, windowed, len(got), sum.Pairs)
-							}
-							return got
-						}
-						nd := collect(ncl)
-						bin := collect(bcl)
-						if len(nd) != len(want) || len(bin) != len(want) {
-							t.Fatalf("k=%d %s windowed=%v: ndjson %d, binary %d, brute %d pairs",
-								k, alg, windowed, len(nd), len(bin), len(want))
-						}
-						for p := range want {
-							if !nd[p] {
-								t.Fatalf("k=%d %s windowed=%v: pair %v missing over NDJSON", k, alg, windowed, p)
-							}
-							if !bin[p] {
-								t.Fatalf("k=%d %s windowed=%v: pair %v missing over binary", k, alg, windowed, p)
-							}
-						}
+						what := fmt.Sprintf("k=%d %s windowed=%v", k, alg, w != nil)
+						jointest.CheckJoin(t, what+" over NDJSON", tc.a, tc.b, want, joinPairs(t, ncl, req))
+						jointest.CheckJoin(t, what+" over frames", tc.a, tc.b, want, joinPairs(t, bcl, req))
 					}
 				}
-
-				// Window queries: the record sets must agree too.
-				collectRecs := func(cl *client.Client) map[uint32]client.RecordOut {
-					got := map[uint32]client.RecordOut{}
-					if _, err := cl.Window(ctx, client.WindowRequest{Relation: "a", Window: &winDTO},
-						func(r client.RecordOut) { got[r.ID] = r }); err != nil {
-						t.Fatalf("k=%d window: %v", k, err)
-					}
-					return got
-				}
-				ndr, binr := collectRecs(ncl), collectRecs(bcl)
-				if len(ndr) != len(binr) {
-					t.Fatalf("k=%d window: %d records over NDJSON, %d over binary", k, len(ndr), len(binr))
-				}
-				for id, w := range ndr {
-					g, ok := binr[id]
-					if !ok {
-						t.Fatalf("k=%d window: record %d missing over binary", k, id)
-					}
-					if g.Rect != w.Rect {
-						t.Fatalf("k=%d window: record %d rect %+v over binary, %+v over NDJSON", k, id, g.Rect, w.Rect)
-					}
-				}
+				// Window queries: the records, rectangles included, must
+				// agree too.
+				want := wantWindow(tc.a, win)
+				jointest.Check(t, fmt.Sprintf("k=%d window query over NDJSON", k), want, windowRecords(t, ncl, winDTO), nil)
+				jointest.Check(t, fmt.Sprintf("k=%d window query over frames", k), want, windowRecords(t, bcl, winDTO), nil)
 			}
 		})
 	}

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"unijoin/internal/geom"
+	"unijoin/internal/jointest"
 )
 
 // genRects builds n random rectangles in a [0,span]x[0,span] universe
@@ -29,30 +31,12 @@ func genRects(rng *rand.Rand, n int, span, maxExt float64, idBase uint32) []geom
 	return recs
 }
 
-// bruteForce computes the reference pair set.
-func bruteForce(a, b []geom.Record) map[geom.Pair]bool {
-	out := make(map[geom.Pair]bool)
-	for _, ra := range a {
-		for _, rb := range b {
-			if ra.Rect.Intersects(rb.Rect) {
-				out[geom.Pair{Left: ra.ID, Right: rb.ID}] = true
-			}
-		}
-	}
-	return out
-}
-
-// collectJoin runs the kernel and gathers emitted pairs, failing the
-// test on duplicates.
-func collectJoin(t *testing.T, a, b []geom.Record, mk func() Structure) (map[geom.Pair]bool, Stats) {
+// joinedPairs runs the kernel and gathers the emitted pairs.
+func joinedPairs(t *testing.T, a, b []geom.Record, mk func() Structure) (jointest.Bag[geom.Pair], Stats) {
 	t.Helper()
-	got := make(map[geom.Pair]bool)
+	got := jointest.Bag[geom.Pair]{}
 	stats, err := JoinSlices(context.Background(), a, b, mk, func(ra, rb geom.Record) {
-		p := geom.Pair{Left: ra.ID, Right: rb.ID}
-		if got[p] {
-			t.Fatalf("duplicate pair %v", p)
-		}
-		got[p] = true
+		got.Add(geom.Pair{Left: ra.ID, Right: rb.ID})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,25 +54,28 @@ func structures(universe geom.Rect) map[string]func() Structure {
 	}
 }
 
+// TestJoinMatchesBruteForce: under every structure the kernel reports
+// exactly the reference's pairs, on random rectangles and on every
+// shape of the shared generator.
 func TestJoinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	universe := geom.NewRect(0, 0, 1000, 1000)
+	inputs := map[string][2][]geom.Record{"random": {genRects(rng, 300, 1000, 60, 0), genRects(rng, 300, 1000, 60, 10000)}}
+	for _, sh := range jointest.Shapes {
+		in := sh.Gen(11, universe, []geom.Coord{250, 500, 750})
+		slices.SortFunc(in.A, geom.ByLowerY)
+		slices.SortFunc(in.B, geom.ByLowerY)
+		inputs[sh.Name] = [2][]geom.Record{in.A, in.B}
+	}
 	for name, mk := range structures(universe) {
 		t.Run(name, func(t *testing.T) {
-			a := genRects(rng, 300, 1000, 60, 0)
-			b := genRects(rng, 300, 1000, 60, 10000)
-			want := bruteForce(a, b)
-			got, stats := collectJoin(t, a, b, mk)
-			if len(got) != len(want) {
-				t.Fatalf("got %d pairs, want %d", len(got), len(want))
-			}
-			for p := range want {
-				if !got[p] {
-					t.Fatalf("missing pair %v", p)
+			for shape, in := range inputs {
+				want := jointest.Join(in[0], in[1], nil)
+				got, stats := joinedPairs(t, in[0], in[1], mk)
+				jointest.CheckJoin(t, shape, in[0], in[1], want, got)
+				if stats.Pairs != want.Len() {
+					t.Fatalf("%s: stats.Pairs = %d, want %d", shape, stats.Pairs, want.Len())
 				}
-			}
-			if stats.Pairs != int64(len(want)) {
-				t.Fatalf("stats.Pairs = %d, want %d", stats.Pairs, len(want))
 			}
 		})
 	}
@@ -100,24 +87,14 @@ func TestJoinPropertyRandomWorkloads(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := genRects(rng, 50+rng.Intn(150), 500, 80, 0)
 		b := genRects(rng, 50+rng.Intn(150), 500, 80, 50000)
-		want := bruteForce(a, b)
+		want := jointest.Join(a, b, nil)
 		for _, mk := range structures(universe) {
-			got := make(map[geom.Pair]bool)
-			dup := false
+			got := jointest.Bag[geom.Pair]{}
 			_, err := JoinSlices(context.Background(), a, b, mk, func(ra, rb geom.Record) {
-				p := geom.Pair{Left: ra.ID, Right: rb.ID}
-				if got[p] {
-					dup = true
-				}
-				got[p] = true
+				got.Add(geom.Pair{Left: ra.ID, Right: rb.ID})
 			})
-			if err != nil || dup || len(got) != len(want) {
+			if missing, surplus := jointest.Diff(want, got); err != nil || len(missing)+len(surplus) > 0 {
 				return false
-			}
-			for p := range want {
-				if !got[p] {
-					return false
-				}
 			}
 		}
 		return true
@@ -132,16 +109,16 @@ func TestJoinEmptyInputs(t *testing.T) {
 	a := genRects(rand.New(rand.NewSource(1)), 10, 10, 2, 0)
 	for name, mk := range structures(universe) {
 		t.Run(name, func(t *testing.T) {
-			got, _ := collectJoin(t, nil, nil, mk)
-			if len(got) != 0 {
+			got, _ := joinedPairs(t, nil, nil, mk)
+			if got.Len() != 0 {
 				t.Fatal("empty x empty should be empty")
 			}
-			got, _ = collectJoin(t, a, nil, mk)
-			if len(got) != 0 {
+			got, _ = joinedPairs(t, a, nil, mk)
+			if got.Len() != 0 {
 				t.Fatal("a x empty should be empty")
 			}
-			got, _ = collectJoin(t, nil, a, mk)
-			if len(got) != 0 {
+			got, _ = joinedPairs(t, nil, a, mk)
+			if got.Len() != 0 {
 				t.Fatal("empty x a should be empty")
 			}
 		})
@@ -172,7 +149,7 @@ func TestExpiryBoundsActiveSet(t *testing.T) {
 	}
 	for name, mk := range structures(geom.NewRect(0, 0, 2000, 2000)) {
 		t.Run(name, func(t *testing.T) {
-			_, stats := collectJoin(t, a, b, mk)
+			_, stats := joinedPairs(t, a, b, mk)
 			// A handful of rectangles are alive at a time; each may
 			// register in a few strips, and compaction is amortized, so
 			// allow slack — a real expiry leak would reach thousands.
@@ -187,7 +164,7 @@ func TestStatsTracksBytesAndComparisons(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := genRects(rng, 500, 100, 30, 0)
 	b := genRects(rng, 500, 100, 30, 10000)
-	_, stats := collectJoin(t, a, b, func() Structure { return NewForward() })
+	_, stats := joinedPairs(t, a, b, func() Structure { return NewForward() })
 	if stats.MaxBytes == 0 || stats.MaxLen == 0 {
 		t.Fatalf("stats not tracked: %+v", stats)
 	}
@@ -215,8 +192,8 @@ func TestStripedCheaperThanForwardOnWideData(t *testing.T) {
 	for i := range b {
 		b[i].Rect.YLo, b[i].Rect.YHi = 0, 100
 	}
-	_, fstats := collectJoin(t, a, b, func() Structure { return NewForward() })
-	_, sstats := collectJoin(t, a, b, func() Structure { return NewStripedFor(universe, 1024) })
+	_, fstats := joinedPairs(t, a, b, func() Structure { return NewForward() })
+	_, sstats := joinedPairs(t, a, b, func() Structure { return NewStripedFor(universe, 1024) })
 	if sstats.Comparisons*2 >= fstats.Comparisons {
 		t.Fatalf("striped (%d cmps) should beat forward (%d cmps) by >2x",
 			sstats.Comparisons, fstats.Comparisons)
@@ -227,8 +204,8 @@ func TestStripedClampsOutOfUniverseRecords(t *testing.T) {
 	universe := geom.NewRect(0, 0, 100, 100)
 	a := []geom.Record{{Rect: geom.NewRect(-50, 0, -10, 10), ID: 1}}
 	b := []geom.Record{{Rect: geom.NewRect(-40, 5, -20, 15), ID: 2}}
-	got, _ := collectJoin(t, a, b, func() Structure { return NewStripedFor(universe, 16) })
-	if len(got) != 1 {
+	got, _ := joinedPairs(t, a, b, func() Structure { return NewStripedFor(universe, 16) })
+	if got.Len() != 1 {
 		t.Fatal("out-of-universe rectangles must still join correctly")
 	}
 }
@@ -301,9 +278,9 @@ func TestIdenticalRectanglesManyTies(t *testing.T) {
 	}
 	for name, mk := range structures(geom.NewRect(0, 0, 20, 20)) {
 		t.Run(name, func(t *testing.T) {
-			got, _ := collectJoin(t, a, b, mk)
-			if len(got) != 1600 {
-				t.Fatalf("got %d pairs, want 1600", len(got))
+			got, _ := joinedPairs(t, a, b, mk)
+			if got.Len() != 1600 || len(got) != 1600 {
+				t.Fatalf("got %d pairs, %d distinct, want 1600", got.Len(), len(got))
 			}
 		})
 	}
@@ -325,14 +302,14 @@ func TestJoinNilEmitCountsOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a := genRects(rng, 400, 1000, 60, 0)
 	b := genRects(rng, 400, 1000, 60, 10000)
-	want := bruteForce(a, b)
+	want := jointest.Join(a, b, nil).Len()
 	st, err := JoinSlices(context.Background(), a, b,
 		func() Structure { return NewForward() }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Pairs != int64(len(want)) {
-		t.Fatalf("counting-only kernel found %d pairs, want %d", st.Pairs, len(want))
+	if st.Pairs != want {
+		t.Fatalf("counting-only kernel found %d pairs, want %d", st.Pairs, want)
 	}
 }
 
@@ -344,7 +321,7 @@ func TestJoinNilContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Pairs != int64(len(bruteForce(a, b))) {
+	if st.Pairs != jointest.Join(a, b, nil).Len() {
 		t.Fatal("nil context must behave like Background")
 	}
 }

@@ -1,16 +1,19 @@
 package unijoin
 
 // Cross-validation of the parallel in-memory engine against the serial
-// algorithms: identical pair sets on uniform and clustered inputs, for
-// several partition counts, with and without Window restriction.
+// algorithms and the reference: identical pairs on uniform and clustered
+// inputs, for several partition counts, with and without Window
+// restriction.
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"unijoin/internal/datagen"
+	"unijoin/internal/jointest"
 )
 
 // clusteredWorkspace builds a workspace over TIGER-like skewed inputs.
@@ -31,64 +34,39 @@ func clusteredWorkspace(t *testing.T, seed int64, nRoads, nHydro int) (*Workspac
 	return ws, a, b
 }
 
-// joinPairs runs q and returns its emitted pair set.
-func joinPairs(t *testing.T, q *Query) (*Results, map[Pair]bool) {
+// joinPairs runs q and returns its emitted pairs.
+func joinPairs(t *testing.T, q *Query) jointest.Bag[Pair] {
 	t.Helper()
-	alg := q.alg
-	got := map[Pair]bool{}
-	res, err := q.Emit(func(p Pair) {
-		if got[p] {
-			t.Fatalf("%v: pair %v emitted twice", alg, p)
-		}
-		got[p] = true
-	}).Run(context.Background())
+	got := jointest.Bag[Pair]{}
+	res, err := q.Emit(got.Add).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Count() != int64(len(got)) {
-		t.Fatalf("%v: count %d but %d pairs emitted", alg, res.Count(), len(got))
+	if res.Count() != got.Len() {
+		t.Fatalf("%v: count %d but %d pairs emitted", q.alg, res.Count(), got.Len())
 	}
-	return res, got
+	return got
 }
 
 func TestParallelMatchesSerialAlgorithms(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	for trial := 0; trial < 3; trial++ {
 		seed := rng.Int63()
-		workspaces := map[string]func() (*Workspace, *Relation, *Relation){
-			"uniform": func() (*Workspace, *Relation, *Relation) {
-				u := NewRect(0, 0, 1000, 1000)
-				ws := NewWorkspace()
-				ws.SetUniverse(u)
-				a, _ := ws.AddRelation(demoRecords(seed, 800, u))
-				b, _ := ws.AddRelation(demoRecords(seed+1, 600, u))
-				return ws, a, b
-			},
-			"clustered": func() (*Workspace, *Relation, *Relation) {
-				ws, a, b := clusteredWorkspace(t, seed, 800, 500)
-				return ws, a, b
-			},
-		}
-		for name, mk := range workspaces {
-			ws, a, b := mk()
-			_, wantSSSJ := joinPairs(t, ws.Query(a, b).Algorithm(AlgSSSJ))
-			_, wantPQ := joinPairs(t, ws.Query(a, b).Algorithm(AlgPQ))
-			if len(wantSSSJ) != len(wantPQ) {
-				t.Fatalf("%s: serial algorithms disagree: SSSJ %d, PQ %d", name, len(wantSSSJ), len(wantPQ))
-			}
+		u := NewRect(0, 0, 1000, 1000)
+		uws := NewWorkspace()
+		uws.SetUniverse(u)
+		ua, _ := uws.AddRelation(demoRecords(seed, 800, u))
+		ub, _ := uws.AddRelation(demoRecords(seed+1, 600, u))
+		cws, ca, cb := clusteredWorkspace(t, seed, 800, 500)
+		for name, c := range map[string]struct {
+			ws   *Workspace
+			a, b *Relation
+		}{"uniform": {uws, ua, ub}, "clustered": {cws, ca, cb}} {
+			want := joinPairs(t, c.ws.Query(c.a, c.b).Algorithm(AlgSSSJ))
+			jointest.Check(t, name+": PQ against SSSJ", want, joinPairs(t, c.ws.Query(c.a, c.b).Algorithm(AlgPQ)), nil)
 			for _, k := range []int{1, 2, 8} {
-				res, got := joinPairs(t, ws.Query(a, b).Algorithm(AlgParallel).Parallelism(4).Partitions(k))
-				if len(got) != len(wantSSSJ) {
-					t.Fatalf("%s k=%d: parallel %d pairs, serial %d", name, k, len(got), len(wantSSSJ))
-				}
-				for p := range wantSSSJ {
-					if !got[p] {
-						t.Fatalf("%s k=%d: missing pair %v", name, k, p)
-					}
-				}
-				if res.Algorithm != "parallel" {
-					t.Fatalf("algorithm label = %q", res.Algorithm)
-				}
+				jointest.Check(t, fmt.Sprintf("%s: parallel join, %d stripes, against SSSJ", name, k), want,
+					joinPairs(t, c.ws.Query(c.a, c.b).Algorithm(AlgParallel).Parallelism(4).Partitions(k)), nil)
 			}
 		}
 	}
@@ -97,17 +75,10 @@ func TestParallelMatchesSerialAlgorithms(t *testing.T) {
 func TestParallelWindowMatchesPQ(t *testing.T) {
 	ws, a, b := clusteredWorkspace(t, 77, 900, 600)
 	w := NewRect(150, 150, 450, 450)
-	_, want := joinPairs(t, ws.Query(a, b).Algorithm(AlgPQ).Window(w))
+	want := joinPairs(t, ws.Query(a, b).Algorithm(AlgPQ).Window(w))
 	for _, k := range []int{1, 2, 8} {
-		_, got := joinPairs(t, ws.Query(a, b).Algorithm(AlgParallel).Window(w).Parallelism(2).Partitions(k))
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: windowed parallel %d pairs, PQ %d", k, len(got), len(want))
-		}
-		for p := range want {
-			if !got[p] {
-				t.Fatalf("k=%d: missing windowed pair %v", k, p)
-			}
-		}
+		got := joinPairs(t, ws.Query(a, b).Algorithm(AlgParallel).Window(w).Parallelism(2).Partitions(k))
+		jointest.Check(t, fmt.Sprintf("windowed parallel join, %d stripes, against PQ", k), want, got, nil)
 	}
 }
 
@@ -118,8 +89,8 @@ func TestParallelJoinReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Count() == 0 {
-		t.Fatal("clustered join should produce pairs")
+	if res.Count() == 0 || res.Algorithm != "parallel" {
+		t.Fatalf("clustered join: %d pairs under the label %q", res.Count(), res.Algorithm)
 	}
 	if res.Parallel.Workers != 3 || res.Parallel.Partitions != 9 {
 		t.Fatalf("resolved %d workers x %d partitions", res.Parallel.Workers, res.Parallel.Partitions)

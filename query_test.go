@@ -8,37 +8,62 @@ import (
 	"time"
 
 	"unijoin/internal/datagen"
+	"unijoin/internal/jointest"
 )
 
 // queryAlgorithms is every algorithm the equivalence tests cover; all
 // of them must produce identical pair sets through every emit mode.
 var queryAlgorithms = []Algorithm{AlgPQ, AlgSSSJ, AlgPBSM, AlgST, AlgAuto, AlgBFRJ, AlgParallel}
 
-// bruteWindow is the reference pair set, optionally window-filtered
-// with the library's semantics (both records must intersect w).
-func bruteWindow(a, b []Record, w *Rect) map[Pair]bool {
-	out := map[Pair]bool{}
-	for _, ra := range a {
-		if w != nil && !ra.Rect.Intersects(*w) {
-			continue
+// checkEmitModes runs the query newQuery builds once per way of
+// receiving its pairs — only counted, collected for the Pairs()
+// iterator, through Emit, through EmitBatch — and holds every one to
+// want, the reference join of a and b.
+func checkEmitModes(t *testing.T, what string, newQuery func() *Query, a, b []Record, want jointest.Bag[Pair]) {
+	t.Helper()
+	emitted, batched := jointest.Bag[Pair]{}, jointest.Bag[Pair]{}
+	batches := 0
+	for mode, q := range map[string]*Query{
+		"CountOnly": newQuery().CountOnly(),
+		"Pairs()":   newQuery(),
+		"Emit":      newQuery().Emit(emitted.Add),
+		"EmitBatch": newQuery().EmitBatch(func(ps []Pair) {
+			if batches++; len(ps) == 0 {
+				t.Errorf("%s: EmitBatch delivered an empty batch", what)
+			}
+			// Batches are reused after the call: count them now.
+			batched.Union(jointest.BagOf(ps))
+		}),
+	} {
+		res, err := q.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s %s: %v", what, mode, err)
 		}
-		for _, rb := range b {
-			if w != nil && !rb.Rect.Intersects(*w) {
-				continue
-			}
-			if ra.Rect.Intersects(rb.Rect) {
-				out[Pair{Left: ra.ID, Right: rb.ID}] = true
-			}
+		if res.Collected() != (mode == "Pairs()") || res.Count() != want.Len() {
+			t.Fatalf("%s %s: Collected() = %v, Count() = %d, the reference finds %d", what, mode, res.Collected(), res.Count(), want.Len())
+		}
+		got := map[string]jointest.Bag[Pair]{"Pairs()": jointest.BagOf(res.PairSlice()), "Emit": emitted, "EmitBatch": batched}[mode]
+		if mode != "CountOnly" {
+			jointest.CheckJoin(t, what+" "+mode, a, b, want, got)
 		}
 	}
-	return out
+	if want.Len() > 0 && batches == 0 {
+		t.Fatalf("%s: EmitBatch never called despite results", what)
+	}
 }
 
 // TestQueryEmitModesEquivalence is the equivalence property of the
-// redesigned API: for every algorithm, with and without a window, the
-// Pairs() iterator, the Emit callback, and the EmitBatch callback all
-// deliver exactly the brute-force pair set.
+// Query API: for every algorithm, with and without a window, on indexed
+// relations of ordinary data and of every shape of the shared generator,
+// counting, the Pairs() iterator, the Emit callback and the EmitBatch
+// callback all deliver exactly the reference's pairs.
 func TestQueryEmitModesEquivalence(t *testing.T) {
+	type dataset struct {
+		name   string
+		ws     *Workspace
+		a, b   *Relation
+		ra, rb []Record
+	}
 	ws, a, b, ra, rb := demoWorkspace(t)
 	if err := a.BuildIndex(); err != nil {
 		t.Fatal(err)
@@ -46,97 +71,27 @@ func TestQueryEmitModesEquivalence(t *testing.T) {
 	if err := b.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
+	datasets := []dataset{{"demo data", ws, a, b, ra, rb}}
+	u := NewRect(0, 0, 1000, 1000)
+	for _, sh := range jointest.Shapes {
+		in := sh.Gen(7, u, []Coord{250, 500, 750})
+		ws := NewWorkspace()
+		ws.SetUniverse(u)
+		datasets = append(datasets, dataset{sh.Name, ws, liveRelation(t, ws, "a", in.A[:in.BaseA], in.A[in.BaseA:]),
+			liveRelation(t, ws, "b", in.B[:in.BaseB], in.B[in.BaseB:]), in.A, in.B})
+	}
 	win := NewRect(100, 100, 600, 600)
-	windows := []struct {
-		name string
-		w    *Rect
-	}{{"full", nil}, {"window", &win}}
-
-	ctx := context.Background()
 	for _, alg := range queryAlgorithms {
-		for _, wc := range windows {
-			t.Run(alg.String()+"/"+wc.name, func(t *testing.T) {
-				want := bruteWindow(ra, rb, wc.w)
-				base := func() *Query {
-					q := ws.Query(a, b).Algorithm(alg)
-					if wc.w != nil {
-						q.Window(*wc.w)
-					}
-					return q
-				}
-
-				// Mode 1: collected pairs through the iterator.
-				res, err := base().Run(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !res.Collected() {
-					t.Fatal("default run should collect pairs")
-				}
-				iterated := map[Pair]bool{}
-				for p := range res.Pairs() {
-					if iterated[p] {
-						t.Fatalf("iterator duplicated %v", p)
-					}
-					iterated[p] = true
-				}
-
-				// Mode 2: the per-pair Emit callback.
-				emitted := map[Pair]bool{}
-				resEmit, err := base().Emit(func(p Pair) {
-					if emitted[p] {
-						t.Fatalf("Emit duplicated %v", p)
-					}
-					emitted[p] = true
-				}).Run(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if resEmit.Collected() {
-					t.Fatal("Emit queries must not buffer")
-				}
-
-				// Mode 3: the batched callback. Batches are reused after
-				// the call, so record their contents immediately.
-				batched := map[Pair]bool{}
-				var batches int
-				resBatch, err := base().EmitBatch(func(ps []Pair) {
-					batches++
-					if len(ps) == 0 {
-						t.Fatal("EmitBatch delivered an empty batch")
-					}
-					for _, p := range ps {
-						if batched[p] {
-							t.Fatalf("EmitBatch duplicated %v", p)
+		for name, w := range map[string]*Rect{"full": nil, "window": &win} {
+			t.Run(alg.String()+"/"+name, func(t *testing.T) {
+				for _, d := range datasets {
+					checkEmitModes(t, d.name, func() *Query {
+						q := d.ws.Query(d.a, d.b).Algorithm(alg)
+						if w != nil {
+							q.Window(*w)
 						}
-						batched[p] = true
-					}
-				}).Run(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				for name, got := range map[string]map[Pair]bool{
-					"Pairs()": iterated, "Emit": emitted, "EmitBatch": batched,
-				} {
-					if len(got) != len(want) {
-						t.Fatalf("%s: %d pairs, want %d", name, len(got), len(want))
-					}
-					for p := range want {
-						if !got[p] {
-							t.Fatalf("%s: missing %v", name, p)
-						}
-					}
-				}
-				for name, n := range map[string]int64{
-					"collected": res.Count(), "emit": resEmit.Count(), "batch": resBatch.Count(),
-				} {
-					if n != int64(len(want)) {
-						t.Fatalf("%s run counted %d pairs, want %d", name, n, len(want))
-					}
-				}
-				if len(want) > 0 && batches == 0 {
-					t.Fatal("EmitBatch never called despite results")
+						return q
+					}, d.ra, d.rb, jointest.Join(d.ra, d.rb, w))
 				}
 			})
 		}
@@ -148,7 +103,7 @@ func TestQueryEmitModesEquivalence(t *testing.T) {
 // breaking out of the iterator early stops cleanly.
 func TestQueryCountOnlyAndIteratorBreak(t *testing.T) {
 	ws, a, b, ra, rb := demoWorkspace(t)
-	want := int64(len(bruteWindow(ra, rb, nil)))
+	want := jointest.Join(ra, rb, nil).Len()
 
 	res, err := ws.Query(a, b).CountOnly().Run(context.Background())
 	if err != nil {
@@ -185,7 +140,7 @@ func TestQueryCountOnlyAndIteratorBreak(t *testing.T) {
 func TestQueryBuilderChain(t *testing.T) {
 	ws, a, b, ra, rb := demoWorkspace(t)
 	w := NewRect(0, 0, 300, 300)
-	want := bruteWindow(ra, rb, &w)
+	want := jointest.Join(ra, rb, &w).Len()
 
 	var n int64
 	res, err := ws.Query(a, b).
@@ -196,8 +151,8 @@ func TestQueryBuilderChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != int64(len(want)) || res.Count() != n {
-		t.Fatalf("builder chain: emitted %d, counted %d, want %d", n, res.Count(), len(want))
+	if n != want || res.Count() != n {
+		t.Fatalf("builder chain: emitted %d, counted %d, want %d", n, res.Count(), want)
 	}
 }
 

@@ -159,7 +159,8 @@ func ParseRect(s string) (Rect, error) {
 
 // ReadRecordFile loads a real file of the paper's 20-byte MBR records
 // (the format sjgen writes) into memory — the loader shared by the
-// sjjoin and sjserved commands.
+// sjjoin and sjserved commands. A record with a NaN or infinite
+// coordinate fails the load.
 func ReadRecordFile(path string) ([]Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -171,7 +172,12 @@ func ReadRecordFile(path string) ([]Record, error) {
 	}
 	recs := make([]Record, 0, len(data)/geom.RecordSize)
 	for off := 0; off < len(data); off += geom.RecordSize {
-		recs = append(recs, geom.DecodeRecord(data[off:]))
+		rec := geom.DecodeRecord(data[off:])
+		if !rec.Rect.Finite() {
+			return nil, fmt.Errorf("unijoin: %s: record %d (id %d) has a NaN or infinite coordinate",
+				path, off/geom.RecordSize, rec.ID)
+		}
+		recs = append(recs, rec)
 	}
 	return recs, nil
 }

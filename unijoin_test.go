@@ -2,10 +2,16 @@ package unijoin
 
 import (
 	"context"
+	"math"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"unijoin/internal/datagen"
+	"unijoin/internal/geom"
+	"unijoin/internal/jointest"
 )
 
 func demoRecords(seed int64, n int, u Rect) []Record {
@@ -30,18 +36,6 @@ func demoWorkspace(t *testing.T) (*Workspace, *Relation, *Relation, []Record, []
 	return ws, a, b, ra, rb
 }
 
-func brute(a, b []Record) map[Pair]bool {
-	out := map[Pair]bool{}
-	for _, ra := range a {
-		for _, rb := range b {
-			if ra.Rect.Intersects(rb.Rect) {
-				out[Pair{Left: ra.ID, Right: rb.ID}] = true
-			}
-		}
-	}
-	return out
-}
-
 func TestWorkspaceJoinAllAlgorithms(t *testing.T) {
 	ws, a, b, ra, rb := demoWorkspace(t)
 	if err := a.BuildIndex(); err != nil {
@@ -50,26 +44,52 @@ func TestWorkspaceJoinAllAlgorithms(t *testing.T) {
 	if err := b.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	want := brute(ra, rb)
+	want := jointest.Join(ra, rb, nil)
 	for _, alg := range []Algorithm{AlgPQ, AlgSSSJ, AlgPBSM, AlgST, AlgAuto, AlgBFRJ} {
 		t.Run(alg.String(), func(t *testing.T) {
-			got := map[Pair]bool{}
-			res, err := ws.Query(a, b).Algorithm(alg).Emit(func(p Pair) { got[p] = true }).Run(context.Background())
+			got := jointest.Bag[Pair]{}
+			res, err := ws.Query(a, b).Algorithm(alg).Emit(got.Add).Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) || res.Count() != int64(len(want)) {
-				t.Fatalf("%v: %d pairs, want %d", alg, len(got), len(want))
-			}
-			for p := range want {
-				if !got[p] {
-					t.Fatalf("%v: missing %v", alg, p)
-				}
+			jointest.CheckJoin(t, alg.String(), ra, rb, want, got)
+			if res.Count() != want.Len() {
+				t.Fatalf("%v: counted %d pairs, want %d", alg, res.Count(), want.Len())
 			}
 			if alg == AlgAuto && res.Decision == nil {
 				t.Fatal("auto join must report its decision")
 			}
 		})
+	}
+}
+
+// TestReadRecordFileRefusesNonFiniteCoordinates: a record file is
+// input from outside; a NaN or infinite coordinate in it fails the load
+// and names the record.
+func TestReadRecordFileRefusesNonFiniteCoordinates(t *testing.T) {
+	inf := Coord(math.Inf(1))
+	recs := []Record{
+		{ID: 7, Rect: NewRect(1, 2, 3, 4)},
+		{ID: 8, Rect: Rect{XLo: inf, YLo: 10, XHi: inf, YHi: 20}},
+	}
+	write := func(recs []Record) string {
+		data := make([]byte, 0, len(recs)*geom.RecordSize)
+		for _, r := range recs {
+			data = data[:len(data)+geom.RecordSize]
+			geom.EncodeRecord(data[len(data)-geom.RecordSize:], r)
+		}
+		path := filepath.Join(t.TempDir(), "recs.bin")
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	if got, err := ReadRecordFile(write(recs[:1])); err != nil || len(got) != 1 || got[0] != recs[0] {
+		t.Fatalf("a finite file reads as %v, %v", got, err)
+	}
+	_, err := ReadRecordFile(write(recs))
+	if err == nil || !strings.Contains(err.Error(), "record 1 (id 8)") {
+		t.Fatalf("a file with a record at +Inf reads with error %v, want one naming record 1 (id 8)", err)
 	}
 }
 
@@ -92,7 +112,7 @@ func TestWorkspacePQWorksUnindexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Count() != int64(len(brute(ra, rb))) {
+	if res.Count() != jointest.Join(ra, rb, nil).Len() {
 		t.Fatalf("pairs = %d", res.Count())
 	}
 	// Index one side only: the unified join must still work.
@@ -145,27 +165,17 @@ func TestWorkspaceMultiwayJoin(t *testing.T) {
 	b, _ := ws.AddRelation(rb)
 	c, _ := ws.AddRelation(rc)
 
-	want := 0
-	for _, x := range ra {
-		for _, y := range rb {
-			in, ok := x.Rect.Intersection(y.Rect)
-			if !ok {
-				continue
-			}
-			for _, z := range rc {
-				if in.Intersects(z.Rect) {
-					want++
-				}
-			}
-		}
-	}
-	var got int
-	res, err := ws.MultiwayJoin(context.Background(), []*Relation{a, b, c}, func(ids []ID) { got++ })
+	want := jointest.Multiway(nil, ra, rb, rc)
+	got := jointest.Bag[jointest.Tuple]{}
+	res, err := ws.MultiwayJoin(context.Background(), []*Relation{a, b, c}, func(ids []ID) {
+		got.Add(jointest.Tuple{ids[0], ids[1], ids[2]})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want || res.Tuples != int64(want) {
-		t.Fatalf("triples = %d, want %d", got, want)
+	jointest.Check(t, "3-way join", want, got, nil)
+	if res.Tuples != want.Len() {
+		t.Fatalf("Tuples = %d, want %d", res.Tuples, want.Len())
 	}
 	if _, err := ws.MultiwayJoin(context.Background(), []*Relation{a}, nil); err == nil {
 		t.Fatal("single relation must error")
@@ -193,22 +203,12 @@ func TestWorkspacePlan(t *testing.T) {
 func TestWindowOption(t *testing.T) {
 	ws, a, b, ra, rb := demoWorkspace(t)
 	w := NewRect(0, 0, 200, 200)
-	want := 0
-	for _, x := range ra {
-		if !x.Rect.Intersects(w) {
-			continue
-		}
-		for _, y := range rb {
-			if y.Rect.Intersects(w) && x.Rect.Intersects(y.Rect) {
-				want++
-			}
-		}
-	}
+	want := jointest.Join(ra, rb, &w).Len()
 	res, err := ws.Query(a, b).Window(w).CountOnly().Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Count() != int64(want) {
+	if res.Count() != want {
 		t.Fatalf("windowed pairs = %d, want %d", res.Count(), want)
 	}
 }
