@@ -15,6 +15,7 @@ package unijoin_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 	"unijoin"
 
@@ -22,6 +23,7 @@ import (
 	"unijoin/internal/experiments"
 	"unijoin/internal/parallel"
 	"unijoin/internal/rtree"
+	"unijoin/internal/shard"
 	"unijoin/internal/tiger"
 )
 
@@ -423,33 +425,44 @@ func BenchmarkQueryParallel(b *testing.B) {
 // each fragment handed back — two per stripe. So at a fixed K the
 // count must not move when the relations quadruple, and across K it
 // must grow by a few per stripe and nothing else. Measured: 67
-// allocations at K = 16, at 12k and at 46k records alike, and 177 at
+// allocations at K = 16, at 12k and at 46k records alike, and 178 at
 // K = 64. The ceilings leave room for -race, whose sync.Pool drops a
 // quarter of all Puts so that fragments are grown afresh (about 165
 // and 500); one sweep structure per stripe side, which is what this
 // engine used to build, would be thousands. A stripe shard's query —
 // the same one under Query.Owned — is held to the same ceiling: its
 // ownership test is the kernel's own, so it too counts in place and
-// builds no pair buffer to filter afterwards.
+// builds no pair buffer to filter afterwards. And so is a served PQ —
+// AlgPQ counted on a catalog's workspace — which is the same engine
+// under another name, dealt to its one worker a window at a time.
 func TestWarmParallelQueryAllocations(t *testing.T) {
 	third := tiger.NJ.Region.Width() / 3
-	allocs := func(scale float64, k int, middleThird bool) float64 {
+	allocs := func(scale float64, k int, middleThird, servedPQ bool) float64 {
 		ws, roads, hydro := queryParallelInputs(t, scale)
+		if servedPQ {
+			unijoin.NewCatalogOn(ws)
+		}
 		q := func() {
 			query := ws.Query(roads, hydro).Partitions(k)
 			if middleThird {
 				query.Owned(tiger.NJ.Region.XLo+third, tiger.NJ.Region.XHi-third)
 			}
-			countParallel(t, query)
+			if !servedPQ {
+				countParallel(t, query)
+			} else if res, err := query.CountOnly().Run(context.Background()); err != nil {
+				t.Fatal(err)
+			} else if res.Parallel == nil {
+				t.Fatal("the served PQ ran on the simulator")
+			}
 		}
 		q() // builds the runs, fills the pool
 		q()
 		return testing.AllocsPerRun(10, q)
 	}
-	small16, large16 := allocs(0.025, 16, false), allocs(0.1, 16, false)
-	large64, owned64 := allocs(0.1, 64, false), allocs(0.1, 64, true)
-	t.Logf("warm query: %.0f allocs at 10k+1.3k records and %.0f at 41k+5k with 16 partitions, %.0f with 64, %.0f with 64 under Owned",
-		small16, large16, large64, owned64)
+	small16, large16 := allocs(0.025, 16, false, false), allocs(0.1, 16, false, false)
+	large64, owned64, pq64 := allocs(0.1, 64, false, false), allocs(0.1, 64, true, false), allocs(0.1, 64, true, true)
+	t.Logf("warm query: %.0f allocs at 10k+1.3k records and %.0f at 41k+5k with 16 partitions, %.0f with 64, %.0f with 64 under Owned, %.0f as a served PQ under Owned",
+		small16, large16, large64, owned64, pq64)
 	if large16 > 1.25*small16+16 {
 		t.Fatalf("allocations grow with input size: %.0f at 12k records, %.0f at 46k", small16, large16)
 	}
@@ -457,9 +470,107 @@ func TestWarmParallelQueryAllocations(t *testing.T) {
 		what string
 		k    int
 		n    float64
-	}{{"warm query", 16, large16}, {"warm query", 64, large64}, {"warm query under Owned", 64, owned64}} {
+	}{{"warm query", 16, large16}, {"warm query", 64, large64}, {"warm query under Owned", 64, owned64},
+		{"warm served PQ under Owned", 64, pq64}} {
 		if limit := float64(40 + 10*c.k); c.n > limit {
 			t.Fatalf("%s made %.0f allocations at %d partitions, more than %.0f (40 + 10 per partition)", c.what, c.n, c.k, limit)
+		}
+	}
+}
+
+// BenchmarkServedJoin times the default served join — AlgPQ streaming
+// its pairs through EmitBatch under the shard's Owned interval — on the
+// two engines that can run it: the simulated disk a NewWorkspace() gives
+// every caller (PQ over two packed R-trees, the paper's algorithm as the
+// paper measures it) and the resident prepared runs of a catalog's
+// workspace. Two data sets, both the load benchmark's: NJ × 0.25
+// (103,610 roads × 12,713 hydro, clustered) on one server, and uniform
+// 16 k × 12 k cut into the benchmark's three stripes, one op being the
+// three shards' joins one after the other. Four selectivities: no
+// window, and square windows of 0.5 %, 5 % and 30 % of the region's
+// area centred on a record. The selective rows are why a windowed resident
+// join is cut to the window's y-slab first: a tree prunes subtrees, and
+// a run filtered whole would lose to it. Every row checks its count
+// against the other engine's. EXPERIMENTS.md records the rows.
+func BenchmarkServedJoin(b *testing.B) {
+	roads, hydro := tiger.Config{Scale: 0.25, Seed: 1997}.Generate(tiger.NJ)
+	u := unijoin.NewRect(0, 0, 1000, 1000)
+	type shardState struct {
+		ws          *unijoin.Workspace
+		left, right *unijoin.Relation
+		lo, hi      unijoin.Coord
+	}
+	counts := map[string]int64{} // by data set and window, across engines
+	for _, d := range []struct {
+		name        string
+		region      unijoin.Rect
+		left, right []unijoin.Record
+		shards      int
+	}{
+		{"NJ", tiger.NJ.Region, roads, hydro, 1},
+		{"uniform-3-shards", u, datagen.Uniform(1997, 16_000, u, 20), datagen.Uniform(1998, 12_000, u, 20), 3},
+	} {
+		plan := shard.NewPlan(d.region, d.shards, d.left, d.right)
+		centre := d.right[len(d.right)/2].Rect.Center()
+		for _, engine := range []string{"simulated", "resident"} {
+			fleet := make([]shardState, plan.Shards())
+			for i := range fleet {
+				iv := plan.Interval(i)
+				ws := unijoin.NewWorkspace()
+				ws.SetUniverse(d.region)
+				if engine == "resident" {
+					unijoin.NewCatalogOn(ws)
+				}
+				load := func(recs []unijoin.Record) *unijoin.Relation {
+					rel, err := ws.AddRelation(iv.Slice(recs))
+					if err == nil {
+						err = rel.BuildIndex()
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					return rel
+				}
+				fleet[i] = shardState{ws: ws, left: load(d.left), right: load(d.right), lo: iv.Lo, hi: iv.Hi}
+			}
+			for _, share := range []float64{0, 0.005, 0.05, 0.30} {
+				window := "unwindowed"
+				if share > 0 {
+					window = fmt.Sprintf("window-%g%%", 100*share)
+				}
+				b.Run(d.name+"/"+engine+"/"+window, func(b *testing.B) {
+					op := func() (pairs int64) {
+						for _, s := range fleet {
+							q := s.ws.Query(s.left, s.right).Owned(s.lo, s.hi).
+								EmitBatch(func(ps []unijoin.Pair) { pairs += int64(len(ps)) })
+							if share > 0 {
+								side := unijoin.Coord(math.Sqrt(share))
+								hw, hh := side*d.region.Width()/2, side*d.region.Height()/2
+								q.Window(unijoin.NewRect(centre.X-hw, centre.Y-hh, centre.X+hw, centre.Y+hh))
+							}
+							res, err := q.Run(context.Background())
+							if err != nil {
+								b.Fatal(err)
+							}
+							if (res.Parallel != nil) != (engine == "resident") {
+								b.Fatalf("engine report %v on the %s workspace", res.Parallel, engine)
+							}
+						}
+						return pairs
+					}
+					want, seen := counts[d.name+window]
+					if got := op(); !seen { // also warms the prepared runs
+						counts[d.name+window], want = got, got
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if got := op(); got != want {
+							b.Fatalf("%d pairs, the other engine or the last run found %d", got, want)
+						}
+					}
+				})
+			}
 		}
 	}
 }

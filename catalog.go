@@ -15,10 +15,16 @@ import (
 // cataloged relations at once.
 //
 // Because every relation lives on the catalog's one simulated disk,
-// any two of them can be joined directly with Workspace.Query. The
-// shared disk also means the workspace's I/O counters accumulate
-// across concurrent queries; per-query counter deltas are only exact
-// when queries run one at a time (see iosim.Store).
+// any two of them can be joined directly with Workspace.Query. A
+// catalog's workspace is serving state, so the default join and its
+// non-indexed form (AlgPQ, AlgSSSJ) run where AlgParallel does: on the
+// relations' resident prepared runs — sorted once per epoch, carried
+// across appends — with one worker, no page reads and no store mutex.
+// The algorithms that do go to the disk (ST, BFRJ, PBSM, auto, multiway
+// joins, window queries, and the one cold build of each prepared run)
+// share its I/O counters, which therefore accumulate across concurrent
+// queries; per-query counter deltas are only exact when queries run one
+// at a time (see iosim.Store).
 type Catalog struct {
 	ws *Workspace
 
@@ -35,8 +41,12 @@ func NewCatalog() *Catalog {
 }
 
 // NewCatalogOn creates an empty catalog on an existing workspace
-// (useful when the universe has been fixed with SetUniverse first).
+// (useful when the universe has been fixed with SetUniverse first) and
+// makes that workspace serving state: from here on its PQ and SSSJ
+// joins run on the relations' resident prepared runs, not on the
+// simulated disk. Call it before the workspace runs queries.
 func NewCatalogOn(ws *Workspace) *Catalog {
+	ws.resident = true
 	return &Catalog{
 		ws:      ws,
 		rels:    make(map[string]*Relation),

@@ -83,9 +83,10 @@ func liveRelation(t *testing.T, ws *Workspace, name string, base, delta []Record
 }
 
 // TestMixedFormExactness: for every data kind and delta shape, every
-// algorithm — windowed and not, count-only, collected, Emit and
-// EmitBatch — and the 3-way join report exactly the reference's answer
-// over base ∪ delta.
+// algorithm — on the simulated disk and, where it has one, in its
+// resident form (see engines); windowed and not, count-only, collected,
+// Emit and EmitBatch — and the 3-way join report exactly the reference's
+// answer over base ∪ delta.
 func TestMixedFormExactness(t *testing.T) {
 	ctx := context.Background()
 	u := NewRect(0, 0, 1000, 1000)
@@ -114,13 +115,15 @@ func TestMixedFormExactness(t *testing.T) {
 				for _, win := range []*Rect{nil, &window, &far} {
 					want := jointest.Join(allA, allB, win)
 					for _, alg := range queryAlgorithms {
-						checkEmitModes(t, fmt.Sprintf("%v window %v", alg, win), func() *Query {
-							q := ws.Query(a, b).Algorithm(alg).Partitions(5)
-							if win != nil {
-								q.Window(*win)
-							}
-							return q
-						}, allA, allB, want)
+						for _, e := range engines(ws, alg) {
+							checkEmitModes(t, fmt.Sprintf("%v (%s) window %v", alg, e.name, win), func() *Query {
+								q := e.ws.Query(a, b).Algorithm(alg).Partitions(5)
+								if win != nil {
+									q.Window(*win)
+								}
+								return q
+							}, allA, allB, want)
+						}
 					}
 				}
 

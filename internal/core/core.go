@@ -1,5 +1,10 @@
 // Package core implements the spatial join algorithms the paper
-// builds and compares (Sections 3 and 4), all over the simulated disk:
+// builds and compares (Sections 3 and 4), all over the simulated disk.
+// It is what every NewWorkspace() caller runs — sjbench, sjjoin,
+// internal/experiments, the paper's tables — and what a serving
+// workspace still runs for ST, BFRJ, PBSM, auto and multiway joins; a
+// served PQ or SSSJ reads the relations' resident runs instead and does
+// not come through here (see unijoin's Workspace.dispatch).
 //
 //   - SSSJ   — Scalable Sweeping-based Spatial Join [4]: external sort
 //     by lower y, then one plane sweep (plus the slab-partitioned

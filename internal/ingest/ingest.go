@@ -140,13 +140,15 @@ type Version struct {
 
 	// runMu guards base and run, the lazily built halves of the
 	// prepared run (see Prepared): base holds the records ahead of
-	// delta in the same order, run all of them. A warm predecessor
-	// hands base over at publication; a cold version builds it from
-	// File. No slice is ever written once set: successors and
+	// delta in the same order, run all of them, and baseMaxH bounds the
+	// y-extent of base's records as deltaMaxH does delta's. A warm
+	// predecessor hands base over at publication; a cold version builds
+	// it from File. No slice is ever written once set: successors and
 	// concurrent queries share them.
-	runMu sync.Mutex
-	base  []geom.Record
-	run   []geom.Record
+	runMu    sync.Mutex
+	base     []geom.Record
+	baseMaxH float64
+	run      []geom.Record
 }
 
 // Delta returns the records appended since the last packed build.
@@ -203,49 +205,60 @@ const (
 )
 
 // Prepared returns the version's records ordered by geom.ByLowerY (a
-// total order: lower y, then ID) — the input form of the in-memory
-// engine — and what this call did to produce them. The run is built at
-// most once per version, under the version's lock, and then shared by
-// every caller: it must not be modified. Only a cold build touches the
-// simulated disk: it reads the log, sorts the part ahead of the delta
-// run into the base and merges the two. It also takes the x-center
-// sample from the records while they are still in file order, so the
-// sample does not depend on whether a join or a stripe planner asked
-// first.
-func (v *Version) Prepared() ([]geom.Record, Build, error) {
+// total order: lower y, then ID) with the bound on their y-extents that
+// lets a window cut the run to a slab (geom.Run.Slab) — the input form
+// of the in-memory engine — and what this call did to produce them.
+// The run is built at most once per version, under the version's lock,
+// and then shared by every caller: it must not be modified. Only a cold
+// build touches the simulated disk: it reads the log, sorts the part
+// ahead of the delta run into the base, bounds it, and merges the two.
+// It also takes the x-center sample from the records while they are
+// still in file order, so the sample does not depend on whether a join
+// or a stripe planner asked first. The merged run's bound is the larger
+// of the two halves' — exact, with no pass over the records.
+func (v *Version) Prepared() (geom.Run, Build, error) {
 	v.runMu.Lock()
 	defer v.runMu.Unlock()
 	if v.run != nil {
-		return v.run, BuildNone, nil
+		return v.boundedRun(), BuildNone, nil
 	}
 	build := BuildMerge
 	if v.base == nil {
 		recs, err := stream.ReadAll(v.File, stream.Records)
 		if err != nil {
-			return nil, BuildNone, err
+			return geom.Run{}, BuildNone, err
 		}
 		if _, err := v.Sample(func() ([]geom.Coord, error) {
 			return parallel.SortedCenterSample(recs), nil
 		}); err != nil {
-			return nil, BuildNone, err
+			return geom.Run{}, BuildNone, err
 		}
 		recs = recs[:len(recs)-len(v.delta)]
 		slices.SortFunc(recs, geom.ByLowerY)
+		for _, r := range recs {
+			v.baseMaxH = max(v.baseMaxH, geom.YExtent(r.Rect))
+		}
 		v.base, build = recs, BuildFull
 	}
 	v.run = v.base
 	if len(v.delta) > 0 {
 		v.run = mergeRuns(v.base, v.delta)
 	}
-	return v.run, build, nil
+	return v.boundedRun(), build, nil
 }
 
-// warmBase returns the base half of v's prepared run, nil while v is
+// boundedRun is the built prepared run under the larger of its halves'
+// bounds; the caller holds runMu.
+func (v *Version) boundedRun() geom.Run {
+	return geom.Run{Recs: v.run, MaxH: max(v.baseMaxH, v.deltaMaxH)}
+}
+
+// warmBase returns the base half of v's prepared run — empty while v is
 // cold.
-func (v *Version) warmBase() []geom.Record {
+func (v *Version) warmBase() geom.Run {
 	v.runMu.Lock()
 	defer v.runMu.Unlock()
-	return v.base
+	return geom.Run{Recs: v.base, MaxH: v.baseMaxH}
 }
 
 // mergeRuns merges two runs ordered by geom.ByLowerY into a fresh one.
@@ -432,9 +445,11 @@ func (l *Log) Append(recs []geom.Record) (AppendResult, error) {
 	// the tail of a warm prepared run: the successor shares the base
 	// and gets the delta merged with this batch into a fresh slice —
 	// work proportional to the delta, which compaction bounds; the
-	// merge with the base waits for the first parallel query that pins
+	// merge with the base waits for the first resident join that pins
 	// the new epoch. A cold unindexed relation has no reader for it.
-	if v.base = old.warmBase(); v.base != nil || v.Tree != nil {
+	base := old.warmBase()
+	v.base, v.baseMaxH = base.Recs, base.MaxH
+	if v.base != nil || v.Tree != nil {
 		batch := slices.Clone(recs)
 		slices.SortFunc(batch, geom.ByLowerY)
 		v.delta, v.deltaMaxH = mergeRuns(old.delta, batch), old.deltaMaxH
@@ -507,12 +522,12 @@ func (l *Log) compactLocked() error {
 // merge bounded by the compaction threshold.
 func (l *Log) packed(old *Version, index *rtree.BuildOptions) (*Version, error) {
 	v := &Version{Epoch: old.Epoch + 1, File: old.File, N: old.N, BaseN: old.N, MBR: old.MBR}
-	if old.warmBase() != nil {
+	if old.warmBase().Recs != nil {
 		run, _, err := old.Prepared()
 		if err != nil {
 			return nil, err
 		}
-		v.base, v.run = run, run
+		v.base, v.run, v.baseMaxH = run.Recs, run.Recs, run.MaxH
 	}
 	if index != nil {
 		tree, err := rtree.Build(l.store, old.File, l.universe(old.MBR), *index)

@@ -1,17 +1,20 @@
 package ingest
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
 	"testing"
 
 	"unijoin/internal/geom"
+	"unijoin/internal/jointest"
 	"unijoin/internal/rtree"
 )
 
 // sortedVersion is the definition Prepared must meet: the version's
-// own records, read from its pinned file, ordered by ByLowerY.
+// own records, read from its pinned file, ordered by ByLowerY — and
+// bounded by exactly the tallest of them.
 func sortedVersion(t *testing.T, v *Version) []geom.Record {
 	t.Helper()
 	recs := readVersion(t, v)
@@ -25,9 +28,16 @@ func checkPrepared(t *testing.T, step string, v *Version) Build {
 	if err != nil {
 		t.Fatalf("%s: Prepared: %v", step, err)
 	}
-	if want := sortedVersion(t, v); !slices.Equal(got, want) {
+	if want := sortedVersion(t, v); !slices.Equal(got.Recs, want) {
 		t.Fatalf("%s: epoch %d: Prepared returned %d records that are not the %d sorted records of the version",
-			step, v.Epoch, len(got), len(want))
+			step, v.Epoch, len(got.Recs), len(want))
+	}
+	tallest := 0.0
+	for _, r := range got.Recs {
+		tallest = max(tallest, geom.YExtent(r.Rect))
+	}
+	if got.MaxH != tallest {
+		t.Fatalf("%s: epoch %d: the run's y-extent bound is %v, a pass over its records finds %v", step, v.Epoch, got.MaxH, tallest)
 	}
 	return build
 }
@@ -139,6 +149,70 @@ func TestPreparedLifecycle(t *testing.T) {
 	checkPrepared(t, "old v2", v2)
 }
 
+// TestPreparedRunBound: the y-extent bound a windowed join cuts the run
+// by is carried, never recomputed — the base's from its one full build,
+// the delta's from each append, the larger of the two on the merge path
+// and across a compaction — and still equals a pass over the records
+// (checkPrepared makes the pass) wherever the tallest record lands: in
+// the base, in the delta, or in a relation that is nothing but delta.
+func TestPreparedRunBound(t *testing.T) {
+	tall := func(id uint32) geom.Record { return geom.Record{ID: id, Rect: geom.NewRect(400, 5, 420, 960)} }
+	for _, name := range []string{"tall", "delta-only", "zero-extent", "spanning", "delta-outside"} {
+		for _, indexed := range []bool{false, true} {
+			in := jointest.ShapeNamed(name).Gen(5, universe, nil)
+			base, delta := in.A[:in.BaseA], in.A[in.BaseA:]
+			for _, c := range []struct {
+				where                       string
+				cold, inBase, inDelta, late bool
+			}{
+				// Cold until after the append: one full build bounds both halves.
+				{where: "cold", cold: true},
+				// Warm before it: the append carries the base, Prepared merges.
+				{where: "tallest in the base", inBase: true},
+				{where: "tallest in the delta", inDelta: true},
+				{where: "tallest appended last", late: true},
+			} {
+				what := fmt.Sprintf("%s indexed=%v %s", name, indexed, c.where)
+				base, delta := slices.Clone(base), slices.Clone(delta)
+				if c.inBase {
+					base = append(base, tall(9000))
+				}
+				if c.inDelta {
+					delta = append(delta, tall(9000))
+				}
+				l := newLog(t, Config{DisableAutoCompact: true}, base)
+				if indexed {
+					if err := l.BuildIndex(rtree.DefaultBuildOptions()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want := BuildFull
+				if !c.cold {
+					checkPrepared(t, what+": base", l.Current())
+					want = BuildMerge
+				}
+				if _, err := l.Append(delta); err != nil {
+					t.Fatal(err)
+				}
+				if c.late {
+					if _, err := l.Append([]geom.Record{tall(9001)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if b := checkPrepared(t, what+": after the append", l.Current()); b != want {
+					t.Fatalf("%s: Prepared after the append = %q, want %q", what, b, want)
+				}
+				if _, err := l.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				if b := checkPrepared(t, what+": compacted", l.Current()); b != BuildNone {
+					t.Fatalf("%s: Prepared after compaction = %q, want none", what, b)
+				}
+			}
+		}
+	}
+}
+
 // TestPreparedConcurrentBuildsOnce has many readers ask one cold
 // version for its run at once while a writer keeps appending: exactly
 // one of them builds it, all get the same slice, and (under -race) no
@@ -153,7 +227,7 @@ func TestPreparedConcurrentBuildsOnce(t *testing.T) {
 	}
 
 	const readers = 8
-	runs := make([][]geom.Record, readers)
+	runs := make([]geom.Run, readers)
 	builds := make([]Build, readers)
 	var wg sync.WaitGroup
 	for i := 0; i < readers; i++ {
@@ -166,7 +240,7 @@ func TestPreparedConcurrentBuildsOnce(t *testing.T) {
 				return
 			}
 			var sum uint64 // read the whole shared run
-			for _, r := range runs[i] {
+			for _, r := range runs[i].Recs {
 				sum += uint64(r.ID)
 			}
 			_ = sum
@@ -193,8 +267,8 @@ func TestPreparedConcurrentBuildsOnce(t *testing.T) {
 		if builds[i] == BuildFull {
 			full++
 		}
-		if len(runs[i]) != 3000 || &runs[i][0] != &runs[0][0] {
-			t.Fatalf("reader %d got its own run (len %d)", i, len(runs[i]))
+		if len(runs[i].Recs) != 3000 || &runs[i].Recs[0] != &runs[0].Recs[0] {
+			t.Fatalf("reader %d got its own run (len %d)", i, len(runs[i].Recs))
 		}
 	}
 	if full != 1 {

@@ -42,12 +42,23 @@ import (
 // which records count as local — so Report.Pairs, the callbacks and
 // the counting-only path all see owned pairs, with no second filter.
 //
-// The worker pool drains a partition channel and selects on
-// ctx.Done(), so canceling the context stops every worker at its next
-// partition boundary (and, through the kernel's polls every
-// pollInterval comparisons, mid-partition too); the distribution
-// workers poll ctx the same way. Join then returns ctx's error, with
-// every pooled buffer handed back.
+// With a callback set, a stripe's pairs reach it as soon as every
+// earlier stripe's have — on the calling goroutine, in stripe-then-sweep
+// order, while the workers are on the stripes after it — and the workers
+// are dealt no more than a window of Workers+1 stripes past the one
+// being handed over. So the first pairs leave after the first stripe,
+// the pooled buffers on loan number at most that window whatever K is,
+// and a callback that blocks holds the workers back instead of letting
+// results pile up behind it. Without a callback there is nothing to
+// hand over or to bound: the stripes are dealt all at once and the
+// workers are left alone until the last one is swept.
+//
+// Canceling the context — from anywhere, the callback included — stops
+// the dealing at once and every worker at its next poll (before each
+// partition, and inside one every pollInterval comparisons; the
+// distribution workers poll ctx the same way). Join then waits for the
+// workers and returns ctx's error, with every pooled buffer handed
+// back.
 func Join(ctx context.Context, a, b []geom.Record, o Options) (Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -97,21 +108,31 @@ func Join(ctx context.Context, a, b []geom.Record, o Options) (Report, error) {
 	}
 	rep.PartitionWall = time.Since(start)
 
-	// The parallel phase. Workers drain the partition channel and
-	// select on cancellation; every per-partition and per-worker slot
-	// is owned by exactly one goroutine, so the collection needs no
-	// locks.
+	// The parallel phase. This goroutine deals stripe indexes to the
+	// workers, at most window of them ahead of the next stripe to hand
+	// over, and hands each stripe over — its pooled buffer to the
+	// callback, then back to the pool — once every earlier stripe has
+	// been: a stripe's output is final the moment it is swept (a pair is
+	// reported by exactly one stripe), so nothing waits for the pool to
+	// drain. A counting join has nothing to hand over: its window is the
+	// whole join, dealt at once, and this goroutine sleeps until the
+	// workers are done instead of being woken stripe by stripe. A
+	// partition's slots are written by the worker that sweeps it and
+	// read here only after that worker's send on done, so the collection
+	// needs no locks. Both channels hold a whole window: neither side
+	// ever blocks on a send.
 	collect := o.Emit != nil || o.EmitBatch != nil
+	window := k
+	if collect {
+		window = rep.Workers + 1 // one stripe in the callback, one under each worker
+	}
 	buffers := make([][]geom.Pair, k)
 	partStats := make([]sweep.Stats, k)
 	noTest := make([]int64, k)
+	swept := make([]bool, k)
 	rep.PerWorker = make([]WorkerStats, rep.Workers)
-	work := make(chan int, k)
-	for i := 0; i < k; i++ {
-		work <- i
-	}
-	close(work)
-	errs := make(chan error, rep.Workers)
+	work := make(chan int, window)
+	done := make(chan sweptPartition, window)
 
 	sweepStart := time.Now()
 	var wg sync.WaitGroup
@@ -119,22 +140,16 @@ func Join(ctx context.Context, a, b []geom.Record, o Options) (Report, error) {
 		wg.Add(1)
 		go func(ws *WorkerStats) {
 			defer wg.Done()
-			for {
-				var i int
-				var ok bool
-				select {
-				case <-ctx.Done():
-					return
-				case i, ok = <-work:
-					if !ok {
-						return
-					}
-				}
+			for i := range work {
 				t0 := time.Now()
-				pairs, err := sweepPartition(ctx, part, i, dist,
-					&partStats[i], &noTest[i], &buffers[i], collect)
+				var pairs int64
+				err := ctx.Err() // a canceled join starts no further partition
+				if err == nil {
+					pairs, err = sweepPartition(ctx, part, i, dist,
+						&partStats[i], &noTest[i], &buffers[i], collect)
+				}
+				done <- sweptPartition{i, err}
 				if err != nil {
-					errs <- err
 					return
 				}
 				ws.Partitions++
@@ -144,24 +159,54 @@ func Join(ctx context.Context, a, b []geom.Record, o Options) (Report, error) {
 			}
 		}(&rep.PerWorker[w])
 	}
-	wg.Wait()
-	rep.SweepWall = time.Since(sweepStart)
-	releaseBuffers := func() {
-		for i, buf := range buffers {
-			if buf != nil {
-				pairbuf.Put(buf)
-				buffers[i] = nil
-			}
+	dealt := 0
+	deal := func(upTo int) {
+		for ; dealt < upTo; dealt++ {
+			work <- dealt
 		}
 	}
-	select {
-	case err := <-errs:
-		releaseBuffers()
-		return Report{}, err
-	default:
+	deal(min(k, window))
+	err = ctx.Err()
+	for next := 0; collect && next < k && err == nil; {
+		if !swept[next] {
+			select {
+			case p := <-done:
+				swept[p.i], err = true, p.err
+			case <-ctx.Done():
+				err = ctx.Err()
+			}
+			continue
+		}
+		if buf := buffers[next]; o.EmitBatch == nil {
+			for _, p := range buf {
+				o.Emit(p)
+			}
+		} else if len(buf) > 0 {
+			o.EmitBatch(buf)
+		}
+		pairbuf.Put(buffers[next])
+		buffers[next] = nil
+		next++
+		deal(min(k, next+window))
+		err = ctx.Err() // the callback may be what canceled
 	}
-	if err := ctx.Err(); err != nil {
-		releaseBuffers()
+	close(work)
+	wg.Wait()
+	rep.SweepWall = time.Since(sweepStart)
+	// The reports nobody was waiting for: a counting join's, and a
+	// failure after the hand-over gave up.
+	for err == nil && len(done) > 0 {
+		err = (<-done).err
+	}
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		for _, buf := range buffers {
+			if buf != nil {
+				pairbuf.Put(buf)
+			}
+		}
 		return Report{}, err
 	}
 
@@ -175,27 +220,15 @@ func Join(ctx context.Context, a, b []geom.Record, o Options) (Report, error) {
 		rep.Sweep.Pairs += st.Pairs
 		rep.Sweep.Comparisons += st.Comparisons
 	}
-	if collect {
-		// Replay in deterministic partition order on the caller's
-		// goroutine. The batch path hands each partition's pooled
-		// buffer to the callback whole — one indirect call per
-		// partition instead of one per pair — then recycles it.
-		for i, buf := range buffers {
-			if o.EmitBatch != nil {
-				if len(buf) > 0 {
-					o.EmitBatch(buf)
-				}
-			} else {
-				for _, p := range buf {
-					o.Emit(p)
-				}
-			}
-			pairbuf.Put(buf)
-			buffers[i] = nil
-		}
-	}
 	rep.Wall = time.Since(start)
 	return rep, nil
+}
+
+// sweptPartition is a worker's word that partition i has been swept —
+// its slots are filled — or that the sweep failed.
+type sweptPartition struct {
+	i   int
+	err error
 }
 
 // sortByLowerY puts recs in sweep order in place. Distribution

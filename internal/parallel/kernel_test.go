@@ -67,20 +67,24 @@ func (c *pollCtx) Err() error {
 
 // TestJoinCancelAtEveryPoll fails the context at its k-th poll for
 // every k a join makes — before the distribution, inside it, between
-// and inside partitions — and requires each time that Join return the
-// context's error and hand every pooled buffer back.
+// and inside partitions — and then from inside its j-th callback for
+// every j, and requires each time that Join return the context's error
+// and hand every pooled buffer back.
 func TestJoinCancelAtEveryPoll(t *testing.T) {
 	a, b := datagen.Tall(1, 6000, universe), datagen.Tall(2, 6000, universe)
-	emit := func([]geom.Pair) {}
+	batches := 0
+	emit := func([]geom.Pair) { batches++ }
 	for _, o := range []Options{
 		{Universe: universe, Workers: 1, Partitions: 4},
 		{Universe: universe, Workers: 3, Partitions: 9, EmitBatch: emit},
 	} {
 		ctx := &pollCtx{Context: context.Background(), failAfter: math.MaxInt64}
 		loaned := pairbuf.Outstanding()
+		batches = 0
 		if _, err := Join(ctx, a, b, o); err != nil {
 			t.Fatal(err)
 		}
+		perRun := batches // callbacks of one whole join: 0 without a callback
 		if got := pairbuf.Outstanding(); got != loaned {
 			t.Fatalf("a completed join leaves %d pooled buffers on loan", got-loaned)
 		}
@@ -96,6 +100,23 @@ func TestJoinCancelAtEveryPoll(t *testing.T) {
 			}
 			if got := pairbuf.Outstanding(); got != loaned {
 				t.Fatalf("context failing at poll %d of %d: %d pooled buffers still on loan", k+1, polls, got-loaned)
+			}
+		}
+		// The consumer cancels: the context fails from the j-th callback
+		// on, whatever the workers are in the middle of by then.
+		for j := 1; j <= perRun; j++ {
+			ctx := &pollCtx{Context: context.Background(), failAfter: math.MaxInt64 / 2}
+			seen := 0
+			o.EmitBatch = func([]geom.Pair) {
+				if seen++; seen == j {
+					ctx.polls.Store(ctx.failAfter)
+				}
+			}
+			if _, err := Join(ctx, a, b, o); !errors.Is(err, context.Canceled) || seen != j {
+				t.Fatalf("context failing inside callback %d of %d: Join returned %v after %d callbacks", j, perRun, err, seen)
+			}
+			if got := pairbuf.Outstanding(); got != loaned {
+				t.Fatalf("context failing inside callback %d of %d: %d pooled buffers still on loan", j, perRun, got-loaned)
 			}
 		}
 	}

@@ -63,15 +63,22 @@
 //     That is why K adapts to the mean y-extent instead of following
 //     the worker count or the input size.
 //   - Results are collected without locks: each worker owns a counter
-//     shard and each partition owns a pooled output buffer, merged
-//     after the pool drains. With Options.Emit (or the batched
-//     Options.EmitBatch) set, pairs are replayed to the callback in
-//     deterministic partition-then-sweep order on the calling
-//     goroutine, so callbacks need not be thread-safe.
-//   - Both entry points take a context.Context: workers select on
-//     ctx.Done() between partitions and the kernel polls it every
-//     fixed amount of comparison work within one, so a canceled query
-//     stops promptly and returns the context's error.
+//     shard and each partition owns a pooled output buffer. A pair is
+//     reported by exactly one stripe, so a stripe's buffer is final
+//     the moment the stripe is swept: with Options.Emit (or the
+//     batched Options.EmitBatch) set, the calling goroutine hands each
+//     buffer to the callback as soon as every earlier stripe's has
+//     been — deterministic partition-then-sweep order, so callbacks
+//     need not be thread-safe — while the workers sweep the stripes
+//     after it, and deals the workers no more than Workers+1 stripes
+//     ahead of the hand-over. The buffers on loan are therefore a
+//     handful whatever K is, the first pairs leave after the first
+//     stripe, and a slow consumer holds the sweep back instead of
+//     letting output pile up.
+//   - Both entry points take a context.Context: the dealing stops the
+//     moment it is canceled and the kernel polls it every fixed amount
+//     of comparison work within a partition, so a canceled query stops
+//     promptly and returns the context's error.
 //
 // The entry points are Join (parallel) and Serial (the single-threaded
 // sort-and-sweep over the same records with the paper's Striped-Sweep
@@ -130,11 +137,10 @@ type Options struct {
 	// a whole-relation cache cannot know.
 	SortedSamples [][]geom.Coord
 
-	// Emit receives every result pair after the parallel phase, in
-	// deterministic partition-then-sweep order on the calling
-	// goroutine; nil counts pairs only. Buffering the pairs costs
-	// memory proportional to the output, so leave Emit nil when only
-	// counts are needed.
+	// Emit receives every result pair in deterministic
+	// partition-then-sweep order on the calling goroutine, a stripe's
+	// pairs as soon as the stripes before it have been delivered; nil
+	// counts pairs only, with no buffer at all.
 	Emit func(geom.Pair)
 	// EmitBatch is the batched alternative to Emit: it receives the
 	// result pairs as slices (each partition's pooled output buffer in
@@ -209,13 +215,14 @@ type Report struct {
 	// (both sides), the load-balance indicator.
 	MaxPartitionRecords int
 
-	// Wall is the end-to-end time: partitioning, the parallel sweep,
-	// and the result merge. PartitionWall covers the whole prefix
-	// ahead of the sweep: the boundary estimation (a serial quantile
-	// sort of at most a few thousand sampled centers per input) plus
-	// the chunked parallel window-filter + classify + distribute
-	// phase, which scales with Workers. SweepWall covers the parallel
-	// sort-and-sweep phase.
+	// Wall is the end-to-end time: partitioning and the parallel
+	// sweep. PartitionWall covers the whole prefix ahead of the sweep:
+	// the boundary estimation (a serial quantile sort of at most a few
+	// thousand sampled centers per input) plus the chunked parallel
+	// window-filter + classify + distribute phase, which scales with
+	// Workers. SweepWall covers the parallel sort-and-sweep phase up to
+	// the last stripe's hand-over — the callbacks run inside it, as
+	// they do inside a serial sweep.
 	Wall          time.Duration
 	PartitionWall time.Duration
 	SweepWall     time.Duration

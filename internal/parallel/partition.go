@@ -14,6 +14,15 @@ import (
 // partitions within a few percent.
 const sampleMax = 4096
 
+// samplesPerStripe is how many centers per stripe and input a windowed
+// join samples, where that is less than sampleMax. A whole relation's
+// sample is taken once and cached; a window's is taken and sorted by
+// every query, for the handful of stripes a selective window is worth,
+// and a hundred-odd centers a stripe — what sampleMax gives the
+// eighty-stripe joins of whole relations — place its boundaries as well
+// as thousands would.
+const samplesPerStripe = 128
+
 // Partitioner cuts the universe into K vertical stripes. Boundaries
 // are quantiles of sampled record x-centers, so skewed inputs still
 // produce balanced stripes; with no sample the stripes are equal
@@ -75,8 +84,12 @@ func NewPartitioner(universe geom.Rect, k int, inputs ...[]geom.Record) *Partiti
 func NewPartitionerWindowed(universe geom.Rect, k int, window *geom.Rect, inputs ...[]geom.Record) *Partitioner {
 	var sample []geom.Coord
 	if k > 1 {
+		limit := sampleMax
+		if window != nil {
+			limit = min(limit, k*samplesPerStripe)
+		}
 		for _, in := range inputs {
-			sample = appendCenterSample(sample, in, window)
+			sample = appendCenterSample(sample, in, window, limit)
 		}
 		slices.Sort(sample)
 	}
@@ -207,7 +220,7 @@ func (p *Partitioner) cellOf(x geom.Coord) int {
 // so boundaries computed from cached samples match boundaries computed
 // from the records directly.
 func SortedCenterSample(recs []geom.Record) []geom.Coord {
-	sample := appendCenterSample(nil, recs, nil)
+	sample := appendCenterSample(nil, recs, nil, sampleMax)
 	slices.Sort(sample)
 	return sample
 }
@@ -251,28 +264,28 @@ func mergeSorted(a, b []geom.Coord) []geom.Coord {
 	return append(out, b[j:]...)
 }
 
-// appendCenterSample appends up to ~sampleMax x-centers of one input
-// to sample. With no window it strides the input directly. With a
-// window it streams the qualifying records, decimating the collected
-// sample (and doubling the keep stride) whenever it reaches
-// 2*sampleMax: a selective window then still contributes a full-size,
-// evenly spread sample of the records the join will actually sweep,
-// where a blind stride applied before the window test would leave
-// only a handful of survivors and collapse the quantiles to the
-// equal-width fallback.
-func appendCenterSample(sample []geom.Coord, in []geom.Record, window *geom.Rect) []geom.Coord {
+// appendCenterSample appends up to ~limit x-centers of one input to
+// sample (at most 2*limit). With no window it strides the input
+// directly. With a window it streams the qualifying records,
+// decimating the collected sample (and doubling the keep stride)
+// whenever it reaches 2*limit: a selective window then still
+// contributes a full-size, evenly spread sample of the records the join
+// will actually sweep, where a blind stride applied before the window
+// test would leave only a handful of survivors and collapse the
+// quantiles to the equal-width fallback.
+func appendCenterSample(sample []geom.Coord, in []geom.Record, window *geom.Rect, limit int) []geom.Coord {
 	center := func(c geom.Rect) geom.Coord { return c.XLo + (c.XHi-c.XLo)/2 }
 	if window == nil {
 		step := 1
-		if len(in) > sampleMax {
-			step = len(in) / sampleMax
+		if len(in) > limit {
+			step = len(in) / limit
 		}
 		for i := 0; i < len(in); i += step {
 			sample = append(sample, center(in[i].Rect))
 		}
 		return sample
 	}
-	own := make([]geom.Coord, 0, min(len(in), 2*sampleMax))
+	own := make([]geom.Coord, 0, min(len(in), 2*limit))
 	keep, seen := 1, 0
 	for _, r := range in {
 		if !r.Rect.Intersects(*window) {
@@ -280,11 +293,11 @@ func appendCenterSample(sample []geom.Coord, in []geom.Record, window *geom.Rect
 		}
 		if seen%keep == 0 {
 			own = append(own, center(r.Rect))
-			if len(own) == 2*sampleMax {
-				for j := 0; j < sampleMax; j++ {
+			if len(own) == 2*limit {
+				for j := 0; j < limit; j++ {
 					own[j] = own[2*j]
 				}
-				own = own[:sampleMax]
+				own = own[:limit]
 				keep *= 2
 			}
 		}

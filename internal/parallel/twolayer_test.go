@@ -162,7 +162,7 @@ func TestWindowedSamplingStaysDense(t *testing.T) {
 			t.Fatalf("boundary %d at %g lies outside the windowed population [100, 112]", i, lo)
 		}
 	}
-	if n := len(appendCenterSample(nil, recs, &w)); n < 400 {
+	if n := len(appendCenterSample(nil, recs, &w, sampleMax)); n < 400 {
 		t.Fatalf("windowed sample kept %d of ~500 qualifying centers", n)
 	}
 }

@@ -133,8 +133,14 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	s.metrics.observeJoin(alg.String(), elapsed.Seconds(), phases, res.Prepared)
 	sum := joinSummary(req, alg, res, elapsed)
 	root := joinSpan(start, elapsed, res.PrepareWall, res.PartitionWall, res.SweepWall, streamTime)
+	// Which engine ran is the workspace's decision, not the request's:
+	// the trace says so, next to the algorithm that was asked for.
+	engine := "simulated"
+	if res.Parallel != nil {
+		engine = "resident"
+	}
 	root.SetAttr("left", req.Left).SetAttr("right", req.Right).
-		SetAttr("algorithm", alg.String())
+		SetAttr("algorithm", alg.String()).SetAttr("engine", engine)
 	s.front.RecordTrace(r, "join", root)
 	if req.Trace {
 		sum.Trace = httpapi.PhaseTrace(root)

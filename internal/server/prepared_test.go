@@ -92,50 +92,63 @@ func TestJoinSummaryDescribesPinnedEpochs(t *testing.T) {
 // TestPrepareCostIsReportedWherePaid: the join that builds or merges a
 // prepared run says so — a prepare child leading its span tree and a
 // tick of sj_prepared_builds_total{kind} — and a join that finds the
-// runs warm shows neither.
+// runs warm shows neither. That is as true of the default algorithm as
+// of "parallel": a served PQ runs on the same resident runs, says
+// engine=resident on its trace, and once they are warm does not touch
+// the simulated disk at all.
 func TestPrepareCostIsReportedWherePaid(t *testing.T) {
-	cat := testCatalog(t, 2000)
-	reg := obs.NewRegistry()
-	_, cl, _ := testServer(t, Config{Catalog: cat, Registry: reg})
-	ctx := context.Background()
+	for _, alg := range []string{"parallel", "PQ"} {
+		cat := testCatalog(t, 2000)
+		reg := obs.NewRegistry()
+		_, cl, _ := testServer(t, Config{Catalog: cat, Registry: reg})
+		ctx := context.Background()
+		store := cat.Workspace().Store()
 
-	join := func(wantPrepare bool, wantFull, wantMerge int) {
-		t.Helper()
-		sum, err := cl.JoinCount(ctx, client.JoinRequest{
-			Left: "roads", Right: "hydro", Algorithm: "parallel", Parallelism: 1, Trace: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var names []string
-		for _, c := range sum.Spans.Children {
-			names = append(names, c.Name)
-		}
-		want := []string{"partition", "sweep", "stream"}
-		if wantPrepare {
-			want = append([]string{"prepare"}, want...)
-		}
-		if strings.Join(names, ",") != strings.Join(want, ",") {
-			t.Fatalf("span children %v, want %v", names, want)
-		}
-		text := reg.Render()
-		for kind, n := range map[string]int{"full": wantFull, "merge": wantMerge} {
-			line := `sj_prepared_builds_total{kind="` + kind + `"} ` + string(rune('0'+n))
-			if !strings.Contains(text, line+"\n") {
-				t.Fatalf("/metrics lacks %q", line)
+		join := func(wantPrepare bool, wantFull, wantMerge int) {
+			t.Helper()
+			before := store.Counters()
+			sum, err := cl.JoinCount(ctx, client.JoinRequest{
+				Left: "roads", Right: "hydro", Algorithm: alg, Parallelism: 1, Trace: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, c := range sum.Spans.Children {
+				names = append(names, c.Name)
+			}
+			want := []string{"partition", "sweep", "stream"}
+			if wantPrepare {
+				want = append([]string{"prepare"}, want...)
+			}
+			if strings.Join(names, ",") != strings.Join(want, ",") {
+				t.Fatalf("%s: span children %v, want %v", alg, names, want)
+			}
+			if got := sum.Spans.Attrs["engine"]; got != "resident" || sum.Algorithm != alg {
+				t.Fatalf("%s: the trace says engine=%q and the summary algorithm %q", alg, got, sum.Algorithm)
+			}
+			if io := store.Counters().Sub(before); !wantPrepare && io.Total() != 0 {
+				t.Fatalf("%s: a warm join moved the store's counters by {%s}", alg, io)
+			}
+			text := reg.Render()
+			for kind, n := range map[string]int{"full": wantFull, "merge": wantMerge} {
+				line := `sj_prepared_builds_total{kind="` + kind + `"} ` + string(rune('0'+n))
+				if !strings.Contains(text, line+"\n") {
+					t.Fatalf("%s: /metrics lacks %q", alg, line)
+				}
 			}
 		}
+		join(true, 2, 0)  // cold: both relations read and sorted
+		join(false, 2, 0) // warm
+		hydro := mustGet(t, cat, "hydro")
+		extra := datagen.Uniform(5, 100, unijoin.NewRect(0, 0, 1000, 1000), 40)
+		for i := range extra {
+			extra[i].ID += 1 << 20
+		}
+		if _, err := hydro.Append(extra); err != nil {
+			t.Fatal(err)
+		}
+		join(true, 2, 1)  // new epoch of one side: one merge
+		join(false, 2, 1) // warm again
 	}
-	join(true, 2, 0)  // cold: both relations read and sorted
-	join(false, 2, 0) // warm
-	hydro := mustGet(t, cat, "hydro")
-	extra := datagen.Uniform(5, 100, unijoin.NewRect(0, 0, 1000, 1000), 40)
-	for i := range extra {
-		extra[i].ID += 1 << 20
-	}
-	if _, err := hydro.Append(extra); err != nil {
-		t.Fatal(err)
-	}
-	join(true, 2, 1)  // new epoch of one side: one merge
-	join(false, 2, 1) // warm again
 }

@@ -57,8 +57,8 @@ func TestJoinTraceRecorded(t *testing.T) {
 		t.Fatalf("trace root %vms vs summary elapsed %vms: drifted by %vms",
 			det.Root.DurationMillis, sum.ElapsedMillis, diff)
 	}
-	if det.Root.Attrs["algorithm"] != "PBSM" {
-		t.Fatalf("root attrs = %v, want algorithm=PBSM", det.Root.Attrs)
+	if det.Root.Attrs["algorithm"] != "PBSM" || det.Root.Attrs["engine"] != "simulated" {
+		t.Fatalf("root attrs = %v, want algorithm=PBSM engine=simulated", det.Root.Attrs)
 	}
 
 	// Listing includes the trace, newest first.

@@ -54,6 +54,15 @@ func viaQuery(alg Algorithm) ownedJoin {
 	}}
 }
 
+// resident is j run the way a Catalog's workspace would run it: on the
+// relations' prepared runs where the algorithm has a resident form.
+func resident(j ownedJoin) ownedJoin {
+	return ownedJoin{j.name + " (resident)", func(ctx context.Context, ws *Workspace, a, b *Relation, own *geom.Interval, win *Rect,
+		emit func(Pair), batch func([]Pair)) (int64, error) {
+		return j.run(ctx, residentView(ws), a, b, own, win, emit, batch)
+	}}
+}
+
 // slabSSSJ is the partitioned SSSJ fallback, which no algorithm
 // selection leads to, over the given number of slabs. Its slabs are
 // ownership intervals of their own, intersected with the caller's.
@@ -91,8 +100,9 @@ type ownedSide struct {
 // a record's right edge, with every record centre in one stripe — one
 // record on each side that spans every stripe, and records on each side
 // that end, start or lie exactly on a slab cut of slab SSSJ and on the
-// boundaries of the plan of three: every way of running a join, windowed
-// or not, through CountOnly, Emit and EmitBatch, reports under each
+// boundaries of the plan of three: every way of running a join — PQ and
+// SSSJ in their resident form too — windowed or not, through CountOnly,
+// Emit and EmitBatch, reports under each
 // interval exactly the reference's share for it — the pairs whose
 // reference point the interval holds, which tile the reference's join.
 // That holds with the full relations under every interval and with
@@ -145,6 +155,9 @@ func TestOwnedIntervalsTileTheJoin(t *testing.T) {
 				joins := []ownedJoin{slabSSSJ(slabs)}
 				for _, alg := range queryAlgorithms {
 					joins = append(joins, viaQuery(alg))
+				}
+				for _, alg := range residentAlgorithms {
+					joins = append(joins, resident(viaQuery(alg)))
 				}
 
 				loC, hiC := Coord(math.Inf(1)), Coord(math.Inf(-1))
@@ -221,23 +234,25 @@ func checkUnbounded(ctx context.Context, t *testing.T, s ownedSide) {
 	t.Helper()
 	all := shard.Everything()
 	for _, alg := range queryAlgorithms {
-		var plain, owned []Pair
-		q := func() *Query { return s.ws.Query(s.a, s.b).Algorithm(alg).Parallelism(2).Partitions(5) }
-		resPlain, err := q().Emit(func(p Pair) { plain = append(plain, p) }).Run(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resOwned, err := q().Owned(all.Lo, all.Hi).Emit(func(p Pair) { owned = append(owned, p) }).Run(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(plain, owned) || resPlain.Count() != resOwned.Count() {
-			t.Fatalf("%v: %d pairs without Owned, %d under the unbounded interval, or in another order",
-				alg, len(plain), len(owned))
-		}
-		if alg == AlgParallel && resPlain.Parallel.NoTestPairs != resOwned.Parallel.NoTestPairs {
-			t.Fatalf("untested pairs: %d without Owned, %d under the unbounded interval",
-				resPlain.Parallel.NoTestPairs, resOwned.Parallel.NoTestPairs)
+		for _, e := range engines(s.ws, alg) {
+			var plain, owned []Pair
+			q := func() *Query { return e.ws.Query(s.a, s.b).Algorithm(alg).Parallelism(2).Partitions(5) }
+			resPlain, err := q().Emit(func(p Pair) { plain = append(plain, p) }).Run(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resOwned, err := q().Owned(all.Lo, all.Hi).Emit(func(p Pair) { owned = append(owned, p) }).Run(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(plain, owned) || resPlain.Count() != resOwned.Count() {
+				t.Fatalf("%v (%s): %d pairs without Owned, %d under the unbounded interval, or in another order",
+					alg, e.name, len(plain), len(owned))
+			}
+			if resPlain.Parallel != nil && resPlain.Parallel.NoTestPairs != resOwned.Parallel.NoTestPairs {
+				t.Fatalf("%v (%s): untested pairs: %d without Owned, %d under the unbounded interval",
+					alg, e.name, resPlain.Parallel.NoTestPairs, resOwned.Parallel.NoTestPairs)
+			}
 		}
 	}
 }

@@ -2,12 +2,15 @@ package unijoin
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"slices"
 	"sync"
 	"testing"
 
 	"unijoin/internal/ingest"
+	"unijoin/internal/jointest"
+	"unijoin/internal/tiger"
 )
 
 // TestStripeBoundariesIndependentOfWhoWarmedTheSample: the x-center
@@ -154,5 +157,89 @@ func TestResultsReportPinnedInputs(t *testing.T) {
 			t.Fatalf("%v: Results describe left %d@%d right %d, pinned were %d@%d and %d",
 				alg, res.Left.Len(), res.Left.Epoch(), res.Right.Len(), before, epoch, len(rb))
 		}
+	}
+}
+
+// TestWindowedResidentJoinReadsTheSlab: a resident join under a window
+// hands the engine the window's y-slab of each prepared run, not the
+// run. On the load benchmark's NJ data (103,610 roads × 12,713 hydro
+// records) a window of 0.5 % of the region a side, centred on a record
+// as the benchmark's are, leaves under 5 % of either run to measure,
+// sample and distribute — a tenth where it lands in the y-band of the
+// densest clusters, which a quarter of these windows do — and the pairs
+// are the unwindowed join's, filtered: both records intersect the
+// window.
+func TestWindowedResidentJoinReadsTheSlab(t *testing.T) {
+	ctx := context.Background()
+	roads, hydro := tiger.Config{Scale: 0.25, Seed: 1997}.Generate(tiger.NJ)
+	region := tiger.NJ.Region
+	ws := NewWorkspace()
+	ws.SetUniverse(region)
+	cat := NewCatalogOn(ws)
+	a, err := cat.Load("roads", roads, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cat.Load("hydro", hydro, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rectOf := func(recs []Record) map[ID]Rect {
+		m := make(map[ID]Rect, len(recs))
+		for _, r := range recs {
+			m[r.ID] = r.Rect
+		}
+		return m
+	}
+	rectA, rectB := rectOf(roads), rectOf(hydro)
+	if len(rectA) != len(roads) || len(rectB) != len(hydro) {
+		t.Fatal("the filter below looks rectangles up by ID: IDs must be unique")
+	}
+	var all []Pair
+	if _, err := ws.Query(a, b).Emit(func(p Pair) { all = append(all, p) }).Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	hw, hh := region.Width()*0.005/2, region.Height()*0.005/2
+	nonEmpty, slabs, under5 := 0, 0, 0
+	for i := 0; i < len(hydro); i += len(hydro) / 16 {
+		c := hydro[i].Rect.Center()
+		win := NewRect(c.X-hw, c.Y-hh, c.X+hw, c.Y+hh)
+		for side, v := range map[string]*ingest.Version{"roads": a.snapshot(), "hydro": b.snapshot()} {
+			slab, _, err := engineInput(v, &win)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(slab))*8 >= v.N {
+				t.Fatalf("window %v: the engine is handed %d of the %d %s records", win, len(slab), v.N, side)
+			}
+			if slabs++; int64(len(slab))*20 < v.N {
+				under5++
+			}
+		}
+		want := jointest.Bag[Pair]{}
+		for _, p := range all {
+			if rectA[p.Left].Intersects(win) && rectB[p.Right].Intersects(win) {
+				want.Add(p)
+			}
+		}
+		got := jointest.Bag[Pair]{}
+		res, err := ws.Query(a, b).Window(win).Emit(got.Add).Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jointest.CheckJoin(t, fmt.Sprintf("resident PQ under window %v", win), roads, hydro, want, got)
+		if res.Parallel == nil || res.IO.Total() != 0 {
+			t.Fatalf("window %v: the join ran on the simulator (%d page accesses)", win, res.IO.Total())
+		}
+		if want.Len() > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty < 4 {
+		t.Fatalf("only %d of the windows hold a pair: the comparison says little", nonEmpty)
+	}
+	if under5*4 < slabs*3 {
+		t.Fatalf("%d of %d slabs hold under 5 %% of their run, want three in four", under5, slabs)
 	}
 }

@@ -72,10 +72,11 @@ func (q *Query) Owned(lo, hi Coord) *Query {
 }
 
 // Parallelism sets the worker count for AlgParallel (default
-// GOMAXPROCS). Other algorithms ignore it.
+// GOMAXPROCS). Other algorithms ignore it: they are one-core queries
+// wherever they run.
 func (q *Query) Parallelism(n int) *Query { q.opts.Parallelism = n; return q }
 
-// Partitions overrides the parallel engine's stripe count. Left unset,
+// Partitions overrides the in-memory engine's stripe count. Left unset,
 // the engine chooses it per query from the window-qualified inputs'
 // sizes and mean extents: enough stripes to keep the forward scans
 // short, few enough to keep replication low (Results.Parallel.Partitions
@@ -92,11 +93,14 @@ func (q *Query) BufferPool(bytes int) *Query { q.opts.BufferPoolBytes = bytes; r
 // for (default Machine3).
 func (q *Query) Machine(m Machine) *Query { q.opts.Machine = m; return q }
 
-// Emit streams each result pair to fn as (or, for AlgParallel, after)
-// it is found. A query with an Emit callback does not buffer pairs,
-// so Results.Pairs yields nothing. AlgParallel calls fn on the caller's
-// goroutine in deterministic partition order after the concurrent
-// phase, so the callback need not be thread-safe.
+// Emit streams each result pair to fn while the join runs: the serial
+// algorithms call it as each pair is found, the in-memory engine
+// (AlgParallel, and PQ and SSSJ on a Catalog's workspace) as soon as the
+// stripe that found it and every stripe before it have been swept. A
+// query with an Emit callback does not buffer pairs, so Results.Pairs
+// yields nothing. fn is always called on the caller's goroutine, in an
+// order that is deterministic for the engine that ran — sweep order, or
+// stripe then sweep order — so the callback need not be thread-safe.
 func (q *Query) Emit(fn func(Pair)) *Query { q.opts.Emit = fn; return q }
 
 // EmitBatch streams result pairs to fn in pooled batches — the fast
@@ -159,7 +163,21 @@ func (q *Query) Run(ctx context.Context) (*Results, error) {
 // dispatch runs one algorithm with fully-resolved options against two
 // pinned relation versions, filling engine-specific extras (the
 // parallel report) into res.
+//
+// On a resident workspace the unified join and its non-indexed form do
+// not go to the simulated disk to rebuild what the versions already
+// hold: PQ needs two y-sorted sources, index traversal is one way to
+// get one, and a served relation's prepared run is another that is
+// already there. They run as the in-memory engine at one worker — the
+// same two sorted sources under the kernel resident arrays want — and
+// stay one-core queries under their own names. The paper's comparison
+// baselines and its simulated-disk planner (ST, BFRJ, PBSM, auto) run
+// on the simulator everywhere.
 func (w *Workspace) dispatch(ctx context.Context, alg Algorithm, a, b *ingest.Version, opts *joinOptions, res *Results) (JoinResult, error) {
+	if w.resident && (alg == AlgPQ || alg == AlgSSSJ) {
+		r, err := w.runParallel(ctx, alg.String(), 1, a, b, opts, res)
+		return JoinResult{Result: r}, err
+	}
 	o := w.coreOptions(a.MBR.Union(b.MBR), *opts)
 	switch alg {
 	case AlgSSSJ:
@@ -192,23 +210,27 @@ func (w *Workspace) dispatch(ctx context.Context, alg Algorithm, a, b *ingest.Ve
 		d, r, err := p.Join(ctx, o, versionInput(a), versionInput(b))
 		return JoinResult{Result: r, Decision: &d}, err
 	case AlgParallel:
-		r, err := w.runParallel(ctx, a, b, opts, res)
+		r, err := w.runParallel(ctx, alg.String(), opts.Parallelism, a, b, opts, res)
 		return JoinResult{Result: r}, err
 	default:
 		return JoinResult{}, fmt.Errorf("unijoin: unknown algorithm %v", alg)
 	}
 }
 
-// runParallel runs the multicore in-memory engine on the two pinned
-// versions' prepared runs — their records already decoded and in sweep
-// order, built once per epoch and shared by every query that pins it.
+// runParallel runs the in-memory engine with the given worker count
+// (0: GOMAXPROCS) on the two pinned versions' prepared runs — their
+// records already decoded and in sweep order, built once per epoch and
+// shared by every query that pins it — and reports the join under name.
 // A warm query therefore performs no simulated I/O and no sort; the
 // query that finds a run cold or unmerged pays for the build (a cold
 // build's read pass is charged to the store counters like any scan)
-// and reports it as res.Prepared and Result.PrepareWall.
-func (w *Workspace) runParallel(ctx context.Context, a, b *ingest.Version, opts *joinOptions, res *Results) (core.Result, error) {
+// and reports it as res.Prepared and Result.PrepareWall. A windowed
+// join hands the engine only a slab of each run (engineInput), so what
+// it measures, samples and distributes is proportional to the window,
+// not to the relations.
+func (w *Workspace) runParallel(ctx context.Context, name string, workers int, a, b *ingest.Version, opts *joinOptions, res *Results) (core.Result, error) {
 	po := parallel.Options{Universe: w.universeFor(a.MBR.Union(b.MBR))}
-	po.Workers = opts.Parallelism
+	po.Workers = workers
 	po.Partitions = opts.ParallelPartitions
 	po.Window = opts.Window
 	po.Own = opts.own
@@ -220,7 +242,7 @@ func (w *Workspace) runParallel(ctx context.Context, a, b *ingest.Version, opts 
 	var recs [2][]Record
 	for i, v := range [2]*ingest.Version{a, b} {
 		var err error
-		if recs[i], res.Prepared[i], err = v.Prepared(); err != nil {
+		if recs[i], res.Prepared[i], err = engineInput(v, po.Window); err != nil {
 			return core.Result{}, err
 		}
 	}
@@ -250,7 +272,7 @@ func (w *Workspace) runParallel(ctx context.Context, a, b *ingest.Version, opts 
 	}
 	res.Parallel = &rep
 	return core.Result{
-		Algorithm:     "parallel",
+		Algorithm:     name,
 		Pairs:         rep.Pairs,
 		Sweep:         rep.Sweep,
 		SweepMaxBytes: rep.Sweep.MaxBytes,
@@ -261,6 +283,18 @@ func (w *Workspace) runParallel(ctx context.Context, a, b *ingest.Version, opts 
 		IO:            w.store.Counters().Sub(before),
 		IODirect:      w.store.DirectCounters().Sub(beforeDirect),
 	}, nil
+}
+
+// engineInput returns what the in-memory engine is handed for one side
+// of a join: the version's prepared run, cut under a window to the slab
+// of it that can reach the window in y. The engine's own window test
+// does the rest, so windowed and unwindowed joins are one path.
+func engineInput(v *ingest.Version, window *Rect) ([]Record, ingest.Build, error) {
+	run, build, err := v.Prepared()
+	if err != nil || window == nil {
+		return run.Recs, build, err
+	}
+	return run.Slab(*window), build, nil
 }
 
 // coreOptions maps a query's knobs onto the core layer's, for inputs

@@ -3,6 +3,8 @@ package unijoin
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,6 +16,36 @@ import (
 // queryAlgorithms is every algorithm the equivalence tests cover; all
 // of them must produce identical pair sets through every emit mode.
 var queryAlgorithms = []Algorithm{AlgPQ, AlgSSSJ, AlgPBSM, AlgST, AlgAuto, AlgBFRJ, AlgParallel}
+
+// residentAlgorithms are the ones a Catalog's workspace runs on the
+// relations' prepared runs instead of the simulated disk.
+var residentAlgorithms = []Algorithm{AlgPQ, AlgSSSJ}
+
+// engines returns the workspaces the equivalence tables run alg on: ws
+// itself, and for the algorithms that have a resident form a view of the
+// same simulated disk — the same relations — that joins the way a
+// Catalog's workspace does. Both must give the reference's answer, so
+// resident PQ ≡ simulator PQ ≡ brute force wherever a table ranges.
+func engines(ws *Workspace, alg Algorithm) []engine {
+	out := []engine{{"simulated", ws}}
+	if slices.Contains(residentAlgorithms, alg) {
+		out = append(out, engine{"resident", residentView(ws)})
+	}
+	return out
+}
+
+type engine struct {
+	name string
+	ws   *Workspace
+}
+
+// residentView returns a workspace on ws's simulated disk that joins
+// the way a Catalog's does.
+func residentView(ws *Workspace) *Workspace {
+	view := *ws
+	view.resident = true
+	return &view
+}
 
 // checkEmitModes runs the query newQuery builds once per way of
 // receiving its pairs — only counted, collected for the Pairs()
@@ -53,10 +85,11 @@ func checkEmitModes(t *testing.T, what string, newQuery func() *Query, a, b []Re
 }
 
 // TestQueryEmitModesEquivalence is the equivalence property of the
-// Query API: for every algorithm, with and without a window, on indexed
-// relations of ordinary data and of every shape of the shared generator,
-// counting, the Pairs() iterator, the Emit callback and the EmitBatch
-// callback all deliver exactly the reference's pairs.
+// Query API: for every algorithm on every engine that runs it, with and
+// without a window, on indexed relations of ordinary data and of every
+// shape of the shared generator, counting, the Pairs() iterator, the
+// Emit callback and the EmitBatch callback all deliver exactly the
+// reference's pairs.
 func TestQueryEmitModesEquivalence(t *testing.T) {
 	type dataset struct {
 		name   string
@@ -80,18 +113,28 @@ func TestQueryEmitModesEquivalence(t *testing.T) {
 		datasets = append(datasets, dataset{sh.Name, ws, liveRelation(t, ws, "a", in.A[:in.BaseA], in.A[in.BaseA:]),
 			liveRelation(t, ws, "b", in.B[:in.BaseB], in.B[in.BaseB:]), in.A, in.B})
 	}
-	win := NewRect(100, 100, 600, 600)
+	// Beside the ordinary window: one whose right edge is the shapes'
+	// middle cut, where on-cuts records end and start, and two of no area
+	// — a segment along that cut and a point — which the run's y-slab cut
+	// and the engine's window test must both treat as closed rectangles.
+	win, onCut := NewRect(100, 100, 600, 600), NewRect(100, 100, 500, 600)
+	segment, point := NewRect(500, 100, 500, 900), NewRect(500, 500, 500, 500)
+	windows := map[string][]*Rect{"full": {nil}, "window": {&win, &onCut, &segment, &point}}
 	for _, alg := range queryAlgorithms {
-		for name, w := range map[string]*Rect{"full": nil, "window": &win} {
+		for name, wins := range windows {
 			t.Run(alg.String()+"/"+name, func(t *testing.T) {
 				for _, d := range datasets {
-					checkEmitModes(t, d.name, func() *Query {
-						q := d.ws.Query(d.a, d.b).Algorithm(alg)
-						if w != nil {
-							q.Window(*w)
+					for _, e := range engines(d.ws, alg) {
+						for _, w := range wins {
+							checkEmitModes(t, fmt.Sprintf("%s, %s, window %v", d.name, e.name, w), func() *Query {
+								q := e.ws.Query(d.a, d.b).Algorithm(alg)
+								if w != nil {
+									q.Window(*w)
+								}
+								return q
+							}, d.ra, d.rb, jointest.Join(d.ra, d.rb, w))
 						}
-						return q
-					}, d.ra, d.rb, jointest.Join(d.ra, d.rb, w))
+					}
 				}
 			})
 		}

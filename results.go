@@ -31,14 +31,15 @@ type Results struct {
 	// from here, not from the live relation, which may have moved on.
 	Left, Right PinnedView
 
-	// Parallel is the parallel engine's wall-clock report, set only
-	// when the query ran AlgParallel.
+	// Parallel is the in-memory engine's wall-clock report, set only
+	// when the query ran on it: AlgParallel anywhere, AlgPQ and AlgSSSJ
+	// on a Catalog's workspace.
 	Parallel *parallel.Report
-	// Prepared says, for an AlgParallel query, what this query had to
-	// do to obtain each input's prepared run, left then right:
-	// ingest.BuildNone when the run was warm, ingest.BuildMerge or
-	// ingest.BuildFull when this was the query that built it for its
-	// epoch (the time is Result.PrepareWall).
+	// Prepared says, for a query the in-memory engine ran, what this
+	// query had to do to obtain each input's prepared run, left then
+	// right: ingest.BuildNone when the run was warm, ingest.BuildMerge
+	// or ingest.BuildFull when this was the query that built it for
+	// its epoch (the time is Result.PrepareWall).
 	Prepared [2]ingest.Build
 
 	collected bool

@@ -87,7 +87,10 @@
 //
 // A Catalog holds named, optionally indexed relations on one shared
 // workspace with single-writer loads and concurrent reads — the
-// resident state of a long-lived query process. Relation.WindowQuery
+// resident state of a long-lived query process, whose PQ and SSSJ joins
+// read each relation's resident sorted run instead of the simulated
+// disk (the pair order differs by engine and is not part of the API;
+// the pair set does not). Relation.WindowQuery
 // answers the selection counterpart of a join (all records
 // intersecting a rectangle) through the R-tree when one exists.
 // cmd/sjserved serves both query classes over HTTP with streaming
@@ -287,7 +290,12 @@ func (a Algorithm) String() string {
 // disk: it joins each relation's prepared run — the pinned version's
 // records, decoded and sorted once per epoch and shared read-only by
 // every query on that epoch — and reads pages only in the one query
-// per relation that builds the run cold.
+// per relation that builds the run cold. On a Catalog's workspace
+// AlgPQ and AlgSSSJ join the same runs, at one worker: a long-lived
+// process already holds the two sorted sources the unified join needs,
+// so it does not re-extract them from the index per query. A workspace
+// of one's own (NewWorkspace) runs them on the simulated disk, as the
+// paper measures them.
 //
 // Loading relations and building indexes are not synchronized with
 // running queries — use a Catalog, which publishes relations under a
@@ -296,6 +304,11 @@ type Workspace struct {
 	store    *iosim.Store
 	universe Rect
 	haveUniv bool
+	// resident marks the workspace of a Catalog — serving state, whose
+	// relations are joined many times. Its PQ and SSSJ joins read the
+	// versions' prepared runs instead of the simulated disk (see
+	// dispatch); set once, by NewCatalogOn.
+	resident bool
 }
 
 // NewWorkspace creates a workspace with the paper's 8 KB pages.
