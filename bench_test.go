@@ -490,8 +490,10 @@ func TestWarmParallelQueryAllocations(t *testing.T) {
 // window, and square windows of 0.5 %, 5 % and 30 % of the region's
 // area centred on a record. The selective rows are why a windowed resident
 // join is cut to the window's y-slab first: a tree prunes subtrees, and
-// a run filtered whole would lose to it. Every row checks its count
-// against the other engine's. EXPERIMENTS.md records the rows.
+// a run filtered whole would lose to it. The two rows named "routed"
+// are the three-stripe windowed join as a router runs it: on the
+// stripes the window reaches, which own all of it. Every row checks its
+// count against the other engine's. EXPERIMENTS.md records the rows.
 func BenchmarkServedJoin(b *testing.B) {
 	roads, hydro := tiger.Config{Scale: 0.25, Seed: 1997}.Generate(tiger.NJ)
 	u := unijoin.NewRect(0, 0, 1000, 1000)
@@ -538,38 +540,58 @@ func BenchmarkServedJoin(b *testing.B) {
 				if share > 0 {
 					window = fmt.Sprintf("window-%g%%", 100*share)
 				}
-				b.Run(d.name+"/"+engine+"/"+window, func(b *testing.B) {
-					op := func() (pairs int64) {
-						for _, s := range fleet {
-							q := s.ws.Query(s.left, s.right).Owned(s.lo, s.hi).
-								EmitBatch(func(ps []unijoin.Pair) { pairs += int64(len(ps)) })
-							if share > 0 {
-								side := unijoin.Coord(math.Sqrt(share))
-								hw, hh := side*d.region.Width()/2, side*d.region.Height()/2
-								q.Window(unijoin.NewRect(centre.X-hw, centre.Y-hh, centre.X+hw, centre.Y+hh))
+				var win unijoin.Rect
+				if share > 0 {
+					side := unijoin.Coord(math.Sqrt(share))
+					hw, hh := side*d.region.Width()/2, side*d.region.Height()/2
+					win = unijoin.NewRect(centre.X-hw, centre.Y-hh, centre.X+hw, centre.Y+hh)
+				}
+				// asked is who runs the op: every shard, or — the rows
+				// named "routed" — the shards a router asks, those whose
+				// interval the window reaches. The count is the same.
+				run := func(name string, asked []shardState) {
+					b.Run(name, func(b *testing.B) {
+						op := func() (pairs int64) {
+							for _, s := range asked {
+								q := s.ws.Query(s.left, s.right).Owned(s.lo, s.hi).
+									EmitBatch(func(ps []unijoin.Pair) { pairs += int64(len(ps)) })
+								if share > 0 {
+									q.Window(win)
+								}
+								res, err := q.Run(context.Background())
+								if err != nil {
+									b.Fatal(err)
+								}
+								if (res.Parallel != nil) != (engine == "resident") {
+									b.Fatalf("engine report %v on the %s workspace", res.Parallel, engine)
+								}
 							}
-							res, err := q.Run(context.Background())
-							if err != nil {
-								b.Fatal(err)
-							}
-							if (res.Parallel != nil) != (engine == "resident") {
-								b.Fatalf("engine report %v on the %s workspace", res.Parallel, engine)
+							return pairs
+						}
+						want, seen := counts[d.name+window]
+						if got := op(); !seen { // also warms the prepared runs
+							counts[d.name+window], want = got, got
+						}
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							if got := op(); got != want {
+								b.Fatalf("%d pairs, the other engine or the last run found %d", got, want)
 							}
 						}
-						return pairs
-					}
-					want, seen := counts[d.name+window]
-					if got := op(); !seen { // also warms the prepared runs
-						counts[d.name+window], want = got, got
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if got := op(); got != want {
-							b.Fatalf("%d pairs, the other engine or the last run found %d", got, want)
+						b.ReportMetric(float64(len(asked)), "legs/op")
+					})
+				}
+				run(d.name+"/"+engine+"/"+window, fleet)
+				if engine == "resident" && len(fleet) > 1 && share > 0 && share < 0.3 {
+					var touched []shardState
+					for _, s := range fleet {
+						if (shard.Interval{Lo: s.lo, Hi: s.hi}).Loads(win) {
+							touched = append(touched, s)
 						}
 					}
-				})
+					run(d.name+"/"+engine+"/"+window+"/routed", touched)
+				}
 			}
 		}
 	}

@@ -79,12 +79,16 @@ type PhaseTrace struct {
 
 // JoinSummary is the terminal line of a successful join response.
 type JoinSummary struct {
-	Left         string `json:"left"`
-	Right        string `json:"right"`
-	Algorithm    string `json:"algorithm"`
-	Pairs        int64  `json:"pairs"`
-	LeftRecords  int64  `json:"left_records"`
-	RightRecords int64  `json:"right_records"`
+	Left      string `json:"left"`
+	Right     string `json:"right"`
+	Algorithm string `json:"algorithm"`
+	Pairs     int64  `json:"pairs"`
+	// LeftRecords and RightRecords are the sizes of the two relations
+	// the join ran on. From a router they are sums over the shards asked
+	// — every shard, or under a window the shards it reaches — with a
+	// boundary-crossing record counted once by each shard holding it.
+	LeftRecords  int64 `json:"left_records"`
+	RightRecords int64 `json:"right_records"`
 	// ElapsedMillis is the server-side wall-clock time of the join.
 	ElapsedMillis float64 `json:"elapsed_ms"`
 	// Trace is the per-phase breakdown, present only when the request
@@ -93,7 +97,7 @@ type JoinSummary struct {
 	// Spans is the request's span tree, present only when the request
 	// set Trace: a direct server returns its server.join tree; a
 	// router returns its router.join root with one scatter child per
-	// shard, each carrying that shard's full tree. The same tree is
+	// shard asked, each carrying that shard's full tree. The same tree is
 	// retrievable later from GET /v1/traces/{request-id}.
 	Spans *Span `json:"spans,omitempty"`
 }
@@ -156,8 +160,11 @@ type WindowRequest struct {
 
 // WindowSummary is the terminal line of a successful window response.
 type WindowSummary struct {
-	Relation      string  `json:"relation"`
-	Records       int64   `json:"records"`
+	Relation string `json:"relation"`
+	Records  int64  `json:"records"`
+	// Indexed reports whether the answer came through an R-tree; from a
+	// router, whether it did on every one of the shards asked (those the
+	// window reaches).
 	Indexed       bool    `json:"indexed"`
 	ElapsedMillis float64 `json:"elapsed_ms"`
 }

@@ -1,10 +1,12 @@
 // Command sjrouter serves spatial-join queries over a fleet of
 // sjserved stripe shards: it speaks exactly the sjserved HTTP API, so
 // clients (and load balancers) cannot tell a sharded deployment from
-// a single process, while every join and window query fans out to all
-// shards and the merged response is exactly the single-process answer
-// — each shard filters its output by its -stripe ownership interval,
-// so counts sum and streams concatenate with no duplicates.
+// a single process, while every join and window query fans out to the
+// shards it concerns — all of them, or under a window those whose
+// stripe the window reaches — and the merged response is exactly the
+// single-process answer: each shard filters its output by its -stripe
+// ownership interval, so counts sum and streams concatenate with no
+// duplicates.
 //
 // Usage:
 //
@@ -22,7 +24,9 @@
 // At startup the router health-checks the fleet (retrying until -wait
 // expires) and verifies the shards' stripes tile the x-axis — a
 // misconfigured fleet that would drop or double-count pairs is
-// refused before it serves a single query. SIGINT/SIGTERM trigger a
+// refused before it serves a single query. The stripes it verified are
+// the ones it places appends and prunes windowed queries by from then
+// on: re-cutting a fleet means restarting its router. SIGINT/SIGTERM trigger a
 // graceful shutdown: in-flight scatter-gather streams get 10 seconds
 // to drain, then the process exits 0 (httpapi.Serve, the shell shared
 // with sjserved).

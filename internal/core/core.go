@@ -130,13 +130,20 @@ type Options struct {
 	RestrictScanners bool
 
 	// Own, when set, keeps only the pairs whose reference point
-	// (geom.Interval.OwnsPair) falls in the interval — a stripe shard's
-	// share of the join; the shares of intervals that tile the line are
-	// disjoint and sum to the whole. The test runs where each algorithm
-	// holds both rectangles (emitPair, pairSink), so Result.Pairs and
-	// the callbacks see owned pairs only. MultiwayPQ refuses it
+	// (geom.Interval.OwnsPair — under Window, clipped to its left edge)
+	// falls in the interval — a stripe shard's share of the join; the
+	// shares of intervals that tile the line are disjoint and sum to
+	// the whole, and an interval that misses Window's x-extent has an
+	// empty share. The test runs where each algorithm holds both
+	// rectangles (emitPair, pairSink), so Result.Pairs and the
+	// callbacks see owned pairs only. MultiwayPQ refuses it
 	// (errors.ErrUnsupported): a tuple has no pair reference point.
 	Own *geom.Interval
+	// winXLo is Window's left edge as the ownership rule takes it
+	// (geom.NoWindow without one), fixed by withDefaults: the slab
+	// fallback clears Window on its per-slab options once distribution
+	// has applied it, and the slabs must still own by the clipped point.
+	winXLo geom.Coord
 
 	// Emit receives every result pair. nil counts pairs without
 	// reporting them, matching the paper's cost accounting, which
@@ -173,6 +180,10 @@ func (o Options) withDefaults() (Options, error) {
 	if o.PBSMTilesPerAxis == 0 {
 		o.PBSMTilesPerAxis = 128
 	}
+	o.winXLo = geom.NoWindow
+	if o.Window != nil {
+		o.winXLo = o.Window.XLo
+	}
 	return o, nil
 }
 
@@ -187,7 +198,7 @@ func (o *Options) newStructure() sweep.Structure {
 // owns reports whether this join reports the pair at all: always, or
 // by the reference-point rule under an Own interval.
 func (o *Options) owns(ra, rb geom.Record) bool {
-	return o.Own == nil || o.Own.OwnsPair(ra.Rect.XLo, rb.Rect.XLo)
+	return o.Own == nil || o.Own.OwnsPair(ra.Rect.XLo, rb.Rect.XLo, o.winXLo)
 }
 
 // emitPair reports one pair found by an algorithm that counts result

@@ -150,7 +150,9 @@ func SSSJPartitioned(ctx context.Context, opts Options, a, b *iosim.File, slabs 
 		// Each slab is the unified join over its two files, owning the
 		// pairs whose reference point falls in the slab — and in the
 		// caller's interval, when there is one. Distribution already
-		// applied the window.
+		// applied the window; the reference point stays clipped to it
+		// (Options.winXLo), a point of both records still, so the slab
+		// that owns a pair holds it.
 		so := o
 		so.Window = nil
 		for s, iv := range ivs {

@@ -10,9 +10,18 @@ import (
 // -Inf/+Inf sentinels on the outer shards so a plan's intervals tile
 // the line) or a partition of the parallel engine. It decides three
 // questions for its owner: which records to hold, which records a
-// window query reports, and which join pairs to report. The pair rule
-// lives here and nowhere else: every join kernel, serial or parallel,
-// in one process or across a fleet, asks OwnsPair.
+// window query reports, and which join pairs to report. The ownership
+// rule lives here and nowhere else: every join kernel, serial or
+// parallel, in one process or across a fleet, asks OwnsPair, and a
+// shard's window handler asks OwnsRecord.
+//
+// The rule is a reference point: one x that lies in every rectangle
+// involved — the records and, when the query has one, its window — so
+// the one interval of a tiling that contains it is guaranteed to hold
+// (Loads) the records and to meet the window. Both tests take the
+// window's left edge, NoWindow when there is none. An interval that
+// does not meet a window's x-extent therefore owns none of its
+// answers, which is what lets a router leave that shard out.
 type Interval struct {
 	Lo, Hi Coord
 }
@@ -36,20 +45,33 @@ func (iv Interval) Covers(r Rect) bool { return r.XLo >= iv.Lo && r.XHi < iv.Hi 
 // answer owned here may involve it.
 func (iv Interval) Loads(r Rect) bool { return r.XHi >= iv.Lo && r.XLo < iv.Hi }
 
-// OwnsRecord reports whether this interval reports the record in
-// window (selection) queries: exactly one interval of a tiling
-// contains a record's left edge, and its owner is guaranteed to hold
-// the record.
-func (iv Interval) OwnsRecord(r Rect) bool { return iv.Contains(r.XLo) }
+// NoWindow is the left edge to hand OwnsRecord and OwnsPair for a
+// query without a window: clipping to -Inf leaves the point where it
+// was.
+var NoWindow = Coord(math.Inf(-1))
+
+// OwnsRecord reports whether this interval reports the record in a
+// window (selection) query whose window starts at winXLo: the
+// record's reference point — the lower-x corner of record ∩ window,
+// the larger of the two left edges — falls in the interval. The point
+// lies in the record and in the window's x-extent, so exactly one
+// interval of a tiling owns each answer, its owner holds the record,
+// and it meets the window.
+func (iv Interval) OwnsRecord(r Rect, winXLo Coord) bool {
+	return iv.Contains(max(r.XLo, winXLo))
+}
 
 // OwnsPair reports whether this interval reports the join pair of two
-// intersecting rectangles with the given left edges: the pair's
-// reference point — the lower-x corner of the intersection, the larger
-// of the two left edges — falls in the interval. Both rectangles
-// contain that point, so exactly one interval of a tiling owns each
-// pair, and its owner holds both records and finds the pair.
-func (iv Interval) OwnsPair(aXLo, bXLo Coord) bool {
-	return iv.Contains(max(aXLo, bXLo))
+// intersecting rectangles with the given left edges, under a window
+// starting at winXLo that both intersect (NoWindow: none): the pair's
+// reference point — the lower-x corner of the intersection clipped to
+// the window, the largest of the three left edges — falls in the
+// interval. The three x-extents meet pairwise, so the point lies in
+// all of them: exactly one interval of a tiling owns each pair, its
+// owner holds both records and finds the pair, and it meets the
+// window.
+func (iv Interval) OwnsPair(aXLo, bXLo, winXLo Coord) bool {
+	return iv.Contains(max(aXLo, bXLo, winXLo))
 }
 
 // Slice returns the records of recs the owner of this interval holds,

@@ -67,11 +67,26 @@ func Join(a, b []geom.Record, win *geom.Rect) Bag[geom.Pair] {
 }
 
 // Owned is the share of Join an owner of the interval [lo, hi) reports:
-// the pairs whose reference point — the larger of the two left edges —
-// lies in it. The rule is restated here, not taken from geom.Interval,
-// which is one of the things under test.
+// the pairs whose reference point — the larger of the two left edges,
+// or win's left edge where that is larger still — lies in it. The rule
+// is restated here, not taken from geom.Interval, which is one of the
+// things under test.
 func Owned(a, b []geom.Record, win *geom.Rect, lo, hi geom.Coord) Bag[geom.Pair] {
-	return join(a, b, win, func(x geom.Coord) bool { return x >= lo && x < hi })
+	return join(a, b, win, func(x geom.Coord) bool {
+		if win != nil {
+			x = clipped(x, *win)
+		}
+		return x >= lo && x < hi
+	})
+}
+
+// clipped moves a reference point inside a window: no further left
+// than the window's left edge.
+func clipped(x geom.Coord, win geom.Rect) geom.Coord {
+	if win.XLo > x {
+		return win.XLo
+	}
+	return x
 }
 
 func join(a, b []geom.Record, win *geom.Rect, owns func(ref geom.Coord) bool) Bag[geom.Pair] {
@@ -91,9 +106,17 @@ func join(a, b []geom.Record, win *geom.Rect, owns func(ref geom.Coord) bool) Ba
 
 // Window is the reference window query: the records intersecting win.
 func Window(recs []geom.Record, win geom.Rect) Bag[geom.Record] {
+	inf := geom.Coord(math.Inf(1))
+	return OwnedWindow(recs, win, -inf, inf)
+}
+
+// OwnedWindow is the share of Window an owner of the interval [lo, hi)
+// reports: the records whose reference point — the left edge of record
+// ∩ win — lies in it. Restated here like Owned's rule.
+func OwnedWindow(recs []geom.Record, win geom.Rect, lo, hi geom.Coord) Bag[geom.Record] {
 	out := Bag[geom.Record]{}
 	for _, r := range recs {
-		if r.Rect.Intersects(win) {
+		if x := clipped(r.Rect.XLo, win); r.Rect.Intersects(win) && x >= lo && x < hi {
 			out.Add(geom.Record{Rect: r.Rect, ID: r.ID})
 		}
 	}

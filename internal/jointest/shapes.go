@@ -118,6 +118,27 @@ var Shapes = []Shape{
 		out[1].Rect = geom.NewRect(x, u.YLo, x+u.Width()/50, u.YHi)
 		return out
 	})},
+	// Records on both sides that start at the universe's left edge and
+	// reach far right — the first two of each side across all of it —
+	// in y-bands the sides share, so they meet. Under a window near the
+	// right edge, such a record's left edge, and such a pair's larger
+	// left edge, lies every stripe away from the window: the
+	// counter-example to owning windowed answers by the unclipped
+	// reference point, which gives them to an interval the window never
+	// touches.
+	{"reaching-in", plain(func(rng *rand.Rand, n int, u geom.Rect) []geom.Record {
+		out := uniform(rng, n, u)
+		w, h := u.Width(), u.Height()
+		for i := 0; i < min(8, n); i++ {
+			xhi := u.XHi
+			if i >= 2 {
+				xhi = u.XLo + w*(0.5+geom.Coord(i)/16)
+			}
+			y := u.YLo + h*geom.Coord(i+1)/10
+			out[i].Rect = geom.NewRect(u.XLo+w*geom.Coord(i)/100, y, xhi, y+h/40)
+		}
+		return out
+	})},
 	{"empty-left", with(uniform, func(in *Input) { in.A, in.BaseA = nil, 0 })},
 	{"empty-right", with(uniform, func(in *Input) { in.B, in.BaseB = nil, 0 })},
 	// How a live relation's records split between its packed base and

@@ -85,7 +85,10 @@ func (s *Span) Count() int {
 //	server.join 12.4ms (partition 3.1ms, sweep 7ms, stream 0.2ms)
 //
 // — the slow-query log's span breakdown, greppable next to the
-// request line.
+// request line. A scatter leg is tagged with its shard, and a router's
+// root with how many of its shards it asked:
+//
+//	router.window[1 of 3] 1.2ms (scatter[http://host2:8470] 1.1ms)
 func (s *Span) Breakdown() string {
 	var b strings.Builder
 	s.breakdown(&b)
@@ -96,6 +99,9 @@ func (s *Span) breakdown(b *strings.Builder) {
 	b.WriteString(s.Name)
 	if shard, ok := s.Attrs["shard"]; ok {
 		fmt.Fprintf(b, "[%s]", shard)
+	}
+	if legs, ok := s.Attrs["legs"]; ok {
+		fmt.Fprintf(b, "[%s of %s]", legs, s.Attrs["shards"])
 	}
 	fmt.Fprintf(b, " %s", s.Duration.Round(10*time.Microsecond))
 	if len(s.Children) == 0 {

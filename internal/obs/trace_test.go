@@ -148,6 +148,10 @@ func TestBreakdownShardAttr(t *testing.T) {
 	if !strings.Contains(b, "scatter[http://s1]") {
 		t.Fatalf("Breakdown() = %q, want the scatter span tagged with its shard", b)
 	}
+	root.SetAttr("legs", "1").SetAttr("shards", "3")
+	if b := root.Breakdown(); !strings.HasPrefix(b, "router.join[1 of 3] 4ms (scatter[http://s1]") {
+		t.Fatalf("Breakdown() = %q, want the root tagged with the legs it asked", b)
+	}
 }
 
 func TestNewSpanID(t *testing.T) {

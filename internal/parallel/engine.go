@@ -84,6 +84,9 @@ func Join(ctx context.Context, a, b []geom.Record, o Options) (Report, error) {
 		part = NewPartitionerWindowed(o.Universe, o.Partitions, o.Window, a, b)
 	}
 	part.own = o.Own
+	if o.Window != nil {
+		part.winXLo = o.Window.XLo
+	}
 	k := part.Partitions()
 	rep.Partitions = k
 	if o.Workers > k {
@@ -252,8 +255,7 @@ func sweepPartition(ctx context.Context, part *Partitioner, i int, dist *distrib
 	rb := gather(dist.fragsB, i, dist.sizeB[i])
 	sortByLowerY(ra)
 	sortByLowerY(rb)
-	k := kernel{ctx: ctx, budget: pollInterval, collect: collect}
-	k.own.Lo, k.own.Hi = part.OwnerRange(i)
+	k := part.kernel(ctx, i, collect)
 	if collect {
 		k.buf = pairbuf.Get()
 	}
@@ -290,6 +292,7 @@ const pollInterval = 16384
 type kernel struct {
 	ctx     context.Context
 	own     geom.Interval // reference points this stripe owns
+	winXLo  geom.Coord    // the window's left edge, which clips them
 	collect bool
 	buf     []geom.Pair
 
@@ -298,6 +301,14 @@ type kernel struct {
 	candidates  int64 // tests that passed, before the ownership test
 	pairs       int64 // pairs this partition owns
 	noTest      int64 // of those, emitted with no ownership test
+}
+
+// kernel returns the kernel of stripe i, owning the stripe's
+// reference-point range under the join's window.
+func (p *Partitioner) kernel(ctx context.Context, i int, collect bool) kernel {
+	k := kernel{ctx: ctx, winXLo: p.winXLo, budget: pollInterval, collect: collect}
+	k.own.Lo, k.own.Hi = p.OwnerRange(i)
+	return k
 }
 
 // sweep merges the two runs: the side with the lower bottom edge
@@ -365,16 +376,19 @@ func (k *kernel) scan(cur *geom.Record, others []geom.Record, curIsA bool) error
 // a Local record exists in exactly one stripe, so the pair cannot be
 // seen anywhere else), while a boundary×boundary pair meets in
 // several stripes and is kept only by the one containing its
-// reference point, the left edge of the intersection. The rule is
-// geom.Interval's, the one a fleet's shards are cut by; under
-// Options.Own the range arrives clamped to the shard's and Local
+// reference point, the left edge of the intersection — clipped to the
+// window's when the join has one, which costs these pairs one more max
+// and the local ones nothing: the clipped point is still a point of
+// both records, so it lies in the one stripe a Local record lies in.
+// The rule is geom.Interval's, the one a fleet's shards are cut by;
+// under Options.Own the range arrives clamped to the shard's and Local
 // already means "inside the shard too", so a shard's join pays nothing
 // here that an unsharded one does not.
 func (k *kernel) hit(x, y *geom.Record) {
 	k.candidates++
 	if x.Local || y.Local {
 		k.noTest++
-	} else if !k.own.OwnsPair(x.Rect.XLo, y.Rect.XLo) {
+	} else if !k.own.OwnsPair(x.Rect.XLo, y.Rect.XLo, k.winXLo) {
 		return // owned by another stripe, or another shard
 	}
 	k.pairs++

@@ -29,8 +29,7 @@ func stripeThenSweep(a, b []geom.Record, o Options) []geom.Pair {
 	for i := 0; i < k; i++ {
 		sortByLowerY(sideA[i])
 		sortByLowerY(sideB[i])
-		kn := kernel{ctx: context.Background(), budget: pollInterval, collect: true}
-		kn.own.Lo, kn.own.Hi = part.OwnerRange(i)
+		kn := part.kernel(context.Background(), i, true)
 		if err := kn.sweep(sideA[i], sideB[i]); err != nil {
 			panic(err)
 		}

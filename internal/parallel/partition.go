@@ -44,6 +44,10 @@ type Partitioner struct {
 	// reports at all (Options.Own, a shard's stripe): OwnerRange clamps
 	// every stripe's range to it, and only records inside it are Local.
 	own *geom.Interval
+	// winXLo is the left edge of the join's window (geom.NoWindow
+	// without one; set by Join), which the kernels hand the ownership
+	// rule beside the two records' own.
+	winXLo geom.Coord
 
 	// cells is the x-cell → stripe table behind Range: the span between
 	// the first and last boundary is cut into len(cells)-1 equal-width
@@ -137,7 +141,7 @@ func PartitionerFromBoundaries(universe geom.Rect, bounds []geom.Coord) (*Partit
 			return nil, fmt.Errorf("parallel: boundaries must be strictly increasing, got %v", bounds)
 		}
 	}
-	p := &Partitioner{universe: universe, bounds: slices.Clone(bounds)}
+	p := &Partitioner{universe: universe, bounds: slices.Clone(bounds), winXLo: geom.NoWindow}
 	p.buildCells()
 	return p, nil
 }
@@ -145,7 +149,7 @@ func PartitionerFromBoundaries(universe geom.Rect, bounds []geom.Coord) (*Partit
 // newPartitionerSorted places k-1 boundaries at the quantiles of an
 // already-sorted sample, the shared tail of every sampling constructor.
 func newPartitionerSorted(universe geom.Rect, k int, sample []geom.Coord) *Partitioner {
-	p := &Partitioner{universe: universe}
+	p := &Partitioner{universe: universe, winXLo: geom.NoWindow}
 	p.placeBounds(k, sample)
 	p.buildCells()
 	return p
@@ -370,11 +374,11 @@ func (p *Partitioner) Range(r geom.Rect) (first, last int) {
 	return first, last
 }
 
-// Owner returns the stripe that must report the pair (a, b): the one
-// containing the pair's reference point, the lower-x corner of the
-// intersection (max of the two left edges). Both rectangles overlap
-// that stripe, so the pair is guaranteed to meet there and nowhere
-// else is allowed to report it.
+// Owner returns the stripe that must report the pair (a, b) of an
+// unwindowed join: the one containing the pair's reference point, the
+// lower-x corner of the intersection (max of the two left edges). Both
+// rectangles overlap that stripe, so the pair is guaranteed to meet
+// there and nowhere else is allowed to report it.
 func (p *Partitioner) Owner(a, b geom.Rect) int { return p.Of(max(a.XLo, b.XLo)) }
 
 // OwnerRange returns the half-open interval [lo, hi) of reference

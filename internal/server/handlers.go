@@ -94,9 +94,10 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		q.Window(toRect(*req.Window))
 	}
 	// A stripe shard reports only the pairs its interval owns — the
-	// reference-point rule that makes a fleet's summed answers exactly
-	// the single-process result. The join kernels apply it, so what
-	// arrives here, pairs or a bare count, is already the shard's share.
+	// reference-point rule (clipped to the window, when there is one)
+	// that makes a fleet's summed answers exactly the single-process
+	// result. The join kernels apply it, so what arrives here, pairs or
+	// a bare count, is already the shard's share.
 	if s.stripe != nil {
 		q.Owned(s.stripe.Lo, s.stripe.Hi)
 	}
@@ -188,11 +189,14 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		streamTime += time.Since(t0)
 		recs = recs[:0]
 	}
-	// In stripe mode only records whose left edge falls in the
-	// stripe are reported — each record is owned by exactly one
-	// shard, so a router's merged stream has no replicated
-	// boundary-record duplicates — and the count must come from the
-	// filtered emit path rather than WindowQuery's total.
+	// In stripe mode only records whose reference point — the left
+	// edge of record ∩ window — falls in the stripe are reported: each
+	// answer is owned by exactly one shard, one the window reaches, so
+	// a router's merged stream has no replicated boundary-record
+	// duplicates whichever of the other shards it leaves out — and the
+	// count must come from the filtered emit path rather than
+	// WindowQuery's total.
+	win := toRect(*req.Window)
 	var owned int64
 	var emit func(unijoin.Record)
 	if !req.CountOnly || s.stripe != nil {
@@ -200,7 +204,7 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 			recs = make([]unijoin.Record, 0, s.batch)
 		}
 		emit = func(rec unijoin.Record) {
-			if s.stripe != nil && !s.stripe.OwnsRecord(rec.Rect) {
+			if s.stripe != nil && !s.stripe.OwnsRecord(rec.Rect, win.XLo) {
 				return
 			}
 			owned++
@@ -214,7 +218,7 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	start := time.Now()
-	n, err := pv.WindowQuery(ctx, toRect(*req.Window), emit)
+	n, err := pv.WindowQuery(ctx, win, emit)
 	if err != nil {
 		s.front.Fail(out, errorFor(err))
 		return

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"unijoin/client"
@@ -18,21 +19,27 @@ import (
 // Router fans queries out to a fleet of sjserved shard endpoints and
 // gathers the results: join and window streams — always binary frames
 // between router and shard — are merged as shard frames arrive, and
-// per-shard summaries are summed into one response. Because each shard filters its output by its ownership
-// interval, the merged pair and record sets are exact and
-// duplicate-free — the distributed run returns precisely the
-// single-process answer, for every join algorithm. A Router is safe
-// for concurrent use.
+// per-shard summaries are summed into one response. Because each shard
+// filters its output by its ownership interval, the merged pair and
+// record sets are exact and duplicate-free — the distributed run
+// returns precisely the single-process answer, for every join
+// algorithm. A query under a window is sent only to the shards whose
+// interval meets the window's x-extent: the reference point of every
+// answer lies inside the window (geom.Interval), so the others own
+// none. A Router is safe for concurrent use.
 type Router struct {
 	endpoints []string
 	clients   []*client.Client
+	all       []int // every leg: 0..len(clients)-1
 	obs       routerObs
 
-	// stripeMu guards stripeIvs, each shard's ownership interval,
-	// fetched from the fleet on the first append (a shard's -stripe is
-	// fixed for its lifetime, so one fetch serves every append).
-	stripeMu  sync.Mutex
-	stripeIvs []Interval
+	// table is each shard's ownership interval in endpoint order, once
+	// the fleet's sharding has been validated: by Verify (which
+	// sjrouter passes before it serves) or by the first append. A
+	// shard's -stripe is fixed for its lifetime, so the table is too;
+	// re-cutting a fleet means restarting its router. Queries only read
+	// it — nil means every query goes to every shard, always correct.
+	table atomic.Pointer[[]Interval]
 }
 
 // routerObs is the router's view of shard health, recorded around
@@ -89,10 +96,11 @@ func NewRouter(endpoints []string, httpClient *http.Client) (*Router, error) {
 		return nil, fmt.Errorf("shard: router needs at least one shard endpoint")
 	}
 	r := &Router{endpoints: append([]string(nil), endpoints...), obs: newRouterObs()}
-	for _, ep := range r.endpoints {
+	for i, ep := range r.endpoints {
 		cl := client.New(ep, httpClient)
 		cl.PreferBinary = true // frames are the fleet's internal protocol
 		r.clients = append(r.clients, cl)
+		r.all = append(r.all, i)
 	}
 	return r, nil
 }
@@ -108,31 +116,32 @@ func (r *Router) Shards() int { return len(r.clients) }
 // Endpoints returns the shard base URLs in configuration order.
 func (r *Router) Endpoints() []string { return append([]string(nil), r.endpoints...) }
 
-// scatter runs fn once per shard concurrently, canceling the
-// remaining shards as soon as one fails, and returns the root
-// failure: the first error that is not itself a cancellation, so the
-// shard that broke the fan-out is reported rather than the shards it
-// took down.
-func (r *Router) scatter(ctx context.Context, fn func(ctx context.Context, i int, cl *client.Client) error) error {
+// scatter runs fn once per leg — legs lists the shards to ask, by
+// endpoint index; fn is told the leg's position n in it — concurrently,
+// canceling the remaining legs as soon as one fails, and returns the
+// root failure: the first error that is not itself a cancellation, so
+// the shard that broke the fan-out is reported rather than the shards
+// it took down. Only the shards asked move the per-shard families.
+func (r *Router) scatter(ctx context.Context, legs []int, fn scatterFunc) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	errs := make([]error, len(r.clients))
+	errs := make([]error, len(legs))
 	var wg sync.WaitGroup
-	for i, cl := range r.clients {
+	for n, i := range legs {
 		wg.Add(1)
-		go func(i int, cl *client.Client) {
+		go func(n, i int) {
 			defer wg.Done()
 			ep := r.endpoints[i]
 			r.obs.inFlight.With(ep).Add(1)
 			start := time.Now()
-			err := fn(ctx, i, cl)
+			err := fn(ctx, n, r.clients[i])
 			r.obs.inFlight.With(ep).Add(-1)
 			r.obs.observe(ep, time.Since(start), err)
 			if err != nil {
-				errs[i] = fmt.Errorf("shard %d (%s): %w", i, ep, err)
+				errs[n] = fmt.Errorf("shard %d (%s): %w", i, ep, err)
 				cancel()
 			}
-		}(i, cl)
+		}(n, i)
 	}
 	wg.Wait()
 	var firstErr error
@@ -153,7 +162,7 @@ func (r *Router) scatter(ctx context.Context, fn func(ctx context.Context, i int
 // Health checks every shard's liveness probe, returning nil only when
 // the whole fleet is up.
 func (r *Router) Health(ctx context.Context) error {
-	return r.scatter(ctx, func(ctx context.Context, i int, cl *client.Client) error {
+	return r.scatter(ctx, r.all, func(ctx context.Context, i int, cl *client.Client) error {
 		return cl.Health(ctx)
 	})
 }
@@ -161,7 +170,7 @@ func (r *Router) Health(ctx context.Context) error {
 // shardStats fetches every shard's stats, in endpoint order.
 func (r *Router) shardStats(ctx context.Context) ([]client.Stats, error) {
 	stats := make([]client.Stats, len(r.clients))
-	err := r.scatter(ctx, func(ctx context.Context, i int, cl *client.Client) error {
+	err := r.scatter(ctx, r.all, func(ctx context.Context, i int, cl *client.Client) error {
 		s, err := cl.Stats(ctx)
 		if err != nil {
 			return err
@@ -175,51 +184,90 @@ func (r *Router) shardStats(ctx context.Context) ([]client.Stats, error) {
 // Verify health-checks the fleet and validates its sharding: every
 // shard must be reachable, and with more than one shard each must
 // report a -stripe interval, with the intervals tiling the x-axis —
-// otherwise the fleet would drop or double-count pairs. It returns
-// each shard's stats (in endpoint order) for logging.
+// otherwise the fleet would drop or double-count pairs. The intervals
+// it validated become the router's stripe table — what appends are
+// placed by and windowed queries are pruned by. It returns each
+// shard's stats (in endpoint order) for logging.
 func (r *Router) Verify(ctx context.Context) ([]client.Stats, error) {
 	stats, err := r.shardStats(ctx)
 	if err != nil {
 		return nil, err
 	}
+	table := make([]Interval, len(stats))
 	if len(r.clients) == 1 {
 		// A single shard must serve everything: a lone bounded stripe
 		// (say, a scale-down that dropped the other -shard flags)
 		// would silently answer with a subset of the data.
-		if iv := FromStripe(stats[0].Stripe); !iv.Unbounded() {
+		if table[0] = FromStripe(stats[0].Stripe); !table[0].Unbounded() {
 			return nil, fmt.Errorf("shard: single shard %s serves only stripe %s; a one-shard fleet must serve everything",
-				r.endpoints[0], iv)
+				r.endpoints[0], table[0])
 		}
-		return stats, nil
-	}
-	intervals := make([]Interval, len(stats))
-	for i, s := range stats {
-		if s.Stripe == nil {
-			return nil, fmt.Errorf("shard: %d shards configured but shard %d (%s) serves no -stripe; its full catalog would double-count pairs",
-				len(stats), i, r.endpoints[i])
+	} else {
+		for i, s := range stats {
+			if s.Stripe == nil {
+				return nil, fmt.Errorf("shard: %d shards configured but shard %d (%s) serves no -stripe; its full catalog would double-count pairs",
+					len(stats), i, r.endpoints[i])
+			}
+			table[i] = FromStripe(s.Stripe)
 		}
-		intervals[i] = FromStripe(s.Stripe)
+		sorted := append([]Interval(nil), table...)
+		sort.Slice(sorted, func(a, b int) bool { return sorted[a].Lo < sorted[b].Lo })
+		if err := Validate(sorted); err != nil {
+			return nil, err
+		}
 	}
-	sort.Slice(intervals, func(a, b int) bool { return intervals[a].Lo < intervals[b].Lo })
-	if err := Validate(intervals); err != nil {
-		return nil, err
-	}
+	r.table.Store(&table)
 	return stats, nil
 }
 
+// stripes returns the validated stripe table, validating the fleet
+// first if nothing has yet. Only appends call it: a query never waits
+// on a fetch (scatterStream).
+func (r *Router) stripes(ctx context.Context) ([]Interval, error) {
+	if r.table.Load() == nil {
+		if _, err := r.Verify(ctx); err != nil {
+			return nil, err
+		}
+	}
+	return *r.table.Load(), nil
+}
+
 // scatterStream is the one scatter-and-merge body behind every
-// streaming query: it runs leg against every shard concurrently,
-// hands each leg an emit callback that serialises the fleet's output
-// into on — units from different shards interleave, one whole unit at
-// a time, so cross-shard arrival order is not deterministic, but the
-// merged set is exact — and collects the per-shard summaries in
-// endpoint order. on may be nil (count-only: shards send no data); an
-// error from on fails that leg, which cancels the rest of the scatter
-// like any shard fault. ct, when non-nil, records each leg for the
-// caller's span tree. On failure the summaries of the legs that did
-// finish are still returned, beside the scatter's root error.
-func scatterStream[B, S any](ctx context.Context, r *Router, ct *callTrace, on func(B) error,
+// streaming query, and the one place that decides which shards a query
+// is sent to: those whose validated interval Loads the request's window
+// — every answer under a window is owned where its reference point
+// lies, inside the window's x-extent — and every shard when the request
+// has no window or the router was never verified. Intervals tile the
+// line, so a window meets at least one; the window [+Inf, +Inf] (a JSON
+// 1e39 overflows float32) is the exception, and goes to one shard
+// anyway so that it is answered — 0 results, or 404 for an unknown
+// relation — exactly as a single server answers it.
+//
+// It runs leg against each of those shards concurrently, hands each leg
+// an emit callback that serialises the fleet's output into on — units
+// from different shards interleave, one whole unit at a time, so
+// cross-shard arrival order is not deterministic, but the merged set is
+// exact — and collects the summaries of the shards asked, in endpoint
+// order. on may be nil (count-only: shards send no data); an error from
+// on fails that leg, which cancels the rest of the scatter like any
+// shard fault. ct, when non-nil, records each leg for the caller's span
+// tree. On failure the summaries of the legs that did finish are still
+// returned, beside the scatter's root error.
+func scatterStream[B, S any](ctx context.Context, r *Router, win *client.Rect, ct *callTrace, on func(B) error,
 	leg func(ctx context.Context, cl *client.Client, emit func(B) error) (*S, error)) ([]*S, error) {
+	legs := r.all
+	if table := r.table.Load(); table != nil && win != nil {
+		w := geom.NewRect(geom.Coord(win.XLo), geom.Coord(win.YLo), geom.Coord(win.XHi), geom.Coord(win.YHi))
+		legs = make([]int, 0, len(r.all))
+		for i, iv := range *table {
+			if iv.Loads(w) {
+				legs = append(legs, i)
+			}
+		}
+		if len(legs) == 0 {
+			legs = r.all[:1]
+		}
+	}
 	var mu sync.Mutex
 	var emit func(B) error
 	if on != nil {
@@ -229,16 +277,17 @@ func scatterStream[B, S any](ctx context.Context, r *Router, ct *callTrace, on f
 			return on(unit)
 		}
 	}
-	sums := make([]*S, len(r.clients))
-	err := r.scatter(ctx, r.traced(ct, func(ctx context.Context, i int, cl *client.Client) error {
+	sums := make([]*S, len(legs))
+	err := r.scatter(ctx, legs, r.traced(ct, legs, func(ctx context.Context, n int, cl *client.Client) error {
 		s, err := leg(ctx, cl, emit)
-		sums[i] = s
+		sums[n] = s
 		return err
 	}))
 	return sums, err
 }
 
-// JoinFrames scatters the join to every shard on the relay path: each
+// JoinFrames scatters the join on the relay path — to every shard, or
+// under a window to the shards it reaches (scatterStream): each
 // shard's PAIRS frames are handed to onFrame (which may be nil) as
 // their exact wire bytes — the router never decodes or re-encodes a
 // pair; only the terminal SUMMARY/ERROR frames are parsed for merging.
@@ -264,14 +313,14 @@ func fallible[B any](f func(B)) func(B) error {
 // refuse a frame, and ct (which may be nil) traces the legs, each
 // shard's returned span tree included.
 func (r *Router) joinFrames(ctx context.Context, req client.JoinRequest, onFrame func(raw []byte) error, ct *callTrace) (*client.JoinSummary, error) {
-	sums, err := scatterStream(ctx, r, ct, onFrame,
+	sums, err := scatterStream(ctx, r, req.Window, ct, onFrame,
 		func(ctx context.Context, cl *client.Client, emit func([]byte) error) (*client.JoinSummary, error) {
 			return cl.JoinRawFrames(ctx, req, emit)
 		})
 	if ct != nil {
-		for i, s := range sums {
+		for n, s := range sums {
 			if s != nil {
-				ct.calls[i].Spans = s.Spans
+				ct.calls[n].Spans = s.Spans
 			}
 		}
 	}
@@ -281,9 +330,9 @@ func (r *Router) joinFrames(ctx context.Context, req client.JoinRequest, onFrame
 	return mergeJoinSummaries(sums), nil
 }
 
-// mergeJoinSummaries sums the per-shard summaries: Pairs and record
-// counts add (boundary-crossing records count once per shard that
-// loaded them) and the elapsed time is the slowest shard's. A shard's
+// mergeJoinSummaries sums the summaries of the shards asked: Pairs and
+// record counts add (boundary-crossing records count once per shard
+// that loaded them) and the elapsed time is the slowest shard's. A shard's
 // trace describes that shard alone, so none survives the merge: the
 // serving layer attaches the router's own tree (scatter legs with the
 // shard trees grafted underneath) and the phase breakdown derived from
@@ -300,14 +349,15 @@ func mergeJoinSummaries(sums []*client.JoinSummary) *client.JoinSummary {
 	return &merged
 }
 
-// Window scatters the window query and merges the decoded record
-// streams: batches interleave across shards, counts sum exactly,
-// Indexed reports whether every shard answered through an R-tree, and
-// the elapsed time is the slowest shard's. This is the decoding
+// Window scatters the window query to the shards its window reaches
+// and merges the decoded record streams: batches interleave across
+// shards, counts sum exactly, Indexed reports whether every shard asked
+// answered through an R-tree, and the elapsed time is the slowest
+// shard's. This is the decoding
 // counterpart of the relay the serving layer runs — for callers that
 // want records, not bytes.
 func (r *Router) Window(ctx context.Context, req client.WindowRequest, onBatch func([]client.RecordOut)) (*client.WindowSummary, error) {
-	sums, err := scatterStream(ctx, r, nil, fallible(onBatch),
+	sums, err := scatterStream(ctx, r, req.Window, nil, fallible(onBatch),
 		func(ctx context.Context, cl *client.Client, emit func([]client.RecordOut) error) (*client.WindowSummary, error) {
 			if emit == nil {
 				return cl.WindowBatches(ctx, req, nil)
@@ -325,7 +375,7 @@ func (r *Router) Window(ctx context.Context, req client.WindowRequest, onBatch f
 // windowFrames is joinFrames for window queries, relaying RECORDS
 // frames.
 func (r *Router) windowFrames(ctx context.Context, req client.WindowRequest, onFrame func(raw []byte) error, ct *callTrace) (*client.WindowSummary, error) {
-	sums, err := scatterStream(ctx, r, ct, onFrame,
+	sums, err := scatterStream(ctx, r, req.Window, ct, onFrame,
 		func(ctx context.Context, cl *client.Client, emit func([]byte) error) (*client.WindowSummary, error) {
 			return cl.WindowRawFrames(ctx, req, emit)
 		})
@@ -335,9 +385,9 @@ func (r *Router) windowFrames(ctx context.Context, req client.WindowRequest, onF
 	return mergeWindowSummaries(sums), nil
 }
 
-// mergeWindowSummaries sums the per-shard summaries: record counts
-// add, Indexed requires every shard indexed, the elapsed time is the
-// slowest shard's.
+// mergeWindowSummaries sums the summaries of the shards asked: record
+// counts add, Indexed requires every one of them indexed, the elapsed
+// time is the slowest shard's.
 func mergeWindowSummaries(sums []*client.WindowSummary) *client.WindowSummary {
 	merged := *sums[0]
 	for _, s := range sums[1:] {
@@ -346,26 +396,6 @@ func mergeWindowSummaries(sums []*client.WindowSummary) *client.WindowSummary {
 		merged.ElapsedMillis = max(merged.ElapsedMillis, s.ElapsedMillis)
 	}
 	return &merged
-}
-
-// stripes returns each shard's ownership interval in endpoint order,
-// fetching the fleet's stripe metadata once and caching it.
-func (r *Router) stripes(ctx context.Context) ([]Interval, error) {
-	r.stripeMu.Lock()
-	defer r.stripeMu.Unlock()
-	if r.stripeIvs != nil {
-		return r.stripeIvs, nil
-	}
-	stats, err := r.shardStats(ctx)
-	if err != nil {
-		return nil, err
-	}
-	ivs := make([]Interval, len(stats))
-	for i, s := range stats {
-		ivs[i] = FromStripe(s.Stripe)
-	}
-	r.stripeIvs = ivs
-	return ivs, nil
 }
 
 // Append fans an append out across the fleet: each record goes to
@@ -405,7 +435,7 @@ func (r *Router) Append(ctx context.Context, relation string, recs []client.Reco
 		}
 	}
 	sums := make([]*client.AppendSummary, len(r.clients))
-	err = r.scatter(ctx, func(ctx context.Context, i int, cl *client.Client) error {
+	err = r.scatter(ctx, r.all, func(ctx context.Context, i int, cl *client.Client) error {
 		s, err := cl.AppendRecords(ctx, relation, batches[i])
 		if err != nil {
 			return err
@@ -439,7 +469,7 @@ func (r *Router) Append(ctx context.Context, relation string, recs []client.Reco
 // many shards hold the relation.
 func (r *Router) Relations(ctx context.Context) ([]client.RelationInfo, error) {
 	lists := make([][]client.RelationInfo, len(r.clients))
-	err := r.scatter(ctx, func(ctx context.Context, i int, cl *client.Client) error {
+	err := r.scatter(ctx, r.all, func(ctx context.Context, i int, cl *client.Client) error {
 		l, err := cl.Relations(ctx)
 		if err != nil {
 			return err
@@ -533,9 +563,11 @@ func (r *Router) Stats(ctx context.Context) (*client.Stats, error) {
 }
 
 // mergeWorkloads sums per-shard workload snapshots into the fleet
-// view. Every shard of a fleet sees every scattered query, so the
-// fleet's counts are K× a client's-eye count — but the shape of the
-// histogram, which is what the rebalancer reads, is exact. Histogram
+// view. Every shard sees every unwindowed query, and a windowed one
+// reaches each shard its window meets, so the fleet's counts are up to
+// K× a client's-eye count — but the shape of the histogram, which is
+// what the rebalancer reads, is exact: each shard's buckets count the
+// windows that reached it, over their whole x-extent. Histogram
 // buckets sum index-wise only when the shards agree on bounds and
 // resolution (sjserved derives both from -region, so a healthy fleet
 // always matches); a mismatched shard contributes its scalar counters

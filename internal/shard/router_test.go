@@ -1,12 +1,18 @@
 package shard_test
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
+	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"unijoin"
@@ -27,10 +33,16 @@ func discard() *slog.Logger { return slog.New(slog.NewTextHandler(io.Discard, ni
 
 // startShard boots one sjserved-equivalent shard holding the slices
 // of the given relations its interval loads.
-func startShard(t *testing.T, iv shard.Interval, names []string, rels map[string][]unijoin.Record, index bool) string {
+func startShard(t testing.TB, iv shard.Interval, names []string, rels map[string][]unijoin.Record, index bool) string {
+	t.Helper()
+	return startShardOver(t, universe, iv, names, rels, index)
+}
+
+// startShardOver is startShard for data over another region.
+func startShardOver(t testing.TB, region unijoin.Rect, iv shard.Interval, names []string, rels map[string][]unijoin.Record, index bool) string {
 	t.Helper()
 	ws := unijoin.NewWorkspace()
-	ws.SetUniverse(universe)
+	ws.SetUniverse(region)
 	cat := unijoin.NewCatalogOn(ws)
 	for _, name := range names {
 		if _, err := cat.Load(name, iv.Slice(rels[name]), index); err != nil {
@@ -279,5 +291,266 @@ func TestRouterMetadataAndErrors(t *testing.T) {
 	}
 	if _, err := lone.Verify(ctx); err == nil {
 		t.Fatal("single bounded-stripe shard passed verification")
+	}
+}
+
+// shardRequests scrapes a shard's sj_requests_total for one endpoint,
+// every status added up.
+func shardRequests(t testing.TB, url, endpoint string) int64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var n int64
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if series, value, ok := strings.Cut(sc.Text(), " "); ok &&
+			strings.HasPrefix(series, `sj_requests_total{endpoint="`+endpoint+`",`) {
+			v, err := strconv.ParseInt(value, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", sc.Text(), err)
+			}
+			n += v
+		}
+	}
+	return n
+}
+
+// TestRouterAsksOnlyTheShardsAWindowTouches: over fleets of 1, 2, 4 and
+// 7, window queries and windowed joins — streamed as frames, as NDJSON
+// and count-only — answer exactly as the reference does, and the shards
+// that saw the request (their sj_requests_total moved) are exactly those
+// whose interval Loads the window. The data is boundary-hostile and
+// holds the records that reach in from the far left; the windows have
+// an edge on each cut and one float to either side of it, lie along a
+// cut with no width, are a point, span every cut, and miss the universe.
+func TestRouterAsksOnlyTheShardsAWindowTouches(t *testing.T) {
+	a, b := boundaryCases()
+	reach := jointest.ShapeNamed("reaching-in").Gen(43, universe, fixedBounds)
+	for _, r := range reach.A {
+		a = append(a, unijoin.Record{ID: uint32(len(a)), Rect: r.Rect})
+	}
+	for _, r := range reach.B {
+		b = append(b, unijoin.Record{ID: uint32(len(b)), Rect: r.Rect})
+	}
+	rels := map[string][]unijoin.Record{"a": a, "b": b}
+	ctx := context.Background()
+	for _, k := range []int{1, 2, 4, 7} {
+		plan := planFor(t, k, true, a, b)
+		ncl, router, front := startFleet(t, plan, []string{"a", "b"}, rels, true)
+		bcl := client.New(front, nil)
+		bcl.PreferBinary = true
+		urls := router.Endpoints()
+
+		wins := []unijoin.Rect{
+			unijoin.NewRect(555, 555, 555, 555),      // a point
+			unijoin.NewRect(-50, 300, 1050, 600),     // across every cut
+			unijoin.NewRect(1100, 0, 1200, 1000),     // right of the universe
+			unijoin.NewRect(-300, 400, -100, 500),    // left of it
+			unijoin.NewRect(960, 0, 990, 1000),       // strictly inside the last stripe
+			unijoin.NewRect(1e30, -1e30, 1e30, 1e30), // finite, and far out
+		}
+		for _, c := range fixedBounds[:k-1] {
+			before, after := math.Nextafter32(c, 0), math.Nextafter32(c, 2000)
+			for _, edge := range []unijoin.Coord{before, c, after} {
+				wins = append(wins,
+					unijoin.NewRect(edge-40, 0, edge, 1000),  // right edge at the cut
+					unijoin.NewRect(edge, 200, edge+40, 900), // left edge at it
+				)
+			}
+			wins = append(wins, unijoin.NewRect(c, 0, c, 1000)) // no width, along the cut
+		}
+		for _, win := range wins {
+			dto := client.Rect{XLo: float64(win.XLo), YLo: float64(win.YLo), XHi: float64(win.XHi), YHi: float64(win.YHi)}
+			var touched []int
+			for i := 0; i < plan.Shards(); i++ {
+				if plan.Interval(i).Loads(win) {
+					touched = append(touched, i)
+				}
+			}
+			// asked runs one request and returns the shards it reached.
+			asked := func(endpoint string, run func()) []int {
+				was := make([]int64, len(urls))
+				for i, url := range urls {
+					was[i] = shardRequests(t, url, endpoint)
+				}
+				run()
+				var moved []int
+				for i, url := range urls {
+					switch d := shardRequests(t, url, endpoint) - was[i]; d {
+					case 0:
+					case 1:
+						moved = append(moved, i)
+					default:
+						t.Fatalf("k=%d window %v: shard %d saw %d %s requests for one query", k, win, i, d, endpoint)
+					}
+				}
+				return moved
+			}
+			check := func(what, endpoint string, run func()) {
+				t.Helper()
+				if got := asked(endpoint, run); !slices.Equal(got, touched) {
+					t.Fatalf("k=%d window %v, %s: asked shards %v, the window touches %v", k, win, what, got, touched)
+				}
+			}
+
+			wantRecs := wantWindow(a, win)
+			for name, cl := range map[string]*client.Client{"NDJSON": ncl, "frames": bcl} {
+				check("window query over "+name, "window", func() {
+					jointest.Check(t, fmt.Sprintf("k=%d window %v over %s", k, win, name), wantRecs, windowRecords(t, cl, dto), nil)
+				})
+			}
+			check("window count", "window", func() {
+				sum, err := ncl.Window(ctx, client.WindowRequest{Relation: "a", Window: &dto, CountOnly: true}, nil)
+				if err != nil || sum.Records != wantRecs.Len() {
+					t.Fatalf("k=%d window %v: routed count %d (%v), the reference finds %d", k, win, sum.Records, err, wantRecs.Len())
+				}
+			})
+
+			wantPairs := jointest.Join(a, b, &win)
+			for _, alg := range []string{"PQ", "ST"} { // the resident kernel, and one on the simulator
+				req := client.JoinRequest{Left: "a", Right: "b", Algorithm: alg, Window: &dto}
+				for name, cl := range map[string]*client.Client{"NDJSON": ncl, "frames": bcl} {
+					check(alg+" join over "+name, "join", func() {
+						jointest.CheckJoin(t, fmt.Sprintf("k=%d window %v %s over %s", k, win, alg, name), a, b, wantPairs, joinPairs(t, cl, req))
+					})
+				}
+				check(alg+" join count", "join", func() {
+					if sum, err := ncl.JoinCount(ctx, req); err != nil || sum.Pairs != wantPairs.Len() {
+						t.Fatalf("k=%d window %v %s: routed count %d (%v), the reference finds %d", k, win, alg, sum.Pairs, err, wantPairs.Len())
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRouterWindowBeyondFloat32: a JSON 1e39 is finite as the float64
+// the request carries and ±Inf as the float32 a window is made of. The
+// window [+Inf, +Inf] meets no interval of a tiling, and the router must
+// still send it somewhere: a routed request answers exactly as a single
+// server does — nothing found, or the typed 404 for an unknown relation
+// — on both endpoints, for both signs, and for the window from -Inf to
+// +Inf, which is everything.
+func TestRouterWindowBeyondFloat32(t *testing.T) {
+	a, b := datagen.Uniform(71, 400, universe, 25), datagen.Uniform(72, 300, universe, 25)
+	rels := map[string][]unijoin.Record{"a": a, "b": b}
+	names := []string{"a", "b"}
+	routed, _, _ := startFleet(t, shard.NewPlan(universe, 3, a, b), names, rels, true)
+	direct := client.New(startShard(t, shard.Everything(), names, rels, true), nil)
+	ctx := context.Background()
+	for _, win := range []client.Rect{
+		{XLo: 1e39, YLo: 0, XHi: 1e39, YHi: 1000},
+		{XLo: -1e39, YLo: 0, XHi: -1e39, YHi: 1000},
+		{XLo: -1e39, YLo: -1e39, XHi: 1e39, YHi: 1e39},
+	} {
+		for _, rel := range []string{"a", "nope"} {
+			var got [2]string
+			for i, cl := range []*client.Client{direct, routed} {
+				ws, werr := cl.Window(ctx, client.WindowRequest{Relation: rel, Window: &win, CountOnly: true}, nil)
+				js, jerr := cl.JoinCount(ctx, client.JoinRequest{Left: rel, Right: "b", Window: &win})
+				if (werr == nil) != (rel == "a") || (jerr == nil) != (rel == "a") {
+					t.Fatalf("window %v on %q: window query %v, join %v", win, rel, werr, jerr)
+				}
+				if rel == "a" {
+					got[i] = fmt.Sprintf("%d records, %d pairs", ws.Records, js.Pairs)
+				} else if !errors.Is(werr, client.ErrNotFound) || !errors.Is(jerr, client.ErrNotFound) {
+					t.Fatalf("window %v on %q: window query %v, join %v, want ErrNotFound from both", win, rel, werr, jerr)
+				}
+			}
+			if got[0] != got[1] {
+				t.Fatalf("window %v on %q: the server answers %s, the fleet %s", win, rel, got[0], got[1])
+			}
+		}
+	}
+}
+
+// TestRouterStripeTable: the router has one stripe table, the one
+// Verify validated. A verified router places appends by it without
+// asking the fleet again; a router nobody verified never fetches on the
+// query path — it asks every shard, which is always right — and
+// validates the fleet when the first append needs the table, after
+// which its queries prune too; a fleet whose stripes do not tile is
+// refused by that append as Verify would refuse it, and its queries go
+// on asking every shard.
+func TestRouterStripeTable(t *testing.T) {
+	a, b := datagen.Uniform(81, 400, universe, 25), datagen.Uniform(82, 300, universe, 25)
+	rels := map[string][]unijoin.Record{"a": a, "b": b}
+	names := []string{"a", "b"}
+	plan, err := shard.PlanFromBoundaries(universe, []unijoin.Coord{333, 666})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	grown := uniformBatch(83, 10, 10_000) // appended before the first window query
+	batch := wireRecords(grown)
+	inMiddle := client.WindowRequest{Relation: "a", Window: &client.Rect{XLo: 400, YLo: 0, XHi: 600, YHi: 1000}, CountOnly: true}
+	want := jointest.Window(slices.Concat(a, grown), unijoin.NewRect(400, 0, 600, 1000)).Len()
+	// seen is how many requests each shard has served on an endpoint.
+	seen := func(router *shard.Router, endpoint string) (n []int64) {
+		for _, url := range router.Endpoints() {
+			n = append(n, shardRequests(t, url, endpoint))
+		}
+		return n
+	}
+	windowAsks := func(router *shard.Router, shards ...int64) {
+		t.Helper()
+		was := seen(router, "window")
+		if sum, err := router.Window(ctx, inMiddle, nil); err != nil || sum.Records != want {
+			t.Fatalf("window count %v (%v), the reference finds %d", sum, err, want)
+		}
+		for i, n := range seen(router, "window") {
+			if n-was[i] != shards[i] {
+				t.Fatalf("shard %d served %d window requests, want %v across the fleet", i, n-was[i], shards)
+			}
+		}
+	}
+
+	_, verified, _ := startFleet(t, plan, names, rels, true)
+	stats := seen(verified, "stats")
+	if _, err := verified.Append(ctx, "a", batch); err != nil {
+		t.Fatal(err)
+	}
+	if now := seen(verified, "stats"); !slices.Equal(now, stats) {
+		t.Fatalf("an append through a verified router fetched stats again: %v, then %v", stats, now)
+	}
+	windowAsks(verified, 0, 1, 0)
+
+	unverified, err := shard.NewRouter(verified.Endpoints(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windowAsks(unverified, 1, 1, 1)
+	if now := seen(unverified, "stats"); !slices.Equal(now, stats) {
+		t.Fatalf("a query through an unverified router fetched stats: %v, then %v", stats, now)
+	}
+	for range 2 {
+		if _, err := unverified.Append(ctx, "a", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, n := range seen(unverified, "stats") {
+		if n != stats[i]+1 {
+			t.Fatalf("shard %d served %d stats requests for two appends, want the one that validated the fleet", i, n-stats[i])
+		}
+	}
+	windowAsks(unverified, 0, 1, 0)
+
+	// The same shards with the middle one missing: a gap from 333 to 666.
+	gapped, err := shard.NewRouter([]string{verified.Endpoints()[0], verified.Endpoints()[2]}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gapped.Append(ctx, "a", batch); err == nil || !strings.Contains(err.Error(), "do not abut") {
+		t.Fatalf("an append to a fleet with a gap: %v, want the tiling refused", err)
+	}
+	was := seen(gapped, "window")
+	if _, err := gapped.Window(ctx, inMiddle, nil); err != nil {
+		t.Fatal(err)
+	}
+	if now := seen(gapped, "window"); now[0] != was[0]+1 || now[1] != was[1]+1 {
+		t.Fatalf("a query through a router that failed validation pruned: %v, then %v", was, now)
 	}
 }

@@ -191,7 +191,7 @@ func serveStream[Q, S any](s *Service, q streamQuery[Q, S]) http.HandlerFunc {
 		if !countOnly {
 			relay = out.Relay
 		}
-		ct := s.router.newCallTrace()
+		ct := new(callTrace)
 		root := obs.StartSpan("router." + q.kind)
 		sum, err := q.scatter(s.router, ctx, req, relay, ct)
 		root.End()

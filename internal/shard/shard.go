@@ -6,7 +6,8 @@
 // The unit of sharding is the same vertical stripe the parallel
 // engine (internal/parallel) sweeps concurrently: boundaries are
 // quantiles of sampled record x-centers, so skewed inputs still
-// produce balanced shards. Sharding reuses the engine's two rules:
+// produce balanced shards. Sharding reuses the engine's two rules, and
+// the second buys it a third:
 //
 //   - Record placement: a shard loads every record whose x-interval
 //     overlaps its stripe. Records contained in one stripe land on
@@ -15,15 +16,25 @@
 //   - Pair ownership: a join pair is reported only by the shard whose
 //     half-open interval [lo, hi) contains the pair's reference point
 //     — the lower-x corner of the rectangle intersection, max of the
-//     two left edges. Both rectangles contain that point, so the
-//     owning shard is guaranteed to hold both records and find the
-//     pair; every other shard that finds it drops it. Window queries
-//     use the record's own XLo the same way. The merged result set is
-//     therefore exact and duplicate-free with no cross-shard
-//     coordination, for any join algorithm the shard runs.
+//     two left edges, and under a query window max of those and the
+//     window's left edge. Every rectangle involved contains that
+//     point, so the owning shard is guaranteed to hold both records and
+//     find the pair; every other shard that finds it drops it. Window
+//     queries own a record the same way, by the left edge of record ∩
+//     window. The merged result set is therefore exact and
+//     duplicate-free with no cross-shard coordination, for any join
+//     algorithm the shard runs.
+//   - Scatter pruning: under a window the reference point lies inside
+//     the window's x-extent, so a shard whose interval does not meet
+//     that extent owns no answer. The router sends a windowed query or
+//     join only to the shards whose interval Loads the window — known
+//     from the stripe table Router.Verify validated — and an
+//     unwindowed one to all. A shard needs no hint: it applies the
+//     clipped rule whenever a request carries a window, so the shares
+//     of shards asked directly still tile the answer.
 //
-// The pair rule is applied where the two rectangles are, not where the
-// pairs are streamed: a shard's server hands its interval to the query
+// The rule is applied where the rectangles are, not where the results
+// are streamed: a shard's server hands its interval to the query
 // (Query.Owned) and each join kernel tests geom.Interval.OwnsPair as
 // it reports — the parallel engine as one more clamp on the range its
 // stripes already test, and not at all for the records lying inside
@@ -33,9 +44,9 @@
 //
 // Plan computes and describes the stripes; Interval is one shard's
 // ownership range (sjserved's -stripe flag); Router scatters a
-// request to K sjserved shard endpoints and gathers their frame
-// streams; Service is the HTTP front that makes a Router a drop-in
-// replacement for a single sjserved (cmd/sjrouter wraps it).
+// request to the sjserved shard endpoints it concerns and gathers
+// their frame streams; Service is the HTTP front that makes a Router
+// a drop-in replacement for a single sjserved (cmd/sjrouter wraps it).
 package shard
 
 import (
@@ -51,7 +62,8 @@ import (
 // x-axis, with -Inf/+Inf sentinels on the outer shards so the
 // intervals of a plan tile the whole line. The type and its rules
 // (Loads, OwnsRecord, OwnsPair, Slice) are geom.Interval's: the join
-// kernels apply the same definition a plan is cut by.
+// kernels apply the same definition a plan is cut by, and the router
+// prunes its scatter by.
 type Interval = geom.Interval
 
 // Everything is the interval of an unsharded process: it loads and

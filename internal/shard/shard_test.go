@@ -50,11 +50,22 @@ func TestIntervalOwnership(t *testing.T) {
 	if !iv.Loads(rect(100, 250)) || !iv.Loads(rect(699, 800)) || iv.Loads(rect(700, 800)) || iv.Loads(rect(0, 249)) {
 		t.Fatal("Loads overlap rule wrong")
 	}
-	if !iv.OwnsRecord(rect(250, 300)) || iv.OwnsRecord(rect(700, 700)) || iv.OwnsRecord(rect(100, 600)) {
+	none := geom.NoWindow
+	if !iv.OwnsRecord(rect(250, 300), none) || iv.OwnsRecord(rect(700, 700), none) || iv.OwnsRecord(rect(100, 600), none) {
 		t.Fatal("OwnsRecord left-edge rule wrong")
 	}
-	if !iv.OwnsPair(100, 250) || !iv.OwnsPair(300, 260) || iv.OwnsPair(100, 700) || iv.OwnsPair(100, 240) {
+	if !iv.OwnsPair(100, 250, none) || !iv.OwnsPair(300, 260, none) || iv.OwnsPair(100, 700, none) || iv.OwnsPair(100, 240, none) {
 		t.Fatal("OwnsPair reference-point rule wrong")
+	}
+	// Under a window the point is clipped to its left edge: a record or
+	// pair reaching in from the left is owned where the window starts,
+	// and not at all once the window starts at or past Hi.
+	if !iv.OwnsRecord(rect(100, 600), 250) || !iv.OwnsRecord(rect(100, 900), 699) || iv.OwnsRecord(rect(100, 900), 700) ||
+		iv.OwnsRecord(rect(100, 600), 249) || !iv.OwnsRecord(rect(300, 600), 100) {
+		t.Fatal("OwnsRecord clipped rule wrong")
+	}
+	if !iv.OwnsPair(100, 240, 250) || iv.OwnsPair(100, 240, 700) || !iv.OwnsPair(300, 260, 100) || iv.OwnsPair(100, 240, 245) {
+		t.Fatal("OwnsPair clipped rule wrong")
 	}
 	if !iv.Covers(rect(250, 699)) || iv.Covers(rect(250, 700)) || iv.Covers(rect(249, 300)) {
 		t.Fatal("Covers containment rule wrong")
@@ -101,7 +112,7 @@ func TestPlanPartitionsExactly(t *testing.T) {
 		for _, r := range recs {
 			owners := 0
 			for _, iv := range intervals {
-				if iv.OwnsRecord(r.Rect) {
+				if iv.OwnsRecord(r.Rect, geom.NoWindow) {
 					owners++
 					if !iv.Loads(r.Rect) {
 						t.Fatalf("k=%d: shard owns record %d without loading it", k, r.ID)

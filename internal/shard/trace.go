@@ -2,14 +2,17 @@ package shard
 
 import (
 	"context"
+	"strconv"
 	"time"
 
 	"unijoin/client"
 	"unijoin/internal/obs"
 )
 
-// scatterFunc is the per-shard body of a scatter call.
-type scatterFunc = func(ctx context.Context, i int, cl *client.Client) error
+// scatterFunc is the per-leg body of a scatter call; n is the leg's
+// position among the legs asked (the shard's endpoint index when the
+// scatter asks every shard).
+type scatterFunc = func(ctx context.Context, n int, cl *client.Client) error
 
 // ShardCall records one scatter leg of a traced request: the endpoint
 // it hit, when the leg started and how long it ran on the router's
@@ -23,39 +26,36 @@ type ShardCall struct {
 	Err      error
 }
 
-// callTrace threads per-leg tracing through one scatter. The span IDs
-// are minted before the fan-out and sent downstream as X-Parent-Span,
-// so each shard's own trace records which scatter leg called it — the
+// callTrace threads per-leg tracing through one scatter: one entry per
+// shard asked, none for a shard the window pruned. The span IDs are
+// minted before the fan-out and sent downstream as X-Parent-Span, so
+// each shard's own trace records which scatter leg called it — the
 // cross-process edge that joins the two trees.
 type callTrace struct {
-	ids   []string
-	calls []ShardCall
+	shards int // the fleet's size, of which len(calls) were asked
+	ids    []string
+	calls  []ShardCall
 }
 
-// newCallTrace sizes a call trace for the router's fleet.
-func (r *Router) newCallTrace() *callTrace {
-	ct := &callTrace{
-		ids:   make([]string, len(r.clients)),
-		calls: make([]ShardCall, len(r.clients)),
-	}
-	for i := range ct.ids {
-		ct.ids[i] = obs.NewSpanID()
-	}
-	return ct
-}
-
-// traced wraps a scatter body to record the leg into ct and propagate
-// the leg's span ID downstream. A nil ct returns fn unchanged, so the
-// untraced paths pay nothing.
-func (r *Router) traced(ct *callTrace, fn scatterFunc) scatterFunc {
+// traced wraps a scatter body to record each of its legs into ct —
+// sized here, for the legs the scatter asks — and propagate the leg's
+// span ID downstream. A nil ct returns fn unchanged, so the untraced
+// paths pay nothing.
+func (r *Router) traced(ct *callTrace, legs []int, fn scatterFunc) scatterFunc {
 	if ct == nil {
 		return fn
 	}
-	return func(ctx context.Context, i int, cl *client.Client) error {
-		c := &ct.calls[i]
-		c.Endpoint = r.endpoints[i]
+	ct.shards = len(r.clients)
+	ct.ids = make([]string, len(legs))
+	ct.calls = make([]ShardCall, len(legs))
+	for n, i := range legs {
+		ct.ids[n] = obs.NewSpanID()
+		ct.calls[n].Endpoint = r.endpoints[i]
+	}
+	return func(ctx context.Context, n int, cl *client.Client) error {
+		c := &ct.calls[n]
 		c.Start = time.Now()
-		err := fn(client.WithParentSpan(ctx, ct.ids[i]), i, cl)
+		err := fn(client.WithParentSpan(ctx, ct.ids[n]), n, cl)
 		c.Elapsed = time.Since(c.Start)
 		c.Err = err
 		return err
@@ -63,9 +63,11 @@ func (r *Router) traced(ct *callTrace, fn scatterFunc) scatterFunc {
 }
 
 // attach builds the root's scatter children from a completed call
-// trace: one "scatter" span per shard leg, carrying the endpoint as
+// trace: one "scatter" span per shard asked, carrying the endpoint as
 // its shard attribute and grafting the span tree the shard returned.
+// The root says how many of the fleet's shards that was.
 func (ct *callTrace) attach(root *obs.Span) {
+	root.SetAttr("legs", strconv.Itoa(len(ct.calls))).SetAttr("shards", strconv.Itoa(ct.shards))
 	for i := range ct.calls {
 		c := &ct.calls[i]
 		child := &obs.Span{

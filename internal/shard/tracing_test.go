@@ -21,7 +21,10 @@ import (
 // with a scatter child per shard, each carrying that shard's
 // server.join subtree with the partition/sweep/stream phases — and
 // each shard must have recorded its own trace under the same request
-// ID with the scatter leg's span ID as its parent.
+// ID with the scatter leg's span ID as its parent. A windowed join that
+// reaches one shard of the three then leaves one scatter child, "1 of
+// 3" on the root, and the other shards' traces and scatter families
+// untouched.
 func TestDistributedTraceTree(t *testing.T) {
 	rels := map[string][]unijoin.Record{
 		"a": datagen.Uniform(7, 1200, universe, 25),
@@ -117,11 +120,56 @@ func TestDistributedTraceTree(t *testing.T) {
 			t.Fatalf("shard %d parent span = %q, want the router's scatter span %q", i, sdet.ParentSpan, want)
 		}
 	}
+	if root.Attrs["legs"] != "3" || root.Attrs["shards"] != "3" {
+		t.Fatalf("root attrs %v, want legs=3 shards=3", root.Attrs)
+	}
+
+	// A window inside the middle stripe asks the middle shard alone, and
+	// the trace says so: one scatter child — no zero-length leg for a
+	// shard that was never called — "1 of 3" on the root, no trace on
+	// the other shards, and their scatter families at rest.
+	scatters := func() []int64 {
+		stats, err := router.Stats(ctx) // itself one scatter call a shard
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n []int64
+		for _, ss := range stats.ShardStats {
+			n = append(n, ss.ScatterRequests)
+		}
+		return n
+	}
+	before := scatters()
+	ctx = client.WithRequestID(context.Background(), "e2e-trace-2")
+	if _, err := cl.JoinCount(ctx, client.JoinRequest{
+		Left: "a", Right: "b", Window: &client.Rect{XLo: 400, YLo: 0, XHi: 600, YHi: 1000},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range scatters() {
+		if want := before[i] + 1 + int64(i%2); n != want { // the Stats call, and the join on shard 1
+			t.Fatalf("shard %d has seen %d scatter calls, want %d", i, n, want)
+		}
+	}
+	if det, err = cl.TraceByID(ctx, "e2e-trace-2"); err != nil {
+		t.Fatal(err)
+	}
+	root = det.Root
+	if root.Attrs["legs"] != "1" || root.Attrs["shards"] != "3" || len(root.Children) != 1 ||
+		root.Children[0].Name != "scatter" || root.Children[0].Attrs["shard"] != router.Endpoints()[1] {
+		t.Fatalf("root attrs %v with %d children, want legs=1 shards=3 and the middle shard's scatter leg alone", root.Attrs, len(root.Children))
+	}
+	for i, ep := range router.Endpoints() {
+		if _, err := client.New(ep, nil).TraceByID(ctx, "e2e-trace-2"); (err == nil) != (i == 1) {
+			t.Fatalf("shard %d trace of the pruned query: %v", i, err)
+		}
+	}
 }
 
-// TestRouterWorkloadMerge checks the fleet-stats workload merge: every
-// shard sees every scattered query, so the front's histogram is the
-// index-wise sum (3× a client's-eye count on a 3-shard fleet) with the
+// TestRouterWorkloadMerge checks the fleet-stats workload merge: the
+// front's histogram is the index-wise sum of the shards', each of which
+// saw the queries that reached it — every shard an unwindowed query,
+// and a windowed one only the shards its window meets — with the
 // distribution shape preserved, and the nested query counters sum.
 func TestRouterWorkloadMerge(t *testing.T) {
 	rels := map[string][]unijoin.Record{
@@ -135,9 +183,13 @@ func TestRouterWorkloadMerge(t *testing.T) {
 	cl, _, _ := startFleet(t, plan, []string{"a", "b"}, rels, true)
 	ctx := context.Background()
 
-	// Two joins windowed into the first bucket (width 1000/32).
-	win := &client.Rect{XLo: 1, YLo: 1, XHi: 20, YHi: 999}
-	for i := 0; i < 2; i++ {
+	// Two joins windowed into the first bucket (width 1000/32), inside
+	// the first stripe; one across the 333 cut (buckets 10 and 11); one
+	// with no window at all.
+	for _, win := range []*client.Rect{
+		{XLo: 1, YLo: 1, XHi: 20, YHi: 999}, {XLo: 1, YLo: 1, XHi: 20, YHi: 999},
+		{XLo: 320, YLo: 1, XHi: 350, YHi: 999}, nil,
+	} {
 		if _, err := cl.JoinCount(ctx, client.JoinRequest{
 			Left: "a", Right: "b", Algorithm: "PQ", Window: win,
 		}); err != nil {
@@ -153,15 +205,15 @@ func TestRouterWorkloadMerge(t *testing.T) {
 	if w == nil {
 		t.Fatal("router stats.workload missing")
 	}
-	// 2 windowed joins × 3 shards.
-	if w.Windowed != 6 {
-		t.Fatalf("merged windowed = %d, want 6 (2 joins × 3 shards)", w.Windowed)
+	// 2 windowed joins × 1 shard + 1 × 2 shards; 1 unwindowed × 3.
+	if w.Windowed != 4 || w.Unwindowed != 3 {
+		t.Fatalf("merged windowed = %d, unwindowed = %d, want 4 (2 joins × 1 shard + 1 × 2) and 3 (1 × 3 shards)", w.Windowed, w.Unwindowed)
 	}
-	if len(w.Buckets) == 0 || w.Buckets[0] != 6 {
-		t.Fatalf("merged bucket 0 = %v, want 6 (buckets: %v)", w.Buckets, w.Buckets)
+	if len(w.Buckets) < 12 || w.Buckets[0] != 2 || w.Buckets[10] != 2 || w.Buckets[11] != 2 {
+		t.Fatalf("merged buckets 0, 10, 11 want 2 each (buckets: %v)", w.Buckets)
 	}
-	if got := w.Queries["a"]["PQ"]; got != 6 {
-		t.Fatalf("merged a/PQ = %d, want 6", got)
+	if got := w.Queries["a"]["PQ"]; got != 7 {
+		t.Fatalf("merged a/PQ = %d, want 7", got)
 	}
 }
 

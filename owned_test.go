@@ -256,3 +256,109 @@ func checkUnbounded(ctx context.Context, t *testing.T, s ownedSide) {
 		}
 	}
 }
+
+// TestOwnedSharesLieInsideTheWindow is the law that lets a router
+// leave shards out of a windowed query: under a window the reference
+// point is clipped to the window's left edge, so for every input shape,
+// every algorithm on both its engines, tilings of 2, 3 and 7 from the
+// planner and cuts by hand, an interval that misses the window's
+// x-extent owns nothing — asked for by count, not through the
+// reference — each interval's share is the reference's, and the shares
+// of a tiling are the whole windowed join. The windows sit strictly
+// inside the last stripe, with an edge on a cut and one float to either
+// side of it, and across every cut.
+func TestOwnedSharesLieInsideTheWindow(t *testing.T) {
+	ctx := context.Background()
+	u := NewRect(0, 0, 1000, 1000)
+	hand := []Coord{250, 500, 750}
+	for si, sh := range jointest.Shapes {
+		t.Run(sh.Name, func(t *testing.T) {
+			t.Parallel() // each shape builds a workspace of its own
+			in := sh.Gen(int64(11+si), u, hand)
+			ws := NewWorkspace()
+			ws.SetUniverse(u)
+			a := liveRelation(t, ws, "a", in.A[:in.BaseA], in.A[in.BaseA:])
+			b := liveRelation(t, ws, "b", in.B[:in.BaseB], in.B[in.BaseB:])
+			tilings := map[string][]geom.Interval{"cuts by hand": cutAt(hand...)}
+			for _, k := range []int{2, 3, 7} {
+				tilings[fmt.Sprintf("plan of %d", k)] = cutAt(shard.NewPlan(u, k, in.A, in.B).Boundaries()...)
+			}
+			for name, ivs := range tilings {
+				last := ivs[len(ivs)-1].Lo
+				if len(ivs) == 1 { // the planner found nothing to cut
+					last = u.XLo
+				}
+				wins := []Rect{
+					NewRect(last+(u.XHi-last)/4, 50, last+(u.XHi-last)/2, 950), // strictly inside the last stripe
+					NewRect(last, 0, u.XHi, 1000),                              // its left edge on the last cut
+					NewRect(math.Nextafter32(last, u.XLo), 300, u.XHi, 700),    // one float into the stripe before
+					NewRect(u.XLo, 100, math.Nextafter32(last, u.XLo), 900),    // everything but the last stripe
+					NewRect(ivs[0].Hi, 0, ivs[0].Hi, 1000),                     // a segment along the first cut
+					u,
+				}
+				for _, win := range wins {
+					whole := jointest.Join(in.A, in.B, &win)
+					for _, alg := range queryAlgorithms {
+						for _, e := range engines(ws, alg) {
+							what := fmt.Sprintf("%s, %v (%s), window %v", name, alg, e.name, win)
+							sum := jointest.Bag[Pair]{}
+							for _, iv := range ivs {
+								got := jointest.Bag[Pair]{}
+								res, err := e.ws.Query(a, b).Algorithm(alg).Parallelism(2).Partitions(5).
+									Window(win).Owned(iv.Lo, iv.Hi).Emit(got.Add).Run(ctx)
+								if err != nil {
+									t.Fatalf("%s over %v: %v", what, iv, err)
+								}
+								if !iv.Loads(win) && res.Count() != 0 {
+									t.Fatalf("%s: %v does not meet the window and owns %d pairs", what, iv, res.Count())
+								}
+								if res.Count() != got.Len() {
+									t.Fatalf("%s over %v: counted %d pairs, emitted %d", what, iv, res.Count(), got.Len())
+								}
+								jointest.CheckJoin(t, fmt.Sprintf("%s over %v", what, iv), in.A, in.B,
+									jointest.Owned(in.A, in.B, &win, iv.Lo, iv.Hi), got)
+								sum.Union(got)
+							}
+							jointest.CheckJoin(t, what+", the shares together", in.A, in.B, whole, sum)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestReachingInIsTheCounterExample holds the shape named for it to its
+// purpose: one record a side spanning every cut, a window strictly
+// inside the last stripe — by the larger of the two left edges alone,
+// their pair belongs to the first interval, which the window never
+// touches; by the clipped point it belongs to the last, and the
+// intervals before it own nothing. The same for the spanning record as
+// a window query's answer.
+func TestReachingInIsTheCounterExample(t *testing.T) {
+	u := NewRect(0, 0, 1000, 1000)
+	cuts := []Coord{250, 500, 750}
+	in := jointest.ShapeNamed("reaching-in").Gen(1, u, cuts)
+	win := NewRect(800, 0, 900, 1000)
+	spanA, spanB := in.A[0], in.B[0]
+	if !spanA.Rect.Intersects(spanB.Rect) || spanA.Rect.XLo > cuts[0] || spanA.Rect.XHi < win.XHi {
+		t.Fatalf("the shape's first records %v and %v do not span the cuts and meet", spanA.Rect, spanB.Rect)
+	}
+	pair := Pair{Left: spanA.ID, Right: spanB.ID}
+	ivs := cutAt(cuts...)
+	if unclipped := max(spanA.Rect.XLo, spanB.Rect.XLo); !ivs[0].Contains(unclipped) || ivs[0].Loads(win) {
+		t.Fatalf("unclipped reference point %v: want it in %v, which the window %v must miss", unclipped, ivs[0], win)
+	}
+	for i, iv := range ivs {
+		owned := jointest.Owned(in.A, in.B, &win, iv.Lo, iv.Hi)
+		records := jointest.OwnedWindow(in.A, win, iv.Lo, iv.Hi)
+		if last := i == len(ivs)-1; last != (owned[pair] == 1) || last != (records[spanA] == 1) || (!last && owned.Len()+records.Len() != 0) {
+			t.Fatalf("%v: the reference gives it %d pairs (the spanning pair ×%d) and %d records (the spanning record ×%d)",
+				iv, owned.Len(), owned[pair], records.Len(), records[spanA])
+		}
+		if iv.OwnsPair(spanA.Rect.XLo, spanB.Rect.XLo, win.XLo) != (i == len(ivs)-1) ||
+			iv.OwnsRecord(spanA.Rect, win.XLo) != (i == len(ivs)-1) {
+			t.Fatalf("%v: geom.Interval disagrees with the reference on the spanning pair or record", iv)
+		}
+	}
+}

@@ -60,12 +60,15 @@ func (q *Query) Window(r Rect) *Query { q.opts.Window = &r; return q }
 // Owned keeps only the pairs whose reference point — the lower-x
 // corner of the two rectangles' intersection, the larger of their left
 // edges — lies in [lo, hi): the share of the join a stripe shard owning
-// that x-interval reports (see internal/shard). Shares over intervals
-// that tile the line are disjoint and their union is the whole join,
-// for every algorithm; the test runs inside the join kernels, so
-// Count, the Emit callbacks and Results.Pairs see owned pairs only and
-// CountOnly stays the counting fast path. It is the serving layer's
-// hook for sjserved -stripe.
+// that x-interval reports (see internal/shard). Under Window the point
+// is clipped to the window's left edge — the lower-x corner of the
+// intersection with the window as well — so it always lies inside the
+// window's x-extent, and an interval that misses that extent owns
+// nothing. Either way, shares over intervals that tile the line are
+// disjoint and their union is the whole join, for every algorithm; the
+// test runs inside the join kernels, so Count, the Emit callbacks and
+// Results.Pairs see owned pairs only and CountOnly stays the counting
+// fast path. It is the serving layer's hook for sjserved -stripe.
 func (q *Query) Owned(lo, hi Coord) *Query {
 	q.opts.own = &geom.Interval{Lo: lo, Hi: hi}
 	return q
