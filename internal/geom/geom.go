@@ -42,11 +42,6 @@ func NewRect(x1, y1, x2, y2 Coord) Rect {
 	return Rect{XLo: x1, YLo: y1, XHi: x2, YHi: y2}
 }
 
-// RectFromPoints returns the MBR of two points.
-func RectFromPoints(p, q Point) Rect {
-	return NewRect(p.X, p.Y, q.X, q.Y)
-}
-
 // Valid reports whether r is a well-formed rectangle (lo <= hi on both
 // axes). NaN coordinates make a rectangle invalid.
 func (r Rect) Valid() bool {

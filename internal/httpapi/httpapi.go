@@ -24,6 +24,22 @@ import (
 // MaxBodyBytes bounds request bodies; join/window requests are tiny.
 const MaxBodyBytes = 1 << 20
 
+// MaxAppendBodyBytes bounds one append request body, at a shard and at
+// the router alike. Bulk loads beyond this stream as several requests;
+// at ~60 bytes per NDJSON record line the cap still admits ~4M records
+// per call.
+const MaxAppendBodyBytes = 256 << 20
+
+// ToRect converts a wire rectangle to a normalized engine rectangle.
+func ToRect(r client.Rect) geom.Rect {
+	return geom.NewRect(geom.Coord(r.XLo), geom.Coord(r.YLo), geom.Coord(r.XHi), geom.Coord(r.YHi))
+}
+
+// FromRect converts an engine rectangle to its wire form.
+func FromRect(r geom.Rect) client.Rect {
+	return client.Rect{XLo: float64(r.XLo), YLo: float64(r.YLo), XHi: float64(r.XHi), YHi: float64(r.YHi)}
+}
+
 // lineBuf is a poolable marshal buffer with its JSON encoder bound to
 // it once — Encoder.Encode writes into the reused buffer (and appends
 // the newline itself), so a steady-state streaming response allocates

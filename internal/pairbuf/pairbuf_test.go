@@ -78,3 +78,16 @@ func TestRecordBuffersKeepOnlyUsefulCapacity(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordBuffersRecycleWithoutAllocating: once warm, borrowing a
+// record buffer and handing it back allocates nothing — neither the
+// buffer nor the box the pool keeps it in.
+func TestRecordBuffersRecycleWithoutAllocating(t *testing.T) {
+	PutRecords(make([]geom.Record, 0, 64))
+	allocs := testing.AllocsPerRun(100, func() {
+		PutRecords(append(GetRecords(), geom.Record{ID: 1}))
+	})
+	if allocs >= 1 {
+		t.Fatalf("a warm GetRecords/PutRecords cycle allocates %.2f times", allocs)
+	}
+}

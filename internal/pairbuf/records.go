@@ -6,13 +6,19 @@ import (
 	"unijoin/internal/geom"
 )
 
-// recordPool recycles the []geom.Record fragments the parallel engine
-// distributes its inputs into — one per (worker, stripe, side),
-// together a replicated copy of both inputs — so a server answering
-// many joins a second grows them once instead of once per query.
-// Fragment sizes are only known after distribution, so a borrowed
-// buffer may be empty and is grown by append like any slice.
-var recordPool sync.Pool
+// recordPool recycles the []geom.Record buffers of the parallel engine:
+// the fragments it distributes its inputs into — one per (worker,
+// stripe, side), together a replicated copy of both inputs — and the
+// copies a windowed join narrows its inputs into, so a server answering
+// many joins a second grows them once instead of once per query. Sizes
+// are only known once the buffer is filled, so a borrowed buffer may be
+// empty and is grown by append like any slice.
+//
+// The pool holds boxed slices, *[]geom.Record, so that PutRecords does
+// not allocate a slice header; the boxes of borrowed buffers wait in
+// boxPool for the next PutRecords, so a warm borrow-and-return cycle
+// allocates nothing.
+var recordPool, boxPool sync.Pool
 
 // maxPooledRecords bounds the capacity PutRecords keeps (1.5 MB of
 // records), the pair pool's policy: the fragments of everyday joins
@@ -24,10 +30,14 @@ const maxPooledRecords = 1 << 16
 // pool has on hand (possibly none).
 func GetRecords() []geom.Record {
 	outstanding.Add(1)
-	if p, ok := recordPool.Get().(*[]geom.Record); ok {
-		return (*p)[:0]
+	p, ok := recordPool.Get().(*[]geom.Record)
+	if !ok {
+		return nil
 	}
-	return nil
+	buf := (*p)[:0]
+	*p = nil
+	boxPool.Put(p)
+	return buf
 }
 
 // PutRecords returns a buffer to the pool; callers must not touch the
@@ -38,6 +48,10 @@ func PutRecords(buf []geom.Record) {
 	if cap(buf) == 0 || cap(buf) > maxPooledRecords {
 		return
 	}
-	buf = buf[:0]
-	recordPool.Put(&buf)
+	p, ok := boxPool.Get().(*[]geom.Record)
+	if !ok {
+		p = new([]geom.Record)
+	}
+	*p = buf[:0]
+	recordPool.Put(p)
 }

@@ -17,9 +17,27 @@ const distCheckInterval = 8192
 // than the classification itself.
 const distSerialCutoff = 4096
 
+// narrow copies the records of recs that intersect the window — every
+// record when there is none — in input order into a buffer borrowed
+// from the record pool, which the caller returns with PutRecords. It is
+// the one place the engine tests a record against the window: what it
+// leaves is all that measuring, sampling and distribution ever read.
+func narrow(recs []geom.Record, window *geom.Rect) []geom.Record {
+	out := pairbuf.GetRecords()
+	if window == nil {
+		return append(out, recs...)
+	}
+	for _, r := range recs {
+		if r.Rect.Intersects(*window) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // distribution is the outcome of the two-layer parallel distribution
-// prefix: both inputs window-filtered, classified stripe-local vs
-// boundary-crossing, and routed into per-(worker, stripe) fragments.
+// prefix: both inputs classified stripe-local vs boundary-crossing and
+// routed into per-(worker, stripe) fragments.
 //
 // Fragments deliberately stay unconcatenated: each partition's sweep
 // reassembles its own side on the worker that sweeps it (see gather), so
@@ -37,7 +55,7 @@ type distribution struct {
 	// records each side).
 	sizeA, sizeB []int
 
-	input      int64 // records passing the window, both sides
+	input      int64 // records distributed, both sides
 	replicated int64 // stripe placements, both sides
 	local      int64 // records contained in a single stripe
 	boundary   int64 // records crossing at least one stripe boundary
@@ -87,10 +105,10 @@ type distCounters struct {
 	input, replicated, local, boundary int64
 }
 
-// distributeChunk window-filters and classifies one contiguous chunk
-// of an input, appending into the worker's private buckets. Records
-// whose x-interval lies inside one stripe — and inside the interval the
-// join owns, when it reports one shard's share only — are tagged Local:
+// distributeChunk classifies one contiguous chunk of an input,
+// appending into the worker's private buckets. Records whose x-interval
+// lies inside one stripe — and inside the interval the join owns, when
+// it reports one shard's share only — are tagged Local:
 // every pair such a record takes part in is found in that stripe alone
 // and is this join's to report. Crossing records are replicated
 // untagged into every stripe they overlap; a record that fits its
@@ -98,15 +116,12 @@ type distCounters struct {
 // one stripe and counts as a boundary record. It checks ctx every
 // distCheckInterval records.
 func distributeChunk(ctx context.Context, part *Partitioner, recs []geom.Record,
-	window *geom.Rect, buckets [][]geom.Record, c *distCounters) error {
+	buckets [][]geom.Record, c *distCounters) error {
 	for n, r := range recs {
 		if n&(distCheckInterval-1) == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-		}
-		if window != nil && !r.Rect.Intersects(*window) {
-			continue
 		}
 		c.input++
 		first, last := part.Range(r.Rect)
@@ -134,12 +149,12 @@ func chunk(n, w, nw int) (lo, hi int) {
 }
 
 // distribute runs the two-layer distribution prefix of the parallel
-// join: nw workers each filter, classify, and route their private
-// chunk of both inputs into per-(worker, stripe) fragments — no
-// shared state, no locks — then the per-worker counters are summed.
+// join: nw workers each classify and route their private chunk of both
+// inputs into per-(worker, stripe) fragments — no shared state, no
+// locks — then the per-worker counters are summed.
 // With one worker or tiny inputs everything runs inline on the
 // calling goroutine.
-func distribute(ctx context.Context, part *Partitioner, a, b []geom.Record, window *geom.Rect, nw int) (*distribution, error) {
+func distribute(ctx context.Context, part *Partitioner, a, b []geom.Record, nw int) (*distribution, error) {
 	k := part.Partitions()
 	if len(a)+len(b) < distSerialCutoff {
 		nw = 1
@@ -163,11 +178,11 @@ func distribute(ctx context.Context, part *Partitioner, a, b []geom.Record, wind
 		}
 		alo, ahi := chunk(len(a), w, nw)
 		blo, bhi := chunk(len(b), w, nw)
-		if err := distributeChunk(ctx, part, a[alo:ahi], window, d.fragsA[w], &counters[w]); err != nil {
+		if err := distributeChunk(ctx, part, a[alo:ahi], d.fragsA[w], &counters[w]); err != nil {
 			errs[w] = err
 			return
 		}
-		errs[w] = distributeChunk(ctx, part, b[blo:bhi], window, d.fragsB[w], &counters[w])
+		errs[w] = distributeChunk(ctx, part, b[blo:bhi], d.fragsB[w], &counters[w])
 	}
 	if nw == 1 {
 		run(0)

@@ -23,16 +23,19 @@ import (
 // partition by partition and never re-sorted; the result, pair
 // sequence included, is the same either way.
 //
-// Unless Options.Partitions fixes it, the stripe count is chosen for
-// this join from one strided pass over the inputs (a full pass under a
-// window, whose selectivity is what matters most): see stripeCount.
+// Under Options.Window the first thing Join does is narrow each input
+// to the records intersecting the window, in one serial pass into
+// pooled buffers that go back to the pool with the distribution's
+// fragments when Join returns; everything after reads the narrowed
+// inputs and never tests the window again. Unless Options.Partitions
+// fixes it, the stripe count is then chosen for this join from one
+// strided pass over the inputs: see stripeCount.
 //
 // Both phases are parallel. The distribution prefix splits each input
-// into per-worker chunks that are window-filtered, classified
-// stripe-local vs boundary-crossing, and routed into private
-// per-(worker, stripe) fragments with no locks, so
-// Report.PartitionWall scales with Workers. The sweep phase drains
-// the partitions on a worker pool; each partition reassembles its
+// into per-worker chunks that are classified stripe-local vs
+// boundary-crossing and routed into private per-(worker, stripe)
+// fragments with no locks, so Report.PartitionWall scales with
+// Workers. The sweep phase drains the partitions on a worker pool; each partition reassembles its
 // fragments, sorts them if need be, and merges the two arrays with a
 // forward scan — no sweep structure is built — emitting local-member
 // pairs with no ownership test (they can only be generated in one
@@ -73,26 +76,38 @@ func Join(ctx context.Context, a, b []geom.Record, o Options) (Report, error) {
 	start := time.Now()
 	rep := Report{Workers: o.Workers}
 
+	// The window acts here, once: each input is narrowed to the records
+	// that intersect it, and the stripe count, the boundary sample and
+	// the distribution read only what is left.
+	if o.Window != nil {
+		a, b = narrow(a, o.Window), narrow(b, o.Window)
+		defer func() {
+			pairbuf.PutRecords(a)
+			pairbuf.PutRecords(b)
+		}()
+	}
 	if o.Partitions <= 0 {
-		o.Partitions = max(o.Workers,
-			stripeCount(measure(a, o.Window), measure(b, o.Window), o.Universe, o.Window))
+		o.Partitions = max(o.Workers, stripeCount(measure(a), measure(b), o.Universe, o.Window))
 	}
 	var part *Partitioner
-	if o.Window == nil && len(o.SortedSamples) > 0 {
+	switch {
+	case o.Window != nil:
+		// A window's sample is taken and sorted by every query, so it is
+		// sized for the stripes the window is worth (see samplesPerStripe).
+		part = newPartitioner(o.Universe, o.Partitions, min(sampleMax, o.Partitions*samplesPerStripe), a, b)
+		part.winXLo = o.Window.XLo
+	case len(o.SortedSamples) > 0:
 		part = NewPartitionerFromSamples(o.Universe, o.Partitions, o.SortedSamples...)
-	} else {
-		part = NewPartitionerWindowed(o.Universe, o.Partitions, o.Window, a, b)
+	default:
+		part = NewPartitioner(o.Universe, o.Partitions, a, b)
 	}
 	part.own = o.Own
-	if o.Window != nil {
-		part.winXLo = o.Window.XLo
-	}
 	k := part.Partitions()
 	rep.Partitions = k
 	if o.Workers > k {
 		rep.Workers = k
 	}
-	dist, err := distribute(ctx, part, a, b, o.Window, o.Workers)
+	dist, err := distribute(ctx, part, a, b, o.Workers)
 	if err != nil {
 		return Report{}, err
 	}
@@ -103,11 +118,6 @@ func Join(ctx context.Context, a, b []geom.Record, o Options) (Report, error) {
 	rep.BoundaryRecords = dist.boundary
 	if rep.InputRecords > 0 {
 		rep.Replication = float64(rep.ReplicatedRecords) / float64(rep.InputRecords)
-	}
-	for i := 0; i < k; i++ {
-		if n := dist.sizeA[i] + dist.sizeB[i]; n > rep.MaxPartitionRecords {
-			rep.MaxPartitionRecords = n
-		}
 	}
 	rep.PartitionWall = time.Since(start)
 
@@ -397,10 +407,11 @@ func (k *kernel) hit(x, y *geom.Record) {
 	}
 }
 
-// Serial is the single-threaded wall-clock baseline: the same window
-// filtering, one sort of each side, and one plane sweep over the full
-// universe with the paper's Striped-Sweep structure at its default
-// resolution — SSSJ's kernel without the simulated disk, and
+// Serial is the single-threaded wall-clock baseline: the same
+// narrowing to the window (with no window too, since it is also the
+// copy Serial sorts), one sort of each side, and one plane sweep over
+// the full universe with the paper's Striped-Sweep structure at its
+// default resolution — SSSJ's kernel without the simulated disk, and
 // deliberately not Join's array kernel, so that the two check each
 // other. The inputs are not modified; Emit (if set) is called in
 // sweep order as pairs are found, and EmitBatch receives pooled
@@ -428,15 +439,17 @@ func Serial(ctx context.Context, a, b []geom.Record, o Options) (Report, error) 
 	start := time.Now()
 	rep := Report{Workers: 1, Partitions: 1}
 
-	sa := append([]geom.Record(nil), filterWindow(a, o.Window)...)
-	sb := append([]geom.Record(nil), filterWindow(b, o.Window)...)
+	sa, sb := narrow(a, o.Window), narrow(b, o.Window)
+	defer func() {
+		pairbuf.PutRecords(sa)
+		pairbuf.PutRecords(sb)
+	}()
 	rep.InputRecords = int64(len(sa) + len(sb))
 	rep.ReplicatedRecords = rep.InputRecords
 	rep.LocalRecords = rep.InputRecords
 	if rep.InputRecords > 0 {
 		rep.Replication = 1
 	}
-	rep.MaxPartitionRecords = len(sa) + len(sb)
 	rep.PartitionWall = time.Since(start)
 
 	sweepStart := time.Now()

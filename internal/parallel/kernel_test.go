@@ -207,7 +207,7 @@ func BenchmarkDistributeSkewed(b *testing.B) {
 	part := NewPartitioner(big, 800, ra, rb)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d, err := distribute(context.Background(), part, ra, rb, nil, 1)
+		d, err := distribute(context.Background(), part, ra, rb, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

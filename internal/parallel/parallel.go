@@ -28,10 +28,10 @@
 //     sizes and mean extents of the window-qualified inputs say where
 //     the two meet. Options.Partitions overrides it.
 //   - Distribution itself is parallel: each input is split into
-//     per-worker chunks, and each worker window-filters and routes
-//     its chunk into private per-(worker, stripe) fragments with no
-//     locks, so the prefix ahead of the sweep scales with the worker
-//     count instead of being an Amdahl floor. Fragments are pooled
+//     per-worker chunks, and each worker classifies and routes its
+//     chunk into private per-(worker, stripe) fragments with no locks,
+//     so the prefix ahead of the sweep scales with the worker count
+//     instead of being an Amdahl floor. Fragments are pooled
 //     across joins and reassembled per partition, in input order, by
 //     the worker that sweeps it.
 //   - Distribution is two-layer (following Tsitsigkos et al. 2023):
@@ -80,6 +80,12 @@
 //     of comparison work within a partition, so a canceled query stops
 //     promptly and returns the context's error.
 //
+// A window (Options.Window) acts in three places and no others: each
+// input is narrowed to the records intersecting it, once, before
+// anything else reads them; its region is what stripeCount sizes K
+// for; and its left edge clips the reference point of boundary×boundary
+// pairs. Measuring, sampling and distribution never see it.
+//
 // The entry points are Join (parallel) and Serial (the single-threaded
 // sort-and-sweep over the same records with the paper's Striped-Sweep
 // structure — in-memory SSSJ, the wall-clock baseline the benchmarks
@@ -115,7 +121,10 @@ type Options struct {
 
 	// Window restricts the join to records intersecting this
 	// rectangle on both sides, matching the serial algorithms'
-	// Options.Window semantics.
+	// Options.Window semantics. Both entry points narrow each input to
+	// it in one pass, into pooled buffers, before doing anything else;
+	// Join also sizes the stripe count for the window's region and
+	// clips reference points to its left edge.
 	Window *geom.Rect
 
 	// Own, when set, keeps only the pairs whose reference point falls
@@ -133,8 +142,8 @@ type Options struct {
 	// skips the serial quantile sample sort of its partitioning
 	// prefix — the reuse path for stable catalog relations whose
 	// samples are cached across queries. Ignored when Window is set:
-	// a windowed join must sample only the qualifying records, which
-	// a whole-relation cache cannot know.
+	// a windowed join samples its narrowed inputs, which a
+	// whole-relation cache cannot know.
 	SortedSamples [][]geom.Coord
 
 	// Emit receives every result pair in deterministic
@@ -192,7 +201,7 @@ type Report struct {
 	Workers    int
 	Partitions int
 
-	// InputRecords counts both sides after window filtering;
+	// InputRecords counts both sides after narrowing to the window;
 	// ReplicatedRecords counts them after stripe replication.
 	// Replication is their ratio (>= 1; 0 for empty inputs).
 	InputRecords      int64
@@ -211,16 +220,13 @@ type Report struct {
 	// Pairs - NoTestPairs, are boundary×boundary pairs that paid the
 	// test. Serial emits every pair untested.
 	NoTestPairs int64
-	// MaxPartitionRecords is the largest partition's record count
-	// (both sides), the load-balance indicator.
-	MaxPartitionRecords int
 
 	// Wall is the end-to-end time: partitioning and the parallel
 	// sweep. PartitionWall covers the whole prefix ahead of the sweep:
-	// the boundary estimation (a serial quantile sort of at most a few
-	// thousand sampled centers per input) plus the chunked parallel
-	// window-filter + classify + distribute phase, which scales with
-	// Workers. SweepWall covers the parallel sort-and-sweep phase up to
+	// under a window, the one serial pass that narrows the inputs; the
+	// boundary estimation (a serial quantile sort of at most a few
+	// thousand sampled centers per input); and the chunked parallel
+	// classify + distribute phase, which scales with Workers. SweepWall covers the parallel sort-and-sweep phase up to
 	// the last stripe's hand-over — the callbacks run inside it, as
 	// they do inside a serial sweep.
 	Wall          time.Duration
@@ -273,19 +279,4 @@ func (r Report) String() string {
 	return fmt.Sprintf("parallel: %d pairs, %d workers x %d partitions, wall %v (partition %v, sweep %v), repl %.3f, local %.1f%%, no-test %.1f%%",
 		r.Pairs, r.Workers, r.Partitions, r.Wall, r.PartitionWall, r.SweepWall, r.Replication,
 		100*r.LocalFraction(), 100*r.NoTestFraction())
-}
-
-// filterWindow returns the records intersecting w, reusing the input
-// slice when no filtering is needed.
-func filterWindow(recs []geom.Record, w *geom.Rect) []geom.Record {
-	if w == nil {
-		return recs
-	}
-	out := make([]geom.Record, 0, len(recs))
-	for _, r := range recs {
-		if r.Rect.Intersects(*w) {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -454,8 +454,17 @@ func TestJoinCancelMidRun(t *testing.T) {
 		if got := pairbuf.Outstanding(); got != loaned {
 			t.Fatalf("workers=%d: %d pooled buffers still on loan after the canceled join", workers, got-loaned)
 		}
-		if got := runtime.NumGoroutine(); got > goroutines {
-			t.Fatalf("workers=%d: %d goroutines before the canceled join, %d after it", workers, goroutines, got)
+		// A worker's deferred wg.Done can be observed a moment before its
+		// goroutine has exited, so the count gets a bounded wait to come
+		// back down; a worker that is really left behind never does.
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+			got := runtime.NumGoroutine()
+			if got <= goroutines {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d goroutines before the canceled join, %d after it", workers, goroutines, got)
+			}
 		}
 	}
 }

@@ -76,24 +76,18 @@ const walkMax = 4
 
 // NewPartitioner builds a partitioner of at most k stripes over the
 // universe, placing boundaries at x-center quantiles of the given
-// inputs. It is NewPartitionerWindowed with no window.
+// inputs.
 func NewPartitioner(universe geom.Rect, k int, inputs ...[]geom.Record) *Partitioner {
-	return NewPartitionerWindowed(universe, k, nil, inputs...)
+	return newPartitioner(universe, k, sampleMax, inputs...)
 }
 
-// NewPartitionerWindowed is NewPartitioner with the join's window
-// predicate applied while sampling: records that a windowed join will
-// filter out do not vote on boundary placement, so the stripes
-// balance the records the join actually sweeps.
-func NewPartitionerWindowed(universe geom.Rect, k int, window *geom.Rect, inputs ...[]geom.Record) *Partitioner {
+// newPartitioner is NewPartitioner sampling up to ~limit centers per
+// input (see appendCenterSample).
+func newPartitioner(universe geom.Rect, k, limit int, inputs ...[]geom.Record) *Partitioner {
 	var sample []geom.Coord
 	if k > 1 {
-		limit := sampleMax
-		if window != nil {
-			limit = min(limit, k*samplesPerStripe)
-		}
 		for _, in := range inputs {
-			sample = appendCenterSample(sample, in, window, limit)
+			sample = appendCenterSample(sample, in, limit)
 		}
 		slices.Sort(sample)
 	}
@@ -224,7 +218,7 @@ func (p *Partitioner) cellOf(x geom.Coord) int {
 // so boundaries computed from cached samples match boundaries computed
 // from the records directly.
 func SortedCenterSample(recs []geom.Record) []geom.Coord {
-	sample := appendCenterSample(nil, recs, nil, sampleMax)
+	sample := appendCenterSample(nil, recs, sampleMax)
 	slices.Sort(sample)
 	return sample
 }
@@ -269,45 +263,20 @@ func mergeSorted(a, b []geom.Coord) []geom.Coord {
 }
 
 // appendCenterSample appends up to ~limit x-centers of one input to
-// sample (at most 2*limit). With no window it strides the input
-// directly. With a window it streams the qualifying records,
-// decimating the collected sample (and doubling the keep stride)
-// whenever it reaches 2*limit: a selective window then still
-// contributes a full-size, evenly spread sample of the records the join
-// will actually sweep, where a blind stride applied before the window
-// test would leave only a handful of survivors and collapse the
-// quantiles to the equal-width fallback.
-func appendCenterSample(sample []geom.Coord, in []geom.Record, window *geom.Rect, limit int) []geom.Coord {
-	center := func(c geom.Rect) geom.Coord { return c.XLo + (c.XHi-c.XLo)/2 }
-	if window == nil {
-		step := 1
-		if len(in) > limit {
-			step = len(in) / limit
-		}
-		for i := 0; i < len(in); i += step {
-			sample = append(sample, center(in[i].Rect))
-		}
-		return sample
+// sample (at most 2*limit), striding the input. A windowed join
+// samples its narrowed input, so a selective window still contributes
+// a full, evenly spread sample of the records the join will sweep.
+func appendCenterSample(sample []geom.Coord, in []geom.Record, limit int) []geom.Coord {
+	step := 1
+	if len(in) > limit {
+		step = len(in) / limit
 	}
-	own := make([]geom.Coord, 0, min(len(in), 2*limit))
-	keep, seen := 1, 0
-	for _, r := range in {
-		if !r.Rect.Intersects(*window) {
-			continue
-		}
-		if seen%keep == 0 {
-			own = append(own, center(r.Rect))
-			if len(own) == 2*limit {
-				for j := 0; j < limit; j++ {
-					own[j] = own[2*j]
-				}
-				own = own[:limit]
-				keep *= 2
-			}
-		}
-		seen++
+	sample = slices.Grow(sample, (len(in)+step-1)/step)
+	for i := 0; i < len(in); i += step {
+		c := in[i].Rect
+		sample = append(sample, c.XLo+(c.XHi-c.XLo)/2)
 	}
-	return append(sample, own...)
+	return sample
 }
 
 // dedup collapses boundaries so bounds is strictly increasing and

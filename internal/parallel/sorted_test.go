@@ -77,7 +77,7 @@ func TestSortedInputIsObservedNotRequired(t *testing.T) {
 func TestSingleFragmentSidesAreNotCopied(t *testing.T) {
 	a, b := clustered(5, 3000, 2000)
 	part := NewPartitioner(universe, 4, a, b)
-	d, err := distribute(context.Background(), part, a, b, nil, 1)
+	d, err := distribute(context.Background(), part, a, b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

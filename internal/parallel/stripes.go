@@ -13,21 +13,18 @@ type shape struct {
 	w, h float64
 }
 
-// measure summarizes one input for stripeCount. With no window it
-// strides the input, touching at most ~sampleMax records; with a
-// window every record is tested, because the number that qualify is
+// measure summarizes one input for stripeCount, striding it so that at
+// most ~sampleMax records are touched. A windowed join measures its
+// narrowed input, so the count is exactly the records that qualify —
 // the quantity the estimate most depends on.
-func measure(recs []geom.Record, window *geom.Rect) shape {
+func measure(recs []geom.Record) shape {
 	step := 1
-	if window == nil && len(recs) > sampleMax {
+	if len(recs) > sampleMax {
 		step = len(recs) / sampleMax
 	}
 	var s shape
 	for i := 0; i < len(recs); i += step {
 		r := recs[i].Rect
-		if window != nil && !r.Intersects(*window) {
-			continue
-		}
 		s.n++
 		s.w += float64(r.XHi - r.XLo)
 		s.h += float64(r.YHi - r.YLo)
@@ -36,9 +33,7 @@ func measure(recs []geom.Record, window *geom.Rect) shape {
 		s.w /= float64(s.n)
 		s.h /= float64(s.n)
 	}
-	if window == nil {
-		s.n = len(recs)
-	}
+	s.n = len(recs)
 	return s
 }
 

@@ -2,13 +2,17 @@ package parallel
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"unijoin/internal/datagen"
 	"unijoin/internal/geom"
 	"unijoin/internal/jointest"
+	"unijoin/internal/pairbuf"
 )
 
 // TestPartitionerDedupClusteredDuplicates is the regression test for
@@ -73,7 +77,7 @@ func TestDistributeMatchesSerialReference(t *testing.T) {
 	wantB := make([][]geom.Record, k)
 	wantRepl := part.Distribute(a, wantA) + part.Distribute(b, wantB)
 	for _, nw := range []int{1, 2, 3, 8} {
-		d, err := distribute(context.Background(), part, a, b, nil, nw)
+		d, err := distribute(context.Background(), part, a, b, nw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,14 +103,13 @@ func TestDistributeMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// TestDistributeWindowed checks the fused window filter: only
-// window-intersecting records are distributed, counted, and
-// classified.
+// TestDistributeWindowed checks the narrowing: a windowed join
+// distributes, counts and classifies exactly the window-intersecting
+// records of both sides.
 func TestDistributeWindowed(t *testing.T) {
 	a, b := clustered(23, 5000, 3000)
 	w := geom.NewRect(200, 200, 600, 600)
-	part := NewPartitionerWindowed(universe, 6, &w, a, b)
-	d, err := distribute(context.Background(), part, a, b, &w, 4)
+	rep, err := Join(context.Background(), a, b, Options{Universe: universe, Partitions: 6, Workers: 4, Window: &w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,21 +124,21 @@ func TestDistributeWindowed(t *testing.T) {
 			want++
 		}
 	}
-	if d.input != want {
-		t.Fatalf("windowed input = %d, want %d", d.input, want)
+	if rep.InputRecords != want {
+		t.Fatalf("windowed input = %d, want %d", rep.InputRecords, want)
 	}
-	if d.local+d.boundary != d.input {
-		t.Fatalf("local %d + boundary %d != input %d", d.local, d.boundary, d.input)
+	if rep.LocalRecords+rep.BoundaryRecords != rep.InputRecords {
+		t.Fatalf("local %d + boundary %d != input %d", rep.LocalRecords, rep.BoundaryRecords, rep.InputRecords)
 	}
 }
 
 // TestWindowedSamplingStaysDense guards boundary estimation under a
 // selective window: only records the join will actually sweep may
 // vote on boundaries, and a window keeping ~0.5% of a large input
-// must still contribute a full sample — striding before the window
-// test would leave a handful of survivors, collapse to the
-// equal-width fallback, and put every boundary outside the populated
-// region.
+// must still contribute a full sample. The join samples its narrowed
+// input; striding before the narrowing would leave a handful of
+// survivors, collapse to the equal-width fallback, and put every
+// boundary outside the populated region.
 func TestWindowedSamplingStaysDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var recs []geom.Record
@@ -152,7 +155,9 @@ func TestWindowedSamplingStaysDense(t *testing.T) {
 		recs = append(recs, geom.Record{Rect: geom.NewRect(x, y, x+1, y+1), ID: geom.ID(200_000 + i)})
 	}
 	w := geom.NewRect(95, 95, 115, 115)
-	p := NewPartitionerWindowed(universe, 8, &w, recs)
+	narrowed := narrow(recs, &w)
+	defer pairbuf.PutRecords(narrowed)
+	p := NewPartitioner(universe, 8, narrowed)
 	if got := p.Partitions(); got != 8 {
 		t.Fatalf("windowed partitions = %d, want 8 (sample starved?)", got)
 	}
@@ -162,8 +167,73 @@ func TestWindowedSamplingStaysDense(t *testing.T) {
 			t.Fatalf("boundary %d at %g lies outside the windowed population [100, 112]", i, lo)
 		}
 	}
-	if n := len(appendCenterSample(nil, recs, &w, sampleMax)); n < 400 {
+	if n := len(appendCenterSample(nil, narrowed, sampleMax)); n < 400 {
 		t.Fatalf("windowed sample kept %d of ~500 qualifying centers", n)
+	}
+}
+
+// TestWindowedJoinIsJoinOverNarrowedInputs is the narrowing law: a
+// join under a window equals the same join over inputs already narrowed
+// to that window — identical report counters, identical pair sequence —
+// so nothing after the narrowing reads a record the window excludes.
+// Both sides are given the same pinned stripe count. It ranges over
+// every shape of the shared generator, at one and four workers, under
+// windows strictly inside a stripe of the shapes' cuts, with both edges
+// on cuts, of zero width on a cut, covering the universe and outside
+// it. The windowed join is also held to the reference: whole, and as
+// each interval's share of the cuts' tiling — the share by the
+// reference point clipped to the window's left edge, the third and last
+// thing the window does in this package.
+func TestWindowedJoinIsJoinOverNarrowedInputs(t *testing.T) {
+	cuts := []geom.Coord{125, 250, 375, 500, 625, 750, 875}
+	windows := map[string]geom.Rect{
+		"inside-a-stripe":     geom.NewRect(260, 100, 360, 900),
+		"edges-on-cuts":       geom.NewRect(375, 200, 625, 800),
+		"zero-width-on-a-cut": geom.NewRect(500, 0, 500, 1000),
+		"universe":            universe,
+		"outside":             geom.NewRect(1500, 1500, 1600, 1600),
+	}
+	within := func(recs []geom.Record, w geom.Rect) []geom.Record {
+		var out []geom.Record
+		for _, r := range recs {
+			if r.Rect.Intersects(w) {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	for _, sh := range jointest.Shapes {
+		in := sh.Gen(1, universe, cuts)
+		for name, w := range windows {
+			na, nb := within(in.A, w), within(in.B, w)
+			want := jointest.Join(in.A, in.B, &w)
+			for _, workers := range []int{1, 4} {
+				what := fmt.Sprintf("%s window=%s workers=%d", sh.Name, name, workers)
+				o := Options{Universe: universe, Workers: workers, Partitions: len(cuts) + 1, Window: &w}
+				rep, seq := pairSequence(t, in.A, in.B, o)
+				jointest.CheckJoin(t, what, in.A, in.B, want, jointest.BagOf(seq))
+				narrowed, fromNarrowed := pairSequence(t, na, nb, o)
+				if !reflect.DeepEqual(countersOf(rep), countersOf(narrowed)) {
+					t.Fatalf("%s: report counters differ:\nwindowed %+v\nnarrowed %+v", what, countersOf(rep), countersOf(narrowed))
+				}
+				if !slices.Equal(seq, fromNarrowed) {
+					t.Fatalf("%s: the pair sequence differs over pre-narrowed inputs (%d vs %d pairs)", what, len(seq), len(fromNarrowed))
+				}
+				for i := range len(cuts) + 1 {
+					own := geom.Interval{Lo: geom.Coord(math.Inf(-1)), Hi: geom.Coord(math.Inf(1))}
+					if i > 0 {
+						own.Lo = cuts[i-1]
+					}
+					if i < len(cuts) {
+						own.Hi = cuts[i]
+					}
+					o.Own = &own
+					_, got := joinedPairs(t, in.A, in.B, o)
+					jointest.CheckJoin(t, fmt.Sprintf("%s own=%s", what, own), in.A, in.B,
+						jointest.Owned(in.A, in.B, &w, own.Lo, own.Hi), got)
+				}
+			}
+		}
 	}
 }
 
@@ -260,7 +330,7 @@ func BenchmarkDistribute(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := distribute(context.Background(), part, ra, rb, nil, nw); err != nil {
+				if _, err := distribute(context.Background(), part, ra, rb, nw); err != nil {
 					b.Fatal(err)
 				}
 			}

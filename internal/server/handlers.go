@@ -91,7 +91,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	parallelism := min(max(req.Parallelism, 0), maxParallelism)
 	q := s.cat.Workspace().Query(left, right).Algorithm(alg).Parallelism(parallelism)
 	if req.Window != nil {
-		q.Window(toRect(*req.Window))
+		q.Window(httpapi.ToRect(*req.Window))
 	}
 	// A stripe shard reports only the pairs its interval owns — the
 	// reference-point rule (clipped to the window, when there is one)
@@ -105,11 +105,11 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if req.CountOnly {
 		q.CountOnly()
 	} else {
-		pairs = make([][2]uint32, 0, s.batch)
+		pairs = make([][2]uint32, 0, DefaultBatchPairs)
 		q.EmitBatch(func(batch []unijoin.Pair) {
 			for _, p := range batch {
 				pairs = append(pairs, [2]uint32{p.Left, p.Right})
-				if len(pairs) == s.batch {
+				if len(pairs) == DefaultBatchPairs {
 					flushPairs(pairs)
 					pairs = pairs[:0]
 				}
@@ -196,12 +196,12 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	// duplicates whichever of the other shards it leaves out — and the
 	// count must come from the filtered emit path rather than
 	// WindowQuery's total.
-	win := toRect(*req.Window)
+	win := httpapi.ToRect(*req.Window)
 	var owned int64
 	var emit func(unijoin.Record)
 	if !req.CountOnly || s.stripe != nil {
 		if !req.CountOnly {
-			recs = make([]unijoin.Record, 0, s.batch)
+			recs = make([]unijoin.Record, 0, DefaultBatchPairs)
 		}
 		emit = func(rec unijoin.Record) {
 			if s.stripe != nil && !s.stripe.OwnsRecord(rec.Rect, win.XLo) {
@@ -212,7 +212,7 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			recs = append(recs, rec)
-			if len(recs) == s.batch {
+			if len(recs) == DefaultBatchPairs {
 				flushRecs()
 			}
 		}
@@ -270,7 +270,7 @@ func relationInfo(name string, rel *unijoin.Relation) client.RelationInfo {
 		IndexBytes: pv.IndexBytes(),
 	}
 	if mbr := pv.MBR(); mbr.Valid() {
-		info.MBR = fromRect(mbr)
+		info.MBR = httpapi.FromRect(mbr)
 	}
 	return info
 }
@@ -316,21 +316,5 @@ func badRequestErr(err error) *client.APIError {
 	return &client.APIError{
 		Status: http.StatusBadRequest, Code: client.CodeBadRequest,
 		Message: err.Error(),
-	}
-}
-
-// toRect converts a wire rectangle to a normalized unijoin.Rect.
-func toRect(r client.Rect) unijoin.Rect {
-	return unijoin.NewRect(
-		unijoin.Coord(r.XLo), unijoin.Coord(r.YLo),
-		unijoin.Coord(r.XHi), unijoin.Coord(r.YHi),
-	)
-}
-
-// fromRect converts a unijoin.Rect to its wire form.
-func fromRect(r unijoin.Rect) client.Rect {
-	return client.Rect{
-		XLo: float64(r.XLo), YLo: float64(r.YLo),
-		XHi: float64(r.XHi), YHi: float64(r.YHi),
 	}
 }

@@ -10,11 +10,6 @@ import (
 	"unijoin/internal/httpapi"
 )
 
-// maxAppendBodyBytes bounds one append request body. Bulk loads
-// beyond this stream as several requests; at ~60 bytes per NDJSON
-// record line the cap still admits ~4M records per call.
-const maxAppendBodyBytes = 256 << 20
-
 // handleAppend serves POST /v1/relations/{relation}/records: append
 // records to a cataloged relation. The body is one JSON record
 // object, a JSON array of them, or — with an NDJSON content type —
@@ -34,14 +29,14 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ins, err := client.ParseRecords(r.Header.Get("Content-Type"),
-		http.MaxBytesReader(w, r.Body, maxAppendBodyBytes))
+		http.MaxBytesReader(w, r.Body, httpapi.MaxAppendBodyBytes))
 	if err != nil {
 		httpapi.WriteError(w, badRequestErr(err))
 		return
 	}
 	recs := make([]unijoin.Record, 0, len(ins))
 	for i, in := range ins {
-		rec := unijoin.Record{ID: unijoin.ID(in.ID), Rect: toRect(in.Rect)}
+		rec := unijoin.Record{ID: unijoin.ID(in.ID), Rect: httpapi.ToRect(in.Rect)}
 		if !rec.Rect.Valid() || !rec.Rect.Finite() {
 			httpapi.WriteError(w, badRequestErr(fmt.Errorf("record %d (id %d) has an invalid or non-finite rectangle", i, in.ID)))
 			return

@@ -12,6 +12,7 @@ import (
 	"unijoin"
 	"unijoin/client"
 	"unijoin/internal/datagen"
+	"unijoin/internal/httpapi"
 	"unijoin/internal/jointest"
 	"unijoin/internal/shard"
 )
@@ -20,10 +21,7 @@ import (
 func recordsIn(recs []unijoin.Record) []client.RecordIn {
 	out := make([]client.RecordIn, len(recs))
 	for i, r := range recs {
-		out[i] = client.RecordIn{ID: uint32(r.ID), Rect: client.Rect{
-			XLo: float64(r.Rect.XLo), YLo: float64(r.Rect.YLo),
-			XHi: float64(r.Rect.XHi), YHi: float64(r.Rect.YHi),
-		}}
+		out[i] = client.RecordIn{ID: uint32(r.ID), Rect: httpapi.FromRect(r.Rect)}
 	}
 	return out
 }
@@ -167,7 +165,7 @@ func TestAppendStripeFilterAndOwnership(t *testing.T) {
 	u := unijoin.NewRect(0, 0, 1000, 1000)
 	grown := datagen.Uniform(1, 800, u, 40)
 	for _, r := range in[:2] {
-		grown = append(grown, unijoin.Record{ID: r.ID, Rect: toRect(r.Rect)})
+		grown = append(grown, unijoin.Record{ID: r.ID, Rect: httpapi.ToRect(r.Rect)})
 	}
 	if want := jointest.Owned(grown, datagen.Uniform(2, 600, u, 40), nil, iv.Lo, iv.Hi).Len(); after.Pairs != want {
 		t.Fatalf("owned pairs over HTTP %d, reference %d", after.Pairs, want)

@@ -36,13 +36,15 @@ func (w *writeHook) Write(p []byte) (int, error) {
 // TestJoinSummaryDescribesPinnedEpochs is the torn-summary regression:
 // an append that lands between the join's pin and its summary must not
 // leak into left_records/right_records, which describe the inputs the
-// pair count was computed on.
+// pair count was computed on. The catalog is large enough that the
+// join's pairs fill several batches, so the first body write — and the
+// append with it — happens while the join is still running.
 func TestJoinSummaryDescribesPinnedEpochs(t *testing.T) {
 	for _, alg := range []string{"PQ", "parallel"} {
-		cat := testCatalog(t, 600)
+		cat := testCatalog(t, 2000)
 		roads, hydro := mustGet(t, cat, "roads"), mustGet(t, cat, "hydro")
 		wantLeft, wantRight := roads.Pin().Len(), hydro.Pin().Len()
-		s := New(Config{Catalog: cat, Logger: quietLogger(), BatchPairs: 16})
+		s := New(Config{Catalog: cat, Logger: quietLogger()})
 
 		u := unijoin.NewRect(0, 0, 1000, 1000)
 		extra := datagen.Uniform(9, 40, u, 40)
@@ -85,6 +87,9 @@ func TestJoinSummaryDescribesPinnedEpochs(t *testing.T) {
 		}
 		if sum.Pairs != streamed {
 			t.Fatalf("%s: summary counts %d pairs, stream carried %d", alg, sum.Pairs, streamed)
+		}
+		if streamed <= 2*DefaultBatchPairs {
+			t.Fatalf("%s: %d pairs fill too few batches for the first write to land mid-join", alg, streamed)
 		}
 	}
 }

@@ -29,15 +29,12 @@ import (
 )
 
 // DefaultBatchPairs is how many pairs or records one batch — an
-// NDJSON line or a DATA frame — carries at most.
-const DefaultBatchPairs = 1024
-
-// maxBatchPairs caps Config.BatchPairs. Window records are the fat
-// case: float32 coordinates marshal as float64 decimals of up to ~18
-// characters, so a record line item can reach ~130 JSON bytes; 4096
-// of them stay near half of the 1 MB line the bundled client's
+// NDJSON line or a DATA frame — carries at most. Window records are
+// the fat case: float32 coordinates marshal as float64 decimals of up
+// to ~18 characters, so a record line item can reach ~130 JSON bytes,
+// and 1024 of them stay well inside the 1 MB line the bundled client's
 // scanner accepts.
-const maxBatchPairs = 4096
+const DefaultBatchPairs = 1024
 
 // Config configures a Server.
 type Config struct {
@@ -49,10 +46,6 @@ type Config struct {
 	Timeout time.Duration
 	// Logger receives one line per request; nil uses slog.Default().
 	Logger *slog.Logger
-	// BatchPairs caps the pairs (or records) per batch (default
-	// DefaultBatchPairs; clamped so every NDJSON line fits the client
-	// package's line scanner).
-	BatchPairs int
 	// Stripe, when set, makes this process one shard of a fleet: the
 	// catalog is expected to hold only records overlapping the
 	// stripe (sjserved -stripe slices at load), and every join pair
@@ -90,7 +83,6 @@ type Config struct {
 // coordination.
 type Server struct {
 	cat    *unijoin.Catalog
-	batch  int
 	stripe *shard.Interval
 	start  time.Time
 	mux    *http.ServeMux
@@ -111,17 +103,9 @@ func New(cfg Config) *Server {
 	if log == nil {
 		log = slog.Default()
 	}
-	batch := cfg.BatchPairs
-	if batch <= 0 {
-		batch = DefaultBatchPairs
-	}
-	if batch > maxBatchPairs {
-		batch = maxBatchPairs
-	}
 	m := newMetrics(cfg.Registry)
 	s := &Server{
 		cat:     cfg.Catalog,
-		batch:   batch,
 		stripe:  cfg.Stripe,
 		start:   time.Now(),
 		mux:     http.NewServeMux(),

@@ -12,6 +12,7 @@ import (
 	"unijoin"
 	"unijoin/client"
 	"unijoin/internal/datagen"
+	"unijoin/internal/httpapi"
 	"unijoin/internal/jointest"
 	"unijoin/internal/shard"
 )
@@ -20,10 +21,7 @@ import (
 func wireRecords(recs []unijoin.Record) []client.RecordIn {
 	out := make([]client.RecordIn, len(recs))
 	for i, r := range recs {
-		out[i] = client.RecordIn{ID: r.ID, Rect: client.Rect{
-			XLo: float64(r.Rect.XLo), YLo: float64(r.Rect.YLo),
-			XHi: float64(r.Rect.XHi), YHi: float64(r.Rect.YHi),
-		}}
+		out[i] = client.RecordIn{ID: r.ID, Rect: httpapi.FromRect(r.Rect)}
 	}
 	return out
 }

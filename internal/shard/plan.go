@@ -9,14 +9,12 @@ import (
 )
 
 // Plan is a sharding of the universe into K stripes: the K-1 internal
-// boundaries plus the universe they cut. It answers which shard owns
-// a point, what each shard's ownership interval and stripe rectangle
-// are, and how a record set distributes over the shards. Plans are
-// immutable and safe for concurrent use.
+// boundaries. It answers what each shard's ownership interval is and
+// how a record set distributes over the shards. Plans are immutable
+// and safe for concurrent use.
 type Plan struct {
-	part     *parallel.Partitioner
-	universe geom.Rect
-	bounds   []geom.Coord
+	part   *parallel.Partitioner
+	bounds []geom.Coord
 }
 
 // NewPlan cuts the universe into at most k stripes with boundaries at
@@ -26,15 +24,7 @@ type Plan struct {
 // stripes (boundaries are deduplicated, never degenerate).
 func NewPlan(universe geom.Rect, k int, inputs ...[]geom.Record) *Plan {
 	part := parallel.NewPartitioner(universe, k, inputs...)
-	return &Plan{part: part, universe: universe, bounds: part.Boundaries()}
-}
-
-// PlanFromSamples is NewPlan over pre-sorted x-center samples (one
-// per input, as produced by cached catalog relations), skipping the
-// serial sample sort.
-func PlanFromSamples(universe geom.Rect, k int, samples ...[]geom.Coord) *Plan {
-	part := parallel.NewPartitionerFromSamples(universe, k, samples...)
-	return &Plan{part: part, universe: universe, bounds: part.Boundaries()}
+	return &Plan{part: part, bounds: part.Boundaries()}
 }
 
 // PlanFromBoundaries reconstructs a plan from its boundary list
@@ -45,7 +35,7 @@ func PlanFromBoundaries(universe geom.Rect, bounds []geom.Coord) (*Plan, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{part: part, universe: universe, bounds: part.Boundaries()}, nil
+	return &Plan{part: part, bounds: part.Boundaries()}, nil
 }
 
 // Shards returns the shard count K.
@@ -54,24 +44,12 @@ func (p *Plan) Shards() int { return len(p.bounds) + 1 }
 // Boundaries returns a copy of the K-1 internal boundaries.
 func (p *Plan) Boundaries() []geom.Coord { return append([]geom.Coord(nil), p.bounds...) }
 
-// Universe returns the rectangle the plan partitions.
-func (p *Plan) Universe() geom.Rect { return p.universe }
-
-// Of returns the shard owning x (reference points and record left
-// edges), clamped into [0, K-1].
-func (p *Plan) Of(x geom.Coord) int { return p.part.Of(x) }
-
 // Interval returns shard i's ownership range [lo, hi), with infinite
 // sentinels on the outer shards.
 func (p *Plan) Interval(i int) Interval {
 	lo, hi := p.part.OwnerRange(i)
 	return Interval{Lo: lo, Hi: hi}
 }
-
-// Stripe returns shard i's x-slice of the universe (full universe
-// height), for display and diagnostics; ownership decisions use
-// Interval, whose outer shards extend beyond the universe edges.
-func (p *Plan) Stripe(i int) geom.Rect { return p.part.Stripe(i) }
 
 // AssignStats reports how a record set distributed over the shards of
 // a plan.

@@ -13,6 +13,7 @@ import (
 
 	"unijoin/client"
 	"unijoin/internal/geom"
+	"unijoin/internal/httpapi"
 	"unijoin/internal/obs"
 )
 
@@ -257,7 +258,7 @@ func scatterStream[B, S any](ctx context.Context, r *Router, win *client.Rect, c
 	leg func(ctx context.Context, cl *client.Client, emit func(B) error) (*S, error)) ([]*S, error) {
 	legs := r.all
 	if table := r.table.Load(); table != nil && win != nil {
-		w := geom.NewRect(geom.Coord(win.XLo), geom.Coord(win.YLo), geom.Coord(win.XHi), geom.Coord(win.YHi))
+		w := httpapi.ToRect(*win)
 		legs = make([]int, 0, len(r.all))
 		for i, iv := range *table {
 			if iv.Loads(w) {
@@ -418,10 +419,7 @@ func (r *Router) Append(ctx context.Context, relation string, recs []client.Reco
 		batches[i] = make([]client.RecordIn, 0, len(recs)/len(ivs)+1)
 	}
 	for n, rec := range recs {
-		rect := geom.NewRect(
-			geom.Coord(rec.Rect.XLo), geom.Coord(rec.Rect.YLo),
-			geom.Coord(rec.Rect.XHi), geom.Coord(rec.Rect.YHi),
-		)
+		rect := httpapi.ToRect(rec.Rect)
 		if !rect.Valid() || !rect.Finite() {
 			return nil, &client.APIError{
 				Status: http.StatusBadRequest, Code: client.CodeBadRequest,

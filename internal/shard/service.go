@@ -211,15 +211,12 @@ func serveStream[Q, S any](s *Service, q streamQuery[Q, S]) http.HandlerFunc {
 	}
 }
 
-// maxAppendBodyBytes mirrors internal/server's append body cap.
-const maxAppendBodyBytes = 256 << 20
-
 // handleAppend serves the append endpoint with sjserved's exact wire
 // contract, fanning the records out by stripe ownership so the fleet
 // absorbs the write the way a single process would.
 func (s *Service) handleAppend(w http.ResponseWriter, r *http.Request) {
 	recs, err := client.ParseRecords(r.Header.Get("Content-Type"),
-		http.MaxBytesReader(w, r.Body, maxAppendBodyBytes))
+		http.MaxBytesReader(w, r.Body, httpapi.MaxAppendBodyBytes))
 	if err != nil {
 		httpapi.WriteError(w, &client.APIError{
 			Status: http.StatusBadRequest, Code: client.CodeBadRequest,

@@ -258,7 +258,9 @@ func (w *Workspace) runParallel(ctx context.Context, name string, workers int, a
 		// queries on a stable catalog skip the serial quantile sample
 		// sort of the partitioning prefix. Windowed joins sample only
 		// the qualifying records, which the whole-relation cache
-		// cannot provide.
+		// cannot provide — and fetching it anyway would make a windowed
+		// join after a compaction read the log for a sample it never
+		// uses.
 		sa, err := sampleFor(a)
 		if err != nil {
 			return core.Result{}, err
@@ -290,7 +292,7 @@ func (w *Workspace) runParallel(ctx context.Context, name string, workers int, a
 
 // engineInput returns what the in-memory engine is handed for one side
 // of a join: the version's prepared run, cut under a window to the slab
-// of it that can reach the window in y. The engine's own window test
+// of it that can reach the window in y. The engine's one narrowing pass
 // does the rest, so windowed and unwindowed joins are one path.
 func engineInput(v *ingest.Version, window *Rect) ([]Record, ingest.Build, error) {
 	run, build, err := v.Prepared()

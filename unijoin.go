@@ -61,10 +61,11 @@
 // Alongside the simulated-I/O algorithms, AlgParallel runs the filter
 // step on a multicore, in-memory engine (internal/parallel): the
 // universe is split into sample-balanced stripes and both phases run
-// on the worker pool. Distribution is chunked and two-layer — each
-// worker filters and classifies its private chunk, tagging records
-// contained in one stripe as local and replicating only
-// boundary-crossing records — and the concurrent sweep emits
+// on the worker pool. A windowed join narrows each input to the window
+// once, up front; nothing after that tests it again. Distribution is
+// chunked and two-layer — each worker classifies its private chunk,
+// tagging records contained in one stripe as local and replicating
+// only boundary-crossing records — and the concurrent sweep emits
 // local-member pairs with no per-pair test while boundary×boundary
 // pairs pay the reference-point ownership test, so each pair is
 // reported exactly once. Its inputs are each relation's prepared run
