@@ -185,32 +185,17 @@ func BenchmarkKernelSortedScan(b *testing.B) {
 // improve as the engine scales.
 
 // BenchmarkParallelJoin measures the partition-parallel sweep on the
-// 100k-record uniform workload against the serial sort-and-sweep
-// baseline. Every sub-benchmark asserts the pair count matches the
-// serial sweep exactly; on a multicore host the speedup at
-// parallelism-4 is the headline scaling number (run with
-// `go test -bench=ParallelJoin -cpu N` to pin GOMAXPROCS).
+// 100k-record uniform workload. Every sub-benchmark asserts the pair
+// count matches the one-worker join exactly; on a multicore host the
+// speedup at parallelism-4 over parallelism-1 is the headline scaling
+// number (run with `go test -bench=ParallelJoin -cpu N` to pin
+// GOMAXPROCS).
 func BenchmarkParallelJoin(b *testing.B) {
 	u := unijoin.NewRect(0, 0, 100_000, 100_000)
 	ra := datagen.Uniform(1, 100_000, u, 40)
 	rb := datagen.Uniform(2, 100_000, u, 40)
 	o := parallel.Options{Universe: u}
-	base, err := parallel.Serial(context.Background(), ra, rb, o)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rep, err := parallel.Serial(context.Background(), ra, rb, o)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep.Pairs != base.Pairs {
-				b.Fatalf("serial pairs = %d, want %d", rep.Pairs, base.Pairs)
-			}
-		}
-	})
+	base := oneWorkerJoin(b, ra, rb, o)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("parallelism-%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
@@ -229,6 +214,18 @@ func BenchmarkParallelJoin(b *testing.B) {
 	}
 }
 
+// oneWorkerJoin is the reference report of the parallel benchmarks:
+// the engine's own one-worker join.
+func oneWorkerJoin(b *testing.B, ra, rb []unijoin.Record, o parallel.Options) parallel.Report {
+	b.Helper()
+	o.Workers = 1
+	rep, err := parallel.Join(context.Background(), ra, rb, o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep
+}
+
 // BenchmarkParallelJoinTall is the array kernel's worst case: 20k ×
 // 20k narrow records each spanning 40% of the universe's height, so a
 // forward scan's candidates per record are most of the other input in
@@ -241,10 +238,7 @@ func BenchmarkParallelJoinTall(b *testing.B) {
 	ra := datagen.Tall(1, 20_000, u)
 	rb := datagen.Tall(2, 20_000, u)
 	o := parallel.Options{Universe: u}
-	base, err := parallel.Serial(context.Background(), ra, rb, o)
-	if err != nil {
-		b.Fatal(err)
-	}
+	base := oneWorkerJoin(b, ra, rb, o)
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("parallelism-%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
@@ -313,10 +307,7 @@ func BenchmarkParallelJoinClustered(b *testing.B) {
 	ra := datagen.Roads(terr, 1, 100_000, datagen.RoadParams{})
 	rb := datagen.Hydro(terr, 2, 60_000, datagen.HydroParams{})
 	o := parallel.Options{Universe: u}
-	base, err := parallel.Serial(context.Background(), ra, rb, o)
-	if err != nil {
-		b.Fatal(err)
-	}
+	base := oneWorkerJoin(b, ra, rb, o)
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("parallelism-%d", workers), func(b *testing.B) {
 			b.ReportAllocs()

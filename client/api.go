@@ -19,7 +19,7 @@
 // client can consume results long before the query finishes. A client
 // with PreferBinary set offers the packed frame transport
 // (internal/wire) instead — same batches, summary and errors — and
-// falls back to NDJSON against a server that does not speak it.
+// reads the NDJSON a server that ignores the offer answers with.
 //
 // sjrouter, the scatter-gather front for a fleet of sjserved stripe
 // shards, speaks the same API — the shard-aware fields (Stripe,

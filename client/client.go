@@ -48,9 +48,9 @@ type Client struct {
 
 	// PreferBinary makes Join/Window streaming offer the binary frame
 	// transport (internal/wire: packed, CRC-checked frames instead of
-	// NDJSON), falling back to NDJSON automatically against servers
-	// that don't speak it. Set it before the client is shared between
-	// goroutines.
+	// NDJSON). A server that does not speak it answers NDJSON, which
+	// the client decodes as usual: the response's Content-Type decides.
+	// Set it before the client is shared between goroutines.
 	PreferBinary bool
 }
 
@@ -350,45 +350,37 @@ func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 // stream POSTs a streaming query and returns its response and whether
 // the body is a frame stream. With offer set the request carries
 // Accept: application/x-sj-frames, and the response's Content-Type
-// says whether the server obliged: an old server that ignores the
-// offer answers NDJSON, and one that refuses it with 406 gets the
-// request re-issued once without the offer — so a decoding caller
-// never has to know what the far end speaks. Non-2xx responses come
-// back as *APIError.
+// says whether the server obliged — a server that ignores the offer
+// answers NDJSON, so a decoding caller never has to know what the far
+// end speaks. Non-2xx responses come back as *APIError.
 func (c *Client) stream(ctx context.Context, path string, in any, offer bool) (resp *http.Response, frames bool, err error) {
 	payload, err := json.Marshal(in)
 	if err != nil {
 		return nil, false, err
 	}
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(payload))
-		if err != nil {
-			return nil, false, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if offer {
-			req.Header.Set("Accept", wire.ContentType)
-		}
-		if id := RequestIDFrom(ctx); id != "" {
-			req.Header.Set(requestIDHeader, id)
-		}
-		if id := ParentSpanFrom(ctx); id != "" {
-			req.Header.Set(parentSpanHeader, id)
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return nil, false, err
-		}
-		if resp.StatusCode == http.StatusOK {
-			return resp, wire.IsFrameResponse(resp.Header.Get("Content-Type")), nil
-		}
-		err = decodeError(resp)
-		resp.Body.Close()
-		if !offer || resp.StatusCode != http.StatusNotAcceptable {
-			return nil, false, err
-		}
-		offer = false
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(payload))
+	if err != nil {
+		return nil, false, err
 	}
+	req.Header.Set("Content-Type", "application/json")
+	if offer {
+		req.Header.Set("Accept", wire.ContentType)
+	}
+	if id := RequestIDFrom(ctx); id != "" {
+		req.Header.Set(requestIDHeader, id)
+	}
+	if id := ParentSpanFrom(ctx); id != "" {
+		req.Header.Set(parentSpanHeader, id)
+	}
+	resp, err = c.hc.Do(req)
+	if err != nil {
+		return nil, false, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, false, decodeError(resp)
+	}
+	return resp, wire.IsFrameResponse(resp.Header.Get("Content-Type")), nil
 }
 
 // scanLines feeds each non-empty NDJSON line to fn.

@@ -93,29 +93,6 @@ func TestFramesFallbackToNDJSON(t *testing.T) {
 	}
 }
 
-// TestFramesFallbackOn406 covers the explicit refusal: a server
-// answering 406 Not Acceptable to the frame offer gets the request
-// re-issued over plain NDJSON.
-func TestFramesFallbackOn406(t *testing.T) {
-	cl := stub(t, func(w http.ResponseWriter, r *http.Request) {
-		if wire.Negotiates(r) {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusNotAcceptable)
-			io.WriteString(w, `{"error":{"code":"bad_request","message":"no frames here"}}`)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		io.WriteString(w, `{"summary":{"left":"a","right":"b","algorithm":"PQ","pairs":0,"left_records":0,"right_records":0,"elapsed_ms":1}}`+"\n")
-	})
-	sum, err := cl.Join(context.Background(), JoinRequest{Left: "a", Right: "b"}, nil)
-	if err != nil {
-		t.Fatalf("406 fallback: %v", err)
-	}
-	if sum.Pairs != 0 {
-		t.Fatalf("406 fallback summary: %+v", sum)
-	}
-}
-
 // TestCorruptFrameStreamIsInternal pins the error contract of the
 // binary transport: corruption and truncation both surface as
 // *APIError matching ErrInternal — a broken peer, not a bad request.

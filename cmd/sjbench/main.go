@@ -15,7 +15,8 @@
 //
 // With -parallel N, only the wall-clock experiment runs: the
 // multicore in-memory engine (internal/parallel) is measured in real
-// time against the serial sweep, scaling the worker count up to N.
+// time, scaling the worker count from 1 up to N against its own
+// one-worker run.
 // This is the non-simulated benchmark path; at the default scale the
 // uniform workload is the 100k-record set the benchmark trajectory
 // tracks. The table breaks the wall time into the chunked parallel

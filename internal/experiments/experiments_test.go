@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -286,5 +287,39 @@ func TestPaperTablesGolden(t *testing.T) {
 				t.Errorf("row %d (%v %v): %s = %v, golden %v", i, want["experiment"], want["set"], k, row[k], v)
 			}
 		}
+	}
+}
+
+// TestWallclockBaselineIsOneWorker: the wall-clock table has no serial
+// row; each workload's ladder starts at one worker, which is its own
+// "vs 1 worker" baseline, and every row counts the same pairs.
+func TestWallclockBaselineIsOneWorker(t *testing.T) {
+	tab, err := Wallclock(context.Background(), tinyConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := map[string]int{}
+	for i, h := range tab.Header {
+		col[h] = i
+	}
+	first := map[string][]string{}
+	for _, row := range tab.Rows {
+		if slices.Contains(row, "serial") {
+			t.Fatalf("serial row: %v", row)
+		}
+		wl := row[col["Workload"]]
+		base, ok := first[wl]
+		if !ok {
+			first[wl], base = row, row
+			if row[col["Workers"]] != "1" || row[col["vs 1 worker"]] != "1.00" {
+				t.Fatalf("%s: the first row runs %s workers at %s vs 1 worker", wl, row[col["Workers"]], row[col["vs 1 worker"]])
+			}
+		}
+		if row[col["Pairs"]] != base[col["Pairs"]] {
+			t.Fatalf("%s: %s workers count %s pairs, 1 worker %s", wl, row[col["Workers"]], row[col["Pairs"]], base[col["Pairs"]])
+		}
+	}
+	if len(first) != 2 || len(tab.Rows) != 4 {
+		t.Fatalf("%d workloads in %d rows, want 2 in 4", len(first), len(tab.Rows))
 	}
 }

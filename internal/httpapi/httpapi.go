@@ -195,22 +195,17 @@ const RequestIDHeader = "X-Request-Id"
 // replaced rather than amplified through the fleet's logs.
 const maxRequestIDLen = 64
 
-// NewRequestID returns a fresh 16-hex-character request ID.
-func NewRequestID() string {
-	var b [8]byte
-	rand.Read(b[:]) // crypto/rand.Read never fails on supported platforms
-	return hex.EncodeToString(b[:])
-}
-
 // EnsureRequestID returns the request's X-Request-Id header, or a
-// fresh ID when the header is absent or abusive. The caller echoes it
-// on the response and logs it, so client, router, and shard all speak
-// of the same query by the same name.
+// fresh 16-hex-character ID when the header is absent or abusive. The
+// caller echoes it on the response and logs it, so client, router, and
+// shard all speak of the same query by the same name.
 func EnsureRequestID(r *http.Request) string {
 	if id := r.Header.Get(RequestIDHeader); id != "" && len(id) <= maxRequestIDLen {
 		return id
 	}
-	return NewRequestID()
+	var b [8]byte
+	rand.Read(b[:]) // crypto/rand.Read never fails on supported platforms
+	return hex.EncodeToString(b[:])
 }
 
 // DecodeBody parses a JSON request body, returning an API error for

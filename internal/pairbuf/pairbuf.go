@@ -70,8 +70,8 @@ func Put(buf []geom.Pair) {
 }
 
 // Batcher accumulates pairs into a pooled buffer and hands full
-// batches to an EmitBatch-style callback — the shared emit machinery
-// of the serial algorithms and the parallel engine's Serial baseline.
+// batches to an EmitBatch-style callback — the emit machinery of the
+// serial algorithms.
 // The slice passed to fn is reused after fn returns.
 type Batcher struct {
 	fn  func([]geom.Pair)

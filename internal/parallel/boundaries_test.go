@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -97,6 +98,23 @@ func TestJoinWithSortedSamplesMatches(t *testing.T) {
 	o2.Window = &win
 	_, windowed := joinedPairs(t, a, b, o2)
 	jointest.CheckJoin(t, "windowed join with cached samples", a, b, jointest.Join(a, b, &win), windowed)
+}
+
+// TestJoinPlacesStripesAtCachedSamples: an unwindowed join's stripes
+// sit where the cached samples put them, not where a sample of its
+// inputs would — here the records' centers coincide, and their own
+// sample collapses the join to one stripe.
+func TestJoinPlacesStripesAtCachedSamples(t *testing.T) {
+	recs := []geom.Record{{Rect: geom.NewRect(0, 0, 10, 10), ID: 1}}
+	o := Options{Universe: universe, Workers: 1, Partitions: 2}
+	if rep, err := Join(context.Background(), recs, recs, o); err != nil || rep.Partitions != 1 {
+		t.Fatalf("sampled from the records: %d stripes (err %v), want 1", rep.Partitions, err)
+	}
+	o.SortedSamples = [][]geom.Coord{{0, 5}}
+	rep, err := Join(context.Background(), recs, recs, o)
+	if err != nil || rep.Partitions != 2 || rep.BoundaryRecords != 2 || rep.Pairs != 1 {
+		t.Fatalf("from the cached sample: %+v (err %v), want 2 stripes, 2 boundary records, 1 pair", rep, err)
+	}
 }
 
 // TestMergeSamplesSortedAndBounded pins MergeSamples' two guarantees:

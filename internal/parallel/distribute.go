@@ -17,16 +17,13 @@ const distCheckInterval = 8192
 // than the classification itself.
 const distSerialCutoff = 4096
 
-// narrow copies the records of recs that intersect the window — every
-// record when there is none — in input order into a buffer borrowed
-// from the record pool, which the caller returns with PutRecords. It is
-// the one place the engine tests a record against the window: what it
-// leaves is all that measuring, sampling and distribution ever read.
+// narrow copies the records of recs that intersect the window in input
+// order into a buffer borrowed from the record pool, which the caller
+// returns with PutRecords. It is the one place the engine tests a
+// record against the window: what it leaves is all that measuring,
+// sampling and distribution ever read.
 func narrow(recs []geom.Record, window *geom.Rect) []geom.Record {
 	out := pairbuf.GetRecords()
-	if window == nil {
-		return append(out, recs...)
-	}
 	for _, r := range recs {
 		if r.Rect.Intersects(*window) {
 			out = append(out, r)

@@ -2,8 +2,6 @@ package parallel
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -89,17 +87,21 @@ func Join(ctx context.Context, a, b []geom.Record, o Options) (Report, error) {
 	if o.Partitions <= 0 {
 		o.Partitions = max(o.Workers, stripeCount(measure(a), measure(b), o.Universe, o.Window))
 	}
-	var part *Partitioner
-	switch {
-	case o.Window != nil:
-		// A window's sample is taken and sorted by every query, so it is
-		// sized for the stripes the window is worth (see samplesPerStripe).
-		part = newPartitioner(o.Universe, o.Partitions, min(sampleMax, o.Partitions*samplesPerStripe), a, b)
+	// The stripes sit at the quantiles of the merged per-input samples:
+	// the cached ones, or else one strided sample per input. A window's
+	// samples are taken and sorted by every query, so they are sized for
+	// the stripes the window is worth (see samplesPerStripe).
+	samples := o.SortedSamples
+	if o.Window != nil || len(samples) == 0 {
+		limit := sampleMax
+		if o.Window != nil {
+			limit = min(sampleMax, o.Partitions*samplesPerStripe)
+		}
+		samples = centerSamples(o.Partitions, limit, a, b)
+	}
+	part := NewPartitionerFromSamples(o.Universe, o.Partitions, samples...)
+	if o.Window != nil {
 		part.winXLo = o.Window.XLo
-	case len(o.SortedSamples) > 0:
-		part = NewPartitionerFromSamples(o.Universe, o.Partitions, o.SortedSamples...)
-	default:
-		part = NewPartitioner(o.Universe, o.Partitions, a, b)
 	}
 	part.own = o.Own
 	k := part.Partitions()
@@ -405,89 +407,4 @@ func (k *kernel) hit(x, y *geom.Record) {
 	if k.collect {
 		k.buf = append(k.buf, geom.Pair{Left: x.ID, Right: y.ID})
 	}
-}
-
-// Serial is the single-threaded wall-clock baseline: the same
-// narrowing to the window (with no window too, since it is also the
-// copy Serial sorts), one sort of each side, and one plane sweep over
-// the full universe with the paper's Striped-Sweep structure at its
-// default resolution — SSSJ's kernel without the simulated disk, and
-// deliberately not Join's array kernel, so that the two check each
-// other. The inputs are not modified; Emit (if set) is called in
-// sweep order as pairs are found, and EmitBatch receives pooled
-// batches in the same order.
-//
-// Serial's report mirrors Join's accounting for the degenerate
-// one-stripe case: every record is local to the single partition and
-// every pair is emitted without an ownership test, so LocalRecords
-// equals InputRecords and NoTestPairs equals Pairs. Replication is 1
-// for non-empty inputs and 0 for empty ones, as documented on Report.
-func Serial(ctx context.Context, a, b []geom.Record, o Options) (Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	o, err := o.withDefaults()
-	if err != nil {
-		return Report{}, err
-	}
-	if o.Own != nil {
-		return Report{}, fmt.Errorf("parallel: Options.Own on Serial: %w", errors.ErrUnsupported)
-	}
-	if err := ctx.Err(); err != nil {
-		return Report{}, err
-	}
-	start := time.Now()
-	rep := Report{Workers: 1, Partitions: 1}
-
-	sa, sb := narrow(a, o.Window), narrow(b, o.Window)
-	defer func() {
-		pairbuf.PutRecords(sa)
-		pairbuf.PutRecords(sb)
-	}()
-	rep.InputRecords = int64(len(sa) + len(sb))
-	rep.ReplicatedRecords = rep.InputRecords
-	rep.LocalRecords = rep.InputRecords
-	if rep.InputRecords > 0 {
-		rep.Replication = 1
-	}
-	rep.PartitionWall = time.Since(start)
-
-	sweepStart := time.Now()
-	sortByLowerY(sa)
-	sortByLowerY(sb)
-	emit := o.Emit
-	var bt *pairbuf.Batcher
-	if o.EmitBatch != nil {
-		bt = pairbuf.NewBatcher(o.EmitBatch)
-		emit = bt.Emit
-	}
-	var sink func(x, y geom.Record)
-	if emit != nil {
-		sink = func(x, y geom.Record) { emit(geom.Pair{Left: x.ID, Right: y.ID}) }
-	}
-	st, sweepErr := sweep.Join(ctx,
-		sweep.NewSliceSource(sa), sweep.NewSliceSource(sb),
-		sweep.NewStripedFor(o.Universe, sweep.DefaultStrips),
-		sweep.NewStripedFor(o.Universe, sweep.DefaultStrips), sink)
-	if bt != nil {
-		if sweepErr == nil {
-			bt.Flush()
-		}
-		bt.Release()
-	}
-	if sweepErr != nil {
-		return Report{}, sweepErr
-	}
-	rep.Pairs = st.Pairs
-	rep.NoTestPairs = st.Pairs
-	rep.Sweep = st
-	rep.SweepWall = time.Since(sweepStart)
-	rep.Wall = time.Since(start)
-	rep.PerWorker = []WorkerStats{{
-		Partitions: 1,
-		Records:    rep.InputRecords,
-		Pairs:      rep.Pairs,
-		Busy:       rep.SweepWall,
-	}}
-	return rep, nil
 }

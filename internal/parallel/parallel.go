@@ -75,9 +75,9 @@
 //     handful whatever K is, the first pairs leave after the first
 //     stripe, and a slow consumer holds the sweep back instead of
 //     letting output pile up.
-//   - Both entry points take a context.Context: the dealing stops the
-//     moment it is canceled and the kernel polls it every fixed amount
-//     of comparison work within a partition, so a canceled query stops
+//   - Join takes a context.Context: the dealing stops the moment it
+//     is canceled and the kernel polls it every fixed amount of
+//     comparison work within a partition, so a canceled query stops
 //     promptly and returns the context's error.
 //
 // A window (Options.Window) acts in three places and no others: each
@@ -86,10 +86,9 @@
 // for; and its left edge clips the reference point of boundary×boundary
 // pairs. Measuring, sampling and distribution never see it.
 //
-// The entry points are Join (parallel) and Serial (the single-threaded
-// sort-and-sweep over the same records with the paper's Striped-Sweep
-// structure — in-memory SSSJ, the wall-clock baseline the benchmarks
-// compare against).
+// The entry point is Join. One worker is its serial form — what a
+// served PQ or SSSJ join runs — and the wall-clock baseline the
+// benchmarks compare wider pools against.
 package parallel
 
 import (
@@ -105,8 +104,7 @@ import (
 // except Universe has a sensible default.
 type Options struct {
 	// Universe bounds the data of both inputs; it anchors the stripe
-	// boundaries, the stripe-count estimate and Serial's sweep
-	// structure. Required.
+	// boundaries and the stripe-count estimate. Required.
 	Universe geom.Rect
 
 	// Workers is the number of sweep goroutines (default
@@ -116,15 +114,15 @@ type Options struct {
 	// Join choose it from the sizes and mean extents of the inputs
 	// (see stripeCount) — dozens to a hundred stripes on map-like
 	// data, a thousand on tall records; Report.Partitions says what
-	// was resolved. Serial ignores it.
+	// was resolved.
 	Partitions int
 
 	// Window restricts the join to records intersecting this
 	// rectangle on both sides, matching the serial algorithms'
-	// Options.Window semantics. Both entry points narrow each input to
-	// it in one pass, into pooled buffers, before doing anything else;
-	// Join also sizes the stripe count for the window's region and
-	// clips reference points to its left edge.
+	// Options.Window semantics. Join narrows each input to it in one
+	// pass, into pooled buffers, before doing anything else, sizes the
+	// stripe count for the window's region and clips reference points
+	// to its left edge.
 	Window *geom.Rect
 
 	// Own, when set, keeps only the pairs whose reference point falls
@@ -133,8 +131,7 @@ type Options struct {
 	// Join folds it into the test its stripes already make: each
 	// stripe's reference-point range is clamped to Own, and a record is
 	// stripe-local only if it also lies inside Own, so pairs with such a
-	// member stay test-free. Serial, which makes no reference-point
-	// test, refuses it (errors.ErrUnsupported).
+	// member stay test-free.
 	Own *geom.Interval
 
 	// SortedSamples, when non-empty, supplies pre-sorted x-center
@@ -152,11 +149,10 @@ type Options struct {
 	// counts pairs only, with no buffer at all.
 	Emit func(geom.Pair)
 	// EmitBatch is the batched alternative to Emit: it receives the
-	// result pairs as slices (each partition's pooled output buffer in
-	// Join, pairbuf.BatchSize batches in Serial), in the same
-	// deterministic order on the calling goroutine. The slice is
-	// recycled after the call returns, so callers must copy pairs they
-	// retain. At most one of Emit and EmitBatch may be set.
+	// result pairs as slices (each partition's pooled output buffer),
+	// in the same deterministic order on the calling goroutine. The
+	// slice is recycled after the call returns, so callers must copy
+	// pairs they retain. At most one of Emit and EmitBatch may be set.
 	EmitBatch func([]geom.Pair)
 }
 
@@ -190,14 +186,13 @@ type WorkerStats struct {
 	Busy time.Duration
 }
 
-// Report is the outcome of a parallel (or Serial baseline) join,
-// measured in wall-clock time on the host.
+// Report is the outcome of a parallel join, measured in wall-clock
+// time on the host.
 type Report struct {
 	// Pairs is the number of distinct intersecting pairs.
 	Pairs int64
 
-	// Workers and Partitions echo the resolved options (Workers is 1
-	// and Partitions 1 for Serial).
+	// Workers and Partitions echo the resolved options.
 	Workers    int
 	Partitions int
 
@@ -210,15 +205,14 @@ type Report struct {
 	// LocalRecords and BoundaryRecords split InputRecords by the
 	// two-layer classification: local records lie inside a single
 	// stripe (and are never replicated), boundary records cross at
-	// least one stripe boundary. Serial counts every record local —
-	// its single partition is the whole universe.
+	// least one stripe boundary.
 	LocalRecords    int64
 	BoundaryRecords int64
 	// NoTestPairs is how many of Pairs were emitted through the
 	// two-layer fast path, with no reference-point ownership test (at
 	// least one member of the pair was stripe-local). The remainder,
 	// Pairs - NoTestPairs, are boundary×boundary pairs that paid the
-	// test. Serial emits every pair untested.
+	// test.
 	NoTestPairs int64
 
 	// Wall is the end-to-end time: partitioning and the parallel
@@ -226,9 +220,9 @@ type Report struct {
 	// under a window, the one serial pass that narrows the inputs; the
 	// boundary estimation (a serial quantile sort of at most a few
 	// thousand sampled centers per input); and the chunked parallel
-	// classify + distribute phase, which scales with Workers. SweepWall covers the parallel sort-and-sweep phase up to
-	// the last stripe's hand-over — the callbacks run inside it, as
-	// they do inside a serial sweep.
+	// classify + distribute phase, which scales with Workers. SweepWall
+	// covers the parallel sort-and-sweep phase up to the last stripe's
+	// hand-over — the callbacks run inside it.
 	Wall          time.Duration
 	PartitionWall time.Duration
 	SweepWall     time.Duration
@@ -238,9 +232,9 @@ type Report struct {
 	// its unit of work, and what the stripe count trades against
 	// replication. Pairs counts the tests that passed, before the
 	// ownership test, so it exceeds Report.Pairs when replication made
-	// a pair meet in several stripes. MaxLen and MaxBytes are 0 for
-	// Join, which keeps no sweep structure (its active set is a slice
-	// of the partition arrays); Serial reports its structure's peak.
+	// a pair meet in several stripes. MaxLen and MaxBytes are 0: Join
+	// keeps no sweep structure (its active set is a slice of the
+	// partition arrays).
 	Sweep sweep.Stats
 
 	// PerWorker holds one entry per worker goroutine.
@@ -248,7 +242,7 @@ type Report struct {
 }
 
 // Speedup returns the ratio of a baseline wall time to this report's
-// wall time (e.g. Serial's Wall over a parallel run's Wall).
+// wall time (e.g. a one-worker Join's Wall over a wider pool's).
 func (r Report) Speedup(baseline Report) float64 {
 	if r.Wall <= 0 {
 		return 0

@@ -54,9 +54,9 @@ func joinedPairs(t *testing.T, a, b []geom.Record, o Options) (Report, jointest.
 // reference's pairs at every stripe and worker count, windowed and not
 // — among them eight stripes whose boundaries are pinned to the cuts the
 // shapes were drawn over, so that the on-cuts records do sit on them —
-// Serial agrees, the pair sequence does not depend on the order the
-// inputs arrive in, and the boundary-sitting runs between them take both
-// the untested fast path and the tested boundary path.
+// the pair sequence does not depend on the order the inputs arrive in,
+// and the boundary-sitting runs between them take both the untested
+// fast path and the tested boundary path.
 func TestJoinMatchesBruteForce(t *testing.T) {
 	cuts := []geom.Coord{125, 250, 375, 500, 625, 750, 875}
 	// One sample of k values puts the k-1 quantile boundaries on its
@@ -66,9 +66,11 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 		t.Fatalf("the pinned sample places boundaries at %v, want %v", got, cuts)
 	}
 	ca, cb := clustered(7, 900, 500)
+	la, lb := clustered(42, 1200, 800)
 	workloads := map[string][2][]geom.Record{
-		"uniform-900":   {datagen.Uniform(1, 900, universe, 30), datagen.Uniform(2, 700, universe, 30)},
-		"clustered-900": {ca, cb},
+		"uniform-900":    {datagen.Uniform(1, 900, universe, 30), datagen.Uniform(2, 700, universe, 30)},
+		"clustered-900":  {ca, cb},
+		"clustered-1200": {la, lb},
 	}
 	for _, sh := range jointest.Shapes {
 		in := sh.Gen(1, universe, cuts)
@@ -83,17 +85,12 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 		slices.SortFunc(sortedB, geom.ByLowerY)
 		for _, w := range []*geom.Rect{nil, &window} {
 			want := jointest.Join(a, b, w)
-			fromSerial := jointest.Bag[geom.Pair]{}
-			if _, err := Serial(context.Background(), a, b, Options{Universe: universe, Window: w, Emit: fromSerial.Add}); err != nil {
-				t.Fatal(err)
-			}
-			jointest.CheckJoin(t, fmt.Sprintf("%s window=%v: Serial", name, w != nil), a, b, want, fromSerial)
 			stripes := []Options{{Partitions: len(cuts) + 1, SortedSamples: pinned}}
-			for _, k := range []int{0, 1, 2, 3, 8, 19, len(a) + len(b) + 1} {
+			for _, k := range []int{0, 1, 2, 3, 8, 11, 19, len(a) + len(b) + 1} {
 				stripes = append(stripes, Options{Partitions: k})
 			}
 			for _, o := range stripes {
-				for _, workers := range []int{1, 4} {
+				for _, workers := range []int{1, 3, 4} {
 					o.Universe, o.Window, o.Workers = universe, w, workers
 					what := fmt.Sprintf("%s window=%v k=%d pinned=%v w=%d", name, w != nil, o.Partitions, o.SortedSamples != nil, workers)
 					rep, seq := pairSequence(t, a, b, o)
@@ -116,26 +113,6 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestJoinMatchesSerial(t *testing.T) {
-	a, b := clustered(42, 1200, 800)
-	o := Options{Universe: universe}
-	serial, err := Serial(context.Background(), a, b, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{0, 11} { // the automatic stripe count, and an explicit one
-		o.Workers = 3
-		o.Partitions = k
-		rep, err := Join(context.Background(), a, b, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Pairs != serial.Pairs {
-			t.Fatalf("partitions=%d: parallel %d pairs, serial %d", k, rep.Pairs, serial.Pairs)
-		}
-	}
-}
-
 func TestWindowSemantics(t *testing.T) {
 	a, b := clustered(5, 600, 400)
 	w := geom.NewRect(100, 100, 400, 400)
@@ -148,13 +125,6 @@ func TestWindowSemantics(t *testing.T) {
 	}
 	if rep.Pairs != want {
 		t.Fatalf("windowed pairs = %d, want %d", rep.Pairs, want)
-	}
-	srep, err := Serial(context.Background(), a, b, Options{Universe: universe, Window: &w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srep.Pairs != want {
-		t.Fatalf("serial windowed pairs = %d, want %d", srep.Pairs, want)
 	}
 }
 
@@ -273,9 +243,6 @@ func TestDegenerateInputs(t *testing.T) {
 	if _, err := Join(context.Background(), nil, nil, Options{Universe: geom.EmptyRect()}); err == nil {
 		t.Fatal("invalid universe must error")
 	}
-	if _, err := Serial(context.Background(), nil, nil, Options{Universe: geom.EmptyRect()}); err == nil {
-		t.Fatal("invalid universe must error in Serial")
-	}
 	rep, err := Join(context.Background(), nil, nil, Options{Universe: universe})
 	if err != nil || rep.Pairs != 0 {
 		t.Fatalf("empty join: %v pairs %d", err, rep.Pairs)
@@ -354,24 +321,19 @@ func TestEmitBatchMatchesEmit(t *testing.T) {
 	o := Options{Universe: universe, Workers: 3, Partitions: 9}
 	_, viaEmit := joinedPairs(t, a, b, o)
 
-	for name, join := range map[string]func(context.Context, []geom.Record, []geom.Record, Options) (Report, error){
-		"parallel": Join, "serial": Serial,
-	} {
-		got := jointest.Bag[geom.Pair]{}
-		var batches int
-		ob := o
-		ob.EmitBatch = func(ps []geom.Pair) {
-			batches++
-			got.Union(jointest.BagOf(ps))
-		}
-		rep, err := join(context.Background(), a, b, ob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jointest.CheckJoin(t, name+": EmitBatch against Emit", a, b, viaEmit, got)
-		if rep.Pairs != got.Len() || batches == 0 {
-			t.Fatalf("%s: the report counts %d pairs, %d arrived in %d batches", name, rep.Pairs, got.Len(), batches)
-		}
+	got := jointest.Bag[geom.Pair]{}
+	var batches int
+	o.EmitBatch = func(ps []geom.Pair) {
+		batches++
+		got.Union(jointest.BagOf(ps))
+	}
+	rep, err := Join(context.Background(), a, b, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jointest.CheckJoin(t, "parallel: EmitBatch against Emit", a, b, viaEmit, got)
+	if rep.Pairs != got.Len() || batches == 0 {
+		t.Fatalf("parallel: the report counts %d pairs, %d arrived in %d batches", rep.Pairs, got.Len(), batches)
 	}
 }
 
@@ -384,19 +346,6 @@ func TestEmitAndEmitBatchExclusive(t *testing.T) {
 	if _, err := Join(context.Background(), nil, nil, o); err == nil {
 		t.Fatal("Emit+EmitBatch must be rejected")
 	}
-	for _, tc := range []struct {
-		name string
-		opts Options
-		is   error // nil: any error
-	}{
-		{"Emit+EmitBatch", o, nil},
-		{"Own is refused, not dropped", Options{Universe: universe, Own: &geom.Interval{Lo: 0, Hi: 1}}, errors.ErrUnsupported},
-	} {
-		_, err := Serial(context.Background(), nil, nil, tc.opts)
-		if err == nil || (tc.is != nil && !errors.Is(err, tc.is)) {
-			t.Fatalf("Serial, %s: err = %v", tc.name, err)
-		}
-	}
 }
 
 func TestJoinCanceledBeforeStart(t *testing.T) {
@@ -405,9 +354,6 @@ func TestJoinCanceledBeforeStart(t *testing.T) {
 	cancel()
 	if _, err := Join(ctx, a, b, Options{Universe: universe}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Join err = %v, want context.Canceled", err)
-	}
-	if _, err := Serial(ctx, a, b, Options{Universe: universe}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Serial err = %v, want context.Canceled", err)
 	}
 }
 

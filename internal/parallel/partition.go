@@ -78,44 +78,40 @@ const walkMax = 4
 // universe, placing boundaries at x-center quantiles of the given
 // inputs.
 func NewPartitioner(universe geom.Rect, k int, inputs ...[]geom.Record) *Partitioner {
-	return newPartitioner(universe, k, sampleMax, inputs...)
+	return NewPartitionerFromSamples(universe, k, centerSamples(k, sampleMax, inputs...)...)
 }
 
-// newPartitioner is NewPartitioner sampling up to ~limit centers per
-// input (see appendCenterSample).
-func newPartitioner(universe geom.Rect, k, limit int, inputs ...[]geom.Record) *Partitioner {
-	var sample []geom.Coord
-	if k > 1 {
-		for _, in := range inputs {
-			sample = appendCenterSample(sample, in, limit)
-		}
-		slices.Sort(sample)
+// centerSamples returns one sorted sample of up to ~limit x-centers per
+// input, or none when k is 1 and there are no boundaries to place.
+func centerSamples(k, limit int, inputs ...[]geom.Record) [][]geom.Coord {
+	if k <= 1 {
+		return nil
 	}
-	return newPartitionerSorted(universe, k, sample)
+	samples := make([][]geom.Coord, len(inputs))
+	for i, in := range inputs {
+		samples[i] = sortedCenterSample(in, limit)
+	}
+	return samples
 }
 
 // NewPartitionerFromSamples builds a partitioner from pre-sorted
 // x-center samples (one per input, each as produced by
-// SortedCenterSample). It computes the same boundaries as
-// NewPartitioner over the sampled inputs, but replaces the serial
-// O(n log n) sample sort with a linear merge of the already-sorted
-// samples — the fast path for a catalog relation whose sample is
-// cached across queries.
+// SortedCenterSample). The sorted union of the samples is the sample
+// itself — the boundaries are those NewPartitioner places over the
+// sampled inputs — but merging sorted samples is linear, so a catalog
+// relation whose sample is cached across queries skips the sort.
 func NewPartitionerFromSamples(universe geom.Rect, k int, samples ...[]geom.Coord) *Partitioner {
 	var merged []geom.Coord
-	if k > 1 {
-		switch len(samples) {
-		case 0:
-		case 1:
-			merged = samples[0]
-		default:
-			merged = samples[0]
-			for _, s := range samples[1:] {
-				merged = mergeSorted(merged, s)
-			}
+	if k > 1 && len(samples) > 0 {
+		merged = samples[0]
+		for _, s := range samples[1:] {
+			merged = mergeSorted(merged, s)
 		}
 	}
-	return newPartitionerSorted(universe, k, merged)
+	p := &Partitioner{universe: universe, winXLo: geom.NoWindow}
+	p.placeBounds(k, merged)
+	p.buildCells()
+	return p
 }
 
 // PartitionerFromBoundaries builds a partitioner directly from
@@ -138,15 +134,6 @@ func PartitionerFromBoundaries(universe geom.Rect, bounds []geom.Coord) (*Partit
 	p := &Partitioner{universe: universe, bounds: slices.Clone(bounds), winXLo: geom.NoWindow}
 	p.buildCells()
 	return p, nil
-}
-
-// newPartitionerSorted places k-1 boundaries at the quantiles of an
-// already-sorted sample, the shared tail of every sampling constructor.
-func newPartitionerSorted(universe geom.Rect, k int, sample []geom.Coord) *Partitioner {
-	p := &Partitioner{universe: universe, winXLo: geom.NoWindow}
-	p.placeBounds(k, sample)
-	p.buildCells()
-	return p
 }
 
 // placeBounds sets the boundaries of at most k stripes: sample
@@ -214,13 +201,11 @@ func (p *Partitioner) cellOf(x geom.Coord) int {
 
 // SortedCenterSample returns a sorted sample of up to ~sampleMax
 // record x-centers, the per-input ingredient NewPartitionerFromSamples
-// merges. Sampling strides the input exactly as NewPartitioner does,
-// so boundaries computed from cached samples match boundaries computed
-// from the records directly.
+// merges. NewPartitioner and an unwindowed Join sample their inputs the
+// same way, so boundaries computed from cached samples match boundaries
+// computed from the records directly.
 func SortedCenterSample(recs []geom.Record) []geom.Coord {
-	sample := appendCenterSample(nil, recs, sampleMax)
-	slices.Sort(sample)
-	return sample
+	return sortedCenterSample(recs, sampleMax)
 }
 
 // MergeSamples merges two sorted x-center samples (each as produced
@@ -262,20 +247,21 @@ func mergeSorted(a, b []geom.Coord) []geom.Coord {
 	return append(out, b[j:]...)
 }
 
-// appendCenterSample appends up to ~limit x-centers of one input to
-// sample (at most 2*limit), striding the input. A windowed join
+// sortedCenterSample returns up to ~limit x-centers of one input (at
+// most 2*limit), striding the input, in sorted order. A windowed join
 // samples its narrowed input, so a selective window still contributes
 // a full, evenly spread sample of the records the join will sweep.
-func appendCenterSample(sample []geom.Coord, in []geom.Record, limit int) []geom.Coord {
+func sortedCenterSample(in []geom.Record, limit int) []geom.Coord {
 	step := 1
 	if len(in) > limit {
 		step = len(in) / limit
 	}
-	sample = slices.Grow(sample, (len(in)+step-1)/step)
+	sample := make([]geom.Coord, 0, (len(in)+step-1)/step)
 	for i := 0; i < len(in); i += step {
 		c := in[i].Rect
 		sample = append(sample, c.XLo+(c.XHi-c.XLo)/2)
 	}
+	slices.Sort(sample)
 	return sample
 }
 

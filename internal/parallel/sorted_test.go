@@ -20,7 +20,7 @@ func countersOf(r Report) Report {
 // TestSortedInputIsObservedNotRequired: sortedness is a property the
 // engine sees in its input, not a mode. Fed the same records shuffled
 // and pre-sorted by ByLowerY (same stripe boundaries, as when both come
-// with one relation's cached sample), Join and Serial must emit the
+// with one relation's cached sample), Join must emit the
 // identical pair sequence and report identical counters — and must
 // leave both inputs exactly as they found them, since the pre-sorted
 // ones are shared between concurrent queries.
@@ -35,13 +35,12 @@ func TestSortedInputIsObservedNotRequired(t *testing.T) {
 	rng.Shuffle(len(shuffledA), func(i, j int) { shuffledA[i], shuffledA[j] = shuffledA[j], shuffledA[i] })
 	rng.Shuffle(len(shuffledB), func(i, j int) { shuffledB[i], shuffledB[j] = shuffledB[j], shuffledB[i] })
 
-	type engine func(context.Context, []geom.Record, []geom.Record, Options) (Report, error)
-	run := func(join engine, a, b []geom.Record, o Options) (Report, []geom.Pair) {
+	run := func(a, b []geom.Record, o Options) (Report, []geom.Pair) {
 		t.Helper()
 		beforeA, beforeB := slices.Clone(a), slices.Clone(b)
 		var seq []geom.Pair
 		o.Emit = func(p geom.Pair) { seq = append(seq, p) }
-		rep, err := join(context.Background(), a, b, o)
+		rep, err := Join(context.Background(), a, b, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,23 +51,17 @@ func TestSortedInputIsObservedNotRequired(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3} {
 		o := Options{Universe: universe, Workers: workers, Partitions: 7, SortedSamples: samples}
-		wantRep, wantSeq := run(Join, sortedA, sortedB, o)
+		wantRep, wantSeq := run(sortedA, sortedB, o)
 		if len(wantSeq) == 0 {
 			t.Fatal("workload produced no pairs")
 		}
-		gotRep, gotSeq := run(Join, shuffledA, shuffledB, o)
+		gotRep, gotSeq := run(shuffledA, shuffledB, o)
 		if !slices.Equal(gotSeq, wantSeq) {
 			t.Fatalf("workers=%d: shuffled input changed the pair sequence (%d vs %d pairs)", workers, len(gotSeq), len(wantSeq))
 		}
 		if !reflect.DeepEqual(gotRep, wantRep) {
 			t.Fatalf("workers=%d: report counters differ:\nshuffled %+v\nsorted   %+v", workers, gotRep, wantRep)
 		}
-	}
-	o := Options{Universe: universe}
-	wantRep, wantSeq := run(Serial, sortedA, sortedB, o)
-	gotRep, gotSeq := run(Serial, shuffledA, shuffledB, o)
-	if !slices.Equal(gotSeq, wantSeq) || !reflect.DeepEqual(gotRep, wantRep) {
-		t.Fatal("Serial: shuffled and sorted inputs disagree")
 	}
 }
 

@@ -167,7 +167,7 @@ func TestWindowedSamplingStaysDense(t *testing.T) {
 			t.Fatalf("boundary %d at %g lies outside the windowed population [100, 112]", i, lo)
 		}
 	}
-	if n := len(appendCenterSample(nil, narrowed, sampleMax)); n < 400 {
+	if n := len(sortedCenterSample(narrowed, sampleMax)); n < 400 {
 		t.Fatalf("windowed sample kept %d of ~500 qualifying centers", n)
 	}
 }
@@ -278,41 +278,20 @@ func TestTwoLayerAccounting(t *testing.T) {
 	if rep1.NoTestPairs != rep1.Pairs || rep1.NoTestFraction() != 1 {
 		t.Fatalf("k=1: NoTestPairs = %d of %d", rep1.NoTestPairs, rep1.Pairs)
 	}
-
-	// Serial mirrors the one-stripe accounting.
-	srep, err := Serial(ctx, a, b, Options{Universe: universe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srep.LocalRecords != srep.InputRecords || srep.BoundaryRecords != 0 {
-		t.Fatalf("serial: local %d boundary %d of %d", srep.LocalRecords, srep.BoundaryRecords, srep.InputRecords)
-	}
-	if srep.NoTestPairs != srep.Pairs {
-		t.Fatalf("serial: NoTestPairs = %d of %d", srep.NoTestPairs, srep.Pairs)
-	}
-	if srep.Replication != 1 {
-		t.Fatalf("serial replication = %f, want 1 for non-empty inputs", srep.Replication)
-	}
 }
 
 // TestEmptyInputReports pins the documented Report contract for empty
-// inputs — Replication 0 — on both entry points (Serial used to
-// report 1).
+// inputs: Replication 0.
 func TestEmptyInputReports(t *testing.T) {
-	ctx := context.Background()
-	for name, join := range map[string]func(context.Context, []geom.Record, []geom.Record, Options) (Report, error){
-		"parallel": Join, "serial": Serial,
-	} {
-		rep, err := join(ctx, nil, nil, Options{Universe: universe})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Replication != 0 {
-			t.Fatalf("%s: empty-input Replication = %f, want 0", name, rep.Replication)
-		}
-		if rep.InputRecords != 0 || rep.Pairs != 0 || rep.NoTestPairs != 0 {
-			t.Fatalf("%s: empty-input report %+v", name, rep)
-		}
+	rep, err := Join(context.Background(), nil, nil, Options{Universe: universe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Replication != 0 {
+		t.Fatalf("parallel: empty-input Replication = %f, want 0", rep.Replication)
+	}
+	if rep.InputRecords != 0 || rep.Pairs != 0 || rep.NoTestPairs != 0 {
+		t.Fatalf("parallel: empty-input report %+v", rep)
 	}
 }
 

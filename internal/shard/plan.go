@@ -9,9 +9,8 @@ import (
 )
 
 // Plan is a sharding of the universe into K stripes: the K-1 internal
-// boundaries. It answers what each shard's ownership interval is and
-// how a record set distributes over the shards. Plans are immutable
-// and safe for concurrent use.
+// boundaries. It answers what each shard's ownership interval is.
+// Plans are immutable and safe for concurrent use.
 type Plan struct {
 	part   *parallel.Partitioner
 	bounds []geom.Coord
@@ -49,53 +48,6 @@ func (p *Plan) Boundaries() []geom.Coord { return append([]geom.Coord(nil), p.bo
 func (p *Plan) Interval(i int) Interval {
 	lo, hi := p.part.OwnerRange(i)
 	return Interval{Lo: lo, Hi: hi}
-}
-
-// AssignStats reports how a record set distributed over the shards of
-// a plan.
-type AssignStats struct {
-	// Input is the record count; Placements counts shard assignments
-	// (>= Input: boundary-crossing records land on several shards).
-	Input, Placements int64
-	// Local records lie in one stripe and were assigned uniquely;
-	// Boundary records cross at least one boundary and were
-	// replicated. Input = Local + Boundary.
-	Local, Boundary int64
-}
-
-// Replication returns Placements/Input (0 for empty input), the
-// storage overhead factor of the sharding.
-func (s AssignStats) Replication() float64 {
-	if s.Input == 0 {
-		return 0
-	}
-	return float64(s.Placements) / float64(s.Input)
-}
-
-// Assign distributes recs over the plan's shards: every record goes
-// to each shard whose stripe its x-interval overlaps, so local
-// records (contained in one stripe) appear exactly once and
-// boundary-crossing records are replicated. Per-shard order follows
-// input order. This is the offline counterpart of letting each shard
-// slice its own input with Interval.Slice; the two agree record for
-// record.
-func (p *Plan) Assign(recs []geom.Record) ([][]geom.Record, AssignStats) {
-	perShard := make([][]geom.Record, p.Shards())
-	var stats AssignStats
-	for _, r := range recs {
-		first, last := p.part.Range(r.Rect)
-		stats.Input++
-		if first == last {
-			stats.Local++
-		} else {
-			stats.Boundary++
-		}
-		for i := first; i <= last; i++ {
-			perShard[i] = append(perShard[i], r)
-			stats.Placements++
-		}
-	}
-	return perShard, stats
 }
 
 // Validate checks that a set of shard intervals tiles the line: in

@@ -12,7 +12,7 @@
 //   - Record placement: a shard loads every record whose x-interval
 //     overlaps its stripe. Records contained in one stripe land on
 //     exactly one shard; boundary-crossing records are replicated
-//     into each shard they overlap (Plan.Assign reports how many).
+//     into each shard they overlap (Interval.Slice picks them).
 //   - Pair ownership: a join pair is reported only by the shard whose
 //     half-open interval [lo, hi) contains the pair's reference point
 //     — the lower-x corner of the rectangle intersection, max of the

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"unijoin/internal/datagen"
@@ -76,10 +75,8 @@ func TestIntervalOwnership(t *testing.T) {
 }
 
 // TestPlanPartitionsExactly checks the sharding invariants on skewed
-// data: every record is loaded by exactly the shards its x-interval
-// overlaps, each record is owned by exactly one shard (which also
-// loads it), each possible reference point is owned by exactly one
-// shard, and Plan.Assign agrees with per-shard Interval.Slice.
+// data: the shard intervals tile the line, and each record is owned by
+// exactly one shard, which also loads it.
 func TestPlanPartitionsExactly(t *testing.T) {
 	terr := datagen.NewTerrain(5, universe, 10)
 	recs := datagen.Roads(terr, 6, 4000, datagen.RoadParams{})
@@ -92,22 +89,6 @@ func TestPlanPartitionsExactly(t *testing.T) {
 		}
 		if err := Validate(intervals); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
-		}
-		perShard, stats := p.Assign(recs)
-		if stats.Input != int64(len(recs)) || stats.Local+stats.Boundary != stats.Input {
-			t.Fatalf("k=%d: stats %+v inconsistent with %d records", k, stats, len(recs))
-		}
-		var placements int64
-		for i, iv := range intervals {
-			sliced := iv.Slice(recs)
-			if !reflect.DeepEqual(perShard[i], sliced) && !(len(perShard[i]) == 0 && len(sliced) == 0) {
-				t.Fatalf("k=%d shard %d: Assign gave %d records, Slice gave %d",
-					k, i, len(perShard[i]), len(sliced))
-			}
-			placements += int64(len(perShard[i]))
-		}
-		if placements != stats.Placements {
-			t.Fatalf("k=%d: %d placements, stats say %d", k, placements, stats.Placements)
 		}
 		for _, r := range recs {
 			owners := 0

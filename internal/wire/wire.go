@@ -41,9 +41,9 @@ const (
 )
 
 // ContentType is the negotiated media type of a frame stream: a
-// client sends it in Accept, a frame-speaking server echoes it in
-// Content-Type (an NDJSON-only front ignores it, which is a decoding
-// client's fallback signal).
+// client sends it in Accept and a frame-speaking server echoes it in
+// Content-Type. A server that ignores the offer answers NDJSON under
+// its own Content-Type, which is all a decoding client checks.
 const ContentType = "application/x-sj-frames"
 
 // Type identifies what a frame's payload carries.
@@ -94,9 +94,9 @@ func IsFrameResponse(contentType string) bool {
 	return strings.Contains(contentType, ContentType)
 }
 
-// PutHeader writes the 12-byte header for a frame of type t carrying
+// putHeader writes the 12-byte header for a frame of type t carrying
 // payload into dst, which must be at least HeaderSize bytes.
-func PutHeader(dst []byte, t Type, payload []byte) {
+func putHeader(dst []byte, t Type, payload []byte) {
 	_ = dst[HeaderSize-1]
 	dst[0] = Magic0
 	dst[1] = Magic1
@@ -110,7 +110,7 @@ func PutHeader(dst []byte, t Type, payload []byte) {
 // returns the extended slice.
 func AppendFrame(dst []byte, t Type, payload []byte) []byte {
 	var hdr [HeaderSize]byte
-	PutHeader(hdr[:], t, payload)
+	putHeader(hdr[:], t, payload)
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
 }
@@ -179,7 +179,7 @@ func (e *Encoder) WritePairs(pairs [][2]uint32) error {
 			geom.EncodePair(cell[:], geom.Pair{Left: p[0], Right: p[1]})
 			buf = append(buf, cell[:]...)
 		}
-		PutHeader(buf[:HeaderSize], TypePairs, buf[HeaderSize:])
+		putHeader(buf[:HeaderSize], TypePairs, buf[HeaderSize:])
 		e.fb.b = buf
 		if _, err := e.w.Write(buf); err != nil {
 			return err
@@ -204,7 +204,7 @@ func (e *Encoder) WriteRecords(recs []geom.Record) error {
 			geom.EncodeRecord(cell[:], rec)
 			buf = append(buf, cell[:]...)
 		}
-		PutHeader(buf[:HeaderSize], TypeRecords, buf[HeaderSize:])
+		putHeader(buf[:HeaderSize], TypeRecords, buf[HeaderSize:])
 		e.fb.b = buf
 		if _, err := e.w.Write(buf); err != nil {
 			return err
