@@ -20,11 +20,12 @@ import (
 // non-indexed form (AlgPQ, AlgSSSJ) run where AlgParallel does: on the
 // relations' resident prepared runs — sorted once per epoch, carried
 // across appends — with one worker, no page reads and no store mutex.
-// The algorithms that do go to the disk (ST, BFRJ, PBSM, auto, multiway
-// joins, window queries, and the one cold build of each prepared run)
-// share its I/O counters, which therefore accumulate across concurrent
-// queries; per-query counter deltas are only exact when queries run one
-// at a time (see iosim.Store).
+// Window queries read the same runs, cut to the window's y-slab. The
+// algorithms that do go to the disk (ST, BFRJ, PBSM, auto, multiway
+// joins, and the one cold build of each prepared run) share its I/O
+// counters, which therefore accumulate across concurrent queries;
+// per-query counter deltas are only exact when queries run one at a
+// time (see iosim.Store).
 type Catalog struct {
 	ws *Workspace
 

@@ -162,9 +162,10 @@ type WindowRequest struct {
 type WindowSummary struct {
 	Relation string `json:"relation"`
 	Records  int64  `json:"records"`
-	// Indexed reports whether the answer came through an R-tree; from a
-	// router, whether it did on every one of the shards asked (those the
-	// window reaches).
+	// Indexed reports whether the relation is declared indexed; from a
+	// router, whether it is on every one of the shards asked (those the
+	// window reaches). Every relation answers a window the same way,
+	// from the y-slab of its sorted run, so this does not say how.
 	Indexed       bool    `json:"indexed"`
 	ElapsedMillis float64 `json:"elapsed_ms"`
 }

@@ -2,12 +2,14 @@ package unijoin
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"unijoin/internal/ingest"
+	"unijoin/internal/iosim"
 	"unijoin/internal/jointest"
 )
 
@@ -57,16 +59,19 @@ func renumber(recs []Record, from int) []Record {
 	return recs
 }
 
-// liveRelation loads base, indexes it and appends delta in three
-// batches, checking that the relation really is in mixed form.
-func liveRelation(t *testing.T, ws *Workspace, name string, base, delta []Record) *Relation {
+// liveRelation loads base, indexes it when index is set and appends
+// delta in three batches, checking that delta is now the relation's
+// delta.
+func liveRelation(t *testing.T, ws *Workspace, name string, base, delta []Record, index bool) *Relation {
 	t.Helper()
 	rel, err := ws.AddNamedRelation(name, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rel.BuildIndex(); err != nil {
-		t.Fatal(err)
+	if index {
+		if err := rel.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for rest := delta; len(rest) > 0; {
 		n := min(len(rest), len(delta)/3+1)
@@ -107,9 +112,9 @@ func TestMixedFormExactness(t *testing.T) {
 				deltaC := draw(kind.shape, seed+6, shape.db/3, region, len(baseC))
 				ws := NewWorkspace()
 				ws.SetUniverse(u.Union(far))
-				a := liveRelation(t, ws, "a", baseA, deltaA)
-				b := liveRelation(t, ws, "b", baseB, deltaB)
-				c := liveRelation(t, ws, "c", baseC, deltaC)
+				a := liveRelation(t, ws, "a", baseA, deltaA, true)
+				b := liveRelation(t, ws, "b", baseB, deltaB, true)
+				c := liveRelation(t, ws, "c", baseC, deltaC, true)
 				allA, allB, allC := append(baseA, deltaA...), append(baseB, deltaB...), append(baseC, deltaC...)
 
 				for _, win := range []*Rect{nil, &window, &far} {
@@ -143,10 +148,14 @@ func TestMixedFormExactness(t *testing.T) {
 	}
 }
 
-// TestMixedFormWindowQuery: a window query over tree ∪ run equals the
-// reference — for windows over both halves, windows that only delta
-// records touch, and a run whose tallest record lies far below the
-// window; and a view pinned before an append never sees it.
+// TestMixedFormWindowQuery: a window query equals the reference on
+// every form of one record set — a tree beside a delta run, a bare log
+// with the same delta, the tree compacted over all of it — for windows
+// over both halves, windows that only delta records touch, and a run
+// whose tallest record lies far below the window; a view pinned before
+// an append never sees it. Every form answers from its prepared run: a
+// canceled query reads no page, not even to build the run, and once
+// the first query has built it no query reads a page again.
 func TestMixedFormWindowQuery(t *testing.T) {
 	ctx := context.Background()
 	u := NewRect(0, 0, 1000, 1000)
@@ -175,10 +184,9 @@ func TestMixedFormWindowQuery(t *testing.T) {
 			delta = append(delta,
 				Record{ID: uint32(len(base) + len(delta)), Rect: NewRect(400, 5, 420, 960)},
 				Record{ID: uint32(len(base) + len(delta) + 1), Rect: NewRect(600, 2, 640, 700)})
-			ws := NewWorkspace()
-			ws.SetUniverse(u.Union(far))
-			rel := liveRelation(t, ws, kind.name, base, delta)
 			all := append(slices.Clone(base), delta...)
+			late := draw(kind.shape, 5, 150, u, len(all))
+			grown := append(slices.Clone(all), late...)
 
 			rng := rand.New(rand.NewSource(4))
 			windows := []Rect{
@@ -193,21 +201,52 @@ func TestMixedFormWindowQuery(t *testing.T) {
 				x, y := Coord(rng.Float64()*1400), Coord(rng.Float64()*1400)
 				windows = append(windows, NewRect(x, y, x+Coord(rng.Float64()*200), y+Coord(rng.Float64()*200)))
 			}
-			pinned := rel.Pin()
-			for _, win := range windows {
-				check(t, "", rel.WindowQuery, all, win)
-			}
 
-			// One more batch: the live relation sees it, the pinned view
-			// keeps answering for its own epoch.
-			late := draw(kind.shape, 5, 150, u, len(all))
-			if _, err := rel.Append(late); err != nil {
-				t.Fatal(err)
-			}
-			grown := append(slices.Clone(all), late...)
-			for _, win := range windows {
-				check(t, "on the pinned view", pinned.WindowQuery, all, win)
-				check(t, "after the append", rel.WindowQuery, grown, win)
+			for _, form := range []string{"indexed with a delta", "unindexed with a delta", "indexed after Compact"} {
+				t.Run(form, func(t *testing.T) {
+					ws := NewWorkspace()
+					ws.SetUniverse(u.Union(far))
+					rel := liveRelation(t, ws, kind.name, base, delta, form != "unindexed with a delta")
+					if form == "indexed after Compact" {
+						if _, err := rel.Compact(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					readNothing := func(what string, before iosim.Counters) {
+						t.Helper()
+						if moved := ws.Store().Counters().Sub(before); moved.Total() != 0 {
+							t.Fatalf("%s: %d page accesses, want none", what, moved.Total())
+						}
+					}
+
+					canceled, cancel := context.WithCancel(ctx)
+					cancel()
+					before := ws.Store().Counters()
+					if _, err := rel.WindowQuery(canceled, u, nil); !errors.Is(err, ErrCanceled) {
+						t.Fatalf("canceled window query: %v, want ErrCanceled", err)
+					}
+					readNothing("canceled window query", before)
+
+					pinned := rel.Pin()
+					check(t, "", rel.WindowQuery, all, windows[0])
+					before = ws.Store().Counters()
+					for _, win := range windows[1:] {
+						check(t, "", rel.WindowQuery, all, win)
+					}
+					readNothing("warm window queries", before)
+
+					// One more batch: the live relation sees it, the pinned
+					// view keeps answering for its own epoch.
+					if _, err := rel.Append(late); err != nil {
+						t.Fatal(err)
+					}
+					before = ws.Store().Counters()
+					for _, win := range windows {
+						check(t, "on the pinned view", pinned.WindowQuery, all, win)
+						check(t, "after the append", rel.WindowQuery, grown, win)
+					}
+					readNothing("window queries after the append", before)
+				})
 			}
 		})
 	}

@@ -3,12 +3,9 @@ package unijoin
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
-	"unijoin/internal/ingest"
 	"unijoin/internal/jointest"
 )
 
@@ -386,74 +383,6 @@ func BenchmarkIngestThroughput(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "records/s")
-		})
-	}
-}
-
-// BenchmarkWindowQueryWithDelta prices the mixed form for a window
-// query: the same records and the same windows (0.5 % of the
-// universe), once fully compacted — one tree descent — and once with
-// the delta run as long as it gets before the threshold compacts it —
-// a descent into the smaller tree plus the slab scan. The two forms
-// take turns inside one iteration; x-compacted is delta time over
-// compacted time, which the slab cut has to keep under 2.
-func BenchmarkWindowQueryWithDelta(b *testing.B) {
-	u := NewRect(0, 0, 1000, 1000)
-	ctx := context.Background()
-	for _, base := range []int{16_000, 100_000} {
-		b.Run(fmt.Sprintf("base-%dk", base/1000), func(b *testing.B) {
-			delta := max(ingest.DefaultCompactMin, int(ingest.DefaultCompactFrac*float64(base))) - 1
-			recs := demoRecords(51, base+delta, u)
-			ws := NewWorkspace()
-			ws.SetUniverse(u)
-			var forms [2]*Relation // compacted, with delta
-			for i := range forms {
-				rel, err := ws.AddRelation(recs[:base])
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := rel.BuildIndex(); err != nil {
-					b.Fatal(err)
-				}
-				for rest := recs[base:]; len(rest) > 0; rest = rest[min(256, len(rest)):] {
-					if _, err := rel.Append(rest[:min(256, len(rest))]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				forms[i] = rel
-			}
-			if _, err := forms[0].Compact(); err != nil {
-				b.Fatal(err)
-			}
-			if forms[0].Pin().DeltaRecords() != 0 || forms[1].Pin().DeltaRecords() != int64(delta) {
-				b.Fatalf("deltas %d and %d, want 0 and %d", forms[0].Pin().DeltaRecords(), forms[1].Pin().DeltaRecords(), delta)
-			}
-			rng := rand.New(rand.NewSource(52))
-			windows := make([]Rect, 256)
-			for i := range windows {
-				x, y := Coord(rng.Float64()*929), Coord(rng.Float64()*929)
-				windows[i] = NewRect(x, y, x+70.7, y+70.7)
-			}
-			var spent [2]time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var found [2]int64
-				for f, rel := range forms {
-					start := time.Now()
-					n, err := rel.WindowQuery(ctx, windows[i%len(windows)], nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					spent[f] += time.Since(start)
-					found[f] = n
-				}
-				if found[0] != found[1] {
-					b.Fatalf("window %v: %d records compacted, %d with the delta", windows[i%len(windows)], found[0], found[1])
-				}
-			}
-			b.ReportMetric(float64(spent[0].Nanoseconds())/float64(b.N), "compacted-ns/op")
-			b.ReportMetric(float64(spent[1].Nanoseconds())/float64(b.N), "delta-ns/op")
-			b.ReportMetric(float64(spent[1])/float64(spent[0]), "x-compacted")
 		})
 	}
 }

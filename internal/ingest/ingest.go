@@ -17,10 +17,11 @@
 // A live indexed relation is therefore the paper's two input forms at
 // once: an index over the base and a sorted run over the tail. Nothing
 // forces the tail into the tree — the unified PQ join merges the
-// tree's sorted scanner with the run (core.Input.Delta), a window
-// query adds a slab scan of the run to the tree descent, and the
+// tree's sorted scanner with the run (core.Input.Delta), and the
 // algorithms that need both sides fully indexed join the two bases and
-// leave the remainder to PQ (core.Indexed). An append to an indexed
+// leave the remainder to PQ (core.Indexed). A window query reads
+// neither form: it cuts the prepared run below, which holds base and
+// delta in one order, to the window's y-slab. An append to an indexed
 // relation costs one memmove of the delta, bounded by the compaction
 // threshold, and allocates no store pages beyond the log's own growth.
 // The run is plain Go memory shared read-only between a version and
@@ -50,6 +51,7 @@ package ingest
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -234,7 +236,7 @@ func (v *Version) Prepared() (geom.Run, Build, error) {
 			return geom.Run{}, BuildNone, err
 		}
 		recs = recs[:len(recs)-len(v.delta)]
-		slices.SortFunc(recs, geom.ByLowerY)
+		sortByLowerY(recs)
 		for _, r := range recs {
 			v.baseMaxH = max(v.baseMaxH, geom.YExtent(r.Rect))
 		}
@@ -272,6 +274,55 @@ func mergeRuns(a, b []geom.Record) []geom.Record {
 		}
 	}
 	return append(append(out, a...), b...)
+}
+
+// sortByLowerY puts recs in geom.ByLowerY order: a radix sort on the
+// key (lower y, ID), one byte per pass from the least significant,
+// skipping the bytes every key shares. It is the sort a cold prepared
+// run pays, several times cheaper than comparing records.
+func sortByLowerY(recs []geom.Record) {
+	if len(recs) < 2 {
+		return
+	}
+	src, dst := recs, make([]geom.Record, len(recs))
+	srcK, dstK := make([]uint64, len(recs)), make([]uint64, len(recs))
+	for i, r := range recs {
+		srcK[i] = lowerYKey(r)
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		var start [256]int
+		for _, k := range srcK {
+			start[byte(k>>shift)]++
+		}
+		if start[byte(srcK[0]>>shift)] == len(srcK) {
+			continue
+		}
+		sum := 0
+		for d, n := range start {
+			start[d], sum = sum, sum+n
+		}
+		for i, k := range srcK {
+			d := byte(k >> shift)
+			dst[start[d]], dstK[start[d]] = src[i], k
+			start[d]++
+		}
+		src, dst, srcK, dstK = dst, src, dstK, srcK
+	}
+	copy(recs, src)
+}
+
+// lowerYKey is r's geom.ByLowerY rank as an unsigned key: the bits of
+// lower y made order-preserving (−0 kept equal to +0), then the ID.
+func lowerYKey(r geom.Record) uint64 {
+	b := math.Float32bits(float32(r.Rect.YLo))
+	switch {
+	case b == 1<<31: // −0
+	case b&(1<<31) != 0:
+		b = ^b
+	default:
+		b |= 1 << 31
+	}
+	return uint64(b)<<32 | uint64(r.ID)
 }
 
 // AppendResult reports one Append.
@@ -451,7 +502,7 @@ func (l *Log) Append(recs []geom.Record) (AppendResult, error) {
 	v.base, v.baseMaxH = base.Recs, base.MaxH
 	if v.base != nil || v.Tree != nil {
 		batch := slices.Clone(recs)
-		slices.SortFunc(batch, geom.ByLowerY)
+		sortByLowerY(batch)
 		v.delta, v.deltaMaxH = mergeRuns(old.delta, batch), old.deltaMaxH
 		for _, r := range recs {
 			v.deltaMaxH = max(v.deltaMaxH, geom.YExtent(r.Rect))

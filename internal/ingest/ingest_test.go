@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -103,13 +104,13 @@ func TestAppendPublishesNewEpochAndPinsOld(t *testing.T) {
 	}
 }
 
-// windowIDs answers win from an indexed version the way every index
-// consumer does — the packed tree plus the slab of the delta run — and
+// windowIDs answers win from an indexed version in its two input forms
+// — the packed tree on store plus the slab of the delta run — and
 // returns the sorted IDs.
-func windowIDs(t *testing.T, v *Version, win geom.Rect) []uint32 {
+func windowIDs(t *testing.T, store *iosim.Store, v *Version, win geom.Rect) []uint32 {
 	t.Helper()
 	var ids []uint32
-	if err := v.Tree.Query(rtree.StoreReader{Store: v.Tree.Store()}, win, func(r geom.Record) {
+	if err := v.Tree.Query(rtree.StoreReader{Store: store}, win, func(r geom.Record) {
 		ids = append(ids, r.ID)
 	}); err != nil {
 		t.Fatal(err)
@@ -182,7 +183,7 @@ func TestIndexedAppendLeavesTreeUntouched(t *testing.T) {
 		x := float32(rng.Float64() * 900)
 		y := float32(rng.Float64() * 900)
 		win := geom.NewRect(x, y, x+100, y+100)
-		if a, b := windowIDs(t, cur, win), windowIDs(t, whole, win); !slices.Equal(a, b) {
+		if a, b := windowIDs(t, store, cur, win), windowIDs(t, store, whole, win); !slices.Equal(a, b) {
 			t.Fatalf("window %v: tree ∪ run finds %d records, rebuild %d", win, len(a), len(b))
 		}
 	}
@@ -195,6 +196,24 @@ func logPages(store *iosim.Store, n int64) int {
 	ps := int64(store.PageSize())
 	pages := (n*geom.RecordSize + ps - 1) / ps
 	return int((pages + iosim.ExtentPages - 1) / iosim.ExtentPages * iosim.ExtentPages)
+}
+
+// TestSortByLowerYMatchesByLowerY: the radix sort behind every
+// prepared run agrees with a comparison sort by geom.ByLowerY, across
+// signs, signed zeros, extremes and IDs that differ in any byte.
+func TestSortByLowerYMatchesByLowerY(t *testing.T) {
+	ys := []float64{-1e30, -2.5, -1, math.Copysign(0, -1), 0, 1e-30, 1, 2.5, 1e30}
+	rng := rand.New(rand.NewSource(1))
+	recs := make([]geom.Record, 2000)
+	for i := range recs {
+		y := geom.Coord(ys[rng.Intn(len(ys))])
+		recs[i] = geom.Record{Rect: geom.Rect{XHi: 1, YLo: y, YHi: y}, ID: geom.ID(rng.Intn(40)) << (8 * (i % 4))}
+	}
+	want := slices.Clone(recs)
+	slices.SortFunc(want, geom.ByLowerY)
+	if sortByLowerY(recs); !slices.Equal(recs, want) {
+		t.Fatal("sortByLowerY disagrees with geom.ByLowerY")
+	}
 }
 
 // livePages is what files and trees occupy in the store: allocated

@@ -78,9 +78,6 @@ type Tree struct {
 	universe geom.Rect
 }
 
-// Store returns the simulated disk holding the tree.
-func (t *Tree) Store() *iosim.Store { return t.store }
-
 // Root returns the root page.
 func (t *Tree) Root() iosim.PageID { return t.root }
 

@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"context"
 	"fmt"
 
 	"unijoin/internal/geom"
@@ -21,14 +20,6 @@ func (t *Tree) ReadNode(pr PageReader, p iosim.PageID, n *Node) error {
 // Query reports every data record whose MBR intersects window,
 // descending only into subtrees whose bounding rectangle intersects it.
 func (t *Tree) Query(pr PageReader, window geom.Rect, emit func(geom.Record)) error {
-	return t.QueryCtx(context.Background(), pr, window, emit)
-}
-
-// QueryCtx is Query under a context: the traversal polls ctx at every
-// node, so deep range scans over large trees abort promptly when the
-// context is canceled (the error is the bare context error; callers
-// wanting the ErrCanceled chain wrap it themselves).
-func (t *Tree) QueryCtx(ctx context.Context, pr PageReader, window geom.Rect, emit func(geom.Record)) error {
 	var stack []iosim.PageID
 	if t.mbr.Valid() && !t.mbr.Intersects(window) {
 		return nil
@@ -36,9 +27,6 @@ func (t *Tree) QueryCtx(ctx context.Context, pr PageReader, window geom.Rect, em
 	stack = append(stack, t.root)
 	var n Node
 	for len(stack) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if err := t.ReadNode(pr, p, &n); err != nil {

@@ -172,8 +172,9 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	s.workload.ObserveWindow(req.Window.XLo, req.Window.XHi)
 	ctx, cancel := s.front.Context(r, req.TimeoutMillis)
 	defer cancel()
-	// Pin once: the scan and the summary's Indexed field must describe
-	// the same epoch.
+	// Pin once: the slab scan of the epoch's prepared run and the
+	// summary's Indexed field (declared indexed, not how the window was
+	// answered) must describe the same epoch.
 	pv := rel.Pin()
 	out := httpapi.NewStream(w, r, s.front.ObserveFrames)
 	defer out.Close()

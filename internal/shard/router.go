@@ -352,9 +352,9 @@ func mergeJoinSummaries(sums []*client.JoinSummary) *client.JoinSummary {
 
 // Window scatters the window query to the shards its window reaches
 // and merges the decoded record streams: batches interleave across
-// shards, counts sum exactly, Indexed reports whether every shard asked
-// answered through an R-tree, and the elapsed time is the slowest
-// shard's. This is the decoding
+// shards, counts sum exactly, Indexed reports whether the relation is
+// declared indexed on every shard asked, and the elapsed time is the
+// slowest shard's. This is the decoding
 // counterpart of the relay the serving layer runs — for callers that
 // want records, not bytes.
 func (r *Router) Window(ctx context.Context, req client.WindowRequest, onBatch func([]client.RecordOut)) (*client.WindowSummary, error) {

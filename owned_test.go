@@ -147,8 +147,8 @@ func TestOwnedIntervalsTileTheJoin(t *testing.T) {
 					ws := NewWorkspace()
 					ws.SetUniverse(u)
 					return ownedSide{ws,
-						liveRelation(t, ws, "a", iv.Slice(baseA), iv.Slice(deltaA)),
-						liveRelation(t, ws, "b", iv.Slice(baseB), iv.Slice(deltaB))}
+						liveRelation(t, ws, "a", iv.Slice(baseA), iv.Slice(deltaA), true),
+						liveRelation(t, ws, "b", iv.Slice(baseB), iv.Slice(deltaB), true)}
 				}
 				full := load(shard.Everything())
 				checkUnbounded(ctx, t, full)
@@ -277,8 +277,8 @@ func TestOwnedSharesLieInsideTheWindow(t *testing.T) {
 			in := sh.Gen(int64(11+si), u, hand)
 			ws := NewWorkspace()
 			ws.SetUniverse(u)
-			a := liveRelation(t, ws, "a", in.A[:in.BaseA], in.A[in.BaseA:])
-			b := liveRelation(t, ws, "b", in.B[:in.BaseB], in.B[in.BaseB:])
+			a := liveRelation(t, ws, "a", in.A[:in.BaseA], in.A[in.BaseA:], true)
+			b := liveRelation(t, ws, "b", in.B[:in.BaseB], in.B[in.BaseB:], true)
 			tilings := map[string][]geom.Interval{"cuts by hand": cutAt(hand...)}
 			for _, k := range []int{2, 3, 7} {
 				tilings[fmt.Sprintf("plan of %d", k)] = cutAt(shard.NewPlan(u, k, in.A, in.B).Boundaries()...)

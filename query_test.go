@@ -110,8 +110,8 @@ func TestQueryEmitModesEquivalence(t *testing.T) {
 		in := sh.Gen(7, u, []Coord{250, 500, 750})
 		ws := NewWorkspace()
 		ws.SetUniverse(u)
-		datasets = append(datasets, dataset{sh.Name, ws, liveRelation(t, ws, "a", in.A[:in.BaseA], in.A[in.BaseA:]),
-			liveRelation(t, ws, "b", in.B[:in.BaseB], in.B[in.BaseB:]), in.A, in.B})
+		datasets = append(datasets, dataset{sh.Name, ws, liveRelation(t, ws, "a", in.A[:in.BaseA], in.A[in.BaseA:], true),
+			liveRelation(t, ws, "b", in.B[:in.BaseB], in.B[in.BaseB:], true), in.A, in.B})
 	}
 	// Beside the ordinary window: one whose right edge is the shapes'
 	// middle cut, where on-cuts records end and start, and two of no area

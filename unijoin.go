@@ -91,9 +91,9 @@
 // resident state of a long-lived query process, whose PQ and SSSJ joins
 // read each relation's resident sorted run instead of the simulated
 // disk (the pair order differs by engine and is not part of the API;
-// the pair set does not). Relation.WindowQuery
-// answers the selection counterpart of a join (all records
-// intersecting a rectangle) through the R-tree when one exists.
+// the pair set does not). Relation.WindowQuery answers the selection
+// counterpart of a join (all records intersecting a rectangle) from
+// the window's y-slab of the same run, on any workspace, indexed or not.
 // cmd/sjserved serves both query classes over HTTP with streaming
 // NDJSON responses; the client package is its Go client.
 //
@@ -404,7 +404,8 @@ func (p PinnedView) Len() int64 { return p.v.N }
 // an empty relation).
 func (p PinnedView) MBR() Rect { return p.v.MBR }
 
-// Indexed reports whether the pinned version carries an R-tree.
+// Indexed reports whether the relation is declared indexed: whether
+// the pinned version carries the R-tree ST and BFRJ read.
 func (p PinnedView) Indexed() bool { return p.v.Tree != nil }
 
 // DataBytes returns the record-stream size at the pinned epoch.
@@ -445,8 +446,8 @@ func (r *Relation) Compactions() int64 { return r.log.Compactions() }
 // started after Append returns observe all of them. The record log
 // grows in place; an existing R-tree is left as it is and the batch is
 // merged into the relation's delta run, which every index consumer
-// reads beside the tree — PQ as one more sorted source, window queries
-// by a slab scan, ST and BFRJ through a PQ pass over the remainder —
+// reads beside the tree — PQ as one more sorted source, ST and BFRJ
+// through a PQ pass over the remainder —
 // so indexed algorithms see the records without a rebuild and an
 // append allocates nothing on the simulated disk but the log's own
 // pages. The cached x-center sample and prepared run are maintained by

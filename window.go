@@ -5,17 +5,12 @@ import (
 	"fmt"
 
 	"unijoin/internal/core"
-	"unijoin/internal/geom"
 	"unijoin/internal/ingest"
-	"unijoin/internal/iosim"
-	"unijoin/internal/rtree"
-	"unijoin/internal/stream"
 )
 
-// windowPollEvery is how many records a window scan — of the record
-// stream or of a delta run's slab — processes between context polls;
-// cancellation latency is bounded by this many record tests (or one
-// R-tree node).
+// windowPollEvery is how many records of the slab a window query tests
+// between context polls; cancellation latency is bounded by this many
+// record tests.
 const windowPollEvery = 4096
 
 // WindowQuery reports every record of the relation whose MBR
@@ -23,14 +18,13 @@ const windowPollEvery = 4096
 // and the second query class the query service exposes. It returns
 // the number of matching records; emit (optional) receives each one.
 //
-// An indexed relation answers through its R-tree, descending only
-// into subtrees that intersect win, and then from the slab of its
-// delta run (the records appended since the tree was packed) that win
-// cuts; a non-indexed relation scans its record stream. Both paths
-// charge their page accesses to the workspace's counters as usual,
-// poll ctx (canceling it aborts the query with ErrCanceled), and
-// report matches in a deterministic order — but the two orders differ,
-// so callers that need a canonical order must sort.
+// Every relation, indexed or not, answers from its prepared run (see
+// internal/ingest): win cuts the run to the slab of records whose
+// lower y lies within the window's height plus the run's tallest
+// record, and each is tested against win. The work is that y-band of
+// the relation, not the window's area; a warm query reads no page.
+// Canceling ctx aborts with ErrCanceled, before a cold build reads the
+// log. Matches are reported in run order, ascending lower y.
 func (r *Relation) WindowQuery(ctx context.Context, win Rect, emit func(Record)) (int64, error) {
 	if r == nil || r.log == nil {
 		return 0, fmt.Errorf("%w: window query", ErrNilRelation)
@@ -38,8 +32,8 @@ func (r *Relation) WindowQuery(ctx context.Context, win Rect, emit func(Record))
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Pin the version once: the scan or traversal below runs wholly
-	// against it, so concurrent appends are invisible to this query.
+	// Pin the version once: the scan below runs wholly against it, so
+	// concurrent appends are invisible to this query.
 	return windowQueryVersion(ctx, r.snapshot(), win, emit)
 }
 
@@ -57,19 +51,21 @@ func (p PinnedView) WindowQuery(ctx context.Context, win Rect, emit func(Record)
 }
 
 // windowQueryVersion runs the window selection against one pinned
-// version.
+// version: the exact test over the slab of its prepared run that win
+// cuts.
 func windowQueryVersion(ctx context.Context, v *ingest.Version, win Rect, emit func(Record)) (int64, error) {
 	if !win.Valid() || !v.MBR.Valid() || !win.Intersects(v.MBR) {
 		return 0, nil
 	}
-	if v.Tree == nil {
-		return windowScan(ctx, v.File, win, emit)
+	if err := ctx.Err(); err != nil {
+		return 0, core.WrapCanceled(err)
 	}
-	count, err := windowTree(ctx, v.Tree, win, emit)
+	run, _, err := v.Prepared()
 	if err != nil {
-		return count, err
+		return 0, err
 	}
-	for i, rec := range v.DeltaRun().Slab(win) {
+	var count int64
+	for i, rec := range run.Slab(win) {
 		if i%windowPollEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return count, core.WrapCanceled(err)
@@ -83,44 +79,4 @@ func windowQueryVersion(ctx context.Context, v *ingest.Version, win Rect, emit f
 		}
 	}
 	return count, nil
-}
-
-// windowTree answers through the R-tree's cancellable traversal,
-// counting matches as they stream by.
-func windowTree(ctx context.Context, t *rtree.Tree, win geom.Rect, emit func(Record)) (int64, error) {
-	var count int64
-	err := t.QueryCtx(ctx, rtree.StoreReader{Store: t.Store()}, win, func(rec geom.Record) {
-		count++
-		if emit != nil {
-			emit(rec)
-		}
-	})
-	return count, core.WrapCanceled(err)
-}
-
-// windowScan filters a sequential scan of the record stream.
-func windowScan(ctx context.Context, f *iosim.File, win geom.Rect, emit func(Record)) (int64, error) {
-	rd := stream.NewReader(f, stream.Records)
-	var count, seen int64
-	for {
-		if seen%windowPollEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return count, core.WrapCanceled(err)
-			}
-		}
-		rec, ok, err := rd.Next()
-		if err != nil {
-			return count, err
-		}
-		if !ok {
-			return count, nil
-		}
-		seen++
-		if rec.Rect.Intersects(win) {
-			count++
-			if emit != nil {
-				emit(rec)
-			}
-		}
-	}
 }
