@@ -6,7 +6,7 @@ import (
 	"strconv"
 )
 
-// parentSpanHeader mirrors internal/httpapi.ParentSpanHeader; as with
+// parentSpanHeader mirrors internal/httpapi's parentSpanHeader; as with
 // requestIDHeader, the client package cannot import httpapi, so the
 // constant exists on both sides of the wire.
 const parentSpanHeader = "X-Parent-Span"

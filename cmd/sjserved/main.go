@@ -1,8 +1,9 @@
 // Command sjserved is the long-lived spatial-join query service: it
 // loads named relations into an in-memory catalog once — from sjgen
-// record files or generated synthetically at startup — keeps their
-// R-trees resident, and serves join and window queries over HTTP
-// until told to stop.
+// record files or generated synthetically at startup — keeps them
+// resident (indexed ones as a packed R-tree plus a delta run of
+// appended records), and serves join and window queries and appends
+// over HTTP until told to stop.
 //
 // Usage:
 //
@@ -17,9 +18,13 @@
 //	-tiger NY:0.01                   the synthetic TIGER-like set, loaded
 //	                                 as NY.roads and NY.hydro
 //
-// Endpoints: POST /v1/join, POST /v1/window, GET /v1/relations,
-// GET /v1/stats, GET /v1/healthz. Join and window responses stream
-// NDJSON; see the client package for the wire types.
+// Endpoints: POST /v1/join, POST /v1/window,
+// POST /v1/relations/{name}/records, GET /v1/relations, GET /v1/stats,
+// GET /v1/healthz, GET /v1/traces, GET /v1/traces/{id} and
+// GET /metrics — internal/httpapi's one handler, which sjrouter
+// answers through too. Join and window responses stream binary frames
+// to a caller whose Accept header offers them and NDJSON otherwise;
+// see the client package for the wire types.
 //
 // With -stripe lo:hi the process serves one shard of a fleet: each
 // relation keeps only the records whose x-interval overlaps [lo, hi)

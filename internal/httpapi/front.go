@@ -12,10 +12,10 @@ import (
 	"unijoin/internal/wire"
 )
 
-// Front is the request plumbing a serving front runs around its
-// handlers — request IDs, the per-endpoint counters and log line,
-// query deadlines, failure accounting, the trace ring and the
-// slow-query line. sjserved (internal/server) and sjrouter
+// Front is the request plumbing NewHandler runs around every route —
+// request IDs, the per-endpoint counters and log line, query
+// deadlines, failure accounting, the trace ring and the slow-query
+// line. sjserved (internal/server) and sjrouter
 // (internal/shard.Service) each build one with NewFront, which
 // registers the front's seven metric families on the owner's registry,
 // so one /metrics serves them beside the owner's other families and
@@ -42,7 +42,7 @@ type Front struct {
 	// so the errors counter stays alertable.
 	Errors   *obs.Counter // sj_errors_total
 	Canceled *obs.Counter // sj_canceled_total
-	// Frames and FrameBytes count what ObserveFrames is told about:
+	// Frames and FrameBytes count what observeFrames is told about:
 	// frames and payload+header bytes written to negotiated frame
 	// streams, by frame type (pairs/records/summary/error/end).
 	Frames     *obs.CounterVec // sj_frames_total{type}
@@ -74,17 +74,17 @@ func NewFront(reg *obs.Registry, f Front) Front {
 	return f
 }
 
-// Instrument is the logging + metrics middleware: it ensures a request
+// instrument is the logging + metrics middleware: it ensures a request
 // ID (honoring one sent by a router upstream), echoes it, carries it in
-// the handler's context — where RecordTrace finds it and the client
+// the handler's context — where recordTrace finds it and the client
 // package forwards it on every downstream call, so one grep follows a
 // query through router and shards alike — counts the request into the
 // per-endpoint/per-status counter and latency histogram, and logs one
 // line with the endpoint, status, wall time, and request ID.
-func (f *Front) Instrument(endpoint string, h http.HandlerFunc) http.Handler {
+func (f *Front) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		rid := EnsureRequestID(r)
+		rid := ensureRequestID(r)
 		w.Header().Set(RequestIDHeader, rid)
 		f.InFlight.Add(1)
 		defer f.InFlight.Add(-1)
@@ -94,7 +94,7 @@ func (f *Front) Instrument(endpoint string, h http.HandlerFunc) http.Handler {
 		elapsed := time.Since(start)
 		f.Requests.With(endpoint, strconv.Itoa(status)).Inc()
 		f.Latency.With(endpoint).Observe(elapsed.Seconds())
-		// Cancellations (504) are tallied in Canceled by Fail.
+		// Cancellations (504) are tallied in Canceled by fail.
 		if status >= 400 && status != http.StatusGatewayTimeout {
 			f.Errors.Inc()
 		}
@@ -109,11 +109,11 @@ func (f *Front) Instrument(endpoint string, h http.HandlerFunc) http.Handler {
 	})
 }
 
-// Context narrows the request's context — which already carries the
-// client-disconnect signal — by the shorter of the front's ceiling and
-// the request body's own timeout_ms, so handlers see one context
+// queryContext narrows the request's context — which already carries
+// the client-disconnect signal — by the shorter of the front's ceiling
+// and the request body's own timeout_ms, so a backend sees one context
 // covering every way a query can become pointless.
-func (f *Front) Context(r *http.Request, timeoutMillis int64) (context.Context, context.CancelFunc) {
+func (f *Front) queryContext(r *http.Request, timeoutMillis int64) (context.Context, context.CancelFunc) {
 	timeout := f.Timeout
 	if t := time.Duration(timeoutMillis) * time.Millisecond; timeoutMillis > 0 && (timeout <= 0 || t < timeout) {
 		timeout = t
@@ -124,18 +124,18 @@ func (f *Front) Context(r *http.Request, timeoutMillis int64) (context.Context, 
 	return context.WithCancel(r.Context())
 }
 
-// ObserveFrames is the NewStream observe hook feeding the frame
+// observeFrames is the NewStream observe hook feeding the frame
 // families.
-func (f *Front) ObserveFrames(t wire.Type, frames, bytes int64) {
+func (f *Front) observeFrames(t wire.Type, frames, bytes int64) {
 	f.Frames.With(t.String()).Add(frames)
 	f.FrameBytes.With(t.String()).Add(bytes)
 }
 
-// Fail ends a failed streaming response through out.Fail and keeps the
+// fail ends a failed streaming response through out.Fail and keeps the
 // failure counters whole: a cancellation counts as Canceled, and a
-// failure after the stream started — whose 200 status Instrument
+// failure after the stream started — whose 200 status instrument
 // cannot tell from a success — as an error.
-func (f *Front) Fail(out Stream, e *client.APIError) {
+func (f *Front) fail(out Stream, e *client.APIError) {
 	switch {
 	case e.Code == client.CodeCanceled:
 		f.Canceled.Inc()
@@ -145,20 +145,20 @@ func (f *Front) Fail(out Stream, e *client.APIError) {
 	out.Fail(e)
 }
 
-// RecordTrace stores a finished query's span tree in the trace ring,
-// keyed by the request ID Instrument put in the context — the same ID
+// recordTrace stores a finished query's span tree in the trace ring,
+// keyed by the request ID instrument put in the context — the same ID
 // every process a routed query touches keys its own trace under, so
 // GET /v1/traces/{request-id} follows it through the fleet — and emits
 // the slow-query line when the root crosses the threshold.
-func (f *Front) RecordTrace(r *http.Request, kind string, root *obs.Span) {
+func (f *Front) recordTrace(r *http.Request, kind string, root *obs.Span) {
 	rid := client.RequestIDFrom(r.Context())
-	if rid == "" { // not under Instrument (tests)
+	if rid == "" { // not under instrument (tests)
 		rid = obs.NewSpanID()
 	}
 	f.Traces.Add(&obs.Trace{
 		ID:         rid,
 		Kind:       kind,
-		ParentSpan: ParentSpan(r),
+		ParentSpan: parentSpan(r),
 		Root:       root,
 	})
 	if f.SlowQuery > 0 && root.Duration >= f.SlowQuery {
@@ -172,9 +172,9 @@ func (f *Front) RecordTrace(r *http.Request, kind string, root *obs.Span) {
 	}
 }
 
-// NotFound is the catch-all route: a typed 404 naming the endpoint.
-func NotFound(w http.ResponseWriter, r *http.Request) {
-	WriteError(w, &client.APIError{
+// notFound is the catch-all route: a typed 404 naming the endpoint.
+func notFound(w http.ResponseWriter, r *http.Request) {
+	writeError(w, &client.APIError{
 		Status: http.StatusNotFound, Code: client.CodeNotFound,
 		Message: "no such endpoint: " + r.Method + " " + r.URL.Path,
 	})

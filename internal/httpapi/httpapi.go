@@ -1,12 +1,13 @@
-// Package httpapi is the HTTP plumbing shared by the query service
-// (internal/server) and the shard router front (internal/shard):
-// the response Stream with its two transports (NDJSON lines and
-// binary frames, picked once per request by NewStream), the Front
-// every request passes through (request IDs, metrics, deadlines,
-// traces), plain JSON bodies, request decoding, and the
-// {"error": {...}} envelope. Both processes speak the exact same wire
-// format — a client must not be able to tell sjrouter from sjserved —
-// so the plumbing exists exactly once.
+// Package httpapi is the serving front shared by the query service
+// (internal/server) and the shard router (internal/shard): NewHandler
+// is the whole HTTP API — every route, one streaming body for join and
+// window queries, the append body, the {"error": {...}} envelope —
+// answered from a Backend that each process supplies. Around it sit
+// the Front every request passes through (request IDs, metrics,
+// deadlines, traces) and the response Stream with its two transports
+// (NDJSON lines and binary frames, picked once per request by
+// NewStream). A client must not be able to tell sjrouter from
+// sjserved, so everything but the answers exists exactly once.
 package httpapi
 
 import (
@@ -21,14 +22,14 @@ import (
 	"unijoin/internal/geom"
 )
 
-// MaxBodyBytes bounds request bodies; join/window requests are tiny.
-const MaxBodyBytes = 1 << 20
+// maxBodyBytes bounds request bodies; join/window requests are tiny.
+const maxBodyBytes = 1 << 20
 
-// MaxAppendBodyBytes bounds one append request body, at a shard and at
+// maxAppendBodyBytes bounds one append request body, at a shard and at
 // the router alike. Bulk loads beyond this stream as several requests;
 // at ~60 bytes per NDJSON record line the cap still admits ~4M records
 // per call.
-const MaxAppendBodyBytes = 256 << 20
+const maxAppendBodyBytes = 256 << 20
 
 // ToRect converts a wire rectangle to a normalized engine rectangle.
 func ToRect(r client.Rect) geom.Rect {
@@ -120,13 +121,13 @@ func (lw *LineWriter) Close() {
 	lw.lb = nil
 }
 
-// WriteJSON sends a 200 with a plain JSON body, marshaling before any
+// writeJSON sends a 200 with a plain JSON body, marshaling before any
 // byte is written so an unmarshalable value becomes a 500 rather than
 // a silently truncated 200.
-func WriteJSON(w http.ResponseWriter, v any) {
+func writeJSON(w http.ResponseWriter, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
-		WriteError(w, &client.APIError{
+		writeError(w, &client.APIError{
 			Status: http.StatusInternalServerError, Code: client.CodeInternal,
 			Message: "encoding response: " + err.Error(),
 		})
@@ -136,8 +137,8 @@ func WriteJSON(w http.ResponseWriter, v any) {
 	w.Write(append(data, '\n'))
 }
 
-// WriteError sends a non-2xx JSON error body ({"error": {...}}).
-func WriteError(w http.ResponseWriter, e *client.APIError) {
+// writeError sends a non-2xx JSON error body ({"error": {...}}).
+func writeError(w http.ResponseWriter, e *client.APIError) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(e.Status)
 	json.NewEncoder(w).Encode(map[string]*client.APIError{"error": e})
@@ -195,11 +196,11 @@ const RequestIDHeader = "X-Request-Id"
 // replaced rather than amplified through the fleet's logs.
 const maxRequestIDLen = 64
 
-// EnsureRequestID returns the request's X-Request-Id header, or a
+// ensureRequestID returns the request's X-Request-Id header, or a
 // fresh 16-hex-character ID when the header is absent or abusive. The
 // caller echoes it on the response and logs it, so client, router, and
 // shard all speak of the same query by the same name.
-func EnsureRequestID(r *http.Request) string {
+func ensureRequestID(r *http.Request) string {
 	if id := r.Header.Get(RequestIDHeader); id != "" && len(id) <= maxRequestIDLen {
 		return id
 	}
@@ -208,16 +209,13 @@ func EnsureRequestID(r *http.Request) string {
 	return hex.EncodeToString(b[:])
 }
 
-// DecodeBody parses a JSON request body, returning an API error for
+// decodeBody parses a JSON request body, returning an API error for
 // anything malformed or unknown.
-func DecodeBody(w http.ResponseWriter, r *http.Request, into any) *client.APIError {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+func decodeBody(w http.ResponseWriter, r *http.Request, into any) *client.APIError {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		return &client.APIError{
-			Status: http.StatusBadRequest, Code: client.CodeBadRequest,
-			Message: "bad request body: " + err.Error(),
-		}
+		return badRequest("bad request body: " + err.Error())
 	}
 	return nil
 }

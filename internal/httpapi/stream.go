@@ -65,7 +65,7 @@ func (fw *FrameWriter) Finish(summary any) {
 // ERROR+END after it.
 func (fw *FrameWriter) Fail(e *client.APIError) {
 	if !fw.started {
-		WriteError(fw.w, e)
+		writeError(fw.w, e)
 		return
 	}
 	fw.WriteError(e)
@@ -129,7 +129,7 @@ func (lw *LineWriter) Finish(summary any) {
 // terminal {"error": …} line after it.
 func (lw *LineWriter) Fail(e *client.APIError) {
 	if !lw.started {
-		WriteError(lw.w, e)
+		writeError(lw.w, e)
 		return
 	}
 	lw.WriteLine(struct {

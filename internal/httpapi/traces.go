@@ -9,21 +9,21 @@ import (
 	"unijoin/internal/obs"
 )
 
-// ParentSpanHeader carries the upstream caller's span ID router →
+// parentSpanHeader carries the upstream caller's span ID router →
 // shard, extending the X-Request-Id correlation into a span tree: the
 // router sends each scatter leg's span ID here, and the shard records
 // it as its trace's parent, so the two processes' trees join on it.
-const ParentSpanHeader = "X-Parent-Span"
+const parentSpanHeader = "X-Parent-Span"
 
 // maxParentSpanLen bounds span IDs accepted from the wire, mirroring
 // the request-ID rule: anything longer is dropped rather than
 // amplified through the trace store.
 const maxParentSpanLen = 64
 
-// ParentSpan returns the request's X-Parent-Span header, or "" when
+// parentSpan returns the request's X-Parent-Span header, or "" when
 // absent or abusive.
-func ParentSpan(r *http.Request) string {
-	if id := r.Header.Get(ParentSpanHeader); len(id) <= maxParentSpanLen {
+func parentSpan(r *http.Request) string {
+	if id := r.Header.Get(parentSpanHeader); len(id) <= maxParentSpanLen {
 		return id
 	}
 	return ""
@@ -33,13 +33,9 @@ func ParentSpan(r *http.Request) string {
 // doesn't ask for a size.
 const defaultTraceListing = 50
 
-// SpanDTO converts a span tree to its wire form, with every start
-// rendered as the offset in milliseconds from root's start. Callers
-// pass the tree root; the recursion threads the base time down.
-func SpanDTO(root *obs.Span) *client.Span {
-	return spanDTO(root, root.Start)
-}
-
+// spanDTO converts a span tree to its wire form, with every start
+// rendered as the offset in milliseconds from base — the root's start,
+// which the recursion threads down.
 func spanDTO(s *obs.Span, base time.Time) *client.Span {
 	d := &client.Span{
 		ID:             s.ID,
@@ -59,13 +55,13 @@ func spanDTO(s *obs.Span, base time.Time) *client.Span {
 	return d
 }
 
-// PhaseTrace folds a join's span tree into the summary's flat
+// phaseTrace folds a join's span tree into the summary's flat
 // partition/sweep/stream breakdown: per phase, the longest span of that
 // name anywhere in the tree. A server's tree holds one of each; a
 // router's holds one per shard under its scatter legs, and since the
 // shards run concurrently the slowest is what the caller waited for —
 // the way ElapsedMillis merges.
-func PhaseTrace(root *obs.Span) *client.PhaseTrace {
+func phaseTrace(root *obs.Span) *client.PhaseTrace {
 	var t client.PhaseTrace
 	var walk func(s *obs.Span)
 	walk = func(s *obs.Span) {
@@ -86,17 +82,15 @@ func PhaseTrace(root *obs.Span) *client.PhaseTrace {
 	return &t
 }
 
-// TracesHandler serves GET /v1/traces: recent trace summaries, newest
-// first, at most ?n= of them (default defaultTraceListing). Both
-// serving layers mount this one handler, so a client cannot tell a
-// router's listing from a shard's by shape.
-func TracesHandler(store *obs.TraceStore) http.HandlerFunc {
+// tracesHandler serves GET /v1/traces: recent trace summaries, newest
+// first, at most ?n= of them (default defaultTraceListing).
+func tracesHandler(store *obs.TraceStore) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		n := defaultTraceListing
 		if v := r.URL.Query().Get("n"); v != "" {
 			parsed, err := strconv.Atoi(v)
 			if err != nil || parsed <= 0 {
-				WriteError(w, &client.APIError{
+				writeError(w, &client.APIError{
 					Status: http.StatusBadRequest, Code: client.CodeBadRequest,
 					Message: "bad n: want a positive integer",
 				})
@@ -120,30 +114,30 @@ func TracesHandler(store *obs.TraceStore) http.HandlerFunc {
 			}
 			out = append(out, sum)
 		}
-		WriteJSON(w, out)
+		writeJSON(w, out)
 	}
 }
 
-// TraceByIDHandler serves GET /v1/traces/{id}: the full span tree, or
+// traceByIDHandler serves GET /v1/traces/{id}: the full span tree, or
 // 404 for an ID the bounded ring no longer (or never) held.
-func TraceByIDHandler(store *obs.TraceStore) http.HandlerFunc {
+func traceByIDHandler(store *obs.TraceStore) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		t, ok := store.Get(id)
 		if !ok {
-			WriteError(w, &client.APIError{
+			writeError(w, &client.APIError{
 				Status: http.StatusNotFound, Code: client.CodeNotFound,
 				Message: "no trace " + strconv.Quote(id) + " in the recent window (bounded ring; it may have been evicted)",
 			})
 			return
 		}
-		WriteJSON(w, client.TraceDetail{
+		writeJSON(w, client.TraceDetail{
 			ID:             t.ID,
 			Kind:           t.Kind,
 			ParentSpan:     t.ParentSpan,
 			Start:          t.Root.Start.Format(time.RFC3339Nano),
 			DurationMillis: float64(t.Root.Duration.Microseconds()) / 1000,
-			Root:           SpanDTO(t.Root),
+			Root:           spanDTO(t.Root, t.Root.Start),
 		})
 	}
 }

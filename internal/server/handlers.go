@@ -10,6 +10,7 @@ import (
 	"unijoin"
 	"unijoin/client"
 	"unijoin/internal/httpapi"
+	"unijoin/internal/obs"
 )
 
 // maxParallelism caps the per-request worker count: the parallel
@@ -18,11 +19,8 @@ import (
 // workers is far past any host this serves.
 const maxParallelism = 256
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	httpapi.WriteJSON(w, map[string]string{"status": "ok"})
-}
-
-func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) {
+// relations is the body of GET /v1/relations.
+func (s *Server) relations(context.Context) ([]client.RelationInfo, error) {
 	names := s.cat.Names()
 	stripe := s.stripeDTO()
 	out := make([]client.RelationInfo, 0, len(names))
@@ -35,34 +33,28 @@ func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) {
 		info.Stripe = stripe
 		out = append(out, info)
 	}
-	httpapi.WriteJSON(w, out)
+	return out, nil
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	httpapi.WriteJSON(w, s.Stats())
-}
-
-func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
+// join runs a join request on the catalog, streaming its pairs to out.
+func (s *Server) join(ctx context.Context, req *client.JoinRequest, out httpapi.Stream) (*client.JoinSummary, *obs.Span, error) {
 	s.metrics.joins.Inc()
-	var req client.JoinRequest
-	if apiErr := httpapi.DecodeBody(w, r, &req); apiErr != nil {
-		httpapi.WriteError(w, apiErr)
-		return
-	}
+	root := obs.StartSpan("server.join")
+	root.SetAttr("left", req.Left).SetAttr("right", req.Right)
 	left, ok := s.cat.Get(req.Left)
 	if !ok {
-		httpapi.WriteError(w, notFoundErr("left", req.Left))
-		return
+		root.End()
+		return nil, root, notFoundErr("left", req.Left)
 	}
 	right, ok := s.cat.Get(req.Right)
 	if !ok {
-		httpapi.WriteError(w, notFoundErr("right", req.Right))
-		return
+		root.End()
+		return nil, root, notFoundErr("right", req.Right)
 	}
 	alg, err := unijoin.ParseAlgorithm(req.Algorithm)
 	if err != nil {
-		httpapi.WriteError(w, badRequestErr(err))
-		return
+		root.End()
+		return nil, root, badRequestErr(err)
 	}
 	// The workload recorder sees every accepted query: the relation
 	// names are catalog-validated above and the algorithm comes from
@@ -74,10 +66,6 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.workload.ObserveUnwindowed()
 	}
-	ctx, cancel := s.front.Context(r, req.TimeoutMillis)
-	defer cancel()
-	out := httpapi.NewStream(w, r, s.front.ObserveFrames)
-	defer out.Close()
 	// flushPairs streams one batch, accumulating the stream phase: wall
 	// time spent encoding and flushing (all writes happen on this
 	// goroutine — EmitBatch callbacks run synchronously).
@@ -116,68 +104,54 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 			}
 		})
 	}
-	start := time.Now()
 	res, err := q.Run(ctx)
-	if err != nil {
-		s.front.Fail(out, errorFor(err))
-		return
-	}
-	if len(pairs) > 0 {
+	if err == nil && len(pairs) > 0 {
 		flushPairs(pairs)
 	}
-	elapsed := time.Since(start)
+	root.End()
+	if err != nil {
+		return nil, root, err
+	}
 	phases := phaseSeconds{
 		partition: res.PartitionWall.Seconds(),
 		sweep:     res.SweepWall.Seconds(),
 		stream:    streamTime.Seconds(),
 	}
-	s.metrics.observeJoin(alg.String(), elapsed.Seconds(), phases, res.Prepared)
-	sum := joinSummary(req, alg, res, elapsed)
-	root := joinSpan(start, elapsed, res.PrepareWall, res.PartitionWall, res.SweepWall, streamTime)
+	s.metrics.observeJoin(alg.String(), root.Duration.Seconds(), phases, res.Prepared)
+	joinPhases(root, res.PrepareWall, res.PartitionWall, res.SweepWall, streamTime)
 	// Which engine ran is the workspace's decision, not the request's:
 	// the trace says so, next to the algorithm that was asked for.
 	engine := "simulated"
 	if res.Parallel != nil {
 		engine = "resident"
 	}
-	root.SetAttr("left", req.Left).SetAttr("right", req.Right).
-		SetAttr("algorithm", alg.String()).SetAttr("engine", engine)
-	s.front.RecordTrace(r, "join", root)
-	if req.Trace {
-		sum.Trace = httpapi.PhaseTrace(root)
-		sum.Spans = httpapi.SpanDTO(root)
-	}
-	out.Finish(sum)
+	root.SetAttr("algorithm", alg.String()).SetAttr("engine", engine)
+	return joinSummary(req, alg, res, root.Duration), root, nil
 }
 
-func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
+// window runs a window query on the catalog, streaming its records to
+// out.
+func (s *Server) window(ctx context.Context, req *client.WindowRequest, out httpapi.Stream) (*client.WindowSummary, *obs.Span, error) {
 	s.metrics.windows.Inc()
-	var req client.WindowRequest
-	if apiErr := httpapi.DecodeBody(w, r, &req); apiErr != nil {
-		httpapi.WriteError(w, apiErr)
-		return
-	}
+	root := obs.StartSpan("server.window")
+	root.SetAttr("relation", req.Relation)
 	rel, ok := s.cat.Get(req.Relation)
 	if !ok {
-		httpapi.WriteError(w, notFoundErr("relation", req.Relation))
-		return
+		root.End()
+		return nil, root, notFoundErr("relation", req.Relation)
 	}
 	if req.Window == nil {
-		httpapi.WriteError(w, badRequestErr(fmt.Errorf("window query needs a \"window\" rectangle")))
-		return
+		root.End()
+		return nil, root, badRequestErr(fmt.Errorf("window query needs a \"window\" rectangle"))
 	}
 	// Window queries always carry a rectangle, so they always feed the
 	// x-histogram; the relation name is catalog-validated above.
 	s.workload.ObserveQuery(req.Relation, "window")
 	s.workload.ObserveWindow(req.Window.XLo, req.Window.XHi)
-	ctx, cancel := s.front.Context(r, req.TimeoutMillis)
-	defer cancel()
 	// Pin once: the slab scan of the epoch's prepared run and the
 	// summary's Indexed field (declared indexed, not how the window was
 	// answered) must describe the same epoch.
 	pv := rel.Pin()
-	out := httpapi.NewStream(w, r, s.front.ObserveFrames)
-	defer out.Close()
 
 	// Records accumulate in the kernel's own representation; what a
 	// batch becomes on the wire is the stream's business.
@@ -218,35 +192,31 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	start := time.Now()
 	n, err := pv.WindowQuery(ctx, win, emit)
-	if err != nil {
-		s.front.Fail(out, errorFor(err))
-		return
-	}
-	if len(recs) > 0 {
+	if err == nil && len(recs) > 0 {
 		flushRecs()
+	}
+	root.End()
+	if err != nil {
+		return nil, root, err
 	}
 	if s.stripe != nil {
 		n = owned
 	}
-	elapsed := time.Since(start)
-	root := windowSpan(start, elapsed, streamTime)
-	root.SetAttr("relation", req.Relation)
-	s.front.RecordTrace(r, "window", root)
-	out.Finish(&client.WindowSummary{
+	windowPhases(root, streamTime)
+	return &client.WindowSummary{
 		Relation:      req.Relation,
 		Records:       n,
 		Indexed:       pv.Indexed(),
-		ElapsedMillis: float64(elapsed.Microseconds()) / 1000,
-	})
+		ElapsedMillis: float64(root.Duration.Microseconds()) / 1000,
+	}, root, nil
 }
 
 // joinSummary assembles the terminal line of a join response. The
 // record counts are those of the epochs the join pinned, so they
 // describe the inputs the pair count was computed on even when appends
 // landed while it ran.
-func joinSummary(req client.JoinRequest, alg unijoin.Algorithm, res *unijoin.Results, elapsed time.Duration) *client.JoinSummary {
+func joinSummary(req *client.JoinRequest, alg unijoin.Algorithm, res *unijoin.Results, elapsed time.Duration) *client.JoinSummary {
 	return &client.JoinSummary{
 		Left:          req.Left,
 		Right:         req.Right,
@@ -276,9 +246,14 @@ func relationInfo(name string, rel *unijoin.Relation) client.RelationInfo {
 	return info
 }
 
-// errorFor classifies a query error into the API's error space.
+// errorFor classifies a query error into the API's error space; the
+// server's own verdicts (an unknown relation, a malformed request) are
+// already there.
 func errorFor(err error) *client.APIError {
+	var apiErr *client.APIError
 	switch {
+	case errors.As(err, &apiErr):
+		return apiErr
 	case errors.Is(err, unijoin.ErrCanceled),
 		errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):

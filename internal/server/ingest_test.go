@@ -110,6 +110,11 @@ func TestAppendEndpointFormats(t *testing.T) {
 	if _, err := cl.AppendNDJSON(ctx, "roads", strings.NewReader("{not json}\n")); !errors.Is(err, client.ErrBadRequest) {
 		t.Fatalf("bad ndjson: %v, want bad request", err)
 	}
+	// The body is parsed before the relation is looked up, as on the
+	// router: a malformed body is a 400 whatever relation it names.
+	if _, err := cl.AppendNDJSON(ctx, "nope", strings.NewReader("{not json}\n")); !errors.Is(err, client.ErrBadRequest) {
+		t.Fatalf("bad ndjson to an unknown relation: %v, want bad request", err)
+	}
 	// JSON cannot carry NaN/Inf, so an invalid rectangle has to be
 	// injected below the client marshaling layer.
 	if _, err := cl.AppendNDJSON(ctx, "roads",

@@ -68,15 +68,15 @@ func newMetrics(reg *obs.Registry) *metrics {
 		preparedFull:  prepared.With("full"),
 		preparedMerge: prepared.With("merge"),
 		joins: reg.Counter("sj_joins_total",
-			"Join requests accepted (before validation)."),
+			"Join requests whose body decoded, counted before validation."),
 		windows: reg.Counter("sj_windows_total",
-			"Window requests accepted (before validation)."),
+			"Window requests whose body decoded, counted before validation."),
 		pairsStreamed: reg.Counter("sj_pairs_streamed_total",
 			"Result pairs written to join response streams."),
 		recordsStreamed: reg.Counter("sj_records_streamed_total",
 			"Records written to window response streams."),
 		appends: reg.Counter("sj_appends_total",
-			"Append requests accepted (before validation)."),
+			"Append requests whose body parsed, counted before validation."),
 		ingestRecords: reg.CounterVec("sj_ingest_records_total",
 			"Records appended to relations, by relation.",
 			"relation"),

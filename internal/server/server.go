@@ -1,22 +1,24 @@
-// Package server implements sjserved's HTTP layer: a long-lived
-// spatial-join query service over an in-memory unijoin.Catalog.
+// Package server is sjserved's backend: a long-lived spatial-join
+// query service over an in-memory unijoin.Catalog, answering the HTTP
+// API that internal/httpapi.NewHandler serves — the same handler
+// sjrouter answers through.
 //
-// The catalog holds named, optionally pre-indexed relations resident
-// across requests; handlers execute joins through the public
-// Query(...).Run(ctx) API and window queries through
-// Relation.WindowQuery, streaming results through one httpapi.Stream —
-// binary frames when the caller offers them (always, when the caller
-// is a router), NDJSON otherwise; the handlers never know which (the
-// wire types live in the client package). Every request runs under a
-// context.Context assembled from the client's disconnect signal, the
-// server's per-request timeout ceiling, and an optional per-request
-// timeout, so an abandoned or over-budget query aborts mid-run with
-// ErrCanceled rather than burning the worker. Typed errors map onto
-// HTTP status codes: ErrNeedsIndex → 422, unknown relations → 404,
-// ErrCanceled → 504, malformed requests → 400.
+// The catalog holds named, optionally indexed relations resident
+// across requests; joins run through the public Query(...).Run(ctx)
+// API and window queries through PinnedView.WindowQuery, writing their
+// batches to the httpapi.Stream the front opened — binary frames when
+// the caller offers them (always, when the caller is a router), NDJSON
+// otherwise; the backend never knows which. The front runs every query
+// under one context.Context assembled from the client's disconnect
+// signal, the server's per-request timeout ceiling, and an optional
+// per-request timeout, so an abandoned or over-budget query aborts
+// mid-run with ErrCanceled rather than burning the worker. Typed
+// errors map onto HTTP status codes: ErrNeedsIndex → 422, unknown
+// relations → 404, ErrCanceled → 504, malformed requests → 400.
 package server
 
 import (
+	"context"
 	"log/slog"
 	"net/http"
 	"time"
@@ -82,12 +84,13 @@ type Config struct {
 // standard library's one-goroutine-per-request model needs no extra
 // coordination.
 type Server struct {
-	cat    *unijoin.Catalog
-	stripe *shard.Interval
-	start  time.Time
-	mux    *http.ServeMux
-	// front is the request plumbing shared with the router's serving
-	// layer; its families live in this server's registry.
+	cat     *unijoin.Catalog
+	stripe  *shard.Interval
+	start   time.Time
+	handler http.Handler
+	// front is the request plumbing NewHandler runs around the API;
+	// its families live in this server's registry, and Stats reads
+	// them.
 	front httpapi.Front
 
 	metrics  *metrics
@@ -108,7 +111,6 @@ func New(cfg Config) *Server {
 		cat:     cfg.Catalog,
 		stripe:  cfg.Stripe,
 		start:   time.Now(),
-		mux:     http.NewServeMux(),
 		metrics: m,
 		front: httpapi.NewFront(m.reg, httpapi.Front{
 			Log: log, Timeout: cfg.Timeout,
@@ -116,24 +118,20 @@ func New(cfg Config) *Server {
 		}),
 	}
 	s.workload = obs.NewWorkload(m.reg, cfg.WorkloadLo, cfg.WorkloadHi, obs.DefaultWorkloadBuckets)
-	f := &s.front
-	// The exposition endpoint is deliberately uninstrumented: scrapes
-	// should not move the request counters they report.
-	s.mux.Handle("GET /metrics", m.reg.Handler())
-	s.mux.Handle("GET /v1/healthz", f.Instrument("healthz", s.handleHealthz))
-	s.mux.Handle("GET /v1/relations", f.Instrument("relations", s.handleRelations))
-	s.mux.Handle("GET /v1/stats", f.Instrument("stats", s.handleStats))
-	s.mux.Handle("GET /v1/traces", f.Instrument("traces", httpapi.TracesHandler(f.Traces)))
-	s.mux.Handle("GET /v1/traces/{id}", f.Instrument("traces", httpapi.TraceByIDHandler(f.Traces)))
-	s.mux.Handle("POST /v1/join", f.Instrument("join", s.handleJoin))
-	s.mux.Handle("POST /v1/window", f.Instrument("window", s.handleWindow))
-	s.mux.Handle("POST /v1/relations/{relation}/records", f.Instrument("append", s.handleAppend))
-	s.mux.Handle("/", f.Instrument("notfound", httpapi.NotFound))
+	s.handler = httpapi.NewHandler(m.reg, s.front, httpapi.Backend{
+		Health:    func(context.Context) error { return nil },
+		Relations: s.relations,
+		Stats:     func(context.Context) (*client.Stats, error) { st := s.Stats(); return &st, nil },
+		Append:    s.appendRecords,
+		Join:      s.join,
+		Window:    s.window,
+		APIError:  errorFor,
+	})
 	return s
 }
 
 // Handler returns the service's HTTP handler, middleware included.
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.handler }
 
 // stripeDTO returns the server's stripe in wire form (nil when the
 // process serves the whole universe).

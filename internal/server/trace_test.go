@@ -89,6 +89,20 @@ func TestTraceAlwaysOnAndUnknown404(t *testing.T) {
 		t.Fatalf("untraced request did not record a trace: %v", err)
 	}
 
+	// A failed query records its tree too, the error on the root; one
+	// refused before it ran has no children.
+	failCtx := client.WithRequestID(context.Background(), "trace-test-failed")
+	if _, err := cl.JoinCount(failCtx, client.JoinRequest{Left: "nope", Right: "hydro"}); !errors.Is(err, client.ErrNotFound) {
+		t.Fatalf("join on an unknown relation: %v, want not found", err)
+	}
+	det, err := cl.TraceByID(ctx, "trace-test-failed")
+	if err != nil {
+		t.Fatalf("failed join did not record a trace: %v", err)
+	}
+	if det.Root.Attrs["error"] == "" || len(det.Root.Children) != 0 {
+		t.Fatalf("failed join's root = %+v, want an error attr and no children", det.Root)
+	}
+
 	_, err = cl.TraceByID(ctx, "never-recorded")
 	var apiErr *client.APIError
 	if err == nil || !errors.As(err, &apiErr) || apiErr.Code != client.CodeNotFound {

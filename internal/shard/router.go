@@ -414,21 +414,18 @@ func (r *Router) Append(ctx context.Context, relation string, recs []client.Reco
 	if err != nil {
 		return nil, err
 	}
+	placed, err := httpapi.Records(recs)
+	if err != nil {
+		return nil, err
+	}
 	batches := make([][]client.RecordIn, len(ivs))
 	for i := range batches {
 		batches[i] = make([]client.RecordIn, 0, len(recs)/len(ivs)+1)
 	}
-	for n, rec := range recs {
-		rect := httpapi.ToRect(rec.Rect)
-		if !rect.Valid() || !rect.Finite() {
-			return nil, &client.APIError{
-				Status: http.StatusBadRequest, Code: client.CodeBadRequest,
-				Message: fmt.Sprintf("record %d (id %d) has an invalid or non-finite rectangle", n, rec.ID),
-			}
-		}
+	for n, rec := range placed {
 		for i, iv := range ivs {
-			if iv.Loads(rect) {
-				batches[i] = append(batches[i], rec)
+			if iv.Loads(rec.Rect) {
+				batches[i] = append(batches[i], recs[n])
 			}
 		}
 	}

@@ -46,7 +46,9 @@
 // ownership range (sjserved's -stripe flag); Router scatters a
 // request to the sjserved shard endpoints it concerns and gathers
 // their frame streams; Service is the HTTP front that makes a Router
-// a drop-in replacement for a single sjserved (cmd/sjrouter wraps it).
+// a drop-in replacement for a single sjserved — the Router is the
+// backend of the same internal/httpapi handler sjserved answers
+// through (cmd/sjrouter wraps it).
 package shard
 
 import (

@@ -94,41 +94,22 @@ func (f Frame) Records(dst []geom.Record) ([]geom.Record, error) {
 // end of the transport — clients decode through it; a relaying router
 // uses Scanner instead and leaves payloads opaque.
 type Decoder struct {
-	r   io.Reader
-	buf []byte
+	s Scanner
 }
 
 // NewDecoder returns a decoder reading from r.
-func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r} }
+func NewDecoder(r io.Reader) *Decoder { return &Decoder{s: Scanner{r: r}} }
 
-// Next reads one frame. io.EOF is returned untouched at a clean frame
-// boundary; a stream that stops mid-frame returns ErrTruncated. The
-// returned frame's payload is valid only until the next call.
+// Next reads one frame: Scanner.Next, then Verify. io.EOF is returned
+// untouched at a clean frame boundary; a stream that stops mid-frame
+// returns ErrTruncated. The returned frame's payload is valid only
+// until the next call.
 func (d *Decoder) Next() (Frame, error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return Frame{}, io.EOF
-		}
-		return Frame{}, fmt.Errorf("%w: mid-header: %v", ErrTruncated, err)
-	}
-	t, n, err := parseHeader(hdr[:])
+	_, raw, err := d.s.Next()
 	if err != nil {
 		return Frame{}, err
 	}
-	if cap(d.buf) < n {
-		// n is already proven ≤ MaxPayload, so a hostile length field
-		// cannot make this allocation balloon.
-		d.buf = make([]byte, n)
-	}
-	d.buf = d.buf[:n]
-	if _, err := io.ReadFull(d.r, d.buf); err != nil {
-		return Frame{}, fmt.Errorf("%w: mid-payload: %v", ErrTruncated, err)
-	}
-	if got, want := crc32.ChecksumIEEE(d.buf), binary.LittleEndian.Uint32(hdr[offCRC:]); got != want {
-		return Frame{}, fmt.Errorf("%w: got %08x, header says %08x", ErrChecksum, got, want)
-	}
-	return Frame{Type: t, Payload: d.buf}, nil
+	return Verify(raw)
 }
 
 // Scanner reads whole raw frames without touching their payloads: it
