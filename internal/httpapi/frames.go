@@ -1,7 +1,7 @@
 package httpapi
 
 import (
-	"io"
+	"encoding/json"
 	"net/http"
 
 	"unijoin/client"
@@ -9,109 +9,110 @@ import (
 	"unijoin/internal/wire"
 )
 
-// meteredWriter counts writes and bytes on their way to the client.
-// The wire encoder issues exactly one Write per frame, so the write
-// count is the frame count — which keeps the frame metrics out of the
-// encoding hot loop.
-type meteredWriter struct {
-	w      io.Writer
-	writes int64
-	bytes  int64
-}
-
-func (m *meteredWriter) Write(p []byte) (int, error) {
-	m.writes++
-	m.bytes += int64(len(p))
-	return m.w.Write(p)
-}
-
-// FrameWriter is the binary Stream: it sends wire frames over an HTTP
-// response, flushing each logical emit, and defers the
-// Content-Type header to the first frame so pre-stream failures still
-// go out as plain HTTP errors. Write failures (a vanished client) are
-// swallowed; the query is aborted separately through the request
-// context. Close releases the encoder's pooled scratch buffer (safe
-// to defer, safe to call twice). Not safe for concurrent use — the
-// caller serializes, as the router's scatter merge already must.
+// FrameWriter is the binary Stream: it packs wire frames in place into
+// the stream's pending buffer and writes them under the flush rule
+// (flush.go) — at FlushBytes, after the linger, and with the terminal
+// frames — so frames are not writes. The Content-Type header is set
+// with the first frame, so pre-stream failures still go out as plain
+// HTTP errors. Write failures (a vanished client) are swallowed; the
+// query is aborted separately through the request context. Close ends
+// the stream and releases the pending buffer (safe to defer, safe to
+// call twice).
+// Calls must be serialised by the caller, as the router's scatter
+// merge already does; only the linger timer runs beside them, under
+// the stream's lock.
 type FrameWriter struct {
-	w       http.ResponseWriter
-	flusher http.Flusher
-	mw      meteredWriter
-	enc     *wire.Encoder
-	observe func(t wire.Type, frames, bytes int64)
-	started bool
+	sink
 }
 
 // NewFrameWriter wraps a response writer for frame streaming. observe
-// (which may be nil) receives per-type frame and byte counts after
-// each emit — the hook the serving layers hang their sj_frames_total
-// families on.
+// (which may be nil) receives per-type frame and byte counts of every
+// write that went out — the hook the serving layers hang their
+// sj_frames_total families on. It runs under the stream's lock, on the
+// producer's goroutine or the linger timer's, and must not call back
+// into the stream.
 func NewFrameWriter(w http.ResponseWriter, observe func(t wire.Type, frames, bytes int64)) *FrameWriter {
-	fw := &FrameWriter{w: w, observe: observe}
-	fw.flusher, _ = w.(http.Flusher)
-	fw.mw.w = w
-	fw.enc = wire.NewEncoder(&fw.mw)
+	fw := &FrameWriter{sink: newSink(w, wire.ContentType)}
+	fw.observe = observe
 	return fw
 }
 
-// Started reports whether any frame has been written — the point of
-// no return for the HTTP status code.
-func (fw *FrameWriter) Started() bool { return fw.started }
-
-// Close releases the encoder's scratch buffer.
-func (fw *FrameWriter) Close() { fw.enc.Close() }
-
-// emit runs one logical frame write: headers on first use, observed
-// deltas after, one flush at the end.
-func (fw *FrameWriter) emit(t wire.Type, write func() error) {
-	if !fw.started {
-		fw.w.Header().Set("Content-Type", wire.ContentType)
-		fw.started = true
-	}
-	w0, b0 := fw.mw.writes, fw.mw.bytes
-	if err := write(); err != nil {
-		return
-	}
-	if fw.observe != nil {
-		fw.observe(t, fw.mw.writes-w0, fw.mw.bytes-b0)
-	}
-	if fw.flusher != nil {
-		fw.flusher.Flush()
-	}
+// added accounts the frames of type t appended to the pending buffer
+// since it held n bytes, and applies the flush rule. Caller holds mu.
+func (fw *FrameWriter) added(t wire.Type, n int, frames int64, final bool) {
+	fw.unsent[t].frames += frames
+	fw.unsent[t].bytes += int64(len(fw.pb.b) - n)
+	fw.commit(final)
 }
+
+// framesOf is the number of frames a batch of n entries splits into,
+// at most per entries a frame (wire.AppendPairs, AppendRecords).
+func framesOf(n, per int) int64 { return int64((n + per - 1) / per) }
 
 // WritePairs emits one batch of join pairs as PAIRS frames.
 func (fw *FrameWriter) WritePairs(pairs [][2]uint32) {
-	fw.emit(wire.TypePairs, func() error { return fw.enc.WritePairs(pairs) })
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	pb := fw.buffer()
+	n := len(pb.b)
+	pb.b = wire.AppendPairs(pb.b, pairs)
+	fw.added(wire.TypePairs, n, framesOf(len(pairs), wire.MaxPayload/wire.PairSize), false)
 }
 
 // WriteRecords emits one batch of records as RECORDS frames.
 func (fw *FrameWriter) WriteRecords(recs []geom.Record) {
-	fw.emit(wire.TypeRecords, func() error { return fw.enc.WriteRecords(recs) })
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	pb := fw.buffer()
+	n := len(pb.b)
+	pb.b = wire.AppendRecords(pb.b, recs)
+	fw.added(wire.TypeRecords, n, framesOf(len(recs), wire.MaxPayload/wire.RecordSize), false)
+}
+
+// Relay packs an already-framed byte sequence unmodified — the
+// router's zero-decode scatter path. raw must be one whole frame with
+// a validated header (wire.Scanner returns exactly that); its payload
+// and CRC pass through untouched, preserving the end-to-end integrity
+// check, so no frame is ever refused here.
+func (fw *FrameWriter) Relay(raw []byte) error {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	pb := fw.buffer()
+	n := len(pb.b)
+	pb.b = append(pb.b, raw...)
+	fw.added(wire.PeekType(raw), n, 1, false)
+	return nil
+}
+
+// writeJSON emits a SUMMARY or ERROR frame carrying v. Terminal frames
+// are written at End, which follows them.
+func (fw *FrameWriter) writeJSON(t wire.Type, v any) {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return
+	}
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	pb := fw.buffer()
+	n := len(pb.b)
+	pb.b = wire.AppendFrame(pb.b, t, payload)
+	fw.added(t, n, 1, false)
 }
 
 // WriteSummary emits the terminal SUMMARY frame.
-func (fw *FrameWriter) WriteSummary(v any) {
-	fw.emit(wire.TypeSummary, func() error { return fw.enc.WriteJSON(wire.TypeSummary, v) })
-}
+func (fw *FrameWriter) WriteSummary(v any) { fw.writeJSON(wire.TypeSummary, v) }
 
 // WriteError emits a terminal ERROR frame.
-func (fw *FrameWriter) WriteError(e *client.APIError) {
-	fw.emit(wire.TypeError, func() error { return fw.enc.WriteJSON(wire.TypeError, e) })
-}
+func (fw *FrameWriter) WriteError(e *client.APIError) { fw.writeJSON(wire.TypeError, e) }
 
-// End closes the stream with the END frame. A stream that stops
-// without it was truncated, and the decoding client says so.
+// End closes the stream with the END frame and writes everything
+// pending. A stream that stops without it was truncated, and the
+// decoding client says so.
 func (fw *FrameWriter) End() {
-	fw.emit(wire.TypeEnd, func() error { return fw.enc.WriteEnd() })
-}
-
-// Relay writes an already-framed byte sequence through unmodified —
-// the router's zero-decode scatter path. raw must be one whole frame
-// with a validated header (wire.Scanner returns exactly that); its
-// payload and CRC pass through untouched, preserving the end-to-end
-// integrity check, so no frame is ever refused here.
-func (fw *FrameWriter) Relay(raw []byte) error {
-	fw.emit(wire.PeekType(raw), func() error { return fw.enc.WriteRaw(raw) })
-	return nil
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	pb := fw.buffer()
+	n := len(pb.b)
+	pb.b = wire.AppendFrame(pb.b, wire.TypeEnd, nil)
+	fw.added(wire.TypeEnd, n, 1, true)
 }

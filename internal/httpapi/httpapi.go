@@ -11,12 +11,10 @@
 package httpapi
 
 import (
-	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"net/http"
-	"sync"
 
 	"unijoin/client"
 	"unijoin/internal/geom"
@@ -41,38 +39,17 @@ func FromRect(r geom.Rect) client.Rect {
 	return client.Rect{XLo: float64(r.XLo), YLo: float64(r.YLo), XHi: float64(r.XHi), YHi: float64(r.YHi)}
 }
 
-// lineBuf is a poolable marshal buffer with its JSON encoder bound to
-// it once — Encoder.Encode writes into the reused buffer (and appends
-// the newline itself), so a steady-state streaming response allocates
-// nothing per line where json.Marshal allocated the returned slice
-// every call.
-type lineBuf struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-// maxPooledLineBytes caps what a returned buffer may retain: a freak
-// line (a huge windowed record batch) should not pin megabytes in the
-// pool for the rest of the process's life.
-const maxPooledLineBytes = 1 << 20
-
-var lineBufPool = sync.Pool{New: func() any {
-	lb := &lineBuf{}
-	lb.enc = json.NewEncoder(&lb.buf)
-	return lb
-}}
-
-// LineWriter is the NDJSON Stream: it emits lines, flushing each one
-// so clients see results as they are produced. Write failures (a
+// LineWriter is the NDJSON Stream: it marshals each line straight
+// into the stream's pending buffer and writes lines under the flush
+// rule (flush.go) — at FlushBytes, after the linger, and with the
+// terminal summary or error line — so clients see results within one
+// linger of their production, in few large writes. Write failures (a
 // vanished client) are swallowed: the query itself is aborted
-// separately through the request context. Its marshal buffer is
+// separately through the request context. The pending buffer is
 // pooled across requests; call Close (safe to defer, safe to call
 // twice) when the response is done.
 type LineWriter struct {
-	w       http.ResponseWriter
-	flusher http.Flusher
-	started bool
-	lb      *lineBuf
+	sink
 
 	// Scratch reused across batches: Relay unpacks frames into
 	// pairs/recs, WriteRecords widens records into out.
@@ -83,42 +60,22 @@ type LineWriter struct {
 
 // NewLineWriter wraps a response writer for NDJSON streaming.
 func NewLineWriter(w http.ResponseWriter) *LineWriter {
-	f, _ := w.(http.Flusher)
-	return &LineWriter{w: w, flusher: f}
+	return &LineWriter{sink: newSink(w, "application/x-ndjson")}
 }
 
-// Started reports whether a line has already been written.
-func (lw *LineWriter) Started() bool { return lw.started }
+// WriteLine marshals v and queues it as one NDJSON line.
+func (lw *LineWriter) WriteLine(v any) { lw.line(v, false) }
 
-// WriteLine marshals v and sends it as one flushed NDJSON line.
-func (lw *LineWriter) WriteLine(v any) {
-	if lw.lb == nil {
-		lw.lb = lineBufPool.Get().(*lineBuf)
-	}
-	lw.lb.buf.Reset()
-	if err := lw.lb.enc.Encode(v); err != nil {
+// line queues v as one line, written at once when final. A value that
+// does not marshal queues nothing.
+func (lw *LineWriter) line(v any, final bool) {
+	lw.mu.Lock()
+	defer lw.mu.Unlock()
+	pb := lw.buffer()
+	if err := pb.enc.Encode(v); err != nil {
 		return
 	}
-	if !lw.started {
-		lw.w.Header().Set("Content-Type", "application/x-ndjson")
-		lw.started = true
-	}
-	lw.w.Write(lw.lb.buf.Bytes())
-	if lw.flusher != nil {
-		lw.flusher.Flush()
-	}
-}
-
-// Close returns the line buffer to the pool. The writer must not be
-// used afterwards; calling Close more than once is a no-op.
-func (lw *LineWriter) Close() {
-	if lw.lb == nil {
-		return
-	}
-	if lw.lb.buf.Cap() <= maxPooledLineBytes {
-		lineBufPool.Put(lw.lb)
-	}
-	lw.lb = nil
+	lw.commit(final)
 }
 
 // writeJSON sends a 200 with a plain JSON body, marshaling before any

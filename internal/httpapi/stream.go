@@ -14,7 +14,10 @@ import (
 // whichever transport the caller negotiated. The transport is a
 // property of the Stream alone: handlers produce batches (or relay a
 // shard's frames) and never ask which wire format they end up in.
-// FrameWriter and LineWriter are the two implementations.
+// FrameWriter and LineWriter are the two implementations, and they
+// share one rule for when bytes are written (flush.go): batches are
+// queued whole and written at FlushBytes, after a 2 ms linger, or when
+// the stream ends — never one write per batch.
 //
 // A Stream is not safe for concurrent use; a router's scatter
 // serialises its shards' frames before they reach Relay.
@@ -36,11 +39,12 @@ type Stream interface {
 	// gets exactly the results already streamed plus one typed error —
 	// never a silently partial answer.
 	Fail(e *client.APIError)
-	// Started reports whether any byte of the stream has been sent —
+	// Started reports whether any byte of the stream has been queued —
 	// the point of no return for the HTTP status code.
 	Started() bool
-	// Close releases the stream's pooled buffers (safe to defer, safe
-	// to call twice).
+	// Close ends the stream: it writes what is still pending, releases
+	// the pooled buffers and stops the linger, so nothing is written
+	// after it (safe to defer, safe to call twice).
 	Close()
 }
 
@@ -118,11 +122,12 @@ func (lw *LineWriter) Relay(raw []byte) error {
 }
 
 // Finish emits the terminal summary line — for either summary type the
-// bytes of client.JoinLine/WindowLine{Summary: summary}.
+// bytes of client.JoinLine/WindowLine{Summary: summary} — and writes
+// everything pending.
 func (lw *LineWriter) Finish(summary any) {
-	lw.WriteLine(struct {
+	lw.line(struct {
 		Summary any `json:"summary"`
-	}{summary})
+	}{summary}, true)
 }
 
 // Fail implements Stream.Fail: an HTTP error before the first line, a
@@ -132,7 +137,7 @@ func (lw *LineWriter) Fail(e *client.APIError) {
 		writeError(lw.w, e)
 		return
 	}
-	lw.WriteLine(struct {
+	lw.line(struct {
 		Error *client.APIError `json:"error"`
-	}{e})
+	}{e}, true)
 }

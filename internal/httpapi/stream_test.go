@@ -147,13 +147,14 @@ func lineOf(t *testing.T, v any) string {
 	return string(data) + "\n"
 }
 
-// written runs fn against a fresh LineWriter and returns the bytes it
-// put on the wire.
+// written runs fn against a fresh LineWriter, ends the stream (Close
+// writes what the flush rule still holds) and returns the bytes it put
+// on the wire.
 func written(fn func(lw *LineWriter)) string {
 	w := &captureWriter{}
 	lw := NewLineWriter(w)
-	defer lw.Close()
 	fn(lw)
+	lw.Close()
 	return string(w.got)
 }
 
@@ -260,8 +261,8 @@ func FuzzLineRelay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		w := &captureWriter{}
 		lw := NewLineWriter(w)
-		defer lw.Close()
 		err := lw.Relay(raw)
+		lw.Close() // end the stream: what it rendered is on the wire
 		if err != nil {
 			if len(w.got) != 0 || lw.Started() {
 				t.Fatalf("refused frame (%v) still rendered %q", err, w.got)

@@ -66,9 +66,12 @@ func (s *Server) join(ctx context.Context, req *client.JoinRequest, out httpapi.
 	} else {
 		s.workload.ObserveUnwindowed()
 	}
-	// flushPairs streams one batch, accumulating the stream phase: wall
-	// time spent encoding and flushing (all writes happen on this
-	// goroutine — EmitBatch callbacks run synchronously).
+	// flushPairs hands one batch to the stream, accumulating the stream
+	// phase: wall time spent packing the batch into the stream's
+	// pending buffer plus the writes the flush rule makes inline (a
+	// full buffer). EmitBatch callbacks run synchronously, so all of
+	// that happens on this goroutine; a linger's write runs on the
+	// stream's timer, off it, and is not in the phase.
 	var streamTime time.Duration
 	flushPairs := func(batch [][2]uint32) {
 		s.metrics.pairsStreamed.Add(int64(len(batch)))

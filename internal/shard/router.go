@@ -90,11 +90,14 @@ func (o *routerObs) observe(endpoint string, elapsed time.Duration, err error) {
 }
 
 // NewRouter builds a router over the given shard base URLs (at least
-// one). httpClient may be nil for http.DefaultClient; per-call
-// contexts govern cancellation either way.
+// one). httpClient may be nil for the router's own shard transport
+// (shardTransport); per-call contexts govern cancellation either way.
 func NewRouter(endpoints []string, httpClient *http.Client) (*Router, error) {
 	if len(endpoints) == 0 {
 		return nil, fmt.Errorf("shard: router needs at least one shard endpoint")
+	}
+	if httpClient == nil {
+		httpClient = &http.Client{Transport: shardTransport()}
 	}
 	r := &Router{endpoints: append([]string(nil), endpoints...), obs: newRouterObs()}
 	for i, ep := range r.endpoints {
@@ -104,6 +107,18 @@ func NewRouter(endpoints []string, httpClient *http.Client) (*Router, error) {
 		r.all = append(r.all, i)
 	}
 	return r, nil
+}
+
+// shardTransport is the router's HTTP transport to its shards:
+// http.DefaultTransport's dialing, timeouts and idle pool, with each
+// connection reading through a buffer of httpapi.FlushBytes, the size
+// of a shard's writes, so a relayed leg reads in as few, as large,
+// reads as the shard wrote. The buffer belongs to the connection and
+// is reused by every request it carries.
+func shardTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.ReadBufferSize = httpapi.FlushBytes
+	return t
 }
 
 // Registry exposes the router's metric registry so the serving layer

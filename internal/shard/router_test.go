@@ -41,6 +41,14 @@ func startShard(t testing.TB, iv shard.Interval, names []string, rels map[string
 // startShardOver is startShard for data over another region.
 func startShardOver(t testing.TB, region unijoin.Rect, iv shard.Interval, names []string, rels map[string][]unijoin.Record, index bool) string {
 	t.Helper()
+	ts := httptest.NewServer(shardHandler(t, region, iv, names, rels, index))
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// shardHandler is the handler of the shard startShardOver boots.
+func shardHandler(t testing.TB, region unijoin.Rect, iv shard.Interval, names []string, rels map[string][]unijoin.Record, index bool) http.Handler {
+	t.Helper()
 	ws := unijoin.NewWorkspace()
 	ws.SetUniverse(region)
 	cat := unijoin.NewCatalogOn(ws)
@@ -55,10 +63,7 @@ func startShardOver(t testing.TB, region unijoin.Rect, iv shard.Interval, names 
 	if !iv.Unbounded() {
 		cfg.Stripe = &iv
 	}
-	srv := server.New(cfg)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return ts.URL
+	return server.New(cfg).Handler()
 }
 
 // startFleet shards the relations across the plan's stripes, fronts

@@ -47,6 +47,17 @@
 // trailing-error contract: results already streamed are valid, the
 // query did not finish.
 //
+// # Frames are not writes
+//
+// Framing says nothing about how the bytes travel. A serving stream
+// packs many frames into one write (internal/httpapi flushes at 64 KiB,
+// after a 2 ms linger, and at the end of the stream), HTTP chunking
+// cuts writes where it likes, and a reader's buffer cuts reads where it
+// likes. A reader must therefore never assume that a read returns whole
+// frames or starts at a frame boundary: Scanner and Decoder read the
+// header, then exactly the payload length it declares, with
+// io.ReadFull, whatever the reads return.
+//
 // # Integrity: end-to-end, not hop-by-hop
 //
 // The CRC covers the payload and is verified where the payload is

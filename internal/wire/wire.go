@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 
@@ -115,18 +116,63 @@ func AppendFrame(dst []byte, t Type, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// reserve extends dst by one frame of an n-byte payload, header
+// included, growing it at most once; the caller packs the payload and
+// then seals the header over it.
+func reserve(dst []byte, n int) []byte {
+	return slices.Grow(dst, HeaderSize+n)[:len(dst)+HeaderSize+n]
+}
+
+// AppendPairs packs pairs in place as PAIRS frames at the end of dst
+// and returns the extended slice: one frame per MaxPayload/PairSize
+// pairs, none for an empty batch.
+func AppendPairs(dst []byte, pairs [][2]uint32) []byte {
+	for len(pairs) > 0 {
+		n := min(len(pairs), MaxPayload/PairSize)
+		start := len(dst)
+		dst = reserve(dst, n*PairSize)
+		cell := dst[start+HeaderSize:]
+		for _, p := range pairs[:n] {
+			binary.LittleEndian.PutUint32(cell, p[0])
+			binary.LittleEndian.PutUint32(cell[4:], p[1])
+			cell = cell[PairSize:]
+		}
+		putHeader(dst[start:], TypePairs, dst[start+HeaderSize:])
+		pairs = pairs[n:]
+	}
+	return dst
+}
+
+// AppendRecords is AppendPairs for RECORDS frames, each record in the
+// 20-byte on-disk layout.
+func AppendRecords(dst []byte, recs []geom.Record) []byte {
+	for len(recs) > 0 {
+		n := min(len(recs), MaxPayload/RecordSize)
+		start := len(dst)
+		dst = reserve(dst, n*RecordSize)
+		cell := dst[start+HeaderSize:]
+		for _, rec := range recs[:n] {
+			cell = cell[geom.EncodeRecord(cell, rec):]
+		}
+		putHeader(dst[start:], TypeRecords, dst[start+HeaderSize:])
+		recs = recs[n:]
+	}
+	return dst
+}
+
 // frameBuf is a poolable scratch buffer (a pointer type, so pool
 // round-trips don't box a slice header on every Put).
 type frameBuf struct{ b []byte }
 
 // bufPool recycles encoder scratch buffers across streams, so a
-// long-lived server's frame writing settles at zero allocations per
-// frame.
+// long-lived encoder settles at zero allocations per frame.
 var bufPool = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 0, 4096)} }}
 
-// Encoder writes a frame stream to w. It is not safe for concurrent
-// use; one encoder serves one response stream. Close returns its
-// scratch buffer to a pool — an encoder must not be used after Close.
+// Encoder writes a frame stream to w, one Write per call: the frames
+// of a batch are packed by AppendPairs/AppendRecords into a pooled
+// scratch buffer and written together. It is not safe for concurrent
+// use; one encoder serves one stream. Close returns its scratch buffer
+// to the pool — an encoder must not be used after Close.
 type Encoder struct {
 	w  io.Writer
 	fb *frameBuf
@@ -155,63 +201,25 @@ func (e *Encoder) scratch() []byte {
 	return e.fb.b[:0]
 }
 
-// writeFrame assembles header + payload in the scratch buffer and
-// writes it with a single Write call, so a frame is never split
-// across two writes (one flush per frame downstream).
-func (e *Encoder) writeFrame(t Type, payload []byte) error {
-	buf := AppendFrame(e.scratch(), t, payload)
+// write keeps buf as the scratch buffer (it may have grown) and writes
+// it, unless the call produced no frame.
+func (e *Encoder) write(buf []byte) error {
 	e.fb.b = buf
+	if len(buf) == 0 {
+		return nil
+	}
 	_, err := e.w.Write(buf)
 	return err
 }
 
-// WritePairs emits one PAIRS frame carrying the batch. Batches larger
-// than MaxPayload/PairSize entries are split across frames.
+// WritePairs emits the batch as PAIRS frames (AppendPairs).
 func (e *Encoder) WritePairs(pairs [][2]uint32) error {
-	const maxPer = MaxPayload / PairSize
-	for len(pairs) > 0 {
-		n := min(len(pairs), maxPer)
-		buf := e.scratch()
-		var hdr [HeaderSize]byte
-		buf = append(buf, hdr[:]...) // reserve; filled after packing
-		for _, p := range pairs[:n] {
-			var cell [PairSize]byte
-			geom.EncodePair(cell[:], geom.Pair{Left: p[0], Right: p[1]})
-			buf = append(buf, cell[:]...)
-		}
-		putHeader(buf[:HeaderSize], TypePairs, buf[HeaderSize:])
-		e.fb.b = buf
-		if _, err := e.w.Write(buf); err != nil {
-			return err
-		}
-		pairs = pairs[n:]
-	}
-	return nil
+	return e.write(AppendPairs(e.scratch(), pairs))
 }
 
-// WriteRecords emits one RECORDS frame carrying the batch in the
-// 20-byte on-disk layout, splitting oversized batches as WritePairs
-// does.
+// WriteRecords emits the batch as RECORDS frames (AppendRecords).
 func (e *Encoder) WriteRecords(recs []geom.Record) error {
-	const maxPer = MaxPayload / RecordSize
-	for len(recs) > 0 {
-		n := min(len(recs), maxPer)
-		buf := e.scratch()
-		var hdr [HeaderSize]byte
-		buf = append(buf, hdr[:]...)
-		for _, rec := range recs[:n] {
-			var cell [RecordSize]byte
-			geom.EncodeRecord(cell[:], rec)
-			buf = append(buf, cell[:]...)
-		}
-		putHeader(buf[:HeaderSize], TypeRecords, buf[HeaderSize:])
-		e.fb.b = buf
-		if _, err := e.w.Write(buf); err != nil {
-			return err
-		}
-		recs = recs[n:]
-	}
-	return nil
+	return e.write(AppendRecords(e.scratch(), recs))
 }
 
 // WriteJSON emits one SUMMARY or ERROR frame whose payload is v
@@ -221,11 +229,11 @@ func (e *Encoder) WriteJSON(t Type, v any) error {
 	if err != nil {
 		return err
 	}
-	return e.writeFrame(t, payload)
+	return e.write(AppendFrame(e.scratch(), t, payload))
 }
 
 // WriteEnd emits the END frame.
-func (e *Encoder) WriteEnd() error { return e.writeFrame(TypeEnd, nil) }
+func (e *Encoder) WriteEnd() error { return e.write(AppendFrame(e.scratch(), TypeEnd, nil)) }
 
 // WriteRaw writes an already-framed byte sequence through unmodified —
 // the router's relay path. The caller vouches that raw is one whole
