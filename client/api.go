@@ -291,44 +291,15 @@ type Stats struct {
 	// Shards is set by a router: the number of downstream shard
 	// processes whose counters are aggregated into this response.
 	Shards int `json:"shards,omitempty"`
-	// JoinLatencyEWMAMillis is the exponentially-weighted moving
-	// average of join latency per algorithm, in milliseconds — the
-	// steady-state estimate the auto planner and a future rebalancer
-	// consume. Absent until the first join completes.
-	JoinLatencyEWMAMillis map[string]float64 `json:"join_latency_ewma_ms,omitempty"`
 	// ShardStats is set by a router: one entry per downstream shard,
-	// combining the shard's own counters with the router's view of its
-	// scatter latency and error rate.
+	// combining the shard's own counters with the router's count of its
+	// scatter calls and their errors. Latency is on the router's
+	// /metrics, as sj_shard_scatter_seconds{shard}.
 	ShardStats []ShardStat `json:"shard_stats,omitempty"`
-	// Workload is the query-workload recorder's snapshot: where query
-	// windows land on the x-axis and which (relation, algorithm)
-	// combinations traffic runs — the input a rolling rebalance and
-	// the auto planner consume. A router sums it across shards.
-	Workload *WorkloadStats `json:"workload,omitempty"`
-}
-
-// WorkloadStats is the wire form of the query-workload recorder: a
-// fixed-bucket histogram of query-window x-intervals over [XLo, XHi)
-// (Buckets[i] counts windows overlapping stripe i), plus query counts
-// by relation and algorithm. A router sums all counts across its
-// shards; every shard of one fleet records over the same range and
-// bucket count, so the merge is index-wise.
-type WorkloadStats struct {
-	XLo     float64 `json:"xlo"`
-	XHi     float64 `json:"xhi"`
-	Buckets []int64 `json:"buckets"`
-	// Windowed and Unwindowed split queries by whether they carried a
-	// window; only windowed queries land in Buckets, so full scans
-	// don't drown the locality signal.
-	Windowed   int64 `json:"windowed"`
-	Unwindowed int64 `json:"unwindowed"`
-	// Queries maps relation → algorithm → accepted query count
-	// (window queries count under algorithm "window").
-	Queries map[string]map[string]int64 `json:"queries,omitempty"`
 }
 
 // ShardStat is a router's per-shard health line: the shard's
-// self-reported counters plus the scatter latency the router observes
+// self-reported counters plus the scatter calls the router counts
 // from its side of the connection.
 type ShardStat struct {
 	Endpoint string  `json:"endpoint"`
@@ -338,11 +309,9 @@ type ShardStat struct {
 	InFlight int64 `json:"in_flight"`
 	Errors   int64 `json:"errors"`
 	// ScatterRequests and ScatterErrors count the router's calls to
-	// this shard; LatencyEWMAMillis is the router-observed smoothed
-	// per-call latency.
-	ScatterRequests   int64   `json:"scatter_requests"`
-	ScatterErrors     int64   `json:"scatter_errors"`
-	LatencyEWMAMillis float64 `json:"latency_ewma_ms"`
+	// this shard.
+	ScatterRequests int64 `json:"scatter_requests"`
+	ScatterErrors   int64 `json:"scatter_errors"`
 }
 
 // Error codes carried by APIError.Code, one per error class the

@@ -106,17 +106,9 @@ func main() {
 		fail(err)
 	}
 
-	// The workload histogram's bounds come from -region, so every shard
-	// of a fleet started with the same -region (the only sane way to
-	// run one) keeps bucket-compatible histograms a router can sum.
-	universe, err := unijoin.ParseRect(*region)
-	if err != nil {
-		fail(err)
-	}
 	srv := server.New(server.Config{
 		Catalog: cat, Timeout: *timeout, Logger: log, Stripe: stripe,
 		Traces: *traces, SlowQuery: *slowQuery,
-		WorkloadLo: float64(universe.XLo), WorkloadHi: float64(universe.XHi),
 	})
 	log.Info("serving", "addr", *addr, "relations", cat.Len(), "timeout", timeout.String())
 	if err := httpapi.Serve(log, *addr, *pprofAddr, srv.Handler()); err != nil {

@@ -7,24 +7,21 @@ import (
 	"testing"
 )
 
-// TestSeriesBound drives a labeled family, an EWMASet and a Workload
-// past maxSeries with distinct caller strings, from several goroutines
-// at once: each keeps a bounded number of entries, every refused
-// lookup is counted, the series that existed before the flood stay
-// exact, and the exposition stays well formed. This is what holds the
-// cardinality invariant now that no analyzer follows label data flows.
+// TestSeriesBound drives a labeled counter family and a labeled
+// histogram family past maxSeries with distinct caller strings, from
+// several goroutines at once: each keeps a bounded number of entries,
+// every refused lookup is counted, the series that existed before the
+// flood stay exact, and the exposition stays well formed. This is
+// what holds the cardinality invariant now that no analyzer follows
+// label data flows.
 func TestSeriesBound(t *testing.T) {
 	const extra, workers = 300, 4
 	reg := NewRegistry()
 	vec := reg.CounterVec("flood_total", "flooded", "who", "what")
 	hist := reg.HistogramVec("flood_seconds", "flooded", []float64{1}, "who")
-	set := NewEWMASet(DefaultAlpha)
-	w := NewWorkload(reg, 0, 1000, 4)
 
 	vec.With("early", "bird").Add(7)
 	hist.With("early").Observe(0.5)
-	set.Observe("early", 3)
-	w.ObserveQuery("roads", "PQ")
 	dropped0 := seriesDropped.Value()
 
 	var wg sync.WaitGroup
@@ -36,24 +33,20 @@ func TestSeriesBound(t *testing.T) {
 				k := fmt.Sprintf("k%d", i)
 				vec.With(k, "x").Inc()
 				hist.With(k).Observe(2)
-				set.Observe(k, 1)
-				w.ObserveQuery(k, "PQ")
 			}
 		}()
 	}
 	wg.Wait()
 
 	// Each map held one entry before the flood, so exactly extra+1 of
-	// the maxSeries+extra new keys overflowed in each of the four.
+	// the maxSeries+extra new keys overflowed in each of the two.
 	const over = extra + 1
-	if got := seriesDropped.Value() - dropped0; got != 4*over {
-		t.Fatalf("sj_metric_series_dropped_total moved by %d, want %d", got, 4*over)
+	if got := seriesDropped.Value() - dropped0; got != 2*over {
+		t.Fatalf("sj_metric_series_dropped_total moved by %d, want %d", got, 2*over)
 	}
 	for name, n := range map[string]int{
 		"counter family":   len(vec.f.children),
 		"histogram family": len(hist.f.children),
-		"EWMASet":          len(set.m),
-		"workload queries": len(w.queries.f.children),
 	} {
 		if n != maxSeries+1 {
 			t.Errorf("%s holds %d entries, want maxSeries+1 = %d", name, n, maxSeries+1)
@@ -65,24 +58,14 @@ func TestSeriesBound(t *testing.T) {
 	if got := hist.With(otherLabel).Count(); got != over {
 		t.Errorf("histogram overflow series count = %d, want %d", got, over)
 	}
-	if got := set.m[otherLabel].Count(); got != over {
-		t.Errorf("EWMA overflow key count = %d, want %d", got, over)
-	}
-	snap := w.Snapshot()
-	if got := snap.Queries[otherLabel][otherLabel]; got != over {
-		t.Errorf("workload overflow queries = %d, want %d", got, over)
-	}
 
 	// Pre-existing series are untouched, and still reachable.
 	vec.With("early", "bird").Inc()
 	if got := vec.With("early", "bird").Value(); got != 8 {
 		t.Errorf("pre-existing counter = %d, want 8", got)
 	}
-	if hist.With("early").Count() != 1 || set.Value("early") != 3 || set.Value("never-seen") != 0 {
-		t.Errorf("pre-existing histogram/EWMA disturbed: %d, %v", hist.With("early").Count(), set.Value("early"))
-	}
-	if snap.Queries["roads"]["PQ"] != 1 {
-		t.Errorf("pre-existing workload count = %d, want 1", snap.Queries["roads"]["PQ"])
+	if got := hist.With("early").Count(); got != 1 {
+		t.Errorf("pre-existing histogram count = %d, want 1", got)
 	}
 
 	// The exposition parses the way the CI smoke checks it: every

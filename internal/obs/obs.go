@@ -1,9 +1,7 @@
 // Package obs is the dependency-free metrics subsystem behind the
 // serving layers' observability: a concurrent Registry of counters,
 // gauges, and fixed-bucket histograms with label support, rendered in
-// the Prometheus text exposition format (version 0.0.4), plus per-key
-// exponentially-weighted moving averages for cheap steady-state
-// latency estimates.
+// the Prometheus text exposition format (version 0.0.4).
 //
 // Registration is idempotent — asking for an already-registered
 // family with the same shape returns the existing one — and panics on
@@ -16,10 +14,7 @@
 // The intended wiring: each serving process owns one Registry,
 // exposes it on GET /metrics via Handler, and threads the typed
 // handles (Counter, Gauge, Histogram and their labeled Vec variants)
-// through its request path. EWMASet lives beside the Registry for
-// signals that want a current estimate rather than a distribution —
-// the per-algorithm and per-shard latency feeds the adaptive router
-// and rebalancer will consume.
+// through its request path.
 package obs
 
 import (
@@ -68,10 +63,10 @@ type Registry struct {
 	byName map[string]*family
 }
 
-// maxSeries bounds every map in this package keyed by a caller's
-// string (a family's children, an EWMASet's keys): once a map holds
-// this many entries, a new key resolves to one shared overflow entry
-// whose label values are all otherLabel, and seriesDropped counts the
+// maxSeries bounds a family's children, the one map in this package
+// keyed by a caller's strings: once a family holds this many label
+// tuples, a new tuple resolves to one shared overflow child whose
+// label values are all otherLabel, and seriesDropped counts the
 // lookup. Label values are meant to come from bounded sets (relation
 // names, algorithms, status codes); the bound holds memory and scrape
 // size when a caller gets that wrong.
@@ -83,24 +78,11 @@ const (
 // seriesDropped is process-wide; every Registry exposes it.
 var seriesDropped Counter
 
-// bounded looks key up in m for a caller holding m's write lock. A new
-// key that would grow m past maxSeries is counted and replaced by
-// other, m's overflow key.
-func bounded[V any](m map[string]V, key, other string) (string, V, bool) {
-	v, ok := m[key]
-	if !ok && len(m) >= maxSeries {
-		seriesDropped.Inc()
-		key = other
-		v, ok = m[key]
-	}
-	return key, v, ok
-}
-
 // NewRegistry returns a registry holding only the overflow counter.
 func NewRegistry() *Registry {
 	r := &Registry{byName: make(map[string]*family)}
 	r.register("sj_metric_series_dropped_total",
-		"Lookups of a new label tuple or key refused past the per-map series bound and folded into the \"_other\" entry.",
+		"Lookups of a new label tuple refused past the per-family series bound and folded into the \"_other\" series.",
 		kindCounter, nil, nil).children[""] = &seriesDropped
 	return r
 }
@@ -198,7 +180,12 @@ func (f *family) child(values []string) any {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	key, c, ok = bounded(f.children, key, f.other)
+	c, ok = f.children[key]
+	if !ok && len(f.children) >= maxSeries {
+		seriesDropped.Inc()
+		key = f.other
+		c, ok = f.children[key]
+	}
 	if ok {
 		return c
 	}

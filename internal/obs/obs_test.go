@@ -121,7 +121,6 @@ func TestConcurrentMetrics(t *testing.T) {
 	c := reg.Counter("c_total", "")
 	g := reg.Gauge("g", "")
 	h := reg.HistogramVec("h_seconds", "", nil, "k")
-	set := NewEWMASet(DefaultAlpha)
 
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
@@ -134,7 +133,6 @@ func TestConcurrentMetrics(t *testing.T) {
 				c.Inc()
 				g.Add(1)
 				h.With(key).Observe(0.001 * float64(i%7))
-				set.Observe(key, float64(i))
 			}
 		}(w)
 	}
@@ -147,40 +145,5 @@ func TestConcurrentMetrics(t *testing.T) {
 	}
 	if n := h.With("a").Count() + h.With("b").Count(); n != workers*per {
 		t.Fatalf("histogram count = %d, want %d", n, workers*per)
-	}
-	if set.Value("a") <= 0 || set.Value("b") <= 0 {
-		t.Fatalf("ewma snapshot = %v", set.Snapshot())
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Value() != 0 {
-		t.Fatal("cold EWMA not zero")
-	}
-	e.Observe(10) // seeds directly
-	if e.Value() != 10 {
-		t.Fatalf("after seed: %v", e.Value())
-	}
-	e.Observe(20) // 10 + 0.5*(20-10)
-	if e.Value() != 15 {
-		t.Fatalf("after second observation: %v", e.Value())
-	}
-	if e.Count() != 2 {
-		t.Fatalf("count = %d", e.Count())
-	}
-
-	s := NewEWMASet(0) // falls back to DefaultAlpha
-	s.Observe("pq", 4)
-	s.Observe("pq", 4)
-	if s.Value("pq") != 4 {
-		t.Fatalf("set value = %v", s.Value("pq"))
-	}
-	if s.Value("missing") != 0 {
-		t.Fatal("unknown key must read 0")
-	}
-	snap := s.Snapshot()
-	if len(snap) != 1 || snap["pq"] != 4 {
-		t.Fatalf("snapshot = %v", snap)
 	}
 }

@@ -56,16 +56,6 @@ func (s *Server) join(ctx context.Context, req *client.JoinRequest, out httpapi.
 		root.End()
 		return nil, root, badRequestErr(err)
 	}
-	// The workload recorder sees every accepted query: the relation
-	// names are catalog-validated above and the algorithm comes from
-	// the parsed set, so both are bounded label values.
-	s.workload.ObserveQuery(req.Left, alg.String())
-	s.workload.ObserveQuery(req.Right, alg.String())
-	if req.Window != nil {
-		s.workload.ObserveWindow(req.Window.XLo, req.Window.XHi)
-	} else {
-		s.workload.ObserveUnwindowed()
-	}
 	// flushPairs hands one batch to the stream, accumulating the stream
 	// phase: wall time spent packing the batch into the stream's
 	// pending buffer plus the writes the flush rule makes inline (a
@@ -147,10 +137,6 @@ func (s *Server) window(ctx context.Context, req *client.WindowRequest, out http
 		root.End()
 		return nil, root, badRequestErr(fmt.Errorf("window query needs a \"window\" rectangle"))
 	}
-	// Window queries always carry a rectangle, so they always feed the
-	// x-histogram; the relation name is catalog-validated above.
-	s.workload.ObserveQuery(req.Relation, "window")
-	s.workload.ObserveWindow(req.Window.XLo, req.Window.XHi)
 	// Pin once: the slab scan of the epoch's prepared run and the
 	// summary's Indexed field (declared indexed, not how the window was
 	// answered) must describe the same epoch.

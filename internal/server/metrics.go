@@ -38,11 +38,6 @@ type metrics struct {
 	// and sorted) and merge (an epoch's base and delta runs were
 	// merged). A join that finds both runs warm counts nothing.
 	preparedFull, preparedMerge *obs.Counter
-
-	// joinEWMA is the per-algorithm smoothed latency (milliseconds)
-	// surfaced on /v1/stats — the steady-state estimate a planner or
-	// rebalancer reads without parsing histogram buckets.
-	joinEWMA *obs.EWMASet
 }
 
 // joinBuckets widens obs.DefBuckets upward: a cold PBSM join of two
@@ -94,16 +89,14 @@ func newMetrics(reg *obs.Registry) *metrics {
 		phase: reg.HistogramVec("sj_join_phase_seconds",
 			"Join phase wall time in seconds: partition (input preparation), sweep (join kernel), stream (response writing).",
 			joinBuckets, "phase"),
-		joinEWMA: obs.NewEWMASet(obs.DefaultAlpha),
 	}
 }
 
 // observeJoin records one successful join: the per-algorithm latency
-// histogram and EWMA, the per-phase breakdown, and any prepared-run
+// histogram, the per-phase breakdown, and any prepared-run
 // builds it paid for.
 func (m *metrics) observeJoin(algorithm string, elapsedSec float64, t phaseSeconds, prepared [2]ingest.Build) {
 	m.joinLatency.With(algorithm).Observe(elapsedSec)
-	m.joinEWMA.Observe(algorithm, elapsedSec*1000)
 	m.phase.With("partition").Observe(t.partition)
 	m.phase.With("sweep").Observe(t.sweep)
 	m.phase.With("stream").Observe(t.stream)

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -124,16 +126,16 @@ func TestMiddlewareHistogramCounts(t *testing.T) {
 	if got := srv.metrics.phase.With("sweep").Count(); got != n {
 		t.Fatalf("sweep phase histogram observed %d, want %d", got, n)
 	}
-	if v := srv.metrics.joinEWMA.Value("PQ"); v <= 0 {
-		t.Fatalf("join EWMA = %v, want > 0", v)
-	}
 	if fl := srv.front.InFlight.Value(); fl != 0 {
 		t.Fatalf("in-flight gauge = %v after quiesce, want 0", fl)
 	}
 }
 
 // TestMetricsEndpoint scrapes GET /metrics and checks the exposition
-// carries the request series with real observations.
+// carries the request series with real observations, that its family
+// inventory is exactly the server's (a family added later must be
+// listed here on purpose), and that /v1/stats carries no field
+// without a reader.
 func TestMetricsEndpoint(t *testing.T) {
 	cat := testCatalog(t, 200)
 	_, cl, url := testServer(t, Config{Catalog: cat})
@@ -154,6 +156,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("content type = %q", ct)
 	}
 	var body bytes.Buffer
+	var families []string
 	sc := bufio.NewScanner(resp.Body)
 	found := false
 	for sc.Scan() {
@@ -161,6 +164,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		body.WriteString(line + "\n")
 		if line == `sj_request_seconds_count{endpoint="join"} 1` {
 			found = true
+		}
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			families = append(families, f[2])
 		}
 		// Every non-comment line must be "name value".
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -176,6 +182,34 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{"sj_join_seconds_bucket{algorithm=\"PQ\"", "sj_joins_total 1"} {
 		if !strings.Contains(body.String(), want) {
 			t.Fatalf("exposition missing %q; body:\n%s", want, body.String())
+		}
+	}
+	slices.Sort(families)
+	// Labeled families with no series yet (sj_ingest_records_total,
+	// sj_delta_records) render nothing, so they are absent after a join.
+	if want := []string{
+		"sj_appends_total", "sj_canceled_total", "sj_compactions_total",
+		"sj_errors_total", "sj_ingest_seconds", "sj_join_phase_seconds",
+		"sj_join_seconds", "sj_joins_total", "sj_metric_series_dropped_total",
+		"sj_pairs_streamed_total", "sj_prepared_builds_total",
+		"sj_records_streamed_total", "sj_request_seconds",
+		"sj_requests_in_flight", "sj_requests_total", "sj_windows_total",
+	}; !slices.Equal(families, want) {
+		t.Fatalf("/metrics families =\n%q\nwant\n%q", families, want)
+	}
+
+	statsResp, err := http.Get(url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer statsResp.Body.Close()
+	var stats map[string]any
+	if err := json.NewDecoder(statsResp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	for _, gone := range []string{"join_latency_ewma_ms", "workload"} {
+		if _, ok := stats[gone]; ok {
+			t.Fatalf("/v1/stats carries %q: %v", gone, stats)
 		}
 	}
 }
@@ -263,13 +297,9 @@ func TestJoinTrace(t *testing.T) {
 		t.Fatalf("partition phase observations = %d, want 2", got)
 	}
 
-	// Stats surfaces the per-algorithm EWMA.
-	stats, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.JoinLatencyEWMAMillis["SSSJ"] <= 0 {
-		t.Fatalf("stats EWMA = %+v, want SSSJ > 0", stats.JoinLatencyEWMAMillis)
+	// The SSSJ join's latency reached its algorithm's histogram.
+	if got := srv.metrics.joinLatency.With("SSSJ").Count(); got != 1 {
+		t.Fatalf(`sj_join_seconds_count{algorithm="SSSJ"} = %d, want 1`, got)
 	}
 }
 

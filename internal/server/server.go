@@ -70,12 +70,6 @@ type Config struct {
 	// SlowQuery, when positive, logs one Warn line with the full span
 	// breakdown for every join or window whose wall time reaches it.
 	SlowQuery time.Duration
-	// WorkloadLo and WorkloadHi bound the query-window x-histogram the
-	// workload recorder keeps (Hi ≤ Lo falls back to the default
-	// 0..1000 universe). Every shard of a fleet must use the same
-	// bounds — sjserved derives them from -region — so a router can
-	// sum the histograms index-wise on /v1/stats.
-	WorkloadLo, WorkloadHi float64
 }
 
 // Server is the HTTP query service. Create with New, expose with
@@ -93,8 +87,7 @@ type Server struct {
 	// them.
 	front httpapi.Front
 
-	metrics  *metrics
-	workload *obs.Workload
+	metrics *metrics
 }
 
 // New builds a Server over cfg.Catalog.
@@ -117,7 +110,6 @@ func New(cfg Config) *Server {
 			Traces: obs.NewTraceStore(cfg.Traces), SlowQuery: cfg.SlowQuery,
 		}),
 	}
-	s.workload = obs.NewWorkload(m.reg, cfg.WorkloadLo, cfg.WorkloadHi, obs.DefaultWorkloadBuckets)
 	s.handler = httpapi.NewHandler(m.reg, s.front, httpapi.Backend{
 		Health:    func(context.Context) error { return nil },
 		Relations: s.relations,
@@ -158,33 +150,20 @@ func (s *Server) Stats() client.Stats {
 		}
 	}
 	return client.Stats{
-		Stripe:                s.stripeDTO(),
-		UptimeSeconds:         time.Since(s.start).Seconds(),
-		Relations:             s.cat.Len(),
-		Requests:              s.front.Requests.Total() + inFlight,
-		InFlight:              inFlight,
-		Joins:                 s.metrics.joins.Value(),
-		Windows:               s.metrics.windows.Value(),
-		Errors:                s.front.Errors.Value(),
-		Canceled:              s.front.Canceled.Value(),
-		PairsStreamed:         s.metrics.pairsStreamed.Value(),
-		RecordsStreamed:       s.metrics.recordsStreamed.Value(),
-		Appends:               s.metrics.appends.Value(),
-		RecordsIngested:       s.metrics.ingestRecords.Total(),
-		Compactions:           s.metrics.compactions.Value(),
-		DeltaRecords:          delta,
-		JoinLatencyEWMAMillis: s.metrics.joinEWMA.Snapshot(),
-		Workload:              workloadDTO(s.workload.Snapshot()),
-	}
-}
-
-// workloadDTO converts the recorder's snapshot to its wire form.
-func workloadDTO(w obs.WorkloadSnapshot) *client.WorkloadStats {
-	return &client.WorkloadStats{
-		XLo: w.XLo, XHi: w.XHi,
-		Buckets:    w.Buckets,
-		Windowed:   w.Windowed,
-		Unwindowed: w.Unwindowed,
-		Queries:    w.Queries,
+		Stripe:          s.stripeDTO(),
+		UptimeSeconds:   time.Since(s.start).Seconds(),
+		Relations:       s.cat.Len(),
+		Requests:        s.front.Requests.Total() + inFlight,
+		InFlight:        inFlight,
+		Joins:           s.metrics.joins.Value(),
+		Windows:         s.metrics.windows.Value(),
+		Errors:          s.front.Errors.Value(),
+		Canceled:        s.front.Canceled.Value(),
+		PairsStreamed:   s.metrics.pairsStreamed.Value(),
+		RecordsStreamed: s.metrics.recordsStreamed.Value(),
+		Appends:         s.metrics.appends.Value(),
+		RecordsIngested: s.metrics.ingestRecords.Total(),
+		Compactions:     s.metrics.compactions.Value(),
+		DeltaRecords:    delta,
 	}
 }

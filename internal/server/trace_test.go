@@ -137,68 +137,3 @@ func TestWindowTraceRecorded(t *testing.T) {
 		t.Fatalf("window trace children = %v, want scan and stream", names)
 	}
 }
-
-// TestWorkloadInStats drives windowed and unwindowed traffic and
-// checks the /v1/stats workload block: the histogram records where
-// query windows landed, the per-(relation, algorithm) counters count
-// accepted queries, and full scans stay out of the histogram.
-func TestWorkloadInStats(t *testing.T) {
-	_, cl, _ := testServer(t, Config{
-		Catalog:    testCatalog(t, 300),
-		WorkloadLo: 0, WorkloadHi: 1000,
-	})
-	ctx := context.Background()
-
-	// Two windowed joins in the low band, one unwindowed, one window
-	// query in the high band.
-	low := &client.Rect{XLo: 10, YLo: 10, XHi: 60, YHi: 60}
-	for i := 0; i < 2; i++ {
-		if _, err := cl.JoinCount(ctx, client.JoinRequest{
-			Left: "roads", Right: "hydro", Algorithm: "PQ", Window: low,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := cl.JoinCount(ctx, client.JoinRequest{Left: "roads", Right: "hydro", Algorithm: "PQ"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Window(ctx, client.WindowRequest{
-		Relation: "roads", Window: &client.Rect{XLo: 900, YLo: 0, XHi: 990, YHi: 1000},
-		CountOnly: true,
-	}, func(client.RecordOut) {}); err != nil {
-		t.Fatal(err)
-	}
-
-	stats, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := stats.Workload
-	if w == nil {
-		t.Fatal("stats.workload missing")
-	}
-	if w.Windowed != 3 || w.Unwindowed != 1 {
-		t.Fatalf("windowed/unwindowed = %d/%d, want 3/1", w.Windowed, w.Unwindowed)
-	}
-	if len(w.Buckets) == 0 {
-		t.Fatal("workload histogram empty")
-	}
-	// Bucket width is 1000/32 = 31.25: the low-band joins land near the
-	// start, the high-band window near the end.
-	if w.Buckets[0] != 2 {
-		t.Fatalf("bucket 0 = %d, want the 2 low-band joins (buckets: %v)", w.Buckets[0], w.Buckets)
-	}
-	if w.Buckets[len(w.Buckets)-2]+w.Buckets[len(w.Buckets)-1] == 0 {
-		t.Fatalf("high-band window query missing from the tail (buckets: %v)", w.Buckets)
-	}
-	// Each join counts once per input relation; the window query once.
-	if got := w.Queries["roads"]["PQ"]; got != 3 {
-		t.Fatalf("roads/PQ = %d, want 3", got)
-	}
-	if got := w.Queries["hydro"]["PQ"]; got != 3 {
-		t.Fatalf("hydro/PQ = %d, want 3", got)
-	}
-	if got := w.Queries["roads"]["window"]; got != 1 {
-		t.Fatalf("roads/window = %d, want 1", got)
-	}
-}

@@ -3,8 +3,12 @@ package shard_test
 import (
 	"bufio"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -68,9 +72,43 @@ func TestTraceAcrossFleet(t *testing.T) {
 	}
 }
 
+// sampleValue returns the value of the exposition sample named series
+// (name plus label block, exactly as rendered) in text.
+func sampleValue(t *testing.T, text, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("exposition has no sample %q:\n%s", series, text)
+	return 0
+}
+
+// scrape returns the body of GET base/metrics.
+func scrape(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
 // TestRouterShardStats verifies the router's extended /v1/stats: one
-// ShardStat per shard, scatter counters moving, and a smoothed
-// latency estimate once traffic has flowed.
+// ShardStat per shard with its scatter counters moving, and each
+// shard's latency recorded on both sides of the scatter once traffic
+// has flowed: the router's sj_shard_scatter_seconds for the leg and
+// the shard's own sj_join_seconds for the join.
 func TestRouterShardStats(t *testing.T) {
 	cl, router := obsFleet(t)
 	ctx := context.Background()
@@ -100,21 +138,24 @@ func TestRouterShardStats(t *testing.T) {
 		if ss.Requests == 0 {
 			t.Fatalf("shard %d self-reported requests = 0", i)
 		}
-		if ss.LatencyEWMAMillis <= 0 {
-			t.Fatalf("shard %d latency EWMA = %v, want > 0", i, ss.LatencyEWMAMillis)
-		}
 		if ss.ScatterErrors != 0 {
 			t.Fatalf("shard %d scatter_errors = %d on a healthy fleet", i, ss.ScatterErrors)
 		}
-	}
-	if stats.JoinLatencyEWMAMillis["PQ"] <= 0 {
-		t.Fatalf("fleet per-algorithm EWMA = %+v, want PQ > 0", stats.JoinLatencyEWMAMillis)
+		series := `sj_shard_scatter_seconds_count{shard="` + ss.Endpoint + `"}`
+		if v := sampleValue(t, router.Registry().Render(), series); v <= 0 {
+			t.Fatalf("router %s = %v, want > 0", series, v)
+		}
+		if v := sampleValue(t, scrape(t, ss.Endpoint), `sj_join_seconds_count{algorithm="PQ"}`); v <= 0 {
+			t.Fatalf(`shard %d sj_join_seconds_count{algorithm="PQ"} = %v, want > 0`, i, v)
+		}
 	}
 }
 
 // TestRouterMetricsEndpoint scrapes the router's /metrics and checks
 // the per-shard scatter families are present, well-formed, and
-// populated for every shard.
+// populated for every shard, that its family inventory is exactly the
+// router's (a family added later must be listed here on purpose), and
+// that /v1/stats carries no field without a reader.
 func TestRouterMetricsEndpoint(t *testing.T) {
 	rels := map[string][]unijoin.Record{
 		"a": datagen.Uniform(7, 600, universe, 25),
@@ -150,10 +191,14 @@ func TestRouterMetricsEndpoint(t *testing.T) {
 		t.Fatalf("GET /metrics = %d", resp.StatusCode)
 	}
 	var body strings.Builder
+	var families []string
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		line := sc.Text()
 		body.WriteString(line + "\n")
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			families = append(families, f[2])
+		}
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
@@ -162,14 +207,20 @@ func TestRouterMetricsEndpoint(t *testing.T) {
 		}
 	}
 	for _, shardURL := range urls {
-		for _, fam := range []string{
-			`sj_shard_scatter_seconds_count{shard="` + shardURL + `"}`,
-			`sj_shard_latency_ewma_ms{shard="` + shardURL + `"}`,
-		} {
-			if !strings.Contains(body.String(), fam) {
-				t.Fatalf("router exposition missing %q:\n%s", fam, body.String())
-			}
+		series := `sj_shard_scatter_seconds_count{shard="` + shardURL + `"}`
+		if v := sampleValue(t, body.String(), series); v <= 0 {
+			t.Fatalf("router %s = %v, want > 0", series, v)
 		}
+	}
+	slices.Sort(families)
+	// sj_shard_errors_total has no series on a healthy fleet, so it
+	// renders nothing.
+	if want := []string{
+		"sj_canceled_total", "sj_errors_total", "sj_metric_series_dropped_total",
+		"sj_request_seconds", "sj_requests_in_flight", "sj_requests_total",
+		"sj_shard_in_flight", "sj_shard_scatter_seconds",
+	}; !slices.Equal(families, want) {
+		t.Fatalf("router /metrics families =\n%q\nwant\n%q", families, want)
 	}
 	if !strings.Contains(body.String(), `sj_requests_total{endpoint="join",status="200"} 1`) {
 		t.Fatalf("router exposition missing its own request counter:\n%s", body.String())
@@ -183,8 +234,26 @@ func TestRouterMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp2.Body.Close()
+	defer resp2.Body.Close()
 	if got := resp2.Header.Get("X-Request-Id"); got != "ride2e" {
 		t.Fatalf("router echoed request id %q, want ride2e", got)
+	}
+	var stats map[string]any
+	if err := json.NewDecoder(resp2.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	for _, gone := range []string{"join_latency_ewma_ms", "workload"} {
+		if _, ok := stats[gone]; ok {
+			t.Fatalf("router /v1/stats carries %q: %v", gone, stats)
+		}
+	}
+	shardStats, _ := stats["shard_stats"].([]any)
+	if len(shardStats) != len(urls) {
+		t.Fatalf("router /v1/stats shard_stats = %v, want %d entries", stats["shard_stats"], len(urls))
+	}
+	for i, ss := range shardStats {
+		if _, ok := ss.(map[string]any)["latency_ewma_ms"]; ok {
+			t.Fatalf("shard_stats[%d] carries latency_ewma_ms: %v", i, ss)
+		}
 	}
 }

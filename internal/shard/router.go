@@ -44,17 +44,13 @@ type Router struct {
 }
 
 // routerObs is the router's view of shard health, recorded around
-// every scatter call. The per-shard EWMA feeds both the
-// sj_shard_latency_ewma_ms gauge and the latency column of
-// /v1/stats's shard table — the signal a future rebalancer or
-// latency-aware planner would read.
+// every scatter call. The latency histogram's count and the error
+// counter are also the scatter columns of /v1/stats's shard table.
 type routerObs struct {
 	reg      *obs.Registry
 	latency  *obs.HistogramVec // sj_shard_scatter_seconds{shard}
 	errors   *obs.CounterVec   // sj_shard_errors_total{shard}
 	inFlight *obs.GaugeVec     // sj_shard_in_flight{shard}
-	ewmaMS   *obs.GaugeVec     // sj_shard_latency_ewma_ms{shard}
-	ewma     *obs.EWMASet
 }
 
 func newRouterObs() routerObs {
@@ -70,23 +66,15 @@ func newRouterObs() routerObs {
 		inFlight: reg.GaugeVec("sj_shard_in_flight",
 			"Scatter calls currently outstanding, by shard endpoint.",
 			"shard"),
-		ewmaMS: reg.GaugeVec("sj_shard_latency_ewma_ms",
-			"Smoothed scatter latency in milliseconds, by shard endpoint.",
-			"shard"),
-		ewma: obs.NewEWMASet(obs.DefaultAlpha),
 	}
 }
 
 // observe records one scatter call against a shard.
 func (o *routerObs) observe(endpoint string, elapsed time.Duration, err error) {
-	sec := elapsed.Seconds()
-	o.latency.With(endpoint).Observe(sec)
+	o.latency.With(endpoint).Observe(elapsed.Seconds())
 	if err != nil {
 		o.errors.With(endpoint).Inc()
-		return
 	}
-	o.ewma.Observe(endpoint, sec*1000)
-	o.ewmaMS.With(endpoint).Set(o.ewma.Value(endpoint))
 }
 
 // NewRouter builds a router over the given shard base URLs (at least
@@ -548,80 +536,18 @@ func (r *Router) Stats(ctx context.Context) (*client.Stats, error) {
 		agg.RecordsIngested += s.RecordsIngested
 		agg.Compactions += s.Compactions
 		agg.DeltaRecords += s.DeltaRecords
-		// Per-algorithm EWMAs merge by max — the fleet's join latency
-		// is its slowest shard's, as in the summary merge.
-		for alg, v := range s.JoinLatencyEWMAMillis {
-			if agg.JoinLatencyEWMAMillis == nil {
-				agg.JoinLatencyEWMAMillis = make(map[string]float64)
-			}
-			agg.JoinLatencyEWMAMillis[alg] = math.Max(agg.JoinLatencyEWMAMillis[alg], v)
-		}
-		agg.Workload = mergeWorkloads(agg.Workload, s.Workload)
 		ep := r.endpoints[i]
 		agg.ShardStats = append(agg.ShardStats, client.ShardStat{
-			Endpoint:          ep,
-			Stripe:            s.Stripe,
-			Requests:          s.Requests,
-			InFlight:          s.InFlight,
-			Errors:            s.Errors,
-			ScatterRequests:   r.obs.latency.With(ep).Count(),
-			ScatterErrors:     r.obs.errors.With(ep).Value(),
-			LatencyEWMAMillis: r.obs.ewma.Value(ep),
+			Endpoint:        ep,
+			Stripe:          s.Stripe,
+			Requests:        s.Requests,
+			InFlight:        s.InFlight,
+			Errors:          s.Errors,
+			ScatterRequests: r.obs.latency.With(ep).Count(),
+			ScatterErrors:   r.obs.errors.With(ep).Value(),
 		})
 	}
 	return &agg, nil
-}
-
-// mergeWorkloads sums per-shard workload snapshots into the fleet
-// view. Every shard sees every unwindowed query, and a windowed one
-// reaches each shard its window meets, so the fleet's counts are up to
-// K× a client's-eye count — but the shape of the histogram, which is
-// what the rebalancer reads, is exact: each shard's buckets count the
-// windows that reached it, over their whole x-extent. Histogram
-// buckets sum index-wise only when the shards agree on bounds and
-// resolution (sjserved derives both from -region, so a healthy fleet
-// always matches); a mismatched shard contributes its scalar counters
-// but is dropped from the bucket sum rather than misaligned into it.
-func mergeWorkloads(a, b *client.WorkloadStats) *client.WorkloadStats {
-	if b == nil {
-		return a
-	}
-	if a == nil {
-		// Clone: later merge steps mutate a in place, which must not
-		// reach back into the first shard's decoded stats.
-		c := *b
-		c.Buckets = append([]int64(nil), b.Buckets...)
-		c.Queries = make(map[string]map[string]int64, len(b.Queries))
-		for rel, m := range b.Queries {
-			inner := make(map[string]int64, len(m))
-			for alg, n := range m {
-				inner[alg] = n
-			}
-			c.Queries[rel] = inner
-		}
-		return &c
-	}
-	if a.XLo == b.XLo && a.XHi == b.XHi && len(a.Buckets) == len(b.Buckets) {
-		for i := range a.Buckets {
-			a.Buckets[i] += b.Buckets[i]
-		}
-	}
-	a.Windowed += b.Windowed
-	a.Unwindowed += b.Unwindowed
-	for rel, m := range b.Queries {
-		if a.Queries == nil {
-			a.Queries = make(map[string]map[string]int64)
-		}
-		inner := a.Queries[rel]
-		if inner == nil {
-			inner = make(map[string]int64, len(m))
-			a.Queries[rel] = inner
-		}
-		for alg, n := range m {
-			inner[alg] += n
-		}
-	}
-	return a
 }
 
 // ToStripe converts an interval to its wire form (nil bounds for the

@@ -166,57 +166,6 @@ func TestDistributedTraceTree(t *testing.T) {
 	}
 }
 
-// TestRouterWorkloadMerge checks the fleet-stats workload merge: the
-// front's histogram is the index-wise sum of the shards', each of which
-// saw the queries that reached it — every shard an unwindowed query,
-// and a windowed one only the shards its window meets — with the
-// distribution shape preserved, and the nested query counters sum.
-func TestRouterWorkloadMerge(t *testing.T) {
-	rels := map[string][]unijoin.Record{
-		"a": datagen.Uniform(7, 600, universe, 25),
-		"b": datagen.Uniform(8, 500, universe, 25),
-	}
-	plan, err := shard.PlanFromBoundaries(universe, []unijoin.Coord{333, 666})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, _, _ := startFleet(t, plan, []string{"a", "b"}, rels, true)
-	ctx := context.Background()
-
-	// Two joins windowed into the first bucket (width 1000/32), inside
-	// the first stripe; one across the 333 cut (buckets 10 and 11); one
-	// with no window at all.
-	for _, win := range []*client.Rect{
-		{XLo: 1, YLo: 1, XHi: 20, YHi: 999}, {XLo: 1, YLo: 1, XHi: 20, YHi: 999},
-		{XLo: 320, YLo: 1, XHi: 350, YHi: 999}, nil,
-	} {
-		if _, err := cl.JoinCount(ctx, client.JoinRequest{
-			Left: "a", Right: "b", Algorithm: "PQ", Window: win,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	stats, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := stats.Workload
-	if w == nil {
-		t.Fatal("router stats.workload missing")
-	}
-	// 2 windowed joins × 1 shard + 1 × 2 shards; 1 unwindowed × 3.
-	if w.Windowed != 4 || w.Unwindowed != 3 {
-		t.Fatalf("merged windowed = %d, unwindowed = %d, want 4 (2 joins × 1 shard + 1 × 2) and 3 (1 × 3 shards)", w.Windowed, w.Unwindowed)
-	}
-	if len(w.Buckets) < 12 || w.Buckets[0] != 2 || w.Buckets[10] != 2 || w.Buckets[11] != 2 {
-		t.Fatalf("merged buckets 0, 10, 11 want 2 each (buckets: %v)", w.Buckets)
-	}
-	if got := w.Queries["a"]["PQ"]; got != 7 {
-		t.Fatalf("merged a/PQ = %d, want 7", got)
-	}
-}
-
 // TestFailedRoutedQueryIsTraced pins that a routed query which fails
 // still leaves its span tree behind: the failing one is exactly the
 // query an operator will look up. One of two shards answers every join
