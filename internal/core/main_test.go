@@ -1,0 +1,10 @@
+package core
+
+import (
+	"os"
+	"testing"
+
+	"unijoin/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { os.Exit(leakcheck.Main(m)) }

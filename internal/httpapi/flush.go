@@ -58,6 +58,15 @@ func (p *pendingBuf) expire() {
 	}
 }
 
+var pendingLoans atomic.Int64
+
+// PendingBuffers returns how many pending buffers, with their linger
+// timers, streams hold: taken by a stream's first append, given up by
+// its Close. It is test instrumentation like pairbuf.Outstanding, read
+// by internal/leakcheck; production pays one atomic add per stream
+// that wrote and one per Close, none per batch.
+func PendingBuffers() int64 { return pendingLoans.Load() }
+
 var pendingPool = sync.Pool{New: func() any {
 	p := &pendingBuf{b: make([]byte, 0, FlushBytes)}
 	p.enc = json.NewEncoder(p)
@@ -111,6 +120,7 @@ func (s *sink) buffer() *pendingBuf {
 	if s.pb == nil {
 		s.pb = pendingPool.Get().(*pendingBuf)
 		s.pb.owner.Store(s)
+		pendingLoans.Add(1)
 	}
 	return s.pb
 }
@@ -195,5 +205,6 @@ func (s *sink) Close() {
 			pendingPool.Put(s.pb)
 		}
 		s.pb = nil
+		pendingLoans.Add(-1)
 	}
 }

@@ -1,7 +1,6 @@
 package lint
 
-// Suite returns every analyzer, in the order findings are most useful
-// to read: concurrency invariants first, mechanical hygiene last.
+// Suite returns every analyzer.
 func Suite() []*Analyzer {
-	return []*Analyzer{PoolReturn, ErrSentinel}
+	return []*Analyzer{ErrSentinel}
 }

@@ -26,8 +26,8 @@ func Main(argv []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list the analyzers and their invariants, then exit")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: sjlint [-json] [-dir moduledir] packages...\n\n"+
-			"sjlint vets the spatial-join engine against its pooling and\n"+
-			"error-matching invariants. Patterns are go list patterns relative to\n"+
+			"sjlint vets the spatial-join engine against its error-matching\n"+
+			"invariant. Patterns are go list patterns relative to\n"+
 			"the module directory (default ./...).\n\n")
 		fs.PrintDefaults()
 	}

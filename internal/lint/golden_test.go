@@ -8,10 +8,7 @@ import (
 
 // Golden tests: each analyzer runs over a testdata/src package whose
 // flagged lines carry `// want "regex"` comments (the analysistest
-// convention). Helper packages (pairbuf, wire, httpapi) mirror the
-// real repo surfaces the analyzers key on and must stay clean.
-
-func TestPoolReturnGolden(t *testing.T) { runGolden(t, PoolReturn, "poolreturn_a") }
+// convention).
 
 func TestErrSentinelGolden(t *testing.T) { runGolden(t, ErrSentinel, "errsentinel_a") }
 

@@ -1,10 +1,12 @@
-// Package lint is the engine's own static-analysis suite: the two
-// invariants that neither the compiler, go vet nor the code's own
-// structure holds — pooled pair/frame buffer discipline (poolreturn)
-// and typed error sentinels (errsentinel). Invariants that a type or
-// a package boundary can hold live there instead: a relation is read
-// only through unijoin.Relation.Pin, a frame header is parsed only
-// inside internal/wire, and internal/obs bounds its own series.
+// Package lint is the engine's own static-analysis suite: the one
+// invariant that neither the compiler, go vet, the code's own
+// structure nor a run-time check holds — typed error sentinels
+// (errsentinel). Invariants that a type, a package boundary or a test
+// can hold live there instead: a relation is read only through
+// unijoin.Relation.Pin, a frame header is parsed only inside
+// internal/wire, internal/obs bounds its own series, and every pooled
+// buffer comes back (internal/leakcheck, run by the TestMain of each
+// package that borrows one).
 //
 // The framework mirrors golang.org/x/tools/go/analysis — Analyzer,
 // Pass, Diagnostic — but is built entirely on the standard library

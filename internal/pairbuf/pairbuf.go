@@ -22,12 +22,14 @@ var outstanding atomic.Int64
 // PutRecords or Release. Once every join has returned it reads what
 // it read before they started; a difference is a leak on some path.
 //
-// It is test instrumentation — the leak detector of the engine's
-// cancellation tests — and nothing in the program reads it; what
-// production pays for it is one atomic add per loan and per return
-// (a few hundred per join, none per record or pair). The count is process-wide, so a before/after comparison
-// means something only while no other join runs in the process: a
-// test using it must not run in parallel with tests that join.
+// It is test instrumentation and nothing in the program reads it:
+// internal/leakcheck requires it to read 0 once a package's tests have
+// all ended, and the engine's cancellation tests compare it before and
+// after one join. What production pays for it is one atomic add per
+// loan and per return (a few hundred per join, none per record or
+// pair). The count is process-wide, so a reading taken inside a test
+// means something only while no other join runs in the process: such
+// a test must not run in parallel with tests that join.
 func Outstanding() int64 { return outstanding.Load() }
 
 // BatchSize is the capacity of a fresh buffer and the flush threshold

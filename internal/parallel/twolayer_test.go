@@ -81,6 +81,7 @@ func TestDistributeMatchesSerialReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer d.release()
 		if d.input != int64(len(a)+len(b)) {
 			t.Fatalf("nw=%d: input = %d", nw, d.input)
 		}
@@ -309,9 +310,11 @@ func BenchmarkDistribute(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := distribute(context.Background(), part, ra, rb, nw); err != nil {
+				d, err := distribute(context.Background(), part, ra, rb, nw)
+				if err != nil {
 					b.Fatal(err)
 				}
+				d.release()
 			}
 		})
 	}

@@ -1,6 +1,5 @@
-// Command sjlint vets the spatial-join engine against the invariants
-// nothing else holds: pooled-buffer discipline and typed error
-// sentinels. Run `sjlint -list` for the analyzer roster; `sjlint
+// Command sjlint vets the spatial-join engine against the invariant
+// nothing else holds: typed error sentinels. Run `sjlint -list` for the analyzer roster; `sjlint
 // -json` emits NDJSON for machine consumption.
 //
 // It lives in its own module (unijoin/tools) so the engine module
