@@ -6,12 +6,22 @@ import (
 	"go/types"
 )
 
-// ErrSentinel checks the typed-error discipline the engine settled on
-// in PR 2 (core sentinels ErrNeedsIndex, ErrNilRelation, ErrCanceled,
-// ErrSweepOverflow) and PR 8 (wire.ErrCorrupt family, client.Err*
-// with APIError.Is): errors must be tested with errors.Is / errors.As
-// against exported sentinels, never by identity comparison, string
-// matching, or direct type assertion. Identity and string checks
+// stringsMatchFuncs are the strings-package helpers that turn
+// err.Error() output into control flow.
+var stringsMatchFuncs = map[string]bool{
+	"Contains":  true,
+	"HasPrefix": true,
+	"HasSuffix": true,
+	"EqualFold": true,
+	"Index":     true,
+}
+
+// checkErrSentinels checks the engine's typed-error discipline (the
+// core sentinels ErrNeedsIndex, ErrNilRelation, ErrCanceled and
+// ErrSweepOverflow, the wire.ErrCorrupt family, client.Err* with
+// APIError.Is): errors must be tested with errors.Is /
+// errors.As against exported sentinels, never by identity comparison,
+// string matching, or direct type assertion. Identity and string checks
 // break as soon as an error is wrapped with %w anywhere on the path —
 // which the router and client layers do.
 //
@@ -24,26 +34,8 @@ import (
 //
 // Is/As methods themselves — the errors.Is/errors.As protocol hooks,
 // which must compare identities — are exempt.
-var ErrSentinel = &Analyzer{
-	Name: "errsentinel",
-	Doc: "errors are matched with errors.Is/errors.As against exported sentinels (typed errors, PR 2/8)\n" +
-		"Identity comparison, err.Error() string matching, and direct type assertions all\n" +
-		"break under %w wrapping; the router and client wrap routinely.",
-	Run: runErrSentinel,
-}
-
-// stringsMatchFuncs are the strings-package helpers that turn
-// err.Error() output into control flow.
-var stringsMatchFuncs = map[string]bool{
-	"Contains":  true,
-	"HasPrefix": true,
-	"HasSuffix": true,
-	"EqualFold": true,
-	"Index":     true,
-}
-
-func runErrSentinel(pass *Pass) error {
-	for _, file := range pass.Files {
+func checkErrSentinels(c *checker, files []*ast.File) {
+	for _, file := range files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -54,23 +46,22 @@ func runErrSentinel(pass *Pass) error {
 			if fd.Recv != nil && (fd.Name.Name == "Is" || fd.Name.Name == "As") {
 				continue
 			}
-			checkErrSentinelBody(pass, fd.Body)
+			checkErrSentinelBody(c, fd.Body)
 		}
 	}
-	return nil
 }
 
-func checkErrSentinelBody(pass *Pass, body *ast.BlockStmt) {
+func checkErrSentinelBody(c *checker, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.BinaryExpr:
-			checkErrComparison(pass, e)
+			checkErrComparison(c, e)
 		case *ast.SwitchStmt:
-			checkErrSwitch(pass, e)
+			checkErrSwitch(c, e)
 		case *ast.CallExpr:
-			checkErrorStringMatch(pass, e)
+			checkErrorStringMatch(c, e)
 		case *ast.TypeAssertExpr:
-			checkErrTypeAssert(pass, e)
+			checkErrTypeAssert(c, e)
 		}
 		return true
 	})
@@ -78,24 +69,24 @@ func checkErrSentinelBody(pass *Pass, body *ast.BlockStmt) {
 
 // checkErrComparison flags ==/!= between two error values (nil
 // comparisons are the one legitimate identity test).
-func checkErrComparison(pass *Pass, e *ast.BinaryExpr) {
+func checkErrComparison(c *checker, e *ast.BinaryExpr) {
 	if e.Op != token.EQL && e.Op != token.NEQ {
 		return
 	}
-	if isNilExpr(pass, e.X) || isNilExpr(pass, e.Y) {
+	if isNilExpr(c, e.X) || isNilExpr(c, e.Y) {
 		return
 	}
-	if !isErrorExpr(pass, e.X) || !isErrorExpr(pass, e.Y) {
+	if !isErrorExpr(c, e.X) || !isErrorExpr(c, e.Y) {
 		return
 	}
 	// Comparing two err.Error() strings is reported by the string-match
 	// check with a better message; here both operands are error-typed.
-	pass.Reportf(e.OpPos, "error compared with %s; use errors.Is so wrapped errors (%%w) still match the sentinel", e.Op)
+	c.reportf(e.OpPos, "error compared with %s; use errors.Is so wrapped errors (%%w) still match the sentinel", e.Op)
 }
 
 // checkErrSwitch flags `switch err { case sentinel: }`.
-func checkErrSwitch(pass *Pass, s *ast.SwitchStmt) {
-	if s.Tag == nil || !isErrorExpr(pass, s.Tag) {
+func checkErrSwitch(c *checker, s *ast.SwitchStmt) {
+	if s.Tag == nil || !isErrorExpr(c, s.Tag) {
 		return
 	}
 	for _, clause := range s.Body.List {
@@ -104,28 +95,28 @@ func checkErrSwitch(pass *Pass, s *ast.SwitchStmt) {
 			continue
 		}
 		for _, expr := range cc.List {
-			if isNilExpr(pass, expr) {
+			if isNilExpr(c, expr) {
 				continue
 			}
-			pass.Reportf(expr.Pos(), "switch on an error value compares by identity; use if/else chains with errors.Is so wrapped errors still match")
+			c.reportf(expr.Pos(), "switch on an error value compares by identity; use if/else chains with errors.Is so wrapped errors still match")
 		}
 	}
 }
 
 // checkErrorStringMatch flags err.Error() results used in string
 // comparisons or strings.Contains-style matching.
-func checkErrorStringMatch(pass *Pass, call *ast.CallExpr) {
+func checkErrorStringMatch(c *checker, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
-	fn, _ := pass.Info.Uses[sel.Sel].(*types.Func)
+	fn, _ := c.info.Uses[sel.Sel].(*types.Func)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "strings" || !stringsMatchFuncs[fn.Name()] {
 		return
 	}
 	for _, arg := range call.Args {
-		if pos, ok := containsErrorCall(pass, arg); ok {
-			pass.Reportf(pos, "matching on err.Error() text couples control flow to a message string; compare with errors.Is against an exported sentinel")
+		if pos, ok := containsErrorCall(c, arg); ok {
+			c.reportf(pos, "matching on err.Error() text couples control flow to a message string; compare with errors.Is against an exported sentinel")
 			return
 		}
 	}
@@ -133,33 +124,33 @@ func checkErrorStringMatch(pass *Pass, call *ast.CallExpr) {
 
 // checkErrTypeAssert flags err.(*T) on error-typed operands outside
 // type switches (whose TypeAssertExpr has a nil Type).
-func checkErrTypeAssert(pass *Pass, e *ast.TypeAssertExpr) {
+func checkErrTypeAssert(c *checker, e *ast.TypeAssertExpr) {
 	if e.Type == nil {
 		return
 	}
-	if !isErrorExpr(pass, e.X) {
+	if !isErrorExpr(c, e.X) {
 		return
 	}
-	pass.Reportf(e.Pos(), "type assertion on an error misses wrapped errors; use errors.As")
+	c.reportf(e.Pos(), "type assertion on an error misses wrapped errors; use errors.As")
 }
 
 // isErrorExpr reports whether expr's static type implements error.
 // Comparisons of err.Error() strings are also caught here so that
 // `a.Error() == b.Error()` gets flagged by checkErrComparison's
 // caller via the string-match path.
-func isErrorExpr(pass *Pass, expr ast.Expr) bool {
-	t := pass.Info.TypeOf(expr)
+func isErrorExpr(c *checker, expr ast.Expr) bool {
+	t := c.info.TypeOf(expr)
 	return t != nil && isErrorType(t)
 }
 
-func isNilExpr(pass *Pass, expr ast.Expr) bool {
-	tv, ok := pass.Info.Types[expr]
+func isNilExpr(c *checker, expr ast.Expr) bool {
+	tv, ok := c.info.Types[expr]
 	return ok && tv.IsNil()
 }
 
 // containsErrorCall finds an err.Error() call (zero-arg method named
 // Error on an error-typed receiver) inside expr.
-func containsErrorCall(pass *Pass, expr ast.Expr) (token.Pos, bool) {
+func containsErrorCall(c *checker, expr ast.Expr) (token.Pos, bool) {
 	var pos token.Pos
 	found := false
 	ast.Inspect(expr, func(n ast.Node) bool {
@@ -174,7 +165,7 @@ func containsErrorCall(pass *Pass, expr ast.Expr) (token.Pos, bool) {
 		if !ok || sel.Sel.Name != "Error" {
 			return true
 		}
-		if isErrorExpr(pass, sel.X) {
+		if isErrorExpr(c, sel.X) {
 			pos, found = call.Pos(), true
 			return false
 		}

@@ -234,11 +234,3 @@ func (e *Encoder) WriteJSON(t Type, v any) error {
 
 // WriteEnd emits the END frame.
 func (e *Encoder) WriteEnd() error { return e.write(AppendFrame(e.scratch(), TypeEnd, nil)) }
-
-// WriteRaw writes an already-framed byte sequence through unmodified —
-// the router's relay path. The caller vouches that raw is one whole
-// frame (Scanner.Next returns exactly that).
-func (e *Encoder) WriteRaw(raw []byte) error {
-	_, err := e.w.Write(raw)
-	return err
-}
