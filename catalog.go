@@ -18,12 +18,12 @@ import (
 // any two of them can be joined directly with Workspace.Query. A
 // catalog's workspace is serving state, so the default join and its
 // non-indexed form (AlgPQ, AlgSSSJ) run where AlgParallel does: on the
-// relations' resident prepared runs — sorted once per epoch, carried
-// across appends — with one worker, no page reads and no store mutex.
-// Window queries read the same runs, cut to the window's y-slab. The
-// algorithms that do go to the disk (ST, BFRJ, PBSM, auto, multiway
-// joins, and the one cold build of each prepared run) share its I/O
-// counters, which therefore accumulate across concurrent queries;
+// relations' resident prepared runs — sorted at load, carried across
+// appends — with one worker, no page reads and no store mutex. Window
+// queries read the same runs, cut to the window's y-slab. The
+// algorithms that do go to the disk (ST, BFRJ, PBSM, auto and multiway
+// joins) share its I/O counters, which therefore accumulate across
+// concurrent queries;
 // per-query counter deltas are only exact when queries run one at a
 // time (see iosim.Store).
 type Catalog struct {
@@ -60,7 +60,8 @@ func NewCatalogOn(ws *Workspace) *Catalog {
 func (c *Catalog) Workspace() *Workspace { return c.ws }
 
 // Load writes recs to the catalog's workspace as a new relation named
-// name, building its R-tree first when index is set, and publishes it
+// name (Workspace.AddRelation: it refuses the same records), building
+// its R-tree first when index is set, and publishes it
 // atomically: concurrent readers see either no relation or the fully
 // loaded (and indexed) one, never a partial state. The name must be
 // non-empty and not already present (or mid-load). The write lock is

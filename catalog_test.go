@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -220,6 +221,39 @@ func TestParseAlgorithm(t *testing.T) {
 		got, err := ParseAlgorithm(alg.String())
 		if err != nil || got != alg {
 			t.Fatalf("round trip %v: got %v, %v", alg, got, err)
+		}
+	}
+}
+
+// TestLoadRefusesInvalidRectangles: a relation refuses at load what it
+// refuses at append. A batch holding an inverted or NaN rectangle is
+// refused whole, by AddRelation and by Catalog.Load alike, and the
+// catalog publishes nothing under the name; the same records appended
+// to a loaded relation are refused too.
+func TestLoadRefusesInvalidRectangles(t *testing.T) {
+	nan := Coord(math.NaN())
+	for name, bad := range map[string]Rect{
+		"inverted x": {XLo: 50, YLo: 0, XHi: 10, YHi: 100},
+		"inverted y": {XLo: 0, YLo: 90, XHi: 100, YHi: 10},
+		"NaN":        {XLo: nan, YLo: 0, XHi: 10, YHi: 10},
+	} {
+		recs := []Record{{ID: 2, Rect: NewRect(0, 0, 100, 100)}, {ID: 1, Rect: bad}}
+		if _, err := NewWorkspace().AddRelation(recs); err == nil {
+			t.Errorf("%s: AddRelation accepted %v", name, bad)
+		}
+		cat := NewCatalog()
+		if _, err := cat.Load("a", recs, false); err == nil {
+			t.Errorf("%s: Catalog.Load accepted %v", name, bad)
+		}
+		if _, ok := cat.Get("a"); ok {
+			t.Errorf("%s: the refused load published a relation", name)
+		}
+		rel, err := cat.Load("a", recs[:1], true)
+		if err != nil {
+			t.Fatalf("%s: reloading the name after a refused load: %v", name, err)
+		}
+		if _, err := rel.Append(recs[1:]); err == nil {
+			t.Errorf("%s: Append accepted %v", name, bad)
 		}
 	}
 }

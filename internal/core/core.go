@@ -281,9 +281,9 @@ type Result struct {
 	PartitionWall time.Duration
 	SweepWall     time.Duration
 	// PrepareWall is what the in-memory engine's query spent ahead of
-	// those two phases building its inputs' prepared runs
+	// those two phases merging its inputs' prepared runs
 	// (ingest.Version.Prepared): zero unless this query was the one
-	// that found a run cold or unmerged for its epoch.
+	// that found an appended epoch's run unmerged.
 	PrepareWall time.Duration
 
 	// SortStats describe the external sorts run on non-indexed inputs

@@ -5,8 +5,8 @@
 // (iosim.File.Snapshot), the packed R-tree over the records of the
 // last bulk load, the delta run holding the records appended since,
 // the bounding rectangle, the maintained x-center sample, and the
-// prepared run (all records decoded and ordered by lower y, which the
-// in-memory engine joins without touching the simulated disk). Readers
+// prepared run (all records ordered by lower y, which the in-memory
+// engine joins without touching the simulated disk). Readers
 // load the current Version once, atomically, and keep a consistent
 // view no matter how many appends land while they stream; writers
 // serialize on the log's mutex and never modify anything a published
@@ -28,16 +28,16 @@
 // the merge that builds its successor's, so a superseded run needs no
 // release: it is collected with the last version that references it.
 //
-// The prepared run is built once per epoch, never once per query and
-// never eagerly per append. The first Prepared call on a relation
-// reads the log and sorts the base; from then on the run is warm and
-// every mutation carries it: an append hands the successor the shared
-// base run and the delta run merged with the new batch (work
-// proportional to the delta), the first query that pins the new epoch
-// merges the two once for everybody, and a compaction promotes the
-// merged run to the next base. An unindexed relation keeps a delta run
-// only once warm; a cold one carries nothing. A run dies with the last
-// reference to its version.
+// A relation is born warm: New sorts the records it is given into the
+// base run and takes the x-center sample from them while they are
+// still in log order, so no query ever reads the log back to build
+// either. From then on every mutation carries both: an append hands
+// the successor the shared base run, the delta run merged with the new
+// batch (work proportional to the delta) and the sample merged with
+// the batch's centers; the first query that pins the new epoch merges
+// base and delta once for everybody; and a compaction promotes the
+// merged run to the next base and resamples the log. A run dies with
+// the last reference to its version.
 //
 // The index follows the paper's lifecycle: a relation's tree is born
 // packed (Hilbert bulk load, Section 3.3) and stays packed. A
@@ -96,10 +96,9 @@ type Config struct {
 // Version is one immutable published state of a relation: everything
 // a query needs, pinned at an epoch. Versions are safe for concurrent
 // use and stay valid forever — later appends and compactions only
-// publish successors. The two lazily built members, the x-center
-// sample and the prepared run, are caches of that immutable state:
-// built by the first reader that needs them, carried to the successor
-// once warm, and dropped with the version.
+// publish successors. Its x-center sample and the two halves of its
+// prepared run are fixed at publication; only the merge of the halves
+// waits for the first reader that needs it.
 type Version struct {
 	// Epoch increases by one per published mutation (append, index
 	// build, compaction). A query pins one Version at start and
@@ -122,35 +121,27 @@ type Version struct {
 	// MBR bounds this version's records (invalid when N is 0).
 	MBR geom.Rect
 
-	// sampleMu guards the lazily-computed sorted x-center sample.
-	// Appends carry a warm sample forward by merge (MergeSamples), so
-	// a relation that has been sampled once stays sampled across
-	// appends without rescanning; compaction deliberately drops it so
-	// the next reader resamples the full log.
-	sampleMu sync.Mutex
-	sample   []geom.Coord
-	sampled  bool
+	// sample is the sorted x-center sample of the version's records:
+	// the stride sample of the log taken at load and at each
+	// compaction, with every append since merged in (MergeSamples).
+	sample []geom.Coord
 
-	// delta is the tail of File — its last len(delta) records — as a
-	// resident run ordered by geom.ByLowerY, and deltaMaxH bounds the
-	// y-extent of its records. Both are fixed at publication. An
-	// indexed version always carries the records its Tree does not
-	// cover (len(delta) == N - BaseN); an unindexed one carries a
-	// delta only once its prepared run is warm.
+	// base and delta are the two halves of the prepared run, both
+	// ordered by geom.ByLowerY: delta is the tail of File — its last
+	// N - BaseN records, the ones a Tree does not cover — and base
+	// holds the records ahead of it. baseMaxH and deltaMaxH bound the y-extent
+	// of each half's records. All four are fixed at publication, and no
+	// slice is ever written once set: successors and concurrent queries
+	// share them.
+	base      []geom.Record
+	baseMaxH  float64
 	delta     []geom.Record
 	deltaMaxH float64
 
-	// runMu guards base and run, the lazily built halves of the
-	// prepared run (see Prepared): base holds the records ahead of
-	// delta in the same order, run all of them, and baseMaxH bounds the
-	// y-extent of base's records as deltaMaxH does delta's. A warm
-	// predecessor hands base over at publication; a cold version builds
-	// it from File. No slice is ever written once set: successors and
-	// concurrent queries share them.
-	runMu    sync.Mutex
-	base     []geom.Record
-	baseMaxH float64
-	run      []geom.Record
+	// runMu guards run, base and delta merged: built by the first
+	// Prepared call that needs it (see Prepared) and then shared.
+	runMu sync.Mutex
+	run   []geom.Record
 }
 
 // Delta returns the records appended since the last packed build.
@@ -168,31 +159,9 @@ func (v *Version) DeltaRun() geom.Run {
 	return geom.Run{Recs: v.delta, MaxH: v.deltaMaxH}
 }
 
-// Sample returns the version's sorted x-center sample, calling
-// compute to produce it on first use. compute typically scans
-// v.File; it runs under the version's sample lock, so concurrent
-// callers compute at most once.
-func (v *Version) Sample(compute func() ([]geom.Coord, error)) ([]geom.Coord, error) {
-	v.sampleMu.Lock()
-	defer v.sampleMu.Unlock()
-	if !v.sampled {
-		s, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		v.sample = s
-		v.sampled = true
-	}
-	return v.sample, nil
-}
-
-// warmSample returns the sample and whether it has been computed,
-// without computing it.
-func (v *Version) warmSample() ([]geom.Coord, bool) {
-	v.sampleMu.Lock()
-	defer v.sampleMu.Unlock()
-	return v.sample, v.sampled
-}
+// Sample returns the version's sorted x-center sample, the stripe
+// planner's input. It is shared: it must not be modified.
+func (v *Version) Sample() []geom.Coord { return v.sample }
 
 // Build says what a Prepared call had to do for its result.
 type Build string
@@ -202,65 +171,29 @@ const (
 	BuildNone Build = ""
 	// BuildMerge: one linear merge of the carried base and delta runs.
 	BuildMerge Build = "merge"
-	// BuildFull: the log was read, decoded and sorted.
-	BuildFull Build = "full"
 )
 
 // Prepared returns the version's records ordered by geom.ByLowerY (a
 // total order: lower y, then ID) with the bound on their y-extents that
 // lets a window cut the run to a slab (geom.Run.Slab) — the input form
 // of the in-memory engine — and what this call did to produce them.
-// The run is built at most once per version, under the version's lock,
-// and then shared by every caller: it must not be modified. Only a cold
-// build touches the simulated disk: it reads the log, sorts the part
-// ahead of the delta run into the base, bounds it, and merges the two.
-// It also takes the x-center sample from the records while they are
-// still in file order, so the sample does not depend on whether a join
-// or a stripe planner asked first. The merged run's bound is the larger
-// of the two halves' — exact, with no pass over the records.
-func (v *Version) Prepared() (geom.Run, Build, error) {
+// A version with no delta answers with its base; otherwise the first
+// call merges the two halves, under the version's lock, and every
+// later one shares the result: it must not be modified. The merged
+// run's bound is the larger of the two halves' — exact, with no pass
+// over the records. Prepared never touches the simulated disk.
+func (v *Version) Prepared() (geom.Run, Build) {
+	bound := max(v.baseMaxH, v.deltaMaxH)
+	if len(v.delta) == 0 {
+		return geom.Run{Recs: v.base, MaxH: bound}, BuildNone
+	}
 	v.runMu.Lock()
 	defer v.runMu.Unlock()
-	if v.run != nil {
-		return v.boundedRun(), BuildNone, nil
+	build := BuildNone
+	if v.run == nil {
+		v.run, build = mergeRuns(v.base, v.delta), BuildMerge
 	}
-	build := BuildMerge
-	if v.base == nil {
-		recs, err := stream.ReadAll(v.File, stream.Records)
-		if err != nil {
-			return geom.Run{}, BuildNone, err
-		}
-		if _, err := v.Sample(func() ([]geom.Coord, error) {
-			return parallel.SortedCenterSample(recs), nil
-		}); err != nil {
-			return geom.Run{}, BuildNone, err
-		}
-		recs = recs[:len(recs)-len(v.delta)]
-		sortByLowerY(recs)
-		for _, r := range recs {
-			v.baseMaxH = max(v.baseMaxH, geom.YExtent(r.Rect))
-		}
-		v.base, build = recs, BuildFull
-	}
-	v.run = v.base
-	if len(v.delta) > 0 {
-		v.run = mergeRuns(v.base, v.delta)
-	}
-	return v.boundedRun(), build, nil
-}
-
-// boundedRun is the built prepared run under the larger of its halves'
-// bounds; the caller holds runMu.
-func (v *Version) boundedRun() geom.Run {
-	return geom.Run{Recs: v.run, MaxH: max(v.baseMaxH, v.deltaMaxH)}
-}
-
-// warmBase returns the base half of v's prepared run — empty while v is
-// cold.
-func (v *Version) warmBase() geom.Run {
-	v.runMu.Lock()
-	defer v.runMu.Unlock()
-	return geom.Run{Recs: v.base, MaxH: v.baseMaxH}
+	return geom.Run{Recs: v.run, MaxH: bound}, build
 }
 
 // mergeRuns merges two runs ordered by geom.ByLowerY into a fresh one.
@@ -278,8 +211,9 @@ func mergeRuns(a, b []geom.Record) []geom.Record {
 
 // sortByLowerY puts recs in geom.ByLowerY order: a radix sort on the
 // key (lower y, ID), one byte per pass from the least significant,
-// skipping the bytes every key shares. It is the sort a cold prepared
-// run pays, several times cheaper than comparing records.
+// skipping the bytes every key shares. It is the sort a relation's
+// load and each appended batch pay, several times cheaper than
+// comparing records.
 func sortByLowerY(recs []geom.Record) {
 	if len(recs) < 2 {
 		return
@@ -361,18 +295,27 @@ type Log struct {
 }
 
 // New creates a log holding recs as its initial base segment
-// (epoch 0, unindexed; call BuildIndex for an index).
+// (epoch 0, unindexed; call BuildIndex for an index), with its
+// prepared run and x-center sample built from recs. Like Append it
+// accepts all records or none.
 func New(cfg Config, recs []geom.Record) (*Log, error) {
 	if cfg.Store == nil || cfg.Universe == nil {
 		return nil, fmt.Errorf("ingest: Config needs Store and Universe")
+	}
+	if err := checkRects(recs); err != nil {
+		return nil, err
 	}
 	f, err := stream.WriteAll(cfg.Store, stream.Records, recs)
 	if err != nil {
 		return nil, err
 	}
-	mbr := geom.EmptyRect()
+	v := &Version{Epoch: 0, File: f.Snapshot(), MBR: geom.EmptyRect(), sample: parallel.SortedCenterSample(recs)}
+	v.N, v.BaseN = int64(len(recs)), int64(len(recs))
+	v.base = slices.Clone(recs)
+	sortByLowerY(v.base)
 	for _, r := range recs {
-		mbr = mbr.Union(r.Rect)
+		v.MBR = v.MBR.Union(r.Rect)
+		v.baseMaxH = max(v.baseMaxH, geom.YExtent(r.Rect))
 	}
 	l := &Log{
 		store:       cfg.Store,
@@ -389,9 +332,19 @@ func New(cfg Config, recs []geom.Record) (*Log, error) {
 	if l.compactFrac <= 0 {
 		l.compactFrac = DefaultCompactFrac
 	}
-	n := int64(len(recs))
-	l.cur.Store(&Version{Epoch: 0, File: f.Snapshot(), N: n, BaseN: n, MBR: mbr})
+	l.cur.Store(v)
 	return l, nil
+}
+
+// checkRects refuses a batch holding a record whose rectangle is not
+// well formed (geom.Rect.Valid: inverted or NaN), naming the first.
+func checkRects(recs []geom.Record) error {
+	for i, r := range recs {
+		if !r.Rect.Valid() {
+			return fmt.Errorf("ingest: record %d (id %d) has invalid rectangle %v", i, r.ID, r.Rect)
+		}
+	}
+	return nil
 }
 
 // Current returns the latest published version. Callers pin it once
@@ -432,27 +385,23 @@ func (l *Log) BuildIndex(opts rtree.BuildOptions) error {
 	}
 	l.build = opts
 	l.indexed = true
-	if s, ok := old.warmSample(); ok {
-		v.sample, v.sampled = s, true
-	}
+	v.sample = old.sample
 	l.cur.Store(v)
 	return nil
 }
 
 // Append adds recs to the relation and publishes the new version: the
-// log grows, the delta run of an indexed (or warm) relation absorbs
-// the batch by merge, the x-center sample absorbs its centers
-// likewise, and queries pinned to earlier versions remain untouched.
+// log grows, the delta run absorbs the batch by merge, the x-center
+// sample absorbs its centers likewise, and queries pinned to earlier
+// versions remain untouched.
 // The tree is not touched — the successor shares the predecessor's —
 // so the only store pages an append allocates are the log's own.
 // All records are accepted or none. When the delta crosses the
 // compaction threshold the packed layout is rebuilt before returning
 // (threshold-triggered compaction; see Config).
 func (l *Log) Append(recs []geom.Record) (AppendResult, error) {
-	for i, r := range recs {
-		if !r.Rect.Valid() {
-			return AppendResult{}, fmt.Errorf("ingest: record %d (id %d) has invalid rectangle %v", i, r.ID, r.Rect)
-		}
+	if err := checkRects(recs); err != nil {
+		return AppendResult{}, err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -475,38 +424,30 @@ func (l *Log) Append(recs []geom.Record) (AppendResult, error) {
 		return AppendResult{}, l.failed
 	}
 
+	// The successor shares the base run and gets the delta run merged
+	// with this batch into a fresh slice — work proportional to the
+	// delta, which compaction bounds; the merge with the base waits for
+	// the first query that pins the new epoch. The sample is carried
+	// forward by merge likewise, so stripe planning keeps tracking the
+	// data without rescanning the log.
+	batch := slices.Clone(recs)
+	sortByLowerY(batch)
 	v := &Version{
-		Epoch: old.Epoch + 1,
-		File:  l.file.Snapshot(),
-		Tree:  old.Tree,
-		N:     old.N + int64(len(recs)),
-		BaseN: old.BaseN,
-		MBR:   old.MBR,
+		Epoch:     old.Epoch + 1,
+		File:      l.file.Snapshot(),
+		Tree:      old.Tree,
+		N:         old.N + int64(len(recs)),
+		BaseN:     old.BaseN,
+		MBR:       old.MBR,
+		sample:    parallel.MergeSamples(old.sample, parallel.SortedCenterSample(recs)),
+		base:      old.base,
+		baseMaxH:  old.baseMaxH,
+		delta:     mergeRuns(old.delta, batch),
+		deltaMaxH: old.deltaMaxH,
 	}
 	for _, r := range recs {
 		v.MBR = v.MBR.Union(r.Rect)
-	}
-	// Carry a warm sample forward by merge so stripe planning keeps
-	// tracking the data without rescanning the log.
-	if s, ok := old.warmSample(); ok {
-		v.sample = parallel.MergeSamples(s, parallel.SortedCenterSample(recs))
-		v.sampled = true
-	}
-	// The delta run — what index consumers read beside the tree, and
-	// the tail of a warm prepared run: the successor shares the base
-	// and gets the delta merged with this batch into a fresh slice —
-	// work proportional to the delta, which compaction bounds; the
-	// merge with the base waits for the first resident join that pins
-	// the new epoch. A cold unindexed relation has no reader for it.
-	base := old.warmBase()
-	v.base, v.baseMaxH = base.Recs, base.MaxH
-	if v.base != nil || v.Tree != nil {
-		batch := slices.Clone(recs)
-		sortByLowerY(batch)
-		v.delta, v.deltaMaxH = mergeRuns(old.delta, batch), old.deltaMaxH
-		for _, r := range recs {
-			v.deltaMaxH = max(v.deltaMaxH, geom.YExtent(r.Rect))
-		}
+		v.deltaMaxH = max(v.deltaMaxH, geom.YExtent(r.Rect))
 	}
 	l.cur.Store(v)
 
@@ -545,9 +486,10 @@ func (l *Log) Compact() (bool, error) {
 }
 
 // compactLocked rebuilds under l.mu and publishes the compacted
-// version. The sample is dropped, not carried: merged samples drift
+// version. The sample is retaken, not carried: merged samples drift
 // from the exact stride sample as deltas stack, and the rebuild is
-// the natural point to resample the full log.
+// the natural point to resample the full log — the one read of a
+// version's records back from its file outside the disk algorithms.
 func (l *Log) compactLocked() error {
 	var index *rtree.BuildOptions
 	if l.indexed {
@@ -557,6 +499,11 @@ func (l *Log) compactLocked() error {
 	if err != nil {
 		return err
 	}
+	recs, err := stream.ReadAll(v.File, stream.Records)
+	if err != nil {
+		return err
+	}
+	v.sample = parallel.SortedCenterSample(recs)
 	l.cur.Store(v)
 	l.compactions.Add(1)
 	return nil
@@ -567,19 +514,13 @@ func (l *Log) compactLocked() error {
 // set, a packed tree bulk-loaded over all of it. The superseded tree
 // and delta run are simply no longer referenced — the run is the
 // collector's once the last pinned reader lets go, the tree's pages
-// stay in the store. A warm prepared run is promoted: the record set
-// is unchanged, so the merged run (built now unless a query already
-// did) becomes the successor's base — which is what keeps an append's
-// merge bounded by the compaction threshold.
+// stay in the store. The prepared run is promoted: the record set is
+// unchanged, so the merged run (built now unless a query already did)
+// becomes the successor's base — which is what keeps an append's merge
+// bounded by the compaction threshold. The caller sets the sample.
 func (l *Log) packed(old *Version, index *rtree.BuildOptions) (*Version, error) {
-	v := &Version{Epoch: old.Epoch + 1, File: old.File, N: old.N, BaseN: old.N, MBR: old.MBR}
-	if old.warmBase().Recs != nil {
-		run, _, err := old.Prepared()
-		if err != nil {
-			return nil, err
-		}
-		v.base, v.run, v.baseMaxH = run.Recs, run.Recs, run.MaxH
-	}
+	run, _ := old.Prepared()
+	v := &Version{Epoch: old.Epoch + 1, File: old.File, N: old.N, BaseN: old.N, MBR: old.MBR, base: run.Recs, baseMaxH: run.MaxH}
 	if index != nil {
 		tree, err := rtree.Build(l.store, old.File, l.universe(old.MBR), *index)
 		if err != nil {

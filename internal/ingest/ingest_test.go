@@ -349,55 +349,34 @@ func TestManualCompactUnindexed(t *testing.T) {
 }
 
 // TestSampleMergedOnAppendAndDroppedOnCompaction pins the sample
-// maintenance contract of the stripe planner.
+// maintenance contract of the stripe planner: taken from the records
+// in log order at load, merged with each appended batch's centers,
+// and dropped at compaction for the stride sample of the whole log.
 func TestSampleMergedOnAppendAndDroppedOnCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	base := genRecords(rng, 1000, 0)
 	l := newLog(t, Config{DisableAutoCompact: true}, base)
 
-	// Warm the sample on the current version.
-	v0 := l.Current()
-	s0, err := v0.Sample(func() ([]geom.Coord, error) {
-		return parallel.SortedCenterSample(base), nil
-	})
-	if err != nil || len(s0) == 0 {
-		t.Fatalf("warm sample: %v len %d", err, len(s0))
+	s0 := l.Current().Sample()
+	if want := parallel.SortedCenterSample(base); len(s0) == 0 || !slices.Equal(s0, want) {
+		t.Fatalf("load sample has %d centers, not the %d of the records' stride sample", len(s0), len(want))
 	}
 
-	// An append must carry the sample forward, merged, without the
-	// compute callback firing.
 	delta := genRecords(rng, 200, 1000)
 	if _, err := l.Append(delta); err != nil {
 		t.Fatal(err)
 	}
-	v1 := l.Current()
-	s1, err := v1.Sample(func() ([]geom.Coord, error) {
-		t.Fatal("append should have carried the warm sample forward")
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s1) <= len(s0) {
-		t.Fatalf("merged sample has %d centers, base had %d", len(s1), len(s0))
-	}
-	for i := 1; i < len(s1); i++ {
-		if s1[i-1] > s1[i] {
-			t.Fatalf("merged sample unsorted at %d", i)
-		}
+	s1 := l.Current().Sample()
+	if want := parallel.MergeSamples(s0, parallel.SortedCenterSample(delta)); !slices.Equal(s1, want) {
+		t.Fatalf("appended sample has %d centers, want the load sample merged with the batch's (%d)", len(s1), len(want))
 	}
 
-	// A compaction must drop it: the next version recomputes.
 	if _, err := l.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	recomputed := false
-	_, err = l.Current().Sample(func() ([]geom.Coord, error) {
-		recomputed = true
-		return nil, nil
-	})
-	if err != nil || !recomputed {
-		t.Fatalf("compaction kept a stale sample (recomputed=%v err=%v)", recomputed, err)
+	v := l.Current()
+	if want := parallel.SortedCenterSample(readVersion(t, v)); !slices.Equal(v.Sample(), want) {
+		t.Fatalf("compacted sample has %d centers, not the %d of the log's stride sample", len(v.Sample()), len(want))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"unijoin/internal/geom"
+	"unijoin/internal/iosim"
 	"unijoin/internal/jointest"
 	"unijoin/internal/rtree"
 )
@@ -24,10 +25,7 @@ func sortedVersion(t *testing.T, v *Version) []geom.Record {
 
 func checkPrepared(t *testing.T, step string, v *Version) Build {
 	t.Helper()
-	got, build, err := v.Prepared()
-	if err != nil {
-		t.Fatalf("%s: Prepared: %v", step, err)
-	}
+	got, build := v.Prepared()
 	if want := sortedVersion(t, v); !slices.Equal(got.Recs, want) {
 		t.Fatalf("%s: epoch %d: Prepared returned %d records that are not the %d sorted records of the version",
 			step, v.Epoch, len(got.Recs), len(want))
@@ -44,8 +42,8 @@ func checkPrepared(t *testing.T, step string, v *Version) Build {
 
 // TestPreparedMatchesSortedLog drives random interleavings of Append,
 // BuildIndex and Compact, asking for the prepared run at random points
-// (so successors are published from cold, carried-but-unmerged and
-// merged predecessors alike), and checks every answer — including the
+// (so successors are published from unmerged and merged predecessors
+// alike), and checks every answer — including the
 // answers of versions pinned many epochs ago — against the sorted log.
 func TestPreparedMatchesSortedLog(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
@@ -85,26 +83,22 @@ func TestPreparedMatchesSortedLog(t *testing.T) {
 }
 
 // TestPreparedLifecycle pins what each step of a relation's life costs:
-// one full build ever, one merge per appended epoch that is queried,
-// nothing for index builds, and a compaction that promotes the merged
-// run so the next delta starts empty.
+// nothing to read at load (the run is built there, from the records
+// New is given, without a page read), one merge per appended epoch
+// that is queried, nothing for index builds, and a compaction that
+// promotes the merged run so the next delta starts empty.
 func TestPreparedLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	l := newLog(t, Config{DisableAutoCompact: true}, genRecords(rng, 800, 0))
-
-	// Cold relation: appends carry nothing and cost nothing extra.
-	if _, err := l.Append(genRecords(rng, 50, 800)); err != nil {
-		t.Fatal(err)
+	store := iosim.NewStore(iosim.DefaultPageSize)
+	l := newLog(t, Config{Store: store, DisableAutoCompact: true}, genRecords(rng, 800, 0))
+	before := store.Counters()
+	if _, b := l.Current().Prepared(); b != BuildNone {
+		t.Fatalf("first Prepared on a loaded relation = %q, want none", b)
 	}
-	if v := l.Current(); v.base != nil || v.delta != nil {
-		t.Fatal("an append to a cold relation built a run")
+	if io := store.Counters().Sub(before); io.Total() != 0 {
+		t.Fatalf("the loaded relation's run cost %d page accesses", io.Total())
 	}
-	if b := checkPrepared(t, "cold", l.Current()); b != BuildFull {
-		t.Fatalf("first Prepared = %q, want full", b)
-	}
-	if b := checkPrepared(t, "warm", l.Current()); b != BuildNone {
-		t.Fatalf("second Prepared on the same version = %q, want none", b)
-	}
+	checkPrepared(t, "loaded", l.Current())
 
 	// Two appends with no query between them: the delta run absorbs
 	// both, the base is shared, and the one merge happens on demand.
@@ -150,8 +144,8 @@ func TestPreparedLifecycle(t *testing.T) {
 }
 
 // TestPreparedRunBound: the y-extent bound a windowed join cuts the run
-// by is carried, never recomputed — the base's from its one full build,
-// the delta's from each append, the larger of the two on the merge path
+// by is carried, never recomputed — the base's from its load, the
+// delta's from each append, the larger of the two on the merge path
 // and across a compaction — and still equals a pass over the records
 // (checkPrepared makes the pass) wherever the tallest record lands: in
 // the base, in the delta, or in a relation that is nothing but delta.
@@ -162,12 +156,12 @@ func TestPreparedRunBound(t *testing.T) {
 			in := jointest.ShapeNamed(name).Gen(5, universe, nil)
 			base, delta := in.A[:in.BaseA], in.A[in.BaseA:]
 			for _, c := range []struct {
-				where                       string
-				cold, inBase, inDelta, late bool
+				where                         string
+				unread, inBase, inDelta, late bool
 			}{
-				// Cold until after the append: one full build bounds both halves.
-				{where: "cold", cold: true},
-				// Warm before it: the append carries the base, Prepared merges.
+				// No Prepared call before the append: the load bounded the base.
+				{where: "unread", unread: true},
+				// One before it: the append carries the same base.
 				{where: "tallest in the base", inBase: true},
 				{where: "tallest in the delta", inDelta: true},
 				{where: "tallest appended last", late: true},
@@ -186,9 +180,11 @@ func TestPreparedRunBound(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				want := BuildFull
-				if !c.cold {
+				if !c.unread {
 					checkPrepared(t, what+": base", l.Current())
+				}
+				want := BuildNone
+				if len(delta) > 0 || c.late {
 					want = BuildMerge
 				}
 				if _, err := l.Append(delta); err != nil {
@@ -213,13 +209,16 @@ func TestPreparedRunBound(t *testing.T) {
 	}
 }
 
-// TestPreparedConcurrentBuildsOnce has many readers ask one cold
+// TestPreparedConcurrentBuildsOnce has many readers ask one appended
 // version for its run at once while a writer keeps appending: exactly
-// one of them builds it, all get the same slice, and (under -race) no
+// one of them merges it, all get the same slice, and (under -race) no
 // one writes to what the others read.
 func TestPreparedConcurrentBuildsOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	l := newLog(t, Config{CompactMin: 500}, genRecords(rng, 3000, 0))
+	if _, err := l.Append(genRecords(rng, 100, 5000)); err != nil {
+		t.Fatal(err)
+	}
 	v := l.Current()
 	batches := make([][]geom.Record, 20)
 	for i := range batches {
@@ -234,11 +233,7 @@ func TestPreparedConcurrentBuildsOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var err error
-			if runs[i], builds[i], err = v.Prepared(); err != nil {
-				t.Error(err)
-				return
-			}
+			runs[i], builds[i] = v.Prepared()
 			var sum uint64 // read the whole shared run
 			for _, r := range runs[i].Recs {
 				sum += uint64(r.ID)
@@ -254,25 +249,22 @@ func TestPreparedConcurrentBuildsOnce(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, _, err := l.Current().Prepared(); err != nil {
-				t.Error(err)
-				return
-			}
+			l.Current().Prepared()
 		}
 	}()
 	wg.Wait()
 
-	full := 0
+	merges := 0
 	for i := range runs {
-		if builds[i] == BuildFull {
-			full++
+		if builds[i] == BuildMerge {
+			merges++
 		}
-		if len(runs[i].Recs) != 3000 || &runs[i].Recs[0] != &runs[0].Recs[0] {
+		if len(runs[i].Recs) != 3100 || &runs[i].Recs[0] != &runs[0].Recs[0] {
 			t.Fatalf("reader %d got its own run (len %d)", i, len(runs[i].Recs))
 		}
 	}
-	if full != 1 {
-		t.Fatalf("%d readers built the cold run, want exactly 1 (builds %q)", full, builds)
+	if merges != 1 {
+		t.Fatalf("%d readers merged the appended run, want exactly 1 (builds %q)", merges, builds)
 	}
 	checkPrepared(t, "after storm", l.Current())
 }

@@ -33,11 +33,11 @@ type metrics struct {
 	joinLatency *obs.HistogramVec
 	phase       *obs.HistogramVec
 
-	// Prepared-run builds paid by served joins, the two series of
-	// sj_prepared_builds_total{kind}: full (a cold relation was read
-	// and sorted) and merge (an epoch's base and delta runs were
-	// merged). A join that finds both runs warm counts nothing.
-	preparedFull, preparedMerge *obs.Counter
+	// Prepared-run builds paid by served joins, the one series of
+	// sj_prepared_builds_total{kind}: merge (an appended epoch's base
+	// and delta runs were merged). A relation's run is built at load,
+	// so a join that finds both runs merged counts nothing.
+	preparedMerge *obs.Counter
 }
 
 // joinBuckets widens obs.DefBuckets upward: a cold PBSM join of two
@@ -56,11 +56,10 @@ func newMetrics(reg *obs.Registry) *metrics {
 		reg = obs.NewRegistry()
 	}
 	prepared := reg.CounterVec("sj_prepared_builds_total",
-		"Prepared-run builds paid by joins, by kind: full (read and sort a cold relation) or merge (merge an epoch's delta into its base run).",
+		"Prepared-run builds paid by joins, by kind: merge (merge an appended epoch's delta into its base run).",
 		"kind")
 	return &metrics{
 		reg:           reg,
-		preparedFull:  prepared.With("full"),
 		preparedMerge: prepared.With("merge"),
 		joins: reg.Counter("sj_joins_total",
 			"Join requests whose body decoded, counted before validation."),
@@ -101,10 +100,7 @@ func (m *metrics) observeJoin(algorithm string, elapsedSec float64, t phaseSecon
 	m.phase.With("sweep").Observe(t.sweep)
 	m.phase.With("stream").Observe(t.stream)
 	for _, b := range prepared {
-		switch b {
-		case ingest.BuildFull:
-			m.preparedFull.Inc()
-		case ingest.BuildMerge:
+		if b == ingest.BuildMerge {
 			m.preparedMerge.Inc()
 		}
 	}

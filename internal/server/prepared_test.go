@@ -94,13 +94,15 @@ func TestJoinSummaryDescribesPinnedEpochs(t *testing.T) {
 	}
 }
 
-// TestPrepareCostIsReportedWherePaid: the join that builds or merges a
-// prepared run says so — a prepare child leading its span tree and a
-// tick of sj_prepared_builds_total{kind} — and a join that finds the
-// runs warm shows neither. That is as true of the default algorithm as
-// of "parallel": a served PQ runs on the same resident runs, says
-// engine=resident on its trace, and once they are warm does not touch
-// the simulated disk at all.
+// TestPrepareCostIsReportedWherePaid: a relation's prepared run is
+// built when it is loaded, so no join pays for it — not the first one
+// either. The join that merges an appended epoch's run says so — a
+// prepare child leading its span tree and a tick of
+// sj_prepared_builds_total{kind="merge"} — and a join that finds the
+// runs merged shows neither. That is as true of the default algorithm
+// as of "parallel": a served PQ runs on the same resident runs, says
+// engine=resident on its trace, and does not touch the simulated disk
+// at all.
 func TestPrepareCostIsReportedWherePaid(t *testing.T) {
 	for _, alg := range []string{"parallel", "PQ"} {
 		cat := testCatalog(t, 2000)
@@ -109,7 +111,7 @@ func TestPrepareCostIsReportedWherePaid(t *testing.T) {
 		ctx := context.Background()
 		store := cat.Workspace().Store()
 
-		join := func(wantPrepare bool, wantFull, wantMerge int) {
+		join := func(wantPrepare bool, wantMerge int) {
 			t.Helper()
 			before := store.Counters()
 			sum, err := cl.JoinCount(ctx, client.JoinRequest{
@@ -132,19 +134,20 @@ func TestPrepareCostIsReportedWherePaid(t *testing.T) {
 			if got := sum.Spans.Attrs["engine"]; got != "resident" || sum.Algorithm != alg {
 				t.Fatalf("%s: the trace says engine=%q and the summary algorithm %q", alg, got, sum.Algorithm)
 			}
-			if io := store.Counters().Sub(before); !wantPrepare && io.Total() != 0 {
-				t.Fatalf("%s: a warm join moved the store's counters by {%s}", alg, io)
+			if io := store.Counters().Sub(before); io.Total() != 0 {
+				t.Fatalf("%s: a join moved the store's counters by {%s}", alg, io)
 			}
 			text := reg.Render()
-			for kind, n := range map[string]int{"full": wantFull, "merge": wantMerge} {
-				line := `sj_prepared_builds_total{kind="` + kind + `"} ` + string(rune('0'+n))
-				if !strings.Contains(text, line+"\n") {
-					t.Fatalf("%s: /metrics lacks %q", alg, line)
-				}
+			line := `sj_prepared_builds_total{kind="merge"} ` + string(rune('0'+wantMerge))
+			if !strings.Contains(text, line+"\n") {
+				t.Fatalf("%s: /metrics lacks %q", alg, line)
+			}
+			if strings.Contains(text, `sj_prepared_builds_total{kind="full"}`) {
+				t.Fatalf("%s: /metrics still counts full builds", alg)
 			}
 		}
-		join(true, 2, 0)  // cold: both relations read and sorted
-		join(false, 2, 0) // warm
+		join(false, 0) // the first join: both runs built at load
+		join(false, 0)
 		hydro := mustGet(t, cat, "hydro")
 		extra := datagen.Uniform(5, 100, unijoin.NewRect(0, 0, 1000, 1000), 40)
 		for i := range extra {
@@ -153,7 +156,7 @@ func TestPrepareCostIsReportedWherePaid(t *testing.T) {
 		if _, err := hydro.Append(extra); err != nil {
 			t.Fatal(err)
 		}
-		join(true, 2, 1)  // new epoch of one side: one merge
-		join(false, 2, 1) // warm again
+		join(true, 1)  // new epoch of one side: one merge
+		join(false, 1) // merged
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // joinPhases hangs a finished join's phases under its root span. A
-// prepare child leads only when this query built or merged a prepared
-// run (its absence is the cache hit); then partition; the sweep and
+// prepare child leads only when this query merged an appended epoch's
+// prepared run (its absence is the cache hit); then partition; the sweep and
 // the stream both start when that ends (streaming happens from the
 // sweep's emit callbacks, so the two overlap rather than chain). The
 // stream phase is what the handler goroutine spends in the Stream:

@@ -14,11 +14,10 @@ import (
 )
 
 // TestStripeBoundariesIndependentOfWhoWarmedTheSample: the x-center
-// sample strides the records in file order whoever computes it, so the
-// stripe cuts a planner exports are the same whether it asked before
-// or after the relations' first AlgParallel query — which fills the
-// same cache from inside the prepared-run build — and stay the same
-// through appends on both histories.
+// sample is taken at load and carried by appends, so the stripe cuts a
+// planner exports are the same whether it asked before or after the
+// relations' first AlgParallel query — which reads the same sample —
+// and stay the same through appends on both histories.
 func TestStripeBoundariesIndependentOfWhoWarmedTheSample(t *testing.T) {
 	u := NewRect(0, 0, 1000, 1000)
 	ctx := context.Background()
@@ -74,14 +73,110 @@ func TestStripeBoundariesIndependentOfWhoWarmedTheSample(t *testing.T) {
 	}
 }
 
-// TestConcurrentJoinsShareOnePreparedRun pins two cold relations from
-// eight goroutines at once. Exactly one query per relation builds the
-// prepared run, everyone else finds it warm, all emit the identical
-// pair sequence — and under -race this is the proof that the engine's
-// "inputs are not modified" contract holds for memory that is now
+// TestRelationIsNeverCold: a relation's prepared run and x-center
+// sample are built when it is loaded, so on a workspace of its own and
+// on a catalog alike the first join on the in-memory engine, the first
+// window query and the first stripe planning each read no page and
+// build nothing. Only the first join on an appended epoch pays, a
+// merge on the appended side.
+func TestRelationIsNeverCold(t *testing.T) {
+	ctx := context.Background()
+	u := NewRect(0, 0, 1000, 1000)
+	fresh := func(resident bool) (*Workspace, *Catalog, *Relation, *Relation) {
+		t.Helper()
+		ws := NewWorkspace()
+		ws.SetUniverse(u)
+		var cat *Catalog
+		var a, b *Relation
+		var err error
+		if resident {
+			cat = NewCatalogOn(ws)
+			if a, err = cat.Load("a", demoRecords(41, 3000, u), false); err == nil {
+				b, err = cat.Load("b", demoRecords(42, 2000, u), true)
+			}
+		} else if a, err = ws.AddNamedRelation("a", demoRecords(41, 3000, u)); err == nil {
+			if b, err = ws.AddNamedRelation("b", demoRecords(42, 2000, u)); err == nil {
+				err = b.BuildIndex()
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ws, cat, a, b
+	}
+	join := func(ws *Workspace, a, b *Relation, alg Algorithm, want [2]ingest.Build) int64 {
+		t.Helper()
+		res, err := ws.Query(a, b).Algorithm(alg).CountOnly().Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Prepared != want || (res.PrepareWall > 0) != (want != [2]ingest.Build{}) {
+			t.Fatalf("%v join: Prepared %q, PrepareWall %v; want %q", alg, res.Prepared, res.PrepareWall, want)
+		}
+		return res.Count()
+	}
+	none := [2]ingest.Build{}
+	for _, resident := range []bool{false, true} {
+		firsts := map[string]func(ws *Workspace, cat *Catalog, a, b *Relation){
+			"parallel join": func(ws *Workspace, _ *Catalog, a, b *Relation) { join(ws, a, b, AlgParallel, none) },
+			"window query": func(_ *Workspace, _ *Catalog, a, _ *Relation) {
+				if n, err := a.WindowQuery(ctx, NewRect(100, 100, 300, 300), nil); err != nil || n == 0 {
+					t.Fatalf("window query: %d records, %v", n, err)
+				}
+			},
+			"stripe boundaries": func(_ *Workspace, cat *Catalog, a, _ *Relation) {
+				if _, err := a.StripeBoundaries(4); err != nil {
+					t.Fatal(err)
+				}
+				if cat != nil {
+					if _, err := cat.StripeBoundaries(4, "a", "b"); err != nil {
+						t.Fatal(err)
+					}
+				}
+			},
+		}
+		if resident {
+			firsts["PQ join"] = func(ws *Workspace, _ *Catalog, a, b *Relation) { join(ws, a, b, AlgPQ, none) }
+		}
+		for what, first := range firsts {
+			ws, cat, a, b := fresh(resident)
+			before := ws.Store().Counters()
+			first(ws, cat, a, b)
+			if io := ws.Store().Counters().Sub(before); io.Total() != 0 {
+				t.Fatalf("resident=%v: the first %s on a loaded relation made %d page accesses", resident, what, io.Total())
+			}
+		}
+
+		ws, _, a, b := fresh(resident)
+		pairs := join(ws, a, b, AlgParallel, none)
+		if _, err := b.Append(appendDelta(43, 100, 1<<20, u)); err != nil {
+			t.Fatal(err)
+		}
+		before := ws.Store().Counters()
+		if join(ws, a, b, AlgParallel, [2]ingest.Build{ingest.BuildNone, ingest.BuildMerge}) < pairs {
+			t.Fatal("the join after the append lost pairs")
+		}
+		join(ws, a, b, AlgParallel, none)
+		if io := ws.Store().Counters().Sub(before); io.Total() != 0 {
+			t.Fatalf("resident=%v: the joins after an append made %d page accesses", resident, io.Total())
+		}
+	}
+}
+
+// TestConcurrentJoinsShareOnePreparedRun pins two appended relations
+// from eight goroutines at once. Exactly one query per relation merges
+// the prepared run, everyone else finds it merged, all emit the
+// identical pair sequence — and under -race this is the proof that the
+// engine's "inputs are not modified" contract holds for memory that is
 // shared between queries.
 func TestConcurrentJoinsShareOnePreparedRun(t *testing.T) {
 	ws, a, b := clusteredWorkspace(t, 61, 6000, 4000)
+	u := NewRect(0, 0, 1000, 1000)
+	for i, rel := range []*Relation{a, b} {
+		if _, err := rel.Append(appendDelta(int64(62+i), 300, 1<<20, u)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	const queries = 8
 	results := make([]*Results, queries)
 	var wg sync.WaitGroup
@@ -101,14 +196,11 @@ func TestConcurrentJoinsShareOnePreparedRun(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	var full [2]int
+	var merges [2]int
 	for i, res := range results {
 		for side, build := range res.Prepared {
-			switch build {
-			case ingest.BuildFull:
-				full[side]++
-			case ingest.BuildMerge:
-				t.Fatalf("query %d merged a run on a relation that never saw an append", i)
+			if build == ingest.BuildMerge {
+				merges[side]++
 			}
 		}
 		if (res.Prepared != [2]ingest.Build{}) != (res.PrepareWall > 0) {
@@ -118,8 +210,8 @@ func TestConcurrentJoinsShareOnePreparedRun(t *testing.T) {
 			t.Fatalf("query %d: %d pairs, differing from query 0's %d", i, res.Count(), results[0].Count())
 		}
 	}
-	if full != [2]int{1, 1} {
-		t.Fatalf("cold runs were built %v times (left, right), want exactly once each", full)
+	if merges != [2]int{1, 1} {
+		t.Fatalf("the appended runs were merged %v times (left, right), want exactly once each", merges)
 	}
 	// The SSSJ answer on the simulated disk is the outside reference.
 	ref, err := ws.Query(a, b).Algorithm(AlgSSSJ).CountOnly().Run(context.Background())
@@ -206,10 +298,7 @@ func TestWindowedResidentJoinReadsTheSlab(t *testing.T) {
 		c := hydro[i].Rect.Center()
 		win := NewRect(c.X-hw, c.Y-hh, c.X+hw, c.Y+hh)
 		for side, v := range map[string]*ingest.Version{"roads": a.snapshot(), "hydro": b.snapshot()} {
-			slab, _, err := engineInput(v, &win)
-			if err != nil {
-				t.Fatal(err)
-			}
+			slab, _ := engineInput(v, &win)
 			if int64(len(slab))*8 >= v.N {
 				t.Fatalf("window %v: the engine is handed %d of the %d %s records", win, len(slab), v.N, side)
 			}

@@ -222,15 +222,13 @@ func (w *Workspace) dispatch(ctx context.Context, alg Algorithm, a, b *ingest.Ve
 
 // runParallel runs the in-memory engine with the given worker count
 // (0: GOMAXPROCS) on the two pinned versions' prepared runs — their
-// records already decoded and in sweep order, built once per epoch and
-// shared by every query that pins it — and reports the join under name.
-// A warm query therefore performs no simulated I/O and no sort; the
-// query that finds a run cold or unmerged pays for the build (a cold
-// build's read pass is charged to the store counters like any scan)
-// and reports it as res.Prepared and Result.PrepareWall. A windowed
-// join hands the engine only a slab of each run (engineInput), so what
-// it measures, samples and distributes is proportional to the window,
-// not to the relations.
+// records already in sweep order, built at load and carried across
+// appends — and reports the join under name. It performs no simulated
+// I/O and no sort; the one query per appended epoch that finds a run
+// unmerged pays for the merge and reports it as res.Prepared and
+// Result.PrepareWall. A windowed join hands the engine only a slab of
+// each run (engineInput), so what it measures, samples and distributes
+// is proportional to the window, not to the relations.
 func (w *Workspace) runParallel(ctx context.Context, name string, workers int, a, b *ingest.Version, opts *joinOptions, res *Results) (core.Result, error) {
 	po := parallel.Options{Universe: w.universeFor(a.MBR.Union(b.MBR))}
 	po.Workers = workers
@@ -239,37 +237,21 @@ func (w *Workspace) runParallel(ctx context.Context, name string, workers int, a
 	po.Own = opts.own
 	po.Emit = opts.Emit
 	po.EmitBatch = opts.EmitBatch
-	before := w.store.Counters()
-	beforeDirect := w.store.DirectCounters()
 	start := time.Now()
 	var recs [2][]Record
 	for i, v := range [2]*ingest.Version{a, b} {
-		var err error
-		if recs[i], res.Prepared[i], err = engineInput(v, po.Window); err != nil {
-			return core.Result{}, err
-		}
+		recs[i], res.Prepared[i] = engineInput(v, po.Window)
 	}
 	var prepareWall time.Duration
 	if res.Prepared != [2]ingest.Build{} {
 		prepareWall = time.Since(start)
 	}
 	if po.Window == nil {
-		// Reuse each version's cached x-center sample so repeated
-		// queries on a stable catalog skip the serial quantile sample
-		// sort of the partitioning prefix. Windowed joins sample only
-		// the qualifying records, which the whole-relation cache
-		// cannot provide — and fetching it anyway would make a windowed
-		// join after a compaction read the log for a sample it never
-		// uses.
-		sa, err := sampleFor(a)
-		if err != nil {
-			return core.Result{}, err
-		}
-		sb, err := sampleFor(b)
-		if err != nil {
-			return core.Result{}, err
-		}
-		po.SortedSamples = [][]geom.Coord{sa, sb}
+		// Hand the engine each version's x-center sample so the
+		// partitioning prefix skips its serial quantile sample sort.
+		// Windowed joins sample only the qualifying records, which the
+		// whole-relation sample cannot provide.
+		po.SortedSamples = [][]geom.Coord{a.Sample(), b.Sample()}
 	}
 	rep, err := parallel.Join(ctx, recs[0], recs[1], po)
 	if err != nil {
@@ -285,8 +267,6 @@ func (w *Workspace) runParallel(ctx context.Context, name string, workers int, a
 		PrepareWall:   prepareWall,
 		PartitionWall: rep.PartitionWall,
 		SweepWall:     rep.SweepWall,
-		IO:            w.store.Counters().Sub(before),
-		IODirect:      w.store.DirectCounters().Sub(beforeDirect),
 	}, nil
 }
 
@@ -294,12 +274,12 @@ func (w *Workspace) runParallel(ctx context.Context, name string, workers int, a
 // of a join: the version's prepared run, cut under a window to the slab
 // of it that can reach the window in y. The engine's one narrowing pass
 // does the rest, so windowed and unwindowed joins are one path.
-func engineInput(v *ingest.Version, window *Rect) ([]Record, ingest.Build, error) {
-	run, build, err := v.Prepared()
-	if err != nil || window == nil {
-		return run.Recs, build, err
+func engineInput(v *ingest.Version, window *Rect) ([]Record, ingest.Build) {
+	run, build := v.Prepared()
+	if window == nil {
+		return run.Recs, build
 	}
-	return run.Slab(*window), build, nil
+	return run.Slab(*window), build
 }
 
 // coreOptions maps a query's knobs onto the core layer's, for inputs

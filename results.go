@@ -37,9 +37,11 @@ type Results struct {
 	Parallel *parallel.Report
 	// Prepared says, for a query the in-memory engine ran, what this
 	// query had to do to obtain each input's prepared run, left then
-	// right: ingest.BuildNone when the run was warm, ingest.BuildMerge
-	// or ingest.BuildFull when this was the query that built it for
-	// its epoch (the time is Result.PrepareWall).
+	// right: ingest.BuildNone when the run was there (every epoch
+	// published by a load, index build or compaction, and every query
+	// after the first on an appended one), ingest.BuildMerge when this
+	// was the query that merged an appended epoch's base and delta runs
+	// (the time is Result.PrepareWall).
 	Prepared [2]ingest.Build
 
 	collected bool

@@ -69,8 +69,8 @@
 // local-member pairs with no per-pair test while boundary×boundary
 // pairs pay the reference-point ownership test, so each pair is
 // reported exactly once. Its inputs are each relation's prepared run
-// (records decoded and sorted once per epoch, carried across appends),
-// so a warm query neither reads the simulated disk nor sorts — and
+// (records sorted when the relation is loaded, carried across
+// appends), so a query neither reads the simulated disk nor sorts — and
 // because both inputs are resident sorted arrays, the sweep inside a
 // stripe builds no sweep structure: it merges the two arrays and
 // scans forward, with the stripe count chosen per query so that those
@@ -164,7 +164,9 @@ func ParseRect(s string) (Rect, error) {
 // ReadRecordFile loads a real file of the paper's 20-byte MBR records
 // (the format sjgen writes) into memory — the loader shared by the
 // sjjoin and sjserved commands. A record with a NaN or infinite
-// coordinate fails the load.
+// coordinate or an inverted rectangle fails the load — here as well as
+// in AddRelation, so that a stripe shard, which loads only the records
+// its stripe keeps, refuses the same files as a whole process.
 func ReadRecordFile(path string) ([]Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -177,8 +179,8 @@ func ReadRecordFile(path string) ([]Record, error) {
 	recs := make([]Record, 0, len(data)/geom.RecordSize)
 	for off := 0; off < len(data); off += geom.RecordSize {
 		rec := geom.DecodeRecord(data[off:])
-		if !rec.Rect.Finite() {
-			return nil, fmt.Errorf("unijoin: %s: record %d (id %d) has a NaN or infinite coordinate",
+		if !rec.Rect.Valid() || !rec.Rect.Finite() {
+			return nil, fmt.Errorf("unijoin: %s: record %d (id %d) has an inverted rectangle or a NaN or infinite coordinate",
 				path, off/geom.RecordSize, rec.ID)
 		}
 		recs = append(recs, rec)
@@ -289,9 +291,9 @@ func (a Algorithm) String() string {
 // across all concurrent queries, so per-query I/O deltas are only
 // exact when queries run one at a time. AlgParallel stays off the
 // disk: it joins each relation's prepared run — the pinned version's
-// records, decoded and sorted once per epoch and shared read-only by
-// every query on that epoch — and reads pages only in the one query
-// per relation that builds the run cold. On a Catalog's workspace
+// records in sweep order, sorted when the relation is loaded, carried
+// across appends and shared read-only by every query on that epoch —
+// and never reads a page. On a Catalog's workspace
 // AlgPQ and AlgSSSJ join the same runs, at one worker: a long-lived
 // process already holds the two sorted sources the unified join needs,
 // so it does not re-extract them from the index per query. A workspace
@@ -351,7 +353,10 @@ type Relation struct {
 type AppendResult = ingest.AppendResult
 
 // AddRelation writes records to the workspace as a new non-indexed
-// relation.
+// relation and builds its prepared run and x-center sample from them,
+// so no query ever reads them back to build either. A record whose
+// rectangle is not well formed (Rect.Valid: inverted or NaN) fails the
+// whole call, as it fails Relation.Append.
 func (w *Workspace) AddRelation(recs []Record) (*Relation, error) {
 	return w.AddNamedRelation("", recs)
 }
@@ -450,8 +455,8 @@ func (r *Relation) Compactions() int64 { return r.log.Compactions() }
 // through a PQ pass over the remainder —
 // so indexed algorithms see the records without a rebuild and an
 // append allocates nothing on the simulated disk but the log's own
-// pages. The cached x-center sample and prepared run are maintained by
-// merge as well. All records are accepted or none. When the
+// pages. The x-center sample and prepared run are maintained by merge
+// as well. All records are accepted or none. When the
 // accumulated delta crosses the compaction threshold, the packed index
 // is rebuilt over the whole log before Append returns.
 func (r *Relation) Append(recs []Record) (AppendResult, error) {

@@ -64,8 +64,8 @@ func TestWorkspaceJoinAllAlgorithms(t *testing.T) {
 }
 
 // TestReadRecordFileRefusesNonFiniteCoordinates: a record file is
-// input from outside; a NaN or infinite coordinate in it fails the load
-// and names the record.
+// input from outside; a NaN or infinite coordinate or an inverted
+// rectangle in it fails the load and names the record.
 func TestReadRecordFileRefusesNonFiniteCoordinates(t *testing.T) {
 	inf := Coord(math.Inf(1))
 	recs := []Record{
@@ -87,9 +87,11 @@ func TestReadRecordFileRefusesNonFiniteCoordinates(t *testing.T) {
 	if got, err := ReadRecordFile(write(recs[:1])); err != nil || len(got) != 1 || got[0] != recs[0] {
 		t.Fatalf("a finite file reads as %v, %v", got, err)
 	}
-	_, err := ReadRecordFile(write(recs))
-	if err == nil || !strings.Contains(err.Error(), "record 1 (id 8)") {
-		t.Fatalf("a file with a record at +Inf reads with error %v, want one naming record 1 (id 8)", err)
+	for _, bad := range []Rect{recs[1].Rect, {XLo: 50, YLo: 0, XHi: 10, YHi: 100}} {
+		_, err := ReadRecordFile(write([]Record{recs[0], {ID: 8, Rect: bad}}))
+		if err == nil || !strings.Contains(err.Error(), "record 1 (id 8)") {
+			t.Fatalf("a file holding %v reads with error %v, want one naming record 1 (id 8)", bad, err)
+		}
 	}
 }
 
