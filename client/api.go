@@ -249,7 +249,13 @@ type RelationInfo struct {
 	Indexed    bool   `json:"indexed"`
 	DataBytes  int64  `json:"data_bytes"`
 	IndexBytes int64  `json:"index_bytes,omitempty"`
-	MBR        Rect   `json:"mbr"`
+	// StripeBytes is the memory the relation's current version holds
+	// for the resident engine's stripe layout: the partitioned records
+	// of its latest unwindowed join as the left input, both sides after
+	// replication, kept so a repeated join skips partitioning. It is 0
+	// until such a join has run on the version.
+	StripeBytes int64 `json:"stripe_bytes,omitempty"`
+	MBR         Rect  `json:"mbr"`
 	// Stripe is set when the serving process holds only a stripe
 	// shard of the relation (sjserved -stripe): Records then counts
 	// the loaded slice, not the full relation.

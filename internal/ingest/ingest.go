@@ -4,9 +4,11 @@
 // epoch-stamped Version — a pinned prefix view of the log
 // (iosim.File.Snapshot), the packed R-tree over the records of the
 // last bulk load, the delta run holding the records appended since,
-// the bounding rectangle, the maintained x-center sample, and the
+// the bounding rectangle, the maintained x-center sample, the
 // prepared run (all records ordered by lower y, which the in-memory
-// engine joins without touching the simulated disk). Readers
+// engine joins without touching the simulated disk), and a slot for
+// the stripe layout of that engine's latest unwindowed join with the
+// version as its left input (Version.Stripes). Readers
 // load the current Version once, atomically, and keep a consistent
 // view no matter how many appends land while they stream; writers
 // serialize on the log's mutex and never modify anything a published
@@ -38,6 +40,15 @@
 // base and delta once for everybody; and a compaction promotes the
 // merged run to the next base and resamples the log. A run dies with
 // the last reference to its version.
+//
+// A version also carries its stripe layout. The in-memory engine cuts
+// both inputs of a join into x-stripes, and a version keeps the cut of
+// its latest unwindowed join as the left input, keyed by the partner
+// version's Serial (which names a version without holding it) and the
+// join's options. So a join repeated over one pinned version pair
+// partitions once — the first one pays, as the first query on an
+// appended epoch pays the merge — and the layout, plain memory like
+// the run, dies with its version.
 //
 // The index follows the paper's lifecycle: a relation's tree is born
 // packed (Hilbert bulk load, Section 3.3) and stays packed. A
@@ -98,7 +109,8 @@ type Config struct {
 // use and stay valid forever — later appends and compactions only
 // publish successors. Its x-center sample and the two halves of its
 // prepared run are fixed at publication; only the merge of the halves
-// waits for the first reader that needs it.
+// waits for the first reader that needs it, and the stripe layout for
+// the first join that needs it.
 type Version struct {
 	// Epoch increases by one per published mutation (append, index
 	// build, compaction). A query pins one Version at start and
@@ -142,7 +154,31 @@ type Version struct {
 	// Prepared call that needs it (see Prepared) and then shared.
 	runMu sync.Mutex
 	run   []geom.Record
+
+	// serial tells this version apart from every other version of any
+	// relation in the process: the key by which a stripe slot knows its
+	// partner without holding it.
+	serial uint64
+	// stripes holds the stripe layout of this version's latest
+	// unwindowed join as the left input (see Stripes).
+	stripes parallel.Slot
 }
+
+// serials numbers versions as they are published (Version.Serial).
+var serials atomic.Uint64
+
+// Serial returns the number that tells v apart from every other
+// version of every relation in the process — what a stripe slot keys
+// its partner by (Stripes).
+func (v *Version) Serial() uint64 { return v.serial }
+
+// Stripes returns v's stripe slot: the layout of the in-memory engine's
+// latest unwindowed join with v's prepared run as the left input,
+// keyed by the partner version's Serial and the join's options, so
+// that a join repeated over the same two pinned versions partitions
+// once (parallel.Slot). The layout is plain memory, built by the first
+// join under its key and collected with v, like the run.
+func (v *Version) Stripes() *parallel.Slot { return &v.stripes }
 
 // Delta returns the records appended since the last packed build.
 func (v *Version) Delta() int64 { return v.N - v.BaseN }
@@ -309,7 +345,7 @@ func New(cfg Config, recs []geom.Record) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &Version{Epoch: 0, File: f.Snapshot(), MBR: geom.EmptyRect(), sample: parallel.SortedCenterSample(recs)}
+	v := &Version{Epoch: 0, File: f.Snapshot(), MBR: geom.EmptyRect(), sample: parallel.SortedCenterSample(recs), serial: serials.Add(1)}
 	v.N, v.BaseN = int64(len(recs)), int64(len(recs))
 	v.base = slices.Clone(recs)
 	sortByLowerY(v.base)
@@ -444,6 +480,7 @@ func (l *Log) Append(recs []geom.Record) (AppendResult, error) {
 		baseMaxH:  old.baseMaxH,
 		delta:     mergeRuns(old.delta, batch),
 		deltaMaxH: old.deltaMaxH,
+		serial:    serials.Add(1),
 	}
 	for _, r := range recs {
 		v.MBR = v.MBR.Union(r.Rect)
@@ -520,7 +557,8 @@ func (l *Log) compactLocked() error {
 // bounded by the compaction threshold. The caller sets the sample.
 func (l *Log) packed(old *Version, index *rtree.BuildOptions) (*Version, error) {
 	run, _ := old.Prepared()
-	v := &Version{Epoch: old.Epoch + 1, File: old.File, N: old.N, BaseN: old.N, MBR: old.MBR, base: run.Recs, baseMaxH: run.MaxH}
+	v := &Version{Epoch: old.Epoch + 1, File: old.File, N: old.N, BaseN: old.N, MBR: old.MBR,
+		base: run.Recs, baseMaxH: run.MaxH, serial: serials.Add(1)}
 	if index != nil {
 		tree, err := rtree.Build(l.store, old.File, l.universe(old.MBR), *index)
 		if err != nil {

@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"sync"
+	"unsafe"
 
 	"unijoin/internal/geom"
 	"unijoin/internal/pairbuf"
@@ -36,13 +37,14 @@ func narrow(recs []geom.Record, window *geom.Rect) []geom.Record {
 // prefix: both inputs classified stripe-local vs boundary-crossing and
 // routed into per-(worker, stripe) fragments.
 //
-// Fragments deliberately stay unconcatenated: each partition's sweep
-// reassembles its own side on the worker that sweeps it (see gather), so
-// any copy is part of the parallel sweep phase instead of a serial
-// barrier. Worker w owns the w-th contiguous chunk of each input, so
-// reading fragments in worker order reproduces the input order
-// exactly — the distribution is deterministic and independent of the
-// worker count, and inputs that arrive sorted yield sorted partitions.
+// Fragments are not concatenated as they are filled: each stripe's
+// sides are reassembled afterwards (stripes, gather) by the same
+// workers, each taking its own run of stripes, so any copy is parallel
+// work instead of a serial barrier. Worker w owns the w-th contiguous
+// chunk of each input, so reading fragments in worker order reproduces
+// the input order exactly — the distribution is deterministic and
+// independent of the worker count, and inputs that arrive sorted yield
+// sorted partitions.
 type distribution struct {
 	// fragsA[w][i] and fragsB[w][i] hold the records worker w routed
 	// to stripe i, in input order. They are borrowed from the record
@@ -66,8 +68,8 @@ type distribution struct {
 // fragments appended to it. The copy therefore lands in a pooled
 // buffer that release returns with all the others, and a warm pool
 // makes it allocation-free. Either way the result is the engine's own
-// memory, which the sweep may sort. Only the goroutine sweeping
-// partition i may call it.
+// memory, which may be sorted. Only the goroutine assembling partition
+// i may call it.
 func gather(frags [][][]geom.Record, i, n int) []geom.Record {
 	first := -1
 	for w := range frags {
@@ -181,19 +183,7 @@ func distribute(ctx context.Context, part *Partitioner, a, b []geom.Record, nw i
 		}
 		errs[w] = distributeChunk(ctx, part, b[blo:bhi], d.fragsB[w], &counters[w])
 	}
-	if nw == 1 {
-		run(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				run(w)
-			}(w)
-		}
-		wg.Wait()
-	}
+	forWorkers(nw, run)
 	for w := 0; w < nw; w++ {
 		if errs[w] != nil {
 			d.release()
@@ -209,4 +199,61 @@ func distribute(ctx context.Context, part *Partitioner, a, b []geom.Record, nw i
 		}
 	}
 	return d, nil
+}
+
+// stripes assembles both sides of every stripe from the fragments and
+// puts each in sweep order, on the distribution's workers, each taking
+// a contiguous run of stripes. A side is gathered in place in the
+// fragments (see gather); with owned set it is then copied out into
+// plain memory of its own, so that the fragments may go back to the
+// pool, and bytes is the size of those copies. The copy is an append
+// to nothing, which the runtime does not zero first: a fresh
+// allocation sized for the whole layout would be cleared only to be
+// overwritten. Keeping the gathered fragments instead would save the
+// copy but drain the pool, and the next build grows every fragment
+// afresh: BenchmarkQueryParallel/after-append, one build per query,
+// allocated twice the bytes and ran about 4 ms (20 %) slower that way.
+func (d *distribution) stripes(owned bool) (a, b [][]geom.Record, bytes int64) {
+	k := len(d.sizeA)
+	a, b = make([][]geom.Record, k), make([][]geom.Record, k)
+	assemble := func(frags [][][]geom.Record, i, n int) []geom.Record {
+		side := gather(frags, i, n)
+		if owned {
+			side = append([]geom.Record(nil), side...)
+		}
+		sortByLowerY(side)
+		return side
+	}
+	nw := len(d.fragsA)
+	forWorkers(nw, func(w int) {
+		lo, hi := chunk(k, w, nw)
+		for i := lo; i < hi; i++ {
+			a[i] = assemble(d.fragsA, i, d.sizeA[i])
+			b[i] = assemble(d.fragsB, i, d.sizeB[i])
+		}
+	})
+	if owned {
+		for i := range k {
+			bytes += int64(cap(a[i])+cap(b[i])) * int64(unsafe.Sizeof(geom.Record{}))
+		}
+	}
+	return a, b, bytes
+}
+
+// forWorkers runs fn(0) … fn(nw-1) on nw goroutines and waits for
+// them all; one worker runs inline on the calling goroutine.
+func forWorkers(nw int, fn func(w int)) {
+	if nw == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < nw; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			fn(w)
+		}(w)
+	}
+	wg.Wait()
 }

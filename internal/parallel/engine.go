@@ -21,27 +21,30 @@ import (
 // partition by partition and never re-sorted; the result, pair
 // sequence included, is the same either way.
 //
-// Under Options.Window the first thing Join does is narrow each input
-// to the records intersecting the window, in one serial pass into
-// pooled buffers that go back to the pool with the distribution's
-// fragments when Join returns; everything after reads the narrowed
+// A join is two steps: it lays out its stripes (a layout), then sweeps
+// them. Join lays them out for itself, in pooled fragments that go
+// back to the pool when it returns; Slot.Join keeps them for the joins
+// after it. Under Options.Window the first thing the layout does is
+// narrow each input to the records intersecting the window, in one
+// serial pass into pooled buffers; everything after reads the narrowed
 // inputs and never tests the window again. Unless Options.Partitions
 // fixes it, the stripe count is then chosen for this join from one
 // strided pass over the inputs: see stripeCount.
 //
-// Both phases are parallel. The distribution prefix splits each input
-// into per-worker chunks that are classified stripe-local vs
+// Both steps are parallel. The distribution splits each input into
+// per-worker chunks that are classified stripe-local vs
 // boundary-crossing and routed into private per-(worker, stripe)
-// fragments with no locks, so Report.PartitionWall scales with
-// Workers. The sweep phase drains the partitions on a worker pool; each partition reassembles its
-// fragments, sorts them if need be, and merges the two arrays with a
-// forward scan — no sweep structure is built — emitting local-member
-// pairs with no ownership test (they can only be generated in one
-// stripe) and testing boundary×boundary pairs against the stripe's
-// reference-point range. Options.Own narrows the result to one fleet
-// shard's pairs by narrowing exactly those two things — the ranges and
-// which records count as local — so Report.Pairs, the callbacks and
-// the counting-only path all see owned pairs, with no second filter.
+// fragments with no locks, and the same workers then reassemble each
+// stripe's fragments and sort them if need be, so Report.PartitionWall
+// scales with Workers. The sweep drains the stripes on a worker pool;
+// each merges its two arrays with a forward scan — no sweep structure
+// is built — emitting local-member pairs with no ownership test (they
+// can only be generated in one stripe) and testing boundary×boundary
+// pairs against the stripe's reference-point range. Options.Own
+// narrows the result to one fleet shard's pairs by narrowing exactly
+// those two things — the ranges and which records count as local — so
+// Report.Pairs, the callbacks and the counting-only path all see owned
+// pairs, with no second filter.
 //
 // With a callback set, a stripe's pairs reach it as soon as every
 // earlier stripe's have — on the calling goroutine, in stripe-then-sweep
@@ -57,9 +60,10 @@ import (
 // Canceling the context — from anywhere, the callback included — stops
 // the dealing at once and every worker at its next poll (before each
 // partition, and inside one every pollInterval comparisons; the
-// distribution workers poll ctx the same way). Join then waits for the
-// workers and returns ctx's error, with every pooled buffer handed
-// back.
+// distribution workers poll ctx every distCheckInterval records, and a
+// layout is not finished until ctx has been polled once more after
+// its last stripe is sorted). Join then waits for the workers and
+// returns ctx's error, with every pooled buffer handed back.
 func Join(ctx context.Context, a, b []geom.Record, o Options) (Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -72,52 +76,27 @@ func Join(ctx context.Context, a, b []geom.Record, o Options) (Report, error) {
 		return Report{}, err
 	}
 	start := time.Now()
-	rep := Report{Workers: o.Workers}
-
-	// The window acts here, once: each input is narrowed to the records
-	// that intersect it, and the stripe count, the boundary sample and
-	// the distribution read only what is left.
-	if o.Window != nil {
-		a, b = narrow(a, o.Window), narrow(b, o.Window)
-		defer func() {
-			pairbuf.PutRecords(a)
-			pairbuf.PutRecords(b)
-		}()
-	}
-	if o.Partitions <= 0 {
-		o.Partitions = max(o.Workers, stripeCount(measure(a), measure(b), o.Universe, o.Window))
-	}
-	// The stripes sit at the quantiles of the merged per-input samples:
-	// the cached ones, or else one strided sample per input. A window's
-	// samples are taken and sorted by every query, so they are sized for
-	// the stripes the window is worth (see samplesPerStripe).
-	samples := o.SortedSamples
-	if o.Window != nil || len(samples) == 0 {
-		limit := sampleMax
-		if o.Window != nil {
-			limit = min(sampleMax, o.Partitions*samplesPerStripe)
-		}
-		samples = centerSamples(o.Partitions, limit, a, b)
-	}
-	part := NewPartitionerFromSamples(o.Universe, o.Partitions, samples...)
-	if o.Window != nil {
-		part.winXLo = o.Window.XLo
-	}
-	part.own = o.Own
-	k := part.Partitions()
-	rep.Partitions = k
-	if o.Workers > k {
-		rep.Workers = k
-	}
-	dist, err := distribute(ctx, part, a, b, o.Workers)
+	l, err := arrange(ctx, a, b, o, false)
 	if err != nil {
 		return Report{}, err
 	}
-	defer dist.release()
-	rep.InputRecords = dist.input
-	rep.ReplicatedRecords = dist.replicated
-	rep.LocalRecords = dist.local
-	rep.BoundaryRecords = dist.boundary
+	defer l.release()
+	return l.sweep(ctx, o, start)
+}
+
+// sweep is the parallel phase of a join under o over the layout l,
+// whose building began at start: PartitionWall is the time from then
+// until the sweep begins, and Wall includes it.
+func (l *layout) sweep(ctx context.Context, o Options, start time.Time) (Report, error) {
+	k := l.part.Partitions()
+	rep := Report{
+		Workers:           min(o.Workers, k),
+		Partitions:        k,
+		InputRecords:      l.input,
+		ReplicatedRecords: l.replicated,
+		LocalRecords:      l.local,
+		BoundaryRecords:   l.boundary,
+	}
 	if rep.InputRecords > 0 {
 		rep.Replication = float64(rep.ReplicatedRecords) / float64(rep.InputRecords)
 	}
@@ -160,7 +139,7 @@ func Join(ctx context.Context, a, b []geom.Record, o Options) (Report, error) {
 				var pairs int64
 				err := ctx.Err() // a canceled join starts no further partition
 				if err == nil {
-					pairs, err = sweepPartition(ctx, part, i, dist,
+					pairs, err = sweepPartition(ctx, l.part, i, l.a[i], l.b[i],
 						&partStats[i], &noTest[i], &buffers[i], collect)
 				}
 				done <- sweptPartition{i, err}
@@ -168,7 +147,7 @@ func Join(ctx context.Context, a, b []geom.Record, o Options) (Report, error) {
 					return
 				}
 				ws.Partitions++
-				ws.Records += int64(dist.sizeA[i] + dist.sizeB[i])
+				ws.Records += int64(len(l.a[i]) + len(l.b[i]))
 				ws.Pairs += pairs
 				ws.Busy += time.Since(t0)
 			}
@@ -181,7 +160,7 @@ func Join(ctx context.Context, a, b []geom.Record, o Options) (Report, error) {
 		}
 	}
 	deal(min(k, window))
-	err = ctx.Err()
+	err := ctx.Err()
 	for next := 0; collect && next < k && err == nil; {
 		if !swept[next] {
 			select {
@@ -256,17 +235,12 @@ func sortByLowerY(recs []geom.Record) {
 	}
 }
 
-// sweepPartition reassembles one partition from its distribution
-// fragments, puts both sides in sweep order, and runs the array kernel
-// over them. It fills the partition's stat, no-test, and buffer slots;
-// with collect set, the output buffer is borrowed from the pairbuf
-// pool.
-func sweepPartition(ctx context.Context, part *Partitioner, i int, dist *distribution,
+// sweepPartition runs the array kernel over partition i's two sides,
+// ra and rb, in sweep order. It fills the partition's stat, no-test,
+// and buffer slots; with collect set, the output buffer is borrowed
+// from the pairbuf pool.
+func sweepPartition(ctx context.Context, part *Partitioner, i int, ra, rb []geom.Record,
 	stats *sweep.Stats, noTest *int64, buffer *[]geom.Pair, collect bool) (int64, error) {
-	ra := gather(dist.fragsA, i, dist.sizeA[i])
-	rb := gather(dist.fragsB, i, dist.sizeB[i])
-	sortByLowerY(ra)
-	sortByLowerY(rb)
 	k := part.kernel(ctx, i, collect)
 	if collect {
 		k.buf = pairbuf.Get()

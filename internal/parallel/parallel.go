@@ -31,9 +31,16 @@
 //     per-worker chunks, and each worker classifies and routes its
 //     chunk into private per-(worker, stripe) fragments with no locks,
 //     so the prefix ahead of the sweep scales with the worker count
-//     instead of being an Amdahl floor. Fragments are pooled
-//     across joins and reassembled per partition, in input order, by
-//     the worker that sweeps it.
+//     instead of being an Amdahl floor. The same workers then
+//     reassemble each stripe's fragments, in input order, and sort
+//     them where need be. The result — the partitioner and every
+//     stripe's two sorted, tagged arrays — is its layout, and the sweep
+//     reads nothing else. A one-off join (Join) lays its stripes out in
+//     fragments pooled across joins. A join that will be repeated over
+//     the same two inputs takes its layout from a Slot instead, which
+//     keeps it in plain memory under a key of everything it depends on
+//     — a served relation version holds one, so a repeated join
+//     partitions once per version pair and then runs only the kernel.
 //   - Distribution is two-layer (following Tsitsigkos et al. 2023):
 //     a record whose x-interval lies inside one stripe is tagged
 //     stripe-local; only records crossing a boundary are replicated
@@ -47,12 +54,12 @@
 //   - A worker pool of Options.Workers goroutines drains the K
 //     partitions dynamically (K is far above the worker count on
 //     anything but tiny inputs, so a dense stripe does not straggle
-//     the join). Each partition is sorted by lower y — unless it
-//     already is, which inputs that arrive sorted guarantee, since
-//     distribution keeps input order — and then swept with no
-//     structure at all: the two arrays are merged by lower y, and the
-//     record that advances is compared with the run of the other
-//     array that starts inside its y-interval (see kernel). The
+//     the join). Each partition was sorted by lower y in its layout —
+//     unless it already was, which inputs that arrive sorted
+//     guarantee, since distribution keeps input order — and is swept
+//     with no structure at all: the two arrays are merged by lower y,
+//     and the record that advances is compared with the run of the
+//     other array that starts inside its y-interval (see kernel). The
 //     paper's sweep structures bound the active set of inputs that
 //     stream from disk; here both inputs are resident arrays, the
 //     active set is a slice of one of them, and the stripes are what
@@ -86,9 +93,10 @@
 // for; and its left edge clips the reference point of boundary×boundary
 // pairs. Measuring, sampling and distribution never see it.
 //
-// The entry point is Join. One worker is its serial form — what a
-// served PQ or SSSJ join runs — and the wall-clock baseline the
-// benchmarks compare wider pools against.
+// The entry points are Join and Slot.Join, which answer alike. One
+// worker is their serial form — what a served PQ or SSSJ join runs —
+// and the wall-clock baseline the benchmarks compare wider pools
+// against.
 package parallel
 
 import (
@@ -181,8 +189,8 @@ type WorkerStats struct {
 	Records int64
 	// Pairs is its shard of the result count.
 	Pairs int64
-	// Busy is the time it spent sorting and sweeping (its share of the
-	// parallel phase; compare against Report.SweepWall for utilization).
+	// Busy is the time it spent sweeping (its share of the parallel
+	// phase; compare against Report.SweepWall for utilization).
 	Busy time.Duration
 }
 
@@ -216,16 +224,24 @@ type Report struct {
 	NoTestPairs int64
 
 	// Wall is the end-to-end time: partitioning and the parallel
-	// sweep. PartitionWall covers the whole prefix ahead of the sweep:
-	// under a window, the one serial pass that narrows the inputs; the
-	// boundary estimation (a serial quantile sort of at most a few
-	// thousand sampled centers per input); and the chunked parallel
-	// classify + distribute phase, which scales with Workers. SweepWall
-	// covers the parallel sort-and-sweep phase up to the last stripe's
-	// hand-over — the callbacks run inside it.
+	// sweep. PartitionWall covers the whole prefix ahead of the sweep,
+	// the stripe layout: under a window, the one serial pass that
+	// narrows the inputs; the boundary estimation (a serial quantile
+	// sort of at most a few thousand sampled centers per input); and the
+	// chunked parallel classify + distribute phase and the reassembly
+	// and sort of each stripe after it, which scale with Workers — or,
+	// for a join that reused a Slot's layout, only the lookup. SweepWall
+	// covers the parallel sweep up to the last stripe's hand-over — the
+	// callbacks run inside it.
 	Wall          time.Duration
 	PartitionWall time.Duration
 	SweepWall     time.Duration
+
+	// Reused says the join swept a stripe layout an earlier join had
+	// built — a Slot's — so its prefix was only the lookup, and
+	// PartitionWall times that. Every counter above is the same as the
+	// building join's.
+	Reused bool
 
 	// Sweep aggregates the kernel statistics across partitions.
 	// Comparisons is the number of x-overlap tests the kernel ran —

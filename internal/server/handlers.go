@@ -110,7 +110,10 @@ func (s *Server) join(ctx context.Context, req *client.JoinRequest, out httpapi.
 		sweep:     res.SweepWall.Seconds(),
 		stream:    streamTime.Seconds(),
 	}
-	s.metrics.observeJoin(alg.String(), root.Duration.Seconds(), phases, res.Prepared)
+	// An unwindowed resident join that did not reuse a layout built one;
+	// a windowed one lays out stripes for itself alone.
+	stripes := res.Parallel != nil && !res.Parallel.Reused && req.Window == nil
+	s.metrics.observeJoin(alg.String(), root.Duration.Seconds(), phases, res.Prepared, stripes)
 	joinPhases(root, res.PrepareWall, res.PartitionWall, res.SweepWall, streamTime)
 	// Which engine ran is the workspace's decision, not the request's:
 	// the trace says so, next to the algorithm that was asked for.
@@ -223,11 +226,12 @@ func joinSummary(req *client.JoinRequest, alg unijoin.Algorithm, res *unijoin.Re
 func relationInfo(name string, rel *unijoin.Relation) client.RelationInfo {
 	pv := rel.Pin()
 	info := client.RelationInfo{
-		Name:       name,
-		Records:    pv.Len(),
-		Indexed:    pv.Indexed(),
-		DataBytes:  pv.DataBytes(),
-		IndexBytes: pv.IndexBytes(),
+		Name:        name,
+		Records:     pv.Len(),
+		Indexed:     pv.Indexed(),
+		DataBytes:   pv.DataBytes(),
+		IndexBytes:  pv.IndexBytes(),
+		StripeBytes: pv.StripeBytes(),
 	}
 	if mbr := pv.MBR(); mbr.Valid() {
 		info.MBR = httpapi.FromRect(mbr)

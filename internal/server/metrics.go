@@ -33,11 +33,15 @@ type metrics struct {
 	joinLatency *obs.HistogramVec
 	phase       *obs.HistogramVec
 
-	// Prepared-run builds paid by served joins, the one series of
+	// Input preparation paid by served joins, the two series of
 	// sj_prepared_builds_total{kind}: merge (an appended epoch's base
-	// and delta runs were merged). A relation's run is built at load,
-	// so a join that finds both runs merged counts nothing.
-	preparedMerge *obs.Counter
+	// and delta runs were merged) and stripes (an unwindowed join
+	// partitioned the runs into the layout it left on the left version).
+	// A relation's run is built at load, so a join that finds both runs
+	// merged and the stripes of its version pair laid out counts
+	// nothing.
+	preparedMerge   *obs.Counter
+	preparedStripes *obs.Counter
 }
 
 // joinBuckets widens obs.DefBuckets upward: a cold PBSM join of two
@@ -56,11 +60,12 @@ func newMetrics(reg *obs.Registry) *metrics {
 		reg = obs.NewRegistry()
 	}
 	prepared := reg.CounterVec("sj_prepared_builds_total",
-		"Prepared-run builds paid by joins, by kind: merge (merge an appended epoch's delta into its base run).",
+		"Input preparation paid by joins, by kind: merge (merge an appended epoch's delta into its base run), stripes (partition a version pair's runs into the stripe layout later joins of the pair reuse).",
 		"kind")
 	return &metrics{
-		reg:           reg,
-		preparedMerge: prepared.With("merge"),
+		reg:             reg,
+		preparedMerge:   prepared.With("merge"),
+		preparedStripes: prepared.With("stripes"),
 		joins: reg.Counter("sj_joins_total",
 			"Join requests whose body decoded, counted before validation."),
 		windows: reg.Counter("sj_windows_total",
@@ -92,9 +97,10 @@ func newMetrics(reg *obs.Registry) *metrics {
 }
 
 // observeJoin records one successful join: the per-algorithm latency
-// histogram, the per-phase breakdown, and any prepared-run
-// builds it paid for.
-func (m *metrics) observeJoin(algorithm string, elapsedSec float64, t phaseSeconds, prepared [2]ingest.Build) {
+// histogram, the per-phase breakdown, and the input preparation it
+// paid for — the prepared-run merges, and whether it laid out the
+// stripes it left for the joins after it on the same two versions.
+func (m *metrics) observeJoin(algorithm string, elapsedSec float64, t phaseSeconds, prepared [2]ingest.Build, stripes bool) {
 	m.joinLatency.With(algorithm).Observe(elapsedSec)
 	m.phase.With("partition").Observe(t.partition)
 	m.phase.With("sweep").Observe(t.sweep)
@@ -103,6 +109,9 @@ func (m *metrics) observeJoin(algorithm string, elapsedSec float64, t phaseSecon
 		if b == ingest.BuildMerge {
 			m.preparedMerge.Inc()
 		}
+	}
+	if stripes {
+		m.preparedStripes.Inc()
 	}
 }
 

@@ -99,7 +99,10 @@ func TestJoinSummaryDescribesPinnedEpochs(t *testing.T) {
 // either. The join that merges an appended epoch's run says so — a
 // prepare child leading its span tree and a tick of
 // sj_prepared_builds_total{kind="merge"} — and a join that finds the
-// runs merged shows neither. That is as true of the default algorithm
+// runs merged shows neither. The stripes are the other thing a join
+// prepares once per version pair: the first join of a pair ticks
+// kind="stripes", the left relation then reports the layout's bytes,
+// and a repeat ticks nothing, nor does a windowed join. That is as true of the default algorithm
 // as of "parallel": a served PQ runs on the same resident runs, says
 // engine=resident on its trace, and does not touch the simulated disk
 // at all.
@@ -111,7 +114,7 @@ func TestPrepareCostIsReportedWherePaid(t *testing.T) {
 		ctx := context.Background()
 		store := cat.Workspace().Store()
 
-		join := func(wantPrepare bool, wantMerge int) {
+		join := func(wantPrepare bool, wantMerge, wantStripes int) {
 			t.Helper()
 			before := store.Counters()
 			sum, err := cl.JoinCount(ctx, client.JoinRequest{
@@ -138,16 +141,29 @@ func TestPrepareCostIsReportedWherePaid(t *testing.T) {
 				t.Fatalf("%s: a join moved the store's counters by {%s}", alg, io)
 			}
 			text := reg.Render()
-			line := `sj_prepared_builds_total{kind="merge"} ` + string(rune('0'+wantMerge))
-			if !strings.Contains(text, line+"\n") {
-				t.Fatalf("%s: /metrics lacks %q", alg, line)
+			for _, line := range []string{
+				`sj_prepared_builds_total{kind="merge"} ` + string(rune('0'+wantMerge)),
+				`sj_prepared_builds_total{kind="stripes"} ` + string(rune('0'+wantStripes)),
+			} {
+				if !strings.Contains(text, line+"\n") {
+					t.Fatalf("%s: /metrics lacks %q", alg, line)
+				}
+			}
+			rels, err := cl.Relations(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rels {
+				if (r.StripeBytes > 0) != (r.Name == "roads") {
+					t.Fatalf("%s: %s reports %d stripe bytes; only the left relation holds stripes", alg, r.Name, r.StripeBytes)
+				}
 			}
 			if strings.Contains(text, `sj_prepared_builds_total{kind="full"}`) {
 				t.Fatalf("%s: /metrics still counts full builds", alg)
 			}
 		}
-		join(false, 0) // the first join: both runs built at load
-		join(false, 0)
+		join(false, 0, 1) // the first join: both runs built at load, the stripes laid out
+		join(false, 0, 1)
 		hydro := mustGet(t, cat, "hydro")
 		extra := datagen.Uniform(5, 100, unijoin.NewRect(0, 0, 1000, 1000), 40)
 		for i := range extra {
@@ -156,7 +172,18 @@ func TestPrepareCostIsReportedWherePaid(t *testing.T) {
 		if _, err := hydro.Append(extra); err != nil {
 			t.Fatal(err)
 		}
-		join(true, 1)  // new epoch of one side: one merge
-		join(false, 1) // merged
+		join(true, 1, 2)  // new epoch of one side: one merge, new stripes
+		join(false, 1, 2) // merged and laid out
+		// A windowed join lays out stripes for itself alone, and keeps
+		// none: it ticks nothing, though it reuses nothing either.
+		if _, err := cl.JoinCount(ctx, client.JoinRequest{
+			Left: "roads", Right: "hydro", Algorithm: alg, Parallelism: 1,
+			Window: &client.Rect{XLo: 0, YLo: 0, XHi: 500, YHi: 500},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if line := `sj_prepared_builds_total{kind="stripes"} 2`; !strings.Contains(reg.Render(), line+"\n") {
+			t.Fatalf("%s: after a windowed join /metrics lacks %q", alg, line)
+		}
 	}
 }

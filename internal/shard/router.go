@@ -494,6 +494,7 @@ func (r *Router) Relations(ctx context.Context) ([]client.RelationInfo, error) {
 			m.Records += info.Records
 			m.DataBytes += info.DataBytes
 			m.IndexBytes += info.IndexBytes
+			m.StripeBytes += info.StripeBytes
 			m.Indexed = m.Indexed && info.Indexed
 			m.MBR = unionRects(m.MBR, info.MBR)
 			m.Shards++

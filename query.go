@@ -226,9 +226,14 @@ func (w *Workspace) dispatch(ctx context.Context, alg Algorithm, a, b *ingest.Ve
 // appends — and reports the join under name. It performs no simulated
 // I/O and no sort; the one query per appended epoch that finds a run
 // unmerged pays for the merge and reports it as res.Prepared and
-// Result.PrepareWall. A windowed join hands the engine only a slab of
-// each run (engineInput), so what it measures, samples and distributes
-// is proportional to the window, not to the relations.
+// Result.PrepareWall. An unwindowed join partitions once per version
+// pair: the first join of the two pinned versions (under one universe,
+// Owned interval and stripe count) leaves its stripe layout in the
+// left version's slot, and every join after it sweeps that layout
+// (Results.Parallel.Reused). A windowed join hands
+// the engine only a slab of each run (engineInput), so what it
+// measures, samples and distributes is proportional to the window, not
+// to the relations, and it partitions for itself.
 func (w *Workspace) runParallel(ctx context.Context, name string, workers int, a, b *ingest.Version, opts *joinOptions, res *Results) (core.Result, error) {
 	po := parallel.Options{Universe: w.universeFor(a.MBR.Union(b.MBR))}
 	po.Workers = workers
@@ -246,14 +251,18 @@ func (w *Workspace) runParallel(ctx context.Context, name string, workers int, a
 	if res.Prepared != [2]ingest.Build{} {
 		prepareWall = time.Since(start)
 	}
+	var rep parallel.Report
+	var err error
 	if po.Window == nil {
 		// Hand the engine each version's x-center sample so the
 		// partitioning prefix skips its serial quantile sample sort.
 		// Windowed joins sample only the qualifying records, which the
 		// whole-relation sample cannot provide.
 		po.SortedSamples = [][]geom.Coord{a.Sample(), b.Sample()}
+		rep, err = a.Stripes().Join(ctx, b.Serial(), recs[0], recs[1], po)
+	} else {
+		rep, err = parallel.Join(ctx, recs[0], recs[1], po)
 	}
-	rep, err := parallel.Join(ctx, recs[0], recs[1], po)
 	if err != nil {
 		return core.Result{}, core.WrapCanceled(err)
 	}

@@ -41,7 +41,11 @@ type Results struct {
 	// published by a load, index build or compaction, and every query
 	// after the first on an appended one), ingest.BuildMerge when this
 	// was the query that merged an appended epoch's base and delta runs
-	// (the time is Result.PrepareWall).
+	// (the time is Result.PrepareWall). The runs are one of two things
+	// an unwindowed join prepares once; the stripe layout the first join
+	// of two pinned versions leaves on the left one is the other
+	// (Parallel.Reused says a join swept it, the time of building it is
+	// in Result.PartitionWall).
 	Prepared [2]ingest.Build
 
 	collected bool

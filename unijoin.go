@@ -416,6 +416,12 @@ func (p PinnedView) Indexed() bool { return p.v.Tree != nil }
 // DataBytes returns the record-stream size at the pinned epoch.
 func (p PinnedView) DataBytes() int64 { return p.v.File.Size() }
 
+// StripeBytes returns the size of the stripe layout the pinned epoch
+// holds for the in-memory engine: the replicated, partitioned records
+// of its latest unwindowed join as the left input, both sides (0 until
+// such a join has run on this epoch).
+func (p PinnedView) StripeBytes() int64 { return p.v.Stripes().Bytes() }
+
 // IndexBytes returns the packed R-tree's on-disk size at the pinned
 // epoch (0 if not built). The tree covers the records of the last bulk
 // load or compaction; the DeltaRecords appended since live in memory.
