@@ -402,22 +402,22 @@ func BenchmarkQueryParallel(b *testing.B) {
 // is left is a fixed number of per-query slabs — the report, the
 // workers, their channels and the K-sized slot arrays. So the count
 // must not move when the relations quadruple, nor when K does.
-// Measured: 14 allocations at K = 16 and K = 64, at 12k and at 46k
+// Measured: 13 allocations at K = 16 and K = 64, at 12k and at 46k
 // records alike, under -race too; one that builds a sweep structure
 // per stripe side would be thousands. A stripe shard's query — the
 // same one under Query.Owned — is held to the same ceiling: its
-// ownership test is the kernel's own, so it too counts in place and
-// builds no pair buffer to filter afterwards. And so is a served PQ —
+// interval is folded into the stripes' classes, so it too counts in
+// place and builds no pair buffer to filter afterwards. And so is a served PQ —
 // AlgPQ counted on a catalog's workspace — which is the same engine
 // under another name, dealt to its one worker a window at a time.
 //
 // A windowed query lays out stripes for itself every time, in pooled
 // fragments: its narrowed inputs and its fragments come from the pool,
-// one-fragment stripes are swept in place, and what it allocates is
+// one-fragment classes are swept in place, and what it allocates is
 // per-query slabs, some sized by K. So at a fixed K its count too must
 // not move when the relations quadruple, and across K it may grow by a
-// few per stripe and nothing else. Measured: 42 allocations at K = 16,
-// at 12k and at 46k records alike, and 44 at K = 64; one that took its
+// few per stripe and nothing else. Measured: 38 allocations at K = 16,
+// at 12k and at 46k records alike, and 40 at K = 64; one that took its
 // fragments from the heap instead of the pool would make a few per
 // fragment and grow with the input. Its window covers the whole
 // region, so it distributes every record, as a build does.

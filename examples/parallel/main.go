@@ -74,8 +74,8 @@ func main() {
 		fmt.Printf("  workers=%-2d partitions=%-3d wall %8v  (partition %v, sweep %v, replication %.3f)\n",
 			p.Workers, p.Partitions, p.Wall.Round(1000), p.PartitionWall.Round(1000),
 			p.SweepWall.Round(1000), p.Replication)
-		fmt.Printf("    two-layer: %d local / %d boundary records; %.1f%% of pairs skipped the ownership test\n",
-			p.LocalRecords, p.BoundaryRecords, 100*p.NoTestFraction())
+		fmt.Printf("    two-layer: %d local / %d boundary records; %d comparisons, %.2f per pair\n",
+			p.LocalRecords, p.BoundaryRecords, p.Sweep.Comparisons, float64(p.Sweep.Comparisons)/float64(max(p.Pairs, 1)))
 		for i, w := range p.PerWorker {
 			fmt.Printf("    worker %d: %3d partitions, %7d records, %7d pairs, busy %v\n",
 				i, w.Partitions, w.Records, w.Pairs, w.Busy.Round(1000))

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewRectNormalizes(t *testing.T) {
@@ -174,6 +175,15 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecordIsItsDiskForm: a Record in memory is as large as on disk.
+// Every resident run and stripe layout is an array of them, so a field
+// an engine adds for its own bookkeeping would grow all of them.
+func TestRecordIsItsDiskForm(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != RecordSize {
+		t.Fatalf("a Record takes %d bytes in memory, %d on disk", got, RecordSize)
 	}
 }
 

@@ -11,9 +11,11 @@ import (
 // the line) or a partition of the parallel engine. It decides three
 // questions for its owner: which records to hold, which records a
 // window query reports, and which join pairs to report. The ownership
-// rule lives here and nowhere else: every join kernel, serial or
-// parallel, in one process or across a fleet, asks OwnsPair, and a
-// shard's window handler asks OwnsRecord.
+// rule lives here and nowhere else: every serial join kernel, in one
+// process or across a fleet, asks OwnsPair; the parallel engine asks
+// Contains of each record's clipped left edge once per stripe, which
+// decides the pairs the stripe compares at all; and a shard's window
+// handler asks OwnsRecord.
 //
 // The rule is a reference point: one x that lies in every rectangle
 // involved — the records and, when the query has one, its window — so
@@ -34,11 +36,6 @@ func (iv Interval) Unbounded() bool {
 
 // Contains reports whether x falls in [Lo, Hi).
 func (iv Interval) Contains(x Coord) bool { return x >= iv.Lo && x < iv.Hi }
-
-// Covers reports whether r's whole x-extent lies inside the interval,
-// so that every pair r takes part in is owned here: the reference
-// point of such a pair is a point of r.
-func (iv Interval) Covers(r Rect) bool { return r.XLo >= iv.Lo && r.XHi < iv.Hi }
 
 // Loads reports whether the owner of this interval must hold the
 // record: its x-interval overlaps the stripe, so some pair or window

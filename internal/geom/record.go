@@ -20,20 +20,13 @@ const RecordSize = 20
 const PairSize = 8
 
 // Record is one spatial object in MBR approximation: the bounding
-// rectangle together with the object's ID.
+// rectangle together with the object's ID. In memory it is exactly its
+// RecordSize-byte on-disk form, so every resident run and stripe layout
+// costs 20 bytes a record; engines keep what they know about a record
+// (which class of a stripe it is) in where they put it, not in a tag.
 type Record struct {
 	Rect Rect
 	ID   ID
-	// Local is the two-layer partitioning tag of the parallel engine:
-	// set on a partition's private copy of a record whose x-interval
-	// lies entirely inside that partition's stripe (and inside the
-	// join's ownership interval, if it has one). A pair with a
-	// Local member can be generated in exactly one stripe, so the
-	// sweep emits it without the reference-point ownership test. The
-	// tag is transient, in-memory state — it is not part of the
-	// 20-byte on-disk format and does not round-trip through
-	// EncodeRecord/DecodeRecord.
-	Local bool
 }
 
 // Pair is one join result: the IDs of two intersecting MBRs, left from

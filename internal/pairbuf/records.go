@@ -8,7 +8,8 @@ import (
 
 // recordPool recycles the []geom.Record buffers of the parallel engine:
 // the fragments it distributes its inputs into — one per (worker,
-// stripe, side), together a replicated copy of both inputs — and the
+// stripe, side), together a replicated copy of both inputs — the
+// scratch buffers its stripe assembly splits classes through, and the
 // copies a windowed join narrows its inputs into, so a server answering
 // many joins a second grows them once instead of once per query. Sizes
 // are only known once the buffer is filled, so a borrowed buffer may be
@@ -20,7 +21,7 @@ import (
 // allocates nothing.
 var recordPool, boxPool sync.Pool
 
-// maxPooledRecords bounds the capacity PutRecords keeps (1.5 MB of
+// maxPooledRecords bounds the capacity PutRecords keeps (1.3 MB of
 // records), the pair pool's policy: the fragments of everyday joins
 // are recycled, the outsized ones of a huge join are dropped so it
 // does not pin its high-water mark in a long-lived server.

@@ -34,8 +34,9 @@ func narrow(recs []geom.Record, window *geom.Rect) []geom.Record {
 }
 
 // distribution is the outcome of the two-layer parallel distribution
-// prefix: both inputs classified stripe-local vs boundary-crossing and
-// routed into per-(worker, stripe) fragments.
+// prefix: both inputs' records routed into per-(worker, stripe)
+// fragments, one copy into each stripe a record overlaps, and counted
+// as stripe-local or boundary-crossing.
 //
 // Fragments are not concatenated as they are filled: each stripe's
 // sides are reassembled afterwards (stripes, gather) by the same
@@ -104,16 +105,11 @@ type distCounters struct {
 	input, replicated, local, boundary int64
 }
 
-// distributeChunk classifies one contiguous chunk of an input,
-// appending into the worker's private buckets. Records whose x-interval
-// lies inside one stripe — and inside the interval the join owns, when
-// it reports one shard's share only — are tagged Local:
-// every pair such a record takes part in is found in that stripe alone
-// and is this join's to report. Crossing records are replicated
-// untagged into every stripe they overlap; a record that fits its
-// stripe but pokes out of the owned interval goes untagged into that
-// one stripe and counts as a boundary record. It checks ctx every
-// distCheckInterval records.
+// distributeChunk routes one contiguous chunk of an input into the
+// worker's private buckets: each record into every stripe its
+// x-interval overlaps. A record inside one stripe counts as local, any
+// other as a boundary record. It checks ctx every distCheckInterval
+// records.
 func distributeChunk(ctx context.Context, part *Partitioner, recs []geom.Record,
 	buckets [][]geom.Record, c *distCounters) error {
 	for n, r := range recs {
@@ -124,14 +120,12 @@ func distributeChunk(ctx context.Context, part *Partitioner, recs []geom.Record,
 		}
 		c.input++
 		first, last := part.Range(r.Rect)
-		if first == last && (part.own == nil || part.own.Covers(r.Rect)) {
-			r.Local = true
+		if first == last {
 			buckets[first] = append(buckets[first], r)
 			c.local++
 			c.replicated++
 			continue
 		}
-		r.Local = false
 		for i := first; i <= last; i++ {
 			buckets[i] = append(buckets[i], r)
 		}
@@ -148,9 +142,9 @@ func chunk(n, w, nw int) (lo, hi int) {
 }
 
 // distribute runs the two-layer distribution prefix of the parallel
-// join: nw workers each classify and route their private chunk of both
-// inputs into per-(worker, stripe) fragments — no shared state, no
-// locks — then the per-worker counters are summed.
+// join: nw workers each route their private chunk of both inputs into
+// per-(worker, stripe) fragments — no shared state, no locks — then the
+// per-worker counters are summed.
 // With one worker or tiny inputs everything runs inline on the
 // calling goroutine.
 func distribute(ctx context.Context, part *Partitioner, a, b []geom.Record, nw int) (*distribution, error) {
@@ -201,43 +195,57 @@ func distribute(ctx context.Context, part *Partitioner, a, b []geom.Record, nw i
 	return d, nil
 }
 
-// stripes assembles both sides of every stripe from the fragments and
-// puts each in sweep order, on the distribution's workers, each taking
-// a contiguous run of stripes. A side is gathered in place in the
-// fragments (see gather); with owned set it is then copied out into
-// plain memory of its own, so that the fragments may go back to the
-// pool, and bytes is the size of those copies. The copy is an append
-// to nothing, which the runtime does not zero first: a fresh
-// allocation sized for the whole layout would be cleared only to be
-// overwritten. Keeping the gathered fragments instead would save the
-// copy but drain the pool, and the next build grows every fragment
-// afresh: BenchmarkQueryParallel/after-append, one build per query,
-// allocated twice the bytes and ran about 4 ms (20 %) slower that way.
-func (d *distribution) stripes(owned bool) (a, b [][]geom.Record, bytes int64) {
+// stripes assembles both sides of every stripe from the fragments,
+// split by class (Partitioner.classes) and each class in sweep order,
+// on the distribution's workers, each taking a contiguous run of
+// stripes. Without owned, a side is gathered in place in the fragments
+// (see gather) and split there, class A moving down over the records
+// it replaces and class B following it from a scratch buffer each
+// worker borrows from the pool. With owned, the split is the copy out
+// of the fragments into one allocation per side — class A, then class
+// B — so that the fragments may go back to the pool, and bytes is the
+// size of those allocations. (Keeping the gathered fragments instead
+// would save the copy but drain the pool, and the next build grows
+// every fragment afresh: BenchmarkQueryParallel/after-append, one build
+// per query, allocated twice the bytes and ran about 4 ms (20 %) slower
+// that way.)
+func (d *distribution) stripes(part *Partitioner, owned bool) (st []stripe, bytes int64) {
 	k := len(d.sizeA)
-	a, b = make([][]geom.Record, k), make([][]geom.Record, k)
-	assemble := func(frags [][][]geom.Record, i, n int) []geom.Record {
-		side := gather(frags, i, n)
-		if owned {
-			side = append([]geom.Record(nil), side...)
-		}
-		sortByLowerY(side)
-		return side
-	}
+	st = make([]stripe, k)
 	nw := len(d.fragsA)
 	forWorkers(nw, func(w int) {
+		scratch := pairbuf.GetRecords()
+		assemble := func(frags [][][]geom.Record, i, n int) side {
+			var recs []geom.Record
+			if owned {
+				recs = make([]geom.Record, 0, n)
+				for _, f := range frags {
+					recs, scratch = part.classes(i, f[i], recs, scratch)
+				}
+			} else {
+				gathered := gather(frags, i, n)
+				recs, scratch = part.classes(i, gathered, gathered[:0], scratch)
+			}
+			nA := len(recs)
+			recs = append(recs, scratch...)
+			scratch = scratch[:0]
+			s := side{A: recs[:nA:nA], B: recs[nA:]}
+			sortByLowerY(s.A)
+			sortByLowerY(s.B)
+			return s
+		}
 		lo, hi := chunk(k, w, nw)
 		for i := lo; i < hi; i++ {
-			a[i] = assemble(d.fragsA, i, d.sizeA[i])
-			b[i] = assemble(d.fragsB, i, d.sizeB[i])
+			st[i] = stripe{a: assemble(d.fragsA, i, d.sizeA[i]), b: assemble(d.fragsB, i, d.sizeB[i])}
 		}
+		pairbuf.PutRecords(scratch)
 	})
 	if owned {
-		for i := range k {
-			bytes += int64(cap(a[i])+cap(b[i])) * int64(unsafe.Sizeof(geom.Record{}))
+		for _, s := range st {
+			bytes += int64(cap(s.a.A)+cap(s.a.B)+cap(s.b.A)+cap(s.b.B)) * int64(unsafe.Sizeof(geom.Record{}))
 		}
 	}
-	return a, b, bytes
+	return st, bytes
 }
 
 // forWorkers runs fn(0) … fn(nw-1) on nw goroutines and waits for

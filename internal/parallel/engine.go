@@ -32,17 +32,19 @@ import (
 // strided pass over the inputs: see stripeCount.
 //
 // Both steps are parallel. The distribution splits each input into
-// per-worker chunks that are classified stripe-local vs
-// boundary-crossing and routed into private per-(worker, stripe)
-// fragments with no locks, and the same workers then reassemble each
-// stripe's fragments and sort them if need be, so Report.PartitionWall
-// scales with Workers. The sweep drains the stripes on a worker pool;
-// each merges its two arrays with a forward scan — no sweep structure
-// is built — emitting local-member pairs with no ownership test (they
-// can only be generated in one stripe) and testing boundary×boundary
-// pairs against the stripe's reference-point range. Options.Own
-// narrows the result to one fleet shard's pairs by narrowing exactly
-// those two things — the ranges and which records count as local — so
+// per-worker chunks whose records are routed into private
+// per-(worker, stripe) fragments with no locks, and the same workers
+// then reassemble each stripe's fragments, split them by class — class
+// A where a record starts inside the stripe's reference-point range,
+// class B where it entered the stripe from the left — and sort each
+// class if need be, so Report.PartitionWall scales with Workers. The sweep drains the
+// stripes on a worker pool; each runs three forward-scan mini-joins —
+// A×A, A×B and B×A, building no sweep structure — and so compares
+// exactly the pairs whose reference point lies in its range, which are
+// the pairs it reports: no pair is tested for ownership, and no B×B
+// pair, which some other stripe reports, is compared at all.
+// Options.Own narrows the result to one fleet shard's pairs by
+// clamping the ranges the classes are decided against, so
 // Report.Pairs, the callbacks and the counting-only path all see owned
 // pairs, with no second filter.
 //
@@ -122,7 +124,6 @@ func (l *layout) sweep(ctx context.Context, o Options, start time.Time) (Report,
 	}
 	buffers := make([][]geom.Pair, k)
 	partStats := make([]sweep.Stats, k)
-	noTest := make([]int64, k)
 	swept := make([]bool, k)
 	rep.PerWorker = make([]WorkerStats, rep.Workers)
 	work := make(chan int, window)
@@ -139,15 +140,14 @@ func (l *layout) sweep(ctx context.Context, o Options, start time.Time) (Report,
 				var pairs int64
 				err := ctx.Err() // a canceled join starts no further partition
 				if err == nil {
-					pairs, err = sweepPartition(ctx, l.part, i, l.a[i], l.b[i],
-						&partStats[i], &noTest[i], &buffers[i], collect)
+					pairs, err = sweepPartition(ctx, &l.stripes[i], &partStats[i], &buffers[i], collect)
 				}
 				done <- sweptPartition{i, err}
 				if err != nil {
 					return
 				}
 				ws.Partitions++
-				ws.Records += int64(len(l.a[i]) + len(l.b[i]))
+				ws.Records += l.stripes[i].records()
 				ws.Pairs += pairs
 				ws.Busy += time.Since(t0)
 			}
@@ -207,9 +207,6 @@ func (l *layout) sweep(ctx context.Context, o Options, start time.Time) (Report,
 	for _, ws := range rep.PerWorker {
 		rep.Pairs += ws.Pairs
 	}
-	for _, n := range noTest {
-		rep.NoTestPairs += n
-	}
 	for _, st := range partStats {
 		rep.Sweep.Pairs += st.Pairs
 		rep.Sweep.Comparisons += st.Comparisons
@@ -235,27 +232,25 @@ func sortByLowerY(recs []geom.Record) {
 	}
 }
 
-// sweepPartition runs the array kernel over partition i's two sides,
-// ra and rb, in sweep order. It fills the partition's stat, no-test,
-// and buffer slots; with collect set, the output buffer is borrowed
-// from the pairbuf pool.
-func sweepPartition(ctx context.Context, part *Partitioner, i int, ra, rb []geom.Record,
-	stats *sweep.Stats, noTest *int64, buffer *[]geom.Pair, collect bool) (int64, error) {
-	k := part.kernel(ctx, i, collect)
+// sweepPartition runs the array kernel over stripe s. It fills the
+// partition's stat and buffer slots; with collect set, the output
+// buffer is borrowed from the pairbuf pool.
+func sweepPartition(ctx context.Context, s *stripe, stats *sweep.Stats, buffer *[]geom.Pair, collect bool) (int64, error) {
+	k := kernel{ctx: ctx, budget: pollInterval, collect: collect}
 	if collect {
 		k.buf = pairbuf.Get()
 	}
-	if err := k.sweep(ra, rb); err != nil {
+	if err := k.stripe(s); err != nil {
 		if collect {
 			pairbuf.Put(k.buf)
 		}
 		return 0, err
 	}
-	*stats = sweep.Stats{Pairs: k.candidates, Comparisons: k.comparisons}
-	*noTest = k.noTest
 	if collect {
+		k.pairs = int64(len(k.buf))
 		*buffer = k.buf
 	}
+	*stats = sweep.Stats{Pairs: k.pairs, Comparisons: k.comparisons}
 	return k.pairs, nil
 }
 
@@ -265,9 +260,9 @@ func sweepPartition(ctx context.Context, part *Partitioner, i int, ra, rb []geom
 // can cover a whole partition.
 const pollInterval = 16384
 
-// kernel is the state of one partition's sweep: a forward-scan plane
-// sweep over two arrays in lower-y order, with no active-set structure
-// at all. A sweep structure holds, for the record being processed, the
+// kernel is the state of one partition's sweep: forward-scan plane
+// sweeps over arrays in lower-y order, with no active-set structure at
+// all. A sweep structure holds, for the record being processed, the
 // records of the other input whose y-interval is still open; when both
 // inputs are resident and sorted, the candidates the record has not
 // met yet are simply the run of the other array that starts inside
@@ -275,42 +270,67 @@ const pollInterval = 16384
 // expiry and search. Tsitsigkos & Mamoulis (2019) measured this to be
 // the fastest configuration for resident inputs provided the stripes
 // are fine enough to keep the runs short; stripeCount sees to that.
+//
+// Every pair the kernel finds is the stripe's to report: it only ever
+// meets pairs with a class A member (see side), so it has no ownership
+// test to make, and a counting sweep adds up its x tests and nothing
+// else.
 type kernel struct {
 	ctx     context.Context
-	own     geom.Interval // reference points this stripe owns
-	winXLo  geom.Coord    // the window's left edge, which clips them
 	collect bool
 	buf     []geom.Pair
 
 	budget      int   // work left before the next context poll
-	comparisons int64 // x-overlap tests
-	candidates  int64 // tests that passed, before the ownership test
-	pairs       int64 // pairs this partition owns
-	noTest      int64 // of those, emitted with no ownership test
+	comparisons int64 // candidates examined: x-overlap tests
+	pairs       int64 // of those, the pairs (counting only)
 }
 
-// kernel returns the kernel of stripe i, owning the stripe's
-// reference-point range under the join's window.
-func (p *Partitioner) kernel(ctx context.Context, i int, collect bool) kernel {
-	k := kernel{ctx: ctx, winXLo: p.winXLo, budget: pollInterval, collect: collect}
-	k.own.Lo, k.own.Hi = p.OwnerRange(i)
-	return k
+// xTest is the x-overlap test of a scan: which edges of a run record
+// can fail to meet the advancing record cur.
+type xTest uint8
+
+const (
+	// overlap is the whole test, for the A×A mini-join.
+	overlap xTest = iota
+	// reachesCur is the test of an A record against B records: every
+	// one of those starts left of the owner range, and cur inside it, so
+	// a B record meets cur exactly when it reaches cur's left edge.
+	reachesCur
+	// startsInCur is the other way round: every A record starts right
+	// of a B cur's left edge, so it meets cur exactly when it starts by
+	// cur's right edge.
+	startsInCur
+)
+
+// stripe sweeps one stripe's three mini-joins: A×A with the whole x
+// test, then A×B and B×A (a's class first), which test one edge. The
+// B×B pairs are never compared, and every pair compared and found is
+// owned (side).
+func (k *kernel) stripe(s *stripe) error {
+	if err := k.sweep(s.a.A, s.b.A, overlap, overlap); err != nil {
+		return err
+	}
+	if err := k.sweep(s.a.A, s.b.B, reachesCur, startsInCur); err != nil {
+		return err
+	}
+	return k.sweep(s.a.B, s.b.A, startsInCur, reachesCur)
 }
 
-// sweep merges the two runs: the side with the lower bottom edge
-// advances (ties go to a, so coincident edges still meet), and the
-// record leaving its run is matched against the records of the other
-// run that start within its y-interval. Every y-overlapping pair is
-// seen exactly once, from the member that starts first.
-func (k *kernel) sweep(a, b []geom.Record) error {
+// sweep merges two runs: the side with the lower bottom edge advances
+// (ties go to a, so coincident edges still meet), and the record
+// leaving its run is matched against the records of the other run
+// that start within its y-interval — under ta when a's record
+// advances, under tb when b's does. Every y-overlapping pair is seen
+// exactly once, from the member that starts first.
+func (k *kernel) sweep(a, b []geom.Record, ta, tb xTest) error {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		var err error
 		if a[i].Rect.YLo <= b[j].Rect.YLo {
-			err = k.scan(&a[i], b[j:], true)
+			err = k.scan(&a[i], b[j:], ta, true)
 			i++
 		} else {
-			err = k.scan(&b[j], a[i:], false)
+			err = k.scan(&b[j], a[i:], tb, false)
 			j++
 		}
 		if err != nil {
@@ -320,32 +340,22 @@ func (k *kernel) sweep(a, b []geom.Record) error {
 	return nil
 }
 
-// scan tests cur against the leading records of others that start at
-// or below cur's top edge. The loop is cut into stretches no longer
-// than the remaining poll budget, so the context is polled on time
-// without a counter inside the loop.
-func (k *kernel) scan(cur *geom.Record, others []geom.Record, curIsA bool) error {
-	xlo, xhi, yhi := cur.Rect.XLo, cur.Rect.XHi, cur.Rect.YHi
+// scan matches cur against the leading records of others that start
+// at or below cur's top edge, under t. The run is cut into stretches no
+// longer than the remaining poll budget, so the context is polled on
+// time without a counter inside the loop.
+func (k *kernel) scan(cur *geom.Record, others []geom.Record, t xTest, curIsA bool) error {
 	k.budget-- // the advance itself
-	n := 0
 	for {
-		stop := min(len(others), n+k.budget)
-		from := n
-		for ; n < stop; n++ {
-			o := &others[n]
-			if o.Rect.YLo > yhi {
-				break
-			}
-			if o.Rect.XLo <= xhi && xlo <= o.Rect.XHi {
-				if curIsA {
-					k.hit(cur, o)
-				} else {
-					k.hit(o, cur)
-				}
-			}
+		run := others[:min(len(others), k.budget)]
+		var n int
+		if k.collect {
+			n = k.collectRun(cur, run, t, curIsA)
+		} else {
+			n = k.countRun(cur, run, t)
 		}
-		k.comparisons += int64(n - from)
-		k.budget -= n - from
+		k.comparisons += int64(n)
+		k.budget -= n
 		if k.budget > 0 {
 			return nil // the run ended before the budget did
 		}
@@ -353,32 +363,84 @@ func (k *kernel) scan(cur *geom.Record, others []geom.Record, curIsA bool) error
 			return err
 		}
 		k.budget = pollInterval
+		others = others[n:]
 	}
 }
 
-// hit handles one intersecting pair (x from a, y from b), counting
-// only the pairs this partition owns: a pair with a stripe-local
-// member is emitted with no ownership test (the two-layer fast path —
-// a Local record exists in exactly one stripe, so the pair cannot be
-// seen anywhere else), while a boundary×boundary pair meets in
-// several stripes and is kept only by the one containing its
-// reference point, the left edge of the intersection — clipped to the
-// window's when the join has one, which costs these pairs one more max
-// and the local ones nothing: the clipped point is still a point of
-// both records, so it lies in the one stripe a Local record lies in.
-// The rule is geom.Interval's, the one a fleet's shards are cut by;
-// under Options.Own the range arrives clamped to the shard's and Local
-// already means "inside the shard too", so a shard's join pays nothing
-// here that an unsharded one does not.
-func (k *kernel) hit(x, y *geom.Record) {
-	k.candidates++
-	if x.Local || y.Local {
-		k.noTest++
-	} else if !k.own.OwnsPair(x.Rect.XLo, y.Rect.XLo, k.winXLo) {
-		return // owned by another stripe, or another shard
+// countRun counts the records of run that meet cur under t, up to the
+// first that starts above cur's top edge, and returns how many it
+// examined.
+func (k *kernel) countRun(cur *geom.Record, run []geom.Record, t xTest) int {
+	xlo, xhi, yhi := cur.Rect.XLo, cur.Rect.XHi, cur.Rect.YHi
+	var hits int64
+	n := len(run)
+	switch t {
+	case overlap:
+		for i := range run {
+			if run[i].Rect.YLo > yhi {
+				n = i
+				break
+			}
+			hits += b2i(run[i].Rect.XLo <= xhi) & b2i(xlo <= run[i].Rect.XHi)
+		}
+	case reachesCur:
+		for i := range run {
+			if run[i].Rect.YLo > yhi {
+				n = i
+				break
+			}
+			hits += b2i(xlo <= run[i].Rect.XHi)
+		}
+	case startsInCur:
+		for i := range run {
+			if run[i].Rect.YLo > yhi {
+				n = i
+				break
+			}
+			hits += b2i(run[i].Rect.XLo <= xhi)
+		}
 	}
-	k.pairs++
-	if k.collect {
-		k.buf = append(k.buf, geom.Pair{Left: x.ID, Right: y.ID})
+	k.pairs += hits
+	return n
+}
+
+// collectRun is countRun appending the pairs it finds to the buffer,
+// the left component from input a. On BenchmarkStripeKernel one loop
+// per test here was no faster than the switch per candidate, which
+// always goes the same way within a scan.
+func (k *kernel) collectRun(cur *geom.Record, run []geom.Record, t xTest, curIsA bool) int {
+	xlo, xhi, yhi := cur.Rect.XLo, cur.Rect.XHi, cur.Rect.YHi
+	for i := range run {
+		o := &run[i]
+		if o.Rect.YLo > yhi {
+			return i
+		}
+		var meets bool
+		switch t {
+		case overlap:
+			meets = o.Rect.XLo <= xhi && xlo <= o.Rect.XHi
+		case reachesCur:
+			meets = xlo <= o.Rect.XHi
+		case startsInCur:
+			meets = o.Rect.XLo <= xhi
+		}
+		if !meets {
+			continue
+		}
+		if curIsA {
+			k.buf = append(k.buf, geom.Pair{Left: cur.ID, Right: o.ID})
+		} else {
+			k.buf = append(k.buf, geom.Pair{Left: o.ID, Right: cur.ID})
+		}
 	}
+	return len(run)
+}
+
+// b2i is 1 for true and 0 for false, which the compiler turns into a
+// flag read rather than a branch.
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -17,8 +17,9 @@ import (
 // give, from a handful of buffers — and to a callback that blocks.
 
 // stripeThenSweep is the sequence Join owes its callback, put together
-// the slow way: distribute everything, sweep the stripes one after the
-// other with the engine's own kernel, concatenate.
+// the slow way: distribute everything, split each stripe by class,
+// sweep the stripes one after the other with the engine's own kernel,
+// concatenate.
 func stripeThenSweep(a, b []geom.Record, o Options) []geom.Pair {
 	part := NewPartitionerFromSamples(o.Universe, o.Partitions, o.SortedSamples...)
 	k := part.Partitions()
@@ -27,10 +28,9 @@ func stripeThenSweep(a, b []geom.Record, o Options) []geom.Pair {
 	part.Distribute(b, sideB)
 	var seq []geom.Pair
 	for i := 0; i < k; i++ {
-		sortByLowerY(sideA[i])
-		sortByLowerY(sideB[i])
-		kn := part.kernel(context.Background(), i, true)
-		if err := kn.sweep(sideA[i], sideB[i]); err != nil {
+		s := stripe{a: splitByClass(part, i, sideA[i]), b: splitByClass(part, i, sideB[i])}
+		kn := kernel{ctx: context.Background(), budget: pollInterval, collect: true}
+		if err := kn.stripe(&s); err != nil {
 			panic(err)
 		}
 		seq = append(seq, kn.buf...)

@@ -322,3 +322,64 @@ func TestStripeRuleGuard(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkStripeKernel times the kernel alone: every iteration sweeps
+// the layout a Slot built before the timer started, so every join is
+// Reused, at one worker. The data is the load benchmark's: NJ × 0.25
+// (direct_count's) and uniform 16 k × 12 k (routed_stream's and
+// routed_ingest's). Unowned rows join whole inputs; owned rows join a
+// shard's share as a fleet shard holds it — the records its interval
+// loads, under Own — on NJ's middle third and on the middle of the
+// three stripes a shard plan cuts the uniform data into. Each is timed
+// counting and collecting (through EmitBatch, which copies nothing).
+func BenchmarkStripeKernel(b *testing.B) {
+	nja, njb := tiger.Config{Scale: 0.25, Seed: 1997}.Generate(tiger.NJ)
+	u := geom.NewRect(0, 0, 1000, 1000)
+	ua, ub := datagen.Uniform(1997, 16_000, u, 20), datagen.Uniform(1998, 12_000, u, 20)
+	third := tiger.NJ.Region.Width() / 3
+	njMiddle := geom.Interval{Lo: tiger.NJ.Region.XLo + third, Hi: tiger.NJ.Region.XHi - third}
+	cuts := NewPartitioner(u, 3, ua, ub).Boundaries()
+	uMiddle := geom.Interval{Lo: cuts[0], Hi: cuts[1]}
+	for _, d := range []struct {
+		name     string
+		universe geom.Rect
+		a, b     []geom.Record
+		own      *geom.Interval
+	}{
+		{"NJ/unowned", tiger.NJ.Region, nja, njb, nil},
+		{"NJ/owned", tiger.NJ.Region, njMiddle.Slice(nja), njMiddle.Slice(njb), &njMiddle},
+		{"uniform/unowned", u, ua, ub, nil},
+		{"uniform/owned", u, uMiddle.Slice(ua), uMiddle.Slice(ub), &uMiddle},
+	} {
+		for _, collect := range []bool{false, true} {
+			name := d.name + "/count"
+			var batched int64
+			o := Options{Universe: d.universe, Workers: 1, Own: d.own}
+			if collect {
+				name = d.name + "/collect"
+				o.EmitBatch = func(ps []geom.Pair) { batched += int64(len(ps)) }
+			}
+			b.Run(name, func(b *testing.B) {
+				var s Slot
+				if _, err := s.Join(context.Background(), 1, d.a, d.b, o); err != nil {
+					b.Fatal(err)
+				}
+				var rep Report
+				b.ReportAllocs()
+				b.ResetTimer()
+				for range b.N {
+					batched = 0
+					var err error
+					if rep, err = s.Join(context.Background(), 1, d.a, d.b, o); err != nil {
+						b.Fatal(err)
+					}
+					if !rep.Reused || (collect && batched != rep.Pairs) {
+						b.Fatalf("reused %v, %d pairs reported, %d handed over", rep.Reused, rep.Pairs, batched)
+					}
+				}
+				b.ReportMetric(float64(rep.Sweep.Comparisons), "comparisons/op")
+				b.ReportMetric(float64(rep.Pairs), "pairs/op")
+			})
+		}
+	}
+}

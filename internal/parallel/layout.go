@@ -12,8 +12,8 @@ import (
 
 // A layout is a join's stripes, ready to sweep: the partitioner that
 // cut them and, for each stripe, both inputs' records that reach it —
-// gathered in input order, tagged Local by the two-layer rule and put
-// in geom.ByLowerY order — with the distribution's counters. Building
+// split by class, each class gathered in input order and put in
+// geom.ByLowerY order — with the distribution's counters. Building
 // one is everything Join does ahead of its sweep, the prefix
 // Report.PartitionWall times; sweeping one is the rest. Join builds a
 // layout for itself in pooled fragments and hands them back when it
@@ -21,9 +21,8 @@ import (
 // after, which then run only the kernel. A layout is never written once
 // built, so any number of joins may sweep it at once.
 type layout struct {
-	part *Partitioner
-	// a[i] and b[i] are stripe i's two sides.
-	a, b [][]geom.Record
+	part    *Partitioner
+	stripes []stripe
 
 	input, replicated, local, boundary int64 // as in distribution
 
@@ -39,12 +38,35 @@ type layout struct {
 	bytes int64
 }
 
+// A stripe is the records of both inputs that reach one stripe.
+type stripe struct {
+	a, b side
+}
+
+// records returns how many records the stripe holds, both sides.
+func (s *stripe) records() int64 {
+	return int64(len(s.a.A) + len(s.a.B) + len(s.b.A) + len(s.b.B))
+}
+
+// A side is one input's records in one stripe, split by their class
+// there (Partitioner.classes), each class in geom.ByLowerY order. A pair
+// is this stripe's to report exactly when one member is of class A: a
+// pair's reference point is the larger clipped left edge of the two,
+// so it lies in the stripe's owner range when the larger is an A
+// member's and left of the range when both are B. A record with no
+// class here would put the point at or past the range's end, and is
+// not in the stripe at all.
+type side struct {
+	A, B []geom.Record
+}
+
 // arrange builds the layout of a join of a and b under o (defaults
 // filled in): the window narrows the inputs, the stripe count and the
 // boundaries are resolved, both inputs are distributed, and every
-// stripe is gathered and sorted. With owned set the stripes are copied
-// into plain memory and the fragments go back to the pool at once;
-// otherwise they stay in the fragments, for release.
+// stripe is gathered, split by class and sorted. With
+// owned set the stripes are copied into plain memory and the fragments
+// go back to the pool at once; otherwise they stay in the fragments,
+// for release.
 func arrange(ctx context.Context, a, b []geom.Record, o Options, owned bool) (*layout, error) {
 	// The window acts here, once: each input is narrowed to the records
 	// that intersect it, and the stripe count, the boundary sample and
@@ -84,7 +106,7 @@ func arrange(ctx context.Context, a, b []geom.Record, o Options, owned bool) (*l
 		return nil, err
 	}
 	l.input, l.replicated, l.local, l.boundary = d.input, d.replicated, d.local, d.boundary
-	l.a, l.b, l.bytes = d.stripes(owned)
+	l.stripes, l.bytes = d.stripes(l.part, owned)
 	if owned {
 		d.release()
 	} else {

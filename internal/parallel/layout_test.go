@@ -82,8 +82,12 @@ func TestSlotJoinIsJoin(t *testing.T) {
 						t.Fatalf("%s: join %d reports\n%+v\nwant\n%+v", what, i, countersOf(rep), countersOf(want))
 					}
 				}
-				if s.Bytes() < int64(want.ReplicatedRecords)*16 {
-					t.Fatalf("%s: the slot holds %d bytes for %d placements", what, s.Bytes(), want.ReplicatedRecords)
+				var held int64 // placements in a class: what the kernel sweeps
+				for _, ws := range want.PerWorker {
+					held += ws.Records
+				}
+				if held == 0 || s.Bytes() < held*geom.RecordSize {
+					t.Fatalf("%s: the slot holds %d bytes for %d placements", what, s.Bytes(), held)
 				}
 				if n := pairbuf.Outstanding(); n != 0 {
 					t.Fatalf("%s: %d pooled buffers on loan while the slot holds its layout", what, n)

@@ -28,13 +28,14 @@
 //     sizes and mean extents of the window-qualified inputs say where
 //     the two meet. Options.Partitions overrides it.
 //   - Distribution itself is parallel: each input is split into
-//     per-worker chunks, and each worker classifies and routes its
-//     chunk into private per-(worker, stripe) fragments with no locks,
-//     so the prefix ahead of the sweep scales with the worker count
-//     instead of being an Amdahl floor. The same workers then
-//     reassemble each stripe's fragments, in input order, and sort
-//     them where need be. The result — the partitioner and every
-//     stripe's two sorted, tagged arrays — is its layout, and the sweep
+//     per-worker chunks, and each worker routes its chunk into private
+//     per-(worker, stripe) fragments with no locks, so the prefix
+//     ahead of the sweep scales with the worker count instead of being
+//     an Amdahl floor. The same workers then reassemble each stripe's
+//     fragments, in input order, split them by class (below) and sort
+//     each class where need be.
+//     The result — the partitioner and every stripe's sorted arrays,
+//     two classes of each input — is its layout, and the sweep
 //     reads nothing else. A one-off join (Join) lays its stripes out in
 //     fragments pooled across joins. A join that will be repeated over
 //     the same two inputs takes its layout from a Slot instead, which
@@ -42,24 +43,26 @@
 //     — a served relation version holds one, so a repeated join
 //     partitions once per version pair and then runs only the kernel.
 //   - Distribution is two-layer (following Tsitsigkos et al. 2023):
-//     a record whose x-interval lies inside one stripe is tagged
-//     stripe-local; only records crossing a boundary are replicated
-//     into every stripe they overlap. A pair with a local member can
-//     be generated in exactly one stripe and is emitted with no
-//     per-pair test at all — the dominant class on realistic data —
-//     while boundary×boundary pairs are reported only in the stripe
-//     containing their reference point, the lower-x corner of the
-//     pairwise intersection. Either way every result is emitted
-//     exactly once with no cross-partition coordination.
+//     a record is placed in every stripe its x-interval overlaps, and
+//     in each it is of class A when it starts inside the stripe's
+//     owner range and of class B when it entered from the left of it.
+//     A pair is reported by the stripe containing its reference point,
+//     the lower-x corner of the pairwise intersection — the larger of
+//     the two left edges — so a stripe owns its A×A, A×B and B×A pairs
+//     and none of its B×B pairs. It sweeps exactly those three
+//     mini-joins: every pair it compares and finds is its own, every
+//     result is emitted exactly once, and there is no per-pair test
+//     and no cross-partition coordination.
 //   - A worker pool of Options.Workers goroutines drains the K
 //     partitions dynamically (K is far above the worker count on
 //     anything but tiny inputs, so a dense stripe does not straggle
-//     the join). Each partition was sorted by lower y in its layout —
+//     the join). Each class was sorted by lower y in its layout —
 //     unless it already was, which inputs that arrive sorted
-//     guarantee, since distribution keeps input order — and is swept
-//     with no structure at all: the two arrays are merged by lower y,
-//     and the record that advances is compared with the run of the
-//     other array that starts inside its y-interval (see kernel). The
+//     guarantee, since distribution keeps input order — and each
+//     mini-join is swept with no structure at all: two arrays are
+//     merged by lower y, and the record that advances is compared with
+//     the run of the other array that starts inside its y-interval
+//     (see kernel). The
 //     paper's sweep structures bound the active set of inputs that
 //     stream from disk; here both inputs are resident arrays, the
 //     active set is a slice of one of them, and the stripes are what
@@ -90,8 +93,9 @@
 // A window (Options.Window) acts in three places and no others: each
 // input is narrowed to the records intersecting it, once, before
 // anything else reads them; its region is what stripeCount sizes K
-// for; and its left edge clips the reference point of boundary×boundary
-// pairs. Measuring, sampling and distribution never see it.
+// for; and its left edge clips each record's when the distribution
+// decides the record's class in a stripe, as it clips the reference
+// point of a pair. Measuring and sampling never see it.
 //
 // The entry points are Join and Slot.Join, which answer alike. One
 // worker is their serial form — what a served PQ or SSSJ join runs —
@@ -130,16 +134,15 @@ type Options struct {
 	// Options.Window semantics. Join narrows each input to it in one
 	// pass, into pooled buffers, before doing anything else, sizes the
 	// stripe count for the window's region and clips reference points
-	// to its left edge.
+	// — the left edges records are classed by — to its left edge.
 	Window *geom.Rect
 
 	// Own, when set, keeps only the pairs whose reference point falls
 	// in the interval (geom.Interval.OwnsPair) — a stripe shard's share
 	// of the join, as core.Options.Own does for the serial algorithms.
-	// Join folds it into the test its stripes already make: each
-	// stripe's reference-point range is clamped to Own, and a record is
-	// stripe-local only if it also lies inside Own, so pairs with such a
-	// member stay test-free.
+	// Join folds it into the classes: each stripe's reference-point
+	// range is clamped to Own before records are classed against it, so
+	// a shard's join sweeps its own pairs only, with no test of its own.
 	Own *geom.Interval
 
 	// SortedSamples, when non-empty, supplies pre-sorted x-center
@@ -210,18 +213,12 @@ type Report struct {
 	InputRecords      int64
 	ReplicatedRecords int64
 	Replication       float64
-	// LocalRecords and BoundaryRecords split InputRecords by the
-	// two-layer classification: local records lie inside a single
+	// LocalRecords and BoundaryRecords split InputRecords by where
+	// the distribution put them: local records lie inside a single
 	// stripe (and are never replicated), boundary records cross at
 	// least one stripe boundary.
 	LocalRecords    int64
 	BoundaryRecords int64
-	// NoTestPairs is how many of Pairs were emitted through the
-	// two-layer fast path, with no reference-point ownership test (at
-	// least one member of the pair was stripe-local). The remainder,
-	// Pairs - NoTestPairs, are boundary×boundary pairs that paid the
-	// test.
-	NoTestPairs int64
 
 	// Wall is the end-to-end time: partitioning and the parallel
 	// sweep. PartitionWall covers the whole prefix ahead of the sweep,
@@ -246,11 +243,10 @@ type Report struct {
 	// Sweep aggregates the kernel statistics across partitions.
 	// Comparisons is the number of x-overlap tests the kernel ran —
 	// its unit of work, and what the stripe count trades against
-	// replication. Pairs counts the tests that passed, before the
-	// ownership test, so it exceeds Report.Pairs when replication made
-	// a pair meet in several stripes. MaxLen and MaxBytes are 0: Join
-	// keeps no sweep structure (its active set is a slice of the
-	// partition arrays).
+	// replication. Pairs counts the tests that passed: the kernel
+	// compares only pairs its stripe owns, so it equals Report.Pairs.
+	// MaxLen and MaxBytes are 0: Join keeps no sweep structure (its
+	// active set is a slice of the partition arrays).
 	Sweep sweep.Stats
 
 	// PerWorker holds one entry per worker goroutine.
@@ -275,18 +271,9 @@ func (r Report) LocalFraction() float64 {
 	return float64(r.LocalRecords) / float64(r.InputRecords)
 }
 
-// NoTestFraction returns the share of result pairs emitted without
-// the reference-point test (0 for empty results).
-func (r Report) NoTestFraction() float64 {
-	if r.Pairs <= 0 {
-		return 0
-	}
-	return float64(r.NoTestPairs) / float64(r.Pairs)
-}
-
 // String implements fmt.Stringer.
 func (r Report) String() string {
-	return fmt.Sprintf("parallel: %d pairs, %d workers x %d partitions, wall %v (partition %v, sweep %v), repl %.3f, local %.1f%%, no-test %.1f%%",
+	return fmt.Sprintf("parallel: %d pairs, %d workers x %d partitions, wall %v (partition %v, sweep %v), repl %.3f, local %.1f%%, %d comparisons",
 		r.Pairs, r.Workers, r.Partitions, r.Wall, r.PartitionWall, r.SweepWall, r.Replication,
-		100*r.LocalFraction(), 100*r.NoTestFraction())
+		100*r.LocalFraction(), r.Sweep.Comparisons)
 }

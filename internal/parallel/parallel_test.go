@@ -55,8 +55,8 @@ func joinedPairs(t *testing.T, a, b []geom.Record, o Options) (Report, jointest.
 // — among them eight stripes whose boundaries are pinned to the cuts the
 // shapes were drawn over, so that the on-cuts records do sit on them —
 // the pair sequence does not depend on the order the inputs arrive in,
-// and the boundary-sitting runs between them take both the untested
-// fast path and the tested boundary path.
+// and the boundary-sitting runs between them both find pairs in the
+// A×B and B×A mini-joins and skip B×B pairs that do intersect.
 func TestJoinMatchesBruteForce(t *testing.T) {
 	cuts := []geom.Coord{125, 250, 375, 500, 625, 750, 875}
 	// One sample of k values puts the k-1 quantile boundaries on its
@@ -77,7 +77,7 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 		workloads[sh.Name] = [2][]geom.Record{in.A, in.B}
 	}
 	window := geom.NewRect(200, 200, 700, 700)
-	var sawNoTest, sawTested bool
+	var sawCross, sawSkipped bool
 	for name, in := range workloads {
 		a, b := in[0], in[1]
 		sortedA, sortedB := slices.Clone(a), slices.Clone(b)
@@ -102,15 +102,48 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 						t.Fatalf("%s: the pair sequence depends on the input order", what)
 					}
 					if name == "on-cuts" {
-						sawNoTest, sawTested = sawNoTest || rep.NoTestPairs > 0, sawTested || rep.NoTestPairs < rep.Pairs
+						cross, skipped := classMeetings(t, a, b, o)
+						sawCross, sawSkipped = sawCross || cross, sawSkipped || skipped
 					}
 				}
 			}
 		}
 	}
-	if !sawNoTest || !sawTested {
-		t.Fatalf("the on-cuts runs must exercise both emit paths: no-test %v, tested %v", sawNoTest, sawTested)
+	if !sawCross || !sawSkipped {
+		t.Fatalf("the on-cuts runs must sweep A×B pairs (%v) and hold B×B pairs they skip (%v)", sawCross, sawSkipped)
 	}
+}
+
+// classMeetings lays out the join of a and b under o and reports
+// whether some stripe holds an intersecting pair of an A and a B member,
+// which its A×B or B×A mini-join finds, and whether some stripe holds an
+// intersecting pair of two B members, which its sweep skips.
+func classMeetings(t *testing.T, a, b []geom.Record, o Options) (cross, skipped bool) {
+	t.Helper()
+	o, err := o.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := arrange(context.Background(), a, b, o, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.release()
+	meet := func(x, y []geom.Record) bool {
+		for _, r := range x {
+			for _, s := range y {
+				if r.Rect.Intersects(s.Rect) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, s := range l.stripes {
+		cross = cross || meet(s.a.A, s.b.B) || meet(s.a.B, s.b.A)
+		skipped = skipped || meet(s.a.B, s.b.B)
+	}
+	return cross, skipped
 }
 
 func TestWindowSemantics(t *testing.T) {

@@ -42,11 +42,10 @@ type Partitioner struct {
 	bounds []geom.Coord
 	// own, when set, is the interval of reference points the join
 	// reports at all (Options.Own, a shard's stripe): OwnerRange clamps
-	// every stripe's range to it, and only records inside it are Local.
+	// every stripe's range to it, and so the classes follow it too.
 	own *geom.Interval
 	// winXLo is the left edge of the join's window (geom.NoWindow
-	// without one; set by Join), which the kernels hand the ownership
-	// rule beside the two records' own.
+	// without one; set by Join), to which classes clips each record's.
 	winXLo geom.Coord
 
 	// cells is the x-cell → stripe table behind Range: the span between
@@ -338,11 +337,10 @@ func (p *Partitioner) Owner(a, b geom.Rect) int { return p.Of(max(a.XLo, b.XLo))
 
 // OwnerRange returns the half-open interval [lo, hi) of reference
 // points stripe i owns, with infinite sentinels on the boundary
-// stripes so the clamping of Of is preserved. The sweep emit path
-// tests pair ownership against these two values instead of paying a
-// binary search per candidate pair — and when the join itself owns
-// only an interval, the range is clamped to it, so that one test
-// settles both which stripe and whether this join reports the pair.
+// stripes so the clamping of Of is preserved — and when the join itself
+// owns only an interval, clamped to it, so that the one range settles
+// both which stripe and whether this join reports a pair. It is what
+// a record's class in the stripe is decided against.
 func (p *Partitioner) OwnerRange(i int) (lo, hi geom.Coord) {
 	lo = geom.Coord(math.Inf(-1))
 	hi = geom.Coord(math.Inf(1))
@@ -356,6 +354,33 @@ func (p *Partitioner) OwnerRange(i int) (lo, hi geom.Coord) {
 		lo, hi = max(lo, p.own.Lo), min(hi, p.own.Hi)
 	}
 	return lo, hi
+}
+
+// classes appends the records of recs that are of class A in stripe i
+// to a and those of class B to b, in input order, and returns both.
+// A record's class is decided by its left edge clipped to the window's,
+// x: class A when the stripe's owner range contains x
+// (geom.Interval.Contains, the ownership rule itself), so that the
+// record starts inside the stripe; class B when x lies left of the
+// range, so that it entered the stripe from the left; and no class,
+// nowhere, when x lies at or past the range's end. A pair's reference
+// point is the larger x of its two members, so the stripe owns exactly
+// its A×A, A×B and B×A pairs. A stripe whose range is empty (outside
+// Own) owns nothing, and keeps no B records to meet an A that is not
+// there. a may share recs' memory from its start: a record is appended
+// to it only after it has been read.
+func (p *Partitioner) classes(i int, recs, a, b []geom.Record) ([]geom.Record, []geom.Record) {
+	lo, hi := p.OwnerRange(i)
+	own := geom.Interval{Lo: lo, Hi: hi}
+	for _, r := range recs {
+		switch x := max(r.Rect.XLo, p.winXLo); {
+		case own.Contains(x):
+			a = append(a, r)
+		case x < lo && lo < hi:
+			b = append(b, r)
+		}
+	}
+	return a, b
 }
 
 // Stripe returns stripe i's rectangle: its x-slice of the universe
@@ -375,23 +400,15 @@ func (p *Partitioner) Stripe(i int) geom.Rect {
 	return geom.Rect{XLo: lo, YLo: p.universe.YLo, XHi: hi, YHi: p.universe.YHi}
 }
 
-// Distribute appends every record to each stripe bucket its x-interval
-// overlaps, tagging records that land in exactly one stripe as Local
-// (the two-layer classification the sweep's no-test emit path relies
-// on), and returns the number of placements (>= len(recs)). buckets
-// must have length Partitions(). It is the serial reference for the
-// engine's chunked parallel distribution (see distribute).
+// Distribute appends every record to each stripe bucket its
+// x-interval overlaps and returns the number of placements (>=
+// len(recs)). buckets must have length Partitions(). It is the serial
+// reference for where the engine's chunked parallel distribution puts
+// records (see distribute), less the split by class.
 func (p *Partitioner) Distribute(recs []geom.Record, buckets [][]geom.Record) int64 {
 	var placed int64
 	for _, r := range recs {
 		first, last := p.Range(r.Rect)
-		if first == last && (p.own == nil || p.own.Covers(r.Rect)) {
-			r.Local = true
-			buckets[first] = append(buckets[first], r)
-			placed++
-			continue
-		}
-		r.Local = false
 		for i := first; i <= last; i++ {
 			buckets[i] = append(buckets[i], r)
 		}

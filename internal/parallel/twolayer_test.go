@@ -64,41 +64,78 @@ func TestPartitionerDedupClusteredDuplicates(t *testing.T) {
 }
 
 // TestDistributeMatchesSerialReference pins the chunked parallel
-// distribution to the serial Partitioner.Distribute reference: for
-// any worker count, concatenating each stripe's fragments in worker
-// order must reproduce the serial bucket contents exactly — same
-// records, same order, same Local tags — because worker w owns the
-// w-th contiguous chunk of the input.
+// distribution to the serial Partitioner.Distribute and the class rule
+// written out (splitByClass): at every worker count, unowned, under an
+// Own interval and under a window, the counters and each stripe's
+// gathered fragments are the serial ones, and each stripe's class A and
+// class B are exactly the rule's, records and order alike — because
+// worker w owns the w-th contiguous chunk of the input — whether split
+// in the fragments or copied out of them. The
+// interval and the window's left edge sit inside stripes, so some
+// records reach a stripe in no class.
 func TestDistributeMatchesSerialReference(t *testing.T) {
 	a, b := clustered(17, 4000, 2500) // above distSerialCutoff
-	part := NewPartitioner(universe, 9, a, b)
-	k := part.Partitions()
-	wantA := make([][]geom.Record, k)
-	wantB := make([][]geom.Record, k)
-	wantRepl := part.Distribute(a, wantA) + part.Distribute(b, wantB)
-	for _, nw := range []int{1, 2, 3, 8} {
-		d, err := distribute(context.Background(), part, a, b, nw)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		own    *geom.Interval
+		winXLo geom.Coord
+	}{
+		{"unowned", nil, geom.NoWindow},
+		{"owned", &geom.Interval{Lo: 310, Hi: 640}, geom.NoWindow},
+		{"windowed", nil, 430},
+	} {
+		part := NewPartitioner(universe, 9, a, b)
+		part.own, part.winXLo = c.own, c.winXLo
+		k := part.Partitions()
+		serialA, serialB := make([][]geom.Record, k), make([][]geom.Record, k)
+		wantRepl := part.Distribute(a, serialA) + part.Distribute(b, serialB)
+		dropped := 0
+		for i := range k {
+			s := splitByClass(part, i, serialA[i])
+			dropped += len(serialA[i]) - len(s.A) - len(s.B)
 		}
-		defer d.release()
-		if d.input != int64(len(a)+len(b)) {
-			t.Fatalf("nw=%d: input = %d", nw, d.input)
+		if (c.name == "unowned") != (dropped == 0) {
+			t.Fatalf("%s: %d placements of a reach a stripe in no class", c.name, dropped)
 		}
-		if d.replicated != wantRepl {
-			t.Fatalf("nw=%d: replicated = %d, want %d", nw, d.replicated, wantRepl)
-		}
-		if d.local+d.boundary != d.input {
-			t.Fatalf("nw=%d: local %d + boundary %d != input %d", nw, d.local, d.boundary, d.input)
-		}
-		for i := 0; i < k; i++ {
-			gotA := gather(d.fragsA, i, d.sizeA[i])
-			gotB := gather(d.fragsB, i, d.sizeB[i])
-			if !reflect.DeepEqual(gotA, wantA[i]) {
-				t.Fatalf("nw=%d stripe %d: side A diverges from serial distribution", nw, i)
+		for _, nw := range []int{1, 2, 3, 8} {
+			d, err := distribute(context.Background(), part, a, b, nw)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(gotB, wantB[i]) {
-				t.Fatalf("nw=%d stripe %d: side B diverges from serial distribution", nw, i)
+			if d.input != int64(len(a)+len(b)) {
+				t.Fatalf("%s nw=%d: input = %d", c.name, nw, d.input)
+			}
+			if d.replicated != wantRepl {
+				t.Fatalf("%s nw=%d: replicated = %d, want %d", c.name, nw, d.replicated, wantRepl)
+			}
+			if d.local+d.boundary != d.input {
+				t.Fatalf("%s nw=%d: local %d + boundary %d != input %d", c.name, nw, d.local, d.boundary, d.input)
+			}
+			for i := range k {
+				if !slices.Equal(gather(d.fragsA, i, d.sizeA[i]), serialA[i]) || !slices.Equal(gather(d.fragsB, i, d.sizeB[i]), serialB[i]) {
+					t.Fatalf("%s nw=%d stripe %d: the fragments diverge from the serial distribution", c.name, nw, i)
+				}
+			}
+			d.release()
+			for _, owned := range []bool{false, true} {
+				d, err := distribute(context.Background(), part, a, b, nw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, _ := d.stripes(part, owned)
+				for i := range k {
+					for name, sides := range map[string][2]side{
+						"a": {st[i].a, splitByClass(part, i, serialA[i])},
+						"b": {st[i].b, splitByClass(part, i, serialB[i])},
+					} {
+						got, want := sides[0], sides[1]
+						if !slices.Equal(got.A, want.A) || !slices.Equal(got.B, want.B) {
+							t.Fatalf("%s nw=%d owned=%v stripe %d side %s: classes of %d+%d records, the rule's are %d+%d",
+								c.name, nw, owned, i, name, len(got.A), len(got.B), len(want.A), len(want.B))
+						}
+					}
+				}
+				d.release()
 			}
 		}
 	}
@@ -238,8 +275,9 @@ func TestWindowedJoinIsJoinOverNarrowedInputs(t *testing.T) {
 	}
 }
 
-// TestTwoLayerAccounting checks the classification counters and the
-// no-test fast path accounting across engine configurations.
+// TestTwoLayerAccounting checks the distribution's counters, and that
+// the kernel finds only the pairs it reports, across engine
+// configurations.
 func TestTwoLayerAccounting(t *testing.T) {
 	a, b := clustered(19, 3000, 2000)
 	ctx := context.Background()
@@ -256,8 +294,8 @@ func TestTwoLayerAccounting(t *testing.T) {
 		t.Fatalf("both classes must be populated on clustered data: local %d, boundary %d",
 			rep.LocalRecords, rep.BoundaryRecords)
 	}
-	if rep.NoTestPairs <= 0 || rep.NoTestPairs > rep.Pairs {
-		t.Fatalf("NoTestPairs = %d of %d pairs", rep.NoTestPairs, rep.Pairs)
+	if rep.Sweep.Pairs != rep.Pairs {
+		t.Fatalf("the kernel found %d pairs and reported %d: it met a pair its stripe does not own", rep.Sweep.Pairs, rep.Pairs)
 	}
 	// Replication only comes from boundary records.
 	if rep.ReplicatedRecords-rep.InputRecords > rep.BoundaryRecords*int64(rep.Partitions) {
@@ -268,7 +306,7 @@ func TestTwoLayerAccounting(t *testing.T) {
 	}
 
 	// One stripe (Partitions is floored at Workers, so one worker):
-	// everything is local, every pair skips the test.
+	// everything is local, and the stripe is one A×A mini-join.
 	rep1, err := Join(ctx, a, b, Options{Universe: universe, Workers: 1, Partitions: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -276,8 +314,9 @@ func TestTwoLayerAccounting(t *testing.T) {
 	if rep1.BoundaryRecords != 0 || rep1.LocalRecords != rep1.InputRecords {
 		t.Fatalf("k=1: local %d boundary %d of %d", rep1.LocalRecords, rep1.BoundaryRecords, rep1.InputRecords)
 	}
-	if rep1.NoTestPairs != rep1.Pairs || rep1.NoTestFraction() != 1 {
-		t.Fatalf("k=1: NoTestPairs = %d of %d", rep1.NoTestPairs, rep1.Pairs)
+	if rep1.Sweep.Pairs != rep1.Pairs || rep1.Sweep.Comparisons < rep.Sweep.Comparisons {
+		t.Fatalf("k=1: %d pairs found, %d reported, %d comparisons (%d over 8 stripes)",
+			rep1.Sweep.Pairs, rep1.Pairs, rep1.Sweep.Comparisons, rep.Sweep.Comparisons)
 	}
 }
 
@@ -291,7 +330,7 @@ func TestEmptyInputReports(t *testing.T) {
 	if rep.Replication != 0 {
 		t.Fatalf("parallel: empty-input Replication = %f, want 0", rep.Replication)
 	}
-	if rep.InputRecords != 0 || rep.Pairs != 0 || rep.NoTestPairs != 0 {
+	if rep.InputRecords != 0 || rep.Pairs != 0 || rep.Sweep.Comparisons != 0 {
 		t.Fatalf("parallel: empty-input report %+v", rep)
 	}
 }

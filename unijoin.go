@@ -63,12 +63,12 @@
 // universe is split into sample-balanced stripes and both phases run
 // on the worker pool. A windowed join narrows each input to the window
 // once, up front; nothing after that tests it again. Distribution is
-// chunked and two-layer — each worker classifies its private chunk,
-// tagging records contained in one stripe as local and replicating
-// only boundary-crossing records — and the concurrent sweep emits
-// local-member pairs with no per-pair test while boundary×boundary
-// pairs pay the reference-point ownership test, so each pair is
-// reported exactly once. Its inputs are each relation's prepared run
+// chunked and two-layer — each worker routes its private chunk into the
+// stripes each record overlaps, splitting every stripe's records into
+// those that start inside it (class A) and those that entered it from
+// the left (class B) — and the concurrent sweep compares only A×A, A×B
+// and B×A pairs, all of which the stripe owns, so each pair is
+// reported exactly once with no per-pair test. Its inputs are each relation's prepared run
 // (records sorted when the relation is loaded, carried across
 // appends), so a query neither reads the simulated disk nor sorts — and
 // because both inputs are resident sorted arrays, the sweep inside a
@@ -224,10 +224,9 @@ const (
 	AlgBFRJ
 	// AlgParallel is the multicore in-memory engine: chunked parallel
 	// two-layer distribution followed by a partition-parallel
-	// forward-scan sweep over each stripe's two sorted arrays (no sweep
-	// structure), with stripe-local pairs emitted untested and
-	// boundary pairs deduplicated by the reference-point test,
-	// measured in wall-clock time. Query.Parallelism sets the worker
+	// forward-scan sweep over each stripe's sorted arrays (no sweep
+	// structure) that compares only the pairs the stripe owns, so no
+	// pair is tested for duplicates, measured in wall-clock time. Query.Parallelism sets the worker
 	// count; the stripe count is chosen per query from the inputs'
 	// sizes and mean extents unless Query.Partitions fixes it.
 	AlgParallel
