@@ -259,8 +259,9 @@ func BenchmarkParallelJoinTall(b *testing.B) {
 
 // BenchmarkParallelJoinEmitModes compares the three result-delivery
 // modes on the parallel engine: counting only (no callback at all),
-// the per-pair Emit callback, and the pooled EmitBatch fast path that
-// amortizes the callback indirection over whole partition buffers.
+// a per-pair callback looped over each batch (what Query.Emit runs),
+// and the pooled EmitBatch fast path that amortizes the callback
+// indirection over whole partition buffers.
 func BenchmarkParallelJoinEmitModes(b *testing.B) {
 	u := unijoin.NewRect(0, 0, 100_000, 100_000)
 	ra := datagen.Uniform(1, 100_000, u, 40)
@@ -278,7 +279,12 @@ func BenchmarkParallelJoinEmitModes(b *testing.B) {
 		b.ReportAllocs()
 		o := base
 		var n int64
-		o.Emit = func(unijoin.Pair) { n++ }
+		emit := func(unijoin.Pair) { n++ }
+		o.EmitBatch = func(ps []unijoin.Pair) {
+			for _, p := range ps {
+				emit(p)
+			}
+		}
 		for i := 0; i < b.N; i++ {
 			if _, err := parallel.Join(context.Background(), ra, rb, o); err != nil {
 				b.Fatal(err)

@@ -75,7 +75,7 @@ func main() {
 			p.Workers, p.Partitions, p.Wall.Round(1000), p.PartitionWall.Round(1000),
 			p.SweepWall.Round(1000), p.Replication)
 		fmt.Printf("    two-layer: %d local / %d boundary records; %d comparisons, %.2f per pair\n",
-			p.LocalRecords, p.BoundaryRecords, p.Sweep.Comparisons, float64(p.Sweep.Comparisons)/float64(max(p.Pairs, 1)))
+			p.LocalRecords, p.BoundaryRecords, p.Comparisons, float64(p.Comparisons)/float64(max(p.Pairs, 1)))
 		for i, w := range p.PerWorker {
 			fmt.Printf("    worker %d: %3d partitions, %7d records, %7d pairs, busy %v\n",
 				i, w.Partitions, w.Records, w.Pairs, w.Busy.Round(1000))

@@ -107,7 +107,7 @@ func Wallclock(ctx context.Context, cfg Config, maxWorkers int) (*Table, error) 
 				fmt.Sprintf("%d", rep.Pairs),
 				fmt.Sprintf("%.3f", rep.Replication),
 				fmt.Sprintf("%.3f", rep.LocalFraction()),
-				fmt.Sprintf("%.2f", float64(rep.Sweep.Comparisons)/float64(max(rep.Pairs, 1))),
+				fmt.Sprintf("%.2f", float64(rep.Comparisons)/float64(max(rep.Pairs, 1))),
 				fmt.Sprintf("%.2f", rep.Speedup(one)))
 		}
 	}

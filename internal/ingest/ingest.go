@@ -38,8 +38,9 @@
 // batch (work proportional to the delta) and the sample merged with
 // the batch's centers; the first query that pins the new epoch merges
 // base and delta once for everybody; and a compaction promotes the
-// merged run to the next base and resamples the log. A run dies with
-// the last reference to its version.
+// merged run to the next base and resamples that run, so nothing but
+// the disk algorithms and an indexed relation's tree rebuild ever
+// reads the log. A run dies with the last reference to its version.
 //
 // A version also carries its stripe layout. The in-memory engine cuts
 // both inputs of a join into x-stripes, and a version keeps the cut of
@@ -134,8 +135,9 @@ type Version struct {
 	MBR geom.Rect
 
 	// sample is the sorted x-center sample of the version's records:
-	// the stride sample of the log taken at load and at each
-	// compaction, with every append since merged in (MergeSamples).
+	// the stride sample taken at load (of the records in log order) and
+	// at each compaction (of the promoted base run, in sweep order),
+	// with every append since merged in (MergeSamples).
 	sample []geom.Coord
 
 	// base and delta are the two halves of the prepared run, both
@@ -524,9 +526,9 @@ func (l *Log) Compact() (bool, error) {
 
 // compactLocked rebuilds under l.mu and publishes the compacted
 // version. The sample is retaken, not carried: merged samples drift
-// from the exact stride sample as deltas stack, and the rebuild is
-// the natural point to resample the full log — the one read of a
-// version's records back from its file outside the disk algorithms.
+// from the exact stride sample as deltas stack, so the compacted
+// version samples the base run it promotes — the same records as the
+// log, already in memory, so compaction reads no page back for it.
 func (l *Log) compactLocked() error {
 	var index *rtree.BuildOptions
 	if l.indexed {
@@ -536,11 +538,7 @@ func (l *Log) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	recs, err := stream.ReadAll(v.File, stream.Records)
-	if err != nil {
-		return err
-	}
-	v.sample = parallel.SortedCenterSample(recs)
+	v.sample = parallel.SortedCenterSample(v.base)
 	l.cur.Store(v)
 	l.compactions.Add(1)
 	return nil

@@ -351,11 +351,14 @@ func TestManualCompactUnindexed(t *testing.T) {
 // TestSampleMergedOnAppendAndDroppedOnCompaction pins the sample
 // maintenance contract of the stripe planner: taken from the records
 // in log order at load, merged with each appended batch's centers,
-// and dropped at compaction for the stride sample of the whole log.
+// and dropped at compaction for the stride sample of the base run the
+// compaction promotes — which an unindexed relation's compaction takes
+// without reading a page of its log.
 func TestSampleMergedOnAppendAndDroppedOnCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	base := genRecords(rng, 1000, 0)
-	l := newLog(t, Config{DisableAutoCompact: true}, base)
+	store := iosim.NewStore(iosim.DefaultPageSize)
+	l := newLog(t, Config{Store: store, DisableAutoCompact: true}, base)
 
 	s0 := l.Current().Sample()
 	if want := parallel.SortedCenterSample(base); len(s0) == 0 || !slices.Equal(s0, want) {
@@ -371,12 +374,20 @@ func TestSampleMergedOnAppendAndDroppedOnCompaction(t *testing.T) {
 		t.Fatalf("appended sample has %d centers, want the load sample merged with the batch's (%d)", len(s1), len(want))
 	}
 
+	reads := store.Counters().Reads()
 	if _, err := l.Compact(); err != nil {
 		t.Fatal(err)
 	}
+	if n := store.Counters().Reads() - reads; n != 0 {
+		t.Fatalf("compacting an unindexed relation read %d pages", n)
+	}
 	v := l.Current()
-	if want := parallel.SortedCenterSample(readVersion(t, v)); !slices.Equal(v.Sample(), want) {
-		t.Fatalf("compacted sample has %d centers, not the %d of the log's stride sample", len(v.Sample()), len(want))
+	run, _ := v.Prepared()
+	if want := parallel.SortedCenterSample(run.Recs); !slices.Equal(v.Sample(), want) {
+		t.Fatalf("compacted sample has %d centers, not the %d of the promoted run's stride sample", len(v.Sample()), len(want))
+	}
+	if len(run.Recs) != len(base)+len(delta) {
+		t.Fatalf("the promoted run holds %d records, the log %d", len(run.Recs), len(base)+len(delta))
 	}
 }
 

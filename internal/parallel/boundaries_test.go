@@ -55,8 +55,8 @@ func TestPartitionerFromBoundaries(t *testing.T) {
 	if got := p.Partitions(); got != 4 {
 		t.Fatalf("Partitions() = %d, want 4", got)
 	}
-	if got := p.Of(500); got != 2 {
-		t.Fatalf("Of(500) = %d, want 2 (boundaries are half-open)", got)
+	if got, _ := p.Range(geom.Rect{XLo: 500, XHi: 500}); got != 2 {
+		t.Fatalf("Range puts 500 in stripe %d, want 2 (boundaries are half-open)", got)
 	}
 	if _, err := PartitionerFromBoundaries(universe, []geom.Coord{250, 250}); err == nil {
 		t.Fatal("duplicate boundaries accepted")

@@ -14,14 +14,17 @@ import (
 
 // splitByClass is the class rule written out over one stripe's records
 // in input order: A when the record's left edge, clipped to the
-// window's, lies in the stripe's owner range, B when it lies left of a
-// range that is not empty, neither otherwise. Each class is returned in
-// sweep order.
-func splitByClass(p *Partitioner, i int, recs []geom.Record) side {
+// window's, lies in the stripe's owner range — the cut's, clamped to
+// own — B when it lies left of a range that is not empty, neither
+// otherwise. Each class is returned in sweep order.
+func splitByClass(p *Partitioner, own *geom.Interval, winXLo geom.Coord, i int, recs []geom.Record) side {
 	lo, hi := p.OwnerRange(i)
+	if own != nil {
+		lo, hi = max(lo, own.Lo), min(hi, own.Hi)
+	}
 	var s side
 	for _, r := range recs {
-		switch x := max(r.Rect.XLo, p.winXLo); {
+		switch x := max(r.Rect.XLo, winXLo); {
 		case x >= lo && x < hi:
 			s.A = append(s.A, r)
 		case x < lo && lo < hi:
@@ -38,8 +41,9 @@ func splitByClass(p *Partitioner, i int, recs []geom.Record) side {
 // and Slot.Join give the reference's pairs, counted and emitted, on
 // every shape of the shared generator, at stripes pinned
 // to the cuts the shapes were drawn over (so the on-cuts records' left
-// edges sit exactly on stripe boundaries) and at the engine's own
-// count, with and without an Own interval, and under windows whose
+// edges sit exactly on stripe boundaries; the pinned layout's
+// boundaries are asserted to be the cuts, windowed or not) and at the
+// engine's own count, with and without an Own interval, and under windows whose
 // left edge lies inside a stripe, exactly on a boundary, left of all
 // the data and right of all of it, and one of zero width.
 func TestClassRuleIsTheJoin(t *testing.T) {
@@ -76,8 +80,13 @@ func TestClassRuleIsTheJoin(t *testing.T) {
 						what := fmt.Sprintf("%s window=%s own=%s pinned=%v workers=%d", sh.Name, wname, oname, o.SortedSamples != nil, workers)
 						rep, seq := pairSequence(t, in.A, in.B, o)
 						jointest.CheckJoin(t, what, in.A, in.B, want, jointest.BagOf(seq))
-						if rep.Sweep.Pairs != rep.Pairs {
-							t.Fatalf("%s: the kernel found %d pairs and reported %d", what, rep.Sweep.Pairs, rep.Pairs)
+						if rep.Comparisons < rep.Pairs {
+							t.Fatalf("%s: the kernel reported %d pairs from %d comparisons", what, rep.Pairs, rep.Comparisons)
+						}
+						if o.SortedSamples != nil {
+							if got := layoutBoundaries(t, in.A, in.B, o); !slices.Equal(got, cuts) {
+								t.Fatalf("%s: the pinned layout's boundaries are %v, want the cuts %v", what, got, cuts)
+							}
 						}
 						counted, err := Join(context.Background(), in.A, in.B, o)
 						if err != nil {

@@ -196,7 +196,7 @@ func distribute(ctx context.Context, part *Partitioner, a, b []geom.Record, nw i
 }
 
 // stripes assembles both sides of every stripe from the fragments,
-// split by class (Partitioner.classes) and each class in sweep order,
+// split by class under l's rule (layout.classes) and each class in sweep order,
 // on the distribution's workers, each taking a contiguous run of
 // stripes. Without owned, a side is gathered in place in the fragments
 // (see gather) and split there, class A moving down over the records
@@ -209,7 +209,7 @@ func distribute(ctx context.Context, part *Partitioner, a, b []geom.Record, nw i
 // every fragment afresh: BenchmarkQueryParallel/after-append, one build
 // per query, allocated twice the bytes and ran about 4 ms (20 %) slower
 // that way.)
-func (d *distribution) stripes(part *Partitioner, owned bool) (st []stripe, bytes int64) {
+func (d *distribution) stripes(l *layout, owned bool) (st []stripe, bytes int64) {
 	k := len(d.sizeA)
 	st = make([]stripe, k)
 	nw := len(d.fragsA)
@@ -220,11 +220,11 @@ func (d *distribution) stripes(part *Partitioner, owned bool) (st []stripe, byte
 			if owned {
 				recs = make([]geom.Record, 0, n)
 				for _, f := range frags {
-					recs, scratch = part.classes(i, f[i], recs, scratch)
+					recs, scratch = l.classes(i, f[i], recs, scratch)
 				}
 			} else {
 				gathered := gather(frags, i, n)
-				recs, scratch = part.classes(i, gathered, gathered[:0], scratch)
+				recs, scratch = l.classes(i, gathered, gathered[:0], scratch)
 			}
 			nA := len(recs)
 			recs = append(recs, scratch...)

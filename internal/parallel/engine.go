@@ -8,7 +8,6 @@ import (
 
 	"unijoin/internal/geom"
 	"unijoin/internal/pairbuf"
-	"unijoin/internal/sweep"
 )
 
 // Join computes all intersecting pairs between a and b on a worker
@@ -45,7 +44,7 @@ import (
 // pair, which some other stripe reports, is compared at all.
 // Options.Own narrows the result to one fleet shard's pairs by
 // clamping the ranges the classes are decided against, so
-// Report.Pairs, the callbacks and the counting-only path all see owned
+// Report.Pairs, the callback and the counting-only path all see owned
 // pairs, with no second filter.
 //
 // With a callback set, a stripe's pairs reach it as soon as every
@@ -117,13 +116,13 @@ func (l *layout) sweep(ctx context.Context, o Options, start time.Time) (Report,
 	// read here only after that worker's send on done, so the collection
 	// needs no locks. Both channels hold a whole window: neither side
 	// ever blocks on a send.
-	collect := o.Emit != nil || o.EmitBatch != nil
+	collect := o.EmitBatch != nil
 	window := k
 	if collect {
 		window = rep.Workers + 1 // one stripe in the callback, one under each worker
 	}
 	buffers := make([][]geom.Pair, k)
-	partStats := make([]sweep.Stats, k)
+	comparisons := make([]int64, k)
 	swept := make([]bool, k)
 	rep.PerWorker = make([]WorkerStats, rep.Workers)
 	work := make(chan int, window)
@@ -140,7 +139,7 @@ func (l *layout) sweep(ctx context.Context, o Options, start time.Time) (Report,
 				var pairs int64
 				err := ctx.Err() // a canceled join starts no further partition
 				if err == nil {
-					pairs, err = sweepPartition(ctx, &l.stripes[i], &partStats[i], &buffers[i], collect)
+					pairs, err = sweepPartition(ctx, &l.stripes[i], &comparisons[i], &buffers[i], collect)
 				}
 				done <- sweptPartition{i, err}
 				if err != nil {
@@ -171,11 +170,7 @@ func (l *layout) sweep(ctx context.Context, o Options, start time.Time) (Report,
 			}
 			continue
 		}
-		if buf := buffers[next]; o.EmitBatch == nil {
-			for _, p := range buf {
-				o.Emit(p)
-			}
-		} else if len(buf) > 0 {
+		if buf := buffers[next]; len(buf) > 0 {
 			o.EmitBatch(buf)
 		}
 		pairbuf.Put(buffers[next])
@@ -207,9 +202,8 @@ func (l *layout) sweep(ctx context.Context, o Options, start time.Time) (Report,
 	for _, ws := range rep.PerWorker {
 		rep.Pairs += ws.Pairs
 	}
-	for _, st := range partStats {
-		rep.Sweep.Pairs += st.Pairs
-		rep.Sweep.Comparisons += st.Comparisons
+	for _, c := range comparisons {
+		rep.Comparisons += c
 	}
 	rep.Wall = time.Since(start)
 	return rep, nil
@@ -233,9 +227,9 @@ func sortByLowerY(recs []geom.Record) {
 }
 
 // sweepPartition runs the array kernel over stripe s. It fills the
-// partition's stat and buffer slots; with collect set, the output
+// partition's comparison and buffer slots; with collect set, the output
 // buffer is borrowed from the pairbuf pool.
-func sweepPartition(ctx context.Context, s *stripe, stats *sweep.Stats, buffer *[]geom.Pair, collect bool) (int64, error) {
+func sweepPartition(ctx context.Context, s *stripe, comparisons *int64, buffer *[]geom.Pair, collect bool) (int64, error) {
 	k := kernel{ctx: ctx, budget: pollInterval, collect: collect}
 	if collect {
 		k.buf = pairbuf.Get()
@@ -250,7 +244,7 @@ func sweepPartition(ctx context.Context, s *stripe, stats *sweep.Stats, buffer *
 		k.pairs = int64(len(k.buf))
 		*buffer = k.buf
 	}
-	*stats = sweep.Stats{Pairs: k.pairs, Comparisons: k.comparisons}
+	*comparisons = k.comparisons
 	return k.pairs, nil
 }
 

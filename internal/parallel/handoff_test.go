@@ -28,7 +28,7 @@ func stripeThenSweep(a, b []geom.Record, o Options) []geom.Pair {
 	part.Distribute(b, sideB)
 	var seq []geom.Pair
 	for i := 0; i < k; i++ {
-		s := stripe{a: splitByClass(part, i, sideA[i]), b: splitByClass(part, i, sideB[i])}
+		s := stripe{a: splitByClass(part, nil, geom.NoWindow, i, sideA[i]), b: splitByClass(part, nil, geom.NoWindow, i, sideB[i])}
 		kn := kernel{ctx: context.Background(), budget: pollInterval, collect: true}
 		if err := kn.stripe(&s); err != nil {
 			panic(err)
@@ -39,8 +39,8 @@ func stripeThenSweep(a, b []geom.Record, o Options) []geom.Pair {
 }
 
 // TestHandOffOrderAndBuffersOnLoan: over 64 stripes, at one worker and
-// at four, on inputs as given and pre-sorted, through Emit and
-// EmitBatch, the callback receives exactly the stripe-then-sweep
+// at four, on inputs as given and pre-sorted, with a callback that
+// keeps up and one that stalls, the callback receives exactly the stripe-then-sweep
 // sequence; and pairbuf.Outstanding read inside the EmitBatch callback
 // — less the distribution's record fragments, which stay out for the
 // whole join — never exceeds Workers + 2, where a replay after the pool
@@ -65,7 +65,7 @@ func TestHandOffOrderAndBuffersOnLoan(t *testing.T) {
 		}
 		for name, in := range map[string][2][]geom.Record{"as given": {a, b}, "sorted": {sortedA, sortedB}} {
 			if _, got := pairSequence(t, in[0], in[1], o); !slices.Equal(got, want) {
-				t.Fatalf("workers=%d, inputs %s: Emit received %d pairs, not the %d of the stripe-then-sweep sequence or not in its order",
+				t.Fatalf("workers=%d, inputs %s: the join handed over %d pairs, not the %d of the stripe-then-sweep sequence or not in its order",
 					workers, name, len(got), len(want))
 			}
 

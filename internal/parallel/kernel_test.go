@@ -135,12 +135,12 @@ func TestKernelPollsByWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	polls, records := ctx.polls.Load(), int64(len(a)+len(b))
-	t.Logf("%d comparisons over %d records, %d polls", rep.Sweep.Comparisons, records, polls)
-	if rep.Sweep.Comparisons < 100*records {
-		t.Fatalf("workload is not scan-bound: %d comparisons for %d records", rep.Sweep.Comparisons, records)
+	t.Logf("%d comparisons over %d records, %d polls", rep.Comparisons, records, polls)
+	if rep.Comparisons < 100*records {
+		t.Fatalf("workload is not scan-bound: %d comparisons for %d records", rep.Comparisons, records)
 	}
-	if polls < rep.Sweep.Comparisons/65536 {
-		t.Fatalf("%d polls for %d comparisons: fewer than one per 64k", polls, rep.Sweep.Comparisons)
+	if polls < rep.Comparisons/65536 {
+		t.Fatalf("%d polls for %d comparisons: fewer than one per 64k", polls, rep.Comparisons)
 	}
 }
 
@@ -150,7 +150,7 @@ type guardShape struct {
 	name     string
 	universe geom.Rect
 	a, b     []geom.Record
-	// maxScan bounds Report.Sweep.Comparisons / Report.Pairs, the
+	// maxScan bounds Report.Comparisons / Report.Pairs, the
 	// candidates the kernel tests per result pair; maxReplication
 	// bounds Report.Replication. Both sit about a third above what
 	// the rule achieves today (see EXPERIMENTS.md, "Array sweep").
@@ -266,8 +266,8 @@ func TestOfMatchesBinarySearch(t *testing.T) {
 				}
 				return 1
 			})
-			if got := p.Of(x); got != want {
-				t.Fatalf("%s: Of(%v) = %d, %d boundaries are at or below it", name, x, got, want)
+			if got, _ := p.Range(geom.Rect{XLo: x, XHi: x}); got != want {
+				t.Fatalf("%s: Range puts %v in stripe %d, %d boundaries are at or below it", name, x, got, want)
 			}
 		}
 	}
@@ -287,7 +287,7 @@ func TestOfMatchesBinarySearch(t *testing.T) {
 // is about 1000 and costs thirty times less.)
 func TestStripeRuleGuard(t *testing.T) {
 	cost := func(rep Report) float64 {
-		return comparisonCost*float64(rep.Sweep.Comparisons) +
+		return comparisonCost*float64(rep.Comparisons) +
 			placementCost*float64(rep.ReplicatedRecords) + partitionCost*float64(rep.Partitions)
 	}
 	for _, sh := range guardShapes() {
@@ -299,7 +299,7 @@ func TestStripeRuleGuard(t *testing.T) {
 			return rep
 		}
 		auto := join(0)
-		scan := float64(auto.Sweep.Comparisons) / float64(auto.Pairs)
+		scan := float64(auto.Comparisons) / float64(auto.Pairs)
 		if scan > sh.maxScan || auto.Replication > sh.maxReplication {
 			t.Errorf("%s: K=%d scans %.2f candidates per pair (ceiling %.2f) at replication %.3f (ceiling %.2f)",
 				sh.name, auto.Partitions, scan, sh.maxScan, auto.Replication, sh.maxReplication)
@@ -377,7 +377,7 @@ func BenchmarkStripeKernel(b *testing.B) {
 						b.Fatalf("reused %v, %d pairs reported, %d handed over", rep.Reused, rep.Pairs, batched)
 					}
 				}
-				b.ReportMetric(float64(rep.Sweep.Comparisons), "comparisons/op")
+				b.ReportMetric(float64(rep.Comparisons), "comparisons/op")
 				b.ReportMetric(float64(rep.Pairs), "pairs/op")
 			})
 		}

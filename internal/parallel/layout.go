@@ -11,17 +11,25 @@ import (
 )
 
 // A layout is a join's stripes, ready to sweep: the partitioner that
-// cut them and, for each stripe, both inputs' records that reach it —
-// split by class, each class gathered in input order and put in
-// geom.ByLowerY order — with the distribution's counters. Building
-// one is everything Join does ahead of its sweep, the prefix
-// Report.PartitionWall times; sweeping one is the rest. Join builds a
-// layout for itself in pooled fragments and hands them back when it
-// returns; a Slot builds one in plain memory and keeps it for the joins
-// after, which then run only the kernel. A layout is never written once
-// built, so any number of joins may sweep it at once.
+// cut them, the class rule the join applies in each (owns and winXLo)
+// and, for each stripe, both inputs' records that reach it — split by
+// class, each class gathered in input order and put in geom.ByLowerY
+// order — with the distribution's counters. Building one is everything
+// Join does ahead of its sweep, the prefix Report.PartitionWall times;
+// sweeping one is the rest. Join builds a layout for itself in pooled
+// fragments and hands them back when it returns; a Slot builds one in
+// plain memory and keeps it for the joins after, which then run only
+// the kernel. A layout is never written once built, so any number of
+// joins may sweep it at once.
 type layout struct {
-	part    *Partitioner
+	part *Partitioner
+	// owns[i] is the range of reference points stripe i reports: its
+	// OwnerRange, clamped to Options.Own when the join has one, so that
+	// one range settles both which stripe and whether this join reports
+	// a pair. winXLo is the window's left edge (geom.NoWindow without
+	// one), to which classes clips each record's.
+	owns    []geom.Interval
+	winXLo  geom.Coord
 	stripes []stripe
 
 	input, replicated, local, boundary int64 // as in distribution
@@ -38,6 +46,47 @@ type layout struct {
 	bytes int64
 }
 
+// newLayout returns an empty layout over the cut part that classes
+// records for a join owning own (nil: everything) under a window
+// starting at winXLo, ready for a distribution to fill.
+func newLayout(part *Partitioner, own *geom.Interval, winXLo geom.Coord) *layout {
+	l := &layout{part: part, owns: make([]geom.Interval, part.Partitions()), winXLo: winXLo}
+	for i := range l.owns {
+		lo, hi := part.OwnerRange(i)
+		if own != nil {
+			lo, hi = max(lo, own.Lo), min(hi, own.Hi)
+		}
+		l.owns[i] = geom.Interval{Lo: lo, Hi: hi}
+	}
+	return l
+}
+
+// classes appends the records of recs that are of class A in stripe i
+// to a and those of class B to b, in input order, and returns both.
+// A record's class is decided by its left edge clipped to the window's,
+// x: class A when the stripe's owner range contains x
+// (geom.Interval.Contains, the ownership rule itself), so that the
+// record starts inside the stripe; class B when x lies left of the
+// range, so that it entered the stripe from the left; and no class,
+// nowhere, when x lies at or past the range's end. A pair's reference
+// point is the larger x of its two members, so the stripe owns exactly
+// its A×A, A×B and B×A pairs. A stripe whose range is empty (outside
+// Own) owns nothing, and keeps no B records to meet an A that is not
+// there. a may share recs' memory from its start: a record is appended
+// to it only after it has been read.
+func (l *layout) classes(i int, recs, a, b []geom.Record) ([]geom.Record, []geom.Record) {
+	own := l.owns[i]
+	for _, r := range recs {
+		switch x := max(r.Rect.XLo, l.winXLo); {
+		case own.Contains(x):
+			a = append(a, r)
+		case x < own.Lo && own.Lo < own.Hi:
+			b = append(b, r)
+		}
+	}
+	return a, b
+}
+
 // A stripe is the records of both inputs that reach one stripe.
 type stripe struct {
 	a, b side
@@ -49,7 +98,7 @@ func (s *stripe) records() int64 {
 }
 
 // A side is one input's records in one stripe, split by their class
-// there (Partitioner.classes), each class in geom.ByLowerY order. A pair
+// there (layout.classes), each class in geom.ByLowerY order. A pair
 // is this stripe's to report exactly when one member is of class A: a
 // pair's reference point is the larger clipped left edge of the two,
 // so it lies in the stripe's owner range when the larger is an A
@@ -78,35 +127,35 @@ func arrange(ctx context.Context, a, b []geom.Record, o Options, owned bool) (*l
 			pairbuf.PutRecords(b)
 		}()
 	}
-	l := &layout{}
+	var auto int
 	if o.Partitions <= 0 {
-		l.auto = stripeCount(measure(a), measure(b), o.Universe, o.Window)
-		o.Partitions = max(o.Workers, l.auto)
+		auto = stripeCount(measure(a), measure(b), o.Universe, o.Window)
+		o.Partitions = max(o.Workers, auto)
 	}
-	l.requested = o.Partitions
 	// The stripes sit at the quantiles of the merged per-input samples:
-	// the cached ones, or else one strided sample per input. A window's
+	// the ones given, or else one strided sample per input. A window's
 	// samples are taken and sorted by every query, so they are sized for
 	// the stripes the window is worth (see samplesPerStripe).
 	samples := o.SortedSamples
-	if o.Window != nil || len(samples) == 0 {
+	if len(samples) == 0 {
 		limit := sampleMax
 		if o.Window != nil {
 			limit = min(sampleMax, o.Partitions*samplesPerStripe)
 		}
 		samples = centerSamples(o.Partitions, limit, a, b)
 	}
-	l.part = NewPartitionerFromSamples(o.Universe, o.Partitions, samples...)
+	winXLo := geom.NoWindow
 	if o.Window != nil {
-		l.part.winXLo = o.Window.XLo
+		winXLo = o.Window.XLo
 	}
-	l.part.own = o.Own
+	l := newLayout(NewPartitionerFromSamples(o.Universe, o.Partitions, samples...), o.Own, winXLo)
+	l.requested, l.auto = o.Partitions, auto
 	d, err := distribute(ctx, l.part, a, b, o.Workers)
 	if err != nil {
 		return nil, err
 	}
 	l.input, l.replicated, l.local, l.boundary = d.input, d.replicated, d.local, d.boundary
-	l.stripes, l.bytes = d.stripes(l.part, owned)
+	l.stripes, l.bytes = d.stripes(l, owned)
 	if owned {
 		d.release()
 	} else {
@@ -186,7 +235,7 @@ type slotEntry struct {
 
 // Join joins a, the slot's left input, with b, the right input partner
 // names, as the package-level Join does — Report, pair sequence and
-// callbacks alike — taking the stripe layout from the slot when it
+// callback alike — taking the stripe layout from the slot when it
 // holds the one this join needs (Report.Reused) and building it there
 // otherwise. The caller must hand the same a with every call on one
 // slot, and the same b with every call naming one partner. A windowed

@@ -36,7 +36,7 @@ func pairDigest(seq []geom.Pair) [32]byte {
 func slotSequence(t *testing.T, s *Slot, partner uint64, a, b []geom.Record, o Options) (Report, bool, []geom.Pair) {
 	t.Helper()
 	var seq []geom.Pair
-	o.Emit = func(p geom.Pair) { seq = append(seq, p) }
+	o.EmitBatch = func(ps []geom.Pair) { seq = append(seq, ps...) }
 	rep, err := s.Join(context.Background(), partner, a, b, o)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +250,7 @@ func TestSlotCanceledBuildLeavesNothing(t *testing.T) {
 		}
 		got := jointest.Bag[geom.Pair]{}
 		oc := o
-		oc.Emit = func(p geom.Pair) { got.Add(p) }
+		oc.EmitBatch = func(ps []geom.Pair) { got.Union(jointest.BagOf(ps)) }
 		rep, err := s.Join(context.Background(), 1, a, b, oc)
 		if err != nil || rep.Reused != kept {
 			t.Fatalf("poll %d (layout kept: %v): the join after it reused=%v err=%v", n, kept, rep.Reused, err)

@@ -34,9 +34,9 @@
 //     an Amdahl floor. The same workers then reassemble each stripe's
 //     fragments, in input order, split them by class (below) and sort
 //     each class where need be.
-//     The result — the partitioner and every stripe's sorted arrays,
-//     two classes of each input — is its layout, and the sweep
-//     reads nothing else. A one-off join (Join) lays its stripes out in
+//     The result — the partitioner, the class rule and every stripe's
+//     sorted arrays, two classes of each input — is its layout, and
+//     the sweep reads nothing else. A one-off join (Join) lays its stripes out in
 //     fragments pooled across joins. A join that will be repeated over
 //     the same two inputs takes its layout from a Slot instead, which
 //     keeps it in plain memory under a key of everything it depends on
@@ -46,6 +46,10 @@
 //     a record is placed in every stripe its x-interval overlaps, and
 //     in each it is of class A when it starts inside the stripe's
 //     owner range and of class B when it entered from the left of it.
+//     The classes are decided while each stripe is assembled, against
+//     ranges the layout computes once: the cut's OwnerRange of each
+//     stripe, clamped to Options.Own when the join has one. The
+//     Partitioner itself is only the cut, shared with shard plans.
 //     A pair is reported by the stripe containing its reference point,
 //     the lower-x corner of the pairwise intersection — the larger of
 //     the two left edges — so a stripe owns its A×A, A×B and B×A pairs
@@ -75,10 +79,11 @@
 //   - Results are collected without locks: each worker owns a counter
 //     shard and each partition owns a pooled output buffer. A pair is
 //     reported by exactly one stripe, so a stripe's buffer is final
-//     the moment the stripe is swept: with Options.Emit (or the
-//     batched Options.EmitBatch) set, the calling goroutine hands each
-//     buffer to the callback as soon as every earlier stripe's has
-//     been — deterministic partition-then-sweep order, so callbacks
+//     the moment the stripe is swept: with Options.EmitBatch set — the
+//     engine's one output form; a per-pair consumer loops over the
+//     batch — the calling goroutine hands each non-empty buffer to
+//     the callback as soon as every earlier stripe's has
+//     been — deterministic partition-then-sweep order, so the callback
 //     need not be thread-safe — while the workers sweep the stripes
 //     after it, and deals the workers no more than Workers+1 stripes
 //     ahead of the hand-over. The buffers on loan are therefore a
@@ -95,7 +100,9 @@
 // anything else reads them; its region is what stripeCount sizes K
 // for; and its left edge clips each record's when the distribution
 // decides the record's class in a stripe, as it clips the reference
-// point of a pair. Measuring and sampling never see it.
+// point of a pair. Measuring and sampling never see it, and stripe
+// boundaries that Options.SortedSamples places are placed as they are
+// without one.
 //
 // The entry points are Join and Slot.Join, which answer alike. One
 // worker is their serial form — what a served PQ or SSSJ join runs —
@@ -109,7 +116,6 @@ import (
 	"time"
 
 	"unijoin/internal/geom"
-	"unijoin/internal/sweep"
 )
 
 // Options configures a parallel join. The zero value of every field
@@ -140,30 +146,28 @@ type Options struct {
 	// Own, when set, keeps only the pairs whose reference point falls
 	// in the interval (geom.Interval.OwnsPair) — a stripe shard's share
 	// of the join, as core.Options.Own does for the serial algorithms.
-	// Join folds it into the classes: each stripe's reference-point
-	// range is clamped to Own before records are classed against it, so
-	// a shard's join sweeps its own pairs only, with no test of its own.
+	// Join folds it into the classes: the layout clamps each stripe's
+	// reference-point range (Partitioner.OwnerRange) to Own before it
+	// classes records against it, so a shard's join sweeps its own pairs
+	// only, with no test of its own. The cut itself does not depend on
+	// Own.
 	Own *geom.Interval
 
 	// SortedSamples, when non-empty, supplies pre-sorted x-center
-	// samples (one per input, from SortedCenterSample) so the join
-	// skips the serial quantile sample sort of its partitioning
-	// prefix — the reuse path for stable catalog relations whose
-	// samples are cached across queries. Ignored when Window is set:
-	// a windowed join samples its narrowed inputs, which a
-	// whole-relation cache cannot know.
+	// samples (one per input, from SortedCenterSample) that place the
+	// stripe boundaries, windowed or not: the join skips the serial
+	// quantile sample sort of its partitioning prefix — the reuse path
+	// for stable catalog relations whose samples are cached across
+	// queries. Without them a join samples the inputs it sweeps, a
+	// windowed one its narrowed inputs.
 	SortedSamples [][]geom.Coord
 
-	// Emit receives every result pair in deterministic
+	// EmitBatch, when set, receives the result pairs as slices (each
+	// partition's pooled output buffer, never empty) in deterministic
 	// partition-then-sweep order on the calling goroutine, a stripe's
 	// pairs as soon as the stripes before it have been delivered; nil
-	// counts pairs only, with no buffer at all.
-	Emit func(geom.Pair)
-	// EmitBatch is the batched alternative to Emit: it receives the
-	// result pairs as slices (each partition's pooled output buffer),
-	// in the same deterministic order on the calling goroutine. The
-	// slice is recycled after the call returns, so callers must copy
-	// pairs they retain. At most one of Emit and EmitBatch may be set.
+	// counts pairs only, with no buffer at all. The slice is recycled
+	// after the call returns, so callers must copy pairs they retain.
 	EmitBatch func([]geom.Pair)
 }
 
@@ -171,9 +175,6 @@ type Options struct {
 func (o Options) withDefaults() (Options, error) {
 	if !o.Universe.Valid() {
 		return o, fmt.Errorf("parallel: Options.Universe %v is invalid", o.Universe)
-	}
-	if o.Emit != nil && o.EmitBatch != nil {
-		return o, fmt.Errorf("parallel: Options.Emit and Options.EmitBatch are mutually exclusive")
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -229,7 +230,7 @@ type Report struct {
 	// and sort of each stripe after it, which scale with Workers — or,
 	// for a join that reused a Slot's layout, only the lookup. SweepWall
 	// covers the parallel sweep up to the last stripe's hand-over — the
-	// callbacks run inside it.
+	// callback runs inside it.
 	Wall          time.Duration
 	PartitionWall time.Duration
 	SweepWall     time.Duration
@@ -240,14 +241,11 @@ type Report struct {
 	// building join's.
 	Reused bool
 
-	// Sweep aggregates the kernel statistics across partitions.
-	// Comparisons is the number of x-overlap tests the kernel ran —
-	// its unit of work, and what the stripe count trades against
-	// replication. Pairs counts the tests that passed: the kernel
-	// compares only pairs its stripe owns, so it equals Report.Pairs.
-	// MaxLen and MaxBytes are 0: Join keeps no sweep structure (its
-	// active set is a slice of the partition arrays).
-	Sweep sweep.Stats
+	// Comparisons is the number of x-overlap tests the kernel ran,
+	// summed over the partitions — its unit of work, and what the stripe
+	// count trades against replication. The kernel compares only pairs
+	// its stripe owns, so Pairs of them pass.
+	Comparisons int64
 
 	// PerWorker holds one entry per worker goroutine.
 	PerWorker []WorkerStats
@@ -275,5 +273,5 @@ func (r Report) LocalFraction() float64 {
 func (r Report) String() string {
 	return fmt.Sprintf("parallel: %d pairs, %d workers x %d partitions, wall %v (partition %v, sweep %v), repl %.3f, local %.1f%%, %d comparisons",
 		r.Pairs, r.Workers, r.Partitions, r.Wall, r.PartitionWall, r.SweepWall, r.Replication,
-		100*r.LocalFraction(), r.Sweep.Comparisons)
+		100*r.LocalFraction(), r.Comparisons)
 }

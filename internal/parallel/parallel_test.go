@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -30,7 +31,7 @@ func clustered(seed int64, nRoads, nHydro int) (roads, hydro []geom.Record) {
 func pairSequence(t *testing.T, a, b []geom.Record, o Options) (Report, []geom.Pair) {
 	t.Helper()
 	var seq []geom.Pair
-	o.Emit = func(p geom.Pair) { seq = append(seq, p) }
+	o.EmitBatch = func(ps []geom.Pair) { seq = append(seq, ps...) }
 	rep, err := Join(context.Background(), a, b, o)
 	if err != nil {
 		t.Fatal(err)
@@ -53,8 +54,9 @@ func joinedPairs(t *testing.T, a, b []geom.Record, o Options) (Report, jointest.
 // every shape of the shared generator, Join reports exactly the
 // reference's pairs at every stripe and worker count, windowed and not
 // — among them eight stripes whose boundaries are pinned to the cuts the
-// shapes were drawn over, so that the on-cuts records do sit on them —
-// the pair sequence does not depend on the order the inputs arrive in,
+// shapes were drawn over, so that the on-cuts records do sit on them,
+// with and without the window (the layout's boundaries are asserted to
+// be the cuts) — the pair sequence does not depend on the order the inputs arrive in,
 // and the boundary-sitting runs between them both find pairs in the
 // A×B and B×A mini-joins and skip B×B pairs that do intersect.
 func TestJoinMatchesBruteForce(t *testing.T) {
@@ -95,6 +97,11 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 					what := fmt.Sprintf("%s window=%v k=%d pinned=%v w=%d", name, w != nil, o.Partitions, o.SortedSamples != nil, workers)
 					rep, seq := pairSequence(t, a, b, o)
 					jointest.CheckJoin(t, what, a, b, want, jointest.BagOf(seq))
+					if o.SortedSamples != nil {
+						if got := layoutBoundaries(t, a, b, o); !slices.Equal(got, cuts) {
+							t.Fatalf("%s: the pinned layout's boundaries are %v, want the cuts %v", what, got, cuts)
+						}
+					}
 					if rep.InputRecords > 0 && rep.Replication < 1 {
 						t.Fatalf("%s: replication %f < 1", what, rep.Replication)
 					}
@@ -112,6 +119,22 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 	if !sawCross || !sawSkipped {
 		t.Fatalf("the on-cuts runs must sweep A×B pairs (%v) and hold B×B pairs they skip (%v)", sawCross, sawSkipped)
 	}
+}
+
+// layoutBoundaries returns the stripe boundaries the join of a and b
+// under o lays its stripes out on.
+func layoutBoundaries(t *testing.T, a, b []geom.Record, o Options) []geom.Coord {
+	t.Helper()
+	o, err := o.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := arrange(context.Background(), a, b, o, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.release()
+	return l.part.Boundaries()
 }
 
 // classMeetings lays out the join of a and b under o and reports
@@ -167,7 +190,7 @@ func TestEmitOrderDeterministic(t *testing.T) {
 		var out []geom.Pair
 		_, err := Join(context.Background(), a, b, Options{
 			Universe: universe, Workers: workers, Partitions: 8,
-			Emit: func(p geom.Pair) { out = append(out, p) },
+			EmitBatch: func(ps []geom.Pair) { out = append(out, ps...) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -219,11 +242,8 @@ func TestReportAccounting(t *testing.T) {
 	if records != rep.ReplicatedRecords {
 		t.Fatalf("workers swept %d records, replicated %d", records, rep.ReplicatedRecords)
 	}
-	if rep.Sweep.Pairs < rep.Pairs {
-		t.Fatalf("kernel candidates %d < results %d", rep.Sweep.Pairs, rep.Pairs)
-	}
-	if rep.Sweep.MaxLen != 0 || rep.Sweep.MaxBytes != 0 {
-		t.Fatalf("the array kernel reports a resident sweep structure: %+v", rep.Sweep)
+	if rep.Comparisons < rep.Pairs {
+		t.Fatalf("kernel comparisons %d < results %d", rep.Comparisons, rep.Pairs)
 	}
 	if rep.Speedup(rep) != 1 {
 		t.Fatalf("self-speedup = %f", rep.Speedup(rep))
@@ -254,20 +274,27 @@ func TestPartitionerBalance(t *testing.T) {
 	if max > 3*avg {
 		t.Fatalf("worst stripe holds %d records, average %d", max, avg)
 	}
-	// Stripes tile the universe.
+	// Stripes tile the line: every boundary lies inside the universe,
+	// the first stripe owns everything left of it and the last
+	// everything right of it, and each starts where the one before ends.
 	for i := 0; i < 8; i++ {
-		s := p.Stripe(i)
-		if !s.Valid() {
-			t.Fatalf("stripe %d invalid: %v", i, s)
+		lo, hi := p.OwnerRange(i)
+		if !(lo < hi) {
+			t.Fatalf("stripe %d owns [%g, %g)", i, lo, hi)
 		}
-		if i == 0 && s.XLo != universe.XLo {
-			t.Fatal("first stripe must start at the universe edge")
+		if i == 0 && !math.IsInf(float64(lo), -1) {
+			t.Fatalf("first stripe starts at %g, not at -Inf", lo)
 		}
-		if i == 7 && s.XHi != universe.XHi {
-			t.Fatal("last stripe must end at the universe edge")
+		if i == 7 && !math.IsInf(float64(hi), 1) {
+			t.Fatalf("last stripe ends at %g, not at +Inf", hi)
 		}
-		if i > 0 && p.Stripe(i-1).XHi != s.XLo {
-			t.Fatalf("gap between stripes %d and %d", i-1, i)
+		if i > 0 {
+			if lo <= universe.XLo || lo >= universe.XHi {
+				t.Fatalf("boundary %g lies outside the universe %v", lo, universe)
+			}
+			if _, prev := p.OwnerRange(i - 1); prev != lo {
+				t.Fatalf("gap between stripes %d and %d", i-1, i)
+			}
 		}
 	}
 }
@@ -304,15 +331,12 @@ func TestOwnerRangeMatchesOwner(t *testing.T) {
 		ranges[i][0], ranges[i][1] = p.OwnerRange(i)
 	}
 	check := func(x, y geom.Rect) {
-		owner := p.Owner(x, y)
-		ref := x.XLo
-		if y.XLo > ref {
-			ref = y.XLo
-		}
+		ref := max(x.XLo, y.XLo)
+		owner, _ := p.Range(geom.Rect{XLo: ref, XHi: ref})
 		for i, r := range ranges {
 			in := ref >= r[0] && ref < r[1]
 			if in != (i == owner) {
-				t.Fatalf("ref %g: Owner says %d, range test says stripe %d is %v", ref, owner, i, in)
+				t.Fatalf("ref %g: Range puts it in stripe %d, range test says stripe %d is %v", ref, owner, i, in)
 			}
 		}
 	}
@@ -349,35 +373,65 @@ func TestPartitionerDegenerateUniverse(t *testing.T) {
 	}
 }
 
+// TestEmitBatchMatchesEmit: the per-pair form of the output is a loop
+// over the batches (what a per-pair consumer, Query.Emit, runs), so
+// the pairs it sees are the reference's, batch by batch in the order
+// the batches arrive, at every worker count; no batch is empty, and
+// there is one per stripe at most.
 func TestEmitBatchMatchesEmit(t *testing.T) {
 	a, b := clustered(31, 1000, 700)
-	o := Options{Universe: universe, Workers: 3, Partitions: 9}
-	_, viaEmit := joinedPairs(t, a, b, o)
-
-	got := jointest.Bag[geom.Pair]{}
-	var batches int
-	o.EmitBatch = func(ps []geom.Pair) {
-		batches++
-		got.Union(jointest.BagOf(ps))
-	}
-	rep, err := Join(context.Background(), a, b, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jointest.CheckJoin(t, "parallel: EmitBatch against Emit", a, b, viaEmit, got)
-	if rep.Pairs != got.Len() || batches == 0 {
-		t.Fatalf("parallel: the report counts %d pairs, %d arrived in %d batches", rep.Pairs, got.Len(), batches)
+	want := jointest.Join(a, b, nil)
+	var first []geom.Pair
+	for _, workers := range []int{1, 3} {
+		var perPair []geom.Pair
+		emit := func(p geom.Pair) { perPair = append(perPair, p) }
+		var batches int
+		o := Options{Universe: universe, Workers: workers, Partitions: 9, EmitBatch: func(ps []geom.Pair) {
+			if len(ps) == 0 {
+				t.Fatal("parallel: an empty batch was handed over")
+			}
+			batches++
+			for _, p := range ps {
+				emit(p)
+			}
+		}}
+		rep, err := Join(context.Background(), a, b, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jointest.CheckJoin(t, fmt.Sprintf("parallel: per-pair loop over EmitBatch, %d workers", workers), a, b, want, jointest.BagOf(perPair))
+		if rep.Pairs != int64(len(perPair)) || batches == 0 || batches > rep.Partitions {
+			t.Fatalf("parallel: the report counts %d pairs, %d arrived in %d batches over %d stripes", rep.Pairs, len(perPair), batches, rep.Partitions)
+		}
+		if first == nil {
+			first = perPair
+		} else if !slices.Equal(perPair, first) {
+			t.Fatalf("parallel: the per-pair sequence differs between 1 and %d workers", workers)
+		}
 	}
 }
 
+// TestEmitAndEmitBatchExclusive: a join has one output form, so the
+// only choice left is whether it hands its pairs over at all. A join
+// with EmitBatch and one without are the same join — the same counters
+// — and either way every pooled buffer is back when Join returns.
 func TestEmitAndEmitBatchExclusive(t *testing.T) {
-	o := Options{
-		Universe:  universe,
-		Emit:      func(geom.Pair) {},
-		EmitBatch: func([]geom.Pair) {},
+	a, b := clustered(37, 1000, 700)
+	o := Options{Universe: universe, Workers: 3, Partitions: 9}
+	loaned := pairbuf.Outstanding()
+	counted, err := Join(context.Background(), a, b, o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Join(context.Background(), nil, nil, o); err == nil {
-		t.Fatal("Emit+EmitBatch must be rejected")
+	if n := pairbuf.Outstanding() - loaned; n != 0 {
+		t.Fatalf("a counting join left %d pair buffers on loan", n)
+	}
+	emitted, seq := pairSequence(t, a, b, o)
+	if n := pairbuf.Outstanding() - loaned; n != 0 {
+		t.Fatalf("a handing-over join left %d pair buffers on loan", n)
+	}
+	if len(seq) == 0 || !reflect.DeepEqual(countersOf(counted), countersOf(emitted)) {
+		t.Fatalf("counting reports\n%+v\nhanding over %d pairs\n%+v", countersOf(counted), len(seq), countersOf(emitted))
 	}
 }
 

@@ -35,18 +35,17 @@ const samplesPerStripe = 128
 // quantile positions) are collapsed, so the partitioner may resolve
 // fewer stripes than requested but never produces a degenerate empty
 // stripe or a zero-width OwnerRange interval.
+//
+// A Partitioner is the cut and nothing else: it knows no join's
+// window or Own interval, and nothing writes to it once its
+// constructor returns, so one is shared freely — by the distribution
+// workers of a join, and by a shard plan (shard.Plan) that hands the
+// same cut to a fleet.
 type Partitioner struct {
 	universe geom.Rect
 	// bounds holds the internal boundaries in strictly increasing
 	// order; stripe i covers [bounds[i-1], bounds[i]).
 	bounds []geom.Coord
-	// own, when set, is the interval of reference points the join
-	// reports at all (Options.Own, a shard's stripe): OwnerRange clamps
-	// every stripe's range to it, and so the classes follow it too.
-	own *geom.Interval
-	// winXLo is the left edge of the join's window (geom.NoWindow
-	// without one; set by Join), to which classes clips each record's.
-	winXLo geom.Coord
 
 	// cells is the x-cell → stripe table behind Range: the span between
 	// the first and last boundary is cut into len(cells)-1 equal-width
@@ -107,7 +106,7 @@ func NewPartitionerFromSamples(universe geom.Rect, k int, samples ...[]geom.Coor
 			merged = mergeSorted(merged, s)
 		}
 	}
-	p := &Partitioner{universe: universe, winXLo: geom.NoWindow}
+	p := &Partitioner{universe: universe}
 	p.placeBounds(k, merged)
 	p.buildCells()
 	return p
@@ -130,7 +129,7 @@ func PartitionerFromBoundaries(universe geom.Rect, bounds []geom.Coord) (*Partit
 			return nil, fmt.Errorf("parallel: boundaries must be strictly increasing, got %v", bounds)
 		}
 	}
-	p := &Partitioner{universe: universe, bounds: slices.Clone(bounds), winXLo: geom.NoWindow}
+	p := &Partitioner{universe: universe, bounds: slices.Clone(bounds)}
 	p.buildCells()
 	return p, nil
 }
@@ -288,20 +287,13 @@ func (p *Partitioner) Partitions() int { return len(p.bounds) + 1 }
 // description of this partitioning that a shard planner distributes.
 func (p *Partitioner) Boundaries() []geom.Coord { return slices.Clone(p.bounds) }
 
-// Of returns the stripe owning x: the unique i with
-// bounds[i-1] <= x < bounds[i], clamped into [0, K-1].
-func (p *Partitioner) Of(x geom.Coord) int {
-	first, _ := p.Range(geom.Rect{XLo: x, XHi: x})
-	return first
-}
-
-// Range returns the stripe indexes a record's x-interval overlaps.
-// The left edge costs one table lookup, then a walk over the
-// boundaries sharing its cell, or a bisection when there are more than
-// walkMax of them. The right edge is found by walking on from the left
-// edge's stripe: almost every record ends in the stripe it starts in.
-// (The lookup lives here and not in Of because this is the call the
-// distribution makes once per record.)
+// Range returns the stripe indexes a record's x-interval overlaps:
+// first is the unique i with bounds[i-1] <= XLo < bounds[i], clamped
+// into [0, K-1], and last the same for XHi. The left edge costs one
+// table lookup, then a walk over the boundaries sharing its cell, or a
+// bisection when there are more than walkMax of them. The right edge
+// is found by walking on from the left edge's stripe: almost every
+// record ends in the stripe it starts in.
 func (p *Partitioner) Range(r geom.Rect) (first, last int) {
 	c := p.cellOf(r.XLo)
 	first, end := int(p.cells[c]), int(p.cells[c+1])
@@ -328,19 +320,11 @@ func (p *Partitioner) Range(r geom.Rect) (first, last int) {
 	return first, last
 }
 
-// Owner returns the stripe that must report the pair (a, b) of an
-// unwindowed join: the one containing the pair's reference point, the
-// lower-x corner of the intersection (max of the two left edges). Both
-// rectangles overlap that stripe, so the pair is guaranteed to meet
-// there and nowhere else is allowed to report it.
-func (p *Partitioner) Owner(a, b geom.Rect) int { return p.Of(max(a.XLo, b.XLo)) }
-
 // OwnerRange returns the half-open interval [lo, hi) of reference
-// points stripe i owns, with infinite sentinels on the boundary
-// stripes so the clamping of Of is preserved — and when the join itself
-// owns only an interval, clamped to it, so that the one range settles
-// both which stripe and whether this join reports a pair. It is what
-// a record's class in the stripe is decided against.
+// points stripe i owns, with infinite sentinels on the boundary stripes
+// so the clamping of Range is preserved: the stripes' ranges tile the
+// line. A join that owns only an interval itself (Options.Own) clamps
+// these ranges in its layout, never here.
 func (p *Partitioner) OwnerRange(i int) (lo, hi geom.Coord) {
 	lo = geom.Coord(math.Inf(-1))
 	hi = geom.Coord(math.Inf(1))
@@ -350,54 +334,7 @@ func (p *Partitioner) OwnerRange(i int) (lo, hi geom.Coord) {
 	if i < len(p.bounds) {
 		hi = p.bounds[i]
 	}
-	if p.own != nil {
-		lo, hi = max(lo, p.own.Lo), min(hi, p.own.Hi)
-	}
 	return lo, hi
-}
-
-// classes appends the records of recs that are of class A in stripe i
-// to a and those of class B to b, in input order, and returns both.
-// A record's class is decided by its left edge clipped to the window's,
-// x: class A when the stripe's owner range contains x
-// (geom.Interval.Contains, the ownership rule itself), so that the
-// record starts inside the stripe; class B when x lies left of the
-// range, so that it entered the stripe from the left; and no class,
-// nowhere, when x lies at or past the range's end. A pair's reference
-// point is the larger x of its two members, so the stripe owns exactly
-// its A×A, A×B and B×A pairs. A stripe whose range is empty (outside
-// Own) owns nothing, and keeps no B records to meet an A that is not
-// there. a may share recs' memory from its start: a record is appended
-// to it only after it has been read.
-func (p *Partitioner) classes(i int, recs, a, b []geom.Record) ([]geom.Record, []geom.Record) {
-	lo, hi := p.OwnerRange(i)
-	own := geom.Interval{Lo: lo, Hi: hi}
-	for _, r := range recs {
-		switch x := max(r.Rect.XLo, p.winXLo); {
-		case own.Contains(x):
-			a = append(a, r)
-		case x < lo && lo < hi:
-			b = append(b, r)
-		}
-	}
-	return a, b
-}
-
-// Stripe returns stripe i's rectangle: its x-slice of the universe
-// (full universe height). Boundary stripes extend to the universe
-// edges.
-func (p *Partitioner) Stripe(i int) geom.Rect {
-	lo, hi := p.universe.XLo, p.universe.XHi
-	if i > 0 {
-		lo = p.bounds[i-1]
-	}
-	if i < len(p.bounds) {
-		hi = p.bounds[i]
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return geom.Rect{XLo: lo, YLo: p.universe.YLo, XHi: hi, YHi: p.universe.YHi}
 }
 
 // Distribute appends every record to each stripe bucket its

@@ -39,7 +39,7 @@ func TestSortedInputIsObservedNotRequired(t *testing.T) {
 		t.Helper()
 		beforeA, beforeB := slices.Clone(a), slices.Clone(b)
 		var seq []geom.Pair
-		o.Emit = func(p geom.Pair) { seq = append(seq, p) }
+		o.EmitBatch = func(ps []geom.Pair) { seq = append(seq, ps...) }
 		rep, err := Join(context.Background(), a, b, o)
 		if err != nil {
 			t.Fatal(err)

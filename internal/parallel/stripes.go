@@ -68,6 +68,15 @@ const maxAutoPartitions = 2048
 //
 // over K gives the square root below.
 //
+// The factor (1+K·ω_a)(1+K·ω_b) counts every pair of replicated
+// records a stripe holds, B×B pairs included, but the kernel compares
+// only the A×A, A×B and B×A mini-joins (see kernel.stripe): the model
+// still prices the B×B comparisons the kernel no longer makes, so K
+// sits where the kernel that compared them wanted it. On the nj-like
+// shape of TestStripeRuleGuard the rule's own cost over measured
+// comparisons puts the best K at 166 against the 83 chosen here; K is
+// left as it is until a re-fitted model is measured end to end.
+//
 // ω assumes the x-centers are spread over the region. When nearly all
 // of them sit in a sliver of it and the records are wide relative to
 // that sliver, quantile boundaries crowd into the sliver, records cross

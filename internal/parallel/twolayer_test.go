@@ -85,13 +85,13 @@ func TestDistributeMatchesSerialReference(t *testing.T) {
 		{"windowed", nil, 430},
 	} {
 		part := NewPartitioner(universe, 9, a, b)
-		part.own, part.winXLo = c.own, c.winXLo
+		l := newLayout(part, c.own, c.winXLo)
 		k := part.Partitions()
 		serialA, serialB := make([][]geom.Record, k), make([][]geom.Record, k)
 		wantRepl := part.Distribute(a, serialA) + part.Distribute(b, serialB)
 		dropped := 0
 		for i := range k {
-			s := splitByClass(part, i, serialA[i])
+			s := splitByClass(part, c.own, c.winXLo, i, serialA[i])
 			dropped += len(serialA[i]) - len(s.A) - len(s.B)
 		}
 		if (c.name == "unowned") != (dropped == 0) {
@@ -122,11 +122,11 @@ func TestDistributeMatchesSerialReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st, _ := d.stripes(part, owned)
+				st, _ := d.stripes(l, owned)
 				for i := range k {
 					for name, sides := range map[string][2]side{
-						"a": {st[i].a, splitByClass(part, i, serialA[i])},
-						"b": {st[i].b, splitByClass(part, i, serialB[i])},
+						"a": {st[i].a, splitByClass(part, c.own, c.winXLo, i, serialA[i])},
+						"b": {st[i].b, splitByClass(part, c.own, c.winXLo, i, serialB[i])},
 					} {
 						got, want := sides[0], sides[1]
 						if !slices.Equal(got.A, want.A) || !slices.Equal(got.B, want.B) {
@@ -294,8 +294,9 @@ func TestTwoLayerAccounting(t *testing.T) {
 		t.Fatalf("both classes must be populated on clustered data: local %d, boundary %d",
 			rep.LocalRecords, rep.BoundaryRecords)
 	}
-	if rep.Sweep.Pairs != rep.Pairs {
-		t.Fatalf("the kernel found %d pairs and reported %d: it met a pair its stripe does not own", rep.Sweep.Pairs, rep.Pairs)
+	want := jointest.Join(a, b, nil).Len()
+	if rep.Pairs != want || rep.Comparisons < rep.Pairs {
+		t.Fatalf("the kernel reported %d pairs from %d comparisons, the reference has %d: it met a pair its stripe does not own", rep.Pairs, rep.Comparisons, want)
 	}
 	// Replication only comes from boundary records.
 	if rep.ReplicatedRecords-rep.InputRecords > rep.BoundaryRecords*int64(rep.Partitions) {
@@ -314,9 +315,9 @@ func TestTwoLayerAccounting(t *testing.T) {
 	if rep1.BoundaryRecords != 0 || rep1.LocalRecords != rep1.InputRecords {
 		t.Fatalf("k=1: local %d boundary %d of %d", rep1.LocalRecords, rep1.BoundaryRecords, rep1.InputRecords)
 	}
-	if rep1.Sweep.Pairs != rep1.Pairs || rep1.Sweep.Comparisons < rep.Sweep.Comparisons {
-		t.Fatalf("k=1: %d pairs found, %d reported, %d comparisons (%d over 8 stripes)",
-			rep1.Sweep.Pairs, rep1.Pairs, rep1.Sweep.Comparisons, rep.Sweep.Comparisons)
+	if rep1.Pairs != want || rep1.Comparisons < rep.Comparisons {
+		t.Fatalf("k=1: %d pairs reported of %d, %d comparisons (%d over 8 stripes)",
+			rep1.Pairs, want, rep1.Comparisons, rep.Comparisons)
 	}
 }
 
@@ -330,7 +331,7 @@ func TestEmptyInputReports(t *testing.T) {
 	if rep.Replication != 0 {
 		t.Fatalf("parallel: empty-input Replication = %f, want 0", rep.Replication)
 	}
-	if rep.InputRecords != 0 || rep.Pairs != 0 || rep.Sweep.Comparisons != 0 {
+	if rep.InputRecords != 0 || rep.Pairs != 0 || rep.Comparisons != 0 {
 		t.Fatalf("parallel: empty-input report %+v", rep)
 	}
 }

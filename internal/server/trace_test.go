@@ -1,9 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log/slog"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"unijoin/client"
 )
@@ -135,5 +140,61 @@ func TestWindowTraceRecorded(t *testing.T) {
 	}
 	if !names["scan"] || !names["stream"] {
 		t.Fatalf("window trace children = %v, want scan and stream", names)
+	}
+}
+
+// lockedBuffer is a log sink the handler goroutines may write to while
+// the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// warnLines returns the Warn lines logged so far.
+func (b *lockedBuffer) warnLines() []string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var out []string
+	for _, line := range strings.Split(b.buf.String(), "\n") {
+		if strings.Contains(line, "level=WARN") {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// TestSlowQueryLogged: under a SlowQuery threshold below a join's wall
+// time the server logs exactly one Warn line for it, "slow query", whose
+// breakdown is the span tree from server.join down; under a threshold
+// above it, none.
+func TestSlowQueryLogged(t *testing.T) {
+	cat := testCatalog(t, 500)
+	for _, c := range []struct {
+		threshold time.Duration
+		want      int
+	}{
+		{time.Nanosecond, 1},
+		{time.Hour, 0},
+	} {
+		var logged lockedBuffer
+		_, cl, _ := testServer(t, Config{Catalog: cat, SlowQuery: c.threshold, Logger: slog.New(slog.NewTextHandler(&logged, nil))})
+		if _, err := cl.JoinCount(context.Background(), client.JoinRequest{Left: "roads", Right: "hydro"}); err != nil {
+			t.Fatal(err)
+		}
+		warns := logged.warnLines()
+		if len(warns) != c.want {
+			t.Fatalf("threshold %v: %d Warn lines, want %d:\n%s", c.threshold, len(warns), c.want, strings.Join(warns, "\n"))
+		}
+		for _, line := range warns {
+			if !strings.Contains(line, `msg="slow query"`) || !strings.Contains(line, "breakdown=\"server.join ") {
+				t.Fatalf("threshold %v: the Warn line is not a slow-query breakdown of server.join:\n%s", c.threshold, line)
+			}
+		}
 	}
 }

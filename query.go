@@ -9,6 +9,7 @@ import (
 	"unijoin/internal/geom"
 	"unijoin/internal/ingest"
 	"unijoin/internal/parallel"
+	"unijoin/internal/sweep"
 )
 
 // Query is a composable spatial join: a pair of relations plus the
@@ -240,8 +241,17 @@ func (w *Workspace) runParallel(ctx context.Context, name string, workers int, a
 	po.Partitions = opts.ParallelPartitions
 	po.Window = opts.Window
 	po.Own = opts.own
-	po.Emit = opts.Emit
 	po.EmitBatch = opts.EmitBatch
+	if emit := opts.Emit; emit != nil {
+		// The engine hands over whole stripes only; a per-pair
+		// callback sees them pair by pair, on this goroutine and in
+		// stripe-then-sweep order.
+		po.EmitBatch = func(batch []Pair) {
+			for _, p := range batch {
+				emit(p)
+			}
+		}
+	}
 	start := time.Now()
 	var recs [2][]Record
 	for i, v := range [2]*ingest.Version{a, b} {
@@ -270,8 +280,7 @@ func (w *Workspace) runParallel(ctx context.Context, name string, workers int, a
 	return core.Result{
 		Algorithm:     name,
 		Pairs:         rep.Pairs,
-		Sweep:         rep.Sweep,
-		SweepMaxBytes: rep.Sweep.MaxBytes,
+		Sweep:         sweep.Stats{Pairs: rep.Pairs, Comparisons: rep.Comparisons},
 		HostCPU:       rep.Wall,
 		PrepareWall:   prepareWall,
 		PartitionWall: rep.PartitionWall,

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"unijoin/internal/core"
 	"unijoin/internal/datagen"
 	"unijoin/internal/jointest"
 )
@@ -384,5 +385,71 @@ func TestResultsExposesAccounting(t *testing.T) {
 	}
 	if par.Parallel == nil || par.Parallel.Workers < 1 {
 		t.Fatal("parallel query must carry the engine report")
+	}
+}
+
+// TestQuerySimulatorKnobs: the simulated-disk knobs of a Query reach
+// the simulator on a NewWorkspace pair. A smaller Memory makes SSSJ's
+// external sorts form more runs; a smaller BufferPool makes ST issue
+// more page requests to the disk while asking for the same pages; and
+// under Machine1 and Machine2, AlgAuto plans with each machine's own
+// break-even threshold.
+func TestQuerySimulatorKnobs(t *testing.T) {
+	u := NewRect(0, 0, 10_000, 10_000)
+	ws := NewWorkspace()
+	ws.SetUniverse(u)
+	a, err := ws.AddRelation(datagen.Uniform(51, 20_000, u, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ws.AddRelation(datagen.Uniform(52, 15_000, u, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	run := func(q *Query) *Results {
+		t.Helper()
+		res, err := q.CountOnly().Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	runs := func(res *Results) (n int) {
+		for _, s := range res.SortStats {
+			n += s.Runs
+		}
+		return n
+	}
+	whole := run(ws.Query(a, b).Algorithm(AlgSSSJ))
+	small := run(ws.Query(a, b).Algorithm(AlgSSSJ).Memory(64 << 10))
+	if runs(small) <= runs(whole) || small.Count() != whole.Count() {
+		t.Fatalf("SSSJ: %d sort runs (%d pairs) under 64 KB of memory, %d (%d pairs) under the default",
+			runs(small), small.Count(), runs(whole), whole.Count())
+	}
+
+	for _, r := range []*Relation{a, b} {
+		if err := r.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roomy := run(ws.Query(a, b).Algorithm(AlgST))
+	tight := run(ws.Query(a, b).Algorithm(AlgST).BufferPool(64 << 10))
+	if tight.PageRequests <= roomy.PageRequests || tight.LogicalRequests != roomy.LogicalRequests {
+		t.Fatalf("ST: %d page requests of %d logical under a 64 KB pool, %d of %d under the default",
+			tight.PageRequests, tight.LogicalRequests, roomy.PageRequests, roomy.LogicalRequests)
+	}
+
+	thresholds := map[float64]bool{}
+	for _, m := range []Machine{Machine1, Machine2} {
+		res := run(ws.Query(a, b).Algorithm(AlgAuto).Machine(m))
+		want := core.Planner{Machine: m}.Threshold()
+		if res.Decision == nil || res.Decision.Threshold != want {
+			t.Fatalf("auto on %s: decision %v, want the machine's threshold %g", m.Name, res.Decision, want)
+		}
+		thresholds[want] = true
+	}
+	if len(thresholds) != 2 {
+		t.Fatal("Machine1 and Machine2 share a threshold: the test cannot tell them apart")
 	}
 }
