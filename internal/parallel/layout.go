@@ -11,7 +11,7 @@ import (
 )
 
 // A layout is a join's stripes, ready to sweep: the partitioner that
-// cut them, the class rule the join applies in each (owns and winXLo)
+// cut them, the class rule the join applies in each (own and winXLo)
 // and, for each stripe, both inputs' records that reach it — split by
 // class, each class gathered in input order and put in geom.ByLowerY
 // order — with the distribution's counters. Building one is everything
@@ -23,12 +23,13 @@ import (
 // joins may sweep it at once.
 type layout struct {
 	part *Partitioner
-	// owns[i] is the range of reference points stripe i reports: its
-	// OwnerRange, clamped to Options.Own when the join has one, so that
-	// one range settles both which stripe and whether this join reports
-	// a pair. winXLo is the window's left edge (geom.NoWindow without
-	// one), to which classes clips each record's.
-	owns    []geom.Interval
+	// own is the interval of reference points the join reports at all
+	// (Options.Own; nil: everything), to which classes clamps each
+	// stripe's OwnerRange, so that one range settles both which stripe
+	// and whether this join reports a pair. winXLo is the window's left
+	// edge (geom.NoWindow without one), to which classes clips each
+	// record's.
+	own     *geom.Interval
 	winXLo  geom.Coord
 	stripes []stripe
 
@@ -46,21 +47,6 @@ type layout struct {
 	bytes int64
 }
 
-// newLayout returns an empty layout over the cut part that classes
-// records for a join owning own (nil: everything) under a window
-// starting at winXLo, ready for a distribution to fill.
-func newLayout(part *Partitioner, own *geom.Interval, winXLo geom.Coord) *layout {
-	l := &layout{part: part, owns: make([]geom.Interval, part.Partitions()), winXLo: winXLo}
-	for i := range l.owns {
-		lo, hi := part.OwnerRange(i)
-		if own != nil {
-			lo, hi = max(lo, own.Lo), min(hi, own.Hi)
-		}
-		l.owns[i] = geom.Interval{Lo: lo, Hi: hi}
-	}
-	return l
-}
-
 // classes appends the records of recs that are of class A in stripe i
 // to a and those of class B to b, in input order, and returns both.
 // A record's class is decided by its left edge clipped to the window's,
@@ -75,12 +61,16 @@ func newLayout(part *Partitioner, own *geom.Interval, winXLo geom.Coord) *layout
 // there. a may share recs' memory from its start: a record is appended
 // to it only after it has been read.
 func (l *layout) classes(i int, recs, a, b []geom.Record) ([]geom.Record, []geom.Record) {
-	own := l.owns[i]
+	lo, hi := l.part.OwnerRange(i)
+	if l.own != nil {
+		lo, hi = max(lo, l.own.Lo), min(hi, l.own.Hi)
+	}
+	own := geom.Interval{Lo: lo, Hi: hi}
 	for _, r := range recs {
 		switch x := max(r.Rect.XLo, l.winXLo); {
 		case own.Contains(x):
 			a = append(a, r)
-		case x < own.Lo && own.Lo < own.Hi:
+		case x < lo && lo < hi:
 			b = append(b, r)
 		}
 	}
@@ -148,8 +138,13 @@ func arrange(ctx context.Context, a, b []geom.Record, o Options, owned bool) (*l
 	if o.Window != nil {
 		winXLo = o.Window.XLo
 	}
-	l := newLayout(NewPartitionerFromSamples(o.Universe, o.Partitions, samples...), o.Own, winXLo)
-	l.requested, l.auto = o.Partitions, auto
+	l := &layout{
+		part:      NewPartitionerFromSamples(o.Universe, o.Partitions, samples...),
+		own:       o.Own,
+		winXLo:    winXLo,
+		requested: o.Partitions,
+		auto:      auto,
+	}
 	d, err := distribute(ctx, l.part, a, b, o.Workers)
 	if err != nil {
 		return nil, err

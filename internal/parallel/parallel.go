@@ -159,7 +159,10 @@ type Options struct {
 	// quantile sample sort of its partitioning prefix — the reuse path
 	// for stable catalog relations whose samples are cached across
 	// queries. Without them a join samples the inputs it sweeps, a
-	// windowed one its narrowed inputs.
+	// windowed one its narrowed inputs. Under a window the samples
+	// must describe the narrowed inputs, or be cuts meant to be pinned:
+	// a whole relation's sample cuts K stripes across the whole
+	// relation, and every one that misses the window is wasted.
 	SortedSamples [][]geom.Coord
 
 	// EmitBatch, when set, receives the result pairs as slices (each

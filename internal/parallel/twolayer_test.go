@@ -85,7 +85,7 @@ func TestDistributeMatchesSerialReference(t *testing.T) {
 		{"windowed", nil, 430},
 	} {
 		part := NewPartitioner(universe, 9, a, b)
-		l := newLayout(part, c.own, c.winXLo)
+		l := &layout{part: part, own: c.own, winXLo: c.winXLo}
 		k := part.Partitions()
 		serialA, serialB := make([][]geom.Record, k), make([][]geom.Record, k)
 		wantRepl := part.Distribute(a, serialA) + part.Distribute(b, serialB)
